@@ -74,7 +74,12 @@ class ContainmentIndex:
         contained = [
             r
             for r in self.selected
-            if is_subgraph(self.space.features[r].graph, pattern, target_profile)
+            if is_subgraph(
+                self.space.features[r].graph,
+                pattern,
+                target_profile,
+                self.space.pattern_profile(r),
+            )
         ]
         candidates = np.ones(self.space.n, dtype=bool)
         for r in contained:

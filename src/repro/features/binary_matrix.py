@@ -15,12 +15,12 @@ with a cheap label-count pre-filter.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.labeled_graph import LabeledGraph
-from repro.isomorphism.vf2 import TargetProfile, is_subgraph
+from repro.isomorphism.vf2 import PatternProfile, TargetProfile, is_subgraph
 from repro.mining.gspan import FrequentSubgraph
 from repro.utils.errors import SelectionError
 
@@ -66,6 +66,9 @@ class FeatureSpace:
         self.support_counts = np.array(
             [len(f.support) for f in self.features], dtype=np.int64
         )
+        # Pattern-side VF2 invariants + match plan per feature, built on
+        # first use (see :meth:`pattern_profile`).
+        self._pattern_profiles: Dict[int, PatternProfile] = {}
 
     # ------------------------------------------------------------------
     # database mutations
@@ -168,6 +171,20 @@ class FeatureSpace:
     # ------------------------------------------------------------------
     # embeddings
     # ------------------------------------------------------------------
+    def pattern_profile(self, r: int) -> PatternProfile:
+        """Feature *r*'s :class:`PatternProfile`, built once and kept.
+
+        A profile compiles the feature's match plan, so every caller
+        that matches features against many graphs shares this one
+        instead of letting ``is_subgraph`` build a throw-away profile
+        per (feature, graph) pair.
+        """
+        profile = self._pattern_profiles.get(r)
+        if profile is None:
+            profile = PatternProfile(self.features[r].graph)
+            self._pattern_profiles[r] = profile
+        return profile
+
     def embed_database(self, selected: Optional[Sequence[int]] = None) -> np.ndarray:
         """Binary vectors of all database graphs over *selected* features.
 
@@ -197,7 +214,9 @@ class FeatureSpace:
             profile = TargetProfile(query)
         vector = np.zeros(len(indices), dtype=float)
         for out_pos, r in enumerate(indices):
-            if is_subgraph(self.features[r].graph, query, profile):
+            if is_subgraph(
+                self.features[r].graph, query, profile, self.pattern_profile(r)
+            ):
                 vector[out_pos] = 1.0
         return vector
 

@@ -114,6 +114,13 @@ class LabeledGraph:
         """A copy of the vertex-label list."""
         return list(self._vlabels)
 
+    @property
+    def adjacency(self) -> List[Dict[int, Label]]:
+        """The adjacency maps themselves: ``adjacency[u][v]`` is the label
+        of edge ``u -- v``.  Not a copy — for read-only inner loops (the
+        VF2 walker) that cannot afford an accessor call per neighbour."""
+        return self._adj
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 

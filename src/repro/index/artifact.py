@@ -378,11 +378,9 @@ class IndexArtifact:
 
         Builds the engine first if the mapping has not served a query
         yet — saving is exactly the moment to pay the offline lattice
-        cost.  A pivot-enabled engine's extra patterns are not part of
-        the output space; its lattice is projected onto the selected
-        positions (zero VF2) before persisting.  Any applied mutations
-        are already folded into the supports and vectors, so the result
-        is a clean v3 *base* (empty journal).
+        cost.  Any applied mutations are already folded into the
+        supports and vectors, so the result is a clean v3 *base* (empty
+        journal).
         """
         engine = mapping.query_engine()
         lattice, profiles = engine.selected_offline_products()

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.mapping import mapping_from_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
-from repro.isomorphism.vf2 import is_subgraph
+from repro.isomorphism.vf2 import PatternProfile, is_subgraph
 from repro.mining.gspan import FrequentSubgraph, mine_frequent_subgraphs
 from repro.query.bench import variance_selection
 from repro.utils.benchmeta import attach_bench_metadata
@@ -130,13 +130,19 @@ def run_incremental_bench(
         rebuild_seconds = min(rebuild_seconds, time.perf_counter() - start)
 
     # --- exactness gate (untimed): incremental == scratch, bit for bit -
-    scratch_features = [
-        FrequentSubgraph(
-            f.graph,
-            {i for i, g in enumerate(mutated_db) if is_subgraph(f.graph, g)},
+    scratch_features = []
+    for f in mapping.selected_features():
+        profile = PatternProfile(f.graph)
+        scratch_features.append(
+            FrequentSubgraph(
+                f.graph,
+                {
+                    i
+                    for i, g in enumerate(mutated_db)
+                    if is_subgraph(f.graph, g, pattern_profile=profile)
+                },
+            )
         )
-        for f in mapping.selected_features()
-    ]
     scratch_space = FeatureSpace(scratch_features, len(mutated_db))
     scratch = mapping_from_selection(
         scratch_space, list(range(len(scratch_features)))

@@ -7,8 +7,7 @@ edge onto a target edge with the same edge label.  The target may contain
 extra edges between mapped vertices (the usual "subgraph isomorphic"
 relation of the frequent-subgraph-mining literature — not induced).
 
-The implementation follows VF2's incremental state with feasibility
-pruning:
+The search is VF2's incremental state with feasibility pruning:
 
 * label compatibility of the candidate pair,
 * consistency of already-mapped neighbors (all pattern edges into the
@@ -17,28 +16,60 @@ pruning:
   smaller degree),
 * a global label-multiset pre-check before search starts.
 
-When the same target is matched against many patterns (feature matching
-at query time), the per-target invariants — label histograms, degree
-sequence, label buckets — can be computed once in a :class:`TargetProfile`
-and passed to :func:`is_subgraph` / :func:`find_embedding`, instead of
-being rebuilt inside every call.
+It is split the way the online path uses it.  Everything that depends
+on the pattern alone is compiled once into a flat **match plan**
+(:func:`compile_plan`, held by :class:`PatternProfile`): one step per
+search depth saying which label and degree the candidate needs, which
+earlier depth's image supplies the candidates, and which edges back
+into the mapped core must be verified.  Everything that depends on the
+target alone — label histograms, degree sequence, label buckets, the
+raw adjacency — sits in a :class:`TargetProfile`.  One iterative
+**walker** (:func:`match_plan`) then runs a plan against a target
+profile; :func:`is_subgraph`, :func:`find_embedding` and
+:func:`count_embeddings` are thin wrappers over it.  Pass the profiles
+in when one target is matched against many patterns (feature matching
+at query time) or one pattern against many targets, instead of letting
+every call rebuild them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
+
+#: One step of a match plan: ``(vertex label, degree, anchor depth,
+#: anchor edge label, back-edges)``.
+PlanStep = Tuple[object, int, int, object, Tuple[Tuple[int, object], ...]]
+
+#: ``dict.get`` default that equals no edge label (``None`` is a label).
+_NO_EDGE = object()
+
+
+def _histograms(
+    labels: List[object], adjacency: List[Dict[int, object]]
+) -> Tuple[Dict[object, int], Dict[object, int], List[int]]:
+    """Vertex-label counts, edge-label counts and descending degrees."""
+    vcounts: Dict[object, int] = {}
+    for lab in labels:
+        vcounts[lab] = vcounts.get(lab, 0) + 1
+    ecounts: Dict[object, int] = {}
+    for u, nbrs in enumerate(adjacency):
+        for v, lab in nbrs.items():
+            if u < v:
+                ecounts[lab] = ecounts.get(lab, 0) + 1
+    return vcounts, ecounts, sorted(map(len, adjacency), reverse=True)
 
 
 class TargetProfile:
     """Precomputed match-target invariants, shared across many patterns.
 
     Holds the target's vertex-label histogram, edge-label histogram,
-    descending degree sequence, and per-label vertex buckets.  All four
-    are pure functions of the target, so one profile serves every
-    pattern matched against it — the per-query cache of the online path.
+    descending degree sequence, and per-label vertex buckets, plus the
+    label list and adjacency maps the walker reads directly.  All are
+    pure functions of the target, so one profile serves every pattern
+    matched against it — the per-query cache of the online path.
     """
 
     __slots__ = (
@@ -49,37 +80,37 @@ class TargetProfile:
         "edge_label_counts",
         "degrees_desc",
         "by_label",
+        "labels",
+        "adjacency",
     )
 
     def __init__(self, target: LabeledGraph) -> None:
         self.target = target
         self.num_vertices = target.num_vertices
         self.num_edges = target.num_edges
-        vcounts: Dict[object, int] = {}
+        self.labels = target.vertex_labels()
+        self.adjacency = target.adjacency
+        (
+            self.vertex_label_counts,
+            self.edge_label_counts,
+            self.degrees_desc,
+        ) = _histograms(self.labels, self.adjacency)
         by_label: Dict[object, List[int]] = {}
-        degrees: List[int] = []
-        for v in range(target.num_vertices):
-            lab = target.vertex_label(v)
-            vcounts[lab] = vcounts.get(lab, 0) + 1
+        for v, lab in enumerate(self.labels):
             by_label.setdefault(lab, []).append(v)
-            degrees.append(target.degree(v))
-        ecounts: Dict[object, int] = {}
-        for e in target.edges():
-            ecounts[e.label] = ecounts.get(e.label, 0) + 1
-        self.vertex_label_counts = vcounts
-        self.edge_label_counts = ecounts
-        self.degrees_desc = sorted(degrees, reverse=True)
         self.by_label = by_label
 
 
 class PatternProfile:
-    """Precomputed pattern-side invariants plus the VF2 search order.
+    """Precomputed pattern-side invariants, search order and match plan.
 
     The counterpart of :class:`TargetProfile` for the other side of the
     match: when one pattern is matched against many targets (a feature
-    across a query stream), its label histograms, degree sequence, and
-    search order are pure functions of the pattern and can be computed
-    once at index-build time.
+    across a query stream), its label histograms, degree sequence,
+    search order and the plan compiled from that order are pure
+    functions of the pattern and are computed once at index-build time.
+    The plan is derived, never persisted: :meth:`restore` recompiles it
+    from the saved search order.
     """
 
     __slots__ = (
@@ -90,25 +121,20 @@ class PatternProfile:
         "edge_label_counts",
         "degrees_desc",
         "search_order",
+        "plan",
     )
 
     def __init__(self, pattern: LabeledGraph) -> None:
         self.pattern = pattern
         self.num_vertices = pattern.num_vertices
         self.num_edges = pattern.num_edges
-        vcounts: Dict[object, int] = {}
-        degrees: List[int] = []
-        for v in range(pattern.num_vertices):
-            lab = pattern.vertex_label(v)
-            vcounts[lab] = vcounts.get(lab, 0) + 1
-            degrees.append(pattern.degree(v))
-        ecounts: Dict[object, int] = {}
-        for e in pattern.edges():
-            ecounts[e.label] = ecounts.get(e.label, 0) + 1
-        self.vertex_label_counts = vcounts
-        self.edge_label_counts = ecounts
-        self.degrees_desc = sorted(degrees, reverse=True)
+        (
+            self.vertex_label_counts,
+            self.edge_label_counts,
+            self.degrees_desc,
+        ) = _histograms(pattern.vertex_labels(), pattern.adjacency)
         self.search_order = _search_order(pattern)
+        self.plan = compile_plan(pattern, self.search_order)
 
     @classmethod
     def restore(
@@ -127,21 +153,15 @@ class PatternProfile:
         loudly instead of silently mismatching.  The search order itself
         is the one genuinely restored value: any permutation is sound
         for VF2 (it only affects pruning speed), so the persisted order
-        is honoured as saved.
+        is honoured as saved and the plan is compiled from it.
         """
-        vcounts: Dict[object, int] = {}
-        degrees: List[int] = []
-        for v in range(pattern.num_vertices):
-            lab = pattern.vertex_label(v)
-            vcounts[lab] = vcounts.get(lab, 0) + 1
-            degrees.append(pattern.degree(v))
-        ecounts: Dict[object, int] = {}
-        for e in pattern.edges():
-            ecounts[e.label] = ecounts.get(e.label, 0) + 1
+        vcounts, ecounts, degrees = _histograms(
+            pattern.vertex_labels(), pattern.adjacency
+        )
         if (
             dict(vertex_label_counts) != vcounts
             or dict(edge_label_counts) != ecounts
-            or list(degrees_desc) != sorted(degrees, reverse=True)
+            or list(degrees_desc) != degrees
             or sorted(search_order) != list(range(pattern.num_vertices))
         ):
             raise ValueError("persisted profile does not match its pattern")
@@ -151,8 +171,9 @@ class PatternProfile:
         self.num_edges = pattern.num_edges
         self.vertex_label_counts = vcounts
         self.edge_label_counts = ecounts
-        self.degrees_desc = list(degrees_desc)
+        self.degrees_desc = degrees
         self.search_order = list(search_order)
+        self.plan = compile_plan(pattern, self.search_order)
         return self
 
 
@@ -245,72 +266,118 @@ def _search_order(pattern: LabeledGraph) -> List[int]:
     return order
 
 
-def _embeddings(
-    pattern: LabeledGraph,
-    target: LabeledGraph,
-    profile: Optional[TargetProfile] = None,
-    pattern_profile: Optional[PatternProfile] = None,
-) -> Iterator[Dict[int, int]]:
-    """Yield injective label-preserving embeddings of pattern into target."""
-    if pattern.num_vertices == 0:
-        yield {}
-        return
-    profile = _profile_for(target, profile)
-    pattern_profile = _pattern_profile_for(pattern, pattern_profile)
-    if not _label_counts_ok(pattern_profile, profile):
-        return
+def compile_plan(
+    pattern: LabeledGraph, search_order: List[int]
+) -> Tuple[PlanStep, ...]:
+    """Flatten ``(pattern, search_order)`` into one step per search depth.
 
-    order = pattern_profile.search_order
-    mapping: Dict[int, int] = {}
-    used = [False] * target.num_vertices
+    The step for depth ``d`` places pattern vertex ``search_order[d]``.
+    Its *anchor* is the first neighbour (in adjacency order) placed at
+    an earlier depth: candidates are the target neighbours of the
+    anchor's image along an edge with the anchor edge label.  Anchor
+    depth ``-1`` marks a vertex with no placed neighbour — a component
+    seed, or any vertex of an order that is not connected-first — whose
+    candidates come from the target's label bucket.  *Back-edges* are
+    the remaining ``(earlier depth, edge label)`` pairs the candidate
+    must also be adjacent to, so every pattern edge is verified exactly
+    once, at its later endpoint.
+    """
+    labels = pattern.vertex_labels()
+    adjacency = pattern.adjacency
+    depth_of = {v: d for d, v in enumerate(search_order)}
+    steps: List[PlanStep] = []
+    for depth, pv in enumerate(search_order):
+        placed = [
+            (depth_of[w], lab)
+            for w, lab in adjacency[pv].items()
+            if depth_of[w] < depth
+        ]
+        anchor, wanted = placed[0] if placed else (-1, None)
+        steps.append(
+            (labels[pv], len(adjacency[pv]), anchor, wanted, tuple(placed[1:]))
+        )
+    return tuple(steps)
 
-    # Target vertices bucketed by label, from the (possibly shared) profile.
-    by_label = profile.by_label
 
-    def candidates(pv: int) -> Iterator[int]:
-        """Target candidates for pattern vertex *pv* under current mapping."""
-        mapped_nbrs = [w for w in pattern.neighbors(pv) if w in mapping]
-        if mapped_nbrs:
-            # Candidates must be unmapped target-neighbors of the image of
-            # one mapped pattern-neighbor, with the right edge label.
-            anchor = mapped_nbrs[0]
-            wanted = pattern.edge_label(pv, anchor)
-            for tv, lab in target.neighbor_items(mapping[anchor]):
-                if not used[tv] and lab == wanted and (
-                    target.vertex_label(tv) == pattern.vertex_label(pv)
-                ):
-                    yield tv
+def match_plan(
+    plan: Tuple[PlanStep, ...],
+    target: TargetProfile,
+    limit: Optional[int] = None,
+) -> Tuple[int, Optional[List[int]]]:
+    """Run *plan* against *target*: ``(embeddings counted, first one)``.
+
+    One iterative backtracking loop.  ``image[d]`` is the target vertex
+    the pattern vertex of depth ``d`` currently maps to, ``used`` the set
+    of those images, ``pending[d]`` the iterator over depth ``d``'s
+    untried candidates.  Counting stops at *limit*; the first embedding
+    is returned as target vertices indexed by search depth (``None``
+    when there is none).  The caller owns the global pre-check
+    (:func:`_label_counts_ok` or its vectorised form) — the walker is
+    correct without it, just slower on hopeless pairs.
+    """
+    last = len(plan) - 1
+    if last < 0:
+        return 1, []
+    labels = target.labels
+    adjacency = target.adjacency
+    image = [0] * last
+    used: set = set()
+    pending = [iter(target.by_label.get(plan[0][0], ()))] + [None] * last
+    count = 0
+    first: Optional[List[int]] = None
+    depth = 0
+    while True:
+        vlabel, degree, anchor, wanted, back_edges = plan[depth]
+        for candidate in pending[depth]:
+            if anchor < 0:
+                tv = candidate
+                if tv in used:
+                    continue
+            else:
+                tv, lab = candidate
+                if lab != wanted or tv in used or labels[tv] != vlabel:
+                    continue
+            nbrs = adjacency[tv]
+            if len(nbrs) < degree:
+                continue
+            for earlier, lab in back_edges:
+                if nbrs.get(image[earlier], _NO_EDGE) != lab:
+                    break
+            else:
+                if depth == last:
+                    count += 1
+                    if first is None:
+                        first = image + [tv]
+                    if limit is not None and count >= limit:
+                        return count, first
+                    continue
+                image[depth] = tv
+                used.add(tv)
+                depth += 1
+                step = plan[depth]
+                if step[2] < 0:
+                    pending[depth] = iter(target.by_label.get(step[0], ()))
+                else:
+                    pending[depth] = iter(adjacency[image[step[2]]].items())
+                break
         else:
-            for tv in by_label.get(pattern.vertex_label(pv), ()):  # new component
-                if not used[tv]:
-                    yield tv
+            depth -= 1
+            if depth < 0:
+                return count, first
+            used.discard(image[depth])
 
-    def feasible(pv: int, tv: int) -> bool:
-        if target.degree(tv) < pattern.degree(pv):
-            return False
-        for w in pattern.neighbors(pv):
-            if w in mapping:
-                tw = mapping[w]
-                if not target.has_edge(tv, tw):
-                    return False
-                if target.edge_label(tv, tw) != pattern.edge_label(pv, w):
-                    return False
-        return True
 
-    def recurse(depth: int) -> Iterator[Dict[int, int]]:
-        if depth == len(order):
-            yield dict(mapping)
-            return
-        pv = order[depth]
-        for tv in candidates(pv):
-            if feasible(pv, tv):
-                mapping[pv] = tv
-                used[tv] = True
-                yield from recurse(depth + 1)
-                used[tv] = False
-                del mapping[pv]
-
-    yield from recurse(0)
+def _match(
+    pattern_profile: PatternProfile,
+    target: LabeledGraph,
+    limit: Optional[int],
+    profile: Optional[TargetProfile],
+) -> Tuple[int, Optional[List[int]]]:
+    """Pre-check + walker: what every public entry point shares."""
+    profile = _profile_for(target, profile)
+    if not _label_counts_ok(pattern_profile, profile):
+        return 0, None
+    return match_plan(pattern_profile.plan, profile, limit)
 
 
 def find_embedding(
@@ -320,9 +387,11 @@ def find_embedding(
     pattern_profile: Optional[PatternProfile] = None,
 ) -> Optional[Dict[int, int]]:
     """The first embedding of *pattern* in *target*, or ``None``."""
-    for mapping in _embeddings(pattern, target, profile, pattern_profile):
-        return mapping
-    return None
+    pattern_profile = _pattern_profile_for(pattern, pattern_profile)
+    _, first = _match(pattern_profile, target, 1, profile)
+    if first is None:
+        return None
+    return dict(zip(pattern_profile.search_order, first))
 
 
 def is_subgraph(
@@ -338,7 +407,8 @@ def is_subgraph(
     computation across many patterns matched against the same target
     (resp. many targets matched by the same pattern).
     """
-    return find_embedding(pattern, target, profile, pattern_profile) is not None
+    pattern_profile = _pattern_profile_for(pattern, pattern_profile)
+    return _match(pattern_profile, target, 1, profile)[0] > 0
 
 
 def count_embeddings(
@@ -349,9 +419,5 @@ def count_embeddings(
     pattern_profile: Optional[PatternProfile] = None,
 ) -> int:
     """Count embeddings of *pattern* in *target* (capped at *limit*)."""
-    count = 0
-    for _ in _embeddings(pattern, target, profile, pattern_profile):
-        count += 1
-        if limit is not None and count >= limit:
-            break
-    return count
+    pattern_profile = _pattern_profile_for(pattern, pattern_profile)
+    return _match(pattern_profile, target, limit, profile)[0]

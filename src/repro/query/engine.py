@@ -39,7 +39,12 @@ import numpy as np
 
 from repro.core.mapping import DSPreservedMapping
 from repro.graph.labeled_graph import LabeledGraph
-from repro.isomorphism.vf2 import PatternProfile, TargetProfile, is_subgraph
+from repro.isomorphism.vf2 import (
+    PatternProfile,
+    TargetProfile,
+    is_subgraph,
+    match_plan,
+)
 from repro.kernels import PatternFilterStats, resolve_backend
 from repro.query.topk import TopKResult, _check_k, rank_with_ties
 
@@ -181,8 +186,7 @@ class FeatureLattice:
         and because ``ancestors`` stores the transitive closure the
         projection stays transitively closed.  Used to derive
         per-partition lattices (a DSPMap block's restricted feature set)
-        and to strip pivot positions before persisting an engine's
-        lattice, without re-running any pattern-vs-pattern matching.
+        without re-running any pattern-vs-pattern matching.
         """
         positions = list(positions)
         if len(set(positions)) != len(positions):
@@ -283,37 +287,19 @@ class QueryEngine:
         self,
         mapping: DSPreservedMapping,
         lattice: Optional[FeatureLattice] = None,
-        use_pivots: bool = False,
         pattern_profiles: Optional[Sequence[PatternProfile]] = None,
         kernel: Optional[str] = None,
     ) -> None:
         self.mapping = mapping
-        selected_patterns: List[LabeledGraph] = [
+        self.patterns: List[LabeledGraph] = [
             f.graph for f in mapping.selected_features()
         ]
-        self.num_selected = len(selected_patterns)
-        # Pivot patterns: non-selected universe features strictly smaller
-        # than the largest selected pattern.  They never appear in the
-        # output vector, but a failing pivot zeroes every selected
-        # feature above it — one cheap VF2 call instead of several
-        # expensive ones.  Off by default: pivots only pay when queries
-        # match few features (on the bundled datasets, with ~35% match
-        # rates, the extra matching-pivot calls cost more than they
-        # save — measured in the query-engine benchmark).
-        pivot_patterns: List[LabeledGraph] = []
-        if use_pivots and lattice is None and selected_patterns:
-            selected_set = set(mapping.selected)
-            max_edges = max(g.num_edges for g in selected_patterns)
-            pivot_patterns = [
-                f.graph
-                for r, f in enumerate(mapping.space.features)
-                if r not in selected_set and f.graph.num_edges < max_edges
-            ]
-        self.patterns = selected_patterns + pivot_patterns
+        self.num_selected = len(self.patterns)
         # Pattern-side VF2 invariants (histograms, degree sequence,
-        # search order) are fixed per feature — computed once here (or
-        # restored from a persisted index artifact) and shared with the
-        # lattice build and every online match call.
+        # search order, compiled match plan) are fixed per feature —
+        # computed once here (or restored from a persisted index
+        # artifact) and shared with the lattice build and every online
+        # match call.
         if pattern_profiles is not None:
             pattern_profiles = list(pattern_profiles)
             if len(pattern_profiles) != len(self.patterns):
@@ -333,13 +319,6 @@ class QueryEngine:
         )
         if len(self.lattice.ancestors) != len(self.patterns):
             raise ValueError("lattice does not match the engine's pattern list")
-        # Per position: its selected (output-relevant) descendants — the
-        # only reason to ever evaluate a pivot.
-        p = self.num_selected
-        self._selected_descendants = [
-            tuple(d for d in self.lattice.descendants[r] if d < p)
-            for r in range(len(self.patterns))
-        ]
         # Compute-kernel backend (resolved once — wrap *construction* in
         # use_backend() to override) and the pattern-side arrays of the
         # vectorised VF2 candidate filter it evaluates per query.
@@ -350,16 +329,9 @@ class QueryEngine:
     def selected_offline_products(
         self,
     ) -> Tuple[FeatureLattice, List[PatternProfile]]:
-        """The lattice + profiles restricted to selected positions.
-
-        A pivot-enabled engine carries extra patterns that are not part
-        of the output space; both the index-artifact writer and the
-        mutable-index refresh path need the offline products projected
-        onto the selected positions only (zero VF2 — lattice projection).
-        """
-        p = self.num_selected
-        if len(self.patterns) > p:
-            return self.lattice.restrict(range(p)), self._pattern_profiles[:p]
+        """The lattice and the per-feature profiles, position-aligned
+        with ``mapping.selected`` — what the index-artifact writer and
+        the mutable-index refresh path carry over to the next engine."""
         return self.lattice, list(self._pattern_profiles)
 
     # ------------------------------------------------------------------
@@ -376,63 +348,61 @@ class QueryEngine:
         position's whole descendant cone (any superpattern would have to
         contain the missing subpattern); a match sets every ancestor
         (already implied, kept for DAG orders where they are still
-        open).  A pivot position is only evaluated while it still has an
-        undecided selected descendant to prune.  The resulting vector
-        equals ``FeatureSpace.embed_query(query, mapping.selected)``
-        exactly.
+        open).  The resulting vector equals
+        ``FeatureSpace.embed_query(query, mapping.selected)`` exactly.
         """
         if profile is None:
             profile = TargetProfile(query)
-        total = len(self.patterns)
-        p = self.num_selected
-        state = np.full(total, -1, dtype=np.int8)
-        lattice = self.lattice
-        selected_descendants = self._selected_descendants
+        elif profile.target is not query:
+            raise ValueError(
+                "TargetProfile was built for a different target graph"
+            )
+        return np.array(self._decide(profile), dtype=float)
+
+    def _decide(self, profile: TargetProfile) -> List[int]:
+        """The lattice walk for one query: 0/1 per selected position."""
+        state = [-1] * self.num_selected
+        ancestors = self.lattice.ancestors
+        descendants = self.lattice.descendants
+        profiles = self._pattern_profiles
         # One vectorised pass of VF2's size/histogram/degree pre-check
         # over every pattern: a False entry is a proven non-match (VF2
         # would fail the same conditions first thing), so the walk takes
-        # the non-match branch without paying the call.
-        candidates = self._filter_stats.candidate_mask(profile, self._kernel)
+        # the non-match branch without paying the call — and a True
+        # entry has passed the pre-check, so the walker runs directly.
+        candidates = self._filter_stats.candidate_mask(
+            profile, self._kernel
+        ).tolist()
         vf2_calls = 0
-        selected_calls = 0
         filter_rejected = 0
-        for r in lattice.order:
+        for r in self.lattice.order:
             if state[r] != -1:
                 continue
-            if r >= p and not any(
-                state[d] == -1 for d in selected_descendants[r]
-            ):
-                continue  # pivot with nothing left to prune
-            if not candidates[r]:
-                filter_rejected += 1
-                state[r] = 0
-                for d in lattice.descendants[r]:
-                    state[d] = 0
-                continue
-            vf2_calls += 1
-            if r < p:
-                selected_calls += 1
-            if is_subgraph(
-                self.patterns[r], query, profile, self._pattern_profiles[r]
-            ):
-                state[r] = 1
-                for a in lattice.ancestors[r]:
-                    state[a] = 1
+            if candidates[r]:
+                vf2_calls += 1
+                if match_plan(profiles[r].plan, profile, 1)[0]:
+                    state[r] = 1
+                    for a in ancestors[r]:
+                        state[a] = 1
+                    continue
             else:
-                state[r] = 0
-                for d in lattice.descendants[r]:
-                    state[d] = 0
-        self.stats.queries += 1
-        self.stats.vf2_calls += vf2_calls
-        self.stats.features_pruned += p - selected_calls
-        self.stats.filter_rejected += filter_rejected
-        return state[:p].astype(float)
+                filter_rejected += 1
+            state[r] = 0
+            for d in descendants[r]:
+                state[d] = 0
+        stats = self.stats
+        stats.queries += 1
+        stats.vf2_calls += vf2_calls
+        stats.features_pruned += self.num_selected - vf2_calls
+        stats.filter_rejected += filter_rejected
+        return state
 
     def embed_many(self, queries: Sequence[LabeledGraph]) -> np.ndarray:
         """Stacked :meth:`embed` rows — one profile per query, one lattice."""
-        if not queries:
-            return np.zeros((0, self.num_selected))
-        return np.vstack([self.embed(q) for q in queries])
+        vectors = np.empty((len(queries), self.num_selected))
+        for i, query in enumerate(queries):
+            vectors[i] = self._decide(TargetProfile(query))
+        return vectors
 
     def filter_mask(self, query: LabeledGraph) -> np.ndarray:
         """Zero-VF2 upper bound on φ(q) over the selected positions.

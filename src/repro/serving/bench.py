@@ -96,6 +96,7 @@ def run_serving_bench(
     ]
 
     # --- single-threaded engine pass (re-embeds every occurrence) -----
+    engine_vf2_before = engine.stats.vf2_calls
     start = time.perf_counter()
     engine_answers: List = []
     engine_batch_seconds: List[float] = []
@@ -104,6 +105,7 @@ def run_serving_bench(
         engine_answers.extend(engine.batch_query(batch, k))
         engine_batch_seconds.append(time.perf_counter() - batch_start)
     engine_seconds = time.perf_counter() - start
+    engine_vf2_calls = engine.stats.vf2_calls - engine_vf2_before
 
     # --- sharded service pass ----------------------------------------
     service = mapping.query_service(
@@ -165,6 +167,8 @@ def run_serving_bench(
             "engine_qps": stream_length / engine_seconds,
             "service_qps": stream_length / service_seconds,
             "speedup": engine_seconds / service_seconds,
+            "engine_vf2_calls": engine_vf2_calls,
+            "service_vf2_calls": stats.vf2_calls,
             "engine_latency": latency_summary(engine_batch_seconds),
             "service_latency": latency_summary(service_batch_seconds),
             "index_load_seconds": stats.index_load_seconds,
@@ -202,6 +206,8 @@ def run_serving_bench(
         f"{result['cache_misses']} misses "
         f"({result['embedded_queries']} embedded, "
         f"{100 * result['cache_hit_rate']:.0f}% hit rate)",
+        f"VF2 calls: engine {result['engine_vf2_calls']}, "
+        f"service {result['service_vf2_calls']}",
         f"stage timings: embed {result['embed_seconds'] * 1e3:.1f} ms, "
         f"search {result['search_seconds'] * 1e3:.1f} ms "
         f"({result['shard_tasks']} shard tasks totalling "

@@ -90,10 +90,13 @@ def _effective_cpus() -> int:
 def _structural_key(g: LabeledGraph) -> Tuple:
     """An exact identity key: same labels + same edge set ⇒ same φ(q)."""
     return (
-        tuple(g.vertex_label(v) for v in range(g.num_vertices)),
-        tuple(sorted((e.u, e.v, e.label) for e in map(
-            lambda edge: edge.normalized(), g.edges()
-        ))),
+        tuple(g.vertex_labels()),
+        tuple(sorted(
+            (u, v, label)
+            for u, nbrs in enumerate(g.adjacency)
+            for v, label in nbrs.items()
+            if u < v
+        )),
     )
 
 

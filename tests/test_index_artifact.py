@@ -18,6 +18,7 @@ import pytest
 import repro.query.engine as engine_mod
 from repro.core.mapping import build_mapping
 from repro.core.persistence import load_mapping, save_mapping, save_mapping_v1
+from repro.datasets import chemical_query_set
 from repro.index import (
     IndexArtifact,
     compact_index,
@@ -175,6 +176,31 @@ class TestQueryEquivalence:
             a, b = before.query(q, 5), after.query(q, 5)
             assert a.ranking == b.ranking
             assert a.scores == b.scores
+
+    def test_reloaded_engine_does_identical_work(
+        self, built_mapping, saved_path, small_chemical_db
+    ):
+        """Match plans are derived, never persisted: the reloaded engine
+        compiles its own from the restored search orders and must return
+        the same vectors for the same VF2 / pruning / filter counts."""
+        engines = (
+            built_mapping.query_engine(),
+            load_index(saved_path).query_engine(),
+        )
+        pool = list(small_chemical_db) + chemical_query_set(30, seed=21)
+        outcomes = []
+        for engine in engines:
+            s = engine.stats
+            before = (s.vf2_calls, s.features_pruned, s.filter_rejected)
+            vectors = engine.embed_many(pool)
+            after = (s.vf2_calls, s.features_pruned, s.filter_rejected)
+            outcomes.append(
+                (vectors, tuple(b - a for a, b in zip(before, after)))
+            )
+        (built_vectors, built_work), (loaded_vectors, loaded_work) = outcomes
+        assert np.array_equal(built_vectors, loaded_vectors)
+        assert built_work == loaded_work
+        assert built_work[0] > 0
 
     def test_naive_path_also_identical(
         self, built_mapping, saved_path, small_chemical_queries
@@ -541,30 +567,3 @@ class TestCorruptJournal:
             handle.write("not json\n")
         with pytest.raises(JournalError):
             load_index(journaled)
-
-
-class TestPivotEngines:
-    def test_pivot_engine_lattice_projected_before_save(
-        self, built_mapping, tmp_path, small_chemical_queries
-    ):
-        """An explicitly pivot-enabled engine must not leak pivots into
-        the artifact: the persisted lattice covers selected positions
-        only, and the reload answers identically."""
-        from repro.query.engine import QueryEngine
-
-        pivoted = QueryEngine(built_mapping, use_pivots=True)
-        built_mapping._engine = pivoted  # simulate a pivot deployment
-        try:
-            path = tmp_path / "pivot.json"
-            save_index(built_mapping, path)
-            restored = load_index(path)
-            engine = restored.query_engine()
-            assert len(engine.patterns) == built_mapping.dimensionality
-            for q in small_chemical_queries:
-                a = pivoted.query(q, 5)
-                b = engine.query(q, 5)
-                assert a.ranking == b.ranking and a.scores == b.scores
-        finally:
-            built_mapping.invalidate_caches()
-            built_mapping.artifact_ref = None
-            built_mapping.journal_seq = 0

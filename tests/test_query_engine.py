@@ -102,13 +102,30 @@ class TestEmbeddingEquivalence:
         vectors = engine.embed_many(queries)
         assert np.array_equal(vectors, space.embed_queries(queries))
 
-    def test_pivot_engine_is_also_exact(self, setup, selected_mapping):
-        _db, queries, _space = setup
-        pivoted = QueryEngine(selected_mapping, use_pivots=True)
-        plain = selected_mapping.query_engine()
-        for q in queries[:20]:
-            assert np.array_equal(pivoted.embed(q), plain.embed(q))
-        assert len(pivoted.patterns) >= len(plain.patterns)
+    def test_naive_path_builds_one_profile_per_feature(self, setup, monkeypatch):
+        """A profile compiles a match plan, so ``embed_queries`` must keep
+        one per feature — never a throw-away per (feature, query)."""
+        import repro.features.binary_matrix as binary_matrix
+        import repro.isomorphism.vf2 as vf2
+
+        built = []
+
+        class CountingProfile(PatternProfile):
+            __slots__ = ()
+
+            def __init__(self, pattern):
+                built.append(pattern)
+                super().__init__(pattern)
+
+        # Both the space's own construction site and the matcher's
+        # fall-back for calls that pass no profile.
+        monkeypatch.setattr(binary_matrix, "PatternProfile", CountingProfile)
+        monkeypatch.setattr(vf2, "PatternProfile", CountingProfile)
+        _db, queries, space = setup
+        fresh = FeatureSpace(space.features, space.n)
+        vectors = fresh.embed_queries(queries[:8])
+        assert len(built) <= fresh.m
+        assert np.array_equal(vectors, space.embed_queries(queries[:8]))
 
     def test_pruning_saves_vf2_calls(self, setup, full_mapping):
         _db, queries, space = setup
@@ -195,12 +212,14 @@ class TestProfiles:
                     pattern, target
                 )
 
-    def test_mismatched_profiles_raise(self, setup):
+    def test_mismatched_profiles_raise(self, setup, selected_mapping):
         db, _queries, _space = setup
         with pytest.raises(ValueError):
             is_subgraph(db[0], db[1], TargetProfile(db[2]))
         with pytest.raises(ValueError):
             is_subgraph(db[0], db[1], None, PatternProfile(db[2]))
+        with pytest.raises(ValueError):
+            selected_mapping.query_engine().embed(db[1], TargetProfile(db[2]))
 
     def test_search_order_is_connected_permutation(self):
         graphs = graphgen_database(10, avg_edges=12, num_labels=3, seed=11)

@@ -237,6 +237,21 @@ class TestEmbeddingCache:
         assert _structural_key(db[0]) == _structural_key(db[0])
         assert _structural_key(db[0]) != _structural_key(db[1])
 
+    def test_structural_key_equals_edge_object_construction(
+        self, setup, small_chemical_db
+    ):
+        """The key is read straight off the adjacency; it must equal the
+        tuple built from normalised ``Edge`` objects (int and str labels)."""
+        db, _queries, _space = setup
+        for g in list(db) + list(small_chemical_db):
+            assert _structural_key(g) == (
+                tuple(g.vertex_label(v) for v in range(g.num_vertices)),
+                tuple(sorted(
+                    (e.u, e.v, e.label)
+                    for e in (edge.normalized() for edge in g.edges())
+                )),
+            )
+
 
 class TestLiveUpdates:
     """apply_update: bit-identical to a from-scratch engine, minimal

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import LabeledGraph, random_connected_graph
 from repro.isomorphism import count_embeddings, find_embedding, is_subgraph
+from repro.isomorphism.vf2 import PatternProfile
 from repro.utils.rng import ensure_rng
 
 
@@ -72,29 +73,74 @@ class TestEmbeddings:
         assert count_embeddings(tri, tri, limit=2) == 2
 
 
-def brute_force_subgraph(pattern, target) -> bool:
-    """Exhaustive monomorphism check for cross-validation."""
+def brute_force_count(pattern, target) -> int:
+    """Exhaustive monomorphism count for cross-validation."""
     from itertools import permutations
 
     pv = list(range(pattern.num_vertices))
-    tv = list(range(target.num_vertices))
-    if len(pv) > len(tv):
-        return False
-    for image in permutations(tv, len(pv)):
-        mapping = dict(zip(pv, image))
+    count = 0
+    for image in permutations(range(target.num_vertices), len(pv)):
         if any(
-            pattern.vertex_label(v) != target.vertex_label(mapping[v]) for v in pv
+            pattern.vertex_label(v) != target.vertex_label(image[v]) for v in pv
         ):
             continue
-        ok = True
-        for e in pattern.edges():
-            tu, tw = mapping[e.u], mapping[e.v]
-            if not target.has_edge(tu, tw) or target.edge_label(tu, tw) != e.label:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+        if all(
+            target.has_edge(image[e.u], image[e.v])
+            and target.edge_label(image[e.u], image[e.v]) == e.label
+            for e in pattern.edges()
+        ):
+            count += 1
+    return count
+
+
+def brute_force_subgraph(pattern, target) -> bool:
+    return brute_force_count(pattern, target) > 0
+
+
+def assert_valid_embedding(mapping, pattern, target):
+    assert sorted(mapping) == list(range(pattern.num_vertices))
+    assert len(set(mapping.values())) == pattern.num_vertices  # injective
+    for v, tv in mapping.items():
+        assert pattern.vertex_label(v) == target.vertex_label(tv)
+    for e in pattern.edges():
+        assert target.has_edge(mapping[e.u], mapping[e.v])
+        assert target.edge_label(mapping[e.u], mapping[e.v]) == e.label
+
+
+#: Label pools: plain strings, and ``None`` / int / str / tuple mixed (the
+#: matcher may only ever hash labels and compare them for equality).
+LABEL_POOLS = (("a", "b"), (None, 0, "0", ("a", 1)))
+
+
+def random_labeled_graph(rng, num_vertices, edge_share, vertex_labels, edge_labels):
+    """Any graph, connected or not: each vertex pair is an edge with
+    probability *edge_share*."""
+    graph = LabeledGraph(
+        [vertex_labels[int(i)] for i in rng.integers(0, len(vertex_labels), num_vertices)]
+    )
+    for u in range(num_vertices):
+        for v in range(u + 1, num_vertices):
+            if rng.random() < edge_share:
+                graph.add_edge(u, v, edge_labels[int(rng.integers(0, len(edge_labels)))])
+    return graph
+
+
+def random_pair(seed):
+    """A small (pattern, target) pair.  Sparse patterns are often
+    disconnected; few vertex labels over up to 6 target vertices give
+    many same-label candidates per pattern vertex."""
+    rng = ensure_rng(seed)
+    pool = LABEL_POOLS[int(rng.integers(0, len(LABEL_POOLS)))]
+    vertex_labels = pool[: int(rng.integers(1, len(pool) + 1))]
+    edge_labels = pool[: int(rng.integers(1, 3))]
+    pattern = random_labeled_graph(
+        rng, int(rng.integers(1, 5)), rng.random(), vertex_labels, edge_labels
+    )
+    target = random_labeled_graph(
+        rng, int(rng.integers(2, 7)), 0.3 + 0.7 * rng.random(),
+        vertex_labels, edge_labels,
+    )
+    return pattern, target, rng
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,3 +155,47 @@ def test_vf2_agrees_with_brute_force(seed):
     pattern = random_connected_graph(pv, pe, num_vertex_labels=2, seed=rng)
     target = random_connected_graph(tvn, te, num_vertex_labels=2, seed=rng)
     assert is_subgraph(pattern, target) == brute_force_subgraph(pattern, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_matcher_agrees_with_brute_force_count(seed):
+    """Property: verdict, count, capped count and the returned embedding
+    all agree with exhaustive search — disconnected patterns, ``None``
+    and mixed-type labels, many same-label target vertices included."""
+    pattern, target, _rng = random_pair(seed)
+    expected = brute_force_count(pattern, target)
+    assert is_subgraph(pattern, target) == (expected > 0)
+    assert count_embeddings(pattern, target) == expected
+    assert count_embeddings(pattern, target, limit=2) == min(expected, 2)
+    mapping = find_embedding(pattern, target)
+    if expected == 0:
+        assert mapping is None
+    else:
+        assert_valid_embedding(mapping, pattern, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_restored_profile_with_any_search_order_agrees_with_brute_force(seed):
+    """Any permutation is a sound search order: a restored profile whose
+    order is not connected-first (vertices placed before any neighbour)
+    still compiles to a plan that finds exactly the brute-force count."""
+    pattern, target, rng = random_pair(seed)
+    built = PatternProfile(pattern)
+    order = [int(v) for v in rng.permutation(pattern.num_vertices)]
+    restored = PatternProfile.restore(
+        pattern,
+        built.vertex_label_counts,
+        built.edge_label_counts,
+        built.degrees_desc,
+        order,
+    )
+    assert restored.search_order == order
+    expected = brute_force_count(pattern, target)
+    assert count_embeddings(pattern, target, pattern_profile=restored) == expected
+    mapping = find_embedding(pattern, target, pattern_profile=restored)
+    if expected == 0:
+        assert mapping is None
+    else:
+        assert_valid_embedding(mapping, pattern, target)
