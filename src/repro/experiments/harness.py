@@ -51,7 +51,7 @@ from repro.query.measures import (
     kendall_tau_topk,
     precision_at_k,
 )
-from repro.query.topk import rank_with_ties
+from repro.query.topk import rank_block
 from repro.similarity import (
     DissimilarityCache,
     cross_dissimilarity_matrix,
@@ -310,7 +310,7 @@ def exact_topk_lists(
     delta_q: np.ndarray, k: int
 ) -> List[List[int]]:
     """Ground-truth rankings per query from a dissimilarity rectangle."""
-    return [rank_with_ties(row, k)[0] for row in delta_q]
+    return rank_block(delta_q, k)[0].tolist()
 
 
 def evaluate_selector(
@@ -344,9 +344,9 @@ def evaluate_selector(
     n = delta_q.shape[1]
     for k in top_ks:
         truth = exact_topk_lists(delta_q, k)
+        mapped = rank_block(distances, k)[0].tolist()
         precisions, taus, ranks = [], [], []
-        for qi in range(len(queries)):
-            approx, _ = rank_with_ties(distances[qi], k)
+        for qi, approx in enumerate(mapped):
             precisions.append(precision_at_k(approx, truth[qi]))
             taus.append(kendall_tau_topk(approx, truth[qi], n))
             ranks.append(inverse_rank_distance(approx, truth[qi]))

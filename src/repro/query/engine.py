@@ -19,8 +19,8 @@ changing any result**:
   every VF2 call, instead of each call recomputing them.
 * **Batching.**  :meth:`QueryEngine.batch_query` embeds many queries,
   computes all query-database distances in one BLAS call against the
-  mapping's cached squared norms, and ranks with the partition-based
-  :func:`rank_with_ties`.
+  mapping's cached squared norms, and ranks the whole distance matrix
+  with one partition-based :func:`rank_block`.
 
 Because the mapped vectors are binary and all distance terms are small
 integers (exactly representable in float64), the engine's rankings and
@@ -46,7 +46,7 @@ from repro.isomorphism.vf2 import (
     match_plan,
 )
 from repro.kernels import PatternFilterStats, resolve_backend
-from repro.query.topk import TopKResult, _check_k, rank_with_ties
+from repro.query.topk import TopKResult, _check_k, rank_block, rank_with_ties
 
 
 @dataclass(frozen=True)
@@ -451,10 +451,11 @@ class QueryEngine:
         vectors = self.embed_many(queries)
         mapped = time.perf_counter()
         distances = self.mapping.query_distances(vectors)
-        results = []
-        for row in distances:
-            ranking, scores = rank_with_ties(row, k)
-            results.append(TopKResult(ranking, scores))
+        cols, scores = rank_block(distances, k)
+        results = [
+            TopKResult(ranking, row)
+            for ranking, row in zip(cols.tolist(), scores.tolist())
+        ]
         end = time.perf_counter()
         return BatchQueryResult.with_shared_timing(
             results, vectors, mapped - start, end - mapped

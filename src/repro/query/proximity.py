@@ -66,7 +66,7 @@ unvisited neighbor of an expanded node is distance-evaluated (one
 kernel call per hop) and pushed.  The beam width ``ef`` enters only
 through the termination test — stop when the best unexpanded candidate
 can no longer *strictly improve* on the running ``ef``-th-best
-(:class:`~repro.query.topk.RunningTopK` threshold; ``dist >=
+(:class:`RunningTopK` threshold; ``dist >=
 threshold`` stops, so plateaus of tied candidates — duplicate rows
 again — terminate instead of being expanded one by one for nothing).
 Since neither the seed set nor the push rule depends on ``ef``, the
@@ -88,11 +88,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.query.topk import RunningTopK
+from repro.query.topk import TopKResult, merge_candidates
 from repro.utils.errors import QueryError
 
 #: Default bound on stored (short-link) neighbors per node.
@@ -131,6 +131,50 @@ def _row_select(
     """Top-``m`` of one candidate row under the (distance, id) order."""
     order = np.lexsort((ids, dists))[:m]
     return ids[order], dists[order]
+
+
+class RunningTopK:
+    """One query's best-k candidates, fed a few rows at a time.
+
+    The beam's single-query tracker (the sharded tiers track whole
+    batches in :class:`~repro.query.topk.BlockTopK`): candidate lists
+    accumulate via :meth:`update`, and once ``k`` candidates exist,
+    :attr:`threshold` (the current k-th-best score) is what a
+    candidate must beat to matter.  The threshold is tracked with a
+    bounded max-heap of the k best *scores* — the k-th value does not
+    depend on index tie-breaking, and heap updates are O(log k).  The
+    full (score, index) merge of every part runs exactly once, in
+    :meth:`result`, via :func:`~repro.query.topk.merge_candidates`.
+    """
+
+    __slots__ = ("k", "_parts", "_heap")
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self._parts: List[Tuple[np.ndarray, Sequence[float]]] = []
+        self._heap: List[float] = []  # negated: a max-heap of the best k
+
+    def update(self, ids: np.ndarray, scores: Sequence[float]) -> None:
+        self._parts.append((np.asarray(ids, dtype=np.int64), scores))
+        heap, k = self._heap, self.k
+        for value in scores:  # ascending within a part: break early
+            if len(heap) < k:
+                heapq.heappush(heap, -value)
+            elif value < -heap[0]:
+                heapq.heapreplace(heap, -value)
+            else:
+                break
+
+    @property
+    def threshold(self) -> Optional[float]:
+        """The k-th-best score, or ``None`` while fewer than k exist."""
+        if len(self._heap) < self.k:
+            return None
+        return -self._heap[0]
+
+    def result(self) -> TopKResult:
+        ranking, scores = merge_candidates(self._parts, self.k)
+        return TopKResult(ranking, scores)
 
 
 @dataclass

@@ -17,7 +17,6 @@ Both produce a :class:`TopKResult` with deterministic tie-breaking
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -63,31 +62,49 @@ def _check_k(k: int, n: int) -> int:
     return min(k, n)
 
 
-def rank_with_ties(values: np.ndarray, k: int) -> Tuple[List[int], List[float]]:
-    """Smallest-k indices of *values* with (value, index) tie-breaking.
+def _pair_keys(scores: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``(score, id)`` pairs as one sortable array, ``score + id·j``:
+    numpy orders complex numbers by real part, then imaginary, NaN last
+    — the (score, index) total order every ranking here uses — so
+    ``sort`` / ``partition`` on these keys need no tie handling at all.
+    Ids are exact below 2**53."""
+    keys = np.empty(scores.shape, dtype=complex)
+    keys.real, keys.imag = scores, ids
+    return keys
 
-    For ``k < n`` an ``argpartition`` narrows the array to the top-k
-    candidates first, so large databases cost O(n + k log k) instead of
-    the O(n log n) full sort.  Ties at the k-th value are resolved by
-    ascending index, identically to the full-lexsort path.
+
+def rank_block(
+    distances: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-wise smallest-k of a ``[nq, n]`` block: ``(cols, vals)``,
+    each ``[nq, min(k, n)]``, best first under the (value, index) order.
+
+    A constant number of numpy calls whatever ``nq`` is, linear in
+    ``n``: a float ``partition`` finds each row's k-th value, columns
+    above *every* row's k-th value are dropped (they are in nobody's
+    answer; a NaN k-th value drops nothing for its row), and only the
+    surviving columns are ranked as :func:`_pair_keys`.
     """
-    values = np.asarray(values)
-    n = values.shape[0]
-    if k <= 0 or n == 0:
-        return [], []
-    candidates = None
-    if k < n:
-        part = np.argpartition(values, k - 1)
-        threshold = values[part[k - 1]]
-        if not np.isnan(threshold):
-            below = np.flatnonzero(values < threshold)
-            equal = np.flatnonzero(values == threshold)[: k - below.size]
-            candidates = np.concatenate((below, equal))
-    if candidates is None:
-        candidates = np.arange(n)
-    order = np.lexsort((candidates, values[candidates]))
-    top = candidates[order[:k]]
-    return [int(i) for i in top], [float(values[i]) for i in top]
+    distances = np.asarray(distances)
+    n = distances.shape[1]
+    k = max(min(k, n), 0)
+    cols = np.arange(n)
+    if 0 < k < n:
+        cut = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
+        cols = np.flatnonzero(~(distances > cut).all(axis=0))
+        distances = distances[:, cols]
+    keys = _pair_keys(distances, cols)
+    if 0 < k < cols.size:
+        keys = np.partition(keys, k - 1, axis=1)
+    keys = np.sort(keys[:, :k], axis=1)
+    return keys.imag.astype(np.intp), keys.real
+
+
+def rank_with_ties(values: np.ndarray, k: int) -> Tuple[List[int], List[float]]:
+    """Smallest-k indices of *values* with (value, index) tie-breaking:
+    the one-row view of :func:`rank_block`."""
+    cols, vals = rank_block(np.asarray(values)[None, :], k)
+    return cols[0].tolist(), vals[0].tolist()
 
 
 def merge_candidates(
@@ -111,55 +128,55 @@ def merge_candidates(
         [np.asarray(scores, dtype=float) for _, scores in parts]
     )
     order = np.lexsort((idx, vals))[:k]
-    return [int(i) for i in idx[order]], [float(v) for v in vals[order]]
+    return idx[order].tolist(), vals[order].tolist()
 
 
-class RunningTopK:
-    """One query's best-k candidates across incrementally visited shards.
+#: Id of an empty :class:`BlockTopK` slot: sorts after every real row.
+_EMPTY_ID = 2.0**62
 
-    Feeds the shard-skipping loop: shard-local top-k lists accumulate
-    via :meth:`update`, and once ``k`` candidates exist,
-    :attr:`threshold` (the current k-th-best score) upper-bounds what
-    any still-unvisited shard must beat to matter.  The threshold is
-    tracked with a bounded max-heap of the k best *scores* — the k-th
-    value does not depend on index tie-breaking, and heap updates are
-    O(log k) against the per-consultation sorts a naive running merge
-    would pay.  The full (score, index) merge of every visited part
-    runs exactly once, in :meth:`result`, via
-    :func:`merge_candidates` — so the final ``(ranking, scores)`` pair
-    is bit-identical to merging every visited shard at once, and the
-    non-pruning regime costs one merge per query, same as the plain
-    full scan.
+
+class BlockTopK:
+    """A whole batch's best-k candidates across visited shards.
+
+    One ``[nq, k]`` array of :func:`_pair_keys`, rows sorted, empty
+    slots ``(+inf, _EMPTY_ID)`` last — so :attr:`thresholds`, the
+    running k-th-best of every query, is its last column (+inf below k
+    candidates: no finite bound clears it).  :meth:`absorb` is one
+    row-wise sort in :func:`merge_candidates`' order; top-k selection
+    under a total order is associative, so absorbing shards in any
+    visit order equals merging every visited part at once, ties
+    included.  Scores must not be NaN (distances never are).
     """
 
-    __slots__ = ("k", "_parts", "_heap")
+    __slots__ = ("k", "_keys")
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, nq: int, k: int) -> None:
         self.k = k
-        self._parts: List[Tuple[np.ndarray, Sequence[float]]] = []
-        self._heap: List[float] = []  # negated: a max-heap of the best k
-
-    def update(self, ids: np.ndarray, scores: Sequence[float]) -> None:
-        self._parts.append((np.asarray(ids, dtype=np.int64), scores))
-        heap, k = self._heap, self.k
-        for value in scores:  # ascending within a part: break early
-            if len(heap) < k:
-                heapq.heappush(heap, -value)
-            elif value < -heap[0]:
-                heapq.heapreplace(heap, -value)
-            else:
-                break
+        self._keys = np.full((nq, k), complex(np.inf, _EMPTY_ID))
 
     @property
-    def threshold(self) -> Optional[float]:
-        """The k-th-best score, or ``None`` while fewer than k exist."""
-        if len(self._heap) < self.k:
-            return None
-        return -self._heap[0]
+    def thresholds(self) -> np.ndarray:
+        return self._keys.real[:, -1]  # a live view
 
-    def result(self) -> TopKResult:
-        ranking, scores = merge_candidates(self._parts, self.k)
-        return TopKResult(ranking, scores)
+    def absorb(
+        self, active: np.ndarray, ids: np.ndarray, scores: np.ndarray
+    ) -> None:
+        """Merge ``[len(active), k']`` candidates into the *active* rows."""
+        keys = np.concatenate(
+            (self._keys[active], _pair_keys(scores, ids)), axis=1
+        )
+        keys.sort(axis=1)
+        self._keys[active] = keys[:, : self.k]
+
+    def results(self) -> List[TopKResult]:
+        ids, scores = self._keys.imag, self._keys.real
+        held = (ids < _EMPTY_ID).sum(axis=1).tolist()
+        return [
+            TopKResult(ranking[:m], row[:m])
+            for ranking, row, m in zip(
+                ids.astype(np.int64).tolist(), scores.tolist(), held
+            )
+        ]
 
 
 class ExactTopKEngine:

@@ -386,7 +386,7 @@ class AsyncFrontend:
         )
 
     def _decode_graph(self, wire) -> LabeledGraph:
-        return self._codec.decode_graph(protocol.graph_from_wire(wire))
+        return protocol.graph_from_wire(wire, self._codec.decode)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -79,10 +79,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.graph.io import graph_to_obj
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.query.pruning import SEARCH_MODES, SearchPolicy
 from repro.query.topk import TopKResult
 from repro.utils.errors import InvalidGraphError, ProtocolError, QueryError
@@ -121,8 +121,15 @@ def graph_to_wire(g: LabeledGraph) -> Dict:
     return graph_to_obj(g)
 
 
-def graph_from_wire(obj) -> LabeledGraph:
-    """Parse one wire graph, raising :class:`ProtocolError` on junk."""
+def graph_from_wire(
+    obj, decode: Callable[[str], Label] = str
+) -> LabeledGraph:
+    """Parse one wire graph, raising :class:`ProtocolError` on junk.
+
+    Every label passes through *decode* as the one graph is built
+    (the frontend hands in its :class:`LabelCodec`'s ``decode``; the
+    default keeps the wire's strings).
+    """
     if not isinstance(obj, dict):
         raise ProtocolError("graph must be an object")
     vertices = obj.get("vertices")
@@ -133,13 +140,13 @@ def graph_from_wire(obj) -> LabeledGraph:
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
         raise ProtocolError("graph 'edges' must be a list of [u, v, label]")
-    g = LabeledGraph(vertices, graph_id=obj.get("id"))
+    g = LabeledGraph([decode(v) for v in vertices], graph_id=obj.get("id"))
     for edge in edges:
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:
             raise ProtocolError("each edge must be [u, v, label]")
         u, v, label = edge
         try:
-            g.add_edge(int(u), int(v), str(label))
+            g.add_edge(int(u), int(v), decode(str(label)))
         except (TypeError, ValueError, InvalidGraphError) as exc:
             raise ProtocolError(f"bad edge {edge!r}: {exc}") from exc
     return g

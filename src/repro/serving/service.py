@@ -75,8 +75,7 @@ from repro.query.pruning import (
     shard_lower_bounds,
     stack_summaries,
 )
-from repro.query.topk import RunningTopK, TopKResult, _check_k, rank_with_ties
-from repro.query.topk import merge_candidates as _merge_candidates
+from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_block
 
 
 def _effective_cpus() -> int:
@@ -823,13 +822,16 @@ class QueryService:
     # ------------------------------------------------------------------
     def _shard_topk(
         self, shard: Shard, vectors: np.ndarray, k: int
-    ) -> List[Tuple[np.ndarray, List[float]]]:
-        """Local top-k of each query against one shard's rows.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Local top-k of every query against one shard's rows, as one
+        ``(global ids, scores)`` pair of ``[nq, min(k, rows)]`` arrays.
 
         Exact: folding the shard-constant columns into a per-query
         offset re-associates an integer sum, which float64 represents
         exactly, so every distance equals the full-row computation bit
         for bit — on any kernel backend (the parity tier enforces it).
+        ``shard.indices`` ascend, so the block's ascending-column
+        tie-break is the ascending-database-index one.
         """
         p = vectors.shape[1]
         left = vectors[:, shard.varying]
@@ -841,27 +843,16 @@ class QueryService:
         distances = self._kernel.distance_block(
             left, shard.vectors, shard.sq_norms, p, offsets
         )
-        local_k = min(k, shard.num_rows)
-        out = []
-        for row in distances:
-            local, scores = rank_with_ties(row, local_k)
-            out.append((shard.indices[local], scores))
-        return out
+        cols, scores = rank_block(distances, k)
+        return shard.indices[cols], scores
 
     def _timed_shard_topk(
         self, shard: Shard, vectors: np.ndarray, k: int
-    ) -> Tuple[List[Tuple[np.ndarray, List[float]]], float]:
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], float]:
         """:meth:`_shard_topk` plus its wall-clock, for per-shard stats."""
         start = time.perf_counter()
         out = self._shard_topk(shard, vectors, k)
         return out, time.perf_counter() - start
-
-    @staticmethod
-    def _merge(
-        parts: List[Tuple[np.ndarray, List[float]]], k: int
-    ) -> Tuple[List[int], List[float]]:
-        """Re-rank shard candidates with (distance, index) tie-breaking."""
-        return _merge_candidates(parts, k)
 
     def batch_query_vectors(
         self,
@@ -876,13 +867,7 @@ class QueryService:
         this batch (it sees the mutated database) or entirely after (it
         sees the old one) — never a mix of shard generations.
         """
-        with self._swap_lock:
-            shards = list(self.shards)
-            stack = self._summary_stack
-        results, _trace = self._query_vectors(
-            vectors, k, shards, policy, stack
-        )
-        return results
+        return self.batch_query_vectors_traced(vectors, k, policy)[0]
 
     def batch_query_vectors_traced(
         self,
@@ -995,14 +980,17 @@ class QueryService:
         parts = [out for out, _seconds in timed]
         self.stats.shard_seconds += sum(seconds for _out, seconds in timed)
         self.stats.shard_tasks += len(shards)
-        self.stats.distance_evaluations += vectors.shape[0] * sum(
+        nq = vectors.shape[0]
+        self.stats.distance_evaluations += nq * sum(
             shard.num_rows for shard in shards
         )
-        results = []
-        for qi in range(vectors.shape[0]):
-            ranking, scores = self._merge([part[qi] for part in parts], k)
-            results.append(TopKResult(ranking, scores))
-        return results, PruningTrace.full_scan(vectors.shape[0], len(shards))
+        best = BlockTopK(nq, k)
+        best.absorb(
+            np.arange(nq),
+            np.concatenate([ids for ids, _scores in parts], axis=1),
+            np.concatenate([scores for _ids, scores in parts], axis=1),
+        )
+        return best.results(), PruningTrace.full_scan(nq, len(shards))
 
     def _query_vectors_pruned(
         self,
@@ -1056,14 +1044,14 @@ class QueryService:
                 np.arange(ns)[None, :] < take[:, None]
             )
         visit_order = np.argsort(bounds.mean(axis=0), kind="stable")
-        running = [RunningTopK(k) for _ in range(nq)]
+        best = BlockTopK(nq, k)
         visited = np.zeros(nq, dtype=np.int64)
         skipped = np.zeros(nq, dtype=np.int64)
         checks = np.zeros(nq, dtype=np.int64)
         # Per-query running k-th-best; +inf until k candidates exist, so
         # the vectorised skip test below is exactly `prunable()`:
         # nothing is ever pruned against an undefined threshold.
-        thresholds = np.full(nq, np.inf)
+        thresholds = best.thresholds
         shard_tasks = 0
         shards_skipped = 0
         order = [int(si) for si in visit_order]
@@ -1095,14 +1083,7 @@ class QueryService:
             shard_tasks += 1
             self.stats.shard_seconds += seconds
             self.stats.distance_evaluations += active.size * num_rows
-            for pos, qi in enumerate(active):
-                qi = int(qi)
-                ids, scores = out[pos]
-                tracker = running[qi]
-                tracker.update(ids, scores)
-                threshold = tracker.threshold
-                if threshold is not None:
-                    thresholds[qi] = threshold
+            best.absorb(active, *out)
             visited[active] += 1
 
         # Sequential tightening: every shard when single-threaded, just
@@ -1169,7 +1150,7 @@ class QueryService:
             shard_tasks=shard_tasks,
             shards_skipped=shards_skipped,
         )
-        return [r.result() for r in running], trace
+        return best.results(), trace
 
     def _query_vectors_auto(
         self,
@@ -1206,8 +1187,8 @@ class QueryService:
         )
         routed = np.argsort(centroid_d, axis=1, kind="stable")
         rows = np.array([shard.num_rows for shard in shards])
-        running = [RunningTopK(k) for _ in range(nq)]
-        thresholds = np.full(nq, np.inf)
+        best = BlockTopK(nq, k)
+        thresholds = best.thresholds
         visited = np.zeros(nq, dtype=np.int64)
         skipped = np.zeros(nq, dtype=np.int64)
         checks = np.zeros(nq, dtype=np.int64)
@@ -1223,14 +1204,7 @@ class QueryService:
             shard_tasks += 1
             self.stats.shard_seconds += seconds
             self.stats.distance_evaluations += qs.size * int(rows[si])
-            for pos, qi in enumerate(qs):
-                qi = int(qi)
-                ids, scores = out[pos]
-                tracker = running[qi]
-                tracker.update(ids, scores)
-                threshold = tracker.threshold
-                if threshold is not None:
-                    thresholds[qi] = threshold
+            best.absorb(qs, *out)
             visited[qs] += 1
             covered[qs] += int(rows[si])
 
@@ -1293,7 +1267,7 @@ class QueryService:
             shards_skipped=shards_skipped,
             effective_nprobe=visited.copy(),
         )
-        return [r.result() for r in running], trace
+        return best.results(), trace
 
     # ------------------------------------------------------------------
     # the serving entry points

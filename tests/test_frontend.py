@@ -111,6 +111,29 @@ class TestProtocol:
             str(q.vertex_label(v)) for v in range(q.num_vertices)
         ]
 
+    def test_decode_on_build_equals_build_then_decode(self, materials):
+        """One build with the codec applied == the old two builds
+        (``graph_from_wire`` then ``LabelCodec.decode_graph``): typed
+        labels, same structure, same errors for junk."""
+        from repro.core.persistence import LabelCodec
+
+        db, queries, _mapping = materials
+        codec = LabelCodec.for_graphs(db)
+        assert "int" in codec.table.values()  # labels really need decoding
+        for q in list(queries) + list(db[:5]):
+            wire = protocol.graph_to_wire(q)
+            once = protocol.graph_from_wire(wire, codec.decode)
+            twice = codec.decode_graph(protocol.graph_from_wire(wire))
+            assert once == twice == q
+            assert once.vertex_labels() == q.vertex_labels()
+            assert once.graph_id == twice.graph_id
+        bad = {"vertices": ["1", "2"], "edges": [[0, 9, "1"]]}
+        with pytest.raises(ProtocolError) as plain:
+            protocol.graph_from_wire(bad)
+        with pytest.raises(ProtocolError) as decoded:
+            protocol.graph_from_wire(bad, codec.decode)
+        assert str(plain.value) == str(decoded.value)
+
     @pytest.mark.parametrize(
         "line, fragment",
         [

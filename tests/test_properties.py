@@ -4,8 +4,14 @@ Three invariants that no amount of example-based testing pins down as
 well as a property search:
 
 * :func:`rank_with_ties` agrees with the full-lexsort reference on any
-  input — including dense tie plateaus, where the ``argpartition`` fast
-  path has to reproduce (value, index) tie-breaking exactly;
+  input — including dense tie plateaus, where the partition fast path
+  has to reproduce (value, index) tie-breaking exactly — and
+  :func:`rank_block` agrees with it row for row (±inf, NaN rows,
+  ``k >= n``, ``n = 0`` included);
+* :class:`BlockTopK`, fed shard blocks in any visit order with any
+  active subsets, equals :func:`merge_candidates` over the same parts,
+  and its threshold vector equals :class:`RunningTopK`'s after every
+  absorb;
 * top-k is always a *prefix* of top-(k+1) (deterministic tie-breaking
   makes the stronger prefix property hold, not just set inclusion);
 * batched serving is database-permutation invariant — renumbering the
@@ -27,7 +33,13 @@ from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.bench import variance_selection
-from repro.query.topk import rank_with_ties
+from repro.query.proximity import RunningTopK
+from repro.query.topk import (
+    BlockTopK,
+    merge_candidates,
+    rank_block,
+    rank_with_ties,
+)
 from repro.serving.service import QueryService
 
 # ----------------------------------------------------------------------
@@ -90,6 +102,105 @@ class TestRankWithTies:
                     assert i in chosen, (
                         f"index {j} ranked but tied lower index {i} was not"
                     )
+
+
+# ----------------------------------------------------------------------
+# rank_block
+# ----------------------------------------------------------------------
+@st.composite
+def _blocks(draw):
+    """A ``[nq, n]`` block: binary-vector distances (few distinct
+    values, long plateaus), all-equal rows, ±inf and NaN entries, whole
+    NaN rows; ``nq = 1`` and ``n = 0`` included."""
+    nq = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 24))
+    p = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.random((n, p)) < 0.5
+    queries = rng.random((nq, p)) < 0.5
+    block = np.sqrt(
+        (queries[:, None, :] != rows[None, :, :]).sum(axis=2) / p
+    )
+    special = st.sampled_from([np.inf, -np.inf, np.nan, 0.5])
+    for qi in range(nq):
+        kind = draw(st.sampled_from(["plain", "equal", "sprinkled", "nan"]))
+        if kind == "equal":
+            block[qi] = draw(special)
+        elif kind == "nan":
+            block[qi] = np.nan
+        elif kind == "sprinkled":
+            hits = rng.random(n) < 0.3
+            block[qi, hits] = [draw(special) for _ in range(int(hits.sum()))]
+    return block
+
+
+class TestRankBlock:
+    @given(block=_blocks(), k=st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_full_sort_reference(self, block, k):
+        cols, vals = rank_block(block, k)
+        nq, n = block.shape
+        assert cols.shape == vals.shape == (nq, min(k, n))
+        for qi in range(nq):
+            order = np.lexsort((np.arange(n), block[qi]))[:k]
+            assert cols[qi].tolist() == order.tolist()
+            # NaN != NaN, so compare the bits the caller will see.
+            assert repr(vals[qi].tolist()) == repr(block[qi, order].tolist())
+        one_row = [rank_with_ties(row, k) for row in block]
+        assert repr(one_row) == repr(
+            list(zip(cols.tolist(), vals.tolist()))
+        )
+
+
+# ----------------------------------------------------------------------
+# BlockTopK
+# ----------------------------------------------------------------------
+@st.composite
+def _visits(draw):
+    """Shard blocks of one batch in visit order: per shard the active
+    queries and their ``(ids, scores)`` block, as ``_shard_topk`` would
+    return it (ids disjoint across shards, interleaved — non-contiguous
+    shards — scores from a tie-heavy alphabet with +inf)."""
+    nq = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    ns = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    owner = rng.integers(0, ns, size=40)
+    alphabet = np.array([0.0, 0.25, 0.5, 0.5, 1.0, np.inf])
+    visits = []
+    for si in draw(st.permutations(range(ns))):
+        indices = np.flatnonzero(owner == si)
+        active = np.flatnonzero(rng.random(nq) < 0.7)
+        if indices.size == 0 or active.size == 0:
+            continue
+        scores = rng.choice(alphabet, size=(active.size, indices.size))
+        cols, vals = rank_block(scores, k)
+        visits.append((active, indices[cols], vals))
+    return nq, k, visits
+
+
+class TestBlockTopK:
+    @given(case=_visits())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_merge_candidates_and_running_thresholds(self, case):
+        nq, k, visits = case
+        best = BlockTopK(nq, k)
+        running = [RunningTopK(k) for _ in range(nq)]
+        parts = [[] for _ in range(nq)]
+        for active, ids, vals in visits:
+            best.absorb(active, ids, vals)
+            for pos, qi in enumerate(active):
+                running[qi].update(ids[pos], vals[pos].tolist())
+                parts[qi].append((ids[pos], vals[pos]))
+            expected = [
+                np.inf if r.threshold is None else r.threshold
+                for r in running
+            ]
+            assert best.thresholds.tolist() == expected
+        for qi, result in enumerate(best.results()):
+            assert (result.ranking, result.scores) == merge_candidates(
+                parts[qi], k
+            )
 
 
 # ----------------------------------------------------------------------

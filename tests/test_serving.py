@@ -6,6 +6,8 @@ paths against the single-shard engine, including tie-heavy workloads
 where merge-order bugs would surface.
 """
 
+import hashlib
+import json
 import multiprocessing
 
 import numpy as np
@@ -16,7 +18,14 @@ from repro.core.mapping import mapping_from_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
+from repro.query import SearchPolicy
 from repro.query.bench import variance_selection
+from repro.query.topk import MappedTopKEngine
+from repro.serving import service as service_module
+from repro.serving.pruning_bench import (
+    clustered_query_vectors,
+    clustered_vector_index,
+)
 from repro.serving.service import QueryService, _structural_key
 from repro.utils.errors import QueryError
 
@@ -140,6 +149,157 @@ class TestBitIdentity:
             assert len(b.ranking) == n
             with pytest.raises(QueryError):
                 service.batch_query(queries, 0)
+
+
+# ----------------------------------------------------------------------
+# block top-k: the batch's candidates are arrays, the answers the same
+# ----------------------------------------------------------------------
+PARITY_K = 8
+PARITY_POLICIES = {
+    "exact": None,
+    "full": SearchPolicy(prune=False),
+    "nprobe": SearchPolicy(mode="approx", nprobe=2),
+    "auto": SearchPolicy(mode="approx", nprobe="auto"),
+}
+
+
+def _custom_shards():
+    """Four non-contiguous, unsorted shards over the 48 clustered rows:
+    the cluster blocks with rows swapped across them, the last one
+    smaller (5 rows) than ``PARITY_K``."""
+    owner = np.repeat(np.arange(4), 12)
+    owner[[3, 7]] = [1, 2]
+    owner[[40, 45]] = 0
+    owner[[41, 42, 43]] = 1
+    owner[[44, 46]] = 2
+    return [np.flatnonzero(owner == s)[::-1] for s in range(4)]
+
+
+PARITY_LAYOUTS = {
+    "contiguous": {"n_shards": 4},
+    "custom": {"shards": _custom_shards()},
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+def _answers(results):
+    return [[r.ranking, r.scores] for r in results]
+
+
+def _trace_counts(trace):
+    return [
+        trace.visited.tolist(),
+        trace.skipped.tolist(),
+        trace.bound_checks.tolist(),
+        trace.shard_tasks,
+        trace.shards_skipped,
+    ]
+
+
+#: What the commit before block top-k (per-row ``rank_with_ties``,
+#: per-query ``RunningTopK`` heaps) returned for `parity_index` —
+#: ``(layout, policy) -> (answers digest, trace digest of one 16-query
+#: batch at n_workers=0, its distance evaluations)``.  Approx answers
+#: have no other oracle; exact answers are also checked against the
+#: naive engine.
+PARENT_RECORD = {
+    ("contiguous", "exact"): ("0d06bda19658559f", "3f6ec5bf8084e2dd", 492),
+    ("contiguous", "full"): ("0d06bda19658559f", "50715a5a3e18c68a", 768),
+    ("contiguous", "nprobe"): ("f9e078dfd4dc4ccf", "0bbd6e39a4c73c58", 348),
+    ("contiguous", "auto"): ("0d06bda19658559f", "09181926298b26e1", 276),
+    ("custom", "exact"): ("0d06bda19658559f", "e21bea3130204d8e", 581),
+    ("custom", "full"): ("0d06bda19658559f", "50715a5a3e18c68a", 768),
+    ("custom", "nprobe"): ("8cb5b70086358f9e", "2e520db5133fd9c4", 379),
+    ("custom", "auto"): ("0d06bda19658559f", "d2af6076b168bdf5", 549),
+}
+
+
+@pytest.fixture(scope="module")
+def parity_index():
+    mapping, _blocks = clustered_vector_index(4, 12, 6, seed=5)
+    vectors = clustered_query_vectors(16, 4, 6, seed=6)
+    return mapping, vectors
+
+
+class TestBlockTopKParity:
+    @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
+    @pytest.mark.parametrize("n_workers", [0, 4])
+    def test_answers_match_naive_engine_and_parent(
+        self, parity_index, layout, n_workers
+    ):
+        mapping, vectors = parity_index
+        naive = MappedTopKEngine(mapping)
+        reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
+        with QueryService(
+            mapping, n_workers=n_workers, **PARITY_LAYOUTS[layout]
+        ) as service:
+            # The block's ascending-column tie-break is the ascending
+            # database-index one only because shard rows are sorted.
+            assert all((np.diff(s.indices) > 0).all() for s in service.shards)
+            if layout == "custom":
+                assert min(s.num_rows for s in service.shards) < PARITY_K
+            for name, policy in PARITY_POLICIES.items():
+                for size in (16, 5, 1):
+                    results = []
+                    for lo in range(0, len(vectors), size):
+                        results += service.batch_query_vectors(
+                            vectors[lo : lo + size], PARITY_K, policy
+                        )
+                    if name in ("exact", "full"):
+                        _assert_identical(reference, results)
+                    assert (
+                        _digest(_answers(results))
+                        == PARENT_RECORD[layout, name][0]
+                    ), (layout, name, size)
+
+    @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
+    @pytest.mark.parametrize("name", sorted(PARITY_POLICIES))
+    def test_trace_and_evaluations_match_parent(
+        self, parity_index, layout, name
+    ):
+        mapping, vectors = parity_index
+        with QueryService(
+            mapping, n_workers=0, **PARITY_LAYOUTS[layout]
+        ) as service:
+            _results, trace = service.batch_query_vectors_traced(
+                vectors, PARITY_K, PARITY_POLICIES[name]
+            )
+            assert (
+                _digest(_trace_counts(trace)),
+                service.stats.distance_evaluations,
+            ) == PARENT_RECORD[layout, name][1:]
+
+    @pytest.mark.parametrize("name", sorted(PARITY_POLICIES))
+    def test_one_rank_call_per_shard_task(
+        self, parity_index, name, monkeypatch
+    ):
+        """A 16-query batch ranks each computed shard block in one call
+        and never merges per query."""
+        mapping, vectors = parity_index
+        calls = {"rank": 0, "merge": 0}
+        rank_block = service_module.rank_block
+
+        def counting_rank(distances, k):
+            calls["rank"] += 1
+            return rank_block(distances, k)
+
+        def counting_merge(parts, k):
+            calls["merge"] += 1
+
+        monkeypatch.setattr(service_module, "rank_block", counting_rank)
+        monkeypatch.setattr(
+            "repro.query.topk.merge_candidates", counting_merge
+        )
+        with QueryService(mapping, n_shards=4, n_workers=0) as service:
+            _results, trace = service.batch_query_vectors_traced(
+                vectors, PARITY_K, PARITY_POLICIES[name]
+            )
+        assert calls == {"rank": trace.shard_tasks, "merge": 0}
+        if name != "auto":  # auto probes in rounds: one call per group
+            assert trace.shard_tasks <= 4
 
 
 class TestShardValidation:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.mapping import build_mapping
-from repro.query.topk import ExactTopKEngine, MappedTopKEngine, rank_with_ties
+from repro.query.topk import (
+    BlockTopK,
+    ExactTopKEngine,
+    MappedTopKEngine,
+    rank_block,
+    rank_with_ties,
+)
 from repro.similarity import DissimilarityCache
 from repro.utils.errors import QueryError
 
@@ -31,7 +37,7 @@ class TestRankWithTies:
         assert len(ranking) == 2
 
     def test_k_equals_n(self):
-        """k == n skips the argpartition narrowing entirely."""
+        """k == n skips the partition narrowing entirely."""
         values = np.array([0.4, 0.1, 0.3, 0.2])
         ranking, scores = rank_with_ties(values, 4)
         assert ranking == [1, 3, 2, 0]
@@ -61,20 +67,55 @@ class TestRankWithTies:
             assert scores == [0.0] * expect
 
     def test_all_equal_matches_full_sort_path(self):
-        """The argpartition fast path and the full-lexsort fallback must
-        agree bit for bit on an all-ties input."""
+        """The partition fast path and the full sort must agree bit for
+        bit on an all-ties input."""
         values = np.full(9, 0.25)
         fast = rank_with_ties(values, 4)           # k < n: partition path
         full = rank_with_ties(values, 9)           # k == n: full sort
         assert fast[0] == full[0][:4]
         assert fast[1] == full[1][:4]
 
-    def test_nan_threshold_falls_back_to_full_sort(self):
+    def test_nan_threshold_drops_no_candidates(self):
         """A NaN at the partition boundary must not drop candidates."""
         values = np.array([0.2, np.nan, 0.1, np.nan])
         ranking, scores = rank_with_ties(values, 2)
         assert ranking == [2, 0]
         assert scores == [pytest.approx(0.1), pytest.approx(0.2)]
+
+
+class TestRankBlock:
+    def test_rows_ranked_independently_with_index_ties(self):
+        block = np.array([[0.5, 0.1, 0.1, 0.1], [0.2, 0.2, 0.0, 0.9]])
+        cols, vals = rank_block(block, 2)
+        assert cols.tolist() == [[1, 2], [2, 0]]
+        assert vals.tolist() == [[0.1, 0.1], [0.0, 0.2]]
+
+    def test_k_capped_at_row_length(self):
+        cols, vals = rank_block(np.array([[0.3, 0.1]]), 5)
+        assert cols.tolist() == [[1, 0]] and vals.tolist() == [[0.1, 0.3]]
+
+    def test_nan_cut_in_one_row_leaves_the_others_exact(self):
+        block = np.array([[np.nan, 0.3, np.nan, np.nan], [0.4, 0.1, 0.1, 0.2]])
+        cols, vals = rank_block(block, 2)
+        assert cols.tolist() == [[1, 0], [1, 2]]
+        assert vals[1].tolist() == [0.1, 0.1]
+
+
+class TestBlockTopK:
+    def test_thresholds_stay_inf_until_k_candidates(self):
+        best = BlockTopK(2, 3)
+        best.absorb(np.array([0]), np.array([[7, 2]]), np.array([[0.1, 0.4]]))
+        assert best.thresholds.tolist() == [np.inf, np.inf]
+        best.absorb(
+            np.array([0, 1]),
+            np.array([[5, 9], [4, 1]]),
+            np.array([[0.4, 0.5], [0.2, 0.2]]),
+        )
+        assert best.thresholds.tolist() == [0.4, np.inf]
+        first, second = best.results()
+        # 0.4 ties: id 2 beats id 5; the short row is not padded.
+        assert (first.ranking, first.scores) == ([7, 2, 5], [0.1, 0.4, 0.4])
+        assert (second.ranking, second.scores) == ([1, 4], [0.2, 0.2])
 
 
 class TestExactEngine:
