@@ -164,7 +164,8 @@ class SearchPolicy:
 
     @property
     def is_full_scan(self) -> bool:
-        """True when every shard must be computed (the legacy path)."""
+        """True when every shard must be computed: the one-round plan
+        that reads no bound."""
         return self.mode == "exact" and not self.prune
 
 
@@ -434,19 +435,6 @@ class PruningTrace:
     ef: Optional[int] = None
     hops: Optional[np.ndarray] = None
     distance_evals: Optional[np.ndarray] = None
-
-    @classmethod
-    def full_scan(cls, num_queries: int, num_shards: int) -> "PruningTrace":
-        """The trace of the legacy every-shard path."""
-        return cls(
-            mode="exact",
-            nprobe=None,
-            visited=np.full(num_queries, num_shards, dtype=np.int64),
-            skipped=np.zeros(num_queries, dtype=np.int64),
-            bound_checks=np.zeros(num_queries, dtype=np.int64),
-            shard_tasks=num_shards if num_queries else 0,
-            shards_skipped=0,
-        )
 
     @classmethod
     def graph_search(

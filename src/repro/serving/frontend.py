@@ -824,7 +824,6 @@ class AsyncFrontend:
                     n_shards=max(len(old.shards), 1),
                     n_workers=old.n_workers,
                     cache_size=old._cache_size,
-                    embed_mode="auto",
                 )
 
             replacement = await loop.run_in_executor(
@@ -969,7 +968,7 @@ class AsyncFrontend:
                 ]
                 removed = []
                 for i in request.get("remove", []):
-                    if not isinstance(i, int):
+                    if not protocol.is_wire_int(i):
                         raise ProtocolError(
                             "'remove' must hold integer database indices"
                         )

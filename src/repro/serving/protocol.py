@@ -155,6 +155,12 @@ def graph_from_wire(
 # ----------------------------------------------------------------------
 # requests and responses
 # ----------------------------------------------------------------------
+def is_wire_int(value) -> bool:
+    """A JSON integer — not ``true``/``false``, which Python's ``bool``
+    would smuggle through ``isinstance(value, int)`` as 1/0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_request(line: str) -> Dict:
     """Parse and shape-check one request line.
 
@@ -174,7 +180,7 @@ def parse_request(line: str) -> Dict:
             f"unknown op {op!r} (expected one of {', '.join(OPS)})"
         )
     if op in ("query", "batch"):
-        if not isinstance(request.get("k", None), int):
+        if not is_wire_int(request.get("k")):
             raise ProtocolError(f"{op!r} requires an integer 'k'")
         if op == "query" and "graph" not in request:
             raise ProtocolError("'query' requires a 'graph'")
@@ -187,6 +193,10 @@ def parse_request(line: str) -> Dict:
             raise ProtocolError("'update' field 'add' must be a list")
         if not isinstance(request.get("remove", []), list):
             raise ProtocolError("'update' field 'remove' must be a list")
+        if not all(is_wire_int(i) for i in request.get("remove", [])):
+            raise ProtocolError(
+                "'remove' must hold integer database indices"
+            )
     if op == "reload" and not isinstance(request.get("path"), str):
         raise ProtocolError("'reload' requires a string 'path'")
     tenant = request.get("tenant")
@@ -215,14 +225,10 @@ def search_policy_from_request(request: Dict) -> Optional[SearchPolicy]:
             detail={"allowed_modes": list(SEARCH_MODES)},
         )
     nprobe = section.get("nprobe")
-    if nprobe is not None and nprobe != "auto" and (
-        isinstance(nprobe, bool) or not isinstance(nprobe, int)
-    ):
+    if nprobe not in (None, "auto") and not is_wire_int(nprobe):
         raise ProtocolError("'nprobe' must be an integer or \"auto\"")
     ef = section.get("ef")
-    if ef is not None and (
-        isinstance(ef, bool) or not isinstance(ef, int)
-    ):
+    if ef is not None and not is_wire_int(ef):
         raise ProtocolError("'ef' must be an integer")
     prune = section.get("prune", True)
     if not isinstance(prune, bool):

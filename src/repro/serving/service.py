@@ -32,16 +32,20 @@ result bit:
   new shard list atomically, rebuilding only the shards whose rows
   changed; the embedding cache survives because φ(q) depends only on
   the selected patterns, which add/remove never touches.
-* **Shard skipping.**  Every shard carries a
-  :class:`~repro.query.pruning.ShardSummary` (centroid, radius,
-  per-dimension envelope).  Under the default
-  :class:`~repro.query.pruning.SearchPolicy`, shards are visited most
-  promising first while a running k-th-best threshold tightens; a
-  shard whose lower bound provably cannot beat it is skipped without
-  computing its distance block — still bit-identical, ties included.
-  ``SearchPolicy(mode="approx", nprobe=...)`` additionally routes each
-  query to its *nprobe* closest shards only (DSPMap partition routing
-  when the shards are partition blocks), trading recall for latency.
+* **One executor, two plans.**  Every sharded
+  :class:`~repro.query.pruning.SearchPolicy` is a *plan of rounds* run
+  by one executor (:meth:`QueryService._query_vectors`).  A round is a
+  list of ``(shard, query ids)`` groups, decided against the batch's
+  running k-th-best thresholds as they stand when the round starts; the
+  executor computes a round's blocks — on the shard pool when it is on,
+  inline otherwise: the pool's one dispatch point — absorbs them in
+  order, then asks for the next round.  The full scan is the one-round
+  plan that reads no bound; the *ordered* (exact, fixed ``nprobe``) and
+  *routed* (``nprobe="auto"``) plans read the lower bounds each shard's
+  :class:`~repro.query.pruning.ShardSummary` gives.  Top-k selection
+  under a total order is associative, so answers cannot depend on how
+  rounds are grouped; every stat and trace count is derived in that one
+  place from the groups that ran, so counters cannot drift either.
 
 Bit-identity with the engine path is enforced by the serving test suite
 and re-asserted on every benchmark run.
@@ -56,7 +60,8 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,9 +224,6 @@ class QueryService:
         ``0..n-1`` (e.g. ``DSPMap.partitions_``).
     cache_size:
         LRU capacity of the exact embedding cache (``0`` disables it).
-    embed_mode:
-        ``"auto"`` (processes when available and ``n_workers > 1``),
-        ``"process"``, ``"thread"``, or ``"serial"``.
 
     The service owns worker pools — ``close()`` it, or use it as a
     context manager.
@@ -234,7 +236,6 @@ class QueryService:
         n_workers: int = 0,
         shards: Optional[Sequence[np.ndarray]] = None,
         cache_size: int = 1024,
-        embed_mode: str = "auto",
         kernel: Optional[str] = None,
     ) -> None:
         # Pool/cache handles first: close() must be safe on an instance
@@ -321,22 +322,18 @@ class QueryService:
 
         self.n_workers = max(int(n_workers), 0)
         self._cpus = _effective_cpus()
-        if embed_mode not in ("auto", "process", "thread", "serial"):
-            raise ValueError(f"unknown embed_mode {embed_mode!r}")
-        if embed_mode == "auto":
-            # Workers only pay off with real parallel hardware: on a
-            # single-CPU host the configured worker count degrades to
-            # serial embedding (the cache still serves repeats), instead
-            # of paying IPC overhead for no parallelism.
-            fork_ok = "fork" in multiprocessing.get_all_start_methods()
-            embed_mode = (
-                "process"
-                if (self.n_workers > 1 and fork_ok and self._cpus > 1)
-                else "serial"
-            )
-        if self.n_workers <= 1 and embed_mode in ("process", "thread"):
-            embed_mode = "serial"
-        self.embed_mode = embed_mode
+        # Workers only pay off with real parallel hardware: on a
+        # single-CPU host the configured worker count degrades to
+        # serial embedding (the cache still serves repeats), instead
+        # of paying IPC overhead for no parallelism.
+        fork_ok = "fork" in multiprocessing.get_all_start_methods()
+        #: Derived, read-only: ``"process"`` (forked embedding workers)
+        #: or ``"serial"`` — what the ``stats`` op reports.
+        self.embed_mode = (
+            "process"
+            if (self.n_workers > 1 and fork_ok and self._cpus > 1)
+            else "serial"
+        )
         # Same hardware gate for the shard thread pool.
         self._parallel_shards = (
             self.n_workers > 1 and self._cpus > 1 and len(self.shards) > 1
@@ -362,6 +359,61 @@ class QueryService:
             vectors=block_vectors,
             sq_norms=(block_vectors**2).sum(axis=1),
             summary=summary or ShardSummary.from_vectors(rows),
+        )
+
+    def _require_in_sync(self) -> None:
+        """Refuse to derive a shard list from one the mapping outgrew."""
+        if sum(s.num_rows for s in self.shards) != (
+            self.mapping.database_vectors.shape[0]
+        ):
+            raise ValueError(
+                "service shards are out of sync with the mapping — "
+                "mutate a served index through apply_update, not the "
+                "mapping directly"
+            )
+
+    def _store_summaries(self, shards: List[Shard]) -> None:
+        """Cache *shards*' summaries under their layout, for save_index."""
+        self.mapping.store_shard_summaries(
+            tuple(tuple(int(i) for i in s.indices) for s in shards),
+            [s.summary for s in shards],
+        )
+
+    def _install_shards(
+        self, new_shards: List[Shard], selection_changed: bool
+    ) -> None:
+        """Swap *new_shards* in as the next index generation: everything
+        a batch snapshots changes together, under the swap lock."""
+        # The mutation cleared the mapping's summary cache (row
+        # geometry changed); re-store the maintained summaries under
+        # the new layout so the next save_index persists them.
+        self._store_summaries(new_shards)
+        engine = self.mapping.query_engine()
+        new_stack = stack_summaries([s.summary for s in new_shards])
+        selection = tuple(self.mapping.selected)
+        with self._swap_lock:
+            self.shards = new_shards
+            self._summary_stack = new_stack
+            self.engine = engine
+            self.generation += 1
+            # The mutation appliers maintained the mapping's proximity
+            # graph incrementally (or dropped it on re-selection);
+            # adopt that snapshot so graph-mode answers swap to the new
+            # generation atomically with the shard list.  Stays None if
+            # no graph-mode query ever forced a build.
+            self._graph = self.mapping.peek_proximity_graph()
+            if selection_changed:
+                self._selection_snapshot = selection
+                if self._cache is not None:
+                    self._cache.clear()
+        if selection_changed:
+            # Forked embed workers hold the old engine (old patterns);
+            # recycle the pool so the next batch forks the new one.
+            pool, self._embed_pool = self._embed_pool, None
+            if pool is not None:
+                pool.shutdown()
+        self._parallel_shards = (
+            self.n_workers > 1 and self._cpus > 1 and len(self.shards) > 1
         )
 
     # ------------------------------------------------------------------
@@ -409,14 +461,7 @@ class QueryService:
         if not added and not removed_ids:
             return
         mapping = self.mapping
-        if sum(s.num_rows for s in self.shards) != (
-            mapping.database_vectors.shape[0]
-        ):
-            raise ValueError(
-                "service shards are out of sync with the mapping — "
-                "mutate a served index through apply_update, not the "
-                "mapping directly"
-            )
+        self._require_in_sync()
         if removed_ids:
             mapping.remove_graphs(removed_ids)
         add_error: Optional[BaseException] = None
@@ -438,8 +483,9 @@ class QueryService:
         # A re-selection callback changes φ itself: every shard and
         # every cached embedding is then invalid, not just the mutated
         # rows.
-        selection = tuple(mapping.selected)
-        selection_changed = selection != self._selection_snapshot
+        selection_changed = (
+            tuple(mapping.selected) != self._selection_snapshot
+        )
 
         removed_arr = np.asarray(removed_ids, dtype=np.int64)
         survivors: List[Tuple[Shard, np.ndarray, bool]] = []
@@ -487,39 +533,7 @@ class QueryService:
                     )
                 )
 
-        # The mutation cleared the mapping's summary cache (row
-        # geometry changed); re-store the maintained summaries under
-        # the post-update layout so the next save_index persists them.
-        mapping.store_shard_summaries(
-            tuple(tuple(int(i) for i in s.indices) for s in new_shards),
-            [s.summary for s in new_shards],
-        )
-        engine = mapping.query_engine()
-        new_stack = stack_summaries([s.summary for s in new_shards])
-        with self._swap_lock:
-            self.shards = new_shards
-            self._summary_stack = new_stack
-            self.engine = engine
-            self.generation += 1
-            # The mutation appliers maintained the mapping's proximity
-            # graph incrementally (or dropped it on re-selection);
-            # adopt that snapshot so graph-mode answers swap to the new
-            # generation atomically with the shard list.  Stays None if
-            # no graph-mode query ever forced a build.
-            self._graph = mapping.peek_proximity_graph()
-            if selection_changed:
-                self._selection_snapshot = selection
-                if self._cache is not None:
-                    self._cache.clear()
-        if selection_changed:
-            # Forked embed workers hold the old engine (old patterns);
-            # recycle the pool so the next batch forks the new one.
-            pool, self._embed_pool = self._embed_pool, None
-            if pool is not None:
-                pool.shutdown()
-        self._parallel_shards = (
-            self.n_workers > 1 and self._cpus > 1 and len(self.shards) > 1
-        )
+        self._install_shards(new_shards, selection_changed)
         self.stats.updates += 1
         self.stats.shards_rebuilt += rebuilt
         if add_error is not None:
@@ -551,14 +565,7 @@ class QueryService:
         drift.  Returns True iff the selection changed.
         """
         mapping = self.mapping
-        if sum(s.num_rows for s in self.shards) != (
-            mapping.database_vectors.shape[0]
-        ):
-            raise ValueError(
-                "service shards are out of sync with the mapping — "
-                "mutate a served index through apply_update, not the "
-                "mapping directly"
-            )
+        self._require_in_sync()
         selected_before = list(mapping.selected)
         engine_before = mapping.peek_engine()
         hook(mapping)
@@ -580,25 +587,7 @@ class QueryService:
         new_shards = [
             self._build_shard(shard.indices) for shard in self.shards
         ]
-        mapping.store_shard_summaries(
-            tuple(tuple(int(i) for i in s.indices) for s in new_shards),
-            [s.summary for s in new_shards],
-        )
-        engine = mapping.query_engine()
-        new_stack = stack_summaries([s.summary for s in new_shards])
-        selection = tuple(mapping.selected)
-        with self._swap_lock:
-            self.shards = new_shards
-            self._summary_stack = new_stack
-            self.engine = engine
-            self.generation += 1
-            self._graph = mapping.peek_proximity_graph()
-            self._selection_snapshot = selection
-            if self._cache is not None:
-                self._cache.clear()
-        pool, self._embed_pool = self._embed_pool, None
-        if pool is not None:
-            pool.shutdown()
+        self._install_shards(new_shards, selection_changed=True)
         self.stats.reselections += 1
         self.stats.shards_rebuilt += len(new_shards)
         return True
@@ -645,10 +634,7 @@ class QueryService:
         if current:
             # Only re-store when the snapshot is still the serving
             # layout — a concurrent update mid-refresh owns the cache.
-            self.mapping.store_shard_summaries(
-                tuple(tuple(int(i) for i in s.indices) for s in shards),
-                [s.summary for s in shards],
-            )
+            self._store_summaries(shards)
         self.stats.summaries_refreshed += refreshed
         return refreshed
 
@@ -657,21 +643,12 @@ class QueryService:
     # ------------------------------------------------------------------
     def _ensure_embed_pool(self):
         if self._embed_pool is None:
-            if self.embed_mode == "process":
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None
-                )
-                self._embed_pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=ctx,
-                    initializer=_init_embed_worker,
-                    initargs=(self.engine,),
-                )
-            else:
-                self._embed_pool = ThreadPoolExecutor(
-                    max_workers=self.n_workers
-                )
+            self._embed_pool = ProcessPoolExecutor(
+                max_workers=self.n_workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_embed_worker,
+                initargs=(self.engine,),
+            )
         return self._embed_pool
 
     def _ensure_shard_pool(self):
@@ -741,23 +718,13 @@ class QueryService:
         chunks = [
             queries[lo : lo + chunk] for lo in range(0, len(queries), chunk)
         ]
-        if self.embed_mode == "process":
-            futures = [pool.submit(_embed_chunk, c) for c in chunks]
-            parts = []
-            for future in futures:
-                vectors, calls, pruned = future.result()
-                parts.append(vectors)
-                self.stats.vf2_calls += calls
-                self.stats.features_pruned += pruned
-        else:  # thread mode: stat deltas may undercount under races
-            calls = engine.stats.vf2_calls
-            pruned = engine.stats.features_pruned
-            futures = [pool.submit(engine.embed_many, c) for c in chunks]
-            parts = [future.result() for future in futures]
-            self.stats.vf2_calls += engine.stats.vf2_calls - calls
-            self.stats.features_pruned += (
-                engine.stats.features_pruned - pruned
-            )
+        futures = [pool.submit(_embed_chunk, c) for c in chunks]
+        parts = []
+        for future in futures:
+            vectors, calls, pruned = future.result()
+            parts.append(vectors)
+            self.stats.vf2_calls += calls
+            self.stats.features_pruned += pruned
         return np.vstack(parts)
 
     def embed_batch(
@@ -846,14 +813,6 @@ class QueryService:
         cols, scores = rank_block(distances, k)
         return shard.indices[cols], scores
 
-    def _timed_shard_topk(
-        self, shard: Shard, vectors: np.ndarray, k: int
-    ) -> Tuple[Tuple[np.ndarray, np.ndarray], float]:
-        """:meth:`_shard_topk` plus its wall-clock, for per-shard stats."""
-        start = time.perf_counter()
-        out = self._shard_topk(shard, vectors, k)
-        return out, time.perf_counter() - start
-
     def batch_query_vectors(
         self,
         vectors: np.ndarray,
@@ -891,25 +850,195 @@ class QueryService:
         vectors: np.ndarray,
         k: int,
         shards: List[Shard],
-        policy: Optional[SearchPolicy] = None,
-        stack: Optional[SummaryStack] = None,
+        policy: Optional[SearchPolicy],
+        stack: SummaryStack,
     ) -> Tuple[List[TopKResult], PruningTrace]:
-        """The distance stage over an already-snapshotted shard list."""
+        """The distance stage over an already-snapshotted shard list:
+        the one executor of every plan (see the module docstring) —
+        compute a round's groups, absorb them in order, ask for the
+        next round, and derive stats and trace from what ran."""
         policy = EXACT_POLICY if policy is None else policy
-        n = sum(shard.num_rows for shard in shards)
-        k = _check_k(k, n)
+        k = _check_k(k, sum(shard.num_rows for shard in shards))
         vectors = np.asarray(vectors, dtype=float)
-        if vectors.shape[0] == 0:
-            return [], PruningTrace.full_scan(0, len(shards))
+        nq, p = vectors.shape
+        if nq == 0:
+            # Nothing to search: the bound-free plan over no shards
+            # runs no group, so no counter moves whatever was asked.
+            policy, shards = SearchPolicy(prune=False), []
         if policy.mode == "graph":
             return self._query_vectors_graph(vectors, k, policy)
+        ns = len(shards)
+        rows = np.array([shard.num_rows for shard in shards], dtype=np.int64)
+        parallel = self._parallel_shards and ns > 1
+        clears = partial(prunable_mask, backend=self._kernel)
+        best = BlockTopK(nq, k)
+        # Per-query running k-th-best; +inf until k candidates exist, so
+        # the vectorised tests below are exactly `prunable()`: nothing
+        # is ever pruned (or stopped) against an undefined threshold.
+        thresholds = best.thresholds
+        checks = np.zeros(nq, dtype=np.int64)
+        nprobe = policy.nprobe
+        if isinstance(nprobe, int):
+            nprobe = min(nprobe, ns)
+
+        def ordered_rounds() -> Iterator[List[Tuple[int, np.ndarray]]]:
+            """Exact and fixed ``nprobe``: one shard order for the
+            batch, most promising (smallest mean lower bound) first, so
+            each query's threshold tightens as early as possible.  A
+            shard is skipped for a query only when its lower bound
+            clears that threshold by the conservative slack of
+            :func:`repro.query.pruning.prunable` — which keeps the
+            merged answer bit-identical to the full scan, ties included.
+
+            Single-threaded, every shard is a round of its own.  With
+            the shard pool only the *first* shard is, to seed the
+            thresholds; skip decisions for every remaining shard are
+            then made in one shot and the surviving blocks run
+            concurrently.  One-shot decisions are strictly conservative
+            — a seed-phase threshold can only be looser than the fully
+            tightened one — so parallel hosts may skip fewer shards
+            than single-threaded ones, but never an unsafe one.
+            """
+            eligible = np.ones((nq, ns), dtype=bool)
+            if nprobe is not None:
+                # Each query is routed to its nprobe closest shards (by
+                # centroid) only.  nprobe is a floor, not a cap on
+                # answer length: routing extends past it (nearest
+                # shards first) until the eligible shards hold at least
+                # k rows, so approx answers are always full-length —
+                # only recall degrades, never k itself.
+                routed = np.argsort(centroid_d, axis=1, kind="stable")
+                covered = np.cumsum(rows[routed], axis=1)
+                need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
+                take = np.maximum(nprobe, need)
+                eligible = np.zeros((nq, ns), dtype=bool)
+                eligible[np.arange(nq)[:, None], routed] = (
+                    np.arange(ns)[None, :] < take[:, None]
+                )
+            if policy.prune:
+                # Every shard is decided exactly once, for the queries
+                # routed to it: one bound test per eligible pair.
+                checks[:] = eligible.sum(axis=1)
+
+            def decide(some: List[int]) -> List[Tuple[int, np.ndarray]]:
+                """The groups of shards *some*, as the thresholds stand."""
+                groups = []
+                for si in some:
+                    active = eligible[:, si]
+                    if policy.prune:
+                        active = active & ~clears(bounds[:, si], thresholds)
+                    qs = np.flatnonzero(active)
+                    if qs.size:
+                        groups.append((si, qs))
+                return groups
+
+            order = np.argsort(bounds.mean(axis=0), kind="stable").tolist()
+            if not parallel:
+                for si in order:
+                    yield decide([si])
+                return
+            # Before paying the serialized seed block, a cheap
+            # feasibility check: each query's final k-th-best can never
+            # exceed the distance *upper* bound (‖φ(q) − centroid‖ +
+            # radius) of the nearest shards covering k rows — if no
+            # (query, shard) lower bound clears even that cap, no
+            # threshold could ever prune anything, and all blocks
+            # dispatch concurrently at the pre-pruning latency.
+            # Forgoing skip *attempts* never changes results, only
+            # which exact strategy computes them.
+            seedless = not policy.prune or p == 0  # all-zero bounds at p=0
+            if not seedless:
+                upper = (centroid_d + stack.radii[None, :]) / np.sqrt(p)
+                by_upper = np.argsort(upper, axis=1, kind="stable")
+                cap_pos = np.argmax(
+                    np.cumsum(rows[by_upper], axis=1) >= k, axis=1
+                )
+                caps = upper[np.arange(nq), by_upper[np.arange(nq), cap_pos]]
+                seedless = not (eligible & clears(bounds, caps[:, None])).any()
+            if not seedless:
+                yield decide(order[:1])
+                order = order[1:]
+            yield decide(order)
+
+        def routed_rounds() -> Iterator[List[Tuple[int, np.ndarray]]]:
+            """``nprobe="auto"``: round *t* is the *t*-th-nearest shard
+            (by centroid, the signal fixed ``nprobe`` routes on) of
+            every still-widening query, grouped by shard so one distance
+            block serves all queries routed to it; a query stops
+            widening at the first shard whose lower bound clears its
+            threshold.  Unlike exact mode (which must check, and
+            possibly visit, every shard whose bound fails to clear the
+            threshold wherever it sits in the order), that stop rule
+            truncates the probe sequence; a farther shard with a loose
+            bound is never reconsidered.  The truncation is the
+            approximation — answers stay full-length, only recall is
+            traded."""
+            routed = np.argsort(centroid_d, axis=1, kind="stable")
+            live = np.arange(nq)
+            for t in range(ns):
+                next_shards = routed[live, t]
+                if t > 0:
+                    checks[live] += 1
+                    widening = ~clears(
+                        bounds[live, next_shards], thresholds[live]
+                    )
+                    live, next_shards = live[widening], next_shards[widening]
+                    if live.size == 0:
+                        return
+                yield [
+                    (int(si), live[next_shards == si])
+                    for si in np.unique(next_shards)
+                ]
+
         if policy.is_full_scan:
-            return self._query_vectors_full(vectors, k, shards)
-        if stack is None:
-            stack = stack_summaries([shard.summary for shard in shards])
-        if policy.mode == "approx" and policy.nprobe == "auto":
-            return self._query_vectors_auto(vectors, k, shards, stack)
-        return self._query_vectors_pruned(vectors, k, shards, policy, stack)
+            rounds = [[(si, np.arange(nq)) for si in range(ns)]]
+        else:
+            bounds, centroid_d = shard_lower_bounds(
+                vectors, stack, p, backend=self._kernel
+            )
+            rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
+
+        def run(si: int, qs: np.ndarray):
+            """One group's block — a shard task — and its wall-clock."""
+            # A whole-batch group needs no gather: query ids ascend.
+            left = vectors if qs.size == nq else vectors[qs]
+            start = time.perf_counter()
+            out = self._shard_topk(shards[si], left, k)
+            return out, time.perf_counter() - start
+
+        visited = np.zeros(nq, dtype=np.int64)  # shards per query
+        scored = np.zeros(ns, dtype=np.int64)  # queries per shard
+        shard_tasks, shard_seconds = 0, 0.0
+        for groups in rounds:
+            if parallel and len(groups) > 1:
+                pool = self._ensure_shard_pool()
+                futures = [pool.submit(run, si, qs) for si, qs in groups]
+                timed = [future.result() for future in futures]
+            else:
+                timed = [run(si, qs) for si, qs in groups]
+            for (si, qs), (out, seconds) in zip(groups, timed):
+                best.absorb(qs, *out)
+                visited[qs] += 1
+                scored[si] += qs.size
+                shard_seconds += seconds
+            shard_tasks += len(groups)
+        shards_skipped = ns - int(np.count_nonzero(scored))
+        self.stats.shard_tasks += shard_tasks
+        self.stats.shard_seconds += shard_seconds
+        self.stats.shards_skipped += shards_skipped
+        self.stats.bound_checks += int(checks.sum())
+        self.stats.distance_evaluations += int(scored @ rows)
+        trace = PruningTrace(
+            mode=policy.mode,
+            nprobe=nprobe,
+            visited=visited,
+            skipped=ns - visited,
+            bound_checks=checks,
+            shard_tasks=shard_tasks,
+            shards_skipped=shards_skipped,
+            effective_nprobe=visited.copy() if nprobe == "auto" else None,
+        )
+        return best.results(), trace
 
     def _ensure_graph(self):
         """The graph-mode snapshot, built lazily on first use.
@@ -960,314 +1089,6 @@ class QueryService:
             evals[qi] = q_evals
         self.stats.distance_evaluations += int(evals.sum())
         return results, PruningTrace.graph_search(ef, hops, evals)
-
-    def _query_vectors_full(
-        self, vectors: np.ndarray, k: int, shards: List[Shard]
-    ) -> Tuple[List[TopKResult], PruningTrace]:
-        """Every shard computed — the pre-pruning path, shard pool and
-        all (``SearchPolicy(prune=False)``, the benchmark baseline)."""
-        if self._parallel_shards and len(shards) > 1:
-            pool = self._ensure_shard_pool()
-            futures = [
-                pool.submit(self._timed_shard_topk, shard, vectors, k)
-                for shard in shards
-            ]
-            timed = [future.result() for future in futures]
-        else:
-            timed = [
-                self._timed_shard_topk(shard, vectors, k) for shard in shards
-            ]
-        parts = [out for out, _seconds in timed]
-        self.stats.shard_seconds += sum(seconds for _out, seconds in timed)
-        self.stats.shard_tasks += len(shards)
-        nq = vectors.shape[0]
-        self.stats.distance_evaluations += nq * sum(
-            shard.num_rows for shard in shards
-        )
-        best = BlockTopK(nq, k)
-        best.absorb(
-            np.arange(nq),
-            np.concatenate([ids for ids, _scores in parts], axis=1),
-            np.concatenate([scores for _ids, scores in parts], axis=1),
-        )
-        return best.results(), PruningTrace.full_scan(nq, len(shards))
-
-    def _query_vectors_pruned(
-        self,
-        vectors: np.ndarray,
-        k: int,
-        shards: List[Shard],
-        policy: SearchPolicy,
-        stack: SummaryStack,
-    ) -> Tuple[List[TopKResult], PruningTrace]:
-        """The bound-aware path: skip shards that provably cannot matter.
-
-        Shards are visited most promising (smallest mean lower bound)
-        first, so each query's running k-th-best threshold tightens as
-        early as possible.  In exact mode a shard is skipped for a
-        query only when its lower bound clears that threshold by the
-        conservative slack of :func:`repro.query.pruning.prunable` —
-        which keeps the merged answer bit-identical to the full scan,
-        ties included.  In approx mode each query is additionally
-        routed to its ``nprobe`` closest shards (by centroid) only.
-
-        With the shard thread pool available, only the *first* (most
-        promising) shard is computed sequentially to seed the
-        thresholds; skip decisions for every remaining shard are then
-        made in one shot and the surviving blocks run concurrently.
-        One-shot decisions are strictly conservative — a seed-phase
-        threshold can only be looser than the fully tightened one — so
-        parallel hosts may skip fewer shards than single-threaded ones,
-        but never an unsafe one, and results stay bit-identical either
-        way.
-        """
-        nq, p = vectors.shape
-        ns = len(shards)
-        bounds, centroid_d = shard_lower_bounds(
-            vectors, stack, p, backend=self._kernel
-        )
-        eligible = np.ones((nq, ns), dtype=bool)
-        nprobe = None
-        if policy.mode == "approx":
-            nprobe = min(int(policy.nprobe), ns)
-            # nprobe is a floor, not a cap on answer length: routing
-            # extends past it (nearest shards first) until the eligible
-            # shards hold at least k rows, so approx answers are always
-            # full-length — only recall degrades, never k itself.
-            routed = np.argsort(centroid_d, axis=1, kind="stable")
-            rows = np.array([shard.num_rows for shard in shards])
-            covered = np.cumsum(rows[routed], axis=1)
-            need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
-            take = np.maximum(nprobe, need)
-            eligible = np.zeros((nq, ns), dtype=bool)
-            eligible[np.arange(nq)[:, None], routed] = (
-                np.arange(ns)[None, :] < take[:, None]
-            )
-        visit_order = np.argsort(bounds.mean(axis=0), kind="stable")
-        best = BlockTopK(nq, k)
-        visited = np.zeros(nq, dtype=np.int64)
-        skipped = np.zeros(nq, dtype=np.int64)
-        checks = np.zeros(nq, dtype=np.int64)
-        # Per-query running k-th-best; +inf until k candidates exist, so
-        # the vectorised skip test below is exactly `prunable()`:
-        # nothing is ever pruned against an undefined threshold.
-        thresholds = best.thresholds
-        shard_tasks = 0
-        shards_skipped = 0
-        order = [int(si) for si in visit_order]
-        parallel = self._parallel_shards and len(order) > 1
-
-        def decide(si: int) -> Tuple[np.ndarray, np.ndarray]:
-            """(eligibility, active queries) for one shard — counters
-            for skips/checks are updated here, exactly once per shard."""
-            nonlocal shards_skipped
-            elig = eligible[:, si]
-            if policy.prune:
-                checks[:] += elig
-                pruned_away = elig & prunable_mask(
-                    bounds[:, si], thresholds, backend=self._kernel
-                )
-                active_mask = elig & ~pruned_away
-            else:
-                active_mask = elig
-            skipped[:] += ~active_mask
-            active = np.flatnonzero(active_mask)
-            if active.size == 0:
-                shards_skipped += 1
-            return elig, active
-
-        def absorb(
-            active: np.ndarray, out, seconds: float, num_rows: int
-        ) -> None:
-            nonlocal shard_tasks
-            shard_tasks += 1
-            self.stats.shard_seconds += seconds
-            self.stats.distance_evaluations += active.size * num_rows
-            best.absorb(active, *out)
-            visited[active] += 1
-
-        # Sequential tightening: every shard when single-threaded, just
-        # the most promising one (the threshold seed) when the shard
-        # pool can run the rest concurrently.  Before paying that
-        # serialized seed block, a cheap feasibility check: each
-        # query's final k-th-best can never exceed the distance *upper*
-        # bound (‖φ(q) − centroid‖ + radius) of the nearest shards
-        # covering k rows — if no (query, shard) lower bound clears
-        # even that cap, no threshold could ever prune anything, and
-        # all blocks dispatch concurrently at the pre-pruning latency.
-        # Forgoing skip *attempts* never changes results, only which
-        # exact strategy computes them.
-        seedless = not policy.prune or p == 0  # bounds are all zero at p=0
-        if parallel and policy.prune and p:
-            upper = (centroid_d + stack.radii[None, :]) / np.sqrt(p)
-            rows = np.array([shard.num_rows for shard in shards])
-            by_upper = np.argsort(upper, axis=1, kind="stable")
-            covered = np.cumsum(
-                rows[by_upper], axis=1
-            ) >= k
-            cap_pos = np.argmax(covered, axis=1)
-            caps = upper[np.arange(nq), by_upper[np.arange(nq), cap_pos]]
-            seedless = not (
-                eligible
-                & prunable_mask(bounds, caps[:, None], backend=self._kernel)
-            ).any()
-        prefix = (order[:1] if not seedless else []) if parallel else order
-        for si in prefix:
-            _elig, active = decide(si)
-            if active.size:
-                out, seconds = self._timed_shard_topk(
-                    shards[si], vectors[active], k
-                )
-                absorb(active, out, seconds, shards[si].num_rows)
-        if parallel:
-            pending = []
-            pool = self._ensure_shard_pool()
-            for si in order[len(prefix):]:
-                _elig, active = decide(si)
-                if active.size:
-                    pending.append((
-                        active,
-                        shards[si].num_rows,
-                        pool.submit(
-                            self._timed_shard_topk,
-                            shards[si],
-                            vectors[active],
-                            k,
-                        ),
-                    ))
-            for active, num_rows, future in pending:
-                out, seconds = future.result()
-                absorb(active, out, seconds, num_rows)
-        self.stats.shard_tasks += shard_tasks
-        self.stats.shards_skipped += shards_skipped
-        self.stats.bound_checks += int(checks.sum())
-        trace = PruningTrace(
-            mode=policy.mode,
-            nprobe=nprobe,
-            visited=visited,
-            skipped=skipped,
-            bound_checks=checks,
-            shard_tasks=shard_tasks,
-            shards_skipped=shards_skipped,
-        )
-        return best.results(), trace
-
-    def _query_vectors_auto(
-        self,
-        vectors: np.ndarray,
-        k: int,
-        shards: List[Shard],
-        stack: SummaryStack,
-    ) -> Tuple[List[TopKResult], PruningTrace]:
-        """``nprobe="auto"``: per-query adaptive probe widening.
-
-        Each query probes shards in centroid-distance order (the same
-        routing signal fixed ``nprobe`` uses) and stops widening as
-        soon as it holds k candidates *and* the next shard's lower
-        bound clears its running k-th-best — the query's own geometry,
-        not a global knob, decides how many probes it pays for.  Unlike
-        exact mode (which must check, and possibly visit, every shard
-        whose bound fails to clear the threshold wherever it sits in
-        the order), the stop rule truncates the probe sequence at the
-        first cleared bound; a farther shard with a loose bound is
-        never reconsidered.  That truncation is the approximation —
-        answers stay full-length, only recall is traded.
-
-        Probing proceeds in batched rounds: round *t* computes the
-        *t*-th-nearest shard of every still-widening query, grouped by
-        shard so one distance block serves all queries routed to it
-        (groups run concurrently when the shard pool is on).  The
-        probes each query actually spent surface as
-        ``effective_nprobe`` in the trace.
-        """
-        nq, p = vectors.shape
-        ns = len(shards)
-        bounds, centroid_d = shard_lower_bounds(
-            vectors, stack, p, backend=self._kernel
-        )
-        routed = np.argsort(centroid_d, axis=1, kind="stable")
-        rows = np.array([shard.num_rows for shard in shards])
-        best = BlockTopK(nq, k)
-        thresholds = best.thresholds
-        visited = np.zeros(nq, dtype=np.int64)
-        skipped = np.zeros(nq, dtype=np.int64)
-        checks = np.zeros(nq, dtype=np.int64)
-        covered = np.zeros(nq, dtype=np.int64)
-        stopped = np.zeros(nq, dtype=bool)
-        shard_tasks = 0
-        computed: set = set()
-        parallel = self._parallel_shards and ns > 1
-        pool = self._ensure_shard_pool() if parallel else None
-
-        def absorb(qs: np.ndarray, si: int, out, seconds: float) -> None:
-            nonlocal shard_tasks
-            shard_tasks += 1
-            self.stats.shard_seconds += seconds
-            self.stats.distance_evaluations += qs.size * int(rows[si])
-            best.absorb(qs, *out)
-            visited[qs] += 1
-            covered[qs] += int(rows[si])
-
-        for t in range(ns):
-            live = np.flatnonzero(~stopped)
-            if live.size == 0:
-                break
-            next_shards = routed[live, t]
-            if t > 0:
-                # The stop rule: enough scored rows for a full answer,
-                # and the next probe's lower bound clears the running
-                # k-th-best under the same slack-guarded test exact
-                # mode skips with (+inf thresholds — fewer than k
-                # candidates — never stop).
-                checks[live] += 1
-                stopping = (covered[live] >= k) & prunable_mask(
-                    bounds[live, next_shards],
-                    thresholds[live],
-                    backend=self._kernel,
-                )
-                halted = live[stopping]
-                stopped[halted] = True
-                skipped[halted] += ns - t
-                live = live[~stopping]
-                next_shards = next_shards[~stopping]
-                if live.size == 0:
-                    break
-            groups = [
-                (int(si), live[next_shards == si])
-                for si in np.unique(next_shards)
-            ]
-            computed.update(si for si, _qs in groups)
-            if parallel and len(groups) > 1:
-                futures = [
-                    (si, qs, pool.submit(
-                        self._timed_shard_topk, shards[si], vectors[qs], k
-                    ))
-                    for si, qs in groups
-                ]
-                for si, qs, future in futures:
-                    out, seconds = future.result()
-                    absorb(qs, si, out, seconds)
-            else:
-                for si, qs in groups:
-                    out, seconds = self._timed_shard_topk(
-                        shards[si], vectors[qs], k
-                    )
-                    absorb(qs, si, out, seconds)
-        shards_skipped = ns - len(computed)
-        self.stats.shard_tasks += shard_tasks
-        self.stats.shards_skipped += shards_skipped
-        self.stats.bound_checks += int(checks.sum())
-        trace = PruningTrace(
-            mode="approx",
-            nprobe="auto",
-            visited=visited,
-            skipped=skipped,
-            bound_checks=checks,
-            shard_tasks=shard_tasks,
-            shards_skipped=shards_skipped,
-            effective_nprobe=visited.copy(),
-        )
-        return best.results(), trace
 
     # ------------------------------------------------------------------
     # the serving entry points

@@ -739,6 +739,43 @@ class TestLiveUpdateAndReload:
             await frontend.aclose()
 
     @pytest.mark.asyncio
+    async def test_json_booleans_are_not_integers(self, materials):
+        """``true`` passes ``isinstance(x, int)``: without the bool test
+        ``"k": true`` is answered as k = 1 and ``"remove": [true]``
+        deletes database row 1 and bumps the generation."""
+        db, queries, _mapping = materials
+        # A private mapping: a wrongly applied update would mutate it.
+        features = mine_frequent_subgraphs(db, min_support=0.2, max_edges=5)
+        space = FeatureSpace(features, len(db))
+        mapping = mapping_from_selection(space, variance_selection(space, 15))
+        frontend = _frontend(mapping.query_engine())
+        wire = protocol.graph_to_wire(queries[0])
+        try:
+            await frontend.start()
+            for request in (
+                {"op": "query", "id": 1, "k": True, "graph": wire},
+                {"op": "batch", "id": 2, "k": True, "graphs": [wire]},
+                {"op": "update", "id": 3, "remove": [True]},
+                {"op": "update", "id": 4, "remove": [0, False]},
+            ):
+                response = await frontend.handle_line(json.dumps(request))
+                assert not response["ok"], request
+                assert response["error"] == "bad_request"
+            # Reachable with a dict that never went through parse_request.
+            response = await frontend.handle_request(
+                {"op": "update", "id": 5, "remove": [True]}
+            )
+            assert not response["ok"]
+            assert response["error"] == "bad_request"
+            assert frontend.stats.bad_requests == 5
+            assert frontend.stats.admitted == 0  # rejected before admission
+            assert mapping.database_vectors.shape[0] == len(db)
+            assert frontend.service.generation == 0
+            assert frontend.service.stats.updates == 0
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
     async def test_reload_swaps_the_served_index(self, materials, tmp_path):
         db, queries, mapping = materials
         path = tmp_path / "index.json"

@@ -10,6 +10,7 @@ artifact summary lifecycle, DSPMap routing, and the wire protocol's
 ``search``/``pruning`` fields are covered alongside.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -294,9 +295,7 @@ class TestExactIdentity:
         bit-identical, and every shard still accounted for."""
         _db, per_cluster_queries, mapping, blocks = clustered
         engine = mapping.query_engine()
-        service = QueryService(
-            engine, shards=blocks, n_workers=2, embed_mode="serial"
-        )
+        service = QueryService(engine, shards=blocks, n_workers=2)
         service._parallel_shards = True  # force past the 1-CPU gate
         try:
             for cluster_queries in per_cluster_queries:
@@ -328,9 +327,7 @@ class TestExactIdentity:
         queries, mapping = random_setup
         engine = mapping.query_engine()
         reference = engine.batch_query(queries, 7)
-        service = QueryService(
-            engine, n_shards=4, n_workers=2, embed_mode="serial"
-        )
+        service = QueryService(engine, n_shards=4, n_workers=2)
         service._parallel_shards = True  # force past the 1-CPU gate
         try:
             result, _gen, trace = service.batch_query_traced(queries, 7)
@@ -359,6 +356,36 @@ class TestExactIdentity:
             result, _gen, trace = service.batch_query_traced([], 5)
             assert len(result) == 0
             assert trace.totals()["shards_visited"] == 0
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            None,
+            SearchPolicy(prune=False),
+            SearchPolicy(mode="approx", nprobe=2),
+            SearchPolicy(mode="approx", nprobe="auto"),
+            SearchPolicy(mode="graph"),
+        ],
+        ids=["exact", "full", "nprobe", "auto", "graph"],
+    )
+    def test_empty_vector_batch_runs_nothing(self, random_setup, policy):
+        """No queries: no round runs, whatever plan was asked for — a
+        zero-length trace, and not one service counter moves (nor is a
+        proximity graph built to search it with nothing)."""
+        _queries, mapping = random_setup
+        with mapping.query_service(n_shards=3) as service:
+            before = dataclasses.asdict(service.stats)
+            results, trace = service.batch_query_vectors_traced(
+                np.zeros((0, mapping.dimensionality)), 5, policy
+            )
+            assert results == []
+            assert len(trace.visited) == len(trace.skipped) == 0
+            assert (trace.shard_tasks, trace.shards_skipped) == (0, 0)
+            totals = json.loads(json.dumps(trace.totals()))
+            assert totals["shards_visited"] == totals["shards_skipped"] == 0
+            assert totals["bound_checks"] == 0
+            assert dataclasses.asdict(service.stats) == before
+            assert service._graph is None
 
 
 class TestApproxMode:
@@ -884,8 +911,12 @@ class TestFrontendPolicies:
 
 
 class TestPruningTrace:
-    def test_full_scan_trace_shape(self):
-        trace = PruningTrace.full_scan(3, 4)
+    def test_full_scan_trace_shape(self, random_setup):
+        queries, mapping = random_setup
+        with mapping.query_service(n_shards=4) as service:
+            _result, _gen, trace = service.batch_query_traced(
+                queries[:3], 5, SearchPolicy(prune=False)
+            )
         assert trace.totals() == {
             "mode": "exact",
             "shards_visited": 12,

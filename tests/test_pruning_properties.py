@@ -15,7 +15,9 @@ suite pins down as well as a property search:
 On top of the raw bound math, the service-level property: for random
 databases, shard layouts, duplicates and tie plateaus, the default
 exact policy answers bit-identically to the full scan, and approx mode
-with ``nprobe = n_shards`` degenerates to exact.
+with ``nprobe = n_shards`` degenerates to exact — and, whatever plan a
+policy runs and wherever its blocks are computed, the trace and the
+service counters account for exactly the shard tasks that ran.
 """
 
 import numpy as np
@@ -209,3 +211,70 @@ class TestServiceLevelIdentity:
             assert a.scores == b.scores
             assert a.ranking == c.ranking
             assert a.scores == c.scores
+
+
+SHARDED_POLICIES = {
+    "full": SearchPolicy(prune=False),
+    "exact": SearchPolicy(),
+    "nprobe": SearchPolicy(mode="approx", nprobe=2),
+    "auto": SearchPolicy(mode="approx", nprobe="auto"),
+}
+
+
+class TestExecutorAccounting:
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 30),
+        p=st.integers(1, 10),
+        k=st.integers(1, 8),
+        contiguous=st.booleans(),
+        pool=st.booleans(),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_trace_and_counters_are_the_groups_that_ran(
+        self, seed, n, p, k, contiguous, pool
+    ):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        vectors = _random_database(rng, n, p, duplicate_heavy=True)
+        layout = (
+            {"n_shards": int(rng.integers(1, 6))}
+            if contiguous
+            else {"shards": _random_blocks(rng, n)}
+        )
+        queries = rng.integers(0, 2, size=(5, p)).astype(float)
+        mapping = _vector_service_mapping(vectors)
+        ran = []  # (query, row) pairs scored by each shard task
+        with QueryService(
+            mapping.query_engine(),
+            n_workers=2 if pool else 0,
+            cache_size=0,
+            **layout,
+        ) as service:
+            service._parallel_shards = pool  # whatever the CPU gate said
+            shard_topk = service._shard_topk
+
+            def recording(shard, left, k_):
+                ran.append(left.shape[0] * shard.num_rows)
+                return shard_topk(shard, left, k_)
+
+            service._shard_topk = recording
+            n_shards = len(service.shards)
+            answers = {}
+            for name, policy in SHARDED_POLICIES.items():
+                del ran[:]
+                before = service.stats.distance_evaluations
+                answers[name], trace = service.batch_query_vectors_traced(
+                    queries, k, policy
+                )
+                assert (trace.visited + trace.skipped == n_shards).all()
+                assert len(ran) == trace.shard_tasks
+                assert trace.shard_tasks >= n_shards - trace.shards_skipped
+                assert service.stats.distance_evaluations - before == sum(ran)
+        for a, b in zip(answers["full"], answers["exact"]):
+            assert a.ranking == b.ranking
+            assert a.scores == b.scores

@@ -458,6 +458,38 @@ class TestStatsAndProtocol:
             assert pong["queue_depth"] == 0 and pong["draining"] is False
 
     @pytest.mark.asyncio
+    async def test_json_booleans_never_reach_a_replica(self, materials):
+        """``"remove": [true]`` is ``remove=[1]`` to ``isinstance(x,
+        int)``: the router parses with the frontend's function, so the
+        entry is refused before it is logged or fanned out."""
+        queries, _mapping, path = materials
+        replicas = await _started(
+            [_replica(f"r{i}", path) for i in range(2)]
+        )
+        rows = [
+            r.frontend.service.mapping.database_vectors.shape[0]
+            for r in replicas
+        ]
+        wire = protocol.graph_to_wire(queries[0])
+        async with Router(
+            replicas, RouterConfig(health_interval=0)
+        ) as router:
+            for request in (
+                {"op": "update", "id": 1, "remove": [True]},
+                {"op": "query", "id": 2, "k": True, "graph": wire},
+            ):
+                bad = await router.handle_line(json.dumps(request))
+                assert not bad["ok"] and bad["error"] == "bad_request"
+            assert router.stats.bad_requests == 2
+            assert router.generation == 0 and router._update_log == []
+            for replica, n in zip(replicas, rows):
+                service = replica.frontend.service
+                assert service.generation == 0
+                assert service.stats.updates == 0
+                assert service.mapping.database_vectors.shape[0] == n
+                assert replica.frontend.stats.bad_requests == 0  # unseen
+
+    @pytest.mark.asyncio
     @pytest.mark.timeout(30)
     async def test_router_serves_the_ndjson_tcp_protocol(self, materials):
         """serve_tcp runs a Router exactly like an AsyncFrontend."""

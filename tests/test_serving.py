@@ -115,19 +115,22 @@ class TestBitIdentity:
             _assert_identical(reference, service.batch_query(queries, 6))
 
     @pytest.mark.parametrize(
-        "mode",
-        ["serial", "thread"] + (["process"] if HAS_FORK else []),
+        "mode", ["serial"] + (["process"] if HAS_FORK else [])
     )
-    def test_embed_modes_identical(self, setup, mapping, mode):
+    def test_embed_modes_identical(self, setup, mapping, mode, monkeypatch):
+        """The embedding mode is derived, not chosen: workers fork only
+        with more than one CPU to run them on."""
         _db, queries, _space = setup
-        reference = mapping.query_engine().batch_query(queries, 7)
-        service = QueryService(
-            mapping, n_shards=3, n_workers=2, embed_mode=mode
+        monkeypatch.setattr(
+            service_module,
+            "_effective_cpus",
+            lambda: 2 if mode == "process" else 1,
         )
-        try:
+        reference = mapping.query_engine().batch_query(queries, 7)
+        with QueryService(mapping, n_shards=3, n_workers=2) as service:
+            assert service.embed_mode == mode
             _assert_identical(reference, service.batch_query(queries, 7))
-        finally:
-            service.close()
+            assert service.stats.vf2_calls > 0  # workers report deltas
 
     def test_vector_path_matches_engine(self, setup, mapping):
         _db, queries, _space = setup
@@ -217,6 +220,24 @@ PARENT_RECORD = {
 }
 
 
+#: The same batch with the shard pool forced on — ``(layout, policy) ->
+#: (trace digest, distance evaluations)`` as the commit before the one
+#: executor returned them.  The seed round, the one-shot decisions
+#: behind it and the seedless dispatch skip differently from the
+#: single-threaded order (compare the evaluations above), and nothing
+#: else pins which of them a batch takes.
+PARENT_POOL_RECORD = {
+    ("contiguous", "exact"): ("43ced9878ec6fd3e", 636),
+    ("contiguous", "full"): ("50715a5a3e18c68a", 768),
+    ("contiguous", "nprobe"): ("0bbd6e39a4c73c58", 348),
+    ("contiguous", "auto"): ("09181926298b26e1", 276),
+    ("custom", "exact"): ("ea8a593e274fb184", 768),
+    ("custom", "full"): ("50715a5a3e18c68a", 768),
+    ("custom", "nprobe"): ("53e1d55c0f0da51a", 427),
+    ("custom", "auto"): ("d2af6076b168bdf5", 549),
+}
+
+
 @pytest.fixture(scope="module")
 def parity_index():
     mapping, _blocks = clustered_vector_index(4, 12, 6, seed=5)
@@ -272,6 +293,25 @@ class TestBlockTopKParity:
                 service.stats.distance_evaluations,
             ) == PARENT_RECORD[layout, name][1:]
 
+    @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
+    @pytest.mark.parametrize("name", sorted(PARITY_POLICIES))
+    def test_pool_trace_and_evaluations_match_parent(
+        self, parity_index, layout, name
+    ):
+        mapping, vectors = parity_index
+        with QueryService(
+            mapping, n_workers=2, **PARITY_LAYOUTS[layout]
+        ) as service:
+            service._parallel_shards = True  # force past the 1-CPU gate
+            results, trace = service.batch_query_vectors_traced(
+                vectors, PARITY_K, PARITY_POLICIES[name]
+            )
+            assert _digest(_answers(results)) == PARENT_RECORD[layout, name][0]
+            assert (
+                _digest(_trace_counts(trace)),
+                service.stats.distance_evaluations,
+            ) == PARENT_POOL_RECORD[layout, name]
+
     @pytest.mark.parametrize("name", sorted(PARITY_POLICIES))
     def test_one_rank_call_per_shard_task(
         self, parity_index, name, monkeypatch
@@ -315,10 +355,6 @@ class TestShardValidation:
     def test_zero_shards_rejected(self, mapping):
         with pytest.raises(ValueError):
             QueryService(mapping, n_shards=0)
-
-    def test_bad_embed_mode_rejected(self, mapping):
-        with pytest.raises(ValueError):
-            QueryService(mapping, embed_mode="gpu")
 
     def test_shard_constant_folding_is_consistent(self, mapping):
         with mapping.query_service(n_shards=5) as service:
@@ -572,14 +608,12 @@ class TestLiveUpdates:
 class TestLifecycle:
     def test_close_is_idempotent(self, setup, mapping):
         _db, queries, _space = setup
-        service = QueryService(
-            mapping, n_shards=2, n_workers=2, embed_mode="thread"
-        )
+        service = QueryService(mapping, n_shards=2, n_workers=2)
         service.batch_query(queries[:4], 3)
-        assert service.stats.vf2_calls > 0  # thread mode reports stats too
         service.close()
         service.close()
 
+    @pytest.mark.skipif(not HAS_FORK, reason="embedding workers need fork")
     def test_close_safe_after_failed_pool_startup(
         self, setup, mapping, monkeypatch
     ):
@@ -599,10 +633,9 @@ class TestLifecycle:
         monkeypatch.setattr(
             service_mod, "ProcessPoolExecutor", ExplodingPool
         )
+        monkeypatch.setattr(service_mod, "_effective_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="pool startup"):
-            with QueryService(
-                mapping, n_shards=2, n_workers=2, embed_mode="process"
-            ) as service:
+            with QueryService(mapping, n_shards=2, n_workers=2) as service:
                 service.batch_query(queries[:4], 3)
         # __exit__ already ran close(); both of these must be no-ops.
         service.close()
