@@ -18,19 +18,9 @@ Run an interactive-style demo search::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from typing import Dict, List, Optional
-
-
-def _emit_bench_result(result: Dict, as_json: bool) -> None:
-    """Print a bench result: human report, or machine-readable JSON."""
-    if as_json:
-        payload = {k: v for k, v in result.items() if k != "report"}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(result["report"])
+from typing import List, Optional
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -107,109 +97,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_queries(args: argparse.Namespace) -> int:
-    """Naive per-feature VF2 path vs the lattice-pruned engine, in q/s."""
-    from repro.query.bench import run_query_engine_bench
-    from repro.utils.errors import GraphDimensionError
-
-    if not _check_bench_search_flags(args):
-        return 2
-    try:
-        result = run_query_engine_bench(
-            db_size=args.db_size,
-            query_count=args.queries,
-            num_features=args.num_features,
-            k=args.k,
-            seed=args.seed,
-            batch_sizes=tuple(args.batch_sizes),
-            search_mode=args.search_mode,
-            nprobe=args.nprobe,
-            ef=args.ef,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
-def _check_bench_search_flags(args: argparse.Namespace) -> bool:
-    """The bench verbs' half of the --search-mode/--nprobe rule.
-
-    Benches default a missing approx nprobe to ⌈shards/2⌉ (a documented,
-    comparable operating point), so unlike ``serve`` they only reject a
-    --nprobe that would otherwise be *silently ignored* — reporting the
-    wrong mode without warning is the failure this guards against.
-    """
-    if args.nprobe is not None and args.search_mode != "approx":
-        print("error: --nprobe requires --search-mode approx",
-              file=sys.stderr)
-        return False
-    if args.ef is not None and args.search_mode != "graph":
-        print("error: --ef requires --search-mode graph",
-              file=sys.stderr)
-        return False
-    return True
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Sharded QueryService vs the single-threaded engine, in q/s."""
-    from repro.serving.bench import run_serving_bench
-    from repro.utils.errors import GraphDimensionError
-
-    if not _check_bench_search_flags(args):
-        return 2
-    try:
-        result = run_serving_bench(
-            db_size=args.db_size,
-            pool_size=args.pool,
-            stream_length=args.stream,
-            num_features=args.num_features,
-            k=args.k,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            n_shards=args.shards,
-            n_workers=args.workers,
-            cache_size=args.cache_size,
-            search_mode=args.search_mode or "exact",
-            nprobe=args.nprobe,
-            ef=args.ef,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
-def _cmd_frontend_bench(args: argparse.Namespace) -> int:
-    """Concurrent NDJSON clients vs the async front-end, in q/s."""
-    from repro.serving.frontend_bench import run_frontend_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_frontend_bench(
-            db_size=args.db_size,
-            pool_size=args.pool,
-            per_client=args.per_client,
-            clients=args.clients,
-            num_features=args.num_features,
-            k=args.k,
-            seed=args.seed,
-            batch_size=args.batch_size,
-            n_shards=args.shards,
-            cache_size=args.cache_size,
-            quota_rate=args.quota_rate,
-            quota_burst=args.quota_burst,
-            rounds=args.rounds,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
 def _parse_search_policy(args: argparse.Namespace):
     """The server-wide default SearchPolicy from --search-mode/--nprobe.
 
@@ -233,6 +120,21 @@ def _parse_search_policy(args: argparse.Namespace):
     if args.ef is not None:
         raise ValueError("--ef requires --search-mode graph")
     return None
+
+
+def _build_demo_mapping(db_size: int, num_features: int, seed: int):
+    """The synthetic demo index ``serve``/``serve-router`` fall back to."""
+    from repro.core.mapping import mapping_from_selection, variance_selection
+    from repro.datasets import synthetic_database
+    from repro.features.binary_matrix import FeatureSpace
+    from repro.mining import mine_frequent_subgraphs
+
+    db = synthetic_database(db_size, seed=seed)
+    features = mine_frequent_subgraphs(db, min_support=0.1, max_edges=6)
+    space = FeatureSpace(features, len(db))
+    return mapping_from_selection(
+        space, variance_selection(space, num_features)
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -266,19 +168,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"loaded index {args.index}: {mapping.space.n} graphs, "
                   f"{mapping.dimensionality} dimensions", file=sys.stderr)
         else:
-            from repro.core.mapping import mapping_from_selection
-            from repro.datasets import synthetic_database
-            from repro.features.binary_matrix import FeatureSpace
-            from repro.mining import mine_frequent_subgraphs
-            from repro.query.bench import variance_selection
-
-            db = synthetic_database(args.db_size, seed=args.seed)
-            features = mine_frequent_subgraphs(
-                db, min_support=0.1, max_edges=6
-            )
-            space = FeatureSpace(features, len(db))
-            mapping = mapping_from_selection(
-                space, variance_selection(space, args.num_features)
+            mapping = _build_demo_mapping(
+                args.db_size, args.num_features, args.seed
             )
             print(f"built demo index: {mapping.space.n} graphs, "
                   f"{mapping.dimensionality} dimensions", file=sys.stderr)
@@ -347,22 +238,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(_main())
     return 0
-
-
-def _build_demo_mapping(db_size: int, num_features: int, seed: int):
-    """The synthetic demo index ``serve``/``serve-router`` fall back to."""
-    from repro.core.mapping import mapping_from_selection
-    from repro.datasets import synthetic_database
-    from repro.features.binary_matrix import FeatureSpace
-    from repro.mining import mine_frequent_subgraphs
-    from repro.query.bench import variance_selection
-
-    db = synthetic_database(db_size, seed=seed)
-    features = mine_frequent_subgraphs(db, min_support=0.1, max_edges=6)
-    space = FeatureSpace(features, len(db))
-    return mapping_from_selection(
-        space, variance_selection(space, num_features)
-    )
 
 
 def _cmd_serve_router(args: argparse.Namespace) -> int:
@@ -521,37 +396,6 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    """Router tier over N replicas: faults, writes and quota abuse."""
-    from repro.serving.cluster_bench import run_cluster_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_cluster_bench(
-            db_size=args.db_size,
-            pool_size=args.pool,
-            per_client=args.per_client,
-            clients=args.clients,
-            replicas=args.replicas,
-            num_features=args.num_features,
-            k=args.k,
-            seed=args.seed,
-            rounds=args.rounds,
-            n_shards=args.shards,
-            batch_size=args.batch_size,
-            cache_size=args.cache_size,
-            quota_rate=args.quota_rate,
-            quota_burst=args.quota_burst,
-            quota_max_tenants=args.quota_max_tenants,
-            attack_seconds=args.attack_seconds,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
 def _load_graph_file(path: str, fmt: str):
     from repro.graph.io import load_gspan, load_json
 
@@ -650,12 +494,15 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     """Build a mapping from a dataset and save the v3 artifact, one shot."""
     from pathlib import Path
 
-    from repro.core.mapping import build_mapping, mapping_from_selection
+    from repro.core.mapping import (
+        build_mapping,
+        mapping_from_selection,
+        variance_selection,
+    )
     from repro.datasets import synthetic_database
     from repro.features.binary_matrix import FeatureSpace
     from repro.index import paged_payload_path, payload_path, save_index
     from repro.mining import mine_frequent_subgraphs
-    from repro.query.bench import variance_selection
     from repro.utils.errors import GraphDimensionError, SelectionError
 
     try:
@@ -712,129 +559,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    """Kernel backends head-to-head + eager-vs-mmap cold start."""
-    from repro.kernels.bench import run_kernel_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_kernel_bench(
-            n_rows=args.rows,
-            dims=args.dims,
-            query_count=args.queries,
-            batch_size=args.batch_size,
-            n_shards=args.shards,
-            k=args.k,
-            seed=args.seed,
-            rounds=args.rounds,
-            cold_rows=args.cold_rows,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
-def _cmd_bench_pruning(args: argparse.Namespace) -> int:
-    """Full scan vs exact shard skipping vs approx routing, in q/s."""
-    from repro.serving.pruning_bench import run_pruning_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_pruning_bench(
-            n_clusters=args.clusters,
-            per_cluster=args.per_cluster,
-            dims_per_cluster=args.dims_per_cluster,
-            query_count=args.queries,
-            batch_size=args.batch_size,
-            k=args.k,
-            seed=args.seed,
-            rounds=args.rounds,
-            nprobe=args.nprobe,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
-def _cmd_bench_maintenance(args: argparse.Namespace) -> int:
-    """Drift a served index past its policy; measure the background heal."""
-    from repro.serving.maintenance_bench import run_maintenance_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_maintenance_bench(
-            n_clusters=args.clusters,
-            per_cluster=args.per_cluster,
-            dims_per_cluster=args.dims_per_cluster,
-            emerging_rows=args.emerging_rows,
-            churn_chunks=args.churn_chunks,
-            clients=args.clients,
-            emerging_queries=args.emerging_queries,
-            k=args.k,
-            seed=args.seed,
-            max_drift=args.max_drift,
-            maintenance_interval=args.maintenance_interval,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
-def _cmd_bench_pareto(args: argparse.Namespace) -> int:
-    """Recall/latency Pareto frontier: exact vs nprobe vs graph beam."""
-    from repro.serving.pareto_bench import run_pareto_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_pareto_bench(
-            n_clusters=args.clusters,
-            per_cluster=args.per_cluster,
-            dims_per_cluster=args.dims_per_cluster,
-            query_count=args.queries,
-            batch_size=args.batch_size,
-            k=args.k,
-            seed=args.seed,
-            rounds=args.rounds,
-            nprobes=tuple(args.nprobes) if args.nprobes else None,
-            efs=tuple(args.efs) if args.efs else None,
-            recall_target=args.recall_target,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
-def _cmd_bench_incremental(args: argparse.Namespace) -> int:
-    """Incremental add/remove vs full offline rebuild, in seconds."""
-    from repro.index.bench import run_incremental_bench
-    from repro.utils.errors import GraphDimensionError
-
-    try:
-        result = run_incremental_bench(
-            db_size=args.db_size,
-            add_count=args.add,
-            remove_count=args.remove,
-            num_features=args.num_features,
-            query_count=args.queries,
-            k=args.k,
-            seed=args.seed,
-            rounds=args.rounds,
-        )
-    except (ValueError, GraphDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit_bench_result(result, args.json)
-    return 0
-
-
 def _nprobe_arg(value: str):
     """``--nprobe`` accepts an integer or the literal ``auto``."""
     if value == "auto":
@@ -845,27 +569,6 @@ def _nprobe_arg(value: str):
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {value!r}"
         )
-
-
-def _add_search_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared --search-mode/--nprobe/--ef trio (serve + bench verbs)."""
-    parser.add_argument(
-        "--search-mode", choices=("exact", "approx", "graph"), default=None,
-        help="shard-search policy: exact (bit-identical, skips only "
-             "provably irrelevant shards), approx (route each query "
-             "to its --nprobe closest shards only), or graph "
-             "(best-first beam over the navigable proximity graph)",
-    )
-    parser.add_argument(
-        "--nprobe", type=_nprobe_arg, default=None,
-        help="shards each query visits in approx mode, or 'auto' to "
-             "stop per query once the remaining shards' lower bounds "
-             "clear its running k-th-best",
-    )
-    parser.add_argument(
-        "--ef", type=int, default=None,
-        help="beam width in graph mode (default: max(4k, 32))",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -895,48 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--k", type=int, default=5)
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(func=_cmd_demo)
-
-    bench = sub.add_parser(
-        "bench-queries",
-        help="measure naive vs lattice-pruned query throughput (q/s)",
-    )
-    bench.add_argument("--db-size", type=int, default=60)
-    bench.add_argument("--queries", type=int, default=64)
-    bench.add_argument("--num-features", type=int, default=30)
-    bench.add_argument("--k", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=[1, 16, 64]
-    )
-    _add_search_flags(bench)
-    bench.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    bench.set_defaults(func=_cmd_bench_queries)
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="measure sharded QueryService vs single-threaded engine (q/s)",
-    )
-    serve.add_argument("--db-size", type=int, default=100)
-    serve.add_argument("--pool", type=int, default=48,
-                       help="distinct queries in the traffic pool")
-    serve.add_argument("--stream", type=int, default=192,
-                       help="total queries drawn from the pool")
-    serve.add_argument("--num-features", type=int, default=100)
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--batch-size", type=int, default=16)
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument("--cache-size", type=int, default=1024)
-    _add_search_flags(serve)
-    serve.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    serve.set_defaults(func=_cmd_serve_bench)
 
     serve_cmd = sub.add_parser(
         "serve",
@@ -992,36 +653,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="heal a stale index by re-running DSPM feature selection "
              "over the mutated database during maintenance",
     )
-    _add_search_flags(serve_cmd)
+    serve_cmd.add_argument(
+        "--search-mode", choices=("exact", "approx", "graph"), default=None,
+        help="shard-search policy: exact (bit-identical, skips only "
+             "provably irrelevant shards), approx (route each query "
+             "to its --nprobe closest shards only), or graph "
+             "(best-first beam over the navigable proximity graph)",
+    )
+    serve_cmd.add_argument(
+        "--nprobe", type=_nprobe_arg, default=None,
+        help="shards each query visits in approx mode, or 'auto' to "
+             "stop per query once the remaining shards' lower bounds "
+             "clear its running k-th-best",
+    )
+    serve_cmd.add_argument(
+        "--ef", type=int, default=None,
+        help="beam width in graph mode (default: max(4k, 32))",
+    )
     serve_cmd.set_defaults(func=_cmd_serve)
-
-    fbench = sub.add_parser(
-        "frontend-bench",
-        help="measure the NDJSON front-end under concurrent clients",
-    )
-    fbench.add_argument("--db-size", type=int, default=80)
-    fbench.add_argument("--pool", type=int, default=24,
-                        help="distinct queries in the traffic pool")
-    fbench.add_argument("--per-client", type=int, default=24,
-                        help="queries each client streams")
-    fbench.add_argument("--clients", type=int, default=8,
-                        help="concurrent NDJSON clients")
-    fbench.add_argument("--num-features", type=int, default=60)
-    fbench.add_argument("--k", type=int, default=10)
-    fbench.add_argument("--seed", type=int, default=0)
-    fbench.add_argument("--batch-size", type=int, default=0,
-                        help="coalescing batch size (0 = client count)")
-    fbench.add_argument("--shards", type=int, default=2)
-    fbench.add_argument("--cache-size", type=int, default=1024)
-    fbench.add_argument("--quota-rate", type=float, default=5.0)
-    fbench.add_argument("--quota-burst", type=float, default=16.0)
-    fbench.add_argument("--rounds", type=int, default=1,
-                        help="throughput rounds (min-of-N timing)")
-    fbench.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    fbench.set_defaults(func=_cmd_frontend_bench)
 
     rserve = sub.add_parser(
         "serve-router",
@@ -1070,39 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     rserve.add_argument("--health-interval", type=float, default=1.0,
                         help="replica ping/re-admit period, seconds")
     rserve.set_defaults(func=_cmd_serve_router)
-
-    cbench = sub.add_parser(
-        "bench-cluster",
-        help="router over N replicas: kill/restart, rolling reload, quotas",
-    )
-    cbench.add_argument("--db-size", type=int, default=48)
-    cbench.add_argument("--pool", type=int, default=12,
-                        help="distinct queries in the traffic pool")
-    cbench.add_argument("--per-client", type=int, default=16,
-                        help="queries each client streams")
-    cbench.add_argument("--clients", type=int, default=4,
-                        help="concurrent streaming clients")
-    cbench.add_argument("--replicas", type=int, default=3,
-                        help="serving replicas behind the router")
-    cbench.add_argument("--num-features", type=int, default=30)
-    cbench.add_argument("--k", type=int, default=8)
-    cbench.add_argument("--seed", type=int, default=0)
-    cbench.add_argument("--rounds", type=int, default=1,
-                        help="fault-phase rounds (min-of-N timing)")
-    cbench.add_argument("--shards", type=int, default=2)
-    cbench.add_argument("--batch-size", type=int, default=8)
-    cbench.add_argument("--cache-size", type=int, default=1024)
-    cbench.add_argument("--quota-rate", type=float, default=4.0)
-    cbench.add_argument("--quota-burst", type=float, default=4.0)
-    cbench.add_argument("--quota-max-tenants", type=int, default=3,
-                        help="resident buckets in the quota-abuse phase")
-    cbench.add_argument("--attack-seconds", type=float, default=10.0,
-                        help="virtual seconds of name-cycling abuse")
-    cbench.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    cbench.set_defaults(func=_cmd_bench_cluster)
 
     add = sub.add_parser(
         "index-add",
@@ -1167,151 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(mmap-loadable, per-page checksums)",
     )
     build.set_defaults(func=_cmd_index_build)
-
-    pruning = sub.add_parser(
-        "bench-pruning",
-        help="measure shard skipping: full scan vs exact bounds vs "
-             "approx partition routing",
-    )
-    pruning.add_argument("--clusters", type=int, default=8,
-                         help="similarity clusters (= shards)")
-    pruning.add_argument("--per-cluster", type=int, default=250,
-                         help="database rows per cluster")
-    pruning.add_argument("--dims-per-cluster", type=int, default=16,
-                         help="embedding dimensions owned by each cluster")
-    pruning.add_argument("--queries", type=int, default=64)
-    pruning.add_argument("--batch-size", type=int, default=16)
-    pruning.add_argument("--k", type=int, default=10)
-    pruning.add_argument("--seed", type=int, default=0)
-    pruning.add_argument("--rounds", type=int, default=3,
-                         help="throughput rounds (min-of-N timing)")
-    pruning.add_argument(
-        "--nprobe", type=int, default=None,
-        help="approx-mode shards per query (default: ceil(clusters/2))",
-    )
-    pruning.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    pruning.set_defaults(func=_cmd_bench_pruning)
-
-    pareto = sub.add_parser(
-        "bench-pareto",
-        help="recall/latency Pareto frontier: exact scan vs approx "
-             "nprobe routing vs graph beam search at matched recall",
-    )
-    pareto.add_argument("--clusters", type=int, default=8,
-                        help="similarity clusters (= shards)")
-    pareto.add_argument("--per-cluster", type=int, default=250,
-                        help="database rows per cluster")
-    pareto.add_argument("--dims-per-cluster", type=int, default=16,
-                        help="embedding dimensions owned by each cluster")
-    pareto.add_argument("--queries", type=int, default=64)
-    pareto.add_argument("--batch-size", type=int, default=16)
-    pareto.add_argument("--k", type=int, default=10)
-    pareto.add_argument("--seed", type=int, default=0)
-    pareto.add_argument("--rounds", type=int, default=3,
-                        help="throughput rounds (min-of-N timing)")
-    pareto.add_argument(
-        "--nprobes", type=int, nargs="+", default=None,
-        help="approx operating points to sweep "
-             "(default: 1, 2, ceil(clusters/2))",
-    )
-    pareto.add_argument(
-        "--efs", type=int, nargs="+", default=None,
-        help="graph-beam operating points to sweep (default: 16 32 64)",
-    )
-    pareto.add_argument(
-        "--recall-target", type=float, default=0.9,
-        help="matched-recall threshold for the graph-vs-nprobe comparison",
-    )
-    pareto.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    pareto.set_defaults(func=_cmd_bench_pareto)
-
-    inc = sub.add_parser(
-        "bench-incremental",
-        help="measure incremental add/remove vs full index rebuild",
-    )
-    inc.add_argument("--db-size", type=int, default=80)
-    inc.add_argument("--add", type=int, default=8)
-    inc.add_argument("--remove", type=int, default=8)
-    inc.add_argument("--num-features", type=int, default=40)
-    inc.add_argument("--queries", type=int, default=16)
-    inc.add_argument("--k", type=int, default=10)
-    inc.add_argument("--seed", type=int, default=0)
-    inc.add_argument("--rounds", type=int, default=1,
-                     help="timing rounds on both sides (min-of-N)")
-    inc.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    inc.set_defaults(func=_cmd_bench_incremental)
-
-    kern = sub.add_parser(
-        "bench-kernels",
-        help="measure kernel backends head-to-head + eager-vs-mmap "
-             "cold start",
-    )
-    kern.add_argument("--rows", type=int, default=4096,
-                      help="database rows in the kernel arrays")
-    kern.add_argument("--dims", type=int, default=128)
-    kern.add_argument("--queries", type=int, default=64)
-    kern.add_argument("--batch-size", type=int, default=16)
-    kern.add_argument("--shards", type=int, default=8)
-    kern.add_argument("--k", type=int, default=10)
-    kern.add_argument("--seed", type=int, default=0)
-    kern.add_argument("--rounds", type=int, default=3,
-                      help="timing rounds (min-of-N)")
-    kern.add_argument(
-        "--cold-rows", type=int, default=2048,
-        help="rows in the temporary paged artifact of the cold-start "
-             "section (payload = rows x dims x 8 bytes)",
-    )
-    kern.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    kern.set_defaults(func=_cmd_bench_kernels)
-
-    maint = sub.add_parser(
-        "bench-maintenance",
-        help="drift a served index past its staleness policy and "
-             "measure the background re-selection heal under live "
-             "traffic",
-    )
-    maint.add_argument("--clusters", type=int, default=4,
-                       help="active similarity clusters at build time")
-    maint.add_argument("--per-cluster", type=int, default=24,
-                       help="database rows per active cluster")
-    maint.add_argument("--dims-per-cluster", type=int, default=8,
-                       help="embedding dimensions owned by each cluster")
-    maint.add_argument("--emerging-rows", type=int, default=24,
-                       help="rows of the emerging cluster streamed in "
-                            "as churn")
-    maint.add_argument("--churn-chunks", type=int, default=4,
-                       help="update ops the churn is split across")
-    maint.add_argument("--clients", type=int, default=4,
-                       help="concurrent serial query clients streaming "
-                            "throughout the churn and heal")
-    maint.add_argument("--emerging-queries", type=int, default=16,
-                       help="emerging-cluster queries graded against "
-                            "the oracle before and after the heal")
-    maint.add_argument("--k", type=int, default=5)
-    maint.add_argument("--seed", type=int, default=0)
-    maint.add_argument("--max-drift", type=float, default=0.08,
-                       help="staleness policy threshold on relative "
-                            "support drift")
-    maint.add_argument("--maintenance-interval", type=float, default=0.05,
-                       metavar="SECONDS",
-                       help="background maintenance loop cadence")
-    maint.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of the report table",
-    )
-    maint.set_defaults(func=_cmd_bench_maintenance)
     return parser
 
 

@@ -741,6 +741,20 @@ def build_mapping(
     return mapping_from_selection(space, result.selected)
 
 
+def variance_selection(space: FeatureSpace, p: int) -> List[int]:
+    """Top-p features by binary-column variance s_r(n − s_r).
+
+    Mimics DSPM's preference for discriminative mid-support features
+    without the NP-hard δ matrix (``index-build --selection variance``
+    and the ``serve`` demo index).  Deterministic (score, index)
+    tie-breaking.
+    """
+    s = space.support_counts.astype(np.int64)
+    score = s * (space.n - s)
+    order = np.lexsort((np.arange(space.m), -score))
+    return [int(r) for r in order[: min(p, space.m)]]
+
+
 def mapping_from_selection(
     space: FeatureSpace, selected: Sequence[int]
 ) -> DSPreservedMapping:

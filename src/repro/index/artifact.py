@@ -1076,8 +1076,7 @@ def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
     on the first query that needs them.  Services built over the same
     mapping share the one OS page cache.  Non-paged artifacts quietly
     load eagerly.  The mapping records the wall-clock cost and mode in
-    ``load_seconds`` / ``load_mode`` (``"eager"`` or ``"mmap"``) for the
-    serving tier's cold-start accounting.
+    ``load_seconds`` / ``load_mode`` (``"eager"`` or ``"mmap"``).
     """
     start = time.perf_counter()
     path = Path(path)

@@ -35,8 +35,8 @@ its current worst, and the true new top-m is contained in the old
 top-m plus the new rows); removing rows repairs only the lists that
 lost a member.  Maintained and scratch-built graphs are therefore
 equal arrays, not merely similar — ``apply_update`` churn keeps
-graph-mode answers bit-identical to a rebuild, which is the acceptance
-gate of the bench tier.
+graph-mode answers bit-identical to a rebuild, with no full KNN build
+(``tests/test_proximity.py::TestChurnSoak``).
 
 Search
 ------
@@ -311,8 +311,8 @@ class ProximityGraph:
         """Best-first beam; returns ``(ranking, scores, hops, evals)``.
 
         ``hops`` counts expanded nodes, ``evals`` distance evaluations —
-        the per-response stats the serving trace and the Pareto bench
-        report.
+        the per-response stats the serving trace reports (the ledger's
+        ``proximity.hops_per_query`` / ``service.graph_evals_per_query``).
         """
         n = self.num_rows
         if n == 0:

@@ -20,8 +20,6 @@ floors after routed updates, and backpressure folded from every
 replica's queue depth and measured drain rate.
 """
 
-from repro.serving.bench import run_serving_bench
-from repro.serving.cluster_bench import run_cluster_bench
 from repro.serving.frontend import (
     AsyncFrontend,
     FrontendConfig,
@@ -29,8 +27,6 @@ from repro.serving.frontend import (
     TenantQuotas,
     TokenBucket,
 )
-from repro.serving.frontend_bench import run_frontend_bench
-from repro.serving.pruning_bench import run_pruning_bench
 from repro.serving.router import (
     ContentPlacer,
     InprocReplica,
@@ -58,8 +54,4 @@ __all__ = [
     "TcpReplica",
     "TenantQuotas",
     "TokenBucket",
-    "run_cluster_bench",
-    "run_frontend_bench",
-    "run_pruning_bench",
-    "run_serving_bench",
 ]

@@ -145,8 +145,12 @@ def graph_from_wire(
         if not isinstance(edge, (list, tuple)) or len(edge) != 3:
             raise ProtocolError("each edge must be [u, v, label]")
         u, v, label = edge
+        if not (is_wire_int(u) and is_wire_int(v) and isinstance(label, str)):
+            raise ProtocolError(
+                f"bad edge {edge!r}: expected [integer, integer, string]"
+            )
         try:
-            g.add_edge(int(u), int(v), decode(str(label)))
+            g.add_edge(u, v, decode(label))
         except (TypeError, ValueError, InvalidGraphError) as exc:
             raise ProtocolError(f"bad edge {edge!r}: {exc}") from exc
     return g

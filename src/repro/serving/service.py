@@ -48,7 +48,7 @@ result bit:
   place from the groups that ran, so counters cannot drift either.
 
 Bit-identity with the engine path is enforced by the serving test suite
-and re-asserted on every benchmark run.
+and re-checked against an oracle by every ledger run (``bench/verify.py``).
 """
 
 from __future__ import annotations
@@ -183,7 +183,8 @@ class ServiceStats:
     #: Maintenance counters: re-selections swapped in by
     #: :meth:`QueryService.apply_reselection`, and shard summaries a
     #: :meth:`QueryService.refresh_summaries` pass found drifted
-    #: (0 in healthy operation — the benches assert so).
+    #: (0 in healthy operation — ``TestMaintenanceOp`` in
+    #: ``tests/test_frontend.py`` asserts so).
     reselections: int = 0
     summaries_refreshed: int = 0
     #: Shard distance blocks skipped outright (their lower bound beat
@@ -192,18 +193,12 @@ class ServiceStats:
     shards_skipped: int = 0
     bound_checks: int = 0
     #: Scored (query, row) pairs across every search mode — the
-    #: mode-independent work measure the recall/latency Pareto bench
-    #: compares operating points on.  Full scans and non-skipped shard
-    #: blocks count every row they score; graph mode counts the rows
-    #: its beams actually evaluated.
+    #: mode-independent work measure operating points are compared on
+    #: (the ledger's ``service.*_evals_per_query``, and
+    #: ``TestClusteredWorkCounts`` in ``tests/test_pruning.py``).  Full
+    #: scans and non-skipped shard blocks count every row they score;
+    #: graph mode counts the rows its beams actually evaluated.
     distance_evaluations: int = 0
-    #: Cold-start provenance, copied from the mapping when it was
-    #: produced by :func:`repro.index.artifact.load_index`: how long the
-    #: artifact took to open and whether the payload was read eagerly
-    #: (``"eager"``) or memory-mapped (``"mmap"``).  ``None``/``0.0``
-    #: for mappings built in process.
-    index_load_seconds: float = 0.0
-    index_load_mode: Optional[str] = None
 
 
 class QueryService:
@@ -269,13 +264,6 @@ class QueryService:
             engine = engine_or_mapping
         self.engine = engine
         self.mapping = engine.mapping
-        # Cold-start provenance travels with the mapping (stamped by
-        # load_index); copy it so operators see it next to the serving
-        # counters.
-        self.stats.index_load_seconds = float(
-            getattr(self.mapping, "load_seconds", 0.0) or 0.0
-        )
-        self.stats.index_load_mode = getattr(self.mapping, "load_mode", None)
         self._selection_snapshot = tuple(self.mapping.selected)
         vectors = self.mapping.database_vectors
         n = vectors.shape[0]
@@ -597,7 +585,8 @@ class QueryService:
 
         The maintenance tier's self-check: :meth:`apply_update` keeps
         summaries exact through mutations, so in healthy operation this
-        finds nothing to change (the maintenance bench asserts so) —
+        finds nothing to change (``TestMaintenanceOp`` in
+        ``tests/test_frontend.py`` asserts so) —
         but a summary that somehow drifted would silently weaken the
         pruning bounds, so maintenance recomputes each one and swaps in
         any that differ (both the drifted and the fresh summary are
@@ -836,9 +825,9 @@ class QueryService:
     ) -> Tuple[List[TopKResult], PruningTrace]:
         """:meth:`batch_query_vectors` plus the pass's pruning trace.
 
-        The benches read per-query counters off the trace (e.g. the
-        adaptive tier's ``effective_nprobe``) that the cumulative
-        service stats cannot attribute to one batch.
+        The trace carries per-query counters (e.g. the adaptive
+        tier's ``effective_nprobe``) that the cumulative service stats
+        cannot attribute to one batch.
         """
         with self._swap_lock:
             shards = list(self.shards)
@@ -1066,8 +1055,8 @@ class QueryService:
         Approximate like ``nprobe`` routing, but sublinear: each query
         evaluates only the rows its beam walks past.  Per-query hops
         and distance evaluations go into the trace (the protocol's
-        ``pruning`` section) and the cumulative counter the Pareto
-        bench reads.
+        ``pruning`` section) and the cumulative
+        ``distance_evaluations`` counter.
         """
         graph = self._ensure_graph()
         nq = vectors.shape[0]

@@ -35,18 +35,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_serve_bench_defaults(self):
-        args = build_parser().parse_args(["serve-bench"])
-        assert args.command == "serve-bench"
-        assert args.shards == 4
-        assert args.workers == 4
-        assert args.batch_size == 16
-        assert args.json is False
-
-    def test_bench_queries_json_flag(self):
-        args = build_parser().parse_args(["bench-queries", "--json"])
-        assert args.json is True
-
     def test_index_add_options(self):
         args = build_parser().parse_args(
             ["index-add", "idx.json", "--graphs", "g.gspan"]
@@ -62,11 +50,6 @@ class TestParser:
             ["index-remove", "idx.json", "--ids", "3", "7"]
         )
         assert args.ids == [3, 7]
-
-    def test_bench_incremental_defaults(self):
-        args = build_parser().parse_args(["bench-incremental"])
-        assert args.add == 8 and args.remove == 8
-        assert args.json is False
 
 
 class TestMain:
@@ -85,29 +68,6 @@ class TestMain:
                      "--k", "2"]) == 0
         out = capsys.readouterr().out
         assert "precision" in out
-
-    def test_serve_bench_json_output(self, capsys):
-        # Tiny smoke config; --json must emit a parseable summary.
-        assert main([
-            "serve-bench", "--json", "--db-size", "20", "--pool", "6",
-            "--stream", "12", "--num-features", "10", "--k", "3",
-            "--batch-size", "4", "--shards", "2", "--workers", "0",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stream_length"] == 12
-        assert "speedup" in payload and "report" not in payload
-
-    def test_bench_queries_json_output(self, capsys):
-        assert main([
-            "bench-queries", "--json", "--db-size", "20", "--queries", "6",
-            "--num-features", "8", "--k", "3", "--batch-sizes", "1", "2",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "selected" in payload and "report" not in payload
-
-    def test_serve_bench_invalid_args_fail(self, capsys):
-        assert main(["serve-bench", "--stream", "0"]) == 2
-        assert "error" in capsys.readouterr().err
 
     def test_index_lifecycle_verbs(self, tmp_path, capsys):
         """build (API) → index-add → index-remove → index-compact."""
@@ -159,30 +119,6 @@ class TestMain:
         idx = tmp_path / "index.json"
         save_index(mapping, idx)
         assert main(["index-remove", str(idx), "--ids", "99"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_bench_incremental_json_output(self, capsys):
-        assert main([
-            "bench-incremental", "--json", "--db-size", "16", "--add", "2",
-            "--remove", "2", "--num-features", "8", "--queries", "4",
-            "--k", "3",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["add_count"] == 2
-        assert "speedup" in payload and "report" not in payload
-
-    def test_bench_incremental_invalid_args_fail(self, capsys):
-        assert main([
-            "bench-incremental", "--db-size", "10", "--remove", "10",
-        ]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_bench_invalid_k_fails_cleanly(self, capsys):
-        # QueryError (not a ValueError) must still exit 2, not traceback.
-        assert main([
-            "serve-bench", "--db-size", "12", "--pool", "4", "--stream", "4",
-            "--num-features", "6", "--k", "0", "--workers", "0",
-        ]) == 2
         assert "error" in capsys.readouterr().err
 
 
@@ -253,29 +189,6 @@ class TestServeVerb:
         assert "drained and shut down" in proc.stderr
 
 
-class TestFrontendBenchVerb:
-    def test_frontend_bench_parser_defaults(self):
-        args = build_parser().parse_args(["frontend-bench"])
-        assert args.command == "frontend-bench"
-        assert args.clients == 8
-        assert args.batch_size == 0  # 0 = coalesce to client count
-        assert args.rounds == 1
-
-    def test_frontend_bench_invalid_args_fail(self, capsys):
-        assert main(["frontend-bench", "--clients", "0"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_frontend_bench_json_output(self, capsys):
-        assert main([
-            "frontend-bench", "--db-size", "30", "--pool", "8",
-            "--per-client", "6", "--clients", "4", "--num-features", "15",
-            "--k", "5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "coalescing speedup" in out
-        assert "quotas" in out and "drain" in out
-
-
 class TestAutoCompactOption:
     def test_index_add_auto_compacts(self, tmp_path, capsys):
         from repro.core.mapping import build_mapping
@@ -300,27 +213,6 @@ class TestAutoCompactOption:
 
 
 class TestKernelAndBuildVerbs:
-    def test_bench_kernels_parser_defaults(self):
-        args = build_parser().parse_args(["bench-kernels"])
-        assert args.command == "bench-kernels"
-        assert args.rows == 4096 and args.dims == 128
-        assert args.cold_rows == 2048 and args.rounds == 3
-        assert args.json is False
-
-    def test_bench_kernels_json_output(self, capsys):
-        assert main([
-            "bench-kernels", "--json", "--rows", "256", "--dims", "32",
-            "--queries", "8", "--batch-size", "4", "--shards", "4",
-            "--k", "3", "--rounds", "1", "--cold-rows", "256",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "numpy" in payload["backends"] and "report" not in payload
-        assert payload["cold_start"]["queries_identical"] is True
-
-    def test_bench_kernels_invalid_args_fail(self, capsys):
-        assert main(["bench-kernels", "--rounds", "0"]) == 2
-        assert "error" in capsys.readouterr().err
-
     def test_index_build_parser_defaults(self):
         args = build_parser().parse_args(["index-build", "idx.json"])
         assert args.index == "idx.json"

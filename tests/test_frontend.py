@@ -7,13 +7,14 @@ engine, and coalescing/quotas/drain change *when* work happens, never
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.core.reselect import Reselector
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
@@ -21,7 +22,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.index import save_index
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
-from repro.query.bench import variance_selection
 from repro.serving import protocol
 from repro.serving.frontend import (
     AsyncFrontend,
@@ -776,6 +776,54 @@ class TestLiveUpdateAndReload:
             await frontend.aclose()
 
     @pytest.mark.asyncio
+    async def test_wire_edges_are_typed(self, materials):
+        """``int(u)`` / ``str(label)`` coerce: without the type tests
+        ``[true, 0, "s"]``, ``[1.9, 0, "s"]`` and ``["1", 0, "s"]`` are
+        all admitted as the edge (1, 0) and ``[1, 0, null]`` as an edge
+        labelled ``"None"`` — an ``update`` then stores a graph the
+        client never sent and bumps the generation."""
+        db, queries, _mapping = materials
+        # A private mapping: a wrongly applied update would mutate it.
+        features = mine_frequent_subgraphs(db, min_support=0.2, max_edges=5)
+        space = FeatureSpace(features, len(db))
+        mapping = mapping_from_selection(space, variance_selection(space, 15))
+        frontend = _frontend(mapping.query_engine())
+        good = protocol.graph_to_wire(queries[0])
+        label = good["edges"][0][2]
+        bad_edges = (
+            [True, 0, label],
+            [1, False, label],
+            [1.9, 0, label],
+            ["1", 0, label],
+            [1, 0, None],
+            [1, 0, 7],
+        )
+        try:
+            await frontend.start()
+            for i, edge in enumerate(bad_edges):
+                wire = {"vertices": good["vertices"][:2], "edges": [edge]}
+                with pytest.raises(ProtocolError, match="bad edge"):
+                    protocol.graph_from_wire(wire)
+                for request in (
+                    {"op": "query", "id": i, "k": 3, "graph": wire},
+                    {"op": "update", "id": i, "add": [good, wire]},
+                ):
+                    response = await frontend.handle_line(json.dumps(request))
+                    assert not response["ok"], request
+                    assert response["error"] == "bad_request"
+            assert frontend.stats.admitted == 0  # rejected before admission
+            assert mapping.database_vectors.shape[0] == len(db)
+            assert frontend.service.generation == 0
+            assert frontend.service.stats.updates == 0
+            # What graph_to_wire emits — ints and strings — still parses.
+            response = await frontend.handle_line(
+                json.dumps({"op": "query", "id": 99, "k": 3, "graph": good})
+            )
+            assert response["ok"]
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
     async def test_reload_swaps_the_served_index(self, materials, tmp_path):
         db, queries, mapping = materials
         path = tmp_path / "index.json"
@@ -968,6 +1016,35 @@ class TestMaintenanceOp:
             assert response["persisted"] is False  # no index_path configured
             assert response["generation"] == 0  # nothing swapped
             assert frontend.stats.maintenance_runs == 1
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    async def test_maintain_self_checks_shard_summaries(self):
+        """``apply_update`` keeps summaries exact, so a healthy pass
+        refreshes none; one that drifted is recomputed and counted."""
+        mapping, _reselector, _graphs, churn = _drifting_materials()
+        service = QueryService(mapping, n_shards=2, n_workers=0)
+        frontend = AsyncFrontend(service, FrontendConfig(), own_service=True)
+        try:
+            await frontend.start()
+            await frontend.apply_update(added=churn[:3], removed=[0])
+            healthy = await frontend.handle_request(
+                {"op": "maintain", "id": 1}
+            )
+            assert healthy["ok"] and healthy["summaries_refreshed"] == 0
+
+            shard = service.shards[0]
+            exact = shard.summary
+            shard.summary = dataclasses.replace(
+                exact, radius=exact.radius / 2
+            )
+            drifted = await frontend.handle_request(
+                {"op": "maintain", "id": 2}
+            )
+            assert drifted["ok"] and drifted["summaries_refreshed"] == 1
+            assert service.shards[0].summary.radius == exact.radius
+            assert service.stats.summaries_refreshed == 1
         finally:
             await frontend.aclose()
 

@@ -19,13 +19,12 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.isomorphism.vf2 import is_subgraph
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
-from repro.query.bench import variance_selection
 from repro.serving.frontend import AsyncFrontend, FrontendConfig
 from repro.serving.service import QueryService
 

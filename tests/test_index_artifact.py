@@ -211,6 +211,24 @@ class TestQueryEquivalence:
         for q in small_chemical_queries:
             assert before.query(q, 5).ranking == after.query(q, 5).ranking
 
+    def test_mmap_load_answers_identical_to_eager(
+        self, built_mapping, tmp_path, small_chemical_queries
+    ):
+        """The paged layout defers payload reads and their per-page
+        checksums to first touch: when the bytes are paid for changes,
+        no answer does."""
+        path = tmp_path / "paged.json"
+        save_index(built_mapping, path, layout="paged")
+        eager, lazy = load_index(path), load_index(path, mmap=True)
+        assert (eager.load_mode, lazy.load_mode) == ("eager", "mmap")
+        with eager.query_service(n_shards=2) as a, \
+                lazy.query_service(n_shards=2) as b:
+            expected = a.batch_query(small_chemical_queries, 5)
+            answers = b.batch_query(small_chemical_queries, 5)
+        for x, y in zip(expected, answers):
+            assert x.ranking == y.ranking
+            assert x.scores == y.scores
+
     def test_load_mapping_dispatches_v3(
         self, saved_path, small_chemical_queries
     ):

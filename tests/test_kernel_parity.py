@@ -16,16 +16,13 @@ installing numba automatically widens the tier to cover it.
 import numpy as np
 import pytest
 
+from clustered import clustered_query_vectors, clustered_vector_index
 from repro.core.mapping import build_mapping
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.kernels import available_backends, resolve_backend, use_backend
 from repro.query.engine import QueryEngine
 from repro.query.pruning import SearchPolicy
 from repro.query.topk import MappedTopKEngine
-from repro.serving.pruning_bench import (
-    clustered_query_vectors,
-    clustered_vector_index,
-)
 
 BACKENDS = available_backends()
 K = 5

@@ -15,13 +15,16 @@ import repro.core.mapping as mapping_mod
 import repro.query.engine as engine_mod
 from repro.core.dspm import DSPM
 from repro.core.dspmap import DSPMap
-from repro.core.mapping import StalenessPolicy, mapping_from_selection
+from repro.core.mapping import (
+    StalenessPolicy,
+    mapping_from_selection,
+    variance_selection,
+)
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.isomorphism.vf2 import is_subgraph
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
-from repro.query.bench import variance_selection
 from repro.query.engine import FeatureLattice
 from repro.utils.errors import SelectionError
 

@@ -27,12 +27,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
-from repro.query.bench import variance_selection
 from repro.query.proximity import RunningTopK
 from repro.query.topk import (
     BlockTopK,

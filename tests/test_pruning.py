@@ -16,20 +16,21 @@ import json
 import numpy as np
 import pytest
 
+from clustered import clustered_query_vectors, clustered_vector_index
 from repro.core.dspmap import DSPMap
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import load_index, save_index
 from repro.mining import mine_frequent_subgraphs
-from repro.query.bench import variance_selection
 from repro.query.pruning import (
     PruningTrace,
     SearchPolicy,
     ShardSummary,
     shard_lower_bounds,
     summaries_for_blocks,
+    topk_recall,
 )
 from repro.serving import protocol
 from repro.serving.frontend import AsyncFrontend, FrontendConfig
@@ -489,6 +490,106 @@ class TestApproxMode:
                 queries, 3, SearchPolicy(mode="approx", nprobe="auto")
             )
             assert trace.effective_nprobe.mean() < len(blocks)
+
+
+class TestClusteredWorkCounts:
+    """Distance work at matched recall, as counts (no clock).
+
+    8 cluster shards x 250 rows, p = 128, 64 queries in batches of 16,
+    k = 10, seed 0 — tight, well-separated clusters, the regime the
+    routing and graph tiers are built for.  ``distance_evaluations``
+    counts (query, row) pairs and repeats exactly for the seed; the
+    numbers in the comments are what this shape read when recorded.
+    """
+
+    K = 10
+    BATCH = 16
+    SHAPE = dict(fill=0.95, noise=0.002)
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        mapping, blocks = clustered_vector_index(
+            8, 250, 16, seed=0, **self.SHAPE
+        )
+        with QueryService(
+            mapping.query_engine(), shards=blocks, n_workers=0, cache_size=0
+        ) as service:
+            yield service
+
+    def _pass(self, service, queries, policy):
+        """(answers, distance evaluations, per-query shards visited)."""
+        before = service.stats.distance_evaluations
+        answers, visited = [], []
+        for lo in range(0, len(queries), self.BATCH):
+            batch, trace = service.batch_query_vectors_traced(
+                queries[lo : lo + self.BATCH], self.K, policy
+            )
+            answers.extend(batch)
+            visited.extend(trace.visited)
+        evals = service.stats.distance_evaluations - before
+        return answers, evals, visited
+
+    @staticmethod
+    def _recall(truth, answers):
+        return float(
+            np.mean([topk_recall(a, b) for a, b in zip(truth, answers)])
+        )
+
+    def test_graph_beam_beats_routing_at_matched_recall(self, service):
+        """Session-like traffic (each batch stays in one cluster): the
+        cheapest ``ef`` that reaches recall 0.9 pays strictly fewer
+        evaluations than the cheapest ``nprobe`` that does — routing
+        pays ``nprobe x rows-per-shard`` however soon the answer
+        settles, the beam only the rows it walks past."""
+        queries = clustered_query_vectors(
+            64, 8, 16, seed=10_000, block_size=self.BATCH, **self.SHAPE
+        )
+        truth, full_evals, _ = self._pass(
+            service, queries, SearchPolicy(prune=False)
+        )
+        assert full_evals == 64 * 2000  # 128,000
+
+        def cheapest(points):
+            hits = [evals for recall, evals in points if recall >= 0.9]
+            assert hits, f"no operating point reached recall 0.9: {points}"
+            return min(hits)
+
+        routed, beam = [], []
+        for nprobe in (1, 2, 4):
+            answers, evals, _ = self._pass(
+                service, queries, SearchPolicy(mode="approx", nprobe=nprobe)
+            )
+            routed.append((self._recall(truth, answers), evals))
+        for ef in (16, 32, 64):
+            answers, evals, _ = self._pass(
+                service, queries, SearchPolicy(mode="graph", ef=ef)
+            )
+            assert 0 < evals < full_evals
+            beam.append((self._recall(truth, answers), evals))
+        # nprobe=1: recall 1.000 at 16,000; ef=16/32/64: recall 0.861 /
+        # 0.958 / 0.998 at 6,088 / 8,958 / 13,783.
+        assert cheapest(beam) < cheapest(routed)
+
+    def test_auto_nprobe_beats_fixed_on_mixed_traffic(self, service):
+        """Rotating traffic (every query in a batch from a different
+        cluster): a fixed ``nprobe`` visits shards in one batch-wide
+        order and pays for probes a query no longer needs, ``"auto"``
+        orders shards per query and stops each one as soon as the
+        remaining bounds clear its k-th best."""
+        queries = clustered_query_vectors(
+            64, 8, 16, seed=20_000, **self.SHAPE
+        )
+        truth, _, _ = self._pass(service, queries, SearchPolicy(prune=False))
+        fixed, fixed_evals, _ = self._pass(
+            service, queries, SearchPolicy(mode="approx", nprobe=4)
+        )
+        auto, auto_evals, probes = self._pass(
+            service, queries, SearchPolicy(mode="approx", nprobe="auto")
+        )
+        assert self._recall(truth, fixed) >= 0.9
+        assert self._recall(truth, auto) >= 0.9
+        assert auto_evals < fixed_evals  # 16,000 vs 44,250
+        assert np.mean(probes) <= 4  # 1.0: every query stops at home
 
 
 class TestDSPMapRouting:

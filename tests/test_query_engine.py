@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.dspm import DSPM
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import (
     FeatureSpace,
@@ -133,6 +133,25 @@ class TestEmbeddingEquivalence:
         engine.embed_many(queries)
         assert engine.stats.vf2_calls < engine.stats.queries * space.m
         assert engine.stats.features_pruned > 0
+
+    def test_vf2_calls_per_query_stay_below_one_per_feature(self):
+        """How far below, on a selection and on the full universe (the
+        paper's Exp-4 pain case: naively |F| VF2 calls per query).
+        n = 60, 64 queries, 6 labels, ~20 edges, support 0.15, seed 0:
+        17.7 calls per query of p = 30, 73.7 of |F| = 320."""
+        shape = dict(avg_edges=20.0, density=0.3, num_labels=6)
+        db = synthetic_database(60, seed=0, **shape)
+        queries = synthetic_query_set(64, seed=10_000, **shape)
+        features = mine_frequent_subgraphs(db, min_support=0.15, max_edges=6)
+        space = FeatureSpace(features, len(db))
+        for selection, share in (
+            (variance_selection(space, 30), 1.0),
+            (list(range(space.m)), 0.5),
+        ):
+            engine = QueryEngine(mapping_from_selection(space, selection))
+            engine.embed_many(queries)
+            per_query = engine.stats.vf2_calls / engine.stats.queries
+            assert 0 < per_query < share * len(selection)
 
     def test_empty_batch(self, selected_mapping):
         engine = selected_mapping.query_engine()

@@ -12,12 +12,11 @@ import json
 
 import pytest
 
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.index import load_index, save_index
 from repro.mining import mine_frequent_subgraphs
-from repro.query.bench import variance_selection
 from repro.serving import protocol
 from repro.serving.frontend import AsyncFrontend, FrontendConfig
 from repro.serving.router import (

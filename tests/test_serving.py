@@ -13,19 +13,15 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from clustered import clustered_query_vectors, clustered_vector_index
 from repro.core.dspmap import DSPMap
-from repro.core.mapping import mapping_from_selection
+from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
 from repro.query import SearchPolicy
-from repro.query.bench import variance_selection
 from repro.query.topk import MappedTopKEngine
 from repro.serving import service as service_module
-from repro.serving.pruning_bench import (
-    clustered_query_vectors,
-    clustered_vector_index,
-)
 from repro.serving.service import QueryService, _structural_key
 from repro.utils.errors import QueryError
 
@@ -585,7 +581,7 @@ class TestLiveUpdates:
         self, setup, mutable_mapping, extra
     ):
         from repro.core.mapping import StalenessPolicy
-        from repro.query.bench import variance_selection as reselect
+        from repro.core.mapping import variance_selection as reselect
 
         _db, queries, _space = setup
 
