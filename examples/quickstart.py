@@ -5,14 +5,14 @@ database:
 
 1.  **build** — gSpan mining + DSPM feature selection over the initial
     database, with an exactness check against the NP-hard ground truth,
-2.  **serve** — persist the format-v3 artifact (binary payload +
-    checksums), reload it cold-start-free, and answer batches through
-    the sharded query service — then save the same index in the paged
-    layout and reload it with ``mmap=True`` (O(manifest) cold start,
-    page checksums verified on first touch, answers bit-identical),
-    and answer the same batch in *graph* mode: a best-first beam over
-    the navigable proximity graph that touches a fraction of the
-    database rows (hops and distance evaluations reported per batch),
+2.  **serve** — persist the index artifact (manifest + page-checksummed
+    binary payload), reload it cold-start-free, and answer batches
+    through the sharded query service — then load the same artifact
+    with ``mmap=True`` (O(manifest) cold start, page checksums verified
+    on first touch, answers bit-identical), and answer the same batch
+    in *graph* mode: a best-first beam over the navigable proximity
+    graph that touches a fraction of the database rows (hops and
+    distance evaluations reported per batch),
 3.  **mutate** — add and remove database graphs *without rebuilding*:
     the service swaps updated shards in live, and ``save_index`` appends
     the mutations to the artifact's delta journal instead of rewriting
@@ -86,7 +86,7 @@ def main() -> None:
         # --------------------------------------------------------------
         # 2. serve
         # --------------------------------------------------------------
-        save_index(mapping, path)  # manifest + checksummed .npz payload
+        save_index(mapping, path)  # manifest + page-checksummed .pages
         start = time.perf_counter()
         served = load_index(path)  # engine pre-attached: zero VF2 calls
         print(f"\nartifact reloaded in "
@@ -101,15 +101,12 @@ def main() -> None:
               f"({service.stats.embedded_queries} embedded, "
               f"{service.stats.cache_hits} cache hits)")
 
-        # A paged-layout twin of the same index: raw aligned pages in a
-        # .pages sidecar, per-page checksums in the manifest.  mmap=True
-        # maps the payload instead of reading it — start-up cost is the
-        # manifest, and page verification happens on first touch.
-        paged = Path(tmp) / "paged.json"
-        save_index(mapping, paged, layout="paged")
+        # The same artifact, loaded the other way: mmap=True maps the
+        # payload instead of reading it — start-up cost is the manifest,
+        # and each page is verified on first touch.
         start = time.perf_counter()
-        lazy = load_index(paged, mmap=True)
-        print(f"paged twin mmap-loaded in "
+        lazy = load_index(path, mmap=True)
+        print(f"same artifact mmap-loaded in "
               f"{(time.perf_counter() - start) * 1e3:.1f} ms "
               f"(load_mode={lazy.load_mode}); on multi-hundred-MB indexes "
               f"this is the >=10x cold-start path")

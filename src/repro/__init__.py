@@ -14,9 +14,9 @@ as the database changes —
 ...     service.apply_update(added=new_graphs, removed=[3, 17])  # no rebuild
 >>> save_index(mapping, "index.json")    # appends deltas to the journal
 
-``load_index`` restores the complete format-v3 :class:`IndexArtifact`
-(feature lattice, VF2 pattern profiles, cached norms, label codec, and a
-checksummed binary payload), so ``mapping.query_engine()`` is warm
+``load_index`` restores the complete :class:`IndexArtifact` (feature
+lattice, VF2 pattern profiles, cached norms, label codec, and a
+page-checksummed binary payload), so ``mapping.query_engine()`` is warm
 immediately; ``query_service`` shards the database vectors and answers
 bit-identically to the single-shard engine while caching repeated
 queries and fanning VF2 embedding out to worker processes.
@@ -29,7 +29,7 @@ mutations persist as delta-journal entries that
 Sub-packages expose the full machinery: ``repro.graph`` (labeled graphs,
 I/O, generators), ``repro.isomorphism`` (VF2, MCS, GED), ``repro.mining``
 (gSpan), ``repro.similarity`` (δ1/δ2), ``repro.features``,
-``repro.core`` (DSPM, DSPMap, bounds, persistence), ``repro.index``
+``repro.core`` (DSPM, DSPMap, bounds), ``repro.index``
 (the on-disk artifact), ``repro.serving`` (the sharded query service),
 ``repro.baselines``, ``repro.query``, ``repro.fingerprint``,
 ``repro.datasets``, ``repro.applications``, and ``repro.experiments``.
@@ -42,7 +42,6 @@ from repro.core.mapping import (
     StalenessPolicy,
     build_mapping,
 )
-from repro.core.persistence import load_mapping, save_mapping
 from repro.datasets import (
     chemical_database,
     chemical_query_set,
@@ -82,10 +81,8 @@ __all__ = [
     "delta2",
     "dspm_select",
     "load_index",
-    "load_mapping",
     "mine_frequent_subgraphs",
     "save_index",
-    "save_mapping",
     "synthetic_database",
     "synthetic_query_set",
 ]

@@ -491,7 +491,7 @@ def _cmd_index_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_build(args: argparse.Namespace) -> int:
-    """Build a mapping from a dataset and save the v3 artifact, one shot."""
+    """Build a mapping from a dataset and save the artifact, one shot."""
     from pathlib import Path
 
     from repro.core.mapping import (
@@ -501,7 +501,7 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     )
     from repro.datasets import synthetic_database
     from repro.features.binary_matrix import FeatureSpace
-    from repro.index import paged_payload_path, payload_path, save_index
+    from repro.index import payload_path, save_index
     from repro.mining import mine_frequent_subgraphs
     from repro.utils.errors import GraphDimensionError, SelectionError
 
@@ -536,25 +536,19 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
                 space, variance_selection(space, args.num_features)
             )
         build_seconds = time.perf_counter() - start
-        save_index(mapping, args.index, layout=args.layout)
+        save_index(mapping, args.index)
     except (ValueError, OSError, GraphDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sidecar = (
-        paged_payload_path(args.index)
-        if args.layout == "paged"
-        else payload_path(args.index)
-    )
     print(
         f"built index from {source}: {mapping.space.n} graphs, "
         f"{mapping.dimensionality} dimensions "
         f"({args.selection} selection, {build_seconds:.1f}s)"
     )
     print(
-        f"saved {args.index} ({args.layout} layout): manifest "
+        f"saved {args.index}: manifest "
         f"{Path(args.index).stat().st_size / 1024:.1f} KiB, payload "
-        f"{sidecar.stat().st_size / 1024:.1f} KiB"
-        + ("  [mmap-loadable]" if args.layout == "paged" else "")
+        f"{payload_path(args.index).stat().st_size / 1024:.1f} KiB"
     )
     return 0
 
@@ -758,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser(
         "index-build",
-        help="mine + select + embed a dataset and save the v3 artifact",
+        help="mine + select + embed a dataset and save the index artifact",
     )
     build.add_argument("index", help="output path for the index manifest")
     build.add_argument(
@@ -776,11 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--selection", choices=("variance", "dspm"), default="variance",
         help="feature selection: fast max-variance (default) or the "
              "paper's full DSPM (needs the NP-hard dissimilarity matrix)",
-    )
-    build.add_argument(
-        "--layout", choices=("npz", "paged"), default="npz",
-        help="binary payload layout: npz (compressed) or paged "
-             "(mmap-loadable, per-page checksums)",
     )
     build.set_defaults(func=_cmd_index_build)
     return parser

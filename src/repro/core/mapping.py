@@ -255,7 +255,7 @@ class DSPreservedMapping:
 
         Built lazily on first use (the containment lattice costs a batch
         of pattern-vs-pattern VF2 calls) and cached for the life of the
-        mapping.  Mappings reloaded from a format-v2 index artifact come
+        mapping.  Mappings reloaded from an index artifact come
         with the engine pre-attached, so this never re-runs VF2 there.
         """
         if self._engine is None:

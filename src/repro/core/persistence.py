@@ -1,46 +1,20 @@
-"""Persistence for built DS-preserved mappings.
+"""What the index artifact shares with the rest of the package.
 
-An index is expensive to build (mining + NP-hard dissimilarities +
-selection + the pattern-vs-pattern VF2 lattice pass), so a downstream
-deployment wants to build once, reload at serving time, and *mutate in
-place* as the database changes.  Three on-disk formats exist:
-
-* **format v3** (current) — the mutable
-  :class:`~repro.index.artifact.IndexArtifact`: a JSON manifest
-  (features, supports, lattice, VF2 pattern profiles, label codec) plus
-  a checksummed binary ``.npz`` payload for the database vectors and
-  squared norms, and an append-only delta journal that persists
-  incremental ``add_graphs`` / ``remove_graphs`` mutations without
-  rewriting the base.  ``load_mapping(...).query_engine()`` cold-starts
-  with **zero** VF2 calls, journal replay included.
-* **format v2** (legacy) — the same offline products embedded in a
-  single JSON document.  Still loads cold-start-free.
-* **format v1** (legacy) — mapping data only.  Still loads; the engine
-  rebuilds its lattice on first use, and labels come back as strings
-  (the historical caveat the codec fixes in v2+).
-
-This module is the stable entry point (:func:`save_mapping` /
-:func:`load_mapping`); the v3 heavy lifting lives in :mod:`repro.index`.
+The artifact itself — manifest, paged binary payload, delta journal —
+lives in :mod:`repro.index`.  This module holds the two things its
+readers and writers have in common with the serving tier:
+:data:`FORMAT_VERSION`, the one format version read and written, and
+:class:`LabelCodec`, which carries label *types* through the
+string-only gSpan text layer (the frontend decodes wire graphs with the
+same codec the artifact persists).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable
 
-import numpy as np
-
-from repro.core.mapping import DSPreservedMapping
-from repro.features.binary_matrix import FeatureSpace
-from repro.graph.io import dumps_gspan, loads_gspan
 from repro.graph.labeled_graph import Label, LabeledGraph
-from repro.mining.gspan import FrequentSubgraph
 
-PathLike = Union[str, Path]
-
-LEGACY_FORMAT_VERSION = 1
-V2_FORMAT_VERSION = 2
 FORMAT_VERSION = 3
 
 
@@ -139,80 +113,3 @@ class LabelCodec:
     @classmethod
     def from_payload(cls, payload: Dict[str, str]) -> "LabelCodec":
         return cls(payload or {})
-
-
-def save_mapping(mapping: DSPreservedMapping, path: PathLike) -> None:
-    """Serialise *mapping* to *path* as a format-v3 index artifact.
-
-    The artifact captures everything the online path needs — including
-    the feature lattice and pattern profiles, built here (offline) if
-    the mapping has not answered a query yet — so reloading never
-    repeats any VF2 work.  Saving a mapping that descends from the
-    artifact already at *path* appends its pending mutations to the
-    delta journal instead of rewriting the binary payload.
-    """
-    from repro.index.artifact import save_index
-
-    save_index(mapping, path)
-
-
-def save_mapping_v1(mapping: DSPreservedMapping, path: PathLike) -> None:
-    """Write the legacy v1 format (mapping data only, string labels).
-
-    Kept for backward-compat testing and for producing files readable by
-    pre-v2 deployments; new code should use :func:`save_mapping`.
-    """
-    features = mapping.selected_features()
-    payload = {
-        "format_version": LEGACY_FORMAT_VERSION,
-        "database_size": mapping.space.n,
-        "dimensionality": mapping.dimensionality,
-        "feature_graphs": dumps_gspan([f.graph for f in features]),
-        "feature_supports": [sorted(f.support) for f in features],
-        "database_vectors": mapping.database_vectors.astype(int).tolist(),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def _load_v1(payload: Dict) -> DSPreservedMapping:
-    """Legacy loader: rebuild-fallback semantics, string labels."""
-    graphs = loads_gspan(payload["feature_graphs"])
-    supports = payload["feature_supports"]
-    if len(graphs) != len(supports):
-        raise ValueError("corrupt mapping file: feature/support count mismatch")
-    features: List[FrequentSubgraph] = [
-        FrequentSubgraph(graph, set(support))
-        for graph, support in zip(graphs, supports)
-    ]
-    space = FeatureSpace(features, payload["database_size"])
-    vectors = np.asarray(payload["database_vectors"], dtype=float)
-    if vectors.shape != (payload["database_size"], payload["dimensionality"]):
-        raise ValueError("corrupt mapping file: embedding shape mismatch")
-    return DSPreservedMapping(
-        space=space,
-        selected=list(range(len(features))),
-        database_vectors=vectors,
-    )
-
-
-def load_mapping(path: PathLike) -> DSPreservedMapping:
-    """Reload a mapping saved by :func:`save_mapping` (v3, v2, or v1).
-
-    The restored object answers queries exactly like the original; its
-    feature space contains only the selected dimensions (indices
-    ``0..p-1``).
-
-    * v3/v2 files restore the full index artifact: the returned mapping
-      has its query engine pre-attached (persisted lattice + pattern
-      profiles + squared norms) and labels decoded to their original
-      types, so ``load_mapping(path).query_engine()`` performs zero VF2
-      calls — for v3 the binary payload is checksum-verified and the
-      delta journal replayed first.
-    * v1 files lack the lattice and the label codec: the engine rebuilds
-      its lattice on first use, and labels come back as strings (query
-      graphs must use the same stringified convention — the documented
-      legacy caveat).
-    """
-    from repro.index.artifact import load_index
-
-    return load_index(path)

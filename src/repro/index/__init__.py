@@ -1,12 +1,14 @@
-"""The versioned on-disk index artifact (format v3).
+"""The on-disk index artifact.
 
 The paper's economics are "pay offline, serve cheap"; a deployment adds
 "mutate cheap".  Mining, the NP-hard dissimilarity matrix, DSPM
 selection, and the pattern-vs-pattern VF2 lattice pass all happen once
 at index-build time; :class:`IndexArtifact` persists *every* product of
-that offline work (JSON manifest + checksummed binary ``.npz`` payload),
-so a reloaded index cold-starts its
-:class:`~repro.query.engine.QueryEngine` with zero VF2 calls.
+that offline work (JSON manifest + page-checksummed binary ``.pages``
+payload), so a reloaded index cold-starts its
+:class:`~repro.query.engine.QueryEngine` with zero VF2 calls — reading
+and verifying the payload at load, or memory-mapping it and verifying
+each page at first touch (``load_index(path, mmap=True)``).
 Incremental ``add_graphs`` / ``remove_graphs`` mutations persist as an
 append-only delta journal next to the base; :func:`compact_index` folds
 them back in.
@@ -19,10 +21,8 @@ from repro.index.artifact import (
     compact_index,
     journal_path,
     load_index,
-    paged_payload_path,
     payload_path,
     save_index,
-    save_index_v2,
 )
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "compact_index",
     "journal_path",
     "load_index",
-    "paged_payload_path",
     "payload_path",
     "save_index",
-    "save_index_v2",
 ]

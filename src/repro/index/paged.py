@@ -1,25 +1,26 @@
-"""Page-chunked binary payloads: the mmap-able v3 sidecar layout.
+"""Page-chunked binary payloads: the index artifact's ``.pages`` sidecar.
 
-The default v3 payload is a compressed ``.npz`` whose single whole-file
-SHA-256 forces an eager read of every byte before the first query.  The
-*paged* layout trades compression for random access: arrays are written
-back to back (64-byte aligned) into one raw ``.pages`` file, and the
-manifest records a SHA-256 **per fixed-size page** instead of one for
-the file.  Opening the payload is then O(1) — a size check plus an
-``np.memmap`` — and each page is verified lazily on the first read that
-touches it, so a cold start costs O(manifest) while retaining exactly
-the corruption guarantees of the eager path: a bit-flipped or truncated
-payload still raises :class:`~repro.utils.errors.ChecksumError`, just
-at first touch instead of at open.
+Arrays are written back to back (64-byte aligned) into one raw file and
+the manifest records a SHA-256 **per fixed-size page**.  Opening the
+payload is O(manifest) — the array table is validated, the file size
+checked, the bytes memory-mapped — and each page is verified on the
+first read that touches it.  An eager load touches every page before it
+returns; an ``mmap=True`` load defers that to the first query, so a
+bit-flipped payload raises :class:`~repro.utils.errors.ChecksumError`
+either at load or at first touch, never silently mis-ranks.
 
 Arrays are stored in their *serving* dtype (float64), so a materialized
 view is handed to the query path as-is — zero conversion, zero copy,
 and one OS page cache shared by every service/shard mapping the file.
+A rewrite replaces the file instead of truncating it, so those maps keep
+reading the bytes they verified.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 from pathlib import Path
 from typing import Dict, List
 
@@ -40,6 +41,10 @@ ARRAY_ALIGN = 64
 
 PAGED_LAYOUT = "paged"
 
+#: The one dtype the writer emits and the reader accepts: what the query
+#: path computes in, so a mapped view is served without conversion.
+SERVING_DTYPE = np.dtype(np.float64)
+
 
 def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
     """Write *arrays* as one raw paged file; return its manifest metadata.
@@ -54,7 +59,7 @@ def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
     arrays_meta: Dict[str, Dict] = {}
     offset = 0
     for name, array in arrays.items():
-        served = np.ascontiguousarray(array, dtype=np.float64)
+        served = np.ascontiguousarray(array, dtype=SERVING_DTYPE)
         pad = (-offset) % ARRAY_ALIGN
         if pad:
             chunks.append(b"\0" * pad)
@@ -69,7 +74,12 @@ def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
         chunks.append(data)
         offset += len(data)
     blob = b"".join(chunks)
-    path.write_bytes(blob)
+    # Never truncate the live file: every mapping loaded from *path*
+    # still reads its pages through an ``np.memmap``.  Replacing the
+    # directory entry leaves those maps on the old inode.
+    scratch = path.with_name(path.name + ".tmp")
+    scratch.write_bytes(blob)
+    os.replace(scratch, path)
     pages = [
         hashlib.sha256(blob[lo : lo + PAGE_SIZE]).hexdigest()
         for lo in range(0, len(blob), PAGE_SIZE)
@@ -84,12 +94,25 @@ def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
     }
 
 
+def _corrupt(detail: str) -> ArtifactCorruptError:
+    return ArtifactCorruptError(f"corrupt mapping file: {detail}")
+
+
+def _is_count(value) -> bool:
+    """A JSON non-negative integer (``true`` is not one)."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
+
+
 class PagedPayloadReader:
     """Lazy, checksum-on-first-touch view over a paged payload file.
 
-    Opening is O(1): the file size is checked against the manifest (a
-    short read catches truncation immediately) and the bytes are
-    memory-mapped read-only.  :meth:`lazy` returns a
+    Opening validates the manifest's ``payload`` section — it is outside
+    input — down to every array entry, checks the file size against the
+    recorded byte count (a short read catches truncation immediately)
+    and memory-maps the bytes read-only, so nothing malformed is left to
+    surface at first touch.  :meth:`lazy` returns a
     :class:`~repro.core.lazy.LazyArray` whose materialization verifies
     exactly the pages covering that array (memoized — each page is
     hashed at most once per reader) and then returns a dtype view onto
@@ -98,26 +121,27 @@ class PagedPayloadReader:
 
     def __init__(self, path: Path, meta: Dict) -> None:
         self.path = Path(path)
-        try:
-            self.page_size = int(meta["page_size"])
-            self.total_bytes = int(meta["bytes"])
-            self.pages = list(meta["pages"])
-            self.arrays_meta = dict(meta["arrays"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactCorruptError(
-                f"corrupt mapping file: malformed paged payload "
-                f"metadata: {exc}"
-            ) from exc
-        if self.page_size < 1:
-            raise ArtifactCorruptError(
-                "corrupt mapping file: non-positive payload page size"
+        page_size, total, pages, arrays = (
+            meta.get(key) for key in ("page_size", "bytes", "pages", "arrays")
+        )
+        if not (
+            _is_count(page_size)
+            and page_size >= 1
+            and _is_count(total)
+            and isinstance(pages, list)
+            and isinstance(arrays, dict)
+        ):
+            raise _corrupt("malformed paged payload metadata")
+        if len(pages) != -(-total // page_size):
+            raise _corrupt(
+                "payload page count does not match its byte count"
             )
-        expected_pages = -(-self.total_bytes // self.page_size)
-        if len(self.pages) != expected_pages:
-            raise ArtifactCorruptError(
-                "corrupt mapping file: payload page count does not "
-                "match its byte count"
-            )
+        self.page_size = page_size
+        self.total_bytes = total
+        self.pages = pages
+        self.arrays_meta = arrays
+        for name, spec in arrays.items():
+            self._check_entry(name, spec)
         try:
             size = self.path.stat().st_size
         except OSError as exc:
@@ -136,6 +160,39 @@ class PagedPayloadReader:
             else np.zeros(0, dtype=np.uint8)
         )
         self._verified = [False] * len(self.pages)
+
+    def _check_entry(self, name: str, spec) -> None:
+        """One array entry: typed fields, inside the file, sizes agree."""
+        if not isinstance(spec, dict):
+            raise _corrupt(f"payload array {name!r} entry is not an object")
+        offset, nbytes, shape = (
+            spec.get(key) for key in ("offset", "nbytes", "shape")
+        )
+        if not (
+            _is_count(offset)
+            and offset % ARRAY_ALIGN == 0
+            and _is_count(nbytes)
+            and isinstance(shape, list)
+            and all(_is_count(s) for s in shape)
+        ):
+            raise _corrupt(
+                f"payload array {name!r} has a malformed offset, byte "
+                "count or shape"
+            )
+        if spec.get("dtype") != SERVING_DTYPE.name:
+            raise _corrupt(
+                f"payload array {name!r} is not {SERVING_DTYPE.name} "
+                f"(dtype={spec.get('dtype')!r})"
+            )
+        if offset + nbytes > self.total_bytes:
+            raise _corrupt(
+                f"payload array {name!r} extends past the payload"
+            )
+        if nbytes != SERVING_DTYPE.itemsize * math.prod(shape):
+            raise _corrupt(
+                f"payload array {name!r} byte count does not match its "
+                "shape/dtype"
+            )
 
     def _verify_span(self, offset: int, nbytes: int) -> None:
         """Checksum every not-yet-verified page covering the byte span."""
@@ -159,31 +216,16 @@ class PagedPayloadReader:
     def materialize(self, name: str) -> np.ndarray:
         """Verify the pages of array *name*; return a zero-copy view."""
         spec = self.arrays_meta[name]
-        offset = int(spec["offset"])
-        nbytes = int(spec["nbytes"])
-        shape = tuple(int(s) for s in spec["shape"])
-        dtype = np.dtype(spec["dtype"])
-        if offset < 0 or offset + nbytes > self.total_bytes:
-            raise ArtifactCorruptError(
-                f"corrupt mapping file: payload array {name!r} extends "
-                "past the payload"
-            )
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        if nbytes != expected:
-            raise ArtifactCorruptError(
-                f"corrupt mapping file: payload array {name!r} byte "
-                "count does not match its shape/dtype"
-            )
+        offset, nbytes = spec["offset"], spec["nbytes"]
         self._verify_span(offset, nbytes)
-        view = self._mm[offset : offset + nbytes].view(dtype).reshape(shape)
-        return view
+        view = self._mm[offset : offset + nbytes].view(SERVING_DTYPE)
+        return view.reshape(spec["shape"])
 
     def lazy(self, name: str) -> LazyArray:
         """A deferred handle for array *name* (shape/dtype known now)."""
-        spec = self.arrays_meta[name]
         return LazyArray(
-            tuple(int(s) for s in spec["shape"]),
-            np.dtype(spec["dtype"]),
+            tuple(self.arrays_meta[name]["shape"]),
+            SERVING_DTYPE,
             lambda: self.materialize(name),
         )
 

@@ -36,7 +36,7 @@ Requests
     <repro.serving.service.QueryService.apply_update>`; ``remove`` uses
     the pre-update numbering.
 ``{"op": "reload", "id": 5, "path": "/path/to/index.json"}``
-    Server-side artifact reload: load the v1/v2/v3 artifact at *path*
+    Server-side artifact reload: load the index artifact at *path*
     and swap the serving index atomically.
 ``{"op": "maintain", "id": 8}``
     Run one maintenance pass now (the background loop's work, on

@@ -52,13 +52,14 @@ class ArtifactCorruptError(ArtifactError):
 class ChecksumError(ArtifactCorruptError):
     """Raised when artifact bytes fail their recorded checksum.
 
-    Covers the binary payload (truncated or bit-flipped ``.npz``) and
-    tampered delta-journal entries.
+    Covers the binary payload (a truncated ``.pages`` file at open, a
+    bit-flipped page when it is first read), the manifest's derived
+    sections and tampered delta-journal entries.
     """
 
 
 class PayloadMissingError(ArtifactError):
-    """Raised when a v3 manifest's binary payload sidecar is absent."""
+    """Raised when a manifest's binary payload sidecar is absent."""
 
 
 class ManifestMissingError(ArtifactError):
@@ -73,8 +74,8 @@ class ManifestMissingError(ArtifactError):
 class CodecMissingError(ArtifactCorruptError):
     """Raised when an artifact lacks its label codec.
 
-    Tolerating a dropped codec would silently reintroduce the v1
-    string-label mismatch bug, so it fails loudly instead.
+    Tolerating a dropped codec would silently bring labels back as
+    strings that match no integer-labeled query, so it fails loudly.
     """
 
 

@@ -1,4 +1,4 @@
-"""Fault injection for the v3 artifact path, and journal auto-compaction.
+"""Fault injection for the index artifact, and journal auto-compaction.
 
 Each fault test follows the same arc the ISSUE-4 satellite demands:
 inject one precise fault into the on-disk artifact, assert the *exact*
@@ -6,10 +6,17 @@ inject one precise fault into the on-disk artifact, assert the *exact*
 a silent mis-rank, never a generic exception), then prove a subsequent
 full :func:`save_index` from the live mapping repairs the damage — the
 journal is reset and a reload answers bit-identically to the live index.
+Payload faults run under both loads: eager (every page verified before
+``load_index`` returns) and ``mmap=True`` (verified at first touch).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.mapping import build_mapping
@@ -23,10 +30,15 @@ from repro.index import (
     save_index,
 )
 from repro.utils.errors import (
+    ArtifactCorruptError,
     ChecksumError,
     JournalError,
     ManifestMissingError,
     PayloadMissingError,
+)
+
+BOTH_LOADS = pytest.mark.parametrize(
+    "mmap", [False, True], ids=["eager", "mmap"]
 )
 
 
@@ -63,6 +75,53 @@ def _assert_repaired(path, mapping, queries):
     b = reloaded.query_engine().batch_query(queries, 5)
     for x, y in zip(a, b):
         assert x.ranking == y.ranking and x.scores == y.scores
+
+
+def _vectors_entry(manifest):
+    return manifest["payload"]["arrays"]["database_vectors"]
+
+
+#: Tampered manifests, each still valid JSON: name -> in-place edit.
+MALFORMED_MANIFESTS = {
+    "array-entry-lacks-offset": lambda m: _vectors_entry(m).pop("offset"),
+    "array-entry-lacks-nbytes": lambda m: _vectors_entry(m).pop("nbytes"),
+    "array-dtype-object": lambda m: _vectors_entry(m).update(dtype="object"),
+    "array-dtype-bogus": lambda m: _vectors_entry(m).update(dtype="bogus"),
+    "array-dtype-other-width": lambda m: _vectors_entry(m).update(
+        dtype="float32"
+    ),
+    "array-shape-a-string": lambda m: _vectors_entry(m).update(shape="30x8"),
+    "array-shape-negative": lambda m: _vectors_entry(m).update(
+        shape=[-1, -_vectors_entry(m)["nbytes"] // 8]
+    ),
+    "array-offset-negative": lambda m: _vectors_entry(m).update(offset=-64),
+    "array-offset-a-bool": lambda m: _vectors_entry(m).update(offset=False),
+    "array-offset-unaligned": lambda m: _vectors_entry(m).update(offset=8),
+    "array-past-the-payload": lambda m: _vectors_entry(m).update(
+        offset=64 * m["payload"]["bytes"]
+    ),
+    "array-entry-not-an-object": lambda m: m["payload"]["arrays"].update(
+        database_vectors=[0, 1920]
+    ),
+    "arrays-not-an-object": lambda m: m["payload"].update(arrays=[]),
+    "pages-not-a-list": lambda m: m["payload"].update(pages="deadbeef"),
+    "page-size-a-string": lambda m: m["payload"].update(
+        page_size=str(m["payload"]["page_size"])
+    ),
+    "page-size-zero": lambda m: m["payload"].update(page_size=0),
+    "bytes-a-float": lambda m: m["payload"].update(
+        bytes=float(m["payload"]["bytes"])
+    ),
+    "payload-section-a-list": lambda m: m.update(payload=[]),
+    "no-feature-supports": lambda m: m.pop("feature_supports"),
+    "no-feature-graphs": lambda m: m.pop("feature_graphs"),
+    "no-database-size": lambda m: m.pop("database_size"),
+    "dimensionality-a-list": lambda m: m.update(dimensionality=[8]),
+    "lattice-lacks-order": lambda m: m["lattice"].pop("order"),
+    "profile-not-an-object": lambda m: m.update(
+        pattern_profiles=[None] + m["pattern_profiles"][1:]
+    ),
+}
 
 
 class TestJournalFaults:
@@ -117,42 +176,146 @@ class TestJournalFaults:
 
 
 class TestPayloadFaults:
-    def test_flipped_payload_byte(self, mutated, small_chemical_queries):
+    @BOTH_LOADS
+    def test_flipped_payload_byte(
+        self, mutated, small_chemical_queries, mmap
+    ):
         path, mapping = mutated
+        if mmap:
+            # Replaying a journal reads the vectors — that would be the
+            # first touch.  Fold it in so the load itself stays lazy.
+            save_index(mapping, path, compact=True)
         payload = payload_path(path)
         data = bytearray(payload.read_bytes())
         data[len(data) // 2] ^= 0x40
         payload.write_bytes(bytes(data))
-        with pytest.raises(ChecksumError):
-            load_index(path)
+        if mmap:
+            lazy = load_index(path, mmap=True)  # nothing read yet
+            with pytest.raises(ChecksumError):
+                lazy.database_vectors
+        else:
+            with pytest.raises(ChecksumError):
+                load_index(path)
         # Same-size corruption is invisible to the O(1) append-path
         # stat (by design — hashing the whole base per delta would make
         # incremental saves O(base)); every load still fails loudly,
         # and an explicit full save repairs it.
         save_index(mapping, path, compact=True)
         assert not journal_path(path).exists()
-        reloaded = load_index(path)
+        reloaded = load_index(path, mmap=mmap)
         a = mapping.query_engine().batch_query(small_chemical_queries, 5)
         b = reloaded.query_engine().batch_query(small_chemical_queries, 5)
         for x, y in zip(a, b):
             assert x.ranking == y.ranking and x.scores == y.scores
 
-    def test_truncated_payload(self, mutated, small_chemical_queries):
+    @BOTH_LOADS
+    def test_truncated_payload(self, mutated, small_chemical_queries, mmap):
         path, mapping = mutated
         payload = payload_path(path)
         payload.write_bytes(payload.read_bytes()[:-20])
         with pytest.raises(ChecksumError):
-            load_index(path)
+            load_index(path, mmap=mmap)
         _assert_repaired(path, mapping, small_chemical_queries)
 
-    def test_deleted_payload_sidecar(self, mutated, small_chemical_queries):
+    @BOTH_LOADS
+    def test_deleted_payload_sidecar(
+        self, mutated, small_chemical_queries, mmap
+    ):
         path, mapping = mutated
         payload_path(path).unlink()
         with pytest.raises(PayloadMissingError):
-            load_index(path)
+            load_index(path, mmap=mmap)
         # The delta fast-path must notice the missing sidecar and write
         # a full base even though manifest and journal still agree.
         _assert_repaired(path, mapping, small_chemical_queries)
+
+
+#: One process is the reader and — through a second handle — the
+#: compactor of the same path.  Dropping the upper half of the rows
+#: shrinks the payload by ~100 KiB, more than any OS page size.
+_SHRINKING_REWRITE = """
+import sys
+import numpy as np
+from clustered import clustered_vector_index
+from repro.graph.labeled_graph import LabeledGraph
+from repro.index import load_index, save_index
+
+path, mmap = sys.argv[1], sys.argv[2] == "mmap"
+mapping, _ = clustered_vector_index(4, 100, 16, seed=3)
+save_index(mapping, path)
+queries = [
+    LabeledGraph([f"dim{j}" for j in range(c * 16, c * 16 + 12)])
+    for c in range(4)
+]
+vectors = np.array(mapping.database_vectors)
+expected = mapping.query_engine().batch_query(queries, 5)
+reader = load_index(path, mmap=mmap)
+writer = load_index(path)
+writer.remove_graphs(range(200, 400))
+save_index(writer, path, compact=True)
+assert np.array_equal(reader.database_vectors, vectors)
+answers = reader.query_engine().batch_query(queries, 5)
+assert [(a.ranking, a.scores) for a in answers] == [
+    (e.ranking, e.scores) for e in expected
+]
+"""
+
+
+class TestLiveReaderSurvivesRewrite:
+    """A full save replaces the sidecar; it must not rewrite, under a
+    mapping that is still serving from it, the bytes that mapping reads
+    (``index-compact`` beside a running ``serve --index``)."""
+
+    @BOTH_LOADS
+    def test_same_size_compaction(
+        self, built_mapping, tmp_path, small_chemical_queries, mmap
+    ):
+        path = tmp_path / "index.json"
+        save_index(built_mapping, path)
+        built_mapping.artifact_ref = None  # keep the module fixture pristine
+        built_mapping.journal_seq = 0
+        vectors = np.array(built_mapping.database_vectors)
+        expected = built_mapping.query_engine().batch_query(
+            small_chemical_queries, 5
+        )
+        reader = load_index(path, mmap=mmap)
+        writer = load_index(path)
+        writer.remove_graphs([0, 1])
+        writer.add_graphs(small_chemical_queries[:2])
+        assert writer.database_vectors.shape == vectors.shape
+        assert not np.array_equal(writer.database_vectors, vectors)
+        size = payload_path(path).stat().st_size
+        save_index(writer, path, compact=True)
+        assert payload_path(path).stat().st_size == size
+        assert np.array_equal(reader.database_vectors, vectors)
+        answers = reader.query_engine().batch_query(small_chemical_queries, 5)
+        for x, y in zip(expected, answers):
+            assert x.ranking == y.ranking and x.scores == y.scores
+        # ... and the path now holds the writer's state, nothing left over.
+        assert np.array_equal(
+            load_index(path).database_vectors, writer.database_vectors
+        )
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "index.json", "index.json.pages",
+        ]
+
+    @BOTH_LOADS
+    def test_shrinking_compaction(self, tmp_path, mmap):
+        """In a subprocess: reading a mapped page past the new end of a
+        file truncated in place is a SIGBUS, not an exception."""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", _SHRINKING_REWRITE,
+                str(tmp_path / "index.json"), "mmap" if mmap else "eager",
+            ],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestManifestFaults:
@@ -171,6 +334,52 @@ class TestManifestFaults:
         # Pre-existing callers catch ValueError around load_index.
         with pytest.raises(ValueError):
             load_index(tmp_path / "never-saved.json")
+
+    @BOTH_LOADS
+    @pytest.mark.parametrize("name", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_is_an_artifact_error(
+        self, mutated, name, mmap
+    ):
+        """The manifest is outside input: a field of the wrong shape is
+        reported as a corrupt artifact, at load, under either load —
+        never a bare ``KeyError`` / ``TypeError`` that callers mapping
+        ``ArtifactError`` to a clean failure would let through."""
+        path, _mapping = mutated
+        manifest = json.loads(path.read_text())
+        MALFORMED_MANIFESTS[name](manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactCorruptError):
+            load_index(path, mmap=mmap)
+
+    @pytest.mark.parametrize("text", ["[]", "{not json"])
+    def test_manifest_that_is_not_a_json_object(self, mutated, text):
+        path, _mapping = mutated
+        path.write_text(text)
+        with pytest.raises(ArtifactCorruptError):
+            load_index(path)
+
+    @BOTH_LOADS
+    def test_sidecars_are_named_from_the_manifest_path(
+        self, mutated, tmp_path, small_chemical_queries, mmap
+    ):
+        """The manifest's ``file`` field is not read: it cannot point the
+        loader anywhere, and a renamed artifact keeps loading."""
+        path, mapping = mutated
+        manifest = json.loads(path.read_text())
+        manifest["payload"]["file"] = "../elsewhere.pages"
+        path.write_text(json.dumps(manifest))
+        moved = tmp_path / "renamed.json"
+        for source, target in (
+            (path, moved),
+            (payload_path(path), payload_path(moved)),
+            (journal_path(path), journal_path(moved)),
+        ):
+            source.rename(target)
+        reloaded = load_index(moved, mmap=mmap)
+        a = mapping.query_engine().batch_query(small_chemical_queries, 5)
+        b = reloaded.query_engine().batch_query(small_chemical_queries, 5)
+        for x, y in zip(a, b):
+            assert x.ranking == y.ranking and x.scores == y.scores
 
 
 class TestAutoCompaction:
@@ -204,24 +413,6 @@ class TestAutoCompaction:
 
     def test_default_ratio_is_sane_and_configurable(self):
         assert 0 < DEFAULT_AUTO_COMPACT_RATIO <= 1
-
-    def test_pre_bytes_manifest_upgraded_on_first_append(
-        self, mutated, small_chemical_queries
-    ):
-        """A v3 manifest from before the payload 'bytes' field forces
-        one full-hash intact check; the first delta save must record
-        the size so subsequent appends are O(1) stats again."""
-        path, mapping = mutated
-        manifest = json.loads(path.read_text())
-        del manifest["payload"]["bytes"]
-        path.write_text(json.dumps(manifest))
-        mapping.add_graphs(small_chemical_queries[2:3])
-        save_index(mapping, path)  # delta append, not a full write
-        assert len(journal_path(path).read_text().splitlines()) == 3
-        upgraded = json.loads(path.read_text())
-        assert upgraded["payload"]["bytes"] == (
-            payload_path(path).stat().st_size
-        )
 
     def test_junk_bytes_field_triggers_repair_not_crash(
         self, mutated, small_chemical_queries

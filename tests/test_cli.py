@@ -144,6 +144,19 @@ class TestServeVerb:
     def test_serve_missing_index_fails_cleanly(self, tmp_path, capsys):
         assert main(["serve", "--index", str(tmp_path / "no.json")]) == 2
         assert "does not exist" in capsys.readouterr().err
+        # ... and so does one that exists but is not an index: a
+        # manifest missing a field is an `error:` line, not a traceback.
+        assert main([
+            "index-build", str(tmp_path / "bad.json"), "--db-size", "10",
+            "--num-features", "4", "--min-support", "0.3",
+            "--max-pattern-edges", "2",
+        ]) == 0
+        manifest = json.loads((tmp_path / "bad.json").read_text())
+        del manifest["feature_supports"]
+        (tmp_path / "bad.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["serve", "--index", str(tmp_path / "bad.json")]) == 2
+        assert "error: corrupt mapping file" in capsys.readouterr().err
 
     def test_serve_stdio_session_subprocess(self, tmp_path):
         """A full NDJSON session through the real CLI entry point."""
@@ -216,22 +229,22 @@ class TestKernelAndBuildVerbs:
     def test_index_build_parser_defaults(self):
         args = build_parser().parse_args(["index-build", "idx.json"])
         assert args.index == "idx.json"
-        assert args.selection == "variance" and args.layout == "npz"
+        assert args.selection == "variance"
         assert args.graphs is None
 
     def test_index_build_synthetic_paged_round_trip(self, tmp_path, capsys):
-        from repro.index import load_index, paged_payload_path
+        from repro.index import load_index, payload_path
 
         idx = tmp_path / "built.json"
         assert main([
             "index-build", str(idx), "--db-size", "14",
             "--num-features", "6", "--min-support", "0.3",
-            "--max-pattern-edges", "2", "--layout", "paged",
+            "--max-pattern-edges", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "built index from synthetic" in out
-        assert "paged layout" in out and "[mmap-loadable]" in out
-        assert paged_payload_path(idx).exists()
+        assert f"saved {idx}: manifest" in out and "KiB, payload" in out
+        assert payload_path(idx).exists()
         eager = load_index(idx)
         lazy = load_index(idx, mmap=True)
         assert lazy.load_mode == "mmap" and eager.load_mode == "eager"

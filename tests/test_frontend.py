@@ -905,6 +905,48 @@ class TestLiveUpdateAndReload:
         finally:
             await frontend.aclose()
 
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("missing", ["feature_supports", "offset"])
+    async def test_reload_at_a_malformed_manifest_is_refused(
+        self, engine, materials, tmp_path, missing
+    ):
+        """A manifest with a field gone is a failed reload like any
+        other — an ``ok: false`` line, not an exception out of
+        ``handle_line`` (over stdio that ended the server, over TCP it
+        left the request unanswered)."""
+        _db, queries, mapping = materials
+        path = tmp_path / "index.json"
+        save_index(mapping, path)
+        manifest = json.loads(path.read_text())
+        if missing == "offset":
+            del manifest["payload"]["arrays"]["database_vectors"][missing]
+        else:
+            del manifest[missing]
+        path.write_text(json.dumps(manifest))
+        frontend = _frontend(engine)
+        try:
+            await frontend.start()
+            old_service = frontend.service
+            rows = old_service.mapping.space.n
+            response = await frontend.handle_line(
+                json.dumps({"op": "reload", "id": 1, "path": str(path)})
+            )
+            assert not response["ok"]
+            assert response["error"] == "internal"
+            assert "corrupt mapping file" in response["message"]
+            assert frontend.service is old_service
+            assert frontend.service.generation == 0
+            assert frontend.service.mapping.space.n == rows
+            assert frontend.stats.reloads == 0
+            after = await frontend.handle_line(
+                json.dumps(_wire_query(queries[0], 3))
+            )
+            assert after["ok"] and after["generation"] == 0
+            truth = engine.query(queries[0], 3)
+            assert after["ranking"] == truth.ranking
+        finally:
+            await frontend.aclose()
+
 
 def _drifting_materials(seed=0, dims=4, clusters=3, per_cluster=8):
     """An under-selected vector index plus the churn that heals it.

@@ -1,5 +1,5 @@
-"""Round-trip, cold-start, mutation, and corruption tests for the
-format-v3 index artifact.
+"""Round-trip, cold-start, mutation, and corruption tests for the index
+artifact.
 
 The artifact's contract: reloading restores *everything* the online path
 needs, so ``load_index(path).query_engine()`` performs **zero** VF2
@@ -7,7 +7,8 @@ calls — neither the pattern-vs-pattern lattice build nor any per-feature
 matching — even when a delta journal has to be replayed.  Corrupted
 files (truncated payload, bad checksum, missing codec, wrong lattice
 shape, tampered journal) must raise their dedicated error, never
-mis-rank silently.
+mis-rank silently — whether the payload is read at load or memory-mapped
+and read at first touch.
 """
 
 import json
@@ -17,7 +18,6 @@ import pytest
 
 import repro.query.engine as engine_mod
 from repro.core.mapping import build_mapping
-from repro.core.persistence import load_mapping, save_mapping, save_mapping_v1
 from repro.datasets import chemical_query_set
 from repro.index import (
     IndexArtifact,
@@ -26,8 +26,8 @@ from repro.index import (
     load_index,
     payload_path,
     save_index,
-    save_index_v2,
 )
+from repro.index.paged import PagedPayloadReader, write_paged_payload
 from repro.query.engine import FeatureLattice
 from repro.query.topk import MappedTopKEngine
 from repro.utils.errors import (
@@ -68,24 +68,29 @@ class _Counter:
 
 
 def _rewrite_arrays(path, mutate):
-    """Mutate the npz payload and re-stamp the manifest checksum."""
-    import hashlib
-    import io
-
-    with np.load(payload_path(path)) as npz:
-        arrays = {name: npz[name].copy() for name in npz.files}
-    mutate(arrays)
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    data = buffer.getvalue()
-    payload_path(path).write_bytes(data)
+    """Mutate the paged payload and re-stamp the manifest's page table."""
     manifest = json.loads(path.read_text())
-    manifest["payload"]["sha256"] = hashlib.sha256(data).hexdigest()
-    manifest["payload"]["arrays"] = {
-        name: {"shape": list(array.shape), "dtype": str(array.dtype)}
-        for name, array in arrays.items()
-    }
+    reader = PagedPayloadReader(payload_path(path), manifest["payload"])
+    arrays = {name: a.copy() for name, a in reader.load_all().items()}
+    mutate(arrays)
+    manifest["payload"] = write_paged_payload(payload_path(path), arrays)
     path.write_text(json.dumps(manifest))
+
+
+def _load_and_touch(path, mmap):
+    """Load, then read the vectors: an ``mmap=True`` load verifies its
+    pages at first touch, so that is part of "does this artifact load"."""
+    mapping = load_index(path, mmap=mmap)
+    np.asarray(mapping.database_vectors)
+    return mapping
+
+
+def _both_loads_raise(path, exc):
+    """The eager and the memory-mapped load reject *path* alike."""
+    with pytest.raises(exc):
+        load_index(path)
+    with pytest.raises(exc):
+        _load_and_touch(path, mmap=True)
 
 
 class TestColdStart:
@@ -214,11 +219,11 @@ class TestQueryEquivalence:
     def test_mmap_load_answers_identical_to_eager(
         self, built_mapping, tmp_path, small_chemical_queries
     ):
-        """The paged layout defers payload reads and their per-page
+        """``mmap=True`` defers payload reads and their per-page
         checksums to first touch: when the bytes are paid for changes,
         no answer does."""
         path = tmp_path / "paged.json"
-        save_index(built_mapping, path, layout="paged")
+        save_index(built_mapping, path)
         eager, lazy = load_index(path), load_index(path, mmap=True)
         assert (eager.load_mode, lazy.load_mode) == ("eager", "mmap")
         with eager.query_service(n_shards=2) as a, \
@@ -228,17 +233,6 @@ class TestQueryEquivalence:
         for x, y in zip(expected, answers):
             assert x.ranking == y.ranking
             assert x.scores == y.scores
-
-    def test_load_mapping_dispatches_v3(
-        self, saved_path, small_chemical_queries
-    ):
-        via_persistence = load_mapping(saved_path)
-        via_index = load_index(saved_path)
-        for q in small_chemical_queries:
-            assert (
-                via_persistence.query_engine().query(q, 5).ranking
-                == via_index.query_engine().query(q, 5).ranking
-            )
 
 
 class TestDeltaJournal:
@@ -376,59 +370,60 @@ class TestDeltaJournal:
 
 
 class TestBackwardCompat:
-    def test_v1_file_still_loads_with_rebuild_fallback(
-        self, built_mapping, tmp_path, small_chemical_queries, monkeypatch
-    ):
-        path = tmp_path / "legacy.json"
-        save_mapping_v1(built_mapping, path)
-        assert json.loads(path.read_text())["format_version"] == 1
-        restored = load_mapping(path)
-        # No engine attached: the lattice is rebuilt on first use.
-        assert restored._engine is None
-        build = _Counter(FeatureLattice.build.__func__)
-        monkeypatch.setattr(FeatureLattice, "build", classmethod(build))
-        engine = restored.query_engine()
-        assert build.calls == 1
-        before = built_mapping.query_engine()
-        for q in small_chemical_queries:
-            assert before.query(q, 5).ranking == engine.query(q, 5).ranking
+    """Nothing but this build's own format loads; the rest is told what
+    to do.  The manifests are literals: no writer is kept for them."""
 
-    def test_v2_file_still_loads_cold_start_free(
-        self, built_mapping, tmp_path, small_chemical_queries, monkeypatch
-    ):
-        path = tmp_path / "v2.json"
-        save_index_v2(built_mapping, path)
-        assert json.loads(path.read_text())["format_version"] == 2
-        is_subgraph = _Counter(engine_mod.is_subgraph)
-        monkeypatch.setattr(engine_mod, "is_subgraph", is_subgraph)
-        restored = load_index(path)
-        engine = restored.query_engine()
-        assert is_subgraph.calls == 0
-        before = built_mapping.query_engine()
-        for q in small_chemical_queries:
-            a, b = before.query(q, 5), engine.query(q, 5)
-            assert a.ranking == b.ranking and a.scores == b.scores
+    def _rejected(self, path, manifest, found):
+        path.write_text(json.dumps(manifest))
+        for mmap in (False, True):
+            with pytest.raises(FormatVersionError, match="index-build") as e:
+                load_index(path, mmap=mmap)
+            assert found in str(e.value)
 
-    def test_v2_then_save_migrates_to_v3(
-        self, built_mapping, tmp_path, small_chemical_queries
-    ):
-        path = tmp_path / "migrate.json"
-        save_index_v2(built_mapping, path)
-        mapping = load_index(path)
-        assert mapping.artifact_ref is None
-        mapping.add_graphs(small_chemical_queries[:1])
-        save_index(mapping, path)  # full v3 write, not a delta
-        manifest = json.loads(path.read_text())
-        assert manifest["format_version"] == 3
-        assert payload_path(path).exists()
-        assert load_index(path).space.n == mapping.space.n
+    def test_v1_manifest_rejected_with_remedy(self, tmp_path):
+        self._rejected(
+            tmp_path / "legacy.json",
+            {
+                "format_version": 1,
+                "database_size": 1,
+                "dimensionality": 1,
+                "feature_graphs": "t # 0\nv 0 C\n",
+                "feature_supports": [[0]],
+                "database_vectors": [[1]],
+            },
+            "format version 1",
+        )
+
+    def test_v2_manifest_rejected_with_remedy(self, saved_path):
+        manifest = json.loads(saved_path.read_text())
+        del manifest["payload"], manifest["artifact_id"]
+        manifest["format_version"] = 2
+        manifest["database_vectors"] = [[0] * manifest["dimensionality"]]
+        manifest["database_sq_norms"] = [0]
+        self._rejected(saved_path, manifest, "format version 2")
+
+    def test_v3_npz_manifest_rejected_with_remedy(self, saved_path):
+        """Format 3 as the npz layout wrote it: no ``layout`` field, a
+        whole-file checksum, the sidecar under another suffix."""
+        manifest = json.loads(saved_path.read_text())
+        arrays = manifest["payload"]["arrays"]
+        manifest["payload"] = {
+            "file": saved_path.name + ".npz",
+            "sha256": "0" * 64,
+            "bytes": 1234,
+            "arrays": {
+                name: {"shape": spec["shape"], "dtype": "uint8"}
+                for name, spec in arrays.items()
+            },
+        }
+        self._rejected(saved_path, manifest, "payload layout None")
 
     def test_unknown_version_rejected(self, saved_path):
         payload = json.loads(saved_path.read_text())
         payload["format_version"] = 99
         saved_path.write_text(json.dumps(payload))
         with pytest.raises(FormatVersionError):
-            load_mapping(saved_path)
+            load_index(saved_path)
         with pytest.raises(ValueError):
             IndexArtifact.load(saved_path)
 
@@ -455,20 +450,17 @@ class TestCorruptArtifacts:
     def test_truncated_payload(self, saved_path):
         data = payload_path(saved_path).read_bytes()
         payload_path(saved_path).write_bytes(data[: len(data) // 2])
-        with pytest.raises(ChecksumError):
-            load_index(saved_path)
+        _both_loads_raise(saved_path, ChecksumError)
 
     def test_bad_checksum_single_flipped_byte(self, saved_path):
         data = bytearray(payload_path(saved_path).read_bytes())
         data[-1] ^= 0xFF
         payload_path(saved_path).write_bytes(bytes(data))
-        with pytest.raises(ChecksumError):
-            load_index(saved_path)
+        _both_loads_raise(saved_path, ChecksumError)
 
     def test_missing_payload_file(self, saved_path):
         payload_path(saved_path).unlink()
-        with pytest.raises(PayloadMissingError):
-            load_index(saved_path)
+        _both_loads_raise(saved_path, PayloadMissingError)
 
     def test_missing_codec(self, saved_path, manifest):
         del manifest["label_codec"]
@@ -519,8 +511,7 @@ class TestCorruptArtifacts:
                 database_sq_norms=a["database_sq_norms"][:-1],
             ),
         )
-        with pytest.raises(ArtifactCorruptError):
-            load_index(saved_path)
+        _both_loads_raise(saved_path, ArtifactCorruptError)
 
     def test_tampered_sq_norms_cross_check(self, saved_path):
         def bump(arrays):
@@ -533,6 +524,13 @@ class TestCorruptArtifacts:
         _rewrite_arrays(saved_path, bump)
         with pytest.raises(ArtifactCorruptError):
             load_index(saved_path)
+        # The memory-mapped load never reads the persisted norms — it
+        # derives them from the vectors it verified — so there is
+        # nothing for the tampered ones to skew.
+        lazy = _load_and_touch(saved_path, mmap=True)
+        assert np.array_equal(
+            lazy.database_sq_norms, (lazy.database_vectors**2).sum(axis=1)
+        )
 
     def test_payload_array_missing(self, saved_path):
         _rewrite_arrays(
@@ -545,15 +543,13 @@ class TestCorruptArtifacts:
             "dtype": "int64",
         }
         saved_path.write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactCorruptError):
-            load_index(saved_path)
+        _both_loads_raise(saved_path, ArtifactCorruptError)
 
     def test_array_shape_disagrees_with_manifest(self, saved_path):
         manifest = json.loads(saved_path.read_text())
         manifest["payload"]["arrays"]["database_vectors"]["shape"][0] += 1
         saved_path.write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactCorruptError):
-            load_index(saved_path)
+        _both_loads_raise(saved_path, ArtifactCorruptError)
 
 
 class TestCorruptJournal:

@@ -1,9 +1,9 @@
-"""Round-trip tests for mapping persistence (v3 artifact + legacy).
+"""Round-trip tests for mapping persistence.
 
-The format-v3 cold-start guarantees live in ``test_index_artifact.py``;
-this module covers the stable ``save_mapping``/``load_mapping`` surface,
-corruption detection, and the :class:`LabelCodec` — including the label
-round-trip caveat v1 documented and v2 fixes, on both dataset families
+The cold-start guarantees live in ``test_index_artifact.py``; this
+module covers what a ``save_index`` / ``load_index`` round trip
+preserves, corruption detection, and the :class:`LabelCodec` — labels
+come back with their original types on both dataset families
 (string-labeled chemical, integer-labeled synthetic).
 """
 
@@ -13,14 +13,10 @@ import numpy as np
 import pytest
 
 from repro.core.mapping import build_mapping
-from repro.core.persistence import (
-    FORMAT_VERSION,
-    LabelCodec,
-    load_mapping,
-    save_mapping,
-)
+from repro.core.persistence import FORMAT_VERSION, LabelCodec
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.graph.labeled_graph import LabeledGraph
+from repro.index import load_index, payload_path, save_index
 from repro.query.topk import MappedTopKEngine
 
 
@@ -41,20 +37,20 @@ def synthetic_mapping():
 class TestRoundTrip:
     def test_writes_current_format(self, built_mapping, tmp_path):
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
+        save_index(built_mapping, path)
         assert json.loads(path.read_text())["format_version"] == FORMAT_VERSION
 
     def test_vectors_preserved(self, built_mapping, tmp_path):
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
-        restored = load_mapping(path)
+        save_index(built_mapping, path)
+        restored = load_index(path)
         assert (restored.database_vectors == built_mapping.database_vectors).all()
         assert restored.dimensionality == built_mapping.dimensionality
 
     def test_supports_preserved(self, built_mapping, tmp_path):
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
-        restored = load_mapping(path)
+        save_index(built_mapping, path)
+        restored = load_index(path)
         original = built_mapping.selected_features()
         for i, feat in enumerate(restored.selected_features()):
             assert feat.support == original[i].support
@@ -63,8 +59,8 @@ class TestRoundTrip:
         self, built_mapping, tmp_path, small_chemical_queries
     ):
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
-        restored = load_mapping(path)
+        save_index(built_mapping, path)
+        restored = load_index(path)
         before = MappedTopKEngine(built_mapping)
         after = MappedTopKEngine(restored)
         for q in small_chemical_queries:
@@ -72,40 +68,40 @@ class TestRoundTrip:
 
     def test_version_check(self, built_mapping, tmp_path):
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
+        save_index(built_mapping, path)
         payload = json.loads(path.read_text())
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
-            load_mapping(path)
+            load_index(path)
 
     def test_corrupt_supports_detected(self, built_mapping, tmp_path):
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
+        save_index(built_mapping, path)
         payload = json.loads(path.read_text())
         payload["feature_supports"] = payload["feature_supports"][:-1]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
-            load_mapping(path)
+            load_index(path)
 
     def test_corrupt_vectors_detected(self, built_mapping, tmp_path):
-        from repro.index import payload_path
-
         path = tmp_path / "index.json"
-        save_mapping(built_mapping, path)
+        save_index(built_mapping, path)
         data = payload_path(path).read_bytes()
         payload_path(path).write_bytes(data[:-7])  # truncated payload
         with pytest.raises(ValueError):
-            load_mapping(path)
+            load_index(path)
+        with pytest.raises(ValueError):
+            load_index(path, mmap=True)
 
 
 class TestLabelRoundTrip:
-    """The v1 caveat, fixed: labels reload with their original types."""
+    """Labels reload with their original types, not as gSpan text."""
 
     def test_chemical_string_labels(self, built_mapping, tmp_path):
         path = tmp_path / "chem.json"
-        save_mapping(built_mapping, path)
-        restored = load_mapping(path)
+        save_index(built_mapping, path)
+        restored = load_index(path)
         for before, after in zip(
             built_mapping.selected_features(), restored.selected_features()
         ):
@@ -118,8 +114,8 @@ class TestLabelRoundTrip:
 
     def test_synthetic_integer_labels(self, synthetic_mapping, tmp_path):
         path = tmp_path / "syn.json"
-        save_mapping(synthetic_mapping, path)
-        restored = load_mapping(path)
+        save_index(synthetic_mapping, path)
+        restored = load_index(path)
         for before, after in zip(
             synthetic_mapping.selected_features(),
             restored.selected_features(),
@@ -138,8 +134,8 @@ class TestLabelRoundTrip:
         """The actual bug the codec fixes: integer-labeled queries must
         match reloaded integer-labeled features."""
         path = tmp_path / "syn.json"
-        save_mapping(synthetic_mapping, path)
-        restored = load_mapping(path)
+        save_index(synthetic_mapping, path)
+        restored = load_index(path)
         queries = synthetic_query_set(
             4, avg_edges=14, density=0.3, num_labels=5, seed=9
         )
