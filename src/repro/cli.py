@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -137,30 +137,67 @@ def _build_demo_mapping(db_size: int, num_features: int, seed: int):
     )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """The long-running NDJSON serving loop (stdin/stdout and/or TCP)."""
+def _parse_address(flag: str, spec: str) -> Tuple[str, int]:
+    """``HOST:PORT`` as given to *flag*; ``ValueError`` names the flag."""
+    host, _, port = spec.rpartition(":")
+    if not host or not port.isdigit():
+        raise ValueError(f"{flag} expects HOST:PORT, got {spec!r}")
+    return host, int(port)
+
+
+def _listen_address(args: argparse.Namespace) -> Optional[Tuple[str, int]]:
+    """The ``--tcp`` address of a serving verb, or ``None`` (stdio only)."""
+    if args.no_stdio and not args.tcp:
+        raise ValueError("--no-stdio requires --tcp")
+    return _parse_address("--tcp", args.tcp) if args.tcp else None
+
+
+async def _serve_until_drained(
+    handler, listen: Optional[Tuple[str, int]], use_stdio: bool
+) -> None:
+    """Run a started *handler* (frontend or router) until it has drained:
+    signals and ``shutdown`` begin the drain, stdin EOF also means "wrap
+    up"; the listener and the handler are closed on the way out."""
     import asyncio
     import signal
 
     from repro.serving import protocol
+
+    server = None
+    try:
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, handler.begin_drain)
+            except (NotImplementedError, RuntimeError):
+                pass  # platform without signal support
+        if listen is not None:
+            server = await protocol.serve_tcp(handler, *listen)
+            bound = server.sockets[0].getsockname()
+            print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr)
+        if use_stdio:
+            await protocol.serve_stdio(handler)
+            handler.begin_drain()
+        else:
+            await handler.wait_shutdown()
+    finally:
+        if server is not None:
+            server.close()
+            await server.wait_closed()
+        await handler.aclose()
+    print("drained and shut down", file=sys.stderr)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """The long-running NDJSON serving loop (stdin/stdout and/or TCP)."""
+    import asyncio
+
     from repro.serving.frontend import AsyncFrontend, FrontendConfig
     from repro.serving.service import QueryService
     from repro.utils.errors import GraphDimensionError
 
-    use_stdio = not args.no_stdio
-    if args.no_stdio and not args.tcp:
-        print("error: --no-stdio requires --tcp", file=sys.stderr)
-        return 2
-    tcp_host, tcp_port = None, None
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: --tcp expects HOST:PORT, got {args.tcp!r}",
-                  file=sys.stderr)
-            return 2
-        tcp_host, tcp_port = host, int(port)
-
     try:
+        listen = _listen_address(args)
         if args.index:
             from repro.index import load_index
 
@@ -209,32 +246,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         frontend = AsyncFrontend(service, config, own_service=True)
         await frontend.start()
-        server = None
-        try:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, frontend.begin_drain)
-                except (NotImplementedError, RuntimeError):
-                    pass  # platform without signal support
-            if tcp_host is not None:
-                server = await protocol.serve_tcp(
-                    frontend, tcp_host, tcp_port
-                )
-                bound = server.sockets[0].getsockname()
-                print(f"listening on {bound[0]}:{bound[1]}",
-                      file=sys.stderr)
-            if use_stdio:
-                await protocol.serve_stdio(frontend)
-                frontend.begin_drain()  # stdin EOF also means "wrap up"
-            else:
-                await frontend.wait_shutdown()
-        finally:
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-            await frontend.aclose()
-        print("drained and shut down", file=sys.stderr)
+        await _serve_until_drained(frontend, listen, not args.no_stdio)
 
     asyncio.run(_main())
     return 0
@@ -243,11 +255,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_router(args: argparse.Namespace) -> int:
     """The router tier: one NDJSON coordinator over N serving replicas."""
     import asyncio
-    import signal
     import tempfile
     from pathlib import Path
 
-    from repro.serving import protocol
     from repro.serving.router import (
         ContentPlacer,
         Router,
@@ -257,32 +267,14 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
     )
     from repro.utils.errors import GraphDimensionError, ReplicaError
 
-    use_stdio = not args.no_stdio
-    if args.no_stdio and not args.tcp:
-        print("error: --no-stdio requires --tcp", file=sys.stderr)
-        return 2
-    if bool(args.replicas) == bool(args.spawn):
-        print("error: pass exactly one of --replicas or --spawn",
-              file=sys.stderr)
-        return 2
-    tcp_host, tcp_port = None, None
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: --tcp expects HOST:PORT, got {args.tcp!r}",
-                  file=sys.stderr)
-            return 2
-        tcp_host, tcp_port = host, int(port)
-    addresses = []
-    for spec in args.replicas or []:
-        host, _, port = spec.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"error: --replicas expects HOST:PORT, got {spec!r}",
-                  file=sys.stderr)
-            return 2
-        addresses.append((host, int(port)))
-
     try:
+        listen = _listen_address(args)
+        if bool(args.replicas) == bool(args.spawn):
+            raise ValueError("pass exactly one of --replicas or --spawn")
+        addresses = [
+            _parse_address("--replicas", spec)
+            for spec in args.replicas or []
+        ]
         config = RouterConfig(
             max_inflight=args.max_inflight,
             quota_rate=args.quota_rate,
@@ -358,32 +350,7 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
                 "placement)",
                 file=sys.stderr,
             )
-            server = None
-            try:
-                loop = asyncio.get_running_loop()
-                for sig in (signal.SIGINT, signal.SIGTERM):
-                    try:
-                        loop.add_signal_handler(sig, router.begin_drain)
-                    except (NotImplementedError, RuntimeError):
-                        pass  # platform without signal support
-                if tcp_host is not None:
-                    server = await protocol.serve_tcp(
-                        router, tcp_host, tcp_port
-                    )
-                    bound = server.sockets[0].getsockname()
-                    print(f"listening on {bound[0]}:{bound[1]}",
-                          file=sys.stderr)
-                if use_stdio:
-                    await protocol.serve_stdio(router)
-                    router.begin_drain()
-                else:
-                    await router.wait_shutdown()
-            finally:
-                if server is not None:
-                    server.close()
-                    await server.wait_closed()
-                await router.aclose()
-            print("drained and shut down", file=sys.stderr)
+            await _serve_until_drained(router, listen, not args.no_stdio)
             return 0
         finally:
             if tmpdir is not None:
@@ -565,6 +532,27 @@ def _nprobe_arg(value: str):
         )
 
 
+def _add_serving_options(
+    parser: argparse.ArgumentParser, index_help: str
+) -> None:
+    """What ``serve`` and ``serve-router`` share: the index to serve (or
+    the demo index to build) and where to listen."""
+    parser.add_argument("--index", default=None, help=index_help)
+    parser.add_argument("--db-size", type=int, default=60,
+                        help="demo-index database size (no --index)")
+    parser.add_argument("--num-features", type=int, default=40,
+                        help="demo-index dimensionality (no --index)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--tcp", default=None, metavar="HOST:PORT",
+        help="also listen for NDJSON clients over TCP (port 0 = ephemeral)",
+    )
+    parser.add_argument(
+        "--no-stdio", action="store_true",
+        help="do not speak NDJSON on stdin/stdout (requires --tcp)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-graphdim",
@@ -597,22 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-running NDJSON serving loop (stdin/stdout and/or TCP)",
     )
-    serve_cmd.add_argument(
-        "--index", default=None,
-        help="index manifest to serve (default: build a synthetic demo)",
-    )
-    serve_cmd.add_argument("--db-size", type=int, default=60,
-                           help="demo-index database size (no --index)")
-    serve_cmd.add_argument("--num-features", type=int, default=40,
-                           help="demo-index dimensionality (no --index)")
-    serve_cmd.add_argument("--seed", type=int, default=0)
-    serve_cmd.add_argument(
-        "--tcp", default=None, metavar="HOST:PORT",
-        help="also listen for NDJSON clients over TCP (port 0 = ephemeral)",
-    )
-    serve_cmd.add_argument(
-        "--no-stdio", action="store_true",
-        help="do not speak NDJSON on stdin/stdout (requires --tcp)",
+    _add_serving_options(
+        serve_cmd,
+        "index manifest to serve (default: build a synthetic demo)",
     )
     serve_cmd.add_argument("--shards", type=int, default=4)
     serve_cmd.add_argument("--workers", type=int, default=0)
@@ -678,23 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--spawn", type=int, default=None, metavar="N",
         help="spawn N replica subprocesses instead of --replicas",
     )
-    rserve.add_argument(
-        "--index", default=None,
-        help="index manifest replicas serve and placement reads "
-             "(default with --spawn: build a synthetic demo)",
-    )
-    rserve.add_argument("--db-size", type=int, default=60,
-                        help="demo-index database size (no --index)")
-    rserve.add_argument("--num-features", type=int, default=40,
-                        help="demo-index dimensionality (no --index)")
-    rserve.add_argument("--seed", type=int, default=0)
-    rserve.add_argument(
-        "--tcp", default=None, metavar="HOST:PORT",
-        help="also listen for NDJSON clients over TCP (port 0 = ephemeral)",
-    )
-    rserve.add_argument(
-        "--no-stdio", action="store_true",
-        help="do not speak NDJSON on stdin/stdout (requires --tcp)",
+    _add_serving_options(
+        rserve,
+        "index manifest replicas serve and placement reads "
+        "(default with --spawn: build a synthetic demo)",
     )
     rserve.add_argument("--shards", type=int, default=4,
                         help="shards per spawned replica")

@@ -251,20 +251,22 @@ class DSPMap:
         serving tier: a :class:`~repro.serving.service.QueryService`
         built over ``shards=self.partitions_`` makes the same choice
         for ``SearchPolicy(mode="approx", nprobe=...)``, because both
-        read the same :class:`~repro.query.pruning.ShardSummary` set
-        through *mapping*'s summary cache (so an artifact that
-        persisted the summaries also routes with zero recomputation).
+        derive the same :class:`~repro.query.pruning.ShardSummary` per
+        block from the same rows.
         """
         from repro.query.pruning import (
+            ShardSummary,
             shard_centroid_distances,
-            summaries_for_blocks,
         )
 
         if not self.partitions_:
             raise SelectionError("fit() must run before route_queries()")
         if nprobe < 1:
             raise SelectionError("nprobe must be >= 1")
-        summaries = summaries_for_blocks(mapping, self.partitions_)
+        summaries = [
+            ShardSummary.from_vectors(mapping.database_vectors[block])
+            for block in self.partitions_  # ascending, like a shard's rows
+        ]
         distances = shard_centroid_distances(
             np.asarray(query_vectors, dtype=float), summaries
         )

@@ -23,7 +23,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -45,13 +44,7 @@ from repro.utils.errors import SelectionError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.isomorphism.vf2 import PatternProfile
     from repro.query.engine import FeatureLattice, QueryEngine
-    from repro.query.pruning import ShardSummary
     from repro.serving.service import QueryService
-
-#: Most shard layouts whose summaries one mapping caches at a time —
-#: enough for a service plus a few routers over the same index, while a
-#: pathological caller cycling layouts cannot grow the cache unbounded.
-MAX_SUMMARY_LAYOUTS = 8
 
 
 @dataclass(frozen=True)
@@ -147,14 +140,6 @@ class DSPreservedMapping:
     #: How many journal entries of the base artifact are already folded
     #: into this mapping's state.
     journal_seq: int = field(default=0, init=False, repr=False, compare=False)
-    #: Per-shard-layout :class:`~repro.query.pruning.ShardSummary` lists,
-    #: keyed by the layout itself (a tuple of sorted row-id tuples).
-    #: Populated by the query service / DSPMap router on first build,
-    #: persisted in the v3 artifact, and cleared by any mutation (the
-    #: summaries describe exact row geometry).
-    shard_summary_cache: Dict[Tuple, List["ShardSummary"]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     #: Lazily built navigable proximity graph (the graph-ANN search
     #: tier).  Maintained incrementally by the mutation appliers and
     #: persisted in the v3 manifest; ``None`` until the first graph-mode
@@ -271,36 +256,12 @@ class DSPreservedMapping:
 
         Any future path that mutates ``selected`` / ``database_vectors``
         must call this so the next :meth:`query_engine` rebuild goes
-        through :meth:`_build_engine` against the fresh state.  Cached
-        shard summaries go too: they describe exact row geometry, so
-        any vector change invalidates every layout (the query service
-        re-stores fresh summaries for its post-update layout).
+        through :meth:`_build_engine` against the fresh state.
         """
         self._engine = None
         self.__dict__.pop("database_sq_norms", None)
-        self.shard_summary_cache.clear()
         self._proximity_graph = None
         self._proximity_payload = None
-
-    # ------------------------------------------------------------------
-    # shard-summary cache (the pruning tier's cold-start store)
-    # ------------------------------------------------------------------
-    def shard_summaries_for(
-        self, layout_key: Tuple
-    ) -> Optional[List["ShardSummary"]]:
-        """Cached summaries for one shard layout, or ``None``."""
-        return self.shard_summary_cache.get(layout_key)
-
-    def store_shard_summaries(
-        self, layout_key: Tuple, summaries: List["ShardSummary"]
-    ) -> None:
-        """Remember *summaries* for *layout_key* (bounded, FIFO evicted)."""
-        self.shard_summary_cache.pop(layout_key, None)
-        self.shard_summary_cache[layout_key] = list(summaries)
-        while len(self.shard_summary_cache) > MAX_SUMMARY_LAYOUTS:
-            self.shard_summary_cache.pop(
-                next(iter(self.shard_summary_cache))
-            )
 
     # ------------------------------------------------------------------
     # proximity graph (the graph-ANN tier's cold-start store)

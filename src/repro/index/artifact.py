@@ -5,7 +5,11 @@ One artifact is three files, all named from the manifest path:
 * ``<path>`` — the JSON **manifest**: every offline product the online
   path needs (features, supports, feature lattice, VF2 pattern profiles,
   label codec), so a reload cold-starts with zero VF2 calls, plus the
-  page table of the binary payload;
+  page table of the binary payload and the one *derived* section — the
+  proximity graph's neighbor table, checksummed and ``seq``-gated.
+  Shard summaries are not stored (they are derived from the verified
+  rows at shard build); a ``shard_summaries`` key left by an older
+  build is not read;
 * ``<path>.pages`` — the **binary payload** (:mod:`repro.index.paged`):
   database vectors and squared norms as raw aligned float64, a SHA-256
   per page recorded in the manifest, so a truncated or bit-flipped
@@ -59,7 +63,6 @@ from repro.utils.errors import (
     LatticeShapeError,
     ManifestMissingError,
     PayloadMissingError,
-    QueryError,
 )
 
 PathLike = Union[str, Path]
@@ -146,110 +149,12 @@ def _read_journal(path: Path, artifact_id: str) -> List[Dict]:
     return entries
 
 
-#: Most shard layouts persisted per manifest.  The in-memory cache may
-#: hold more (several routers over one index), but each persisted
-#: layout repeats every database row id — bounding the manifest bloat
-#: to the most recently used few keeps delta saves cheap at scale.
-MAX_PERSISTED_SUMMARY_LAYOUTS = 2
-
-
-def _persisted_layout_items(mapping: DSPreservedMapping):
-    """The cache entries that would be persisted (most recent last)."""
-    items = list(mapping.shard_summary_cache.items())
-    return items[-MAX_PERSISTED_SUMMARY_LAYOUTS:]
-
-
-def _summaries_payload(
-    mapping: DSPreservedMapping, seq: int
-) -> Optional[Dict]:
-    """Serialise the mapping's shard-summary cache (``None`` when empty).
-
-    *seq* records the journal position the summaries describe — ``0``
-    for a fresh base (the state is fully folded in), the post-append
-    journal head for a delta save.  A loader only restores them when
-    its replayed journal is exactly that long, so stale geometry can
-    never survive a divergent history.  The section carries its own
-    checksum: summaries steer exact-mode shard skipping, so corrupted
-    geometry must fail the load loudly like every other
-    result-affecting artifact section, not silently mis-prune.
-    """
-    items = _persisted_layout_items(mapping)
-    if not items:
-        return None
-    section = {
-        "seq": int(seq),
-        "layouts": [
-            {
-                "blocks": [[int(i) for i in block] for block in key],
-                "summaries": [s.to_payload() for s in summaries],
-            }
-            for key, summaries in items
-        ],
-    }
-    section["sha256"] = _entry_digest(section)
-    return section
-
-
-def _restore_summaries(
-    mapping: DSPreservedMapping, payload: Dict, journal_len: int
-) -> None:
-    """Attach persisted shard summaries to a freshly loaded mapping.
-
-    Restores only when the recorded ``seq`` matches the journal length
-    actually replayed — otherwise the stored geometry describes a
-    different database state and is silently dropped (the next service
-    build recomputes lazily and the next save re-persists).  Malformed
-    sections fail loudly like every other corrupt manifest field.
-    """
-    from repro.query.pruning import ShardSummary
-
-    section = payload.get("shard_summaries")
-    if section is None:
-        return
-    if not isinstance(section, dict) or not isinstance(
-        section.get("layouts"), list
-    ):
-        raise _corrupt("malformed shard_summaries section")
-    if section.get("sha256") != _entry_digest(section):
-        raise ChecksumError(
-            "shard_summaries section fails its checksum — corrupted "
-            "pruning geometry would silently break exact-mode answers"
-        )
-    if section.get("seq") != journal_len:
-        return
-    p = mapping.dimensionality
-    n = mapping.space.n
-    for layout in section["layouts"]:
-        blocks = layout.get("blocks")
-        entries = layout.get("summaries")
-        if (
-            not isinstance(blocks, list)
-            or not isinstance(entries, list)
-            or len(blocks) != len(entries)
-        ):
-            raise _corrupt("shard summary layout/summaries mismatch")
-        ids = sorted(int(i) for block in blocks for i in block)
-        if ids != list(range(n)):
-            raise _corrupt(
-                "shard summary layout does not partition the database"
-            )
-        try:
-            summaries = [
-                ShardSummary.from_payload(entry, p) for entry in entries
-            ]
-        except (KeyError, TypeError, ValueError, QueryError) as exc:
-            raise _corrupt(f"unreadable shard summary: {exc}") from exc
-        mapping.store_shard_summaries(
-            tuple(tuple(int(i) for i in block) for block in blocks),
-            summaries,
-        )
-
-
 def _graph_payload(mapping: DSPreservedMapping, seq: int) -> Optional[Dict]:
     """Serialise the mapping's proximity graph (``None`` when absent).
 
-    Like the shard summaries: *seq* pins the journal position the
-    neighbor table describes, and the section carries its own checksum
+    *seq* pins the journal position the neighbor table describes — ``0``
+    for a fresh base, the post-append journal head for a delta save —
+    and the section carries its own checksum
     — a corrupted table would silently degrade (or bias) every
     graph-mode answer, so it must fail the load loudly instead.  Only
     neighbor ids are stored; distances are re-derived from the vectors
@@ -410,19 +315,16 @@ class IndexArtifact:
         }
         # A deterministic content identity: the manifest core plus the
         # raw array data.
-        # Derived sections — the payload metadata, the shard-summary
-        # cache, and the proximity graph — stay out of the digest, so
-        # the same index state keeps the same identity whether or not a
-        # service warmed them.
+        # Derived sections — the payload metadata and the proximity
+        # graph — stay out of the digest, so the same index state keeps
+        # the same identity whether or not a graph query warmed it.
         digest = hashlib.sha256()
         digest.update(
             json.dumps(
                 {
                     k: v
                     for k, v in payload.items()
-                    if k not in (
-                        "payload", "shard_summaries", "proximity_graph"
-                    )
+                    if k not in ("payload", "proximity_graph")
                 },
                 sort_keys=True,
                 separators=(",", ":"),
@@ -431,9 +333,6 @@ class IndexArtifact:
         for name in PAYLOAD_ARRAYS:
             digest.update(arrays[name].tobytes())
         payload["artifact_id"] = digest.hexdigest()[:16]
-        summaries = _summaries_payload(mapping, seq=0)
-        if summaries is not None:
-            payload["shard_summaries"] = summaries
         graph = _graph_payload(mapping, seq=0)
         if graph is not None:
             payload["proximity_graph"] = graph
@@ -524,13 +423,10 @@ class IndexArtifact:
         mapping.artifact_ref = payload.get("artifact_id")
         mapping.journal_seq = len(self.journal)
         mapping.mutation_log.clear()
-        # After replay (which clears derived caches): shard summaries
-        # whose recorded seq matches the replayed journal describe this
-        # exact database state, so the serving tier cold-starts with
-        # zero summary recomputation.
-        _restore_summaries(mapping, payload, len(self.journal))
-        # Same deal for the proximity graph — restored seq-gated, but
-        # attached lazily so mmap loads stay O(manifest).
+        # After replay (which clears derived caches): a proximity graph
+        # whose recorded seq matches the replayed journal describes this
+        # exact database state — restored seq-gated, but attached lazily
+        # so mmap loads stay O(manifest).
         _restore_graph(mapping, payload, len(self.journal))
         # A load must always succeed; drift past the (default) policy
         # threshold is reported through the flag, never raised.
@@ -746,7 +642,8 @@ def save_index(
                 existing = None  # damaged journal: fall through and repair
             if existing is not None and len(existing) == mapping.journal_seq:
                 _append_deltas(path, mapping)
-                _sync_manifest_derived(path, manifest, mapping)
+                if _sync_graph_section(manifest, mapping):
+                    path.write_text(json.dumps(manifest))
                 if auto_compact_ratio is not None and _journal_oversized(
                     path, auto_compact_ratio
                 ):
@@ -808,61 +705,20 @@ def _append_deltas(path: Path, mapping: DSPreservedMapping) -> None:
     mapping.mutation_log.clear()
 
 
-def _sync_manifest_derived(
-    path: Path, manifest: Dict, mapping: DSPreservedMapping
-) -> None:
-    """Bring the manifest's derived sections up to the mapping's state.
+def _sync_graph_section(manifest: Dict, mapping: DSPreservedMapping) -> bool:
+    """Update ``manifest["proximity_graph"]`` in place; True if changed.
 
     Runs on every delta-path save (the manifest is small JSON — the
     whole point of the delta path is not rewriting the *binary*
-    payload), so shard summaries and the proximity graph maintained
-    through :meth:`QueryService.apply_update
-    <repro.serving.service.QueryService.apply_update>` — or computed
-    lazily after loading a pre-section artifact — are persisted with
-    their ``seq`` at the current journal head, and a mapping whose
-    caches were invalidated drops the stale sections.  The manifest is
-    written at most once, and not at all when nothing changed — for
-    summaries that is detected from ``seq`` + the layout keys alone
-    (summaries are a pure function of database state and layout, and
-    ``seq`` pins the database state), so the up-to-date case never
-    re-serialises the float payload; for the graph, from ``seq`` plus
-    whether a table exists at all (same pure-function argument).
+    payload), so a graph maintained through
+    :meth:`QueryService.apply_update
+    <repro.serving.service.QueryService.apply_update>` — or built
+    lazily after loading an artifact without one — is persisted with
+    its ``seq`` at the current journal head, and a mapping whose graph
+    was invalidated drops the stale section.  "Unchanged" is detected
+    from ``seq`` plus whether a table exists at all, so the up-to-date
+    case never re-serialises the neighbor table.
     """
-    changed = _sync_summaries_section(manifest, mapping)
-    changed = _sync_graph_section(manifest, mapping) or changed
-    if changed:
-        path.write_text(json.dumps(manifest))
-
-
-def _sync_summaries_section(
-    manifest: Dict, mapping: DSPreservedMapping
-) -> bool:
-    """Update ``manifest["shard_summaries"]`` in place; True if changed."""
-    existing = manifest.get("shard_summaries")
-    items = _persisted_layout_items(mapping)
-    if (
-        isinstance(existing, dict)
-        and existing.get("seq") == mapping.journal_seq
-        and isinstance(existing.get("layouts"), list)
-        and [layout.get("blocks") for layout in existing["layouts"]]
-        == [
-            [[int(i) for i in block] for block in key]
-            for key, _summaries in items
-        ]
-    ):
-        return False
-    summaries = _summaries_payload(mapping, seq=mapping.journal_seq)
-    if summaries is not None:
-        manifest["shard_summaries"] = summaries
-        return True
-    if "shard_summaries" not in manifest:
-        return False
-    manifest.pop("shard_summaries", None)
-    return True
-
-
-def _sync_graph_section(manifest: Dict, mapping: DSPreservedMapping) -> bool:
-    """Update ``manifest["proximity_graph"]`` in place; True if changed."""
     existing = manifest.get("proximity_graph")
     has_table = (
         mapping.peek_proximity_graph() is not None

@@ -9,9 +9,8 @@ time without touching any call site.
 
 A backend is any object exposing four functions:
 
-* ``distance_block(queries, vectors, sq_norms, dimensionality,
-  offsets=None)`` — normalised-Euclidean distance rectangle, the shard
-  scan inner loop (``offsets`` folds shard-constant columns back in);
+* ``distance_block(queries, vectors, sq_norms, dimensionality)`` —
+  normalised-Euclidean distance rectangle, the shard scan inner loop;
 * ``bound_block(vectors, centroids, centroid_sq_norms, radii, lows,
   highs, dimensionality)`` — per-(query, shard) lower bounds plus the
   centroid distances the approx router reuses;
@@ -41,7 +40,6 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,11 +47,9 @@ import numpy as np
 __all__ = [
     "DEFAULT_BACKEND",
     "KERNEL_ENV_VAR",
-    "KernelConfig",
     "PatternFilterStats",
     "active_backend",
     "available_backends",
-    "backend_name",
     "register_backend",
     "resolve_backend",
     "use_backend",
@@ -119,14 +115,6 @@ def active_backend() -> object:
     return resolve_backend(None)
 
 
-def backend_name(backend: object) -> str:
-    """The registry name of *backend* (``"?"`` if unregistered)."""
-    for name, candidate in _BACKENDS.items():
-        if candidate is backend:
-            return name
-    return "?"
-
-
 @contextmanager
 def use_backend(name: str) -> Iterator[object]:
     """Scoped backend override (stronger than ``$REPRO_KERNEL``).
@@ -139,20 +127,6 @@ def use_backend(name: str) -> Iterator[object]:
         yield resolve_backend(name)
     finally:
         _OVERRIDE.pop()
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Declarative kernel selection for constructors.
-
-    ``backend=None`` defers to the ambient selection
-    (:func:`use_backend` override / ``$REPRO_KERNEL`` / numpy).
-    """
-
-    backend: Optional[str] = None
-
-    def resolve(self) -> object:
-        return resolve_backend(self.backend)
 
 
 class PatternFilterStats:

@@ -15,7 +15,7 @@ fuses the whole (query, shard) rectangle into one pass.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -86,13 +86,10 @@ def distance_block(
     vectors: np.ndarray,
     sq_norms: np.ndarray,
     dimensionality: int,
-    offsets: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     d2 = _distance_sq(queries, vectors)
-    if offsets is not None:
-        d2 = d2 + np.asarray(offsets, dtype=float)[:, None]
     if dimensionality:
         return np.sqrt(d2 / dimensionality)
     return np.zeros_like(d2)

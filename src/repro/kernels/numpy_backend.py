@@ -8,7 +8,7 @@ tested bit-identical to this one on binary embedding data.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -18,24 +18,24 @@ def distance_block(
     vectors: np.ndarray,
     sq_norms: np.ndarray,
     dimensionality: int,
-    offsets: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Normalised-Euclidean distance rectangle ``queries × vectors``.
 
-    ``sq_norms`` are the precomputed row norms of *vectors*; *offsets*
-    (when given) are per-query squared gaps over columns not present in
-    *queries*/*vectors* (the service's shard-constant folding), added to
-    the squared distances before normalisation.  ``dimensionality`` is
-    the full mapping width ``p`` — with ``p == 0`` every distance is
-    zero by convention.
+    ``sq_norms`` are the precomputed row norms of *vectors*.
+    ``dimensionality`` is the mapping width ``p`` — with ``p == 0``
+    every distance is zero by convention.
     """
+    # The cross term is one dgemm, and which of its operand layouts is
+    # fast is the BLAS's business, so it is decided here: column-major
+    # queries against row-major rows (OpenBLAS's TT case) take 18 µs at
+    # 16 × 200 against 150 rows where row-major queries (NT) take 42.
+    # The copy is nq × p; the distances are the same bits either way.
+    queries = np.asfortranarray(queries)
     sq_q = (queries**2).sum(axis=1)
     d2 = np.maximum(
         sq_q[:, None] + sq_norms[None, :] - 2.0 * queries @ vectors.T,
         0.0,
     )
-    if offsets is not None:
-        d2 = d2 + offsets[:, None]
     if dimensionality:
         return np.sqrt(d2 / dimensionality)
     return np.zeros_like(d2)

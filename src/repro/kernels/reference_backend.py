@@ -17,7 +17,7 @@ answer level).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,15 +29,12 @@ def distance_block(
     vectors: np.ndarray,
     sq_norms: np.ndarray,
     dimensionality: int,
-    offsets: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     queries = np.asarray(queries, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
     d2 = np.empty((queries.shape[0], vectors.shape[0]))
     for qi in range(queries.shape[0]):
         d2[qi] = ((queries[qi][None, :] - vectors) ** 2).sum(axis=1)
-    if offsets is not None:
-        d2 = d2 + np.asarray(offsets, dtype=float)[:, None]
     if dimensionality:
         return np.sqrt(d2 / dimensionality)
     return np.zeros_like(d2)

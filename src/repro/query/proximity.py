@@ -228,9 +228,7 @@ class ProximityGraph:
         knn_dists = np.empty((n, m), dtype=float)
         for lo in range(0, n, _BUILD_CHUNK):
             hi = min(lo + _BUILD_CHUNK, n)
-            block = backend.distance_block(
-                vectors[lo:hi], vectors, sq, p, None
-            )
+            block = backend.distance_block(vectors[lo:hi], vectors, sq, p)
             for r in range(hi - lo):
                 row = np.asarray(block[r], dtype=float).copy()
                 row[lo + r] = np.inf  # never self-link
@@ -332,7 +330,7 @@ class ProximityGraph:
             nonlocal evals
             dists = np.asarray(
                 backend.distance_block(
-                    q, self.vectors[ids], self.sq_norms[ids], p, None
+                    q, self.vectors[ids], self.sq_norms[ids], p
                 )[0],
                 dtype=float,
             )
@@ -394,7 +392,7 @@ class ProximityGraph:
         new_ids = np.arange(n_old, n_new, dtype=np.int64)
         dmat = np.asarray(
             backend.distance_block(
-                vectors_after[n_old:], vectors_after, sq, p, None
+                vectors_after[n_old:], vectors_after, sq, p
             ),
             dtype=float,
         ).copy()
@@ -487,7 +485,7 @@ class ProximityGraph:
             chunk = repair[lo : lo + _BUILD_CHUNK]
             block = np.asarray(
                 backend.distance_block(
-                    vectors_after[chunk], vectors_after, sq, p, None
+                    vectors_after[chunk], vectors_after, sq, p
                 ),
                 dtype=float,
             ).copy()

@@ -3,15 +3,15 @@
 The paper's promise is that a handful of dimension features answers a
 top-k dissimilarity query without touching most of the database.  The
 sharded :class:`~repro.serving.service.QueryService` realises the
-*compute* half of that promise (small distance blocks, folded constant
-columns); this module adds the *skipping* half — per-shard geometric
-summaries tight enough that most shards never compute a distance block
-at all:
+*compute* half of that promise (small distance blocks); this module
+adds the *skipping* half — per-shard geometric summaries tight enough
+that most shards never compute a distance block at all:
 
 * :class:`ShardSummary` — centroid, radius, and per-dimension min/max
-  envelope of one shard's rows in embedding space, built once at shard
-  construction (and persisted in the v3 index artifact so cold starts
-  recompute nothing).
+  envelope of one shard's rows in embedding space.  Derived data, never
+  stored: :meth:`ShardSummary.from_vectors` is the only constructor, and
+  it runs where the rows are gathered (one numpy pass at shard build),
+  so a summary can only ever describe page-verified vectors.
 * :func:`shard_lower_bounds` — for a batch of query vectors, a per
   (query, shard) **lower bound** on the normalised distance to *any*
   row of the shard.  Two bounds are combined, both classical:
@@ -50,7 +50,7 @@ hammers exactly this invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +69,6 @@ __all__ = [
     "shard_centroid_distances",
     "shard_lower_bounds",
     "stack_summaries",
-    "summaries_for_blocks",
     "topk_recall",
 ]
 
@@ -179,9 +178,7 @@ class ShardSummary:
 
     ``centroid`` is the row mean, ``radius`` the largest unnormalised
     Euclidean distance of any row to it, and ``dim_min``/``dim_max``
-    the per-dimension envelope.  All are over the *full* ``p``
-    dimensions (not the shard's folded varying columns), because query
-    vectors arrive unfolded.
+    the per-dimension envelope.
     """
 
     num_rows: int
@@ -189,11 +186,6 @@ class ShardSummary:
     radius: float
     dim_min: np.ndarray
     dim_max: np.ndarray
-
-    #: Process-wide count of summaries computed from raw vectors.  The
-    #: artifact tests pin cold-start cost with it: loading an artifact
-    #: that persisted its summaries must not move this counter.
-    builds: ClassVar[int] = 0
 
     @classmethod
     def from_vectors(cls, rows: np.ndarray) -> "ShardSummary":
@@ -204,70 +196,12 @@ class ShardSummary:
         radius = float(
             np.sqrt(((rows - centroid) ** 2).sum(axis=1).max())
         )
-        ShardSummary.builds += 1
         return cls(
             num_rows=rows.shape[0],
             centroid=centroid,
             radius=radius,
             dim_min=rows.min(axis=0),
             dim_max=rows.max(axis=0),
-        )
-
-    # ------------------------------------------------------------------
-    # artifact persistence
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict:
-        return {
-            "num_rows": int(self.num_rows),
-            "centroid": [float(v) for v in self.centroid],
-            "radius": float(self.radius),
-            "dim_min": [float(v) for v in self.dim_min],
-            "dim_max": [float(v) for v in self.dim_max],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict, dimensionality: int) -> "ShardSummary":
-        """Restore a persisted summary, rejecting incoherent geometry.
-
-        An over-tight summary (shrunken radius, inverted envelope)
-        would make exact mode silently prune shards that hold true
-        answers, so beyond the shape check the structural invariants
-        any genuine summary satisfies are enforced: a finite
-        non-negative radius, an ordered envelope, and a centroid (the
-        row mean) inside it.
-        """
-        centroid = np.asarray(payload["centroid"], dtype=float)
-        dim_min = np.asarray(payload["dim_min"], dtype=float)
-        dim_max = np.asarray(payload["dim_max"], dtype=float)
-        if not (
-            centroid.shape == dim_min.shape == dim_max.shape
-            == (dimensionality,)
-        ):
-            raise QueryError(
-                "shard summary does not match the index dimensionality"
-            )
-        radius = float(payload["radius"])
-        num_rows = int(payload["num_rows"])
-        if num_rows < 1 or not np.isfinite(radius) or radius < 0:
-            raise QueryError("shard summary has incoherent size/radius")
-        # The centroid is the row mean, so it lies inside the envelope —
-        # up to the mean's own summation rounding on non-integer data.
-        tol = 1e-9 * (1.0 + np.abs(centroid))
-        if not (
-            np.isfinite(centroid).all()
-            and np.isfinite(dim_min).all()
-            and np.isfinite(dim_max).all()
-            and (dim_min <= dim_max).all()
-            and (dim_min - tol <= centroid).all()
-            and (centroid <= dim_max + tol).all()
-        ):
-            raise QueryError("shard summary has incoherent geometry")
-        return cls(
-            num_rows=num_rows,
-            centroid=centroid,
-            radius=radius,
-            dim_min=dim_min,
-            dim_max=dim_max,
         )
 
 
@@ -506,30 +440,3 @@ def topk_recall(truth, answer) -> float:
     if not reference:
         return 1.0
     return len(reference & set(answer.ranking)) / len(reference)
-
-
-def summaries_for_blocks(
-    mapping, blocks: Sequence[np.ndarray]
-) -> List[ShardSummary]:
-    """Summaries for an explicit shard layout, via the mapping's cache.
-
-    The cache key is the layout itself (sorted row ids per block), so a
-    service rebuilt with the same shard count — or a DSPMap router over
-    the same partitions — reuses one set of summaries, and the index
-    artifact can persist them for zero-recompute cold starts.
-    """
-    key = tuple(
-        tuple(int(i) for i in sorted(int(j) for j in block))
-        for block in blocks
-    )
-    cached = mapping.shard_summaries_for(key)
-    if cached is not None:
-        return list(cached)
-    summaries = [
-        ShardSummary.from_vectors(
-            mapping.database_vectors[np.asarray(block_key, dtype=np.int64)]
-        )
-        for block_key in key
-    ]
-    mapping.store_shard_summaries(key, summaries)
-    return summaries

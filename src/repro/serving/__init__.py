@@ -14,8 +14,8 @@ serve``).
 
 :class:`Router` scales that horizontally (``repro-graphdim
 serve-router``): one coordinator speaking the same NDJSON protocol over
-N replicas, with content-aware placement from the shared shard
-summaries, cluster-wide tenant quotas, read-your-writes generation
+N replicas, with content-aware placement from shard-summary
+geometry, cluster-wide tenant quotas, read-your-writes generation
 floors after routed updates, and backpressure folded from every
 replica's queue depth and measured drain rate.
 """

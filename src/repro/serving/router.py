@@ -10,9 +10,9 @@ describes its own queue.  :class:`Router` restores all three while
 speaking the *same* NDJSON protocol as a single server, so clients
 cannot tell the difference:
 
-* **Content-aware placement.**  Queries are routed by the shared shard
-  summaries machinery (the same centroid geometry ``DSPMap.
-  route_queries`` and approx mode use): the query's zero-VF2
+* **Content-aware placement.**  Queries are routed by shard-summary
+  geometry (the same centroids ``DSPMap.route_queries`` and approx mode
+  use, derived from each block's rows): the query's zero-VF2
   :meth:`~repro.query.engine.QueryEngine.filter_mask` — an upper bound
   on φ(q) costing no isomorphism calls — is matched against per-replica
   block centroids, so structurally similar queries land on the same
@@ -76,6 +76,12 @@ __all__ = [
     "TcpReplica",
     "spawn_replica",
 ]
+
+#: The ops a router serves itself.  ``maintain`` is a replica-local op:
+#: fanning it out would let each replica re-select on its own and
+#: desynchronise the update-log replay, which indexes the log by
+#: replica generation.
+ROUTER_OPS = tuple(op for op in protocol.OPS if op != "maintain")
 
 
 @dataclass
@@ -430,12 +436,11 @@ async def spawn_replica(
 
 
 class ContentPlacer:
-    """Replica affinity from the shared shard-summary geometry.
+    """Replica affinity from shard-summary geometry.
 
     The mapping's database rows are split into one contiguous block per
-    replica; each block's :class:`~repro.query.pruning.ShardSummary`
-    comes from the mapping's layout-keyed summary cache (shared with
-    the service's shards and the artifact), stacked once for BLAS.  Per
+    replica; each block's :class:`~repro.query.pruning.ShardSummary` is
+    derived from its rows here, stacked once for BLAS.  Per
     query, the zero-VF2 filter mask stands in for φ(q) — an entrywise
     upper bound costing no isomorphism calls — and the block with the
     nearest centroid wins.  A small LRU keyed on the query's structural
@@ -446,9 +451,10 @@ class ContentPlacer:
     def __init__(
         self, mapping, n_blocks: int, cache_size: int = 4096
     ) -> None:
-        from repro.query.pruning import stack_summaries, summaries_for_blocks
+        from repro.query.pruning import ShardSummary, stack_summaries
 
-        n = int(mapping.database_vectors.shape[0])
+        vectors = mapping.database_vectors
+        n = int(vectors.shape[0])
         if n < 1 or n_blocks < 1:
             raise ValueError("ContentPlacer needs a non-empty database")
         blocks = [
@@ -456,7 +462,9 @@ class ContentPlacer:
             if len(b)
         ]
         self.n_blocks = len(blocks)
-        self._stack = stack_summaries(summaries_for_blocks(mapping, blocks))
+        self._stack = stack_summaries(
+            [ShardSummary.from_vectors(vectors[b]) for b in blocks]
+        )
         self._engine = mapping.query_engine()
         self._cache: "OrderedDict[Tuple, int]" = OrderedDict()
         self._cache_size = int(cache_size)
@@ -1006,6 +1014,10 @@ class Router:
             if op == "shutdown":
                 self.begin_drain()
                 return protocol.ok_response(request_id, draining=True)
+            raise ProtocolError(
+                f"op {op!r} is not served by the router "
+                f"(it serves {', '.join(ROUTER_OPS)})"
+            )
         except ProtocolError as exc:
             self.stats.bad_requests += 1
             return protocol.error_response(
@@ -1019,7 +1031,6 @@ class Router:
             return protocol.error_response(
                 request_id, "internal", f"ReplicaError: {exc}"
             )
-        raise AssertionError(f"unhandled op {op!r}")  # pragma: no cover
 
     def stats_payload(self) -> Dict:
         return {

@@ -11,11 +11,10 @@ result bit:
   blocks).  Each shard task computes its local distance block and local
   top-k; a merge step re-ranks the shard candidates with the same
   ``(distance, index)`` tie-breaking as :func:`rank_with_ties`, so the
-  merged answer equals the single-shard scan exactly.  Within a shard,
-  columns that are *constant* across the shard's rows (common when
-  shards follow DSPMap's similarity partitions) are folded into one
-  per-query scalar, shrinking the distance block to the shard's varying
-  columns — exact, because all terms are small integers in float64.
+  merged answer equals the single-shard scan exactly.  A shard is
+  exactly its rows: the full-width block gathered once at shard build,
+  its squared norms, and the :class:`~repro.query.pruning.ShardSummary`
+  derived from that same block.
 * **Workers.**  Shard tasks run on a thread pool (the distance blocks
   are BLAS calls, which release the GIL).  The VF2 embedding stage is
   pure Python, so it is fanned out to *forked worker processes* instead;
@@ -59,7 +58,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -131,23 +130,20 @@ def _embed_chunk(
 
 @dataclass
 class Shard:
-    """One database shard's precomputed distance-block inputs.
+    """One database shard: its rows and what is derived from them.
 
-    ``indices`` are global row ids.  Columns constant across the shard
-    (``constant`` with values ``constant_values``) contribute one scalar
-    per query; only ``varying`` columns enter the BLAS block.
+    ``indices`` are ascending global row ids, ``vectors`` the full-width
+    block ``database_vectors[indices]`` (gathered once, at shard build),
+    ``sq_norms`` its row norms and ``summary`` the geometry
+    (centroid/radius/envelope) the shard-skipping bounds read — always
+    :meth:`ShardSummary.from_vectors` of ``vectors``, reused by identity
+    when a live update only renumbers this shard's rows.
     """
 
     indices: np.ndarray
-    varying: np.ndarray
-    constant: np.ndarray
-    constant_values: np.ndarray
     vectors: np.ndarray
     sq_norms: np.ndarray
-    #: Full-space geometry (centroid/radius/envelope) the shard-skipping
-    #: bounds read; reused untouched when a live update only renumbers
-    #: this shard's rows.
-    summary: ShardSummary = None
+    summary: ShardSummary
 
     @property
     def num_rows(self) -> int:
@@ -162,9 +158,6 @@ class ServiceStats:
     (0 with the cache disabled).  ``cache_hits`` counts every embedding
     served without VF2 work — cross-batch cache lookups *and* in-batch
     duplicates, which dedup even when the cache is off.
-    ``shard_seconds`` accumulates the wall-clock of every shard
-    distance task — with the thread pool enabled it can exceed
-    ``search_seconds`` (tasks overlap).
     """
 
     batches: int = 0
@@ -177,7 +170,6 @@ class ServiceStats:
     shard_tasks: int = 0
     embed_seconds: float = 0.0
     search_seconds: float = 0.0
-    shard_seconds: float = 0.0
     updates: int = 0
     shards_rebuilt: int = 0
     #: Maintenance counters: re-selections swapped in by
@@ -281,27 +273,9 @@ class QueryService:
                 raise ValueError(
                     "shards must partition the database rows exactly once"
                 )
-        blocks = [
-            np.asarray(sorted(int(i) for i in block), dtype=np.int64)
-            for block in assignment
-            if len(block)
-        ]
-        # Summaries come from the mapping's layout-keyed cache: a
-        # reloaded artifact that persisted them cold-starts without
-        # recomputing a single one (counter-enforced by the tests).  On
-        # a miss, _build_shard derives each summary from the row slice
-        # it gathers anyway — one copy per shard, not two — and the
-        # fresh set is stored for the next service/save.
-        layout_key = tuple(tuple(int(i) for i in block) for block in blocks)
-        cached = self.mapping.shard_summaries_for(layout_key)
         self.shards: List[Shard] = [
-            self._build_shard(block, cached[bi] if cached else None)
-            for bi, block in enumerate(blocks)
+            self._build_shard(block) for block in assignment if len(block)
         ]
-        if cached is None:
-            self.mapping.store_shard_summaries(
-                layout_key, [shard.summary for shard in self.shards]
-            )
         # Stacked once per shard-list generation; snapshotted together
         # with the shard list so per-batch bound checks never re-stack.
         self._summary_stack = stack_summaries(
@@ -330,23 +304,16 @@ class QueryService:
     # ------------------------------------------------------------------
     # shard construction
     # ------------------------------------------------------------------
-    def _build_shard(
-        self, block: np.ndarray, summary: Optional[ShardSummary] = None
-    ) -> Shard:
-        indices = np.asarray(sorted(int(i) for i in block), dtype=np.int64)
+    def _build_shard(self, block: np.ndarray) -> Shard:
+        indices = np.sort(np.asarray(block, dtype=np.int64))
+        # The one gather: this block is the shard's distance operand and
+        # the rows its summary is derived from.
         rows = self.mapping.database_vectors[indices]
-        constant_mask = (rows == rows[0]).all(axis=0)
-        varying = np.flatnonzero(~constant_mask)
-        constant = np.flatnonzero(constant_mask)
-        block_vectors = np.ascontiguousarray(rows[:, varying])
         return Shard(
             indices=indices,
-            varying=varying,
-            constant=constant,
-            constant_values=rows[0, constant].copy(),
-            vectors=block_vectors,
-            sq_norms=(block_vectors**2).sum(axis=1),
-            summary=summary or ShardSummary.from_vectors(rows),
+            vectors=rows,
+            sq_norms=(rows**2).sum(axis=1),
+            summary=ShardSummary.from_vectors(rows),
         )
 
     def _require_in_sync(self) -> None:
@@ -360,22 +327,11 @@ class QueryService:
                 "mapping directly"
             )
 
-    def _store_summaries(self, shards: List[Shard]) -> None:
-        """Cache *shards*' summaries under their layout, for save_index."""
-        self.mapping.store_shard_summaries(
-            tuple(tuple(int(i) for i in s.indices) for s in shards),
-            [s.summary for s in shards],
-        )
-
     def _install_shards(
         self, new_shards: List[Shard], selection_changed: bool
     ) -> None:
         """Swap *new_shards* in as the next index generation: everything
         a batch snapshots changes together, under the swap lock."""
-        # The mutation cleared the mapping's summary cache (row
-        # geometry changed); re-store the maintained summaries under
-        # the new layout so the next save_index persists them.
-        self._store_summaries(new_shards)
         engine = self.mapping.query_engine()
         new_stack = stack_summaries([s.summary for s in new_shards])
         selection = tuple(self.mapping.selected)
@@ -424,8 +380,8 @@ class QueryService:
         staleness policy applies.
 
         Only the *affected* shards are rebuilt: shards that lost rows
-        (their constant-column folding may change) and the single —
-        currently smallest — shard that absorbs the added rows.
+        and the single — currently smallest — shard that absorbs the
+        added rows.
         Untouched shards are renumbered without recomputing anything.
         The new shard list is swapped in atomically under the swap
         lock, so concurrent batches see either the old database or the
@@ -505,21 +461,11 @@ class QueryService:
                 new_shards.append(self._build_shard(ids))
                 rebuilt += 1
             else:
-                # Row data unchanged — reuse the folded block (and the
-                # shard summary: same rows, same geometry), relabel the
+                # Row data unchanged — reuse the block, its norms and
+                # its summary (same rows, same geometry), relabel the
                 # global ids.  A fresh Shard object keeps in-flight
                 # snapshots of the old list self-consistent.
-                new_shards.append(
-                    Shard(
-                        indices=shifted,
-                        varying=shard.varying,
-                        constant=shard.constant,
-                        constant_values=shard.constant_values,
-                        vectors=shard.vectors,
-                        sq_norms=shard.sq_norms,
-                        summary=shard.summary,
-                    )
-                )
+                new_shards.append(replace(shard, indices=shifted))
 
         self._install_shards(new_shards, selection_changed)
         self.stats.updates += 1
@@ -591,10 +537,8 @@ class QueryService:
         pruning bounds, so maintenance recomputes each one and swaps in
         any that differ (both the drifted and the fresh summary are
         valid for the same rows, so a concurrent batch reading either
-        stays exact).  The layout is re-stored in the mapping's summary
-        cache either way, so the next ``save_index`` persists it even
-        after a mutation cleared the cache.  Returns the number of
-        summaries that actually changed.
+        stays exact).  Returns the number of summaries that actually
+        changed.
         """
         with self._swap_lock:
             shards = list(self.shards)
@@ -620,10 +564,6 @@ class QueryService:
                 self._summary_stack = stack_summaries(
                     [s.summary for s in self.shards]
                 )
-        if current:
-            # Only re-store when the snapshot is still the serving
-            # layout — a concurrent update mid-refresh owns the cache.
-            self._store_summaries(shards)
         self.stats.summaries_refreshed += refreshed
         return refreshed
 
@@ -782,22 +722,11 @@ class QueryService:
         """Local top-k of every query against one shard's rows, as one
         ``(global ids, scores)`` pair of ``[nq, min(k, rows)]`` arrays.
 
-        Exact: folding the shard-constant columns into a per-query
-        offset re-associates an integer sum, which float64 represents
-        exactly, so every distance equals the full-row computation bit
-        for bit — on any kernel backend (the parity tier enforces it).
         ``shard.indices`` ascend, so the block's ascending-column
         tie-break is the ascending-database-index one.
         """
-        p = vectors.shape[1]
-        left = vectors[:, shard.varying]
-        offsets = None
-        if len(shard.constant):
-            offsets = (
-                (vectors[:, shard.constant] - shard.constant_values) ** 2
-            ).sum(axis=1)
         distances = self._kernel.distance_block(
-            left, shard.vectors, shard.sq_norms, p, offsets
+            vectors, shard.vectors, shard.sq_norms, vectors.shape[1]
         )
         cols, scores = rank_block(distances, k)
         return shard.indices[cols], scores
@@ -988,32 +917,28 @@ class QueryService:
             rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
 
         def run(si: int, qs: np.ndarray):
-            """One group's block — a shard task — and its wall-clock."""
+            """One group's block — a shard task."""
             # A whole-batch group needs no gather: query ids ascend.
             left = vectors if qs.size == nq else vectors[qs]
-            start = time.perf_counter()
-            out = self._shard_topk(shards[si], left, k)
-            return out, time.perf_counter() - start
+            return self._shard_topk(shards[si], left, k)
 
         visited = np.zeros(nq, dtype=np.int64)  # shards per query
         scored = np.zeros(ns, dtype=np.int64)  # queries per shard
-        shard_tasks, shard_seconds = 0, 0.0
+        shard_tasks = 0
         for groups in rounds:
             if parallel and len(groups) > 1:
                 pool = self._ensure_shard_pool()
                 futures = [pool.submit(run, si, qs) for si, qs in groups]
-                timed = [future.result() for future in futures]
+                blocks = [future.result() for future in futures]
             else:
-                timed = [run(si, qs) for si, qs in groups]
-            for (si, qs), (out, seconds) in zip(groups, timed):
+                blocks = [run(si, qs) for si, qs in groups]
+            for (si, qs), out in zip(groups, blocks):
                 best.absorb(qs, *out)
                 visited[qs] += 1
                 scored[si] += qs.size
-                shard_seconds += seconds
             shard_tasks += len(groups)
         shards_skipped = ns - int(np.count_nonzero(scored))
         self.stats.shard_tasks += shard_tasks
-        self.stats.shard_seconds += shard_seconds
         self.stats.shards_skipped += shards_skipped
         self.stats.bound_checks += int(checks.sum())
         self.stats.distance_evaluations += int(scored @ rows)
@@ -1099,18 +1024,6 @@ class QueryService:
             queries, k, policy
         )
         return result
-
-    def batch_query_tagged(
-        self,
-        queries: Sequence[LabeledGraph],
-        k: int,
-        policy: Optional[SearchPolicy] = None,
-    ) -> Tuple[BatchQueryResult, int]:
-        """:meth:`batch_query` plus the index generation it ran against."""
-        result, generation, _trace = self.batch_query_traced(
-            queries, k, policy
-        )
-        return result, generation
 
     def batch_query_traced(
         self,

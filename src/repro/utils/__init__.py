@@ -1,14 +1,11 @@
-"""Shared utilities: deterministic RNG handling, timing, and validation."""
+"""Shared utilities: deterministic RNG handling and validation."""
 
 from repro.utils.errors import GraphDimensionError, InvalidGraphError, MiningError
 from repro.utils.rng import ensure_rng
-from repro.utils.timing import Stopwatch, timed
 
 __all__ = [
     "GraphDimensionError",
     "InvalidGraphError",
     "MiningError",
     "ensure_rng",
-    "Stopwatch",
-    "timed",
 ]

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -122,6 +123,45 @@ class TestMain:
         assert "error" in capsys.readouterr().err
 
 
+def _stdio_session(tmp_path, verb, requests):
+    """Pipe *requests* through ``python -m repro.cli <verb> --index ...``
+    over a small chemical index; returns the finished process, the
+    mapping behind the index and the query graph of the session."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.core.mapping import build_mapping
+    from repro.datasets import chemical_database, chemical_query_set
+    from repro.index import save_index
+    from repro.serving.protocol import graph_to_wire
+
+    db = chemical_database(14, seed=0)
+    mapping = build_mapping(
+        db, num_features=5, min_support=0.3, max_pattern_edges=2
+    )
+    idx = tmp_path / "index.json"
+    save_index(mapping, idx)
+    q = chemical_query_set(1, seed=5)[0]
+    session = "".join(
+        json.dumps(
+            {**request, "graph": graph_to_wire(q)}
+            if request["op"] == "query" else request
+        ) + "\n"
+        for request in requests
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *verb, "--index", str(idx)],
+        input=session, capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    return proc, mapping, q
+
+
 class TestServeVerb:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -160,37 +200,11 @@ class TestServeVerb:
 
     def test_serve_stdio_session_subprocess(self, tmp_path):
         """A full NDJSON session through the real CLI entry point."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        from repro.core.mapping import build_mapping
-        from repro.datasets import chemical_database, chemical_query_set
-        from repro.index import save_index
-        from repro.serving.protocol import graph_to_wire
-
-        db = chemical_database(14, seed=0)
-        mapping = build_mapping(
-            db, num_features=5, min_support=0.3, max_pattern_edges=2
-        )
-        idx = tmp_path / "index.json"
-        save_index(mapping, idx)
-        q = chemical_query_set(1, seed=5)[0]
-        session = "\n".join([
-            json.dumps({"op": "query", "id": 1, "k": 3,
-                        "graph": graph_to_wire(q)}),
-            json.dumps({"op": "stats", "id": 2}),
-            json.dumps({"op": "shutdown", "id": 3}),
-        ]) + "\n"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "serve", "--index", str(idx)],
-            input=session, capture_output=True, text=True, env=env,
-            timeout=120,
-        )
+        proc, mapping, q = _stdio_session(tmp_path, ["serve"], [
+            {"op": "query", "id": 1, "k": 3},
+            {"op": "stats", "id": 2},
+            {"op": "shutdown", "id": 3},
+        ])
         assert proc.returncode == 0, proc.stderr
         responses = [json.loads(line) for line in proc.stdout.splitlines()]
         assert [r["id"] for r in responses] == [1, 2, 3]
@@ -200,6 +214,65 @@ class TestServeVerb:
         assert responses[1]["frontend"]["completed"] == 1
         assert responses[2]["draining"]
         assert "drained and shut down" in proc.stderr
+
+
+class TestServeRouterVerb:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--spawn", "1", "--no-stdio"], "--no-stdio requires --tcp"),
+            (["--spawn", "1", "--replicas", "127.0.0.1:9"],
+             "pass exactly one of --replicas or --spawn"),
+            ([], "pass exactly one of --replicas or --spawn"),
+            (["--spawn", "1", "--tcp", "nonsense"],
+             "--tcp expects HOST:PORT, got 'nonsense'"),
+            (["--replicas", "127.0.0.1:x"],
+             "--replicas expects HOST:PORT, got '127.0.0.1:x'"),
+        ],
+        ids=[
+            "no-stdio-without-tcp", "replicas-and-spawn",
+            "neither-replicas-nor-spawn", "malformed-tcp",
+            "malformed-replicas",
+        ],
+    )
+    def test_argument_errors_exit_2(self, argv, message, capsys):
+        assert main(["serve-router", *argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_spawned_stdio_session_subprocess(self, tmp_path):
+        """ping / query / maintain / stats / shutdown through the real
+        entry point, over one spawned ``serve`` child."""
+        proc, mapping, q = _stdio_session(
+            tmp_path, ["serve-router", "--spawn", "1"], [
+                {"op": "ping", "id": 1},
+                {"op": "query", "id": 2, "k": 3},
+                {"op": "maintain", "id": 3},
+                {"op": "stats", "id": 4},
+                {"op": "shutdown", "id": 5},
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        responses = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["id"] for r in responses] == [1, 2, 3, 4, 5]
+        assert [r["ok"] for r in responses] == [True, True, False, True, True]
+        truth = mapping.query_engine().query(q, 3)
+        assert responses[1]["ranking"] == truth.ranking
+        assert responses[1]["scores"] == truth.scores
+        assert responses[1]["replica"] == "replica-0"
+        assert responses[2]["error"] == "bad_request"
+        assert responses[3]["router"]["completed"] == 1
+        assert responses[3]["router"]["bad_requests"] == 1
+        assert responses[4]["draining"]
+        assert "drained and shut down" in proc.stderr
+        # The router owns the child it spawned: gone before it exits.
+        spawned = [
+            line for line in proc.stderr.splitlines()
+            if line.startswith("spawned replica-0 on 127.0.0.1:")
+        ]
+        assert len(spawned) == 1
+        port = int(spawned[0].rpartition(":")[2])
+        with socket.socket() as probe:
+            assert probe.connect_ex(("127.0.0.1", port)) != 0
 
 
 class TestAutoCompactOption:

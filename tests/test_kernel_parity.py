@@ -75,19 +75,6 @@ class TestRawKernels:
         assert np.array_equal(np.asarray(out), baseline)
 
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_distance_block_with_offsets_bit_identical(self, name, raw_arrays):
-        vectors, queries = raw_arrays
-        sq = (vectors**2).sum(axis=1)
-        offsets = np.linspace(0.0, 0.5, queries.shape[0])
-        baseline = resolve_backend("numpy").distance_block(
-            queries, vectors, sq, vectors.shape[1], offsets=offsets
-        )
-        out = resolve_backend(name).distance_block(
-            queries, vectors, sq, vectors.shape[1], offsets=offsets
-        )
-        assert np.array_equal(np.asarray(out), baseline)
-
-    @pytest.mark.parametrize("name", BACKENDS)
     def test_bound_block_within_pruning_slack(self, name, vector_setup):
         from repro.query.pruning import ShardSummary, stack_summaries
 

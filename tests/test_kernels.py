@@ -22,11 +22,9 @@ from repro.isomorphism.vf2 import (
 from repro.kernels import (
     DEFAULT_BACKEND,
     KERNEL_ENV_VAR,
-    KernelConfig,
     PatternFilterStats,
     active_backend,
     available_backends,
-    backend_name,
     register_backend,
     resolve_backend,
     use_backend,
@@ -85,18 +83,6 @@ class TestRegistry:
             with use_backend(DEFAULT_BACKEND):
                 assert active_backend() is resolve_backend(DEFAULT_BACKEND)
             assert active_backend() is resolve_backend("reference")
-
-    def test_kernel_config_resolution(self):
-        assert KernelConfig("reference").resolve() is resolve_backend(
-            "reference"
-        )
-        with use_backend("reference"):
-            assert KernelConfig().resolve() is resolve_backend("reference")
-
-    def test_backend_name_round_trip(self):
-        for name in available_backends():
-            assert backend_name(resolve_backend(name)) == name
-        assert backend_name(object()) == "?"
 
     def test_register_backend_validates_interface(self):
         class Partial:

@@ -6,8 +6,8 @@ tests pin that identity across shard counts, shard modes, tie-heavy
 workloads, and post-``apply_update`` states, with skip counters proving
 shards actually get skipped on clustered data (a pruning tier that
 never prunes would pass a pure identity suite).  Approx mode, the
-artifact summary lifecycle, DSPMap routing, and the wire protocol's
-``search``/``pruning`` fields are covered alongside.
+summaries' absence from the artifact, DSPMap routing, and the wire
+protocol's ``search``/``pruning`` fields are covered alongside.
 """
 
 import dataclasses
@@ -22,21 +22,19 @@ from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.graph.labeled_graph import LabeledGraph
-from repro.index import load_index, save_index
+from repro.index import journal_path, load_index, save_index
 from repro.mining import mine_frequent_subgraphs
 from repro.query.pruning import (
     PruningTrace,
     SearchPolicy,
     ShardSummary,
     shard_lower_bounds,
-    summaries_for_blocks,
     topk_recall,
 )
 from repro.serving import protocol
 from repro.serving.frontend import AsyncFrontend, FrontendConfig
 from repro.serving.service import QueryService
 from repro.utils.errors import (
-    ArtifactCorruptError,
     ProtocolError,
     QueryError,
     SelectionError,
@@ -161,31 +159,6 @@ class TestSearchPolicy:
 
 
 class TestShardSummary:
-    def test_payload_round_trip(self, clustered):
-        _db, _queries, mapping, blocks = clustered
-        summary = ShardSummary.from_vectors(
-            mapping.database_vectors[blocks[0]]
-        )
-        restored = ShardSummary.from_payload(
-            json.loads(json.dumps(summary.to_payload())),
-            mapping.dimensionality,
-        )
-        assert restored.num_rows == summary.num_rows
-        assert restored.radius == summary.radius
-        assert np.array_equal(restored.centroid, summary.centroid)
-        assert np.array_equal(restored.dim_min, summary.dim_min)
-        assert np.array_equal(restored.dim_max, summary.dim_max)
-
-    def test_payload_dimension_mismatch_rejected(self, clustered):
-        _db, _queries, mapping, blocks = clustered
-        summary = ShardSummary.from_vectors(
-            mapping.database_vectors[blocks[0]]
-        )
-        with pytest.raises(QueryError, match="dimensionality"):
-            ShardSummary.from_payload(
-                summary.to_payload(), mapping.dimensionality + 1
-            )
-
     def test_bounds_never_exceed_true_minimum(self, clustered):
         """The load-bearing invariant, on real mined embeddings (the
         hypothesis suite fuzzes it on adversarial vectors)."""
@@ -193,7 +166,10 @@ class TestShardSummary:
         engine = mapping.query_engine()
         queries = [q for qs in per_cluster_queries for q in qs]
         vectors = engine.embed_many(queries)
-        summaries = summaries_for_blocks(mapping, blocks)
+        summaries = [
+            ShardSummary.from_vectors(mapping.database_vectors[block])
+            for block in blocks
+        ]
         bounds, _centroid_d = shard_lower_bounds(
             vectors, summaries, mapping.dimensionality
         )
@@ -649,158 +625,133 @@ class TestDSPMapRouting:
             solver.route_queries(mapping, np.zeros((1, 4)), 0)
 
 
+def _parent_summaries_section(mapping, blocks, seq=0):
+    """A ``shard_summaries`` manifest section exactly as the build
+    before this one wrote it (that writer is gone; manifests it wrote
+    are not)."""
+    from repro.index.artifact import _entry_digest
+
+    summaries = [
+        ShardSummary.from_vectors(mapping.database_vectors[block])
+        for block in blocks
+    ]
+    section = {
+        "seq": seq,
+        "layouts": [{
+            "blocks": [[int(i) for i in block] for block in blocks],
+            "summaries": [
+                {
+                    "num_rows": s.num_rows,
+                    "centroid": s.centroid.tolist(),
+                    "radius": s.radius,
+                    "dim_min": s.dim_min.tolist(),
+                    "dim_max": s.dim_max.tolist(),
+                }
+                for s in summaries
+            ],
+        }],
+    }
+    section["sha256"] = _entry_digest(section)
+    return section
+
+
 class TestArtifactSummaries:
-    def test_summaries_persist_and_cold_start_without_rebuilds(
-        self, tmp_path, clustered
-    ):
-        _db, per_cluster_queries, _mapping, _blocks = clustered
-        _db2, queries2, mapping, blocks = make_clustered()
+    """Summaries are derived where the rows are gathered: the artifact
+    neither carries them nor reads a copy an older build left behind."""
+
+    POLICIES = (
+        SearchPolicy(),
+        SearchPolicy(mode="approx", nprobe=1),
+        SearchPolicy(mode="approx", nprobe="auto"),
+    )
+
+    def _served(self, path, blocks, queries, mmap):
         with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
+            load_index(path, mmap=mmap), shards=blocks, n_workers=0
         ) as service:
-            reference = service.batch_query(queries2[0], 5)
-        path = tmp_path / "index.json"
-        save_index(mapping, path)
-        manifest = json.loads(path.read_text())
-        assert manifest["shard_summaries"]["seq"] == 0
-        assert len(manifest["shard_summaries"]["layouts"]) >= 1
-
-        loaded = load_index(path)
-        builds_before = ShardSummary.builds
-        with QueryService(
-            loaded.query_engine(), shards=blocks, n_workers=0
-        ) as service:
-            # Cold start pays zero summary recomputation ...
-            assert ShardSummary.builds == builds_before
-            # ... and serves the same bits.
-            _assert_identical(
-                reference, service.batch_query(queries2[0], 5)
-            )
-
-    def test_pre_summary_artifacts_load_and_backfill_on_save(
-        self, tmp_path
-    ):
-        """A v3 manifest written before this PR has no summaries: it
-        must load, compute lazily once, and persist on the next save."""
-        _db, queries, mapping, blocks = make_clustered()
-        path = tmp_path / "index.json"
-        save_index(mapping, path)
-        manifest = json.loads(path.read_text())
-        manifest.pop("shard_summaries", None)
-        path.write_text(json.dumps(manifest))
-
-        loaded = load_index(path)
-        assert loaded.shard_summary_cache == {}
-        builds_before = ShardSummary.builds
-        with QueryService(
-            loaded.query_engine(), shards=blocks, n_workers=0
-        ) as service:
-            service.batch_query(queries[0], 5)
-        assert ShardSummary.builds > builds_before  # computed lazily once
-        save_index(loaded, path)  # no mutations: a pure delta-path save
-        manifest = json.loads(path.read_text())
-        assert "shard_summaries" in manifest
-
-        reloaded = load_index(path)
-        builds_before = ShardSummary.builds
-        with QueryService(
-            reloaded.query_engine(), shards=blocks, n_workers=0
-        ) as service:
-            assert ShardSummary.builds == builds_before
-
-    def test_summaries_follow_updates_through_the_journal(self, tmp_path):
-        _db, queries, mapping, blocks = make_clustered()
-        path = tmp_path / "index.json"
-        service = QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
-        )
-        try:
-            save_index(mapping, path)
-            extra = [
-                offset_graph(g, NUM_LABELS)
-                for g in synthetic_query_set(
-                    2, avg_edges=14, density=0.3,
-                    num_labels=NUM_LABELS, seed=901,
+            out = []
+            for policy in self.POLICIES:
+                result, _generation, trace = service.batch_query_traced(
+                    queries, 5, policy
                 )
-            ]
-            service.apply_update(added=extra, removed=[1])
-            reference = service.batch_query(queries[1], 5)
-            save_index(mapping, path)  # delta append + summary refresh
-            manifest = json.loads(path.read_text())
-            assert manifest["shard_summaries"]["seq"] == 2  # add + remove
-        finally:
-            service.close()
+                out.append((
+                    [(r.ranking, r.scores) for r in result.results],
+                    trace.totals(),
+                ))
+            return out
 
-        loaded = load_index(path)
-        layout = next(iter(loaded.shard_summary_cache))
-        builds_before = ShardSummary.builds
-        with QueryService(
-            loaded.query_engine(),
-            shards=[np.asarray(block) for block in layout],
-            n_workers=0,
-        ) as fresh:
-            assert ShardSummary.builds == builds_before
-            _assert_identical(reference, fresh.batch_query(queries[1], 5))
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    @pytest.mark.parametrize(
+        "section", ["intact", "stale_seq", "shrunk_radius", "not_a_partition"]
+    )
+    def test_parent_written_section_cannot_influence_answers(
+        self, tmp_path, clustered, section, mmap
+    ):
+        """An intact section, one naming a journal position that never
+        was, one with a shrunken radius (which, trusted, would make
+        exact mode skip shards holding true answers) and one whose
+        blocks do not partition the database all load, and the index
+        answers exactly as the one saved without the section."""
+        _db, per_cluster_queries, mapping, blocks = clustered
+        queries = [q for qs in per_cluster_queries for q in qs]
+        clean, old = tmp_path / "clean.json", tmp_path / "old.json"
+        save_index(mapping, clean)
+        save_index(mapping, old)
+        manifest = json.loads(old.read_text())
+        assert "shard_summaries" not in manifest
+        entry = _parent_summaries_section(
+            mapping, blocks, seq=7 if section == "stale_seq" else 0
+        )
+        # Checksums left stale, as tampering leaves them.
+        if section == "shrunk_radius":
+            entry["layouts"][0]["summaries"][0]["radius"] *= 0.1
+        if section == "not_a_partition":
+            entry["layouts"][0]["blocks"] = [[0, 1]]
+        manifest["shard_summaries"] = entry
+        old.write_text(json.dumps(manifest))
+        assert self._served(old, blocks, queries, mmap) == self._served(
+            clean, blocks, queries, mmap
+        )
 
-    def test_stale_summary_seq_is_dropped_silently(self, tmp_path):
-        """An *intact* section whose seq names a different journal
-        position (a writer that appended deltas without syncing the
-        manifest) is dropped, not trusted and not fatal."""
-        from repro.index.artifact import _entry_digest
-
+    def test_save_never_writes_summaries(self, tmp_path):
+        """Building, querying, updating and self-checking a service
+        leaves nothing behind for ``save_index``: full and delta saves
+        write the bytes they write for a mapping no service ever saw."""
         _db, queries, mapping, blocks = make_clustered()
-        path = tmp_path / "index.json"
-        with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
-        ):
-            pass
-        save_index(mapping, path)
-        manifest = json.loads(path.read_text())
-        section = manifest["shard_summaries"]
-        section["seq"] = 7  # a journal that never was ...
-        del section["sha256"]
-        section["sha256"] = _entry_digest(section)  # ... but intact
-        path.write_text(json.dumps(manifest))
-        loaded = load_index(path)
-        assert loaded.shard_summary_cache == {}
+        # Same file name on both sides: the manifest names its sidecar.
+        cold, warm = tmp_path / "cold" / "i.json", tmp_path / "warm" / "i.json"
+        cold.parent.mkdir()
+        warm.parent.mkdir()
+        save_index(mapping, cold)
+        with QueryService(mapping, shards=blocks, n_workers=0) as service:
+            service.batch_query(queries[0], 5)
+            service.refresh_summaries()
+            save_index(mapping, warm)  # new path: the full-base writer
+        assert "shard_summaries" not in json.loads(warm.read_text())
+        assert warm.read_bytes() == cold.read_bytes()
 
-    def test_tampered_summary_geometry_fails_the_checksum(self, tmp_path):
-        """A shrunken radius would make exact mode silently mis-prune;
-        the section checksum turns that into a loud load failure."""
-        from repro.utils.errors import ChecksumError
-
-        _db, _queries, mapping, blocks = make_clustered()
-        path = tmp_path / "index.json"
-        with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
-        ):
-            pass
-        save_index(mapping, path)
-        manifest = json.loads(path.read_text())
-        layout = manifest["shard_summaries"]["layouts"][0]
-        layout["summaries"][0]["radius"] *= 0.1
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(ChecksumError):
-            load_index(path)
-
-    def test_corrupt_summary_section_fails_loudly(self, tmp_path):
-        from repro.index.artifact import _entry_digest
-
-        _db, _queries, mapping, blocks = make_clustered()
-        path = tmp_path / "index.json"
-        with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
-        ):
-            pass
-        save_index(mapping, path)
-        manifest = json.loads(path.read_text())
-        section = manifest["shard_summaries"]
-        section["layouts"][0]["blocks"] = [[0, 1]]  # not a partition
-        del section["sha256"]
-        section["sha256"] = _entry_digest(section)  # checksum-valid junk
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(ArtifactCorruptError):
-            load_index(path)
+        extra = [
+            offset_graph(g, NUM_LABELS)
+            for g in synthetic_query_set(
+                2, avg_edges=14, density=0.3, num_labels=NUM_LABELS, seed=901
+            )
+        ]
+        unserved, served = load_index(cold), load_index(warm)
+        unserved.remove_graphs([1])
+        unserved.add_graphs(extra)
+        save_index(unserved, cold)
+        with QueryService(served, shards=blocks, n_workers=0) as service:
+            service.batch_query(queries[1], 5)
+            service.apply_update(added=extra, removed=[1])
+            service.batch_query(queries[1], 5)
+            service.refresh_summaries()
+            save_index(served, warm)  # same artifact: the delta path
+        assert served.journal_seq == unserved.journal_seq == 2
+        assert "shard_summaries" not in json.loads(warm.read_text())
+        assert warm.read_bytes() == cold.read_bytes()
+        assert (
+            journal_path(warm).read_bytes() == journal_path(cold).read_bytes()
+        )
 
 
 class TestProtocol:

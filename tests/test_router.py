@@ -457,6 +457,36 @@ class TestStatsAndProtocol:
             assert pong["queue_depth"] == 0 and pong["draining"] is False
 
     @pytest.mark.asyncio
+    async def test_op_the_router_does_not_serve_is_a_bad_request(
+        self, materials
+    ):
+        """``maintain`` is a well-formed op (``protocol.OPS``) with no
+        router dispatch: it used to fall through to an ``AssertionError``
+        that killed the connection's dispatch task (TCP) or the process
+        (stdio).  It is answered, by the router alone — no replica sees
+        it — and the session carries on."""
+        _queries, _mapping, path = materials
+        replicas = await _started(
+            [_replica(f"r{i}", path) for i in range(2)]
+        )
+        async with Router(
+            replicas, RouterConfig(health_interval=0)
+        ) as router:
+            refused = await router.handle_line(
+                json.dumps({"op": "maintain", "id": 7})
+            )
+            assert refused["id"] == 7 and not refused["ok"]
+            assert refused["error"] == "bad_request"
+            for op in ("query", "batch", "update", "reload", "stats",
+                       "ping", "shutdown"):
+                assert op in refused["message"]
+            assert router.stats.bad_requests == 1
+            for replica in replicas:
+                assert replica.frontend.stats.maintenance_runs == 0
+            pong = await router.handle_line(json.dumps({"op": "ping", "id": 8}))
+            assert pong["ok"] and pong["id"] == 8
+
+    @pytest.mark.asyncio
     async def test_json_booleans_never_reach_a_replica(self, materials):
         """``"remove": [true]`` is ``remove=[1]`` to ``isinstance(x,
         int)``: the router parses with the frontend's function, so the

@@ -20,6 +20,7 @@ from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
 from repro.query import SearchPolicy
+from repro.query.pruning import ShardSummary
 from repro.query.topk import MappedTopKEngine
 from repro.serving import service as service_module
 from repro.serving.service import QueryService, _structural_key
@@ -352,18 +353,6 @@ class TestShardValidation:
         with pytest.raises(ValueError):
             QueryService(mapping, n_shards=0)
 
-    def test_shard_constant_folding_is_consistent(self, mapping):
-        with mapping.query_service(n_shards=5) as service:
-            p = mapping.dimensionality
-            for shard in service.shards:
-                assert len(shard.varying) + len(shard.constant) == p
-                rows = mapping.database_vectors[shard.indices]
-                if len(shard.constant):
-                    assert (
-                        rows[:, shard.constant] == shard.constant_values
-                    ).all()
-                assert np.array_equal(rows[:, shard.varying], shard.vectors)
-
 
 class TestEmbeddingCache:
     def test_repeats_hit_the_cache(self, setup, mapping):
@@ -601,6 +590,120 @@ class TestLiveUpdates:
             _assert_identical(reference, service.batch_query(queries, 5))
 
 
+def _assert_shards_are_their_rows(service):
+    """Every serving shard is exactly its rows, and everything else on
+    it is what one derivation from those rows gives."""
+    vectors = service.mapping.database_vectors
+    for shard in service.shards:
+        rows = vectors[shard.indices]
+        assert np.array_equal(shard.vectors, rows)
+        assert np.array_equal(shard.sq_norms, (rows**2).sum(axis=1))
+        fresh = ShardSummary.from_vectors(rows)
+        assert shard.summary.num_rows == fresh.num_rows == len(shard.indices)
+        assert shard.summary.radius == fresh.radius
+        for field in ("centroid", "dim_min", "dim_max"):
+            assert np.array_equal(
+                getattr(shard.summary, field), getattr(fresh, field)
+            )
+    covered = np.sort(np.concatenate([s.indices for s in service.shards]))
+    assert np.array_equal(covered, np.arange(vectors.shape[0]))
+    assert service.refresh_summaries() == 0
+
+
+class TestShardIsItsRows:
+    """A shard holds its row block and what is derived from it — after
+    construction and after every operation that swaps a shard list in."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    def test_after_construction(self, mapping, layout):
+        n = mapping.database_vectors.shape[0]
+        how = {
+            "contiguous": {"n_shards": 5},
+            "strided": {
+                "shards": [np.arange(n)[s::3][::-1] for s in range(3)]
+            },
+        }[layout]
+        with QueryService(mapping, n_workers=0, **how) as service:
+            _assert_shards_are_their_rows(service)
+
+    def test_after_updates_and_reselection(self, setup):
+        from repro.features.binary_matrix import FeatureSpace
+        from repro.mining.gspan import FrequentSubgraph
+
+        _db, queries, space = setup
+        fresh = FeatureSpace(
+            [FrequentSubgraph(f.graph, set(f.support)) for f in space.features],
+            space.n,
+        )
+        mutable = mapping_from_selection(fresh, variance_selection(fresh, 20))
+        extra = synthetic_query_set(
+            4, avg_edges=16, density=0.3, num_labels=5, seed=1234
+        )
+        with mutable.query_service(n_shards=4) as service:
+            # Rows 0 and 1 leave shard 0, the adds land in one shard; at
+            # least two shards are only renumbered and must keep their
+            # block, norms and summary by identity — nothing re-derived.
+            before = list(service.shards)
+            service.apply_update(added=extra[:2], removed=[0, 1])
+            assert service.stats.shards_rebuilt <= 2
+            kept = [
+                (old, new)
+                for old, new in zip(before, service.shards)
+                if new.vectors is old.vectors
+            ]
+            assert len(kept) >= 2
+            for old, new in kept:
+                assert new is not old
+                assert new.summary is old.summary
+                assert new.sq_norms is old.sq_norms
+                assert not np.array_equal(new.indices, old.indices)
+            _assert_shards_are_their_rows(service)
+
+            service.apply_update(removed=[5])  # rows lost only
+            _assert_shards_are_their_rows(service)
+            service.apply_update(added=extra[2:])  # rows added only
+            _assert_shards_are_their_rows(service)
+
+            def reselect(m):
+                m.selected = list(variance_selection(m.space, 18))
+                m.database_vectors = m.space.embed_database(m.selected)
+
+            assert service.apply_reselection(reselect)
+            assert service.shards[0].vectors.shape[1] == 18
+            _assert_shards_are_their_rows(service)
+            reference = mutable.query_engine().batch_query(queries, 5)
+            _assert_identical(reference, service.batch_query(queries, 5))
+
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    async def test_after_load_and_frontend_reload(
+        self, mapping, tmp_path, mmap
+    ):
+        from repro.index import load_index, save_index
+        from repro.serving.frontend import AsyncFrontend, FrontendConfig
+
+        path = tmp_path / "index.json"
+        save_index(mapping, path)
+        mapping.artifact_ref = None  # keep the module fixture pristine
+        mapping.journal_seq = 0
+        service = QueryService(
+            load_index(path, mmap=mmap), n_shards=3, n_workers=0
+        )
+        _assert_shards_are_their_rows(service)
+        frontend = AsyncFrontend(service, FrontendConfig(), own_service=True)
+        try:
+            await frontend.start()
+            response = await frontend.handle_request(
+                {"op": "reload", "id": 1, "path": str(path)}
+            )
+            assert response["ok"]
+            assert frontend.service is not service
+            assert len(frontend.service.shards) == 3
+            _assert_shards_are_their_rows(frontend.service)
+        finally:
+            await frontend.aclose()
+
+
 class TestLifecycle:
     def test_close_is_idempotent(self, setup, mapping):
         _db, queries, _space = setup
@@ -657,7 +760,7 @@ class TestLifecycle:
             service.close()
             pytest.fail("invalid shards must be rejected")
 
-    def test_shard_timings_and_cache_misses_populated(self, setup, mapping):
+    def test_shard_tasks_and_cache_misses_populated(self, setup, mapping):
         _db, queries, _space = setup
         with mapping.query_service(n_shards=3) as service:
             service.batch_query(queries[:8], 5)
@@ -666,7 +769,6 @@ class TestLifecycle:
             service.batch_query(queries[:8], 5)
             assert service.stats.cache_misses == 8
             assert service.stats.cache_hits == 8
-            assert service.stats.shard_seconds > 0
             # Computed + bound-skipped blocks account for every shard of
             # both batches (skips depend on how the random data clusters).
             assert (

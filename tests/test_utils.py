@@ -1,9 +1,9 @@
-"""Tests for the utility modules (rng, timing, errors)."""
+"""Tests for the utility modules (rng, errors)."""
 
 import numpy as np
 import pytest
 
-from repro.utils import GraphDimensionError, InvalidGraphError, Stopwatch, ensure_rng, timed
+from repro.utils import GraphDimensionError, InvalidGraphError, ensure_rng
 from repro.utils.errors import MiningError, QueryError, SelectionError
 from repro.utils.rng import spawn
 
@@ -26,28 +26,6 @@ class TestEnsureRng:
         kids_b = spawn(ensure_rng(7), 3)
         for ka, kb in zip(kids_a, kids_b):
             assert ka.integers(0, 100) == kb.integers(0, 100)
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.measure("work"):
-            sum(range(100))
-        with sw.measure("work"):
-            sum(range(100))
-        assert sw.total("work") > 0.0
-        assert sw.counts["work"] == 2
-        assert sw.mean("work") == pytest.approx(sw.total("work") / 2)
-
-    def test_unmeasured_name_zero(self):
-        sw = Stopwatch()
-        assert sw.total("nothing") == 0.0
-        assert sw.mean("nothing") == 0.0
-
-    def test_timed_returns_result_and_seconds(self):
-        result, seconds = timed(lambda x: x * 2, 21)
-        assert result == 42
-        assert seconds >= 0.0
 
 
 class TestErrorHierarchy:
