@@ -210,10 +210,14 @@ async def serve_loop(mapping, queries) -> None:
             summary["retry_after"] = response.get("retry_after")
         print(f"  <- {json.dumps(summary)}")
     stats = await frontend.handle_request({"op": "stats", "id": 99})
-    per_tenant = stats["frontend"]["per_tenant"]
-    print(f"  stats: {stats['frontend']['completed']} answered in "
-          f"{stats['frontend']['batches_dispatched']} coalesced batches; "
-          f"per-tenant {json.dumps(per_tenant)}")
+    front = stats["frontend"]
+    # One caller at a time has no company to wait for: lingers stays 0.
+    print(f"  stats: {front['completed']} answered in "
+          f"{front['batches_dispatched']} coalesced batches "
+          f"(lingers {front['lingers']}, expired "
+          f"{front['lingers_expired']}, concurrency "
+          f"{front['concurrency']}); "
+          f"per-tenant {json.dumps(front['per_tenant'])}")
     shutdown = await frontend.handle_request({"op": "shutdown", "id": 100})
     assert shutdown["draining"]
     await frontend.aclose()  # graceful drain: everything admitted answered

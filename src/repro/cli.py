@@ -596,8 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="admission queue bound, in queries")
     serve_cmd.add_argument("--batch-size", type=int, default=16,
                            help="coalescing target batch size")
-    serve_cmd.add_argument("--batch-window", type=float, default=0.002,
-                           help="coalescing linger window, seconds")
+    serve_cmd.add_argument(
+        "--batch-window", type=float, default=0.002,
+        help="longest a batch may wait for company, seconds",
+    )
     serve_cmd.add_argument(
         "--quota-rate", type=float, default=None,
         help="per-tenant sustained queries/sec (default: no quotas)",

@@ -17,9 +17,14 @@ bounded workload the service is fastest at:
   untouched — one flooder cannot starve the queue.
 * **Request coalescing.**  Admitted queries are gathered — across
   clients and tenants — into :meth:`~repro.serving.service.QueryService.
-  batch_query`-sized batches (a ``batch_window`` linger bounds the
-  added latency), so concurrent single-query clients get batched BLAS
-  and per-call overhead amortisation for free.
+  batch_query`-sized batches, so concurrent single-query clients get
+  batched BLAS and per-call overhead amortisation for free.  A batch
+  takes everything already queued and then waits for company only up to
+  the concurrency the last batch observed (how many queries were in the
+  system when it finished): a lone caller is dispatched at once, N
+  closed-loop callers are gathered N at a time, and a drop in
+  concurrency costs one ``batch_window`` — the cap no batch ever waits
+  past — once.
 * **Graceful drain.**  Shutdown stops admission (``shutting_down``
   rejections) but answers *every* admitted request before the loop
   exits — no dropped futures, no torn connections.
@@ -33,11 +38,12 @@ number of applied updates), so a client — or the concurrency soak test
 from __future__ import annotations
 
 import asyncio
+import math
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.pruning import EXACT_POLICY, SearchPolicy
@@ -68,8 +74,10 @@ class FrontendConfig:
     ``quota_burst`` defaults to ``max(quota_rate, batch_size)`` so a
     compliant tenant can always submit one full batch.  ``max_queue``
     bounds *queries* (a batch request counts its size), ``batch_window``
-    is the coalescing linger in seconds, and ``drain_timeout`` caps how
-    long :meth:`AsyncFrontend.aclose` waits for in-flight work.
+    is the longest a batch may wait for company, in seconds (how long it
+    *does* wait follows the concurrency the frontend observes: not at
+    all for a lone caller), and ``drain_timeout`` caps how long
+    :meth:`AsyncFrontend.aclose` waits for in-flight work.
     """
 
     max_queue: int = 256
@@ -121,8 +129,10 @@ class FrontendConfig:
             raise ValueError("max_tenants must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
+        if not 0 <= self.batch_window < math.inf:
+            # Also rejects nan (every comparison with it is false): a
+            # timer that never fires would hang a lone request forever.
+            raise ValueError("batch_window must be a finite number >= 0")
         if self.quota_rate is not None and self.quota_rate <= 0:
             raise ValueError("quota_rate must be positive (or None)")
         if self.quota_burst is not None and self.quota_burst < 1:
@@ -268,6 +278,11 @@ class FrontendStats:
     rejected_draining: int = 0
     bad_requests: int = 0
     batches_dispatched: int = 0  # service batch_query calls
+    lingers: int = 0            # batches that waited for company
+    lingers_expired: int = 0    # ... and ran into the batch_window cap
+    #: Queries in the system (the batch plus those queued behind it)
+    #: when the last batch finished: what the next batch waits for.
+    concurrency: int = 1
     updates_applied: int = 0
     reloads: int = 0
     maintenance_runs: int = 0    # completed maintenance passes
@@ -310,9 +325,6 @@ class _Pending:
         self.future = future
 
 
-_STOP = object()
-
-
 class AsyncFrontend:
     """The admission-controlled asyncio front door of a `QueryService`.
 
@@ -334,8 +346,13 @@ class AsyncFrontend:
         )
         self._own_service = own_service
         self._codec = self._build_codec(service)
-        self._queue: "asyncio.Queue" = asyncio.Queue()
+        self._pending: Deque[_Pending] = deque()
         self._queued_queries = 0
+        # The dispatcher's one wake-up: resolved False once
+        # ``_wake_at`` queries are queued or drain begins, True by the
+        # linger's timer.
+        self._wake: Optional["asyncio.Future[bool]"] = None
+        self._wake_at = 0
         self._quotas: Optional[TenantQuotas] = None
         if self.config.quota_rate is not None:
             self._quotas = TenantQuotas(
@@ -421,11 +438,11 @@ class AsyncFrontend:
         """Stop admission; idempotent and synchronous.
 
         Everything already admitted will still be answered; the
-        dispatcher exits once the queue (plus the stop marker) runs dry.
+        dispatcher exits once the queue runs dry.
         """
         if not self._draining:
             self._draining = True
-            self._queue.put_nowait(_STOP)
+            self._wake_dispatcher()
             self._shutdown_event.set()
 
     async def wait_shutdown(self) -> None:
@@ -580,40 +597,79 @@ class AsyncFrontend:
             policy = EXACT_POLICY
         self._admit(tenant, len(graphs))
         future: "asyncio.Future" = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(_Pending(graphs, int(k), policy, future))
+        self._pending.append(_Pending(graphs, int(k), policy, future))
+        self._wake_dispatcher()
         return await future
 
     # ------------------------------------------------------------------
     # the dispatcher: coalesce -> batch -> fan back out
     # ------------------------------------------------------------------
-    async def _collect(self) -> Tuple[List[_Pending], bool]:
-        """Gather up to ``batch_size`` queries (linger-bounded)."""
+    def _has_queued(self, target: int) -> bool:
+        """Whether the dispatcher need not wait for *target* queries:
+        they are queued, or drain has begun and no more will come.
+
+        Only meaningful between batches, when nothing is in flight and
+        ``_queued_queries`` is exactly what the deque holds.
+        """
+        return self._draining or self._queued_queries >= target
+
+    def _wake_dispatcher(self) -> None:
+        """Wake a waiting dispatcher if it now has what it waits for."""
+        wake = self._wake
+        if (
+            wake is not None
+            and not wake.done()
+            and self._has_queued(self._wake_at)
+        ):
+            wake.set_result(False)
+
+    async def _wait_queued(
+        self, target: int, cap: Optional[float] = None
+    ) -> bool:
+        """Sleep until :meth:`_has_queued` holds for *target* — with a
+        *cap*, for at most that many seconds; returns whether it fired.
+        """
         loop = asyncio.get_running_loop()
-        first = await self._queue.get()
-        if first is _STOP:
-            return [], True
-        batch, total = [first], len(first.graphs)
-        stop = False
-        deadline = loop.time() + self.config.batch_window
-        while total < self.config.batch_size:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
-            if item is _STOP:
-                stop = True
-                break
+        wake = self._wake = loop.create_future()
+        self._wake_at = target
+        timer = None
+        if cap is not None:
+            timer = loop.call_later(
+                cap, lambda: wake.done() or wake.set_result(True)
+            )
+        try:
+            return await wake
+        finally:
+            self._wake = None
+            if timer is not None:
+                timer.cancel()
+
+    async def _collect(self) -> Tuple[List[_Pending], bool]:
+        """The next batch, and whether it is the last one.
+
+        Waits (no timer) for anything to be queued, then lingers only
+        while fewer queries are queued than were in the system when the
+        last batch finished — never past ``batch_window`` — and takes
+        everything queued up to ``batch_size``, which may be more than
+        it waited for: a straggler left behind a burst would linger out
+        the whole cap alone.
+        """
+        size = self.config.batch_size
+        if not self._has_queued(1):
+            await self._wait_queued(1)
+        target = min(size, self.stats.concurrency)
+        if not self._has_queued(target):
+            self.stats.lingers += 1
+            if await self._wait_queued(target, self.config.batch_window):
+                self.stats.lingers_expired += 1
+        # The one place requests leave the deque.
+        batch: List[_Pending] = []
+        total = 0
+        while self._pending and total < size:
+            item = self._pending.popleft()
             batch.append(item)
             total += len(item.graphs)
-        return batch, stop
+        return batch, self._draining and not self._pending
 
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -632,6 +688,14 @@ class AsyncFrontend:
                     groups.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
                 ):
                     await self._run_group(loop, group, k, policy)
+                # Sampled when the batch *finishes*, not when it was
+                # collected: callers whose requests arrived while it ran
+                # and the callers it has just answered are both counted,
+                # so a closed loop that a late window once split in two
+                # is gathered whole again by the next batch.
+                self.stats.concurrency = self._queued_queries + sum(
+                    len(item.graphs) for item in batch
+                )
             if stop:
                 break
 
@@ -878,6 +942,9 @@ class AsyncFrontend:
                     self.stats.completed
                     / max(self.stats.batches_dispatched, 1)
                 ),
+                "lingers": self.stats.lingers,
+                "lingers_expired": self.stats.lingers_expired,
+                "concurrency": self.stats.concurrency,
                 "updates_applied": self.stats.updates_applied,
                 "reloads": self.stats.reloads,
                 "maintenance_runs": self.stats.maintenance_runs,

@@ -215,6 +215,32 @@ class TestServeVerb:
         assert responses[2]["draining"]
         assert "drained and shut down" in proc.stderr
 
+    def test_lone_query_does_not_wait_out_the_batch_window(self, tmp_path):
+        """``--batch-window`` caps the wait for company, and a lone
+        caller has none: the query is answered without a linger (it used
+        to sit out the whole 5 s)."""
+        proc, _mapping, _q = _stdio_session(
+            tmp_path, ["serve", "--batch-window", "5"], [
+                {"op": "query", "id": 1, "k": 3},
+                {"op": "stats", "id": 2},
+                {"op": "shutdown", "id": 3},
+            ]
+        )
+        assert proc.returncode == 0, proc.stderr
+        responses = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["ok"] for r in responses] == [True, True, True]
+        assert responses[1]["frontend"]["completed"] == 1
+        assert responses[1]["frontend"]["lingers"] == 0
+        assert responses[1]["frontend"]["lingers_expired"] == 0
+        assert responses[1]["frontend"]["concurrency"] == 1
+
+    @pytest.mark.parametrize("window", ["nan", "inf", "-1"])
+    def test_serve_rejects_unusable_batch_window(self, window, capsys):
+        assert main(["serve", "--batch-window", window]) == 2
+        err = capsys.readouterr().err
+        assert "error: batch_window must be a finite number >= 0" in err
+        assert "Traceback" not in err
+
 
 class TestServeRouterVerb:
     @pytest.mark.parametrize(

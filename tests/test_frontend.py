@@ -224,6 +224,13 @@ class TestAdmission:
         with pytest.raises(ValueError, match="quota_burst"):
             FrontendConfig(quota_rate=5.0, quota_burst=0.0)
 
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_non_finite_batch_window_rejected(self, window):
+        """``nan < 0`` is false, so both used to pass validation — and a
+        timer that never fires left a lone request unanswered forever."""
+        with pytest.raises(ValueError, match="batch_window must be a finite"):
+            FrontendConfig(batch_window=window)
+
     @pytest.mark.asyncio
     async def test_tenant_stats_table_follows_max_tenants(
         self, engine, materials
@@ -590,6 +597,237 @@ class TestCoalescing:
                 frontend.submit([queries[0]], 3), timeout=5
             )
             assert len(results) == 1  # did not wait for 63 more queries
+        finally:
+            await frontend.aclose()
+
+
+#: Seconds before a hung await fails its test.  A guard, not a
+#: measurement: the linger tests assert counters, never clocks.
+GUARD = 5
+
+
+def _record_batch_sizes(frontend):
+    """Queries per service call, in dispatch order."""
+    sizes = []
+    inner = frontend.service.batch_query_traced
+
+    def recording(graphs, k, policy=None):
+        sizes.append(len(graphs))
+        return inner(graphs, k, policy)
+
+    frontend.service.batch_query_traced = recording
+    return sizes
+
+
+class TestLingerForCompany:
+    """A batch waits for the concurrency the last one saw, not for a
+    constant: ``batch_window`` is only the cap."""
+
+    @pytest.mark.asyncio
+    async def test_lone_caller_is_dispatched_at_once(self, engine, materials):
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine, batch_size=64, batch_window=30)
+        try:
+            await frontend.start()
+            for q in queries[:2]:
+                results, _gen = await asyncio.wait_for(
+                    frontend.submit([q], 3), timeout=GUARD
+                )
+                assert len(results) == 1
+            stats = frontend.stats_payload()["frontend"]
+            assert stats["lingers"] == stats["lingers_expired"] == 0
+            assert stats["concurrency"] == 1
+            assert stats["batches_dispatched"] == 2
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    async def test_lingers_for_the_company_it_last_saw(
+        self, engine, materials
+    ):
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine, batch_size=8, batch_window=30)
+        try:
+            await frontend.start()
+            await asyncio.wait_for(
+                asyncio.gather(
+                    *(frontend.submit([q], 3) for q in queries[:4])
+                ),
+                timeout=GUARD,
+            )
+            assert frontend.stats.concurrency == 4
+            assert frontend.stats.lingers == 0
+            three = [
+                asyncio.ensure_future(frontend.submit([q], 3))
+                for q in queries[:3]
+            ]
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert frontend.stats.lingers == 1  # holding 3, waiting for 4
+            assert frontend.stats.batches_dispatched == 1
+            fourth = asyncio.ensure_future(frontend.submit([queries[3]], 3))
+            await asyncio.wait_for(
+                asyncio.gather(*three, fourth), timeout=GUARD
+            )
+            assert frontend.stats.batches_dispatched == 2
+            assert frontend.stats.lingers == 1
+            assert frontend.stats.lingers_expired == 0
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    async def test_drop_in_concurrency_costs_one_window_once(
+        self, engine, materials
+    ):
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine, batch_size=8, batch_window=0.05)
+        try:
+            await frontend.start()
+            await asyncio.gather(
+                *(frontend.submit([q], 3) for q in queries[:4])
+            )
+            assert frontend.stats.concurrency == 4
+            await asyncio.wait_for(
+                frontend.submit([queries[0]], 3), timeout=GUARD
+            )
+            assert frontend.stats.lingers == 1
+            assert frontend.stats.lingers_expired == 1
+            assert frontend.stats.concurrency == 1
+            await asyncio.wait_for(
+                frontend.submit([queries[1]], 3), timeout=GUARD
+            )
+            assert frontend.stats.lingers == 1
+            assert frontend.stats.concurrency == 1
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("late", [1, 4])
+    async def test_closed_loop_split_by_an_expired_window_re_merges(
+        self, engine, materials, late
+    ):
+        """Eight closed-loop clients; *late* of them stay away past the
+        cap once and come back together.  The count is taken when a
+        batch *finishes* — the clients it answered plus those queued
+        behind it — so both parts are seen and the next batch gathers
+        all eight again.  Taken when the batch is collected, each half
+        only ever sees itself (its peers' resends arrive while it is
+        being served) and the halves never re-merge."""
+        _db, queries, _mapping = materials
+        clients = 8
+        frontend = _frontend(engine, batch_size=16, batch_window=0.25)
+        sizes = _record_batch_sizes(frontend)
+        gate = asyncio.Event()
+        released_at = None
+
+        async def release():
+            nonlocal released_at
+            while frontend.stats.lingers_expired == 0:
+                await asyncio.sleep(0.001)
+            released_at = len(sizes)
+            gate.set()
+
+        async def client(i):
+            rounds = 0
+            while released_at is None or len(sizes) < released_at + 12:
+                await frontend.submit([queries[i]], 3)
+                rounds += 1
+                for _ in range(i % 3):  # staggered think time, loop turns
+                    await asyncio.sleep(0)
+                if i < late and rounds == 3:
+                    await gate.wait()
+
+        try:
+            await frontend.start()
+            await asyncio.wait_for(
+                asyncio.gather(release(), *(client(i) for i in range(clients))),
+                timeout=GUARD,
+            )
+            assert sizes[:3] == [clients] * 3
+            assert clients - late in sizes[3:released_at + 1]
+            # At most two batches after the late clients return (one in
+            # flight, one that re-counts), every batch is whole again.
+            assert sizes[released_at + 2:released_at + 12] == [clients] * 10
+            assert frontend.stats.lingers_expired == 1
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("primed", [1, 15])
+    async def test_burst_is_drained_not_cut_at_the_target(
+        self, engine, materials, primed
+    ):
+        """Whatever count the batch waited for, it takes everything
+        already queued: stopping at the target would leave a straggler
+        behind every burst to linger out the whole cap alone."""
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine, batch_size=16, batch_window=30)
+        sizes = _record_batch_sizes(frontend)
+        burst = [queries[i % len(queries)] for i in range(16)]
+        try:
+            await frontend.start()
+            frontend.stats.concurrency = primed
+            for _ in range(2):
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        *(frontend.submit([q], 3) for q in burst)
+                    ),
+                    timeout=GUARD,
+                )
+            assert sizes == [16, 16]
+            assert frontend.stats.lingers == 0
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    async def test_drain_wakes_a_lingering_dispatcher(
+        self, engine, materials
+    ):
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine, batch_size=8, batch_window=30)
+        try:
+            await frontend.start()
+            frontend.stats.concurrency = 4
+            pair = [
+                asyncio.ensure_future(frontend.submit([q], 3))
+                for q in queries[:2]
+            ]
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert frontend.stats.lingers == 1
+            assert frontend.stats.completed == 0
+            frontend.begin_drain()
+            await asyncio.wait_for(frontend.drain(), timeout=GUARD)
+            for future in pair:
+                results, _gen = await future
+                assert len(results) == 1
+            assert frontend.stats.admitted == frontend.stats.completed == 2
+            assert frontend.stats.lingers_expired == 0
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    async def test_oversized_batch_op_is_not_lingered(
+        self, engine, materials
+    ):
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine, batch_size=4, batch_window=30)
+        sizes = _record_batch_sizes(frontend)
+        try:
+            await frontend.start()
+            frontend.stats.concurrency = 16
+            response = await asyncio.wait_for(
+                frontend.handle_request({
+                    "op": "batch", "id": 1, "k": 3,
+                    "graphs": [
+                        protocol.graph_to_wire(q) for q in queries[:6]
+                    ],
+                }),
+                timeout=GUARD,
+            )
+            assert response["ok"] and len(response["results"]) == 6
+            assert sizes == [6]
+            assert frontend.stats.lingers == 0
         finally:
             await frontend.aclose()
 
