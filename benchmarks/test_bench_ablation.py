@@ -1,4 +1,5 @@
-"""Bench: the DESIGN.md §6 ablations (not in the paper).
+"""Bench: ablations of this implementation's design choices (not in the
+paper; listed in ``repro.experiments.exp_ablation``'s docstring).
 
 Shapes asserted:
 

@@ -1,7 +1,8 @@
 """Bench: Fig. 2 — total correlation of selected features vs p.
 
 Regenerates the sweep on both datasets.  At this reduced scale the
-paper's DSPM<Sample direction does NOT reproduce (see EXPERIMENTS.md),
+paper's DSPM<Sample direction does NOT reproduce (the deviation and its
+untested explanation are in ``repro.experiments.exp_fig2``'s docstring),
 so the assertions cover the structural properties only: totals grow with
 p, and both selectors return valid selections at every p.
 """

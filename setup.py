@@ -25,9 +25,6 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.21", "scipy>=1.7"],
     extras_require={
-        # Optional JIT compute kernels; the package runs fine without
-        # them (repro.kernels registers numba only when it imports).
-        "kernels": ["numba>=0.56"],
         "test": [
             "pytest",
             "pytest-asyncio",

@@ -25,11 +25,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.dspm import DSPM, DSPMResult
-from repro.core.mapping import DSPreservedMapping
 from repro.core.partition import partition_database
 from repro.features.binary_matrix import FeatureSpace
 from repro.graph.labeled_graph import LabeledGraph
-from repro.mining.gspan import FrequentSubgraph
 from repro.similarity.dissimilarity import DissimilarityCache
 from repro.utils.errors import SelectionError
 from repro.utils.rng import RngLike, ensure_rng
@@ -157,193 +155,6 @@ class DSPMap:
         c_bridge = self._dspm_on(np.sort(bridge), space, delta_fn)
 
         return c_left + c_right + c_bridge
-
-    # ------------------------------------------------------------------
-    # partition membership under database mutations
-    # ------------------------------------------------------------------
-    def remove_from_partitions(self, indices: Sequence[int]) -> None:
-        """Track a database removal in the partition blocks.
-
-        Mirrors :meth:`DSPreservedMapping.remove_graphs
-        <repro.core.mapping.DSPreservedMapping.remove_graphs>`: the
-        removed ids are dropped and every surviving id is shifted down
-        by the number of removed ids below it, so ``partitions_`` keeps
-        partitioning ``0..n'-1`` exactly (blocks emptied by the removal
-        disappear).  Call with the same *indices*, in the same order,
-        as the mapping mutation.
-        """
-        if not self.partitions_:
-            raise SelectionError("fit() must run before partition updates")
-        removed = np.asarray(sorted({int(i) for i in indices}), dtype=np.int64)
-        if removed.size == 0:
-            return
-        blocks: List[np.ndarray] = []
-        for block in self.partitions_:
-            block = np.asarray(block, dtype=np.int64)
-            surviving = block[~np.isin(block, removed)]
-            if surviving.size:
-                blocks.append(
-                    np.sort(surviving - np.searchsorted(removed, surviving))
-                )
-        self.partitions_ = blocks
-
-    def assign_to_partitions(
-        self, space: FeatureSpace, new_ids: Sequence[int]
-    ) -> List[int]:
-        """Assign freshly added graphs to their most similar blocks.
-
-        For each id in *new_ids* (rows already appended to *space*), the
-        block with the smallest mean Hamming distance between the new
-        graph's incidence row and the block members' rows absorbs it —
-        the same similarity signal Algorithm 7 partitions by, without
-        re-running the partitioner.  Returns the chosen block index per
-        new id.
-        """
-        if not self.partitions_:
-            raise SelectionError("fit() must run before partition updates")
-        assigned = {int(i) for block in self.partitions_ for i in block}
-        # One incidence slice per block, reused across all new graphs;
-        # only the absorbing block's rows grow per assignment.
-        block_rows = [
-            space.incidence[np.asarray(block, dtype=np.int64)].astype(float)
-            for block in self.partitions_
-        ]
-        choices: List[int] = []
-        for gid in new_ids:
-            gid = int(gid)
-            if not 0 <= gid < space.n:
-                raise SelectionError(
-                    f"new id {gid} outside database of size {space.n}"
-                )
-            if gid in assigned:
-                raise SelectionError(f"id {gid} is already partitioned")
-            row = space.incidence[gid].astype(float)
-            best = min(
-                range(len(block_rows)),
-                key=lambda bi: float(
-                    np.abs(block_rows[bi] - row).sum(axis=1).mean()
-                ),
-            )
-            self.partitions_[best] = np.sort(
-                np.append(self.partitions_[best], gid).astype(np.int64)
-            )
-            block_rows[best] = np.vstack([block_rows[best], row[None, :]])
-            assigned.add(gid)
-            choices.append(best)
-        return choices
-
-    # ------------------------------------------------------------------
-    # partition routing (the approximate serving tier)
-    # ------------------------------------------------------------------
-    def route_queries(
-        self,
-        mapping: DSPreservedMapping,
-        query_vectors: np.ndarray,
-        nprobe: int,
-    ) -> np.ndarray:
-        """The *nprobe* most similar partition blocks per query vector.
-
-        For each row of *query_vectors* (a φ(q) over *mapping*'s
-        selected features), returns the indices into
-        :attr:`partitions_` of the ``nprobe`` blocks whose embedding
-        centroids are closest, nearest first (ties broken by ascending
-        block index).  This is the routing signal of the approximate
-        serving tier: a :class:`~repro.serving.service.QueryService`
-        built over ``shards=self.partitions_`` makes the same choice
-        for ``SearchPolicy(mode="approx", nprobe=...)``, because both
-        derive the same :class:`~repro.query.pruning.ShardSummary` per
-        block from the same rows.
-        """
-        from repro.query.pruning import (
-            ShardSummary,
-            shard_centroid_distances,
-        )
-
-        if not self.partitions_:
-            raise SelectionError("fit() must run before route_queries()")
-        if nprobe < 1:
-            raise SelectionError("nprobe must be >= 1")
-        summaries = [
-            ShardSummary.from_vectors(mapping.database_vectors[block])
-            for block in self.partitions_  # ascending, like a shard's rows
-        ]
-        distances = shard_centroid_distances(
-            np.asarray(query_vectors, dtype=float), summaries
-        )
-        nprobe = min(int(nprobe), len(summaries))
-        return np.argsort(distances, axis=1, kind="stable")[:, :nprobe]
-
-    # ------------------------------------------------------------------
-    # partition-local online structures
-    # ------------------------------------------------------------------
-    def block_mappings(
-        self, mapping: DSPreservedMapping
-    ) -> List[DSPreservedMapping]:
-        """Per-partition sub-mappings over each block's restricted features.
-
-        For every partition block of the last :meth:`fit`, build a
-        mapping whose database is the block's rows and whose dimensions
-        are the block's *restricted feature set* ``F'`` (the features of
-        *mapping*'s selection actually present in the block — the same
-        restriction Algorithm 6 applies offline).  Each sub-mapping gets
-        its engine pre-attached with a **per-partition lattice**: the
-        parent engine's containment DAG projected onto ``F'``, plus the
-        parent's pattern profiles — so constructing every block engine
-        costs zero VF2 calls.
-
-        These power partition-local search (distances are normalised by
-        ``|F'|``, the block's own dimensionality) and partition-sharded
-        serving diagnostics.  For globally exact answers over the whole
-        database, pass ``self.partitions_`` as the ``shards`` of a
-        :class:`~repro.serving.service.QueryService` instead.
-        """
-        if not self.partitions_:
-            raise SelectionError("fit() must run before block_mappings()")
-        # The caller's contract: *mapping* is built over the same database
-        # fit() partitioned.  Only the row count is verifiable from here;
-        # it catches the size-mismatch misuse loudly.
-        if sum(len(block) for block in self.partitions_) != mapping.space.n:
-            raise SelectionError(
-                f"partition rows ({sum(len(b) for b in self.partitions_)}) "
-                f"and mapping.space.n ({mapping.space.n}) disagree — the "
-                "mapping must index the database fit() partitioned"
-            )
-        engine = mapping.query_engine()
-        parent_features = mapping.selected_features()
-        out: List[DSPreservedMapping] = []
-        for block in self.partitions_:
-            rows = np.asarray(sorted(int(i) for i in block), dtype=np.int64)
-            sub_vectors = mapping.database_vectors[rows]
-            present = [
-                int(r) for r in np.flatnonzero(sub_vectors.sum(axis=0) > 0)
-            ]
-            if not present:
-                # A block matching no selected feature keeps the full
-                # selection (all-zero rows; any feature set is as good).
-                present = list(range(mapping.dimensionality))
-            features = [
-                FrequentSubgraph(
-                    parent_features[pos].graph,
-                    {int(i) for i in np.flatnonzero(sub_vectors[:, pos])},
-                )
-                for pos in present
-            ]
-            block_space = FeatureSpace(features, len(rows))
-            sub_mapping = DSPreservedMapping(
-                space=block_space,
-                selected=list(range(len(features))),
-                database_vectors=np.ascontiguousarray(
-                    sub_vectors[:, present], dtype=float
-                ),
-            )
-            sub_mapping._build_engine(
-                lattice=engine.lattice.restrict(present),
-                pattern_profiles=[
-                    engine._pattern_profiles[pos] for pos in present
-                ],
-            )
-            out.append(sub_mapping)
-        return out
 
     def _dspm_on(
         self,

@@ -16,15 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,26 +56,18 @@ class StalenessPolicy:
         Threshold on :attr:`DSPreservedMapping.support_drift` — the
         relative L1 change of the selected features' support counts
         since the last (re-)selection.
-    on_stale:
-        ``"flag"`` (default) sets :attr:`DSPreservedMapping.stale` and
-        keeps serving; ``"error"`` rejects the mutation *before* it is
-        applied; a callable is invoked with the mutated mapping (the
-        re-selection hook — rerun your selector, then the baseline is
-        reset automatically).
+
+    A mutation that crosses the threshold is applied and sets
+    :attr:`DSPreservedMapping.stale`; it never changes φ — only
+    :meth:`DSPreservedMapping.apply_selection` does, which a served
+    index reaches through ``QueryService.apply_reselection``.  To
+    refuse writes past a drift, read
+    :attr:`~DSPreservedMapping.support_drift` before mutating.
     """
 
     max_drift: float = 0.25
-    on_stale: Union[str, Callable[["DSPreservedMapping"], None]] = "flag"
 
     def __post_init__(self) -> None:
-        if not callable(self.on_stale) and self.on_stale not in (
-            "flag",
-            "error",
-        ):
-            raise SelectionError(
-                f"on_stale must be 'flag', 'error', or a callable, "
-                f"got {self.on_stale!r}"
-            )
         if not 0 <= self.max_drift:
             raise SelectionError("max_drift must be >= 0")
 
@@ -125,8 +109,8 @@ class DSPreservedMapping:
     _engine: Optional["QueryEngine"] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Whether support drift has crossed the policy threshold (with the
-    #: default ``"flag"`` policy) since the last (re-)selection.
+    #: Whether support drift has crossed the policy threshold since the
+    #: last (re-)selection.
     stale: bool = field(default=False, init=False, compare=False)
     #: Mutation records not yet persisted to an artifact's delta journal.
     mutation_log: List[Dict] = field(
@@ -321,18 +305,17 @@ class DSPreservedMapping:
     ) -> bool:
         """Install a new feature selection over the current database.
 
-        The sanctioned write path for a re-selection hook (e.g.
-        :class:`repro.core.reselect.Reselector`): the selection and
-        embedding swap together, every cache that described the old φ
-        is dropped, and the artifact lineage is severed — the on-disk
-        base and any pending delta records describe the old selection,
-        so the next ``save_index`` must write a full base.  Pass the
-        reused offline products (*lattice* over the new selection's
-        patterns, with *pattern_profiles*) to pre-build the engine so
-        the next query pays zero pattern-vs-pattern VF2; callers inside
-        :meth:`_post_mutation`'s hook can rely on the moved engine
-        identity to keep it installed.  A selection equal to the
-        current one (same features, same order) is a no-op.
+        The only place φ changes (a re-selection hook such as
+        :class:`repro.core.reselect.Reselector` ends here): the
+        selection and embedding swap together, every cache that
+        described the old φ is dropped, and the artifact lineage is
+        severed — the on-disk base and any pending delta records
+        describe the old selection, so the next ``save_index`` must
+        write a full base.  Pass the reused offline products (*lattice*
+        over the new selection's patterns, with *pattern_profiles*) to
+        pre-build the engine so the next query pays zero
+        pattern-vs-pattern VF2.  A selection equal to the current one
+        (same features, same order) is a no-op.
 
         Returns True iff the selection actually changed.
         """
@@ -368,10 +351,9 @@ class DSPreservedMapping:
 
         After each applied mutation the observer's
         ``observe_add(appended_graphs)`` / ``observe_remove(indices)``
-        method (whichever it defines) is called, *before* the staleness
-        gate may fire — so an observer doubling as the re-selection
-        hook sees a mutation before it is asked to adjudicate it.
-        Rejected mutations (an ``"error"``-mode gate) never notify.
+        method (whichever it defines) is called — so an observer
+        doubling as the re-selection hook has seen every mutation
+        before a maintenance pass asks it to adjudicate the drift.
         """
         if observer not in self._observers:
             self._observers.append(observer)
@@ -392,6 +374,12 @@ class DSPreservedMapping:
             dtype=np.int64,
         )
 
+    def _drift_of(self, counts: np.ndarray) -> float:
+        base_total = max(int(self._support_baseline.sum()), 1)
+        return float(
+            np.abs(counts - self._support_baseline).sum() / base_total
+        )
+
     @property
     def support_drift(self) -> float:
         """Relative L1 drift of selected supports since the baseline.
@@ -400,11 +388,7 @@ class DSPreservedMapping:
         support count of selected feature ``r`` when the selection was
         last made (construction, load, or :meth:`reset_staleness`).
         """
-        current = self._selected_support_counts()
-        base_total = max(int(self._support_baseline.sum()), 1)
-        return float(
-            np.abs(current - self._support_baseline).sum() / base_total
-        )
+        return self._drift_of(self._selected_support_counts())
 
     def reset_staleness(self) -> None:
         """Accept the current supports as the new selection baseline."""
@@ -412,57 +396,15 @@ class DSPreservedMapping:
         self.stale = False
 
     def _pre_mutation_gate(self, support_delta: np.ndarray) -> bool:
-        """Would this mutation cross the drift threshold?
-
-        With the ``"error"`` policy the mutation is rejected *here*,
-        before any state changes, so a refused mutation leaves the
-        mapping untouched.
-        """
+        """Would a mutation moving supports by *support_delta* cross
+        the drift threshold?"""
         prospective = self._selected_support_counts() + support_delta
-        base_total = max(int(self._support_baseline.sum()), 1)
-        drift = float(
-            np.abs(prospective - self._support_baseline).sum() / base_total
-        )
-        crossed = drift > self.staleness_policy.max_drift
-        if crossed and self.staleness_policy.on_stale == "error":
-            raise SelectionError(
-                f"mutation would push support drift to {drift:.3f} "
-                f"(max_drift={self.staleness_policy.max_drift}); "
-                "re-select features or relax the staleness policy"
-            )
-        return crossed
+        return self._drift_of(prospective) > self.staleness_policy.max_drift
 
     def _post_mutation(self, crossed: bool) -> None:
         self._refresh_after_mutation()
         if crossed:
-            on_stale = self.staleness_policy.on_stale
-            if callable(on_stale):
-                selected_before = list(self.selected)
-                engine_before = self._engine
-                on_stale(self)
-                if self.selected != selected_before:
-                    # The hook re-selected: the preserved lattice and
-                    # norms no longer describe this mapping — drop them
-                    # so the next engine build starts from the new
-                    # selection.  A hook that went through
-                    # :meth:`apply_selection` already invalidated (the
-                    # engine identity moved — possibly to a pre-built
-                    # lattice-reusing engine, which must survive); only
-                    # a hook that assigned ``selected`` directly needs
-                    # the cleanup done for it.  The on-disk base (and
-                    # any pending delta records) also describe the old
-                    # selection, so the artifact lineage is severed:
-                    # the next save_index must write a full base, never
-                    # append old-selection deltas for a new-selection
-                    # mapping.
-                    if self._engine is engine_before:
-                        self.invalidate_caches()
-                    self.artifact_ref = None
-                    self.journal_seq = 0
-                    self.mutation_log.clear()
-                self.reset_staleness()
-            else:
-                self.stale = True
+            self.stale = True
 
     def _refresh_after_mutation(self) -> None:
         """Rebuild the cached engine against the mutated database.
@@ -487,8 +429,7 @@ class DSPreservedMapping:
         if graph is not None:
             # The appliers already maintained the graph incrementally
             # against the mutated vectors, so it is re-seeded like the
-            # norms (a re-selection hook still drops it: _post_mutation
-            # calls invalidate_caches again after this refresh).
+            # norms.
             self._proximity_graph = graph
 
     def _apply_add_vectors(self, rows: np.ndarray) -> None:

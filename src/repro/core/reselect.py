@@ -28,7 +28,7 @@ over the *selected* columns — see :meth:`FeatureSpace.refresh_rows`).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -67,11 +67,10 @@ class Reselector:
         Forwarded to :class:`~repro.core.dspm.DSPM`.
 
     Use :meth:`attach` to wire an instance to a mapping: it registers
-    the observer and installs a :class:`StalenessPolicy` whose hook is
-    either this reselector itself (``inline=True`` — heal on the
-    mutating call) or ``"flag"`` (default — a maintenance loop notices
-    ``mapping.stale`` and calls
-    :meth:`~repro.serving.service.QueryService.apply_reselection`).
+    the observer and installs a :class:`StalenessPolicy` with the given
+    ``max_drift``.  A mutation past it sets ``mapping.stale``; a
+    maintenance loop notices and hands this reselector to
+    :meth:`~repro.serving.service.QueryService.apply_reselection`.
     """
 
     def __init__(
@@ -119,17 +118,11 @@ class Reselector:
     # wiring
     # ------------------------------------------------------------------
     def attach(
-        self,
-        mapping: DSPreservedMapping,
-        max_drift: float = 0.25,
-        inline: bool = False,
+        self, mapping: DSPreservedMapping, max_drift: float = 0.25
     ) -> "Reselector":
         """Register on *mapping* and install the staleness policy.
 
-        ``inline=False`` (default) installs the ``"flag"`` policy — the
-        mutating call returns immediately and a maintenance pass heals
-        later; ``inline=True`` installs this reselector as the policy
-        hook, healing synchronously inside the mutating call.
+        The mutating call only flags; a maintenance pass heals later.
         """
         n = mapping.space.n
         if self._initial_graphs is not None:
@@ -142,10 +135,7 @@ class Reselector:
         else:
             self._graphs = [None] * n
         self._needs_repair = [False] * n
-        on_stale: object = self if inline else "flag"
-        mapping.staleness_policy = StalenessPolicy(
-            max_drift=max_drift, on_stale=on_stale
-        )
+        mapping.staleness_policy = StalenessPolicy(max_drift=max_drift)
         mapping.register_observer(self)
         return self
 
@@ -213,9 +203,7 @@ class Reselector:
     def __call__(self, mapping: DSPreservedMapping) -> bool:
         """Re-select over *mapping*'s current rows; install if changed.
 
-        Returns True iff the selection actually changed (the caller —
-        :meth:`QueryService.apply_reselection` or the inline policy
-        path — uses this to decide whether shards need rebuilding).
+        Returns True iff the selection actually changed.
         """
         self.reselections += 1
         self._repair_universe(mapping)

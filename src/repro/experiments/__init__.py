@@ -3,8 +3,9 @@
 Every runner exposes ``run(scale="small"|"full", seed=..., out_dir=...)``
 returning a structured result dict and writing a formatted text report.
 ``scale="small"`` targets the pytest-benchmark suite (seconds per
-experiment); ``scale="full"`` is the configuration used to fill
-EXPERIMENTS.md (minutes per experiment).
+experiment) and is what the committed ``results/*_small.txt`` tables were
+generated at; ``scale="full"`` is the paper's shapes at ~1/10 scale
+(minutes per experiment).
 """
 
 from repro.experiments import harness, reporting

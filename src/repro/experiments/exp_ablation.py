@@ -1,4 +1,4 @@
-"""Ablations of DESIGN.md §6 (not in the paper, but of its design choices).
+"""Ablations of this implementation's design choices (not in the paper).
 
 1. **Kernel ablation** — the naive Eq. 6/7 kernels vs the paper's
    inverted-list Algorithms 2–4 vs our vectorised kernels, same math:

@@ -6,13 +6,14 @@ Jaccard correlations among the selected features, finding DSPM's total
 far below Sample's.
 
 We run the same sweep on both datasets at reproduction scale.  **Known
-deviation** (see EXPERIMENTS.md): at 10× reduced database size the
-direction does not reproduce — DSPM's totals sit at or slightly above
-Sample's.  With only 60–150 graphs, support sets collide heavily (Jaccard
-between any two mid-support features is large by counting alone) and the
-stress-optimal features concentrate around cluster boundaries.  The
-paper's universe (thousands of features over 1k graphs) gives random
-sampling far more redundant lattice features to stumble into.  The bench
+deviation**: at 10× reduced database size the direction does not
+reproduce — DSPM's totals sit at or slightly above Sample's.  The
+explanation below is a hypothesis nobody has run: with only 60–150
+graphs, support sets collide heavily (Jaccard between any two
+mid-support features is large by counting alone) and the stress-optimal
+features concentrate around cluster boundaries.  The paper's universe
+(thousands of features over 1k graphs) gives random sampling far more
+redundant lattice features to stumble into.  The bench
 therefore asserts only structural properties (scores grow with p, valid
 selections), not the DSPM<Sample direction.
 """

@@ -69,7 +69,7 @@ class Scale:
     with the database: pattern frequency is governed by ``τ·n`` and by
     how many graphs share a pattern, so a 10× smaller database needs a
     proportionally smaller label alphabet to mine a universe with the
-    same richness the paper's 20-label/1k-graph setup had (DESIGN.md §4).
+    same richness the paper's 20-label/1k-graph setup had.
     """
 
     name: str
@@ -90,7 +90,7 @@ SCALES: Dict[str, Scale] = {
     # For pytest-benchmark: runs in seconds.  The universe must be rich
     # (low τ, deep patterns) for the paper's orderings to appear — with a
     # small balanced universe, Original is competitive and nothing
-    # separates (see EXPERIMENTS.md).
+    # separates.
     "small": Scale(
         name="small",
         db_size=60,
@@ -101,7 +101,7 @@ SCALES: Dict[str, Scale] = {
         top_ks=(5, 10),
         dspm_iterations=150,
     ),
-    # For EXPERIMENTS.md: the shapes of the paper at ~1/10 scale.
+    # The shapes of the paper at ~1/10 scale.
     "full": Scale(
         name="full",
         db_size=150,

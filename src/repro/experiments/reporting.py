@@ -2,7 +2,7 @@
 
 The paper presents its evaluation as figures; the runners print the same
 series as rows so "who wins / by how much / where curves cross" is
-readable in a terminal and diffable in EXPERIMENTS.md.
+readable in a terminal and diffable as the text files under ``results/``.
 """
 
 from __future__ import annotations

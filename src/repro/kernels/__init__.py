@@ -3,9 +3,10 @@
 Every numeric inner loop of the serving stack — shard distance blocks,
 envelope/triangle bound checks, and the VF2 candidate pre-filter — runs
 behind the narrow backend interface defined here, so the same engine /
-service / pruning code can execute on the numpy baseline, a JIT backend
-(numba, when installed), or a future native extension, selected at run
-time without touching any call site.
+service / pruning code can execute on the numpy baseline, the pure-loop
+reference oracle, or a future JIT / native backend registered through
+:func:`register_backend`, selected at run time without touching any
+call site.
 
 A backend is any object exposing four functions:
 
@@ -23,7 +24,7 @@ A backend is any object exposing four functions:
 Selection order: an explicit name passed to :func:`resolve_backend`, the
 :func:`use_backend` context override, the ``REPRO_KERNEL`` environment
 variable, then the numpy baseline.  Unknown names warn and fall back to
-numpy rather than failing — a missing optional dependency must never
+numpy rather than failing — a stale environment variable must never
 take serving down.
 
 Exactness contract: on the binary embedding vectors this project serves,
@@ -89,9 +90,9 @@ def resolve_backend(name: Optional[str] = None) -> object:
 
     ``None`` resolves the ambient selection: the innermost
     :func:`use_backend` override if any, else ``$REPRO_KERNEL``, else
-    the numpy baseline.  An unregistered name — a typo, or ``"numba"``
-    without numba installed — warns and falls back to numpy instead of
-    raising, so a stale environment variable cannot take serving down.
+    the numpy baseline.  An unregistered name warns and falls back to
+    numpy instead of raising, so a stale environment variable cannot
+    take serving down.
     """
     if name is None:
         name = _OVERRIDE[-1] if _OVERRIDE else os.environ.get(
@@ -231,8 +232,7 @@ class PatternFilterStats:
         )
 
 
-# Backend registration: numpy and the pure-loop reference are always
-# present; numba only when the optional dependency imports.
+# Backend registration: the numpy baseline and the pure-loop reference.
 from repro.kernels import numpy_backend as _numpy_backend  # noqa: E402
 
 register_backend("numpy", _numpy_backend)
@@ -240,8 +240,3 @@ register_backend("numpy", _numpy_backend)
 from repro.kernels import reference_backend as _reference_backend  # noqa: E402
 
 register_backend("reference", _reference_backend)
-
-from repro.kernels import numba_backend as _numba_backend  # noqa: E402
-
-if _numba_backend.AVAILABLE:  # pragma: no cover - requires numba
-    register_backend("numba", _numba_backend)

@@ -5,9 +5,9 @@ instead of the baseline's expanded ``‖q‖² + ‖x‖² − 2 q·x`` BLAS for
 On the binary embedding vectors this project serves, both accumulations
 are exact integer arithmetic in float64, so the results are
 **bit-identical** — which makes this backend the always-available second
-leg of the kernel-parity tier (numba may not be installed; this module
-has no dependencies beyond numpy).  It is also the shape a JIT/native
-port takes, so parity here is parity evidence for those too.
+leg of the kernel-parity tier (this module has no dependencies beyond
+numpy).  It is also the shape a JIT/native port takes, so parity here is
+parity evidence for those too.
 
 Bound blocks involve non-integer centroids, where the different
 association can differ from the baseline by ulps; the pruning slack

@@ -179,38 +179,6 @@ class FeatureLattice:
         """Number of (transitively closed) containment pairs."""
         return sum(len(a) for a in self.ancestors)
 
-    def restrict(self, positions: Sequence[int]) -> "FeatureLattice":
-        """Project the lattice onto *positions* — zero VF2 calls.
-
-        Containment among a subset of patterns is the induced sub-DAG,
-        and because ``ancestors`` stores the transitive closure the
-        projection stays transitively closed.  Used to derive
-        per-partition lattices (a DSPMap block's restricted feature set)
-        without re-running any pattern-vs-pattern matching.
-        """
-        positions = list(positions)
-        if len(set(positions)) != len(positions):
-            raise ValueError("restrict positions must be unique")
-        index_of = {r: i for i, r in enumerate(positions)}
-        kept = set(positions)
-        order = tuple(index_of[r] for r in self.order if r in kept)
-        if len(order) != len(positions):
-            raise ValueError("restrict positions outside the lattice")
-        ancestors = tuple(
-            tuple(sorted(index_of[a] for a in self.ancestors[r] if a in kept))
-            for r in positions
-        )
-        descendants = tuple(
-            tuple(sorted(index_of[d] for d in self.descendants[r] if d in kept))
-            for r in positions
-        )
-        return FeatureLattice(
-            order=order,
-            ancestors=ancestors,
-            descendants=descendants,
-            vf2_checks=0,
-        )
-
 
 @dataclass
 class EngineStats:

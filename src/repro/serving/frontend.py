@@ -55,6 +55,7 @@ from repro.utils.errors import (
     GraphDimensionError,
     ProtocolError,
     QueryError,
+    SelectionError,
 )
 
 __all__ = [
@@ -770,10 +771,6 @@ class AsyncFrontend:
                 list(added),
                 list(removed),
             )
-            # A staleness-hook re-selection changes the feature set the
-            # wire codec was built from; rebuilding unconditionally is
-            # cheap (p tiny pattern graphs) and never stale.
-            self._codec = self._build_codec(self.service)
             self.stats.updates_applied += 1
             return self.service.generation
 
@@ -989,7 +986,7 @@ class AsyncFrontend:
         except ProtocolError as exc:
             self.stats.bad_requests += 1
             return protocol.error_response(
-                None, "bad_request", str(exc), detail=exc.detail
+                exc.request_id, "bad_request", str(exc), detail=exc.detail
             )
         return await self.handle_request(request)
 
@@ -1033,14 +1030,18 @@ class AsyncFrontend:
                     self._decode_graph(g)
                     for g in request.get("add", [])
                 ]
-                removed = []
-                for i in request.get("remove", []):
-                    if not protocol.is_wire_int(i):
-                        raise ProtocolError(
-                            "'remove' must hold integer database indices"
-                        )
-                    removed.append(i)
-                generation = await self.apply_update(added, removed)
+                removed = request.get("remove", [])
+                if not all(protocol.is_wire_int(i) for i in removed):
+                    raise ProtocolError(
+                        "'remove' must hold integer database indices"
+                    )
+                removed = set(removed)
+                try:
+                    generation = await self.apply_update(added, removed)
+                except SelectionError as exc:
+                    # A row that does not exist, or removing every row:
+                    # the client's fault, and nothing was applied.
+                    raise ProtocolError(str(exc)) from exc
                 return protocol.ok_response(
                     request_id,
                     generation=generation,

@@ -34,7 +34,12 @@ Requests
 ``{"op": "update", "id": 4, "add": [G...], "remove": [3, 17]}``
     Live index mutation through :meth:`QueryService.apply_update
     <repro.serving.service.QueryService.apply_update>`; ``remove`` uses
-    the pre-update numbering.
+    the pre-update numbering.  At least one of ``add`` / ``remove`` must
+    hold an entry: an accepted update is exactly one generation on every
+    tier; one that would change nothing, names a row that does not
+    exist or removes every row is a ``bad_request`` and none.  It never
+    changes the selected features — past the drift threshold it flags
+    the index ``stale`` and ``maintain`` heals it.
 ``{"op": "reload", "id": 5, "path": "/path/to/index.json"}``
     Server-side artifact reload: load the index artifact at *path*
     and swap the serving index atomically.
@@ -66,7 +71,8 @@ shard-skipping work — for graph-mode requests it is ``{"mode":
 "retry_after": 0.25}`` on a structured rejection.  ``error`` is one of
 ``bad_request``, ``quota_exceeded``, ``overloaded``, ``shutting_down``
 or ``internal``; ``retry_after`` (seconds) is present whenever retrying
-can succeed.
+can succeed.  A rejected line carries its request's ``id`` whenever it
+parsed to a JSON object, ``null`` otherwise.
 
 Wire graphs
 -----------
@@ -178,6 +184,17 @@ def parse_request(line: str) -> Dict:
         raise ProtocolError(f"request is not valid JSON: {exc}") from exc
     if not isinstance(request, dict):
         raise ProtocolError("request must be a JSON object")
+    try:
+        _check_shape(request)
+    except ProtocolError as exc:
+        # The rejection names its request, so a pipelining client that
+        # correlates by id can match it.
+        exc.request_id = request.get("id")
+        raise
+    return request
+
+
+def _check_shape(request: Dict) -> None:
     op = request.get("op")
     if op not in OPS:
         raise ProtocolError(
@@ -201,12 +218,15 @@ def parse_request(line: str) -> Dict:
             raise ProtocolError(
                 "'remove' must hold integer database indices"
             )
+        if not request.get("add") and not request.get("remove"):
+            raise ProtocolError(
+                "'update' needs an 'add' or a 'remove' entry"
+            )
     if op == "reload" and not isinstance(request.get("path"), str):
         raise ProtocolError("'reload' requires a string 'path'")
     tenant = request.get("tenant")
     if tenant is not None and not isinstance(tenant, str):
         raise ProtocolError("'tenant' must be a string")
-    return request
 
 
 def search_policy_from_request(request: Dict) -> Optional[SearchPolicy]:

@@ -11,8 +11,8 @@ speaking the *same* NDJSON protocol as a single server, so clients
 cannot tell the difference:
 
 * **Content-aware placement.**  Queries are routed by shard-summary
-  geometry (the same centroids ``DSPMap.route_queries`` and approx mode
-  use, derived from each block's rows): the query's zero-VF2
+  geometry (the same centroids approx mode uses, derived from each
+  block's rows): the query's zero-VF2
   :meth:`~repro.query.engine.QueryEngine.filter_mask` — an upper bound
   on φ(q) costing no isomorphism calls — is matched against per-replica
   block centroids, so structurally similar queries land on the same
@@ -971,7 +971,7 @@ class Router:
         except ProtocolError as exc:
             self.stats.bad_requests += 1
             return protocol.error_response(
-                None, "bad_request", str(exc), detail=exc.detail
+                exc.request_id, "bad_request", str(exc), detail=exc.detail
             )
         return await self.handle_request(request)
 

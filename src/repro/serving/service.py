@@ -376,8 +376,9 @@ class QueryService:
         through :meth:`DSPreservedMapping.remove_graphs
         <repro.core.mapping.DSPreservedMapping.remove_graphs>` /
         :meth:`~repro.core.mapping.DSPreservedMapping.add_graphs`, so
-        supports, vectors, and norms update incrementally and the
-        staleness policy applies.
+        supports, vectors, and norms update incrementally; an update
+        past the staleness policy's ``max_drift`` sets
+        ``mapping.stale`` and changes nothing else.
 
         Only the *affected* shards are rebuilt: shards that lost rows
         and the single — currently smallest — shard that absorbs the
@@ -387,18 +388,16 @@ class QueryService:
         lock, so concurrent batches see either the old database or the
         new one, never a mix.
 
-        The exact embedding cache is invalidated **only** when the
-        update changed the feature selection (a staleness-policy
-        re-selection callback fired): φ(q) depends on the selected
-        patterns alone, so plain add/remove leaves every cached
-        embedding exact.  Results after an update are bit-identical to
-        a from-scratch engine over the mutated database — the serving
-        test suite enforces it, ties included.
+        An update never changes φ (only :meth:`apply_reselection`
+        does): φ(q) depends on the selected patterns alone, so every
+        cached embedding stays exact and the cache survives.  Results
+        after an update are bit-identical to a from-scratch engine over
+        the mutated database — the serving test suite enforces it, ties
+        included.
 
-        If the add half is rejected after a removal already applied
-        (e.g. an ``"error"``-mode staleness gate), the removal's shard
-        update is still swapped in — service and mapping stay in sync —
-        and the add's exception then propagates.
+        If the add half raises after a removal already applied, the
+        removal's shard update is still swapped in — service and
+        mapping stay in sync — and the add's exception then propagates.
         """
         added = list(added)
         removed_ids = sorted({int(i) for i in removed})
@@ -417,19 +416,11 @@ class QueryService:
                     raise  # nothing was mutated; shards are still in sync
                 # The removal already applied: finish swapping shards
                 # for it so the service stays consistent with the
-                # mapping, then re-raise the add's failure (e.g. an
-                # "error"-mode staleness gate).
+                # mapping, then re-raise the add's failure.
                 add_error = exc
                 added = []
         n_after = mapping.database_vectors.shape[0]
         new_ids = np.arange(n_after - len(added), n_after, dtype=np.int64)
-
-        # A re-selection callback changes φ itself: every shard and
-        # every cached embedding is then invalid, not just the mutated
-        # rows.
-        selection_changed = (
-            tuple(mapping.selected) != self._selection_snapshot
-        )
 
         removed_arr = np.asarray(removed_ids, dtype=np.int64)
         survivors: List[Tuple[Shard, np.ndarray, bool]] = []
@@ -457,7 +448,7 @@ class QueryService:
             )
             if len(ids) == 0:
                 continue  # the removal emptied this shard
-            if lost or si == target or selection_changed:
+            if lost or si == target:
                 new_shards.append(self._build_shard(ids))
                 rebuilt += 1
             else:
@@ -467,7 +458,7 @@ class QueryService:
                 # snapshots of the old list self-consistent.
                 new_shards.append(replace(shard, indices=shifted))
 
-        self._install_shards(new_shards, selection_changed)
+        self._install_shards(new_shards, selection_changed=False)
         self.stats.updates += 1
         self.stats.shards_rebuilt += rebuilt
         if add_error is not None:
@@ -479,44 +470,29 @@ class QueryService:
     def apply_reselection(self, hook) -> bool:
         """Run a re-selection *hook* against the mapping, off-path.
 
-        The deferred half of the staleness loop: a ``"flag"``-mode
-        :class:`~repro.core.mapping.StalenessPolicy` leaves
-        ``mapping.stale`` set instead of healing inline on the write
-        path, and background maintenance (:meth:`AsyncFrontend.maintain
+        The healing half of the staleness loop: a mutation past
+        ``max_drift`` only sets ``mapping.stale``, and background
+        maintenance (:meth:`AsyncFrontend.maintain
         <repro.serving.frontend.AsyncFrontend.maintain>`) hands the
         configured selector here.  *hook* is called with the mapping —
-        typically a :class:`repro.core.reselect.Reselector` — and may
-        install a new selection via
-        :meth:`~repro.core.mapping.DSPreservedMapping.apply_selection`.
+        typically a :class:`repro.core.reselect.Reselector` — and
+        installs a new selection, if it finds one, through
+        :meth:`~repro.core.mapping.DSPreservedMapping.apply_selection`
+        (the only place φ changes).
 
         If the selection changed, every shard is rebuilt over the same
         row partition and swapped in atomically: in-flight batches keep
         the snapshot they took, the embedding cache is cleared (φ
         itself changed), forked embed workers are recycled, and the
-        index generation advances — exactly the guarantees
-        :meth:`apply_update` gives an inline re-selection.  Either way
-        the staleness counters reset: the hook has adjudicated the
-        drift.  Returns True iff the selection changed.
+        index generation advances.  Either way the staleness counters
+        reset: the hook has adjudicated the drift.  Returns True iff
+        the selection changed.
         """
         mapping = self.mapping
         self._require_in_sync()
-        selected_before = list(mapping.selected)
-        engine_before = mapping.peek_engine()
         hook(mapping)
-        changed = list(mapping.selected) != selected_before
-        if changed:
-            # Mirror the _post_mutation hook contract for selectors
-            # that assign mapping.selected directly instead of going
-            # through apply_selection (which severed all of this
-            # itself — then the engine identity moved and the extra
-            # invalidation is skipped, keeping its pre-built lattice).
-            if mapping.peek_engine() is engine_before:
-                mapping.invalidate_caches()
-            mapping.artifact_ref = None
-            mapping.journal_seq = 0
-            mapping.mutation_log.clear()
         mapping.reset_staleness()
-        if not changed:
+        if tuple(mapping.selected) == self._selection_snapshot:
             return False
         new_shards = [
             self._build_shard(shard.indices) for shard in self.shards

@@ -124,8 +124,11 @@ class ProtocolError(ServingError):
     front-end attaches to the ``bad_request`` response (e.g.
     ``{"allowed_modes": [...]}`` for an unknown search mode), so
     clients can react programmatically instead of parsing the message.
+    ``request_id`` is the ``id`` of the rejected line when it parsed to
+    an object (:func:`repro.serving.protocol.parse_request` sets it).
     """
 
     def __init__(self, message: str, detail=None) -> None:
         super().__init__(message)
         self.detail = detail
+        self.request_id = None

@@ -5,11 +5,9 @@ import pytest
 
 from repro.core.dspm import DSPM
 from repro.core.dspmap import DSPMap
-from repro.core.mapping import mapping_from_selection
 from repro.core.partition import partition_database
 from repro.features import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
-from repro.query.engine import FeatureLattice
 from repro.similarity import DissimilarityCache, pairwise_dissimilarity_matrix
 from repro.utils.errors import SelectionError
 
@@ -124,82 +122,3 @@ class TestDSPMap:
             space, db, delta_fn=lambda i, j: float(delta[i, j])
         )
         assert len(res.selected) == 4
-
-
-class TestBlockMappings:
-    @pytest.fixture(scope="class")
-    def fitted(self, setup):
-        space, db, delta = setup
-        solver = DSPMap(8, partition_size=10, seed=0)
-        result = solver.fit(space, db, delta_fn=lambda i, j: float(delta[i, j]))
-        mapping = mapping_from_selection(space, result.selected)
-        return solver, mapping
-
-    def test_requires_fit_first(self, setup):
-        space, _db, _delta = setup
-        with pytest.raises(SelectionError):
-            DSPMap(4).block_mappings(
-                mapping_from_selection(space, [0, 1])
-            )
-
-    def test_rejects_mapping_from_other_database(self, fitted):
-        solver, _mapping = fitted
-        other_db = FeatureSpace(
-            _mapping.space.features, _mapping.space.n + 1
-        )
-        with pytest.raises(SelectionError):
-            solver.block_mappings(
-                mapping_from_selection(other_db, _mapping.selected)
-            )
-
-    def test_blocks_cover_rows_and_restrict_features(self, fitted):
-        solver, mapping = fitted
-        blocks = solver.block_mappings(mapping)
-        assert len(blocks) == len(solver.partitions_)
-        total_rows = sum(b.space.n for b in blocks)
-        assert total_rows == mapping.space.n
-        selected_graphs = {
-            id(f.graph) for f in mapping.selected_features()
-        }
-        for block, rows in zip(blocks, solver.partitions_):
-            assert block.space.n == len(rows)
-            # Block features are a subset of the parent selection (the
-            # restricted feature set F' — same graph objects, no copies).
-            for feat in block.space.features:
-                assert id(feat.graph) in selected_graphs
-            # Vectors are the parent rows restricted to F'.
-            assert block.database_vectors.shape == (
-                len(rows),
-                block.dimensionality,
-            )
-
-    def test_block_engines_cost_zero_vf2_lattice_builds(
-        self, fitted, monkeypatch
-    ):
-        solver, mapping = fitted
-        mapping.query_engine()  # parent lattice built once, up front
-        calls = {"n": 0}
-        real = FeatureLattice.build.__func__
-
-        def counting(cls, *args, **kwargs):
-            calls["n"] += 1
-            return real(cls, *args, **kwargs)
-
-        monkeypatch.setattr(FeatureLattice, "build", classmethod(counting))
-        blocks = solver.block_mappings(mapping)
-        for block in blocks:
-            assert block._engine is not None
-        assert calls["n"] == 0
-
-    def test_block_embedding_matches_naive(self, fitted, setup):
-        """Per-partition engines embed exactly like the naive per-feature
-        scan over the block's restricted feature set."""
-        _space, db, _delta = setup
-        solver, mapping = fitted
-        blocks = solver.block_mappings(mapping)
-        queries = db[:3]  # any graphs work as queries
-        for block in blocks[:3]:
-            engine = block.query_engine()
-            for q in queries:
-                naive = block.space.embed_query(q, block.selected)
-                assert np.array_equal(engine.embed(q), naive)

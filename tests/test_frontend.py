@@ -145,6 +145,8 @@ class TestProtocol:
             ('{"op": "query", "k": 5}', "requires a 'graph'"),
             ('{"op": "batch", "k": 5}', "'graphs' list"),
             ('{"op": "reload"}', "string 'path'"),
+            ('{"op": "update"}', "'add' or a 'remove'"),
+            ('{"op": "update", "add": [], "remove": []}', "'add' or a"),
             ('{"op": "query", "k": 5, "graph": {}, "tenant": 7}', "'tenant'"),
         ],
     )
@@ -868,11 +870,19 @@ class TestRequestDispatch:
             await frontend.start()
             response = await frontend.handle_line("{ not json")
             assert not response["ok"] and response["error"] == "bad_request"
+            assert response["id"] is None  # nothing to name
             response = await frontend.handle_line(
                 '{"op": "query", "k": 5, "graph": {"vertices": 3}}'
             )
             assert not response["ok"] and response["error"] == "bad_request"
-            assert frontend.stats.bad_requests == 2
+            # Once the line is an object the rejection names its request.
+            for fields in ({"op": "frobnicate"},
+                           {"op": "query", "k": "five", "graph": {}}):
+                response = await frontend.handle_line(
+                    json.dumps({"id": 41, **fields})
+                )
+                assert not response["ok"] and response["id"] == 41
+            assert frontend.stats.bad_requests == 4
         finally:
             await frontend.aclose()
 
@@ -946,19 +956,93 @@ class TestLiveUpdateAndReload:
             await frontend.aclose()
 
     @pytest.mark.asyncio
-    async def test_update_refreshes_the_wire_codec(self, materials):
-        """A staleness-hook re-selection changes the feature set the
-        codec decodes against; apply_update must rebuild it."""
-        db, queries, _mapping = materials
+    async def test_codec_follows_the_selection_not_the_update(self):
+        """The wire codec is built from the selected patterns' labels.
+        An update never changes the selection, so it keeps the codec; a
+        ``maintain`` that re-selects rebuilds it, and a label only the
+        new selection carries then decodes to its real type."""
+        from repro.core.mapping import StalenessPolicy
+
+        rows = [[1], [2], [1, 2], [3], [1, 3], [2, 3]]
+        features = [
+            FrequentSubgraph(
+                LabeledGraph([label]),
+                {i for i, row in enumerate(rows) if label in row},
+            )
+            for label in (1, 2, 3)
+        ]
+        mapping = mapping_from_selection(
+            FeatureSpace(features, len(rows)), [0, 1]
+        )
+        mapping.staleness_policy = StalenessPolicy(max_drift=0.0)
+        frontend = AsyncFrontend(
+            QueryService(mapping, n_shards=2, n_workers=0),
+            FrontendConfig(
+                reselector=lambda m: m.apply_selection([0, 1, 2])
+            ),
+            own_service=True,
+        )
+        probe = {"op": "query", "id": 9, "k": 1, "graph": {"vertices": ["3"]}}
+        try:
+            await frontend.start()
+            codec = frontend._codec
+            assert set(codec.table) == {"1", "2"}
+            update = await frontend.handle_request(
+                {"op": "update", "id": 1, "add": [{"vertices": ["1", "1"]}]}
+            )
+            assert update["ok"] and mapping.stale
+            assert frontend._codec is codec
+
+            healed = await frontend.handle_request({"op": "maintain", "id": 2})
+            assert healed["ok"] and healed["reselected"] is True
+            assert frontend._codec is not codec
+            assert set(frontend._codec.table) == {"1", "2", "3"}
+            # Row 3 is the graph holding label 3 alone: an exact hit,
+            # which "3" left as a string could never be.
+            answer = await frontend.handle_request(probe)
+            assert answer["ok"]
+            assert answer["ranking"] == [3] and answer["scores"] == [0.0]
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"add": []}, {"remove": []}, {"remove": [999]},
+         {"remove": [-1]}, {"remove": list(range(30))}],
+        ids=["neither", "empty-add", "empty-remove", "out-of-range",
+             "negative", "everything"],  # the fixture holds 30 graphs
+    )
+    async def test_refused_update_is_a_bad_request_not_a_generation(
+        self, materials, fields
+    ):
+        """An update that would change nothing, or cannot apply, is the
+        client's fault and must not be reported as applied: the router
+        counts every ``ok`` as a cluster generation."""
+        db, _queries, _mapping = materials
         features = mine_frequent_subgraphs(db, min_support=0.2, max_edges=5)
         space = FeatureSpace(features, len(db))
         mapping = mapping_from_selection(space, variance_selection(space, 15))
         frontend = _frontend(mapping.query_engine())
         try:
             await frontend.start()
-            before = frontend._codec
-            await frontend.apply_update(added=[queries[0]])
-            assert frontend._codec is not before  # rebuilt, never stale
+            response = await frontend.handle_line(
+                json.dumps({"op": "update", "id": "u1", **fields})
+            )
+            assert not response["ok"]
+            assert response["error"] == "bad_request"
+            assert response["id"] == "u1"
+            assert frontend.stats.bad_requests == 1
+            assert frontend.stats.updates_applied == 0
+            assert frontend.service.generation == 0
+            assert mapping.space.n == len(db)
+            # A duplicated id is one row: the count says what happened.
+            response = await frontend.handle_line(
+                json.dumps({"op": "update", "id": "u2", "remove": [0, 0]})
+            )
+            assert response["ok"] and response["removed"] == 1
+            assert response["generation"] == 1
+            assert mapping.space.n == len(db) - 1
         finally:
             await frontend.aclose()
 

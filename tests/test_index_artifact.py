@@ -328,21 +328,14 @@ class TestDeltaJournal:
     def test_reselection_severs_artifact_lineage(
         self, saved_path, small_chemical_queries
     ):
-        """A staleness-hook re-selection invalidates the on-disk base:
-        the next save must write a full base, never append deltas whose
-        replay would land on the old selection."""
-        from repro.core.mapping import StalenessPolicy
-
+        """A re-selection invalidates the on-disk base: the next save
+        must write a full base, never append deltas whose replay would
+        land on the old selection."""
         mapping = load_index(saved_path)
-
-        def reselect(m):
-            m.selected = list(range(m.space.m - 1))
-            m.database_vectors = m.space.embed_database(m.selected)
-
-        mapping.staleness_policy = StalenessPolicy(
-            max_drift=0.0, on_stale=reselect
-        )
         mapping.add_graphs(small_chemical_queries[:1])
+        assert mapping.artifact_ref is not None and mapping.mutation_log
+        assert mapping.apply_selection(range(mapping.space.m - 1))
+        assert mapping.mutation_log == [] and mapping.journal_seq == 0
         assert mapping.artifact_ref is None  # lineage severed
         save_index(mapping, saved_path)
         assert not journal_path(saved_path).exists()  # full base, no deltas

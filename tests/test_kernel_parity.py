@@ -9,8 +9,8 @@ centroids, so those are allowed to differ by ulps (within the pruning
 slack that makes such differences answer-neutral); everything a caller
 can see stays exact.
 
-Each test parametrizes over every backend registered on this host, so
-installing numba automatically widens the tier to cover it.
+Each test parametrizes over every registered backend, so registering a
+new one automatically widens the tier to cover it.
 """
 
 import numpy as np

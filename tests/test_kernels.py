@@ -2,8 +2,8 @@
 
 The registry's contract is operational: selection is explicit > scoped
 override > environment > numpy, and a missing/unknown backend *warns and
-degrades* instead of raising — a stale ``REPRO_KERNEL=numba`` on a host
-without numba must never take serving down.  The vectorised VF2
+degrades* instead of raising — a stale ``REPRO_KERNEL`` must never take
+serving down.  The vectorised VF2
 candidate filter is checked feature-by-feature against the scalar
 ``_label_counts_ok`` it replaces.
 """
@@ -51,18 +51,6 @@ class TestRegistry:
     def test_unknown_name_warns_and_falls_back_to_numpy(self):
         with pytest.warns(RuntimeWarning, match="unknown or unavailable"):
             backend = resolve_backend("no-such-backend")
-        assert backend is resolve_backend(DEFAULT_BACKEND)
-
-    def test_numba_degrades_gracefully_when_not_installed(self):
-        # Satellite contract: requesting the optional JIT backend on a
-        # host without numba is a warning + numpy, never an ImportError.
-        if "numba" in available_backends():
-            pytest.skip("numba installed — fallback path not reachable")
-        from repro.kernels import numba_backend
-
-        assert not numba_backend.AVAILABLE
-        with pytest.warns(RuntimeWarning):
-            backend = resolve_backend("numba")
         assert backend is resolve_backend(DEFAULT_BACKEND)
 
     def test_env_var_selects_backend(self, monkeypatch):

@@ -28,17 +28,14 @@ from repro.query.pruning import (
     PruningTrace,
     SearchPolicy,
     ShardSummary,
+    shard_centroid_distances,
     shard_lower_bounds,
     topk_recall,
 )
 from repro.serving import protocol
 from repro.serving.frontend import AsyncFrontend, FrontendConfig
 from repro.serving.service import QueryService
-from repro.utils.errors import (
-    ProtocolError,
-    QueryError,
-    SelectionError,
-)
+from repro.utils.errors import ProtocolError, QueryError
 
 N_CLUSTERS = 3
 PER_CLUSTER = 12
@@ -569,9 +566,10 @@ class TestClusteredWorkCounts:
 
 
 class TestDSPMapRouting:
-    def test_route_queries_points_home(self, clustered):
-        _db, per_cluster_queries, mapping, _blocks = clustered
-        db = _db
+    def test_partition_shards_route_home(self, clustered):
+        """Serving over ``DSPMap.partitions_`` is the served way to shard
+        by partition: approx mode routes by the blocks' own centroids."""
+        db, per_cluster_queries, mapping, _blocks = clustered
         incidence = mapping.space.incidence.astype(float)
 
         def hamming(i: int, j: int) -> float:
@@ -582,47 +580,24 @@ class TestDSPMapRouting:
         assert len(solver.partitions_) > 1
         engine = mapping.query_engine()
         queries = [qs[0] for qs in per_cluster_queries]
-        vectors = engine.embed_many(queries)
-        routes = solver.route_queries(mapping, vectors, nprobe=2)
-        assert routes.shape == (len(queries), 2)
-        # Routing is deterministic and in-range.
-        assert np.array_equal(
-            routes, solver.route_queries(mapping, vectors, nprobe=2)
-        )
-        assert routes.min() >= 0
-        assert routes.max() < len(solver.partitions_)
-        # The routed partitions and the service's approx mode agree:
-        # serving over the same partitions with nprobe=1 stays inside
-        # each query's first-choice block.
         with QueryService(
             engine, shards=solver.partitions_, n_workers=0
         ) as service:
+            assert len(service.shards) == len(solver.partitions_)
+            home = np.argmin(
+                shard_centroid_distances(
+                    engine.embed_many(queries),
+                    [shard.summary for shard in service.shards],
+                ),
+                axis=1,
+            )
             result, _gen, _trace = service.batch_query_traced(
                 queries, 3, SearchPolicy(mode="approx", nprobe=1)
             )
+            # nprobe=1 stays inside each query's first-choice block.
             for qi, answer in enumerate(result.results):
-                block = {
-                    int(i) for i in solver.partitions_[int(routes[qi, 0])]
-                }
+                block = {int(i) for i in solver.partitions_[int(home[qi])]}
                 assert set(answer.ranking) <= block
-
-    def test_route_queries_requires_fit(self, clustered):
-        _db, _queries, mapping, _blocks = clustered
-        with pytest.raises(SelectionError, match="fit"):
-            DSPMap(5).route_queries(mapping, np.zeros((1, 4)), 1)
-
-    def test_route_queries_rejects_bad_nprobe(self, clustered):
-        db, _queries, mapping, _blocks = clustered
-        incidence = mapping.space.incidence.astype(float)
-        solver = DSPMap(10, partition_size=14, seed=0)
-        solver.fit(
-            mapping.space, db,
-            delta_fn=lambda i, j: float(
-                np.abs(incidence[i] - incidence[j]).sum()
-            ),
-        )
-        with pytest.raises(SelectionError, match="nprobe"):
-            solver.route_queries(mapping, np.zeros((1, 4)), 0)
 
 
 def _parent_summaries_section(mapping, blocks, seq=0):

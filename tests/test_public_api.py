@@ -36,3 +36,24 @@ class TestTopLevelExports:
         import repro.query
         import repro.similarity
         import repro.utils
+
+
+class TestOneWritePath:
+    """A write flags and never changes φ: the options that made it do
+    anything else stay gone."""
+
+    def test_staleness_policy_is_its_threshold(self):
+        import dataclasses
+
+        from repro.core.mapping import StalenessPolicy
+
+        fields = [f.name for f in dataclasses.fields(StalenessPolicy)]
+        assert fields == ["max_drift"]
+
+    def test_attach_takes_the_mapping_and_the_threshold(self):
+        import inspect
+
+        from repro.core.reselect import Reselector
+
+        parameters = list(inspect.signature(Reselector.attach).parameters)
+        assert parameters == ["self", "mapping", "max_drift"]

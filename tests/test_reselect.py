@@ -93,8 +93,12 @@ class TestClosedLoop:
         mapping, graphs, churn, final = _drift_setup()
         reselector = Reselector(graphs=graphs).attach(mapping, max_drift=0.1)
         mapping.query_engine()  # warm: the reuse paths need an old engine
+        selected_before = list(mapping.selected)
         mapping.add_graphs(churn)
         assert mapping.stale, "churn this size must cross max_drift"
+        # The write only flagged: nothing re-selected inside the add.
+        assert reselector.reselections == 0
+        assert mapping.selected == selected_before
 
         assert reselector(mapping) is True
         assert not mapping.stale
@@ -152,19 +156,6 @@ class TestClosedLoop:
         assert reselector(mapping) is False
         assert reselector.selections_changed == 1
         assert mapping.peek_engine() is engine
-
-    def test_inline_policy_heals_inside_the_mutating_call(self):
-        mapping, graphs, churn, _final = _drift_setup()
-        reselector = Reselector(graphs=graphs).attach(
-            mapping, max_drift=0.1, inline=True
-        )
-        mapping.query_engine()
-        mapping.add_graphs(churn)
-        # The add itself crossed the threshold and the policy hook ran:
-        # no flag left behind, selection already healed.
-        assert not mapping.stale
-        assert reselector.selections_changed == 1
-        assert set(range(ACTIVE, EMERGING)) <= set(mapping.selected)
 
     def test_removal_keeps_row_alignment(self):
         mapping, graphs, churn, final = _drift_setup()

@@ -235,6 +235,64 @@ class TestReadYourWrites:
             assert router._session_floor("reader") == 0
 
     @pytest.mark.asyncio
+    @pytest.mark.parametrize(
+        "fields, seen",
+        [({}, 0), ({"add": []}, 0), ({"remove": []}, 0),
+         ({"remove": [999]}, 1), ({"remove": [-1]}, 1),
+         ({"remove": list(range(28))}, 1)],
+        ids=["neither", "empty-add", "empty-remove", "out-of-range",
+             "negative", "everything"],  # the fixture holds 28 graphs
+    )
+    async def test_refused_update_is_not_a_cluster_generation(
+        self, materials, fields, seen
+    ):
+        """An update that changes nothing used to be answered ``ok`` by
+        every replica without advancing their generation, while the
+        router counted one: the writer's floor then sat one above every
+        replica for good.  It is refused at the shared parse boundary;
+        one the replicas refuse unanimously (*seen* by each) comes back
+        verbatim under the caller's id.  Either way the cluster
+        generation stays put — an accepted update is exactly one
+        generation on every tier."""
+        queries, _mapping, path = materials
+        replicas = await _started(
+            [_replica(f"r{i}", path) for i in range(2)]
+        )
+        async with Router(
+            replicas, RouterConfig(health_interval=0)
+        ) as router:
+            refused = await router.handle_line(
+                json.dumps({"op": "update", "id": 2, "tenant": "w", **fields})
+            )
+            assert not refused["ok"] and refused["error"] == "bad_request"
+            assert refused["id"] == 2
+            assert router.generation == 0 and router._update_log == []
+            assert router._session_floor("w") == 0
+            assert router.stats.bad_requests == 1 - seen
+            for replica in replicas:
+                assert replica.healthy
+                assert replica.frontend.service.generation == 0
+                assert replica.frontend.stats.bad_requests == seen
+            answer = await router.handle_line(
+                json.dumps(_wire_query(queries[0], 3, 3, tenant="w"))
+            )
+            assert answer["ok"] and answer["generation"] == 0
+            # ... and a real update is one generation, everywhere.
+            applied = await router.handle_line(
+                json.dumps(
+                    {"op": "update", "id": 4, "tenant": "w", "remove": [0, 0]}
+                )
+            )
+            assert applied["ok"] and applied["removed"] == 1
+            assert applied["generation"] == 1
+            assert [r.frontend.service.generation for r in replicas] == [1, 1]
+            assert len(router._update_log) == 1
+            answer = await router.handle_line(
+                json.dumps(_wire_query(queries[0], 3, 5, tenant="w"))
+            )
+            assert answer["ok"] and answer["generation"] == 1
+
+    @pytest.mark.asyncio
     async def test_restarted_replica_catches_up_via_replay(self, materials):
         queries, _mapping, path = materials
         replicas = await _started(
@@ -452,6 +510,10 @@ class TestStatsAndProtocol:
         ) as router:
             bad = await router.handle_line("{ not json")
             assert not bad["ok"] and bad["error"] == "bad_request"
+            assert bad["id"] is None
+            # Once the line is an object the rejection names its request.
+            bad = await router.handle_line('{"op": "frobnicate", "id": 6}')
+            assert not bad["ok"] and bad["id"] == 6
             pong = await router.handle_request({"op": "ping", "id": 5})
             assert pong["ok"] and pong["generation"] == 0
             assert pong["queue_depth"] == 0 and pong["draining"] is False

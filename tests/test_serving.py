@@ -534,37 +534,69 @@ class TestLiveUpdates:
                 service.apply_update(removed=[0])
 
     def test_rejected_add_after_applied_removal_stays_in_sync(
-        self, setup, mutable_mapping, extra
+        self, setup, mutable_mapping, extra, monkeypatch
     ):
-        """If the add half trips the 'error' staleness gate after the
-        removal already applied, the exception propagates but the
-        service must finish the removal's shard swap — no permanent
-        desync."""
-        from repro.core.mapping import StalenessPolicy
-        from repro.utils.errors import SelectionError
+        """If the add half raises after the removal already applied, the
+        exception propagates but the service must finish the removal's
+        shard swap — no permanent desync."""
+        from repro.query.engine import QueryEngine
 
         _db, queries, _space = setup
         with mutable_mapping.query_service(n_shards=3) as service:
-            # A gate loose enough for the removal, too tight for the add.
-            removal_delta = mutable_mapping.database_vectors[[0]].sum()
-            base = sum(
-                len(mutable_mapping.space.features[r].support)
-                for r in mutable_mapping.selected
-            )
-            mutable_mapping.staleness_policy = StalenessPolicy(
-                max_drift=(removal_delta / base) + 1e-9, on_stale="error"
-            )
-            with pytest.raises(SelectionError, match="drift"):
-                service.apply_update(added=extra, removed=[0])
-            # Removal applied, add rejected; service still serves and
-            # mutates consistently.
             n = mutable_mapping.database_vectors.shape[0]
+
+            def failing_embed(self, graphs):
+                raise RuntimeError("embedding failed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(QueryEngine, "embed_many", failing_embed)
+                with pytest.raises(RuntimeError, match="embedding failed"):
+                    service.apply_update(added=extra, removed=[0])
+            # Removal applied, add failed; service still serves and
+            # mutates consistently.
+            assert mutable_mapping.database_vectors.shape[0] == n - 1
+            assert sum(s.num_rows for s in service.shards) == n - 1
+            reference = mutable_mapping.query_engine().batch_query(queries, 5)
+            _assert_identical(reference, service.batch_query(queries, 5))
+            service.apply_update(added=extra[:1])  # no out-of-sync error
             assert sum(s.num_rows for s in service.shards) == n
             reference = mutable_mapping.query_engine().batch_query(queries, 5)
             _assert_identical(reference, service.batch_query(queries, 5))
-            mutable_mapping.staleness_policy = StalenessPolicy(max_drift=10.0)
-            service.apply_update(added=extra[:1])  # no out-of-sync error
-            assert sum(s.num_rows for s in service.shards) == n + 1
+
+    def test_drift_crossing_update_flags_and_never_changes_phi(
+        self, setup, mutable_mapping, extra
+    ):
+        """An update past ``max_drift`` is still only an update: it sets
+        ``stale`` and leaves the selection, the engine's patterns and
+        every cached embedding alone, rebuilding just the shards that
+        lost or gained rows."""
+        from repro.core.mapping import StalenessPolicy
+
+        _db, queries, _space = setup
+        mutable_mapping.staleness_policy = StalenessPolicy(max_drift=0.0)
+        with mutable_mapping.query_service(n_shards=4) as service:
+            service.batch_query(queries, 5)
+            selected = list(mutable_mapping.selected)
+            patterns = list(service.engine.patterns)
+            cached = {key: vec.copy() for key, vec in service._cache.items()}
+            assert cached and not mutable_mapping.stale
+
+            # Rows 0 and 1 live in shard 0; adds land in one shard.
+            service.apply_update(added=extra[:2], removed=[0, 1])
+
+            assert mutable_mapping.stale
+            assert mutable_mapping.selected == selected
+            assert len(service.engine.patterns) == len(patterns)
+            assert all(
+                a is b for a, b in zip(service.engine.patterns, patterns)
+            )
+            assert list(service._cache) == list(cached)
+            for key, vec in cached.items():
+                assert np.array_equal(service._cache[key], vec)
+            assert service.stats.shards_rebuilt <= 2
+            assert service.stats.reselections == 0
+            reference = mutable_mapping.query_engine().batch_query(queries, 5)
+            _assert_identical(reference, service.batch_query(queries, 5))
 
     def test_reselection_clears_cache_and_rebuilds_all(
         self, setup, mutable_mapping, extra
@@ -575,17 +607,19 @@ class TestLiveUpdates:
         _db, queries, _space = setup
 
         def reselection_hook(m):
-            m.selected = list(reselect(m.space, 18))
-            m.database_vectors = m.space.embed_database(m.selected)
+            m.apply_selection(reselect(m.space, 18))
 
-        mutable_mapping.staleness_policy = StalenessPolicy(
-            max_drift=0.0, on_stale=reselection_hook
-        )
+        mutable_mapping.staleness_policy = StalenessPolicy(max_drift=0.0)
         with mutable_mapping.query_service(n_shards=3) as service:
             service.batch_query(queries, 5)
-            assert len(service._cache) > 0
             service.apply_update(added=extra[:1])
+            assert mutable_mapping.stale and len(service._cache) > 0
+            rebuilt = service.stats.shards_rebuilt
+            assert service.apply_reselection(reselection_hook)
             assert len(service._cache) == 0  # φ changed: cache invalid
+            assert not mutable_mapping.stale
+            assert service.stats.shards_rebuilt == rebuilt + 3
+            assert service.shards[0].vectors.shape[1] == 18
             reference = mutable_mapping.query_engine().batch_query(queries, 5)
             _assert_identical(reference, service.batch_query(queries, 5))
 
@@ -665,8 +699,7 @@ class TestShardIsItsRows:
             _assert_shards_are_their_rows(service)
 
             def reselect(m):
-                m.selected = list(variance_selection(m.space, 18))
-                m.database_vectors = m.space.embed_database(m.selected)
+                m.apply_selection(variance_selection(m.space, 18))
 
             assert service.apply_reselection(reselect)
             assert service.shards[0].vectors.shape[1] == 18
