@@ -210,13 +210,17 @@ async def serve_loop(mapping, queries) -> None:
             summary["retry_after"] = response.get("retry_after")
         print(f"  <- {json.dumps(summary)}")
     stats = await frontend.handle_request({"op": "stats", "id": 99})
-    front = stats["frontend"]
+    front, served = stats["frontend"], stats["service"]
     # One caller at a time has no company to wait for: lingers stays 0.
+    # A few dozen graphs in four shards give the bounds nothing to skip,
+    # so every batch is one block of all rows: whole_scans == shard_tasks.
     print(f"  stats: {front['completed']} answered in "
           f"{front['batches_dispatched']} coalesced batches "
           f"(lingers {front['lingers']}, expired "
           f"{front['lingers_expired']}, concurrency "
-          f"{front['concurrency']}); "
+          f"{front['concurrency']}; whole_scans "
+          f"{served['whole_scans']}, shard_tasks "
+          f"{served['shard_tasks']}); "
           f"per-tenant {json.dumps(front['per_tenant'])}")
     shutdown = await frontend.handle_request({"op": "shutdown", "id": 100})
     assert shutdown["draining"]

@@ -41,6 +41,12 @@ def distance_block(
     return np.zeros_like(d2)
 
 
+#: Most elements of the (queries, shards, p) cube `bound_block`'s
+#: envelope term materialises at once (2 MiB of float64): batches whose
+#: cube is larger are cut into query slabs.
+_BOUND_CUBE_ELEMENTS = 1 << 18
+
+
 def bound_block(
     vectors: np.ndarray,
     centroids: np.ndarray,
@@ -56,7 +62,8 @@ def bound_block(
     term (coordinate gaps below ``lows`` / above ``highs``) are both
     valid lower bounds on the squared distance to any row of the shard;
     the max of the two is returned, normalised like the distances it
-    will be compared against.
+    will be compared against.  Peak memory is the envelope term's cube
+    of query slab x shards x p, capped at ``_BOUND_CUBE_ELEMENTS``.
     """
     sq = (
         (vectors**2).sum(axis=1)[:, None]
@@ -65,14 +72,17 @@ def bound_block(
     )
     centroid_d = np.sqrt(np.maximum(sq, 0.0))
     tri_sq = np.maximum(centroid_d - radii[None, :], 0.0) ** 2
-    # Envelope term, one shard at a time: at most one of below/above is
-    # nonzero per coordinate, so the squared gap splits exactly — and
-    # peak memory stays at (nq, p) instead of an (nq, ns, p) cube.
+    # Envelope term in one pass: a coordinate's gap to [low, high] is
+    # its distance to its own clip, so the squared gaps of a slab of
+    # queries against every shard are one clip and one contraction over
+    # a (slab, ns, p) cube — cut so the cube stays under the budget.
     box_sq = np.empty_like(centroid_d)
-    for si in range(len(radii)):
-        below = np.maximum(lows[si] - vectors, 0.0)
-        above = np.maximum(vectors - highs[si], 0.0)
-        box_sq[:, si] = (below**2).sum(axis=1) + (above**2).sum(axis=1)
+    slab = max(_BOUND_CUBE_ELEMENTS // max(centroids.size, 1), 1)
+    for lo in range(0, vectors.shape[0], slab):
+        block = vectors[lo : lo + slab, None, :]
+        gaps = np.clip(block, lows, highs)
+        np.subtract(block, gaps, out=gaps)
+        box_sq[lo : lo + slab] = np.einsum("qsp,qsp->qs", gaps, gaps)
     best = np.maximum(tri_sq, box_sq)
     if dimensionality:
         bounds = np.sqrt(best / dimensionality)

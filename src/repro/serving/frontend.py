@@ -409,7 +409,25 @@ class AsyncFrontend:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    @property
+    def _serves_graph(self) -> bool:
+        """Whether requests that name no policy are graph searches."""
+        policy = self.config.default_policy
+        return policy is not None and policy.mode == "graph"
+
     async def start(self) -> "AsyncFrontend":
+        """Start the dispatcher (and the maintenance loop, if configured).
+
+        A server whose default policy is graph mode gets its proximity
+        graph here — attached from the artifact, or built — so the build
+        is paid before anything listens, never by the first request and
+        everyone queued behind it.  A per-request graph policy on any
+        other server stays lazy.
+        """
+        if self._serves_graph:
+            await asyncio.get_running_loop().run_in_executor(
+                self._admin_executor, self.service.ensure_graph
+            )
         if self._dispatcher is None:
             self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         if (
@@ -880,12 +898,15 @@ class AsyncFrontend:
                 from repro.index import load_index
 
                 mapping = load_index(path)
-                return QueryService(
+                service = QueryService(
                     mapping.query_engine(),
                     n_shards=max(len(old.shards), 1),
                     n_workers=old.n_workers,
                     cache_size=old._cache_size,
                 )
+                if self._serves_graph:
+                    service.ensure_graph()  # as start() does: off-path
+                return service
 
             replacement = await loop.run_in_executor(
                 self._admin_executor, _build
@@ -963,6 +984,7 @@ class AsyncFrontend:
                 "cache_misses": svc.cache_misses,
                 "vf2_calls": svc.vf2_calls,
                 "shard_tasks": svc.shard_tasks,
+                "whole_scans": svc.whole_scans,
                 "shards_skipped": svc.shards_skipped,
                 "bound_checks": svc.bound_checks,
                 "updates": svc.updates,

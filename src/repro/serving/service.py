@@ -31,20 +31,36 @@ result bit:
   new shard list atomically, rebuilding only the shards whose rows
   changed; the embedding cache survives because φ(q) depends only on
   the selected patterns, which add/remove never touches.
-* **One executor, two plans.**  Every sharded
+* **One executor, plans of rounds.**  Every sharded
   :class:`~repro.query.pruning.SearchPolicy` is a *plan of rounds* run
   by one executor (:meth:`QueryService._query_vectors`).  A round is a
-  list of ``(shard, query ids)`` groups, decided against the batch's
-  running k-th-best thresholds as they stand when the round starts; the
-  executor computes a round's blocks — on the shard pool when it is on,
-  inline otherwise: the pool's one dispatch point — absorbs them in
-  order, then asks for the next round.  The full scan is the one-round
-  plan that reads no bound; the *ordered* (exact, fixed ``nprobe``) and
-  *routed* (``nprobe="auto"``) plans read the lower bounds each shard's
-  :class:`~repro.query.pruning.ShardSummary` gives.  Top-k selection
-  under a total order is associative, so answers cannot depend on how
-  rounds are grouped; every stat and trace count is derived in that one
-  place from the groups that ran, so counters cannot drift either.
+  list of ``(block, query ids)`` groups — a block is one shard, or all
+  rows at once — decided against the batch's running k-th-best
+  thresholds as they stand when the round starts; the executor
+  computes a round's blocks — on the shard pool when it is on, inline
+  otherwise: the pool's one dispatch point — absorbs them in order,
+  then asks for the next round.  The *ordered* (exact, fixed
+  ``nprobe``) and *routed* (``nprobe="auto"``) plans read the lower
+  bounds each shard's :class:`~repro.query.pruning.ShardSummary` gives;
+  the full scan reads none.
+* **A round must be able to skip something.**  A round per shard buys
+  the chance to skip later shards and costs a fixed ``decide`` →
+  ``distance_block`` → ``rank_block`` → ``absorb`` per shard.  So an
+  exact batch first asks its bounds whether any (query, shard) pair
+  could *ever* be pruned — each query's final k-th-best is capped by
+  the distance upper bound of the nearest shards covering k rows, and
+  a lower bound that does not clear even that cap clears no threshold.
+  If none does, the batch is **one group over one block of all rows**:
+  the mapping's own vectors in database order, which the
+  :class:`ShardSnapshot` carries beside the shard list.  If some pair
+  can be pruned the per-shard rounds run.  Pool hosts take the same
+  decision from the same check — seed round or all shards at once.
+  The bound-free full scan is the same one block when the pool is off.
+  Fixed ``nprobe`` and ``auto`` route *on shards* and always run
+  shard rounds.  Top-k selection under a total order is associative,
+  so answers cannot depend on how rounds are grouped; every stat and
+  trace count is derived in that one place from the groups that ran,
+  so counters cannot drift either.
 
 Bit-identity with the engine path is enforced by the serving test suite
 and re-checked against an oracle by every ledger run (``bench/verify.py``).
@@ -80,6 +96,7 @@ from repro.query.pruning import (
     stack_summaries,
 )
 from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_block
+from repro.utils.errors import QueryError
 
 
 def _effective_cpus() -> int:
@@ -130,7 +147,7 @@ def _embed_chunk(
 
 @dataclass
 class Shard:
-    """One database shard: its rows and what is derived from them.
+    """One block of database rows and what is derived from them.
 
     ``indices`` are ascending global row ids, ``vectors`` the full-width
     block ``database_vectors[indices]`` (gathered once, at shard build),
@@ -138,16 +155,66 @@ class Shard:
     (centroid/radius/envelope) the shard-skipping bounds read — always
     :meth:`ShardSummary.from_vectors` of ``vectors``, reused by identity
     when a live update only renumbers this shard's rows.
+
+    The block of *all* rows a :class:`ShardSnapshot` carries is the one
+    ``Shard`` without a summary: nothing bounds or routes on it — it is
+    what a batch scans when the shard summaries cannot skip anything.
     """
 
     indices: np.ndarray
     vectors: np.ndarray
     sq_norms: np.ndarray
-    summary: ShardSummary
+    summary: Optional[ShardSummary]
 
     @property
     def num_rows(self) -> int:
         return len(self.indices)
+
+
+#: The block of a group that scans every shard at once (it indexes the
+#: per-shard accounting arrays as "all of them").
+ALL_SHARDS = slice(None)
+
+#: One unit of a round: a block — a shard index, or :data:`ALL_SHARDS` —
+#: and the ascending ids of the batch's queries scored against it.
+Group = Tuple[Union[int, slice], np.ndarray]
+
+
+@dataclass(frozen=True)
+class ShardSnapshot:
+    """Everything a batch reads of one shard-list generation.
+
+    Derived once, when the shard list is installed, and swapped as one
+    reference under the swap lock — a batch that took a snapshot keeps
+    answering from these rows whatever :meth:`QueryService.apply_update`
+    installs meanwhile.  ``stack`` is the summaries stacked for the
+    bound kernel, ``rows`` the per-shard row counts, and ``whole`` every
+    row in database order: the mapping's own ``database_vectors`` /
+    ``database_sq_norms``, referenced, not copied (the mapping's
+    mutation appliers replace those arrays and never write into them).
+    """
+
+    shards: Tuple[Shard, ...]
+    stack: SummaryStack
+    rows: np.ndarray
+    whole: Shard
+
+    @classmethod
+    def of(
+        cls, shards: Sequence[Shard], mapping: DSPreservedMapping
+    ) -> "ShardSnapshot":
+        vectors = mapping.database_vectors
+        return cls(
+            shards=tuple(shards),
+            stack=stack_summaries([shard.summary for shard in shards]),
+            rows=np.array([s.num_rows for s in shards], dtype=np.int64),
+            whole=Shard(
+                indices=np.arange(vectors.shape[0], dtype=np.int64),
+                vectors=vectors,
+                sq_norms=mapping.database_sq_norms,
+                summary=None,
+            ),
+        )
 
 
 @dataclass
@@ -191,6 +258,10 @@ class ServiceStats:
     #: scans and non-skipped shard blocks count every row they score;
     #: graph mode counts the rows its beams actually evaluated.
     distance_evaluations: int = 0
+    #: Batches answered by one block over all rows, because no bound
+    #: could have skipped anything (or none was asked to).  One such
+    #: batch is one ``shard_task``.
+    whole_scans: int = 0
 
 
 class QueryService:
@@ -244,10 +315,9 @@ class QueryService:
         #: a tagged batch names exactly the database state it ran on.
         self.generation = 0
         #: Graph-mode snapshot: the proximity graph the beam searches.
-        #: ``None`` until the first graph-mode query (lazy build /
-        #: artifact attach); refreshed under the swap lock by
-        #: apply_update, so graph answers track the same generation the
-        #: shard list serves.
+        #: ``None`` until :meth:`ensure_graph` builds or attaches it;
+        #: refreshed under the swap lock by apply_update, so graph
+        #: answers track the same generation the shard list serves.
         self._graph = None
 
         if isinstance(engine_or_mapping, DSPreservedMapping):
@@ -273,13 +343,11 @@ class QueryService:
                 raise ValueError(
                     "shards must partition the database rows exactly once"
                 )
-        self.shards: List[Shard] = [
-            self._build_shard(block) for block in assignment if len(block)
-        ]
-        # Stacked once per shard-list generation; snapshotted together
-        # with the shard list so per-batch bound checks never re-stack.
-        self._summary_stack = stack_summaries(
-            [shard.summary for shard in self.shards]
+        # One object per shard-list generation: the shards, their
+        # stacked summaries and row counts, and the block of all rows.
+        self._snapshot = ShardSnapshot.of(
+            [self._build_shard(block) for block in assignment if len(block)],
+            self.mapping,
         )
 
         self.n_workers = max(int(n_workers), 0)
@@ -316,9 +384,14 @@ class QueryService:
             summary=ShardSummary.from_vectors(rows),
         )
 
+    @property
+    def shards(self) -> Tuple[Shard, ...]:
+        """The serving shard list (of the current snapshot)."""
+        return self._snapshot.shards
+
     def _require_in_sync(self) -> None:
         """Refuse to derive a shard list from one the mapping outgrew."""
-        if sum(s.num_rows for s in self.shards) != (
+        if self._snapshot.whole.num_rows != (
             self.mapping.database_vectors.shape[0]
         ):
             raise ValueError(
@@ -333,11 +406,10 @@ class QueryService:
         """Swap *new_shards* in as the next index generation: everything
         a batch snapshots changes together, under the swap lock."""
         engine = self.mapping.query_engine()
-        new_stack = stack_summaries([s.summary for s in new_shards])
+        snapshot = ShardSnapshot.of(new_shards, self.mapping)
         selection = tuple(self.mapping.selected)
         with self._swap_lock:
-            self.shards = new_shards
-            self._summary_stack = new_stack
+            self._snapshot = snapshot
             self.engine = engine
             self.generation += 1
             # The mutation appliers maintained the mapping's proximity
@@ -517,9 +589,9 @@ class QueryService:
         changed.
         """
         with self._swap_lock:
-            shards = list(self.shards)
+            snapshot = self._snapshot
         refreshed = 0
-        for shard in shards:
+        for shard in snapshot.shards:
             rows = self.mapping.database_vectors[shard.indices]
             fresh = ShardSummary.from_vectors(rows)
             old = shard.summary
@@ -533,12 +605,12 @@ class QueryService:
                 shard.summary = fresh
                 refreshed += 1
         with self._swap_lock:
-            current = len(self.shards) == len(shards) and all(
-                a is b for a, b in zip(self.shards, shards)
-            )
-            if refreshed and current:
-                self._summary_stack = stack_summaries(
-                    [s.summary for s in self.shards]
+            if refreshed and self._snapshot is snapshot:
+                self._snapshot = replace(
+                    snapshot,
+                    stack=stack_summaries(
+                        [s.summary for s in snapshot.shards]
+                    ),
                 )
         self.stats.summaries_refreshed += refreshed
         return refreshed
@@ -715,7 +787,7 @@ class QueryService:
     ) -> List[TopKResult]:
         """Top-k for pre-embedded query vectors (the vector-serving path).
 
-        The shard list is snapshotted under the swap lock, so a
+        The shard snapshot is taken under the swap lock, so a
         concurrent :meth:`apply_update` either happens entirely before
         this batch (it sees the mutated database) or entirely after (it
         sees the old one) — never a mix of shard generations.
@@ -733,36 +805,57 @@ class QueryService:
         The trace carries per-query counters (e.g. the adaptive
         tier's ``effective_nprobe``) that the cumulative service stats
         cannot attribute to one batch.
+
+        This is the boundary vectors from outside cross (``embed_batch``
+        output is trusted): anything but a finite 2-d block of the
+        mapping's width is a :class:`QueryError`.
         """
         with self._swap_lock:
-            shards = list(self.shards)
-            stack = self._summary_stack
-        return self._query_vectors(vectors, k, shards, policy, stack)
+            snapshot = self._snapshot
+        vectors = np.asarray(vectors, dtype=float)
+        p = snapshot.whole.vectors.shape[1]
+        if vectors.ndim != 2 or vectors.shape[1] != p:
+            raise QueryError(
+                f"query vectors must be a 2-d block of width {p} "
+                f"(queries x dimensions), got shape {vectors.shape}"
+            )
+        finite = np.isfinite(vectors)
+        if not finite.all():
+            raise QueryError(
+                "query vectors must be finite, got "
+                f"{int((~finite).sum())} nan/inf entries"
+            )
+        return self._query_vectors(vectors, k, snapshot, policy)
 
     def _query_vectors(
         self,
         vectors: np.ndarray,
         k: int,
-        shards: List[Shard],
+        snapshot: ShardSnapshot,
         policy: Optional[SearchPolicy],
-        stack: SummaryStack,
     ) -> Tuple[List[TopKResult], PruningTrace]:
-        """The distance stage over an already-snapshotted shard list:
-        the one executor of every plan (see the module docstring) —
-        compute a round's groups, absorb them in order, ask for the
-        next round, and derive stats and trace from what ran."""
+        """The distance stage over an already-taken snapshot: the one
+        executor of every plan (see the module docstring) — compute a
+        round's groups, absorb them in order, ask for the next round,
+        and derive stats and trace from what ran.
+
+        A group's block is a shard index, or :data:`ALL_SHARDS` — the
+        snapshot's block of all rows, chosen per batch when the bounds
+        say no round could skip anything (and by the bound-free plan):
+        one task that visits every shard for its queries.
+        """
         policy = EXACT_POLICY if policy is None else policy
-        k = _check_k(k, sum(shard.num_rows for shard in shards))
-        vectors = np.asarray(vectors, dtype=float)
+        k = _check_k(k, snapshot.whole.num_rows)
         nq, p = vectors.shape
         if nq == 0:
-            # Nothing to search: the bound-free plan over no shards
-            # runs no group, so no counter moves whatever was asked.
-            policy, shards = SearchPolicy(prune=False), []
+            # Nothing to search: no group runs and no counter moves,
+            # whatever was asked (nor is a graph built to search it).
+            none = np.zeros(0, dtype=np.int64)
+            return [], PruningTrace("exact", None, none, none, none)
         if policy.mode == "graph":
             return self._query_vectors_graph(vectors, k, policy)
+        shards, stack, rows = snapshot.shards, snapshot.stack, snapshot.rows
         ns = len(shards)
-        rows = np.array([shard.num_rows for shard in shards], dtype=np.int64)
         parallel = self._parallel_shards and ns > 1
         clears = partial(prunable_mask, backend=self._kernel)
         best = BlockTopK(nq, k)
@@ -771,11 +864,36 @@ class QueryService:
         # is ever pruned (or stopped) against an undefined threshold.
         thresholds = best.thresholds
         checks = np.zeros(nq, dtype=np.int64)
+        everyone = np.arange(nq)
+        # The one-block round: inline it beats a round per shard that
+        # skips nothing; the pool overlaps shard blocks instead.
+        whole = None if parallel else [(ALL_SHARDS, everyone)]
         nprobe = policy.nprobe
         if isinstance(nprobe, int):
             nprobe = min(nprobe, ns)
 
-        def ordered_rounds() -> Iterator[List[Tuple[int, np.ndarray]]]:
+        def can_skip(eligible: Optional[np.ndarray] = None) -> bool:
+            """Could any threshold ever prune an (eligible) pair?  Each
+            query's final k-th-best can never exceed the distance
+            *upper* bound (‖φ(q) − centroid‖ + radius) of the nearest
+            shards covering k rows — if no (query, shard) lower bound
+            clears even that cap, no round can skip anything.  The cap
+            is looser than a running threshold, so this may say yes
+            where the rounds then skip nothing, never the reverse; and
+            forgoing skip *attempts* never changes results, only which
+            exact strategy computes them."""
+            if not policy.prune or p == 0:  # all-zero bounds at p == 0
+                return False
+            upper = (centroid_d + stack.radii[None, :]) / np.sqrt(p)
+            by_upper = np.argsort(upper, axis=1, kind="stable")
+            cap_pos = np.argmax(np.cumsum(rows[by_upper], axis=1) >= k, axis=1)
+            caps = upper[everyone, by_upper[everyone, cap_pos]]
+            hits = clears(bounds, caps[:, None])
+            if eligible is not None:
+                hits &= eligible
+            return bool(hits.any())
+
+        def ordered_rounds() -> Iterator[List[Group]]:
             """Exact and fixed ``nprobe``: one shard order for the
             batch, most promising (smallest mean lower bound) first, so
             each query's threshold tightens as early as possible.  A
@@ -784,17 +902,29 @@ class QueryService:
             :func:`repro.query.pruning.prunable` — which keeps the
             merged answer bit-identical to the full scan, ties included.
 
-            Single-threaded, every shard is a round of its own.  With
-            the shard pool only the *first* shard is, to seed the
-            thresholds; skip decisions for every remaining shard are
-            then made in one shot and the surviving blocks run
-            concurrently.  One-shot decisions are strictly conservative
-            — a seed-phase threshold can only be looser than the fully
-            tightened one — so parallel hosts may skip fewer shards
-            than single-threaded ones, but never an unsafe one.
+            An exact batch whose bounds cannot skip anything
+            (:func:`can_skip`) is not ordered at all: single-threaded
+            it is the one block of all rows, on the pool every shard at
+            once.  Otherwise, single-threaded, every shard is a round
+            of its own.  With the shard pool only the *first* shard is,
+            to seed the thresholds; skip decisions for every remaining
+            shard are then made in one shot and the surviving blocks
+            run concurrently.  One-shot decisions are strictly
+            conservative — a seed-phase threshold can only be looser
+            than the fully tightened one — so parallel hosts may skip
+            fewer shards than single-threaded ones, but never an unsafe
+            one.
             """
-            eligible = np.ones((nq, ns), dtype=bool)
-            if nprobe is not None:
+            if nprobe is None:
+                # Asked before anything else is built: the one-block
+                # route needs no order, no masks and no `decide`.
+                skippable = can_skip()
+                if whole and not skippable:
+                    checks[:] = ns  # every pair's bound was read
+                    yield whole
+                    return
+                eligible = np.ones((nq, ns), dtype=bool)
+            else:
                 # Each query is routed to its nprobe closest shards (by
                 # centroid) only.  nprobe is a floor, not a cap on
                 # answer length: routing extends past it (nearest
@@ -806,15 +936,19 @@ class QueryService:
                 need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
                 take = np.maximum(nprobe, need)
                 eligible = np.zeros((nq, ns), dtype=bool)
-                eligible[np.arange(nq)[:, None], routed] = (
+                eligible[everyone[:, None], routed] = (
                     np.arange(ns)[None, :] < take[:, None]
                 )
+                # Routing is defined on shards, so routed batches keep
+                # their shard rounds; only the pool asks, to spare the
+                # serialized seed block when it could not pay.
+                skippable = parallel and can_skip(eligible)
             if policy.prune:
                 # Every shard is decided exactly once, for the queries
                 # routed to it: one bound test per eligible pair.
                 checks[:] = eligible.sum(axis=1)
 
-            def decide(some: List[int]) -> List[Tuple[int, np.ndarray]]:
+            def decide(some: List[int]) -> List[Group]:
                 """The groups of shards *some*, as the thresholds stand."""
                 groups = []
                 for si in some:
@@ -831,30 +965,12 @@ class QueryService:
                 for si in order:
                     yield decide([si])
                 return
-            # Before paying the serialized seed block, a cheap
-            # feasibility check: each query's final k-th-best can never
-            # exceed the distance *upper* bound (‖φ(q) − centroid‖ +
-            # radius) of the nearest shards covering k rows — if no
-            # (query, shard) lower bound clears even that cap, no
-            # threshold could ever prune anything, and all blocks
-            # dispatch concurrently at the pre-pruning latency.
-            # Forgoing skip *attempts* never changes results, only
-            # which exact strategy computes them.
-            seedless = not policy.prune or p == 0  # all-zero bounds at p=0
-            if not seedless:
-                upper = (centroid_d + stack.radii[None, :]) / np.sqrt(p)
-                by_upper = np.argsort(upper, axis=1, kind="stable")
-                cap_pos = np.argmax(
-                    np.cumsum(rows[by_upper], axis=1) >= k, axis=1
-                )
-                caps = upper[np.arange(nq), by_upper[np.arange(nq), cap_pos]]
-                seedless = not (eligible & clears(bounds, caps[:, None])).any()
-            if not seedless:
+            if skippable:
                 yield decide(order[:1])
                 order = order[1:]
             yield decide(order)
 
-        def routed_rounds() -> Iterator[List[Tuple[int, np.ndarray]]]:
+        def routed_rounds() -> Iterator[List[Group]]:
             """``nprobe="auto"``: round *t* is the *t*-th-nearest shard
             (by centroid, the signal fixed ``nprobe`` routes on) of
             every still-widening query, grouped by shard so one distance
@@ -868,7 +984,7 @@ class QueryService:
             approximation — answers stay full-length, only recall is
             traded."""
             routed = np.argsort(centroid_d, axis=1, kind="stable")
-            live = np.arange(nq)
+            live = everyone
             for t in range(ns):
                 next_shards = routed[live, t]
                 if t > 0:
@@ -885,22 +1001,23 @@ class QueryService:
                 ]
 
         if policy.is_full_scan:
-            rounds = [[(si, np.arange(nq)) for si in range(ns)]]
+            rounds = [whole or [(si, everyone) for si in range(ns)]]
         else:
             bounds, centroid_d = shard_lower_bounds(
                 vectors, stack, p, backend=self._kernel
             )
             rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
 
-        def run(si: int, qs: np.ndarray):
+        def run(si: Union[int, slice], qs: np.ndarray):
             """One group's block — a shard task."""
+            block = snapshot.whole if si is ALL_SHARDS else shards[si]
             # A whole-batch group needs no gather: query ids ascend.
             left = vectors if qs.size == nq else vectors[qs]
-            return self._shard_topk(shards[si], left, k)
+            return self._shard_topk(block, left, k)
 
         visited = np.zeros(nq, dtype=np.int64)  # shards per query
         scored = np.zeros(ns, dtype=np.int64)  # queries per shard
-        shard_tasks = 0
+        shard_tasks = whole_scans = 0
         for groups in rounds:
             if parallel and len(groups) > 1:
                 pool = self._ensure_shard_pool()
@@ -910,11 +1027,14 @@ class QueryService:
                 blocks = [run(si, qs) for si, qs in groups]
             for (si, qs), out in zip(groups, blocks):
                 best.absorb(qs, *out)
-                visited[qs] += 1
+                # One shard's block, or every shard's rows in one.
+                visited[qs] += ns if si is ALL_SHARDS else 1
                 scored[si] += qs.size
             shard_tasks += len(groups)
+            whole_scans += groups is whole
         shards_skipped = ns - int(np.count_nonzero(scored))
         self.stats.shard_tasks += shard_tasks
+        self.stats.whole_scans += whole_scans
         self.stats.shards_skipped += shards_skipped
         self.stats.bound_checks += int(checks.sum())
         self.stats.distance_evaluations += int(scored @ rows)
@@ -930,13 +1050,16 @@ class QueryService:
         )
         return best.results(), trace
 
-    def _ensure_graph(self):
-        """The graph-mode snapshot, built lazily on first use.
+    def ensure_graph(self):
+        """The graph-mode snapshot, built (or attached) if not there yet.
 
-        The build (or artifact attach) runs outside the swap lock — it
-        can cost an O(n²/chunk) kernel pass — and the assignment
-        re-checks under the lock so a concurrent first-query race keeps
-        exactly one snapshot.
+        A server whose default policy is graph mode calls this before it
+        listens (:meth:`AsyncFrontend.start
+        <repro.serving.frontend.AsyncFrontend.start>`); otherwise the
+        first graph-mode query does.  The build (or artifact attach)
+        runs outside the swap lock — it can cost an O(n²/chunk) kernel
+        pass — and the assignment re-checks under the lock so a
+        concurrent first-query race keeps exactly one snapshot.
         """
         with self._swap_lock:
             graph = self._graph
@@ -959,7 +1082,7 @@ class QueryService:
         ``pruning`` section) and the cumulative
         ``distance_evaluations`` counter.
         """
-        graph = self._ensure_graph()
+        graph = self.ensure_graph()
         nq = vectors.shape[0]
         ef = policy.ef if policy.ef is not None else default_ef(k)
         # The beam clamps its candidate list to at least k entries
@@ -991,7 +1114,7 @@ class QueryService:
     ) -> BatchQueryResult:
         """Top-k for a batch of query graphs — the traffic entry point.
 
-        Engine and shard list are snapshotted *together* under the swap
+        Engine and shard snapshot are taken *together* under the swap
         lock, so the whole batch — embedding and distances — runs
         against one generation of the index even while
         :meth:`apply_update` swaps in another.
@@ -1021,17 +1144,14 @@ class QueryService:
         queries = list(queries)
         with self._swap_lock:
             engine = self.engine
-            shards = list(self.shards)
-            stack = self._summary_stack
+            snapshot = self._snapshot
             generation = self._selection_snapshot
             index_generation = self.generation
-        k = _check_k(k, sum(shard.num_rows for shard in shards))
+        k = _check_k(k, snapshot.whole.num_rows)
         start = time.perf_counter()
         vectors = self.embed_batch(queries, engine, generation)
         mapped = time.perf_counter()
-        results, trace = self._query_vectors(
-            vectors, k, shards, policy, stack
-        )
+        results, trace = self._query_vectors(vectors, k, snapshot, policy)
         end = time.perf_counter()
         mapping_seconds = mapped - start
         search_seconds = end - mapped

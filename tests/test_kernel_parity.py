@@ -61,6 +61,32 @@ def raw_arrays():
     return vectors, queries
 
 
+@pytest.fixture(scope="module")
+def biting_envelopes():
+    """Binary queries against four shards of binary rows whose envelopes
+    have pinned columns — ``lows == 1`` and ``highs == 0`` — so queries
+    fall outside them on both sides."""
+    rng = np.random.default_rng(29)
+    p = 40
+    pinned = rng.integers(0, 3, size=(4, p))  # 0: free, 1: all-1, 2: all-0
+    shards = []
+    for pins in pinned:
+        rows = (rng.random((30, p)) < 0.5).astype(float)
+        rows[:, pins == 1] = 1.0
+        rows[:, pins == 2] = 0.0
+        shards.append(rows)
+    lows = np.stack([rows.min(axis=0) for rows in shards])
+    highs = np.stack([rows.max(axis=0) for rows in shards])
+    assert (lows == 1).any() and (highs == 0).any()
+    centroids = np.stack([rows.mean(axis=0) for rows in shards])
+    radii = np.array([
+        np.sqrt(((rows - c) ** 2).sum(axis=1).max())
+        for rows, c in zip(shards, centroids)
+    ])
+    queries = (rng.random((16, p)) < 0.5).astype(float)
+    return queries, centroids, (centroids**2).sum(axis=1), radii, lows, highs
+
+
 class TestRawKernels:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_distance_block_bit_identical(self, name, raw_arrays):
@@ -97,6 +123,45 @@ class TestRawKernels:
         bounds, cd = resolve_backend(name).bound_block(*args)
         assert np.allclose(bounds, base_bounds, rtol=1e-9, atol=1e-12)
         assert np.allclose(cd, base_cd, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_envelope_term_bit_identical_where_it_bites(
+        self, name, biting_envelopes
+    ):
+        """On binary rows every squared gap is 0 or 1, so the one-pass
+        clip-and-contract and the per-shard below/above loop must agree
+        to the bit (radii far out: the triangle term is zero and the
+        bound *is* the envelope term)."""
+        queries, centroids, sq, _radii, lows, highs = biting_envelopes
+        far = np.full(len(lows), 1e9)
+        p = queries.shape[1]
+        args = (queries, centroids, sq, far, lows, highs, p)
+        base_bounds, _cd = resolve_backend("reference").bound_block(*args)
+        bounds, _cd = resolve_backend(name).bound_block(*args)
+        below = (queries[:, None, :] < lows[None]).sum(axis=2)
+        above = (queries[:, None, :] > highs[None]).sum(axis=2)
+        assert (below > 0).any() and (above > 0).any()  # both sides bite
+        assert np.array_equal(bounds, np.sqrt((below + above) / p))
+        assert np.array_equal(bounds, base_bounds)
+
+    def test_bound_block_identical_across_slab_boundaries(
+        self, biting_envelopes, monkeypatch
+    ):
+        """The slab budget only bounds memory: cutting the batch into
+        many query slabs returns the one-slab answer."""
+        from repro.kernels import numpy_backend
+
+        queries, centroids, sq, radii, lows, highs = biting_envelopes
+        args = (queries, centroids, sq, radii, lows, highs, queries.shape[1])
+        whole = numpy_backend.bound_block(*args)
+        assert queries.shape[0] * centroids.size <= (
+            numpy_backend._BOUND_CUBE_ELEMENTS
+        )  # one slab as shipped
+        monkeypatch.setattr(
+            numpy_backend, "_BOUND_CUBE_ELEMENTS", 5 * centroids.size
+        )  # 16 queries in slabs of 5: four slabs, the last one short
+        for cut, one in zip(numpy_backend.bound_block(*args), whole):
+            assert np.array_equal(cut, one)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_bound_check_same_mask(self, name, raw_arrays):

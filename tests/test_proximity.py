@@ -33,6 +33,7 @@ from repro.mining.gspan import FrequentSubgraph
 from repro.query.proximity import ProximityGraph, _entry_points
 from repro.query.pruning import SEARCH_MODES, SearchPolicy, default_ef
 from repro.serving import protocol
+from repro.serving.frontend import AsyncFrontend, FrontendConfig
 from repro.serving.service import QueryService
 from repro.utils.errors import ChecksumError, ProtocolError, QueryError
 
@@ -417,6 +418,79 @@ class TestServiceDispatch:
                 vectors[:3], 4, SearchPolicy(prune=False)
             )
             assert service.stats.distance_evaluations == 3 * 20
+
+
+class TestGraphBeforeListening:
+    """A graph-mode server never builds its graph on the request path."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every ``ProximityGraph.build`` call, by row count."""
+        calls = []
+        build = ProximityGraph.build.__func__
+
+        def counting(cls, vectors, *args, **kwargs):
+            calls.append(len(vectors))
+            return build(cls, vectors, *args, **kwargs)
+
+        monkeypatch.setattr(ProximityGraph, "build", classmethod(counting))
+        return calls
+
+    @staticmethod
+    def _served(default_policy):
+        rng = np.random.default_rng(47)
+        vectors = _binary_vectors(rng, 30, 8)
+        service = QueryService(
+            _vector_mapping(vectors).query_engine(), n_shards=3, n_workers=0
+        )
+        frontend = AsyncFrontend(
+            service,
+            FrontendConfig(default_policy=default_policy),
+            own_service=True,
+        )
+        request = {
+            "op": "query",
+            "id": 1,
+            "k": 5,
+            "graph": protocol.graph_to_wire(_row_graph(vectors[0], "q")),
+        }
+        return service, frontend, request
+
+    @pytest.mark.asyncio
+    async def test_default_graph_policy_builds_in_start(
+        self, builds, tmp_path
+    ):
+        service, frontend, request = self._served(SearchPolicy(mode="graph"))
+        try:
+            assert service._graph is None and builds == []
+            await frontend.start()
+            assert service._graph is not None and builds == [30]
+            response = await frontend.handle_request(request)
+            assert response["ok"] and response["pruning"]["mode"] == "graph"
+            assert builds == [30]  # the first request found it there
+            # A reload hands over a service that has its graph too.
+            save_index(service.mapping, tmp_path / "index.json")
+            reloaded = await frontend.handle_request(
+                {"op": "reload", "id": 2, "path": str(tmp_path / "index.json")}
+            )
+            assert reloaded["ok"] and frontend.service is not service
+            assert frontend.service._graph is not None
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    async def test_per_request_graph_policy_stays_lazy(self, builds):
+        service, frontend, request = self._served(None)
+        try:
+            await frontend.start()
+            assert service._graph is None and builds == []
+            response = await frontend.handle_request(
+                {**request, "search": {"mode": "graph"}}
+            )
+            assert response["ok"] and response["pruning"]["mode"] == "graph"
+            assert service._graph is not None and builds == [30]
+        finally:
+            await frontend.aclose()
 
 
 class TestChurnSoak:

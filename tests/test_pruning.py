@@ -312,6 +312,34 @@ class TestExactIdentity:
         finally:
             service.close()
 
+    @pytest.mark.parametrize("n_shards", [2, 4, 5])
+    def test_unskippable_batch_is_one_block_single_threaded(
+        self, random_setup, n_shards, monkeypatch
+    ):
+        """The same reading of the same check without a pool: where no
+        round could skip anything, the batch is one group over one block
+        of all rows — one task, one ``rank_block`` call — and the trace
+        still accounts for every shard."""
+        from repro.serving import service as service_module
+
+        queries, mapping = random_setup
+        reference = mapping.query_engine().batch_query(queries, 7)
+        ranked = []
+        rank_block = service_module.rank_block
+        monkeypatch.setattr(
+            service_module,
+            "rank_block",
+            lambda d, k: ranked.append(d.shape) or rank_block(d, k),
+        )
+        with mapping.query_service(n_shards=n_shards) as service:
+            result, _gen, trace = service.batch_query_traced(queries, 7)
+            _assert_identical(reference, result.results)
+            assert ranked == [(len(queries), mapping.space.n)]
+            assert trace.shard_tasks == service.stats.whole_scans == 1
+            assert (trace.visited == n_shards).all()
+            assert (trace.bound_checks == n_shards).all()
+            assert trace.shards_skipped == 0
+
     def test_trace_accounts_for_every_shard(self, clustered):
         _db, per_cluster_queries, mapping, blocks = clustered
         with QueryService(

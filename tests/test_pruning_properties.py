@@ -268,13 +268,24 @@ class TestExecutorAccounting:
             for name, policy in SHARDED_POLICIES.items():
                 del ran[:]
                 before = service.stats.distance_evaluations
+                whole = service.stats.whole_scans
                 answers[name], trace = service.batch_query_vectors_traced(
                     queries, k, policy
                 )
                 assert (trace.visited + trace.skipped == n_shards).all()
                 assert len(ran) == trace.shard_tasks
-                assert trace.shard_tasks >= n_shards - trace.shards_skipped
                 assert service.stats.distance_evaluations - before == sum(ran)
+                if service.stats.whole_scans > whole:
+                    # One block of all rows is one task that visits
+                    # every shard for every query and skips none.
+                    assert trace.shard_tasks == 1
+                    assert trace.shards_skipped == 0
+                    assert (trace.visited == n_shards).all()
+                    assert ran == [len(queries) * n]
+                else:
+                    assert (
+                        trace.shard_tasks >= n_shards - trace.shards_skipped
+                    )
         for a, b in zip(answers["full"], answers["exact"]):
             assert a.ranking == b.ranking
             assert a.scores == b.scores

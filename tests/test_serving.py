@@ -19,6 +19,7 @@ from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
+from repro.mining.gspan import FrequentSubgraph
 from repro.query import SearchPolicy
 from repro.query.pruning import ShardSummary
 from repro.query.topk import MappedTopKEngine
@@ -205,13 +206,22 @@ def _trace_counts(trace):
 #: batch at n_workers=0, its distance evaluations)``.  Approx answers
 #: have no other oracle; exact answers are also checked against the
 #: naive engine.
+#:
+#: Three trace digests were re-recorded when a batch no round could
+#: skip anything for became one block of all rows (one task where four
+#: blocks were four; every answer digest unchanged): both ``full`` rows,
+#: and ``("custom", "exact")`` — where the feasibility check reads
+#: "nothing can be skipped", so its evaluations went 581 -> 768, now
+#: equal to ``PARENT_POOL_RECORD``'s 768 for the same batch: serial and
+#: pool hosts take the same decision from the same check.  The
+#: contiguous cluster layout still goes to rounds and still skips.
 PARENT_RECORD = {
     ("contiguous", "exact"): ("0d06bda19658559f", "3f6ec5bf8084e2dd", 492),
-    ("contiguous", "full"): ("0d06bda19658559f", "50715a5a3e18c68a", 768),
+    ("contiguous", "full"): ("0d06bda19658559f", "22e4287b56159b34", 768),
     ("contiguous", "nprobe"): ("f9e078dfd4dc4ccf", "0bbd6e39a4c73c58", 348),
     ("contiguous", "auto"): ("0d06bda19658559f", "09181926298b26e1", 276),
-    ("custom", "exact"): ("0d06bda19658559f", "e21bea3130204d8e", 581),
-    ("custom", "full"): ("0d06bda19658559f", "50715a5a3e18c68a", 768),
+    ("custom", "exact"): ("0d06bda19658559f", "19f0da3ba220f7b3", 768),
+    ("custom", "full"): ("0d06bda19658559f", "22e4287b56159b34", 768),
     ("custom", "nprobe"): ("8cb5b70086358f9e", "2e520db5133fd9c4", 379),
     ("custom", "auto"): ("0d06bda19658559f", "d2af6076b168bdf5", 549),
 }
@@ -337,6 +347,151 @@ class TestBlockTopKParity:
         assert calls == {"rank": trace.shard_tasks, "merge": 0}
         if name != "auto":  # auto probes in rounds: one call per group
             assert trace.shard_tasks <= 4
+
+
+# ----------------------------------------------------------------------
+# a round must be able to skip something: else one block of all rows
+# ----------------------------------------------------------------------
+def _one_cluster(p):
+    """48 rows of one distribution: no shard is farther than another."""
+    mapping, _blocks = clustered_vector_index(1, 48, p, fill=0.5, seed=8)
+    vectors = clustered_query_vectors(16, 1, p, fill=0.5, seed=9)
+    return mapping, vectors
+
+
+@pytest.fixture
+def counted_ranks(monkeypatch):
+    """Counts ``rank_block`` calls: one per block the executor computes."""
+    calls = []
+    rank_block = service_module.rank_block
+
+    def counting(distances, k):
+        calls.append(distances.shape)
+        return rank_block(distances, k)
+
+    monkeypatch.setattr(service_module, "rank_block", counting)
+    return calls
+
+
+class TestWholeScan:
+    """The side of the choice `TestBlockTopKParity`'s clustered layout
+    does not take: when no (query, shard) bound clears even the cap on
+    the final k-th-best, an exact batch is one group over one block of
+    all rows — one task, one ``rank_block`` call — and the answers are
+    the naive engine's, to the bit."""
+
+    @pytest.fixture(
+        scope="class", params=["contiguous", "custom", "tie-heavy"]
+    )
+    def unskippable(self, request, parity_index):
+        if request.param == "custom":
+            mapping, vectors = parity_index
+            return mapping, vectors, {"shards": _custom_shards()}
+        # p = 3: eight distinct rows, almost every distance tied.
+        p = 3 if request.param == "tie-heavy" else 6
+        return (*_one_cluster(p), {"n_shards": 4})
+
+    @pytest.mark.parametrize("size", [16, 5, 1])
+    @pytest.mark.parametrize("name", ["exact", "full"])
+    def test_one_block_answers_like_the_naive_engine(
+        self, unskippable, counted_ranks, name, size
+    ):
+        mapping, vectors, layout = unskippable
+        naive = MappedTopKEngine(mapping)
+        reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
+        n = mapping.database_vectors.shape[0]
+        with QueryService(mapping, n_workers=0, **layout) as service:
+            ns = len(service.shards)
+            results = []
+            for batches, lo in enumerate(range(0, len(vectors), size), 1):
+                batch = vectors[lo : lo + size]
+                answers, trace = service.batch_query_vectors_traced(
+                    batch, PARITY_K, PARITY_POLICIES[name]
+                )
+                results += answers
+                assert counted_ranks == [(len(batch), n)]
+                del counted_ranks[:]
+                assert (trace.shard_tasks, trace.shards_skipped) == (1, 0)
+                assert (trace.visited == ns).all()
+                assert not trace.skipped.any()
+                # The pairs whose bound was read: all of them, or none.
+                read = ns if name == "exact" else 0
+                assert (trace.bound_checks == read).all()
+                assert service.stats.whole_scans == batches
+                assert service.stats.shard_tasks == batches
+            assert service.stats.shards_skipped == 0
+            assert service.stats.distance_evaluations == len(vectors) * n
+        _assert_identical(reference, results)
+
+    def test_pool_hosts_overlap_the_shards_instead(
+        self, unskippable, counted_ranks
+    ):
+        """Same check, same reading — but a host with a shard pool
+        dispatches every shard at once rather than one inline block."""
+        mapping, vectors, layout = unskippable
+        naive = MappedTopKEngine(mapping)
+        reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
+        with QueryService(mapping, n_workers=2, **layout) as service:
+            service._parallel_shards = True  # force past the 1-CPU gate
+            results, trace = service.batch_query_vectors_traced(
+                vectors, PARITY_K
+            )
+            assert trace.shard_tasks == len(service.shards) == 4
+            assert len(counted_ranks) == 4
+            assert service.stats.whole_scans == 0
+        _assert_identical(reference, results)
+
+    def test_a_batch_keeps_the_rows_it_snapshotted(self, setup):
+        """Whole block, shard list and stack are one generation: a batch
+        holding a pre-update snapshot answers from the pre-update rows
+        after ``apply_update`` has swapped the next generation in."""
+        db, queries, space = setup
+        features = [
+            FrequentSubgraph(f.graph, set(f.support)) for f in space.features
+        ]
+        fresh = FeatureSpace(features, space.n)
+        mapping = mapping_from_selection(fresh, variance_selection(fresh, 20))
+        with mapping.query_service(n_shards=4) as service:
+            vectors = service.embed_batch(queries[:8])
+            before = service.batch_query_vectors(vectors, 7)
+            held = service._snapshot
+            service.apply_update(added=queries[20:24], removed=[0, 7, 33])
+            assert service._snapshot is not held
+            assert held.whole.vectors is not mapping.database_vectors
+            stale, trace = service._query_vectors(vectors, 7, held, None)
+            _assert_identical(before, stale)
+            assert trace.shard_tasks == 1  # ... through the whole block
+            after = service.batch_query_vectors(vectors, 7)
+            assert service.stats.whole_scans == 3
+            naive = MappedTopKEngine(mapping)
+            _assert_identical(
+                [naive.query_from_vector(v, 7) for v in vectors], after
+            )
+            assert [r.ranking for r in after] != [r.ranking for r in before]
+
+
+class TestVectorBoundary:
+    """``batch_query_vectors`` is where vectors from outside arrive."""
+
+    @pytest.mark.parametrize("policy", [None, SearchPolicy(prune=False)])
+    @pytest.mark.parametrize(
+        "shape, fill, expected",
+        [
+            ((4, 20), np.nan, "finite"),
+            ((4, 20), np.inf, "finite"),
+            ((4, 19), 0.0, r"width 20.*\(4, 19\)"),
+            ((4, 21), 0.0, r"width 20.*\(4, 21\)"),
+            ((20,), 0.0, r"2-d.*\(20,\)"),
+        ],
+        ids=["nan", "inf", "narrow", "wide", "1-d"],
+    )
+    def test_malformed_vectors_are_refused(
+        self, mapping, policy, shape, fill, expected
+    ):
+        with mapping.query_service(n_shards=3) as service:
+            with pytest.raises(QueryError, match=expected):
+                service.batch_query_vectors(np.full(shape, fill), 3, policy)
+            assert service.stats.shard_tasks == 0
 
 
 class TestShardValidation:
@@ -802,10 +957,14 @@ class TestLifecycle:
             service.batch_query(queries[:8], 5)
             assert service.stats.cache_misses == 8
             assert service.stats.cache_hits == 8
-            # Computed + bound-skipped blocks account for every shard of
-            # both batches (skips depend on how the random data clusters).
+            # A batch is one block of all rows (one task, nothing
+            # skipped) or per-shard rounds whose computed + skipped
+            # blocks account for every shard — which, depends on how
+            # the random data clusters.
+            whole = service.stats.whole_scans
             assert (
-                service.stats.shard_tasks + service.stats.shards_skipped == 6
+                service.stats.shard_tasks + service.stats.shards_skipped
+                == whole + 3 * (2 - whole)
             )
 
     def test_cache_disabled_counts_no_misses(self, setup, mapping):
