@@ -610,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--maintenance-interval", type=float, default=None, metavar="SECONDS",
-        help="run background maintenance (staleness healing, summary "
-             "refresh, persistence) every SECONDS (default: off; the "
-             "'maintain' op still works on demand)",
+        help="run background maintenance (staleness healing, persistence) "
+             "every SECONDS (default: off; the 'maintain' op still works "
+             "on demand)",
     )
     serve_cmd.add_argument(
         "--max-drift", type=float, default=0.25,

@@ -53,6 +53,7 @@ from repro.index.paged import (
 from repro.isomorphism.vf2 import PatternProfile
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.engine import FeatureLattice
+from repro.query.proximity import check_payload
 from repro.utils.errors import (
     ArtifactCorruptError,
     ArtifactError,
@@ -63,6 +64,7 @@ from repro.utils.errors import (
     LatticeShapeError,
     ManifestMissingError,
     PayloadMissingError,
+    QueryError,
 )
 
 PathLike = Union[str, Path]
@@ -158,7 +160,7 @@ def _graph_payload(mapping: DSPreservedMapping, seq: int) -> Optional[Dict]:
     — a corrupted table would silently degrade (or bias) every
     graph-mode answer, so it must fail the load loudly instead.  Only
     neighbor ids are stored; distances are re-derived from the vectors
-    on first use and the tree backbone is implicit in the row count.
+    on first use.
     """
     table = mapping.proximity_payload()
     if table is None:
@@ -177,14 +179,14 @@ def _restore_graph(
 ) -> None:
     """Stash a persisted proximity graph on a freshly loaded mapping.
 
-    The section is validated structurally here (checksum, shape, id
-    range, no self-links/duplicates) but *attached* lazily — deriving
-    the neighbor distances needs the vectors, and touching those would
-    break the O(manifest) mmap cold start.  A ``seq`` that does not
-    match the replayed journal means the table describes a different
-    database state: silently dropped, and the graph tier lazily
-    rebuilds (then re-persists) exactly like pre-graph artifacts
-    backfill.
+    The section is validated here — its checksum, then
+    :func:`~repro.query.proximity.check_payload`, which needs only the
+    row count — but *attached* lazily: deriving the neighbor distances
+    needs the vectors, and touching those would break the O(manifest)
+    mmap cold start.  A ``seq`` that does not match the replayed
+    journal means the table describes a different database state:
+    silently dropped, and the graph tier lazily rebuilds (then
+    re-persists) exactly like pre-graph artifacts backfill.
     """
     section = payload.get("proximity_graph")
     if section is None:
@@ -200,30 +202,12 @@ def _restore_graph(
         )
     if section.get("seq") != journal_len:
         return
-    n = mapping.space.n
-    max_degree = section.get("max_degree")
-    neighbors = section["neighbors"]
-    if not isinstance(max_degree, int) or max_degree < 1:
-        raise _corrupt("proximity_graph: bad max_degree")
-    m = min(max_degree, max(n - 1, 0))
     try:
-        table = np.asarray(neighbors, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise _corrupt(f"proximity_graph: unreadable neighbors: {exc}")
-    if table.shape != (n, m):
-        raise _corrupt(
-            f"proximity_graph: neighbor table is {table.shape}, "
-            f"expected {(n, m)}"
-        )
-    if m:
-        if table.min() < 0 or table.max() >= n:
-            raise _corrupt("proximity_graph: neighbor id out of range")
-        if (table == np.arange(n, dtype=np.int64)[:, None]).any():
-            raise _corrupt("proximity_graph: self-link")
-        if m > 1 and any(np.unique(row).size != m for row in table):
-            raise _corrupt("proximity_graph: duplicate neighbor")
+        check_payload(section, mapping.space.n)
+    except QueryError as exc:
+        raise _corrupt(f"proximity_graph: {exc}")
     mapping.store_proximity_payload(
-        {"max_degree": max_degree, "neighbors": neighbors}
+        {key: section[key] for key in ("max_degree", "neighbors")}
     )
 
 

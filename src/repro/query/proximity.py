@@ -16,17 +16,39 @@ insertion history.  That is poison for this codebase's core contract:
 incrementally-maintained state must answer **bit-identically** to a
 scratch rebuild (the mutable-index tier, the shard summaries, and the
 churn-soak suites all pin this).  So the graph here is a pure function
-of ``(vectors, row numbering)``:
+of ``(vectors, row numbering)``, made of four ingredients:
 
-* **Short links** — node ``i``'s neighbor list is its exact
+* **KNN lists** — node ``i``'s neighbor list is its exact
   ``min(max_degree, n-1)`` nearest rows under the same
-  ``(distance, index)`` total order the rest of the query tier uses.
-* **Long links** — an *implicit* binary-tree backbone: every node is
-  additionally adjacent to its tree parent ``(i-1)//2`` and children
-  ``2i+1``/``2i+2``.  These are derived from ``n`` at search time, never
-  stored, and guarantee the graph is connected (so a beam can always
-  produce a full-length answer) while giving the beam long-range hops
-  out of a bad entry neighborhood.
+  ``(distance, index)`` total order the rest of the query tier uses,
+  selected for a whole block of rows at once by
+  :func:`~repro.query.topk.rank_block`.
+* **Capped reverse links** — expansion also follows a node's in-links
+  (who lists it), derived on demand from the stored lists and capped at
+  the ``2 * max_degree`` smallest ids.  Exact-KNN digraphs starve: a
+  row nobody lists (common once a database holds near-duplicates —
+  every duplicate's list is the same few smallest-id twins) is
+  unreachable however long the beam runs.
+* **Strided seeds** — the beam starts from ``~sqrt(n)`` evenly-strided
+  rows (a function of ``n`` alone).  On clustered databases every KNN
+  list is intra-cluster, so a single entry stalls in its own cluster;
+  strided seeds land a few entries in every contiguous cluster and the
+  beam contracts around the right one.
+* **The reseed rule** — a frontier that runs dry before the beam holds
+  ``ef`` candidates restarts from the smallest unvisited row, so an
+  answer is always full-length and ``ef >= n`` is an exact scan.
+
+Each is kept because it moves a count.  Ablated one at a time on the
+``vector_mix`` ledger rows (4,000 clustered binary rows, its 512-query
+pool, ``k = 10``, ``ef = 40``), recall@10 at distance evaluations per
+query reads 0.954 at 240 with all four, 0.748 at 116 without the
+reverse links and 0.118 at 146 without the strided seeds (one entry,
+row 0).  An implicit binary-tree backbone (parent ``(i-1)//2``,
+children ``2i+1``/``2i+2``) used to sit beside them: it bought 0.001
+recall for 19 % more evaluations (0.955 at 284) — spending that work
+on ``ef = 56`` instead reads 0.973 at 288 — and its one structural
+job, connectivity, is the reseed rule's, which never fires on
+``vector_mix``.
 
 Because the structure is canonical, incremental maintenance can be
 *exact*: appending rows needs one kernel distance block of the new rows
@@ -36,40 +58,24 @@ top-m plus the new rows); removing rows repairs only the lists that
 lost a member.  Maintained and scratch-built graphs are therefore
 equal arrays, not merely similar — ``apply_update`` churn keeps
 graph-mode answers bit-identical to a rebuild, with no full KNN build
-(``tests/test_proximity.py::TestChurnSoak``).
+(``tests/test_proximity.py::TestChurnSoak``).  The reverse links, a
+pure function of the stored lists, cost nothing in the manifest and
+inherit that guarantee.
 
 Search
 ------
-:meth:`ProximityGraph.search` seeds a best-first beam with a
-deterministic ``~sqrt(n)`` evenly-strided sample of the rows (a
-function of ``n`` alone, never stored).  On clustered databases —
-exactly the regime the partition tier targets — every KNN list is
-intra-cluster and the tree backbone alone forces the beam through
-many near-equidistant wrong-cluster hops, so a single entry point
-stalls below usable recall; a strided seed lands a handful of entries
-in every contiguous cluster for ~sqrt(n) extra evaluations, and the
-beam immediately contracts around the right one.
-
-Traversal is **undirected**: expansion follows a node's stored KNN
-out-links *and* its in-links (who lists this node), the in-links
-derived on demand from the stored tables and capped at the
-``2 * max_degree`` smallest in-neighbor ids.  Exact-KNN digraphs
-starve: a row that nobody lists (common once a database contains
-near-duplicate rows — every duplicate's list is the same few
-smallest-id twins) has in-degree zero and is unreachable no matter how
-long the beam runs.  The reverse links repair that while remaining a
-pure function of the stored lists, so they cost nothing in the
-manifest and inherit the maintained-equals-scratch guarantee.
-
-The beam itself does **no candidate-insertion pruning**: every
-unvisited neighbor of an expanded node is distance-evaluated (one
-kernel call per hop) and pushed.  The beam width ``ef`` enters only
-through the termination test — stop when the best unexpanded candidate
-can no longer *strictly improve* on the running ``ef``-th-best
-(:class:`RunningTopK` threshold; ``dist >=
-threshold`` stops, so plateaus of tied candidates — duplicate rows
-again — terminate instead of being expanded one by one for nothing).
-Since neither the seed set nor the push rule depends on ``ef``, the
+:meth:`ProximityGraph.search` is a best-first beam with **no
+candidate-insertion pruning**: every unvisited neighbor of an expanded
+node is distance-evaluated (one kernel call per hop) and pushed.  The
+beam width ``ef`` enters only through the two termination tests —
+stop when the best unexpanded candidate can no longer *strictly
+improve* on the running ``ef``-th-best (:class:`RunningTopK`
+threshold; ``dist >= threshold`` stops, so plateaus of tied
+candidates — duplicate rows again — terminate instead of being
+expanded one by one for nothing), and stop when the frontier runs dry
+once ``ef`` candidates exist (before that, the reseed rule restarts
+it).  Since neither the seeds, the push rule
+nor the reseed row (the smallest unvisited one) depends on ``ef``, the
 expansion sequence is identical for every ``ef`` and a larger ``ef``
 only runs it longer (its threshold at any step is no smaller): the
 evaluated set grows monotonically with ``ef``, hence recall is
@@ -92,7 +98,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.query.topk import TopKResult, merge_candidates
+from repro.query.topk import TopKResult, merge_candidates, rank_block
 from repro.utils.errors import QueryError
 
 #: Default bound on stored (short-link) neighbors per node.
@@ -118,19 +124,88 @@ def _sq_norms(vectors: np.ndarray) -> np.ndarray:
 def _entry_points(n: int) -> np.ndarray:
     """The beam's seed rows: an evenly-strided ``~sqrt(n)`` sample.
 
-    Pure function of ``n`` (like the tree backbone), so the search is
-    canonical and the ef-monotonicity argument is untouched.
+    Pure function of ``n``, so the search is canonical and the
+    ef-monotonicity argument is untouched.
     """
     count = max(1, int(round(np.sqrt(n))))
     return np.unique(np.linspace(0, n - 1, num=count).astype(np.int64))
 
 
-def _row_select(
-    ids: np.ndarray, dists: np.ndarray, m: int
+def _top_m(
+    dists: np.ndarray, m: int, ids: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-``m`` of one candidate row under the (distance, id) order."""
-    order = np.lexsort((ids, dists))[:m]
-    return ids[order], dists[order]
+    """Each row's ``m`` nearest candidates, nearest first under the
+    (distance, id) order: ``(ids, dists)``, each ``(rows, m)``.
+
+    Column ``c`` is candidate ``c`` itself, or ``ids[row, c]`` when
+    *ids* is given (distinct within a row): the columns are then put in
+    id order first, so :func:`rank_block`'s column tie-break is the id
+    tie-break.
+    """
+    if ids is None:
+        cols, vals = rank_block(dists, m)
+        return cols.astype(np.int64), vals
+    order = np.argsort(ids, axis=1)
+    ids = np.take_along_axis(ids, order, axis=1)
+    cols, vals = rank_block(np.take_along_axis(dists, order, axis=1), m)
+    return np.take_along_axis(ids, cols, axis=1), vals
+
+
+def _nearest(
+    vectors: np.ndarray, sq: np.ndarray, rows: np.ndarray, m: int, backend
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The exact KNN lists of *rows* over all of *vectors*: one kernel
+    block and one :func:`_top_m` per ``_BUILD_CHUNK`` rows, self-links
+    excluded."""
+    p = vectors.shape[1]
+    knn_ids = np.empty((rows.size, m), dtype=np.int64)
+    knn_dists = np.empty((rows.size, m), dtype=float)
+    for lo in range(0, rows.size, _BUILD_CHUNK):
+        chunk = rows[lo : lo + _BUILD_CHUNK]
+        block = np.array(
+            backend.distance_block(vectors[chunk], vectors, sq, p),
+            dtype=float,
+        )
+        block[np.arange(chunk.size), chunk] = np.inf  # never self-link
+        hi = lo + chunk.size
+        knn_ids[lo:hi], knn_dists[lo:hi] = _top_m(block, m)
+    return knn_ids, knn_dists
+
+
+def check_payload(payload: Dict[str, Any], n: int) -> None:
+    """Validate a persisted neighbor table for an ``n``-row database.
+
+    Needs nothing but ``n`` (no vectors), so a loader can run it
+    without touching the database.  Raises :class:`QueryError` on a
+    ``max_degree`` that is not a positive JSON integer (``true`` is
+    not 1: the :func:`repro.serving.protocol.is_wire_int` rule), a
+    table that is not ``(n, min(max_degree, n-1))``, an id out of
+    range, a self-link or a duplicate within a list.
+    """
+    max_degree = payload.get("max_degree")
+    if (
+        isinstance(max_degree, bool)
+        or not isinstance(max_degree, int)
+        or max_degree < 1
+    ):
+        raise QueryError("bad max_degree")
+    m = min(max_degree, max(n - 1, 0))
+    try:
+        table = np.asarray(payload["neighbors"], dtype=np.int64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise QueryError(f"unreadable neighbors: {exc}")
+    if table.shape != (n, m):
+        raise QueryError(
+            f"neighbor table is {table.shape}, expected {(n, m)}"
+        )
+    if m:
+        if table.min() < 0 or table.max() >= n:
+            raise QueryError("neighbor id out of range")
+        if (table == np.arange(n, dtype=np.int64)[:, None]).any():
+            raise QueryError("self-link")
+        ordered = np.sort(table, axis=1)
+        if (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise QueryError("duplicate neighbor")
 
 
 class RunningTopK:
@@ -179,7 +254,7 @@ class RunningTopK:
 
 @dataclass
 class ProximityGraph:
-    """Degree-bounded exact-KNN lists + implicit tree backbone.
+    """Degree-bounded exact-KNN lists, traversed with their reverse links.
 
     ``knn_ids``/``knn_dists`` are ``(n, m)`` arrays with
     ``m = min(max_degree, n-1)`` — every node stores exactly its m
@@ -198,7 +273,7 @@ class ProximityGraph:
     #: Lazily-derived capped reverse adjacency (see :meth:`_reverse`).
     #: Never persisted or compared — maintenance returns fresh graph
     #: objects, so a cache can never go stale.
-    _rev: Optional[List[np.ndarray]] = field(
+    _rev: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -219,22 +294,13 @@ class ProximityGraph:
         """Build the canonical graph over ``vectors`` from scratch."""
         if max_degree < 1:
             raise QueryError("max_degree must be >= 1")
-        backend = _resolve(backend)
         vectors = np.asarray(vectors, dtype=float)
-        n, p = vectors.shape
+        n = vectors.shape[0]
         sq = _sq_norms(vectors)
         m = min(max_degree, max(n - 1, 0))
-        knn_ids = np.empty((n, m), dtype=np.int64)
-        knn_dists = np.empty((n, m), dtype=float)
-        for lo in range(0, n, _BUILD_CHUNK):
-            hi = min(lo + _BUILD_CHUNK, n)
-            block = backend.distance_block(vectors[lo:hi], vectors, sq, p)
-            for r in range(hi - lo):
-                row = np.asarray(block[r], dtype=float).copy()
-                row[lo + r] = np.inf  # never self-link
-                ids, dists = _row_select(np.arange(n), row, m)
-                knn_ids[lo + r] = ids
-                knn_dists[lo + r] = dists
+        knn_ids, knn_dists = _nearest(
+            vectors, sq, np.arange(n), m, _resolve(backend)
+        )
         cls.builds += 1
         return cls(vectors, sq, knn_ids, knn_dists, max_degree)
 
@@ -245,10 +311,11 @@ class ProximityGraph:
     # ------------------------------------------------------------------
     # adjacency
     # ------------------------------------------------------------------
-    def _reverse(self) -> List[np.ndarray]:
-        """Capped in-neighbor lists, derived from the stored tables.
+    def _reverse(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Capped in-neighbor lists as ``(offsets, ids)``: node ``j``'s
+        are ``ids[offsets[j]:offsets[j + 1]]``, ascending.
 
-        Node ``j``'s entry holds the ``2 * max_degree`` smallest ids
+        Node ``j``'s list holds the ``2 * max_degree`` smallest ids
         among the rows that list ``j`` — a pure function of
         ``knn_ids``, so it needs no persistence, no maintenance, and
         cannot disagree between a maintained and a scratch-built graph.
@@ -258,41 +325,28 @@ class ProximityGraph:
         if self._rev is None:
             n, m = self.knn_ids.shape
             cap = 2 * self.max_degree
-            if m == 0:
-                self._rev = [
-                    np.empty(0, dtype=np.int64) for _ in range(n)
-                ]
-            else:
-                dst = self.knn_ids.ravel()
-                src = np.repeat(np.arange(n, dtype=np.int64), m)
-                order = np.argsort(dst, kind="stable")
-                dst_sorted, src_sorted = dst[order], src[order]
-                starts = np.searchsorted(dst_sorted, np.arange(n + 1))
-                self._rev = [
-                    np.sort(src_sorted[starts[j] : starts[j + 1]])[:cap]
-                    for j in range(n)
-                ]
+            dst = self.knn_ids.ravel()
+            # A stable sort by target keeps each target's sources in
+            # ascending row order, so the first `cap` are the smallest.
+            order = np.argsort(dst, kind="stable")
+            dst = dst[order]
+            src = np.repeat(np.arange(n, dtype=np.int64), m)[order]
+            counts = np.bincount(dst, minlength=n)
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            keep = np.arange(dst.size) - starts[dst] < cap
+            offsets = np.concatenate(
+                ([0], np.cumsum(np.minimum(counts, cap)))
+            )
+            self._rev = (offsets, src[keep])
         return self._rev
 
     def neighbors(self, node: int) -> np.ndarray:
-        """Undirected adjacency of ``node``: stored KNN out-links, the
-        derived (capped) in-links, and the implicit tree backbone."""
-        n = self.num_rows
-        tree = []
-        if node > 0:
-            tree.append((node - 1) // 2)
-        left, right = 2 * node + 1, 2 * node + 2
-        if left < n:
-            tree.append(left)
-        if right < n:
-            tree.append(right)
+        """Undirected adjacency of ``node``, ascending: its stored KNN
+        out-links and the derived (capped) in-links."""
+        offsets, ids = self._reverse()
         return np.unique(
             np.concatenate(
-                [
-                    self.knn_ids[node],
-                    self._reverse()[node],
-                    np.asarray(tree, dtype=np.int64),
-                ]
+                [self.knn_ids[node], ids[offsets[node] : offsets[node + 1]]]
             )
         )
 
@@ -311,6 +365,10 @@ class ProximityGraph:
         ``hops`` counts expanded nodes, ``evals`` distance evaluations —
         the per-response stats the serving trace reports (the ledger's
         ``proximity.hops_per_query`` / ``service.graph_evals_per_query``).
+        A frontier that runs dry while fewer than ``ef`` candidates
+        exist reseeds from the smallest unvisited row, so the answer
+        always holds ``min(k, n)`` rows and ``ef >= n`` evaluates every
+        row once: an exact scan.
         """
         n = self.num_rows
         if n == 0:
@@ -328,6 +386,7 @@ class ProximityGraph:
 
         def evaluate(ids: np.ndarray) -> None:
             nonlocal evals
+            visited[ids] = True
             dists = np.asarray(
                 backend.distance_block(
                     q, self.vectors[ids], self.sq_norms[ids], p
@@ -341,25 +400,30 @@ class ProximityGraph:
             for d, i in zip(dists, ids):
                 heapq.heappush(candidates, (float(d), int(i)))
 
-        entries = _entry_points(n)
-        visited[entries] = True
-        evaluate(entries)
-        while candidates:
+        evaluate(_entry_points(n))
+        while True:
+            if not candidates:
+                # The frontier ran dry inside one component: reseed
+                # from the smallest unvisited row while the tracker
+                # still wants candidates.
+                seed = int(np.argmin(visited))
+                if tracker.threshold is not None or visited[seed]:
+                    break
+                evaluate(np.array([seed], dtype=np.int64))
+                continue
             dist, node = heapq.heappop(candidates)
             threshold = tracker.threshold
             # Strict-improvement termination: a candidate merely *tied*
             # with the ef-th best cannot improve the tracker, and on
             # the discrete distances binary embeddings produce, whole
             # plateaus of such ties exist (duplicate rows); expanding
-            # them would burn evaluations on their tree links for
-            # nothing.
+            # them would burn evaluations for nothing.
             if threshold is not None and dist >= threshold:
                 break
             hops += 1
             fresh = self.neighbors(node)
             fresh = fresh[~visited[fresh]]
             if fresh.size:
-                visited[fresh] = True
                 evaluate(fresh)
         full = tracker.result()
         return full.ranking[:k], full.scores[:k], hops, evals
@@ -390,48 +454,42 @@ class ProximityGraph:
         sq = _sq_norms(vectors_after)
         m = min(self.max_degree, n_new - 1)
         new_ids = np.arange(n_old, n_new, dtype=np.int64)
-        dmat = np.asarray(
+        dmat = np.array(
             backend.distance_block(
                 vectors_after[n_old:], vectors_after, sq, p
             ),
             dtype=float,
-        ).copy()
+        )
         dmat[np.arange(added), new_ids] = np.inf
 
         knn_ids = np.empty((n_new, m), dtype=np.int64)
         knn_dists = np.empty((n_new, m), dtype=float)
-        all_ids = np.arange(n_new, dtype=np.int64)
-        for r in range(added):
-            ids, dists = _row_select(all_ids, dmat[r], m)
-            knn_ids[n_old + r] = ids
-            knn_dists[n_old + r] = dists
+        knn_ids[n_old:], knn_dists[n_old:] = _top_m(dmat, m)
 
         new_cols = dmat[:, :n_old]  # distances new-row -> old-row
         m_old = self.knn_ids.shape[1]
-        if m_old:
-            # A full old list changes only if some new row strictly
-            # beats its worst member (new ids are larger, so distance
-            # ties keep the incumbent under the (distance, id) order).
-            affected = np.flatnonzero(
-                new_cols.min(axis=0) < self.knn_dists[:, -1]
-            )
-        else:
-            affected = np.arange(n_old)
-        if m > m_old:
+        if m > m_old or not m_old:
             # The degree cap was not binding (every old list already
             # held all other old rows), so growing lists just means
             # merging in the arrivals — still exact.
             affected = np.arange(n_old)
-            keep = np.empty(0, dtype=np.int64)
         else:
-            keep = np.setdiff1d(np.arange(n_old), affected)
-        if keep.size:
-            knn_ids[keep, :] = self.knn_ids[keep]
-            knn_dists[keep, :] = self.knn_dists[keep]
-        for j in affected:
-            ids = np.concatenate([self.knn_ids[j], new_ids])
-            dists = np.concatenate([self.knn_dists[j], new_cols[:, j]])
-            knn_ids[j], knn_dists[j] = _row_select(ids, dists, m)
+            # A full old list changes only if some new row strictly
+            # beats its worst member (new ids are larger, so distance
+            # ties keep the incumbent under the (distance, id) order).
+            knn_ids[:n_old], knn_dists[:n_old] = self.knn_ids, self.knn_dists
+            affected = np.flatnonzero(
+                new_cols.min(axis=0) < self.knn_dists[:, -1]
+            )
+        if affected.size:
+            ids = np.hstack([
+                self.knn_ids[affected],
+                np.broadcast_to(new_ids, (affected.size, added)),
+            ])
+            dists = np.hstack(
+                [self.knn_dists[affected], new_cols[:, affected].T]
+            )
+            knn_ids[affected], knn_dists[affected] = _top_m(dists, m, ids)
         return ProximityGraph(
             vectors_after, sq, knn_ids, knn_dists, self.max_degree
         )
@@ -451,11 +509,10 @@ class ProximityGraph:
         first prefix *is* the new top-m.  Equals :meth:`build` on the
         survivors, bit for bit.
         """
-        backend = _resolve(backend)
         removed = np.asarray(sorted(int(i) for i in removed), dtype=np.int64)
         vectors_after = np.asarray(vectors_after, dtype=float)
         n_old = self.num_rows
-        n_new, p = vectors_after.shape
+        n_new = vectors_after.shape[0]
         if n_new + removed.size != n_old:
             raise QueryError("with_removed: survivor count mismatch")
         sq = _sq_norms(vectors_after)
@@ -465,10 +522,6 @@ class ProximityGraph:
         )
         knn_ids = np.empty((n_new, m), dtype=np.int64)
         knn_dists = np.empty((n_new, m), dtype=float)
-        if n_new == 0:
-            return ProximityGraph(
-                vectors_after, sq, knn_ids, knn_dists, self.max_degree
-            )
         lost = (
             np.isin(self.knn_ids[survivors], removed).any(axis=1)
             if self.knn_ids.shape[1]
@@ -480,18 +533,9 @@ class ProximityGraph:
             knn_ids[intact] = old_rows - np.searchsorted(removed, old_rows)
             knn_dists[intact] = self.knn_dists[survivors[intact], :m]
         repair = np.flatnonzero(lost)
-        all_ids = np.arange(n_new, dtype=np.int64)
-        for lo in range(0, repair.size, _BUILD_CHUNK):
-            chunk = repair[lo : lo + _BUILD_CHUNK]
-            block = np.asarray(
-                backend.distance_block(
-                    vectors_after[chunk], vectors_after, sq, p
-                ),
-                dtype=float,
-            ).copy()
-            block[np.arange(chunk.size), chunk] = np.inf
-            for r, j in enumerate(chunk):
-                knn_ids[j], knn_dists[j] = _row_select(all_ids, block[r], m)
+        knn_ids[repair], knn_dists[repair] = _nearest(
+            vectors_after, sq, repair, m, _resolve(backend)
+        )
         return ProximityGraph(
             vectors_after, sq, knn_ids, knn_dists, self.max_degree
         )
@@ -503,8 +547,7 @@ class ProximityGraph:
         """JSON-safe structure for the v3 manifest section.
 
         Only the neighbor ids are stored — distances are re-derived
-        from the vectors on restore (exact on the binary embedding),
-        and the tree backbone is implicit in the row count.
+        from the vectors on restore (exact on the binary embedding).
         """
         return {
             "max_degree": int(self.max_degree),
@@ -522,48 +565,24 @@ class ProximityGraph:
 
         Costs one gather + one ``(n, m)`` paired-distance pass — no KNN
         rebuild (``builds`` is not bumped; the cold-start test pins
-        this).  Structural problems raise :class:`QueryError`; the
-        artifact layer turns them into a loud corruption failure since
-        the section is checksummed.
+        this).  The table is trusted: the artifact loader has passed it
+        through :func:`check_payload`, turning any failure into a loud
+        corruption error.
         """
         vectors = np.asarray(vectors, dtype=float)
         n, p = vectors.shape
-        max_degree = payload.get("max_degree")
-        if not isinstance(max_degree, int) or max_degree < 1:
-            raise QueryError("proximity payload: bad max_degree")
+        max_degree = payload["max_degree"]
         m = min(max_degree, max(n - 1, 0))
-        try:
-            knn_ids = np.asarray(payload["neighbors"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise QueryError(f"proximity payload: bad neighbors: {exc}")
-        if knn_ids.shape != (n, m):
-            raise QueryError(
-                f"proximity payload: neighbor table is "
-                f"{knn_ids.shape}, expected {(n, m)}"
-            )
-        if m:
-            if knn_ids.min(initial=0) < 0 or knn_ids.max(initial=-1) >= n:
-                raise QueryError("proximity payload: neighbor id out of range")
-            if (knn_ids == np.arange(n, dtype=np.int64)[:, None]).any():
-                raise QueryError("proximity payload: self-link")
-            if m > 1 and any(
-                np.unique(row).size != m for row in knn_ids
-            ):
-                raise QueryError("proximity payload: duplicate neighbor")
+        knn_ids = np.asarray(payload["neighbors"], dtype=np.int64)
+        knn_ids = knn_ids.reshape(n, m)
         sq = _sq_norms(vectors)
-        if m:
-            # Paired distances row-vs-each-listed-neighbor: exact
-            # integers under the sqrt on binary embeddings, hence
-            # bit-identical to the kernel rectangle that built them.
-            dots = np.einsum("ij,ikj->ik", vectors, vectors[knn_ids])
-            d2 = np.maximum(sq[:, None] + sq[knn_ids] - 2.0 * dots, 0.0)
-            knn_dists = np.sqrt(d2 / p) if p else np.zeros_like(d2)
-            # Stored order is untrusted: restore the canonical
-            # nearest-first (distance, id) order per row.
-            for j in range(n):
-                knn_ids[j], knn_dists[j] = _row_select(
-                    knn_ids[j], knn_dists[j], m
-                )
-        else:
-            knn_dists = np.empty((n, 0), dtype=float)
+        # Paired distances row-vs-each-listed-neighbor: exact integers
+        # under the sqrt on binary embeddings, hence bit-identical to
+        # the kernel rectangle that built them.
+        dots = np.einsum("ij,ikj->ik", vectors, vectors[knn_ids])
+        d2 = np.maximum(sq[:, None] + sq[knn_ids] - 2.0 * dots, 0.0)
+        knn_dists = np.sqrt(d2 / p) if p else np.zeros_like(d2)
+        # Stored order is untrusted: restore the canonical nearest-first
+        # (distance, id) order per row.
+        knn_ids, knn_dists = _top_m(knn_dists, m, knn_ids)
         return cls(vectors, sq, knn_ids, knn_dists, max_degree)

@@ -104,9 +104,9 @@ class FrontendConfig:
     clock: Callable[[], float] = time.monotonic
     #: Seconds between background maintenance passes (``None`` disables
     #: the loop; ``maintain`` protocol requests still work).  Each pass
-    #: runs staleness-triggered re-selection, shard-summary refresh,
-    #: and (with ``index_path``) journal persistence/compaction — all
-    #: off the request path, on the admin executor.
+    #: runs staleness-triggered re-selection and (with ``index_path``)
+    #: journal persistence/compaction — both off the request path, on
+    #: the admin executor.
     maintenance_interval: Optional[float] = None
     #: Re-selection hook (e.g. a :class:`repro.core.reselect.Reselector`
     #: already attached to the mapping).  When maintenance finds
@@ -826,11 +826,8 @@ class AsyncFrontend:
 
         1. heals a stale index by handing ``config.reselector`` to
            :meth:`QueryService.apply_reselection` (selection re-run;
-           shards rebuilt and swapped only if it actually changed),
-        2. refreshes shard summaries
-           (:meth:`QueryService.refresh_summaries` — a self-check that
-           is a no-op while the incremental maintenance is exact), and
-        3. persists the index to ``config.index_path`` (delta append,
+           shards rebuilt and swapped only if it actually changed), and
+        2. persists the index to ``config.index_path`` (delta append,
            auto-compacted past ``config.compact_ratio``).
         """
         async with self._update_lock:
@@ -851,14 +848,12 @@ class AsyncFrontend:
         report: Dict = {
             "stale": bool(mapping.stale),
             "reselected": False,
-            "summaries_refreshed": 0,
             "persisted": False,
         }
         if mapping.stale and self.config.reselector is not None:
             report["reselected"] = service.apply_reselection(
                 self.config.reselector
             )
-        report["summaries_refreshed"] = service.refresh_summaries()
         if self.config.index_path is not None:
             report.update(self._persist_index())
         report["generation"] = service.generation
@@ -990,7 +985,6 @@ class AsyncFrontend:
                 "updates": svc.updates,
                 "shards_rebuilt": svc.shards_rebuilt,
                 "reselections": svc.reselections,
-                "summaries_refreshed": svc.summaries_refreshed,
                 "stale": bool(service.mapping.stale),
                 "n_shards": len(service.shards),
                 "embed_mode": service.embed_mode,

@@ -239,13 +239,8 @@ class ServiceStats:
     search_seconds: float = 0.0
     updates: int = 0
     shards_rebuilt: int = 0
-    #: Maintenance counters: re-selections swapped in by
-    #: :meth:`QueryService.apply_reselection`, and shard summaries a
-    #: :meth:`QueryService.refresh_summaries` pass found drifted
-    #: (0 in healthy operation — ``TestMaintenanceOp`` in
-    #: ``tests/test_frontend.py`` asserts so).
+    #: Re-selections swapped in by :meth:`QueryService.apply_reselection`.
     reselections: int = 0
-    summaries_refreshed: int = 0
     #: Shard distance blocks skipped outright (their lower bound beat
     #: the running k-th-best for every query, or approx routing never
     #: sent a query their way) and (query, shard) bound evaluations.
@@ -573,47 +568,6 @@ class QueryService:
         self.stats.reselections += 1
         self.stats.shards_rebuilt += len(new_shards)
         return True
-
-    def refresh_summaries(self) -> int:
-        """Re-derive every serving shard's summary from its current rows.
-
-        The maintenance tier's self-check: :meth:`apply_update` keeps
-        summaries exact through mutations, so in healthy operation this
-        finds nothing to change (``TestMaintenanceOp`` in
-        ``tests/test_frontend.py`` asserts so) —
-        but a summary that somehow drifted would silently weaken the
-        pruning bounds, so maintenance recomputes each one and swaps in
-        any that differ (both the drifted and the fresh summary are
-        valid for the same rows, so a concurrent batch reading either
-        stays exact).  Returns the number of summaries that actually
-        changed.
-        """
-        with self._swap_lock:
-            snapshot = self._snapshot
-        refreshed = 0
-        for shard in snapshot.shards:
-            rows = self.mapping.database_vectors[shard.indices]
-            fresh = ShardSummary.from_vectors(rows)
-            old = shard.summary
-            if not (
-                fresh.num_rows == old.num_rows
-                and fresh.radius == old.radius
-                and np.array_equal(fresh.centroid, old.centroid)
-                and np.array_equal(fresh.dim_min, old.dim_min)
-                and np.array_equal(fresh.dim_max, old.dim_max)
-            ):
-                shard.summary = fresh
-                refreshed += 1
-        with self._swap_lock:
-            if refreshed and self._snapshot is snapshot:
-                self._snapshot = replace(
-                    snapshot,
-                    stack=stack_summaries(
-                        [s.summary for s in snapshot.shards]
-                    ),
-                )
-        self.stats.summaries_refreshed += refreshed
-        return refreshed
 
     # ------------------------------------------------------------------
     # pools

@@ -7,7 +7,6 @@ engine, and coalescing/quotas/drain change *when* work happens, never
 """
 
 import asyncio
-import dataclasses
 import json
 import os
 
@@ -1380,35 +1379,6 @@ class TestMaintenanceOp:
             assert response["persisted"] is False  # no index_path configured
             assert response["generation"] == 0  # nothing swapped
             assert frontend.stats.maintenance_runs == 1
-        finally:
-            await frontend.aclose()
-
-    @pytest.mark.asyncio
-    async def test_maintain_self_checks_shard_summaries(self):
-        """``apply_update`` keeps summaries exact, so a healthy pass
-        refreshes none; one that drifted is recomputed and counted."""
-        mapping, _reselector, _graphs, churn = _drifting_materials()
-        service = QueryService(mapping, n_shards=2, n_workers=0)
-        frontend = AsyncFrontend(service, FrontendConfig(), own_service=True)
-        try:
-            await frontend.start()
-            await frontend.apply_update(added=churn[:3], removed=[0])
-            healthy = await frontend.handle_request(
-                {"op": "maintain", "id": 1}
-            )
-            assert healthy["ok"] and healthy["summaries_refreshed"] == 0
-
-            shard = service.shards[0]
-            exact = shard.summary
-            shard.summary = dataclasses.replace(
-                exact, radius=exact.radius / 2
-            )
-            drifted = await frontend.handle_request(
-                {"op": "maintain", "id": 2}
-            )
-            assert drifted["ok"] and drifted["summaries_refreshed"] == 1
-            assert service.shards[0].summary.radius == exact.radius
-            assert service.stats.summaries_refreshed == 1
         finally:
             await frontend.aclose()
 

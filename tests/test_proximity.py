@@ -35,7 +35,12 @@ from repro.query.pruning import SEARCH_MODES, SearchPolicy, default_ef
 from repro.serving import protocol
 from repro.serving.frontend import AsyncFrontend, FrontendConfig
 from repro.serving.service import QueryService
-from repro.utils.errors import ChecksumError, ProtocolError, QueryError
+from repro.utils.errors import (
+    ArtifactCorruptError,
+    ChecksumError,
+    ProtocolError,
+    QueryError,
+)
 
 
 def _binary_vectors(rng, n, p):
@@ -78,8 +83,9 @@ class TestBuildAndSearch:
         graph = ProximityGraph.build(vectors, max_degree=4)
         query = _binary_vectors(rng, 1, 12)[0]
         # ef = n keeps the tracker threshold at None until every row is
-        # seen, and the entry points + tree backbone keep the graph
-        # connected — so the beam degenerates to an exact scan.
+        # seen, and the reseed rule restarts a dry frontier from the
+        # smallest unvisited row — so the beam degenerates to an exact
+        # scan.
         ranking, scores, hops, evals = graph.search(query, k=5, ef=40)
         truth_ids, truth_scores = _exact_topk(vectors, query, 5)
         assert ranking == truth_ids
@@ -105,6 +111,61 @@ class TestBuildAndSearch:
     def test_bad_max_degree_rejected(self):
         with pytest.raises(QueryError):
             ProximityGraph.build(np.ones((3, 2)), max_degree=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_matches_brute_force_reference(self, seed):
+        """Every list is the row's ``min(max_degree, n-1)`` nearest
+        other rows under the (distance, id) order — here on few distinct
+        rows (ties everywhere) and down to ``n <= max_degree``."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        max_degree = int(rng.integers(1, 10))
+        pool = _binary_vectors(rng, 4, 5)
+        vectors = pool[rng.integers(0, len(pool), size=n)]
+        graph = ProximityGraph.build(vectors, max_degree=max_degree)
+        diff = vectors[:, None, :] - vectors[None, :, :]
+        dmat = np.sqrt((diff**2).sum(axis=2) / vectors.shape[1])
+        m = min(max_degree, n - 1)
+        assert graph.knn_ids.shape == graph.knn_dists.shape == (n, m)
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            order = np.lexsort((others, dmat[i, others]))[:m]
+            assert graph.knn_ids[i].tolist() == others[order].tolist()
+            assert graph.knn_dists[i].tolist() == (
+                dmat[i, others[order]].tolist()
+            )
+
+    def test_reverse_links_match_reference(self):
+        rng = np.random.default_rng(12)
+        pool = _binary_vectors(rng, 6, 6)
+        vectors = pool[rng.integers(0, len(pool), size=60)]  # popular rows
+        graph = ProximityGraph.build(vectors, max_degree=3)
+        offsets, ids = graph._reverse()
+        assert offsets.shape == (61,)
+        for j in range(60):
+            listers = [i for i in range(60) if j in graph.knn_ids[i]]
+            assert ids[offsets[j] : offsets[j + 1]].tolist() == listers[:6]
+
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_seeds_trapped_in_a_small_component_still_fill_k(self, k):
+        """Two far clusters, interleaved so every strided seed lands in
+        the 4-row one: its KNN lists (and the reverse links) never leave
+        it, so only the reseed rule reaches the other cluster."""
+        n, p = 16, 6
+        seeds = _entry_points(n)
+        assert seeds.tolist() == [0, 5, 10, 15]
+        vectors = np.ones((n, p))
+        vectors[seeds] = 0.0
+        graph = ProximityGraph.build(vectors, max_degree=3)
+        query = np.zeros(p)
+        truth = _exact_topk(vectors, query, k)
+        for ef in (k, 8, 12, n, 2 * n):
+            ranking, scores, _hops, evals = graph.search(query, k, ef)
+            assert len(ranking) == k, ef
+            assert set(ranking) >= set(seeds.tolist())
+            if ef >= n:
+                assert (ranking, scores) == truth
+                assert evals == n
 
     def test_neighbors_are_undirected_and_deduplicated(self):
         rng = np.random.default_rng(11)
@@ -209,7 +270,10 @@ class TestEfMonotonicity:
         truth = set(_exact_topk(vectors, query, k)[0])
         recalls = []
         for ef in (1, 2, 4, 8, 16, 32, 64):
-            ranking, _s, _h, _e = graph.search(query, k, ef)
+            ranking, _s, _h, evals = graph.search(query, k, ef)
+            assert len(ranking) == k, ef
+            if ef >= n:
+                assert evals == n, ef
             recalls.append(len(set(ranking) & truth) / k)
         assert recalls == sorted(recalls), recalls
         # ef >= n leaves the termination threshold unset until the
@@ -262,6 +326,53 @@ class TestPersistence:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ChecksumError):
             load_index(path)
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "max_degree_true",
+            "max_degree_zero",
+            "wrong_shape",
+            "id_out_of_range",
+            "self_link",
+            "duplicate",
+        ],
+    )
+    def test_tampered_rehashed_section_is_corrupt(
+        self, tmp_path, tamper, mmap
+    ):
+        """A structurally bad neighbor table whose checksum was
+        re-computed still fails the load — ``true`` is no degree."""
+        rng = np.random.default_rng(36)
+        mapping = _vector_mapping(_binary_vectors(rng, 16, 5))
+        mapping.proximity_graph()
+        path = tmp_path / "tampered-index"
+        save_index(mapping, path)
+        manifest = json.loads(path.read_text())
+        section = manifest["proximity_graph"]
+        table = section["neighbors"]
+        if tamper == "max_degree_true":
+            # JSON true reads as 1: a width-1 table would fit it.
+            section["max_degree"] = True
+            section["neighbors"] = [row[:1] for row in table]
+        elif tamper == "max_degree_zero":
+            section["max_degree"] = 0
+        elif tamper == "wrong_shape":
+            del table[-1]
+        elif tamper == "id_out_of_range":
+            table[0][0] = 16
+        elif tamper == "self_link":
+            table[3][0] = 3
+        else:
+            table[2][1] = table[2][0]
+        del section["sha256"]
+        section["sha256"] = _entry_digest(section)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactCorruptError) as exc:
+            load_index(path, mmap=mmap)
+        assert not isinstance(exc.value, ChecksumError)
+        assert "proximity_graph" in str(exc.value)
 
     def test_stale_seq_is_dropped_then_lazily_rebuilt(self, tmp_path):
         rng = np.random.default_rng(35)

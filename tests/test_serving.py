@@ -796,7 +796,6 @@ def _assert_shards_are_their_rows(service):
             )
     covered = np.sort(np.concatenate([s.indices for s in service.shards]))
     assert np.array_equal(covered, np.arange(vectors.shape[0]))
-    assert service.refresh_summaries() == 0
 
 
 class TestShardIsItsRows:
