@@ -22,7 +22,9 @@ One artifact is three files, all named from the manifest path:
   mutations.  :func:`save_index` on a mapping that descends from the
   artifact on disk appends deltas instead of rewriting the payload;
   :func:`load_index` replays them (pure array work — zero VF2) and
-  :func:`compact_index` folds them back into a fresh base.
+  :func:`compact_index` folds them back into a fresh base.  An entry's
+  trailing newline is its commit point: an append torn before it loads
+  as the previous generation, and the next append overwrites the tail.
 
 This is format version 3 and the only one read or written; a manifest
 of any other shape is rejected with the remedy (rebuild it with
@@ -116,13 +118,18 @@ def _entry_digest(entry: Dict) -> str:
 def _read_journal(path: Path, artifact_id: str) -> List[Dict]:
     """Parse and verify the delta journal for *artifact_id*.
 
-    Every entry must carry a valid checksum, name the base artifact, and
-    continue the sequence without gaps — anything else fails loudly.
+    An entry's trailing newline is its commit point: a last line without
+    one is an append cut short, never committed, and is ignored (the
+    next append truncates it).  Every complete line must parse, carry a
+    valid checksum, name the base artifact, and continue the sequence
+    without gaps — anything else fails loudly.
     """
     if not path.exists():
         return []
+    text = path.read_text()
+    committed = text[: text.rfind("\n") + 1]
     entries: List[Dict] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(committed.splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -683,8 +690,12 @@ def _append_deltas(path: Path, mapping: DSPreservedMapping) -> None:
         }
         entry["sha256"] = _entry_digest(entry)
         lines.append(json.dumps(entry, sort_keys=True))
-    with journal_path(path).open("a") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with journal_path(path).open("a+b") as handle:
+        handle.seek(0)
+        # Cut an uncommitted tail (see _read_journal) so this append
+        # continues the sequence instead of writing after garbage.
+        handle.truncate(handle.read().rfind(b"\n") + 1)
+        handle.write(("\n".join(lines) + "\n").encode())
     mapping.journal_seq += len(mapping.mutation_log)
     mapping.mutation_log.clear()
 

@@ -24,9 +24,8 @@ from repro.serving.frontend import (
     AsyncFrontend,
     FrontendConfig,
     FrontendStats,
-    TenantQuotas,
-    TokenBucket,
 )
+from repro.serving.gate import TenantQuotas, TokenBucket
 from repro.serving.router import (
     ContentPlacer,
     InprocReplica,

@@ -6,11 +6,11 @@ between — it turns many concurrent NDJSON clients into the batched,
 bounded workload the service is fastest at:
 
 * **Bounded request queue.**  At most ``max_queue`` queries may be
-  waiting; past that, requests are rejected *immediately* with a
-  structured ``overloaded`` response and a ``retry_after`` estimate,
-  instead of letting latency grow without bound (load shedding, not
-  load hiding).
-* **Per-tenant token buckets.**  Each tenant streams at up to
+  in the system; past that, the :class:`~repro.serving.gate.
+  RequestGate` both tiers share rejects *immediately* with a structured
+  ``overloaded`` response and a ``retry_after`` estimated from measured
+  batch time (load shedding, not load hiding).
+* **Per-tenant token buckets.**  The same gate holds each tenant to
   ``quota_rate`` queries/sec with ``quota_burst`` of headroom; an
   over-quota tenant gets ``quota_exceeded`` rejections with the exact
   seconds until a token is available, while compliant tenants are
@@ -40,30 +40,23 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.pruning import EXACT_POLICY, SearchPolicy
 from repro.query.topk import TopKResult
 from repro.serving import protocol
+from repro.serving.gate import AdmissionStats, RequestGate, check_quota_config
 from repro.serving.service import QueryService
-from repro.utils.errors import (
-    AdmissionError,
-    GraphDimensionError,
-    ProtocolError,
-    QueryError,
-    SelectionError,
-)
+from repro.utils.errors import ProtocolError, SelectionError
 
 __all__ = [
     "AsyncFrontend",
     "FrontendConfig",
     "FrontendStats",
-    "TenantQuotas",
-    "TokenBucket",
 ]
 
 
@@ -126,20 +119,13 @@ class FrontendConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.max_tenants < 1:
-            raise ValueError("max_tenants must be >= 1")
+        check_quota_config(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0 <= self.batch_window < math.inf:
             # Also rejects nan (every comparison with it is false): a
             # timer that never fires would hang a lone request forever.
             raise ValueError("batch_window must be a finite number >= 0")
-        if self.quota_rate is not None and self.quota_rate <= 0:
-            raise ValueError("quota_rate must be positive (or None)")
-        if self.quota_burst is not None and self.quota_burst < 1:
-            # burst < 1 would make even a single query cost > burst: a
-            # permanently-dead server rejecting 100% of requests.
-            raise ValueError("quota_burst must be >= 1 (or None)")
         if self.quota_burst is None and self.quota_rate is not None:
             self.quota_burst = max(self.quota_rate, float(self.batch_size))
         if (
@@ -151,133 +137,10 @@ class FrontendConfig:
             raise ValueError("compact_ratio must be positive")
 
 
-class TokenBucket:
-    """A standard token bucket: ``rate`` tokens/sec up to ``burst``.
-
-    ``try_acquire(cost)`` either takes the tokens and returns
-    ``(True, 0.0)``, or leaves them and returns ``(False, seconds)`` —
-    the exact wait until the acquisition could succeed (``inf`` when
-    ``cost`` exceeds the burst capacity, i.e. never).
-    """
-
-    def __init__(
-        self, rate: float, burst: float, clock=time.monotonic
-    ) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self._clock = clock
-        self._updated = clock()
-
-    def try_acquire(self, cost: float = 1.0) -> Tuple[bool, float]:
-        self.peek()
-        if self.tokens >= cost:
-            self.tokens -= cost
-            return True, 0.0
-        if cost > self.burst:
-            return False, float("inf")
-        return False, (cost - self.tokens) / self.rate
-
-    def peek(self) -> float:
-        """Refill for elapsed time and return the current token count."""
-        now = self._clock()
-        self.tokens = min(
-            self.burst, self.tokens + (now - self._updated) * self.rate
-        )
-        self._updated = now
-        return self.tokens
-
-
-class TenantQuotas:
-    """A bounded table of per-tenant token buckets with safe eviction.
-
-    At most ``max_tenants`` named buckets are tracked (LRU); everyone
-    past the cap shares one ``"<other>"`` bucket, mirroring how
-    :class:`FrontendStats` aggregates.  Eviction *folds* the evicted
-    bucket into ``"<other>"`` (taking the minimum of the two balances)
-    and a newcomer that displaces someone is *seeded* from
-    ``"<other>"``'s balance instead of a fresh full burst — so cycling
-    ``max_tenants + 1`` names buys the whole churning population at
-    most one extra tenant's rate, instead of a fresh burst per name.
-
-    Shared between :class:`AsyncFrontend` (per-process quotas) and the
-    router tier (cluster-wide quotas), so the two enforce identical
-    semantics.
-    """
-
-    OTHER = "<other>"
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        max_tenants: int,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if max_tenants < 1:
-            raise ValueError("max_tenants must be >= 1")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self.max_tenants = int(max_tenants)
-        self._clock = clock
-        self._buckets: "OrderedDict[str, TokenBucket]" = OrderedDict()
-        self._other: Optional[TokenBucket] = None
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    def __contains__(self, tenant: str) -> bool:
-        return tenant in self._buckets
-
-    def _other_bucket(self) -> TokenBucket:
-        # Created lazily with a full burst: until the first eviction the
-        # cap has never bound, so the shared bucket carries no history.
-        if self._other is None:
-            self._other = TokenBucket(self.rate, self.burst, self._clock)
-        return self._other
-
-    def try_acquire(self, tenant: str, cost: float) -> Tuple[bool, float]:
-        bucket = self._buckets.get(tenant)
-        if bucket is not None:
-            self._buckets.move_to_end(tenant)
-            return bucket.try_acquire(cost)
-        bucket = TokenBucket(self.rate, self.burst, self._clock)
-        if len(self._buckets) >= self.max_tenants:
-            # Fold the LRU bucket into <other> conservatively (min, not
-            # sum: merging must never *create* spendable tokens), then
-            # seed the newcomer from <other> — a returning evicted
-            # tenant resumes the shared balance, not a fresh burst.
-            _, evicted = self._buckets.popitem(last=False)
-            self.evictions += 1
-            other = self._other_bucket()
-            other.tokens = min(other.peek(), evicted.peek())
-            bucket.tokens = min(self.burst, other.peek())
-            # The newcomer's spending must drain the shared balance
-            # too, or each churned name would re-spend the same seed:
-            # acquire through <other> first, then mirror in the named
-            # bucket so a tenant that *stays* resident earns back its
-            # own refill stream.
-            ok, wait = other.try_acquire(cost)
-            if ok:
-                bucket.tokens = max(bucket.tokens - cost, 0.0)
-            self._buckets[tenant] = bucket
-            return ok, wait
-        self._buckets[tenant] = bucket
-        return bucket.try_acquire(cost)
-
-
 @dataclass
-class FrontendStats:
+class FrontendStats(AdmissionStats):
     """Cumulative counters of one :class:`AsyncFrontend`."""
 
-    admitted: int = 0           # queries accepted into the queue
-    completed: int = 0          # queries answered
-    failed: int = 0             # queries whose batch raised
-    rejected_quota: int = 0
-    rejected_overload: int = 0
-    rejected_draining: int = 0
-    bad_requests: int = 0
     batches_dispatched: int = 0  # service batch_query calls
     lingers: int = 0            # batches that waited for company
     lingers_expired: int = 0    # ... and ran into the batch_window cap
@@ -288,24 +151,6 @@ class FrontendStats:
     reloads: int = 0
     maintenance_runs: int = 0    # completed maintenance passes
     maintenance_failures: int = 0
-    queue_peak: int = 0
-    per_tenant: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Most tenants broken out individually in ``per_tenant``; the rest
-    #: aggregate under ``"<other>"`` so wire-supplied names cannot grow
-    #: the stats table without bound.  :class:`AsyncFrontend` sets this
-    #: from ``FrontendConfig.max_tenants`` so the two caps never
-    #: diverge.
-    max_tracked_tenants: int = 10_000
-
-    def tenant(self, name: str) -> Dict[str, int]:
-        if (
-            name not in self.per_tenant
-            and len(self.per_tenant) >= self.max_tracked_tenants
-        ):
-            name = "<other>"
-        return self.per_tenant.setdefault(
-            name, {"admitted": 0, "rejected_quota": 0}
-        )
 
 
 class _Pending:
@@ -326,7 +171,7 @@ class _Pending:
         self.future = future
 
 
-class AsyncFrontend:
+class AsyncFrontend(RequestGate):
     """The admission-controlled asyncio front door of a `QueryService`.
 
     Use as an async context manager, or pair :meth:`start` with
@@ -340,32 +185,31 @@ class AsyncFrontend:
         config: Optional[FrontendConfig] = None,
         own_service: bool = False,
     ) -> None:
-        self.service = service
-        self.config = config or FrontendConfig()
-        self.stats = FrontendStats(
-            max_tracked_tenants=self.config.max_tenants
+        config = config or FrontendConfig()
+        super().__init__(
+            "server",
+            config,
+            capacity=config.max_queue,
+            stats=FrontendStats(),
+            ops={
+                "query": self._search_op,
+                "batch": self._search_op,
+                "update": self._update_op,
+                "reload": self._reload_op,
+                "maintain": self._maintain_op,
+            },
         )
+        self.service = service
         self._own_service = own_service
         self._codec = self._build_codec(service)
         self._pending: Deque[_Pending] = deque()
-        self._queued_queries = 0
         # The dispatcher's one wake-up: resolved False once
-        # ``_wake_at`` queries are queued or drain begins, True by the
-        # linger's timer.
+        # ``_wake_at`` queries are queued or drain() ends a linger, True
+        # by the linger's timer.
         self._wake: Optional["asyncio.Future[bool]"] = None
         self._wake_at = 0
-        self._quotas: Optional[TenantQuotas] = None
-        if self.config.quota_rate is not None:
-            self._quotas = TenantQuotas(
-                self.config.quota_rate,
-                self.config.quota_burst,
-                self.config.max_tenants,
-                self.config.clock,
-            )
-        self._draining = False
         self._dispatcher: Optional[asyncio.Task] = None
         self._maintenance: Optional[asyncio.Task] = None
-        self._shutdown_event = asyncio.Event()
         self._update_lock = asyncio.Lock()
         # Separate single-thread executors so live updates genuinely
         # overlap in-flight batches (the service's swap lock is what
@@ -415,6 +259,11 @@ class AsyncFrontend:
         policy = self.config.default_policy
         return policy is not None and policy.mode == "graph"
 
+    @property
+    def generation(self) -> int:
+        """The served index's generation (applied updates + reloads)."""
+        return self.service.generation
+
     async def start(self) -> "AsyncFrontend":
         """Start the dispatcher (and the maintenance loop, if configured).
 
@@ -439,38 +288,11 @@ class AsyncFrontend:
             )
         return self
 
-    async def __aenter__(self) -> "AsyncFrontend":
-        return await self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.aclose()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queued_queries
-
-    def begin_drain(self) -> None:
-        """Stop admission; idempotent and synchronous.
-
-        Everything already admitted will still be answered; the
-        dispatcher exits once the queue runs dry.
-        """
-        if not self._draining:
-            self._draining = True
-            self._wake_dispatcher()
-            self._shutdown_event.set()
-
-    async def wait_shutdown(self) -> None:
-        """Block until some peer requested shutdown (the serve loops)."""
-        await self._shutdown_event.wait()
-
     async def drain(self) -> None:
         """Begin drain and wait until every admitted request is answered."""
         self.begin_drain()
+        # No company can arrive any more: a lingering batch goes now.
+        self._wake_dispatcher()
         if self._maintenance is not None:
             # The loop watches the shutdown event, so it exits on its
             # own; waiting here means aclose() never shuts the admin
@@ -479,9 +301,14 @@ class AsyncFrontend:
                 asyncio.shield(self._maintenance), self.config.drain_timeout
             )
         if self._dispatcher is not None:
-            await asyncio.wait_for(
-                asyncio.shield(self._dispatcher), self.config.drain_timeout
-            )
+            await self._wait_drained()
+            # Idle and admitting nothing: the dispatcher is parked
+            # waiting for a query that cannot come.
+            self._dispatcher.cancel()
+            try:
+                await self._dispatcher
+            except asyncio.CancelledError:
+                pass
 
     async def aclose(self) -> None:
         """Drain, then release executors (and the service when owned)."""
@@ -496,19 +323,13 @@ class AsyncFrontend:
     # ------------------------------------------------------------------
     # admission control
     # ------------------------------------------------------------------
-    @property
-    def _buckets(self) -> Optional[TenantQuotas]:
-        """The tenant quota table (``len``/``in`` work; tests poke it)."""
-        return self._quotas
-
-    def _batch_seconds_estimate(self) -> float:
-        """Best current guess at one batch's wall-clock seconds.
-
-        Prefers the measured EWMA; before any batch has completed, a
-        batch *in flight* has already run for a known time, which is a
-        hard lower bound on its duration — quote that rather than a
-        constant, so a client hitting a cold full queue is never told
-        to retry sooner than the server has already been busy.
+    def _retry_after(self, cost: int) -> float:
+        """The backlog *plus this request* (the retrying client still
+        drains its own cost through the queue) in batches of the
+        measured batch time.  Before any batch has completed, one *in
+        flight* has already run for a known time — a hard lower bound,
+        quoted rather than a constant, so a cold full queue never tells a
+        client to retry sooner than the server has already been busy.
         """
         estimate = 0.0 if self._batch_seconds is None else self._batch_seconds
         if self._batch_started is not None:
@@ -521,53 +342,9 @@ class AsyncFrontend:
             estimate = max(estimate, in_flight)
         # Floor: with nothing measured and nothing in flight, fall back
         # to a conservative seed rather than quoting a zero wait.
-        return max(estimate, 0.05 if self._batch_seconds is None else 0.0)
-
-    def _admit(self, tenant: str, cost: int) -> None:
-        """Raise :class:`AdmissionError` unless *cost* queries may enter."""
-        if self._draining:
-            self.stats.rejected_draining += cost
-            raise AdmissionError(
-                "shutting_down", "server is draining; no new requests"
-            )
-        # Queue capacity is checked *before* the token bucket: an
-        # overload rejection must not burn the tenant's quota, or a
-        # compliant tenant retrying through a load spike would be
-        # double-penalised into quota_exceeded.
-        if self._queued_queries + cost > self.config.max_queue:
-            self.stats.rejected_overload += cost
-            # The wait covers the whole backlog *plus this request*:
-            # once a slot frees, the retrying client still has to drain
-            # its own cost through the queue.
-            backlog_batches = (
-                self._queued_queries + cost
-            ) / self.config.batch_size
-            raise AdmissionError(
-                "overloaded",
-                f"request queue is full ({self._queued_queries}/"
-                f"{self.config.max_queue} queries pending)",
-                # A batch bigger than the whole queue can never fit:
-                # no retry_after, matching the over-burst quota case.
-                retry_after=None
-                if cost > self.config.max_queue
-                else self.config.batch_window
-                + backlog_batches * self._batch_seconds_estimate(),
-            )
-        if self._quotas is not None:
-            ok, wait = self._quotas.try_acquire(tenant, cost)
-            if not ok:
-                self.stats.rejected_quota += cost
-                self.stats.tenant(tenant)["rejected_quota"] += cost
-                raise AdmissionError(
-                    "quota_exceeded",
-                    f"tenant {tenant!r} exceeded {self.config.quota_rate}"
-                    " queries/sec",
-                    retry_after=None if wait == float("inf") else wait,
-                )
-        self.stats.admitted += cost
-        self.stats.tenant(tenant)["admitted"] += cost
-        self._queued_queries += cost
-        self.stats.queue_peak = max(self.stats.queue_peak, self._queued_queries)
+        estimate = max(estimate, 0.05 if self._batch_seconds is None else 0.0)
+        backlog_batches = (self._inflight + cost) / self.config.batch_size
+        return self.config.batch_window + backlog_batches * estimate
 
     async def submit(
         self,
@@ -625,12 +402,15 @@ class AsyncFrontend:
     # ------------------------------------------------------------------
     def _has_queued(self, target: int) -> bool:
         """Whether the dispatcher need not wait for *target* queries:
-        they are queued, or drain has begun and no more will come.
+        they are queued, or drain has begun and what is queued is all
+        that will come.
 
         Only meaningful between batches, when nothing is in flight and
-        ``_queued_queries`` is exactly what the deque holds.
+        ``_inflight`` is exactly what the deque holds.
         """
-        return self._draining or self._queued_queries >= target
+        return self._inflight >= target or (
+            self._draining and self._inflight > 0
+        )
 
     def _wake_dispatcher(self) -> None:
         """Wake a waiting dispatcher if it now has what it waits for."""
@@ -663,8 +443,8 @@ class AsyncFrontend:
             if timer is not None:
                 timer.cancel()
 
-    async def _collect(self) -> Tuple[List[_Pending], bool]:
-        """The next batch, and whether it is the last one.
+    async def _collect(self) -> List[_Pending]:
+        """The next batch.
 
         Waits (no timer) for anything to be queued, then lingers only
         while fewer queries are queued than were in the system when the
@@ -688,35 +468,32 @@ class AsyncFrontend:
             item = self._pending.popleft()
             batch.append(item)
             total += len(item.graphs)
-        return batch, self._draining and not self._pending
+        return batch
 
     async def _dispatch_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            batch, stop = await self._collect()
-            if batch:
-                # Group by (k, policy): one service call answers every
-                # request in the group, whoever submitted it.  The
-                # policy is frozen/hashable, so exact and approx
-                # traffic coalesce separately instead of forcing the
-                # whole batch to the stricter mode.
-                groups: Dict[Tuple, List[_Pending]] = {}
-                for item in batch:
-                    groups.setdefault((item.k, item.policy), []).append(item)
-                for (k, policy), group in sorted(
-                    groups.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
-                ):
-                    await self._run_group(loop, group, k, policy)
-                # Sampled when the batch *finishes*, not when it was
-                # collected: callers whose requests arrived while it ran
-                # and the callers it has just answered are both counted,
-                # so a closed loop that a late window once split in two
-                # is gathered whole again by the next batch.
-                self.stats.concurrency = self._queued_queries + sum(
-                    len(item.graphs) for item in batch
-                )
-            if stop:
-                break
+            batch = await self._collect()
+            # Group by (k, policy): one service call answers every
+            # request in the group, whoever submitted it.  The policy is
+            # frozen/hashable, so exact and approx traffic coalesce
+            # separately instead of forcing the whole batch to the
+            # stricter mode.
+            groups: Dict[Tuple, List[_Pending]] = {}
+            for item in batch:
+                groups.setdefault((item.k, item.policy), []).append(item)
+            for (k, policy), group in sorted(
+                groups.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))
+            ):
+                await self._run_group(loop, group, k, policy)
+            # Sampled when the batch *finishes*, not when it was
+            # collected: callers whose requests arrived while it ran and
+            # the callers it has just answered are both counted, so a
+            # closed loop that a late window once split in two is
+            # gathered whole again by the next batch.
+            self.stats.concurrency = self._inflight + sum(
+                len(item.graphs) for item in batch
+            )
 
     async def _run_group(
         self,
@@ -740,8 +517,7 @@ class AsyncFrontend:
             )
         except Exception as exc:
             for item in group:
-                self._queued_queries -= len(item.graphs)
-                self.stats.failed += len(item.graphs)
+                self._release(len(item.graphs), ok=False)
                 if not item.future.cancelled():
                     item.future.set_exception(exc)
             return
@@ -762,8 +538,7 @@ class AsyncFrontend:
             answers = result.results[offset : offset + size]
             pruning = trace.slice_payload(offset, offset + size)
             offset += size
-            self._queued_queries -= size
-            self.stats.completed += size
+            self._release(size, ok=True)
             if not item.future.cancelled():
                 item.future.set_result((answers, generation, pruning))
 
@@ -943,13 +718,7 @@ class AsyncFrontend:
             "draining": self._draining,
             "generation": service.generation,
             "frontend": {
-                "admitted": self.stats.admitted,
-                "completed": self.stats.completed,
-                "failed": self.stats.failed,
-                "rejected_quota": self.stats.rejected_quota,
-                "rejected_overload": self.stats.rejected_overload,
-                "rejected_draining": self.stats.rejected_draining,
-                "bad_requests": self.stats.bad_requests,
+                **self._admission_counters(),
                 "batches_dispatched": self.stats.batches_dispatched,
                 "mean_coalesced": (
                     self.stats.completed
@@ -962,14 +731,6 @@ class AsyncFrontend:
                 "reloads": self.stats.reloads,
                 "maintenance_runs": self.stats.maintenance_runs,
                 "maintenance_failures": self.stats.maintenance_failures,
-                "queue_peak": self.stats.queue_peak,
-                "bucket_evictions": (
-                    self._quotas.evictions if self._quotas is not None else 0
-                ),
-                "per_tenant": {
-                    tenant: dict(counts)
-                    for tenant, counts in self.stats.per_tenant.items()
-                },
             },
             "service": {
                 "batches": svc.batches,
@@ -993,111 +754,52 @@ class AsyncFrontend:
         }
 
     # ------------------------------------------------------------------
-    # protocol dispatch
+    # the ops this tier serves beyond ping / stats / shutdown
     # ------------------------------------------------------------------
-    async def handle_line(self, line: str) -> Dict:
-        """One NDJSON request line in, one response object out."""
-        try:
-            request = protocol.parse_request(line)
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return protocol.error_response(
-                exc.request_id, "bad_request", str(exc), detail=exc.detail
-            )
-        return await self.handle_request(request)
+    async def _search_op(self, request: Dict) -> Dict:
+        """``query`` (one ``graph``) and ``batch`` (a ``graphs`` list)."""
+        single = request["op"] == "query"
+        policy = protocol.search_policy_from_request(request)
+        graphs = [
+            self._decode_graph(g)
+            for g in ([request["graph"]] if single else request["graphs"])
+        ]
+        results, generation, pruning = await self.submit_traced(
+            graphs, request["k"], request.get("tenant") or "", policy
+        )
+        answers = (
+            protocol.result_to_wire(results[0])
+            if single
+            else {"results": [protocol.result_to_wire(r) for r in results]}
+        )
+        return protocol.ok_response(
+            request.get("id"), generation=generation, pruning=pruning,
+            **answers,
+        )
 
-    async def handle_request(self, request: Dict) -> Dict:
-        request_id = request.get("id")
-        op = request["op"]
-        tenant = request.get("tenant") or ""
+    async def _update_op(self, request: Dict) -> Dict:
+        added = [self._decode_graph(g) for g in request.get("add", [])]
+        removed = request.get("remove", [])
+        if not all(protocol.is_wire_int(i) for i in removed):
+            raise ProtocolError("'remove' must hold integer database indices")
+        removed = set(removed)
         try:
-            if op == "query":
-                policy = protocol.search_policy_from_request(request)
-                graph = self._decode_graph(request["graph"])
-                results, generation, pruning = await self.submit_traced(
-                    [graph], request["k"], tenant, policy
-                )
-                return protocol.ok_response(
-                    request_id,
-                    generation=generation,
-                    pruning=pruning,
-                    **protocol.result_to_wire(results[0]),
-                )
-            if op == "batch":
-                policy = protocol.search_policy_from_request(request)
-                graphs = [
-                    self._decode_graph(g) for g in request["graphs"]
-                ]
-                results, generation, pruning = await self.submit_traced(
-                    graphs, request["k"], tenant, policy
-                )
-                return protocol.ok_response(
-                    request_id,
-                    generation=generation,
-                    pruning=pruning,
-                    results=[protocol.result_to_wire(r) for r in results],
-                )
-            if op == "stats":
-                return protocol.ok_response(
-                    request_id, **self.stats_payload()
-                )
-            if op == "update":
-                added = [
-                    self._decode_graph(g)
-                    for g in request.get("add", [])
-                ]
-                removed = request.get("remove", [])
-                if not all(protocol.is_wire_int(i) for i in removed):
-                    raise ProtocolError(
-                        "'remove' must hold integer database indices"
-                    )
-                removed = set(removed)
-                try:
-                    generation = await self.apply_update(added, removed)
-                except SelectionError as exc:
-                    # A row that does not exist, or removing every row:
-                    # the client's fault, and nothing was applied.
-                    raise ProtocolError(str(exc)) from exc
-                return protocol.ok_response(
-                    request_id,
-                    generation=generation,
-                    added=len(added),
-                    removed=len(removed),
-                )
-            if op == "reload":
-                info = await self.reload(request["path"])
-                return protocol.ok_response(request_id, **info)
-            if op == "maintain":
-                report = await self.maintain()
-                return protocol.ok_response(request_id, **report)
-            if op == "shutdown":
-                self.begin_drain()
-                return protocol.ok_response(request_id, draining=True)
-            if op == "ping":
-                # Health probe: answered inline (no admission, no
-                # queue) so the router can track generation and backlog
-                # even while the request queue is saturated.
-                return protocol.ok_response(
-                    request_id,
-                    generation=self.service.generation,
-                    queue_depth=self.queue_depth,
-                    draining=self._draining,
-                )
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return protocol.error_response(
-                request_id, "bad_request", str(exc), detail=exc.detail
-            )
-        except AdmissionError as exc:
-            return protocol.error_response(
-                request_id, exc.code, str(exc), retry_after=exc.retry_after
-            )
-        except QueryError as exc:
-            # Bad top-k parameters are the client's fault, not ours.
-            self.stats.bad_requests += 1
-            return protocol.error_response(request_id, "bad_request", str(exc))
-        except (GraphDimensionError, OSError, ValueError) as exc:
-            return protocol.error_response(
-                request_id, "internal", f"{type(exc).__name__}: {exc}"
-            )
-        raise AssertionError(f"unhandled op {op!r}")  # pragma: no cover
+            generation = await self.apply_update(added, removed)
+        except SelectionError as exc:
+            # A row that does not exist, or removing every row: the
+            # client's fault, and nothing was applied.
+            raise ProtocolError(str(exc)) from exc
+        return protocol.ok_response(
+            request.get("id"),
+            generation=generation,
+            added=len(added),
+            removed=len(removed),
+        )
+
+    async def _reload_op(self, request: Dict) -> Dict:
+        info = await self.reload(request["path"])
+        return protocol.ok_response(request.get("id"), **info)
+
+    async def _maintain_op(self, request: Dict) -> Dict:
+        report = await self.maintain()
+        return protocol.ok_response(request.get("id"), **report)

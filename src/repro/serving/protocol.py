@@ -8,8 +8,8 @@ wires both.
 Requests
 --------
 ``{"op": "query", "id": 1, "tenant": "alice", "k": 5, "graph": G}``
-    Top-k for one query graph.  ``G`` is the wire graph format below.
-    An optional ``"search"`` object picks the shard-search policy:
+    Top-k for one query graph, ``k >= 1``.  ``G`` is the wire graph
+    format below.  An optional ``"search"`` object picks the shard-search policy:
     ``{"mode": "exact"}`` (the default — bit-exact answers, shards
     skipped only when provably irrelevant), ``{"mode": "exact",
     "prune": false}`` (force the full scan), ``{"mode": "approx",
@@ -27,8 +27,8 @@ Requests
     rejected with a ``bad_request`` whose ``detail.allowed_modes``
     lists every accepted mode.
 ``{"op": "batch", "id": 2, "tenant": "alice", "k": 5, "graphs": [G...]}``
-    Top-k for a client-side batch (admitted as one unit); accepts the
-    same optional ``"search"`` policy.
+    Top-k for a client-side batch of at least one graph (admitted as
+    one unit); accepts the same optional ``"search"`` policy.
 ``{"op": "stats", "id": 3}``
     Front-end + service counters and queue depth.
 ``{"op": "update", "id": 4, "add": [G...], "remove": [3, 17]}``
@@ -201,12 +201,18 @@ def _check_shape(request: Dict) -> None:
             f"unknown op {op!r} (expected one of {', '.join(OPS)})"
         )
     if op in ("query", "batch"):
+        # A request that can never succeed is refused here, before any
+        # tier admits it: it must spend no quota and count no failure.
         if not is_wire_int(request.get("k")):
             raise ProtocolError(f"{op!r} requires an integer 'k'")
+        if request["k"] < 1:
+            raise ProtocolError("'k' must be >= 1")
         if op == "query" and "graph" not in request:
             raise ProtocolError("'query' requires a 'graph'")
         if op == "batch" and not isinstance(request.get("graphs"), list):
             raise ProtocolError("'batch' requires a 'graphs' list")
+        if op == "batch" and not request["graphs"]:
+            raise ProtocolError("'batch' needs at least one graph")
         if "search" in request and not isinstance(request["search"], dict):
             raise ProtocolError("'search' must be an object")
     if op == "update":

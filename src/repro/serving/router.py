@@ -26,10 +26,13 @@ cannot tell the difference:
   replica that missed updates (down, or freshly restarted from the
   artifact) is replayed from the router's update log before it re-enters
   rotation.
-* **Cluster-wide quotas.**  One shared :class:`~repro.serving.frontend.
-  TenantQuotas` table at the router; replicas run quota-free.  A
-  tenant's rate is what the operator configured, not ``N ×`` it — and
-  the eviction-folding semantics are identical to a single server's.
+* **One request loop.**  Admission (drain, capacity, per-tenant
+  quota) and the line → request → response loop are the
+  :class:`~repro.serving.gate.RequestGate` a single server runs too, so
+  quotas are cluster-wide — replicas run quota-free and a tenant's rate
+  is what the operator configured, not ``N ×`` it — and
+  :func:`~repro.serving.protocol.serve_tcp` / ``serve_stdio`` run a
+  router unchanged.
 * **Propagated backpressure.**  Each replica's in-flight count and
   ping-reported queue depth are folded with its measured drain rate
   (an EWMA of seconds per answered query) into the ``retry_after`` the
@@ -58,7 +61,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.serving import protocol
-from repro.serving.frontend import AsyncFrontend, TenantQuotas
+from repro.serving.frontend import AsyncFrontend
+from repro.serving.gate import AdmissionStats, RequestGate, check_quota_config
 from repro.utils.errors import (
     AdmissionError,
     ProtocolError,
@@ -76,13 +80,6 @@ __all__ = [
     "TcpReplica",
     "spawn_replica",
 ]
-
-#: The ops a router serves itself.  ``maintain`` is a replica-local op:
-#: fanning it out would let each replica re-select on its own and
-#: desynchronise the update-log replay, which indexes the log by
-#: replica generation.
-ROUTER_OPS = tuple(op for op in protocol.OPS if op != "maintain")
-
 
 @dataclass
 class RouterConfig:
@@ -111,26 +108,15 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        if self.max_tenants < 1:
-            raise ValueError("max_tenants must be >= 1")
-        if self.quota_rate is not None and self.quota_rate <= 0:
-            raise ValueError("quota_rate must be positive (or None)")
-        if self.quota_burst is not None and self.quota_burst < 1:
-            raise ValueError("quota_burst must be >= 1 (or None)")
+        check_quota_config(self)
         if self.quota_burst is None and self.quota_rate is not None:
             self.quota_burst = max(self.quota_rate, 1.0)
 
 
 @dataclass
-class RouterStats:
+class RouterStats(AdmissionStats):
     """Cumulative counters of one :class:`Router`."""
 
-    admitted: int = 0
-    completed: int = 0
-    rejected_quota: int = 0
-    rejected_overload: int = 0
-    rejected_draining: int = 0
-    bad_requests: int = 0
     failovers: int = 0          # queries retried after a ReplicaError
     stale_rerouted: int = 0     # answers below the session floor, retried
     replica_overloads: int = 0  # replica-side overload rejections seen
@@ -141,7 +127,6 @@ class RouterStats:
     reloads: int = 0
     placed_content: int = 0
     placed_round_robin: int = 0
-    inflight_peak: int = 0
 
 
 class ReplicaHandle:
@@ -498,15 +483,12 @@ class ContentPlacer:
         return block
 
 
-class Router:
-    """The cluster coordinator; speaks the frontend serve-loop interface.
+class Router(RequestGate):
+    """The cluster coordinator: the request loop of
+    :class:`~repro.serving.gate.RequestGate` over N replicas.
 
-    Implements ``handle_line`` / ``handle_request`` / ``wait_shutdown``
-    / ``draining`` / ``begin_drain`` exactly like
-    :class:`~repro.serving.frontend.AsyncFrontend`, so
-    :func:`~repro.serving.protocol.serve_tcp` and ``serve_stdio`` run a
-    router with zero changes.  Pair :meth:`start` with :meth:`aclose`
-    (or use as an async context manager).
+    Pair :meth:`start` with :meth:`aclose` (or use as an async context
+    manager).
     """
 
     def __init__(
@@ -518,22 +500,26 @@ class Router:
     ) -> None:
         if not replicas:
             raise ValueError("a router needs at least one replica")
+        config = config or RouterConfig()
+        super().__init__(
+            "router",
+            config,
+            capacity=config.max_inflight,
+            stats=RouterStats(),
+            # No ``maintain``: it is replica-local — fanning it out
+            # would let each replica re-select on its own and
+            # desynchronise the update-log replay, which indexes the
+            # log by replica generation.
+            ops={
+                "query": self._query,
+                "batch": self._query,
+                "update": self._write,
+                "reload": self._write,
+            },
+        )
         self.replicas: List[ReplicaHandle] = list(replicas)
-        self.config = config or RouterConfig()
         self.placer = placer
-        self.stats = RouterStats()
         self._own_replicas = own_replicas
-        self._quotas: Optional[TenantQuotas] = None
-        if self.config.quota_rate is not None:
-            self._quotas = TenantQuotas(
-                self.config.quota_rate,
-                self.config.quota_burst,
-                self.config.max_tenants,
-                self.config.clock,
-            )
-        self._inflight = 0
-        self._draining = False
-        self._shutdown_event = asyncio.Event()
         self._update_lock = asyncio.Lock()
         self._update_log: List[Dict] = []
         self._generation = 0
@@ -554,50 +540,27 @@ class Router:
             self._health_task = asyncio.ensure_future(self._health_loop())
         return self
 
-    async def __aenter__(self) -> "Router":
-        return await self.start()
-
-    async def __aexit__(self, *exc) -> None:
-        await self.aclose()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     @property
     def generation(self) -> int:
         """The cluster generation: updates + reloads applied via the router."""
         return self._generation
 
-    def begin_drain(self) -> None:
-        if not self._draining:
-            self._draining = True
-            self._shutdown_event.set()
-
-    async def wait_shutdown(self) -> None:
-        await self._shutdown_event.wait()
-
     async def aclose(self) -> None:
         """Drain in-flight queries, stop health checks, release replicas."""
         self.begin_drain()
-        deadline = (
-            asyncio.get_running_loop().time() + self.config.drain_timeout
-        )
-        while (
-            self._inflight > 0
-            and asyncio.get_running_loop().time() < deadline
-        ):
-            await asyncio.sleep(0.005)
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        if self._own_replicas:
-            for replica in self.replicas:
-                await replica.close()
+        try:
+            await self._wait_drained()
+        finally:
+            if self._health_task is not None:
+                self._health_task.cancel()
+                try:
+                    await self._health_task
+                except asyncio.CancelledError:
+                    pass
+                self._health_task = None
+            if self._own_replicas:
+                for replica in self.replicas:
+                    await replica.close()
 
     # ------------------------------------------------------------------
     # membership
@@ -685,7 +648,7 @@ class Router:
                     )
 
     # ------------------------------------------------------------------
-    # admission + backpressure
+    # backpressure
     # ------------------------------------------------------------------
     def _retry_after(self, cost: int) -> Optional[float]:
         """Cluster drain estimate: when could *cost* queries fit?
@@ -707,38 +670,6 @@ class Router:
         if not estimates:
             return 0.05 * cost
         return max(min(estimates), 1e-3)
-
-    def _admit(self, tenant: str, cost: int) -> None:
-        if self._draining:
-            self.stats.rejected_draining += cost
-            raise AdmissionError(
-                "shutting_down", "router is draining; no new requests"
-            )
-        if self._inflight + cost > self.config.max_inflight:
-            self.stats.rejected_overload += cost
-            raise AdmissionError(
-                "overloaded",
-                f"cluster has {self._inflight}/{self.config.max_inflight} "
-                "queries in flight",
-                retry_after=None
-                if cost > self.config.max_inflight
-                else self._retry_after(cost),
-            )
-        if self._quotas is not None:
-            ok, wait = self._quotas.try_acquire(tenant, cost)
-            if not ok:
-                self.stats.rejected_quota += cost
-                raise AdmissionError(
-                    "quota_exceeded",
-                    f"tenant {tenant!r} exceeded the cluster-wide "
-                    f"{self.config.quota_rate} queries/sec",
-                    retry_after=None if wait == float("inf") else wait,
-                )
-        self._inflight += cost
-        self.stats.admitted += cost
-        self.stats.inflight_peak = max(
-            self.stats.inflight_peak, self._inflight
-        )
 
     # ------------------------------------------------------------------
     # placement + forwarding
@@ -857,7 +788,6 @@ class Router:
                         self.stats.stale_rerouted += cost
                         continue
                 replica.note_completion(self.config.clock(), cost)
-                self.stats.completed += cost
             elif response.get("error") in ("overloaded", "shutting_down"):
                 # This replica cannot take the query right now; others
                 # may.  shutting_down additionally means it is leaving
@@ -963,87 +893,37 @@ class Router:
             return response
 
     # ------------------------------------------------------------------
-    # protocol dispatch
+    # the ops this tier serves beyond ping / stats / shutdown
     # ------------------------------------------------------------------
-    async def handle_line(self, line: str) -> Dict:
-        try:
-            request = protocol.parse_request(line)
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return protocol.error_response(
-                exc.request_id, "bad_request", str(exc), detail=exc.detail
-            )
-        return await self.handle_request(request)
-
-    async def handle_request(self, request: Dict) -> Dict:
-        request_id = request.get("id")
-        op = request["op"]
+    async def _query(self, request: Dict) -> Dict:
+        """``query`` / ``batch``: admit at the router, answer by a replica."""
         tenant = request.get("tenant") or ""
+        cost = len(request["graphs"]) if request["op"] == "batch" else 1
+        self._admit(tenant, cost)
+        ok = False
         try:
-            if op in ("query", "batch"):
-                cost = (
-                    len(request.get("graphs") or [])
-                    if op == "batch"
-                    else 1
-                )
-                if cost < 1:
-                    raise ProtocolError("empty query batch")
-                self._admit(tenant, cost)
-                try:
-                    return await self._forward_query(request, tenant, cost)
-                finally:
-                    self._inflight -= cost
-            if op in ("update", "reload"):
-                response = await self._apply_cluster_update(request)
-                if response.get("ok"):
-                    # Read-your-writes: this session's queries must see
-                    # the new generation from here on.
-                    self._set_floor(tenant, self._generation)
-                return response
-            if op == "stats":
-                return protocol.ok_response(
-                    request_id, **self.stats_payload()
-                )
-            if op == "ping":
-                return protocol.ok_response(
-                    request_id,
-                    generation=self._generation,
-                    queue_depth=self._inflight,
-                    draining=self._draining,
-                )
-            if op == "shutdown":
-                self.begin_drain()
-                return protocol.ok_response(request_id, draining=True)
-            raise ProtocolError(
-                f"op {op!r} is not served by the router "
-                f"(it serves {', '.join(ROUTER_OPS)})"
-            )
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return protocol.error_response(
-                request_id, "bad_request", str(exc), detail=exc.detail
-            )
-        except AdmissionError as exc:
-            return protocol.error_response(
-                request_id, exc.code, str(exc), retry_after=exc.retry_after
-            )
-        except ReplicaError as exc:
-            return protocol.error_response(
-                request_id, "internal", f"ReplicaError: {exc}"
-            )
+            response = await self._forward_query(request, tenant, cost)
+            ok = response["ok"]
+            return response
+        finally:
+            self._release(cost, ok)
+
+    async def _write(self, request: Dict) -> Dict:
+        """``update`` / ``reload``: fanned out to every healthy replica."""
+        response = await self._apply_cluster_update(request)
+        if response.get("ok"):
+            # Read-your-writes: this session's queries must see the new
+            # generation from here on.
+            self._set_floor(request.get("tenant") or "", self._generation)
+        return response
 
     def stats_payload(self) -> Dict:
         return {
-            "queue_depth": self._inflight,
+            "queue_depth": self.queue_depth,
             "draining": self._draining,
             "generation": self._generation,
             "router": {
-                "admitted": self.stats.admitted,
-                "completed": self.stats.completed,
-                "rejected_quota": self.stats.rejected_quota,
-                "rejected_overload": self.stats.rejected_overload,
-                "rejected_draining": self.stats.rejected_draining,
-                "bad_requests": self.stats.bad_requests,
+                **self._admission_counters(),
                 "failovers": self.stats.failovers,
                 "stale_rerouted": self.stats.stale_rerouted,
                 "replica_overloads": self.stats.replica_overloads,
@@ -1054,12 +934,6 @@ class Router:
                 "reloads": self.stats.reloads,
                 "placed_content": self.stats.placed_content,
                 "placed_round_robin": self.stats.placed_round_robin,
-                "inflight_peak": self.stats.inflight_peak,
-                "bucket_evictions": (
-                    self._quotas.evictions
-                    if self._quotas is not None
-                    else 0
-                ),
                 "update_log_length": len(self._update_log),
             },
             "replicas": [r.describe() for r in self.replicas],

@@ -129,7 +129,9 @@ class TestJournalFaults:
         path, mapping = mutated
         journal = journal_path(path)
         text = journal.read_text()
-        journal.write_text(text[: len(text) // 2])  # cut inside a record
+        # Cut inside a record, then committed by a newline: garbage,
+        # not an uncommitted tail (which loads as the previous state).
+        journal.write_text(text[: len(text) // 2] + "\n")
         with pytest.raises(JournalError):
             load_index(path)
         _assert_repaired(path, mapping, small_chemical_queries)

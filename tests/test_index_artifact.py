@@ -574,3 +574,46 @@ class TestCorruptJournal:
             handle.write("not json\n")
         with pytest.raises(JournalError):
             load_index(journaled)
+
+
+class TestTornAppend:
+    """An entry's trailing newline is its commit point: an append cut
+    short before it is no entry at all, not a corrupt journal."""
+
+    @pytest.fixture()
+    def two_deltas(self, saved_path, small_chemical_queries):
+        mapping = load_index(saved_path)
+        mapping.add_graphs(small_chemical_queries[:1])
+        save_index(mapping, saved_path)
+        previous = load_index(saved_path)  # the generation a torn
+        mapping.add_graphs(small_chemical_queries[1:2])  # second append
+        save_index(mapping, saved_path)  # must fall back to
+        return saved_path, previous
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    @pytest.mark.parametrize(
+        "cut", ["first-byte", "middle", "all-but-newline"]
+    )
+    def test_torn_last_line_loads_the_previous_generation(
+        self, two_deltas, small_chemical_queries, mmap, cut
+    ):
+        path, previous = two_deltas
+        journal = journal_path(path)
+        text = journal.read_text()
+        start = text.rstrip("\n").rfind("\n") + 1  # the last line
+        length = len(text) - 1 - start
+        offset = {"first-byte": 1, "middle": length // 2,
+                  "all-but-newline": length}[cut]
+        journal.write_text(text[: start + offset])
+        torn = load_index(path, mmap=mmap)
+        assert torn.space.n == previous.space.n
+        queries = small_chemical_queries
+        expected = previous.query_engine().batch_query(queries, 5)
+        for x, y in zip(expected, torn.query_engine().batch_query(queries, 5)):
+            assert x.ranking == y.ranking and x.scores == y.scores
+        # The next append overwrites the torn tail and continues the
+        # sequence.
+        torn.add_graphs(queries[2:3])
+        save_index(torn, path)
+        assert journal.read_text().count("\n") == 2
+        assert load_index(path, mmap=mmap).space.n == previous.space.n + 1

@@ -364,11 +364,6 @@ class TestClusterQuota:
             assert not rejected["ok"]
             assert rejected["error"] == "quota_exceeded"
             assert rejected["retry_after"] == pytest.approx(1.0)
-            clock[0] = 1.0  # virtual refill, zero sleeps
-            assert (
-                await router.handle_request(_wire_query(queries[2], 3,
-                                                        tenant="t"))
-            )["ok"]
 
     @pytest.mark.asyncio
     async def test_name_cycling_is_bounded_and_counted(self, materials):
@@ -396,8 +391,6 @@ class TestClusterQuota:
             budget = max_tenants + burst + rate * 5.0
             assert admitted <= budget + 1
             assert router.stats.rejected_quota > 0
-            payload = router.stats_payload()
-            assert payload["router"]["bucket_evictions"] > 0
 
 
 class TestBackpressure:
@@ -468,56 +461,8 @@ class TestBackpressure:
             described = replicas[0].describe()
             assert described["drain_interval"] == pytest.approx(2.0)
 
-    @pytest.mark.asyncio
-    async def test_draining_router_rejects_structured(self, materials):
-        queries, _mapping, path = materials
-        replicas = await _started([_replica("r0", path)])
-        async with Router(
-            replicas, RouterConfig(health_interval=0)
-        ) as router:
-            router.begin_drain()
-            response = await router.handle_request(_wire_query(queries[0], 3))
-            assert not response["ok"]
-            assert response["error"] == "shutting_down"
-
 
 class TestStatsAndProtocol:
-    @pytest.mark.asyncio
-    async def test_stats_payload_shape(self, materials):
-        queries, _mapping, path = materials
-        replicas = await _started(
-            [_replica(f"r{i}", path) for i in range(2)]
-        )
-        async with Router(
-            replicas, RouterConfig(health_interval=0)
-        ) as router:
-            await router.handle_request(_wire_query(queries[0], 3))
-            response = await router.handle_request({"op": "stats", "id": 2})
-            assert response["ok"]
-            assert response["generation"] == 0
-            assert response["router"]["admitted"] == 1
-            assert response["router"]["completed"] == 1
-            names = [r["name"] for r in response["replicas"]]
-            assert names == ["r0", "r1"]
-            assert all(r["healthy"] for r in response["replicas"])
-
-    @pytest.mark.asyncio
-    async def test_bad_lines_and_pings(self, materials):
-        _queries, _mapping, path = materials
-        replicas = await _started([_replica("r0", path)])
-        async with Router(
-            replicas, RouterConfig(health_interval=0)
-        ) as router:
-            bad = await router.handle_line("{ not json")
-            assert not bad["ok"] and bad["error"] == "bad_request"
-            assert bad["id"] is None
-            # Once the line is an object the rejection names its request.
-            bad = await router.handle_line('{"op": "frobnicate", "id": 6}')
-            assert not bad["ok"] and bad["id"] == 6
-            pong = await router.handle_request({"op": "ping", "id": 5})
-            assert pong["ok"] and pong["generation"] == 0
-            assert pong["queue_depth"] == 0 and pong["draining"] is False
-
     @pytest.mark.asyncio
     async def test_op_the_router_does_not_serve_is_a_bad_request(
         self, materials
