@@ -66,39 +66,54 @@ Search
 ------
 :meth:`ProximityGraph.search` is a best-first beam with **no
 candidate-insertion pruning**: every unvisited neighbor of an expanded
-node is distance-evaluated (one kernel call per hop) and pushed.  The
-beam width ``ef`` enters only through the two termination tests —
-stop when the best unexpanded candidate can no longer *strictly
-improve* on the running ``ef``-th-best (:class:`RunningTopK`
-threshold; ``dist >= threshold`` stops, so plateaus of tied
-candidates — duplicate rows again — terminate instead of being
-expanded one by one for nothing), and stop when the frontier runs dry
-once ``ef`` candidates exist (before that, the reseed rule restarts
-it).  Since neither the seeds, the push rule
-nor the reseed row (the smallest unvisited one) depends on ``ef``, the
-expansion sequence is identical for every ``ef`` and a larger ``ef``
-only runs it longer (its threshold at any step is no smaller): the
-evaluated set grows monotonically with ``ef``, hence recall is
-monotonically non-decreasing in ``ef`` (property-tested in tier 1).
+node is distance-evaluated.  The beam width ``ef`` enters only through
+the two termination tests — stop when the best unexpanded candidate can
+no longer *strictly improve* on the running ``ef``-th-best score (one
+bounded heap of the ``ef`` best; ``dist >= threshold`` stops, so
+plateaus of tied candidates — duplicate rows again — terminate instead
+of being expanded one by one for nothing), and stop when the frontier
+runs dry once ``ef`` candidates exist (before that, the reseed rule
+restarts it).  Since neither the seeds, the expansion order (see
+below) nor the reseed row (the smallest unvisited one) depends on
+``ef``, the expansion sequence is identical for every ``ef`` and a
+larger ``ef`` only runs it longer (its threshold at any step is no
+smaller): the evaluated set grows monotonically with ``ef``, hence
+recall is monotonically non-decreasing in ``ef`` (property-tested in
+tier 1).
 
-All bulk distances go through the active :mod:`repro.kernels` backend.
-The few paired (row-vs-its-neighbor) distances use the same
-``sqrt((|a|^2 + |b|^2 - 2 a.b) / p)`` formula directly; on the binary
-embeddings this codebase produces, every term is an exact small
-integer in float64, so the value is a pure function of the pair and
-bit-identical no matter which code path computed it (the same argument
-behind the kernel-parity tier).
+A row joins the frontier only if it beats the ``ef``-th-best score as
+it stands.  Thresholds only fall, so a row that does not could only
+have ended the search when popped, and whenever one is left out ``ef``
+candidates exist, so a dry frontier ends the search at the same point:
+hops and evaluations are those of pushing every row.
+
+A hop costs one popcount per fresh neighbor.  The embedding is binary,
+so each row is held once as a Python int of its bits and a pair's
+squared distance is the Hamming distance ``(q ^ x).bit_count()`` — the
+kernels' ``|q|^2 + |x|^2 - 2 q.x``, every term an exact integer — read
+through a table of the kernel's own ``sqrt(d2 / p)``: the same bits.
+That holds for 0/1 entries only, so ``build``, ``from_payload``,
+``with_appended`` and ``search`` refuse anything else
+(:func:`as_binary`) rather than answer wrong.
+
+Only a search's seed block goes through the active
+:mod:`repro.kernels` backend (one ``distance_block`` call), beside the
+bulk blocks of builds and repairs.  The paired (row-vs-its-neighbor)
+distances of :meth:`~ProximityGraph.from_payload` use the kernel's
+formula directly; on binary rows every term is exact, so the value is a
+pure function of the pair and bit-identical no matter which code path
+computed it (the same argument behind the kernel-parity tier).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.query.topk import TopKResult, merge_candidates, rank_block
+from repro.query.topk import rank_block
 from repro.utils.errors import QueryError
 
 #: Default bound on stored (short-link) neighbors per node.
@@ -119,6 +134,22 @@ def _resolve(backend):
 
 def _sq_norms(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", vectors, vectors)
+
+
+def as_binary(vectors) -> np.ndarray:
+    """*vectors* as floats, refused unless every entry is 0 or 1: the
+    beam's popcount distance is exact there and silently wrong
+    anywhere else."""
+    vectors = np.asarray(vectors, dtype=float)
+    if not ((vectors == 0) | (vectors == 1)).all():
+        raise QueryError("the proximity graph takes 0/1 vectors only")
+    return vectors
+
+
+def _bits(vectors: np.ndarray) -> List[int]:
+    """Each 0/1 row as one int: bit ``j`` is dimension ``j``."""
+    packed = np.packbits(vectors.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _entry_points(n: int) -> np.ndarray:
@@ -208,50 +239,6 @@ def check_payload(payload: Dict[str, Any], n: int) -> None:
             raise QueryError("duplicate neighbor")
 
 
-class RunningTopK:
-    """One query's best-k candidates, fed a few rows at a time.
-
-    The beam's single-query tracker (the sharded tiers track whole
-    batches in :class:`~repro.query.topk.BlockTopK`): candidate lists
-    accumulate via :meth:`update`, and once ``k`` candidates exist,
-    :attr:`threshold` (the current k-th-best score) is what a
-    candidate must beat to matter.  The threshold is tracked with a
-    bounded max-heap of the k best *scores* — the k-th value does not
-    depend on index tie-breaking, and heap updates are O(log k).  The
-    full (score, index) merge of every part runs exactly once, in
-    :meth:`result`, via :func:`~repro.query.topk.merge_candidates`.
-    """
-
-    __slots__ = ("k", "_parts", "_heap")
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._parts: List[Tuple[np.ndarray, Sequence[float]]] = []
-        self._heap: List[float] = []  # negated: a max-heap of the best k
-
-    def update(self, ids: np.ndarray, scores: Sequence[float]) -> None:
-        self._parts.append((np.asarray(ids, dtype=np.int64), scores))
-        heap, k = self._heap, self.k
-        for value in scores:  # ascending within a part: break early
-            if len(heap) < k:
-                heapq.heappush(heap, -value)
-            elif value < -heap[0]:
-                heapq.heapreplace(heap, -value)
-            else:
-                break
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The k-th-best score, or ``None`` while fewer than k exist."""
-        if len(self._heap) < self.k:
-            return None
-        return -self._heap[0]
-
-    def result(self) -> TopKResult:
-        ranking, scores = merge_candidates(self._parts, self.k)
-        return TopKResult(ranking, scores)
-
-
 @dataclass
 class ProximityGraph:
     """Degree-bounded exact-KNN lists, traversed with their reverse links.
@@ -276,6 +263,10 @@ class ProximityGraph:
     _rev: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Lazily-derived beam inputs (see :meth:`_walk`); as above.
+    _beam: Optional[Tuple[Any, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     #: Full KNN constructions (class-wide) — the cold-start and
     #: incremental-maintenance tests pin "no rebuild" against this.
@@ -294,7 +285,7 @@ class ProximityGraph:
         """Build the canonical graph over ``vectors`` from scratch."""
         if max_degree < 1:
             raise QueryError("max_degree must be >= 1")
-        vectors = np.asarray(vectors, dtype=float)
+        vectors = as_binary(vectors)
         n = vectors.shape[0]
         sq = _sq_norms(vectors)
         m = min(max_degree, max(n - 1, 0))
@@ -340,15 +331,36 @@ class ProximityGraph:
             self._rev = (offsets, src[keep])
         return self._rev
 
+    def _walk(self) -> Tuple[np.ndarray, List[int], List[float], list]:
+        """What a beam reads, derived once per graph object: the seed
+        rows, every row's :func:`_bits`, ``sqrt(d / p)`` for every
+        Hamming distance ``d`` (the kernel's own formula) and each
+        node's adjacency — its out-links, then its capped in-links; a
+        node that both lists and is listed by another holds it twice,
+        and the beam's visited check drops the second."""
+        if self._beam is None:
+            p = self.vectors.shape[1]
+            root = np.sqrt(np.arange(p + 1) / p) if p else np.zeros(1)
+            offsets, rev = self._reverse()
+            # One int object per row, shared by every list that holds
+            # it: a list costs its pointers, not fresh ints (~1 MB less
+            # at 4,000 rows).
+            ids = np.arange(self.num_rows).astype(object)
+            offsets, rev = offsets.tolist(), ids[rev].tolist()
+            adjacency = [
+                out + rev[lo:hi]
+                for out, lo, hi in zip(
+                    ids[self.knn_ids].tolist(), offsets, offsets[1:]
+                )
+            ]
+            seeds = _entry_points(self.num_rows)
+            self._beam = (seeds, _bits(self.vectors), root.tolist(), adjacency)
+        return self._beam
+
     def neighbors(self, node: int) -> np.ndarray:
         """Undirected adjacency of ``node``, ascending: its stored KNN
         out-links and the derived (capped) in-links."""
-        offsets, ids = self._reverse()
-        return np.unique(
-            np.concatenate(
-                [self.knn_ids[node], ids[offsets[node] : offsets[node + 1]]]
-            )
-        )
+        return np.unique(self._walk()[3][node])
 
     # ------------------------------------------------------------------
     # search
@@ -368,65 +380,64 @@ class ProximityGraph:
         A frontier that runs dry while fewer than ``ef`` candidates
         exist reseeds from the smallest unvisited row, so the answer
         always holds ``min(k, n)`` rows and ``ef >= n`` evaluates every
-        row once: an exact scan.
+        row once: an exact scan.  A query that is not 0/1 raises
+        :class:`QueryError`.
         """
         n = self.num_rows
         if n == 0:
             return [], [], 0, 0
-        backend = _resolve(backend)
         k = min(int(k), n)
         ef = max(int(ef), k)
-        q = np.asarray(query, dtype=float)[None, :]
+        q = as_binary(query)
         p = self.vectors.shape[1]
-        visited = np.zeros(n, dtype=bool)
-        tracker = RunningTopK(ef)
-        candidates: List[Tuple[float, int]] = []
-        evals = 0
+        seeds, rows, root, adjacency = self._walk()
+        bits = _bits(q[None, :])[0]
+        visited = bytearray(n)
+        best: List[float] = []  # negated: a max-heap of the ef best
+        frontier: List[Tuple[float, int]] = []
+        evaluated: List[Tuple[float, int]] = []
+
+        def admit(dist: float, row: int) -> None:
+            visited[row] = 1
+            evaluated.append((dist, row))
+            if len(best) < ef:
+                heapq.heappush(best, -dist)
+            elif dist < -best[0]:
+                heapq.heapreplace(best, -dist)
+            else:
+                return  # it could only ever end the search
+            heapq.heappush(frontier, (dist, row))
+
+        dists = _resolve(backend).distance_block(
+            q[None, :], self.vectors[seeds], self.sq_norms[seeds], p
+        )[0]
+        for dist, row in zip(dists.tolist(), seeds.tolist()):
+            admit(dist, row)
         hops = 0
-
-        def evaluate(ids: np.ndarray) -> None:
-            nonlocal evals
-            visited[ids] = True
-            dists = np.asarray(
-                backend.distance_block(
-                    q, self.vectors[ids], self.sq_norms[ids], p
-                )[0],
-                dtype=float,
-            )
-            evals += ids.size
-            order = np.lexsort((ids, dists))
-            ids, dists = ids[order], dists[order]
-            tracker.update(ids, [float(d) for d in dists])
-            for d, i in zip(dists, ids):
-                heapq.heappush(candidates, (float(d), int(i)))
-
-        evaluate(_entry_points(n))
         while True:
-            if not candidates:
+            if not frontier:
                 # The frontier ran dry inside one component: reseed
-                # from the smallest unvisited row while the tracker
-                # still wants candidates.
-                seed = int(np.argmin(visited))
-                if tracker.threshold is not None or visited[seed]:
+                # from the smallest unvisited row while fewer than ef
+                # candidates exist.
+                row = visited.find(0)
+                if len(best) == ef or row < 0:
                     break
-                evaluate(np.array([seed], dtype=np.int64))
+                admit(root[(bits ^ rows[row]).bit_count()], row)
                 continue
-            dist, node = heapq.heappop(candidates)
-            threshold = tracker.threshold
+            dist, node = heapq.heappop(frontier)
             # Strict-improvement termination: a candidate merely *tied*
-            # with the ef-th best cannot improve the tracker, and on
-            # the discrete distances binary embeddings produce, whole
+            # with the ef-th best cannot improve it, and on the
+            # discrete distances binary embeddings produce, whole
             # plateaus of such ties exist (duplicate rows); expanding
             # them would burn evaluations for nothing.
-            if threshold is not None and dist >= threshold:
+            if len(best) == ef and dist >= -best[0]:
                 break
             hops += 1
-            fresh = self.neighbors(node)
-            fresh = fresh[~visited[fresh]]
-            if fresh.size:
-                evaluate(fresh)
-        full = tracker.result()
-        return full.ranking[:k], full.scores[:k], hops, evals
+            for row in adjacency[node]:
+                if not visited[row]:
+                    admit(root[(bits ^ rows[row]).bit_count()], row)
+        scores, ranking = map(list, zip(*heapq.nsmallest(k, evaluated)))
+        return ranking, scores, hops, len(evaluated)
 
     # ------------------------------------------------------------------
     # exact incremental maintenance
@@ -451,6 +462,7 @@ class ProximityGraph:
         added = n_new - n_old
         if added <= 0:
             raise QueryError("with_appended expects strictly more rows")
+        as_binary(vectors_after[n_old:])  # the old rows passed already
         sq = _sq_norms(vectors_after)
         m = min(self.max_degree, n_new - 1)
         new_ids = np.arange(n_old, n_new, dtype=np.int64)
@@ -569,7 +581,7 @@ class ProximityGraph:
         through :func:`check_payload`, turning any failure into a loud
         corruption error.
         """
-        vectors = np.asarray(vectors, dtype=float)
+        vectors = as_binary(vectors)
         n, p = vectors.shape
         max_degree = payload["max_degree"]
         m = min(max_degree, max(n - 1, 0))

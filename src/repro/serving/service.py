@@ -84,6 +84,7 @@ from repro.core.mapping import DSPreservedMapping
 from repro.graph.labeled_graph import LabeledGraph
 from repro.kernels import resolve_backend
 from repro.query.engine import BatchQueryResult, QueryEngine
+from repro.query.proximity import as_binary
 from repro.query.pruning import (
     EXACT_POLICY,
     PruningTrace,
@@ -1034,8 +1035,11 @@ class QueryService:
         evaluates only the rows its beam walks past.  Per-query hops
         and distance evaluations go into the trace (the protocol's
         ``pruning`` section) and the cumulative
-        ``distance_evaluations`` counter.
+        ``distance_evaluations`` counter.  The beam's popcount
+        distance holds on 0/1 vectors only, so any other block is
+        refused before a graph is built for it.
         """
+        as_binary(vectors)
         graph = self.ensure_graph()
         nq = vectors.shape[0]
         ef = policy.ef if policy.ef is not None else default_ef(k)

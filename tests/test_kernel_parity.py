@@ -21,7 +21,8 @@ from repro.core.mapping import build_mapping
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.kernels import available_backends, resolve_backend, use_backend
 from repro.query.engine import QueryEngine
-from repro.query.pruning import SearchPolicy
+from repro.query.proximity import ProximityGraph, _entry_points
+from repro.query.pruning import SearchPolicy, default_ef
 from repro.query.topk import MappedTopKEngine
 
 BACKENDS = available_backends()
@@ -248,3 +249,34 @@ class TestServiceParity:
                 for batch in batches:
                     svc.batch_query_vectors(batch, K, SearchPolicy())
                 assert svc.stats.shards_skipped > 0
+
+
+class TestGraphBeamParity:
+    """The one place popcount and kernel meet: the beam scores its
+    seed block with the backend and every later row by popcount, and a
+    caller must not be able to tell which scored a row."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_answers_identical_and_scores_are_the_kernels(
+        self, name, vector_setup
+    ):
+        mapping, _blocks, queries, _batches = vector_setup
+        vectors = mapping.database_vectors
+        n, p = vectors.shape
+        sq = (vectors**2).sum(axis=1)
+        kernel, numpy = resolve_backend(name), resolve_backend("numpy")
+        graph = ProximityGraph.build(vectors, backend=kernel)
+        baseline = ProximityGraph.build(vectors, backend=numpy)
+        seeds = set(_entry_points(n).tolist())
+        beyond_seeds = 0
+        for ef in (K, default_ef(K), n):
+            for q in queries:
+                got = graph.search(q, K, ef, backend=kernel)
+                assert got == baseline.search(q, K, ef, backend=numpy)
+                ranking, scores = got[0], got[1]
+                block = kernel.distance_block(
+                    q[None, :], vectors[ranking], sq[ranking], p
+                )
+                assert scores == block[0].tolist()
+                beyond_seeds += len(set(ranking) - seeds)
+        assert beyond_seeds  # popcount-scored rows were compared too

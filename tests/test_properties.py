@@ -10,8 +10,8 @@ well as a property search:
   ``k >= n``, ``n = 0`` included);
 * :class:`BlockTopK`, fed shard blocks in any visit order with any
   active subsets, equals :func:`merge_candidates` over the same parts,
-  and its threshold vector equals :class:`RunningTopK`'s after every
-  absorb;
+  and its threshold vector is each query's k-th-best score so far
+  (+inf below k candidates) after every absorb;
 * top-k is always a *prefix* of top-(k+1) (deterministic tie-breaking
   makes the stronger prefix property hold, not just set inclusion);
 * batched serving is database-permutation invariant — renumbering the
@@ -32,7 +32,6 @@ from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
-from repro.query.proximity import RunningTopK
 from repro.query.topk import (
     BlockTopK,
     merge_candidates,
@@ -184,16 +183,15 @@ class TestBlockTopK:
     def test_equals_merge_candidates_and_running_thresholds(self, case):
         nq, k, visits = case
         best = BlockTopK(nq, k)
-        running = [RunningTopK(k) for _ in range(nq)]
         parts = [[] for _ in range(nq)]
+        seen = [[] for _ in range(nq)]  # every score absorbed so far
         for active, ids, vals in visits:
             best.absorb(active, ids, vals)
             for pos, qi in enumerate(active):
-                running[qi].update(ids[pos], vals[pos].tolist())
                 parts[qi].append((ids[pos], vals[pos]))
+                seen[qi].extend(vals[pos].tolist())
             expected = [
-                np.inf if r.threshold is None else r.threshold
-                for r in running
+                sorted(s)[k - 1] if len(s) >= k else np.inf for s in seen
             ]
             assert best.thresholds.tolist() == expected
         for qi, result in enumerate(best.results()):

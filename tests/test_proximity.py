@@ -9,6 +9,10 @@ The tier's contract, in order of importance:
 * beam-search quality is monotone in the knob — recall never decreases
   as ``ef`` grows (a hypothesis property, guaranteed by construction:
   ``ef`` enters the search only through the termination test);
+* answers pinned across commits — a digest record holds every query's
+  ``(ranking, scores, hops, evals)``, since graph mode has no naive
+  oracle — and the 0/1 contract: every way into the graph refuses
+  vectors its popcount distance would score wrong;
 * persistence — the checksummed v3 manifest section round-trips without
   triggering a KNN rebuild, fails loudly when corrupted, and is
   silently dropped (then lazily rebuilt) when it is stale;
@@ -17,6 +21,7 @@ The tier's contract, in order of importance:
   enumerate every accepted mode.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -24,11 +29,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from clustered import clustered_query_vectors, clustered_vector_index
 from repro.core.mapping import mapping_from_selection
 from repro.features.binary_matrix import FeatureSpace
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import load_index, save_index
 from repro.index.artifact import _entry_digest
+from repro.kernels import active_backend
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.proximity import ProximityGraph, _entry_points
 from repro.query.pruning import SEARCH_MODES, SearchPolicy, default_ef
@@ -82,8 +89,8 @@ class TestBuildAndSearch:
         vectors = _binary_vectors(rng, 40, 12)
         graph = ProximityGraph.build(vectors, max_degree=4)
         query = _binary_vectors(rng, 1, 12)[0]
-        # ef = n keeps the tracker threshold at None until every row is
-        # seen, and the reseed rule restarts a dry frontier from the
+        # ef = n leaves the tracker short of ef scores until every row
+        # is seen, and the reseed rule restarts a dry frontier from the
         # smallest unvisited row — so the beam degenerates to an exact
         # scan.
         ranking, scores, hops, evals = graph.search(query, k=5, ef=40)
@@ -281,6 +288,106 @@ class TestEfMonotonicity:
         assert recalls[-1] == 1.0
 
 
+# ----------------------------------------------------------------------
+# graph answers pinned across commits
+# ----------------------------------------------------------------------
+def _duplicate_heavy():
+    """60 rows drawn from 3 distinct ones: each duplicate's list is the
+    same few smallest-id twins and the reverse links are capped, so most
+    rows are reachable from no seed — only the reseed rule finds them."""
+    rng = np.random.default_rng(17)
+    pool = _binary_vectors(rng, 3, 6)
+    vectors = pool[rng.integers(0, len(pool), size=60)]
+    queries = np.vstack([pool, _binary_vectors(rng, 5, 6)])
+    return ProximityGraph.build(vectors, max_degree=2), queries, 5
+
+
+def _parity_index_graph():
+    """`tests/test_serving.py`'s 48-row ``parity_index`` and its 16
+    queries, ``k = 8``."""
+    mapping, _blocks = clustered_vector_index(4, 12, 6, seed=5)
+    queries = clustered_query_vectors(16, 4, 6, seed=6)
+    return ProximityGraph.build(mapping.database_vectors), queries, 8
+
+
+def _vector_mix_graph():
+    """``vector_mix``'s shape: 8 clusters × 500 rows, p = 128, k = 10."""
+    mapping, _blocks = clustered_vector_index(8, 500, 16, seed=0)
+    queries = clustered_query_vectors(32, 8, 16, seed=1)
+    return ProximityGraph.build(mapping.database_vectors), queries, 10
+
+
+def _seed_closure(graph):
+    """Every row a beam can reach from the strided seeds without the
+    reseed rule."""
+    reached = set(_entry_points(graph.num_rows).tolist())
+    stack = list(reached)
+    while stack:
+        for row in graph.neighbors(stack.pop()).tolist():
+            if row not in reached:
+                reached.add(row)
+                stack.append(row)
+    return reached
+
+
+GRAPH_PARITY_CASES = {
+    "parity_index": _parity_index_graph,
+    "vector_mix": _vector_mix_graph,
+    "duplicates": _duplicate_heavy,
+}
+
+
+#: Digests of ``[(ranking, scores, hops, evals)]`` over every query of
+#: each case, at ``ef`` = k, ``default_ef(k)`` and the row count — as
+#: commit 7dbb6b9 (the beam's last kernel-call-per-hop form, with
+#: ``RunningTopK`` as its tracker) returned them.  Nothing else pins
+#: graph answers across commits: graph mode has no naive oracle.
+GRAPH_PARITY_RECORD = {
+    "parity_index": {
+        8: "4f2e0dd80ff6fa76",
+        32: "88f555d79f96178e",
+        48: "da52ea63a00be576",
+    },
+    "vector_mix": {
+        10: "e5e25eb7b9ced21d",
+        40: "cad8edb14aa88572",
+        4000: "6681304ad03d9d91",
+    },
+    "duplicates": {
+        5: "dc4e7ca75bc425fe",
+        32: "226d8ed9f3a80955",
+        60: "72ea7428d0cee0e3",
+    },
+}
+
+
+class TestGraphParity:
+    @pytest.fixture(scope="class", params=sorted(GRAPH_PARITY_CASES))
+    def case(self, request):
+        return request.param, GRAPH_PARITY_CASES[request.param]()
+
+    def test_answers_hops_and_evals_match_record(self, case):
+        name, (graph, queries, k) = case
+        got = {}
+        for ef in (k, default_ef(k), graph.num_rows):
+            runs = [graph.search(q, k, ef) for q in queries]
+            got[ef] = hashlib.sha256(
+                json.dumps(runs).encode()
+            ).hexdigest()[:16]
+        assert got == GRAPH_PARITY_RECORD[name]
+
+    def test_duplicate_case_needs_the_reseed_rule(self):
+        graph, queries, k = _duplicate_heavy()
+        n = graph.num_rows
+        reached = _seed_closure(graph)
+        assert len(reached) < n
+        for q in queries:
+            assert graph.search(q, k, n)[3] == n
+            # default_ef(k) exceeds what the seeds reach: reseeds fire
+            # in the recorded narrow searches too.
+            assert graph.search(q, k, default_ef(k))[3] > len(reached)
+
+
 @pytest.fixture(scope="module")
 def saved_graph_index(tmp_path_factory):
     rng = np.random.default_rng(31)
@@ -476,6 +583,75 @@ class TestProtocolPlumbing:
         )
         assert response["detail"] == {"allowed_modes": ["exact"]}
         assert "detail" not in protocol.error_response(3, "bad_request", "x")
+
+
+NOT_BINARY = [0.5, 2.0, -1.0, np.nan]
+
+
+class TestBinaryContract:
+    """The beam's popcount distance is exact on 0/1 vectors and
+    silently wrong on anything else, so every way in refuses the rest."""
+
+    @pytest.mark.parametrize("bad", NOT_BINARY)
+    def test_build_refuses_other_rows(self, bad):
+        vectors = np.ones((6, 4))
+        vectors[3, 2] = bad
+        with pytest.raises(QueryError):
+            ProximityGraph.build(vectors)
+
+    @pytest.mark.parametrize("bad", NOT_BINARY)
+    def test_from_payload_refuses_other_rows(self, bad):
+        vectors = _binary_vectors(np.random.default_rng(61), 10, 5)
+        payload = ProximityGraph.build(vectors).to_payload()
+        vectors[4, 1] = bad
+        with pytest.raises(QueryError):
+            ProximityGraph.from_payload(payload, vectors)
+
+    @pytest.mark.parametrize("bad", NOT_BINARY)
+    def test_with_appended_refuses_other_rows(self, bad):
+        vectors = _binary_vectors(np.random.default_rng(62), 10, 5)
+        graph = ProximityGraph.build(vectors)
+        arrival = np.array([[1.0, 0.0, bad, 1.0, 0.0]])
+        with pytest.raises(QueryError):
+            graph.with_appended(np.vstack([vectors, arrival]))
+
+    @pytest.mark.parametrize("bad", NOT_BINARY)
+    def test_search_refuses_other_queries(self, bad):
+        vectors = _binary_vectors(np.random.default_rng(63), 10, 5)
+        graph = ProximityGraph.build(vectors)
+        query = vectors[0].copy()
+        query[1] = bad
+        with pytest.raises(QueryError):
+            graph.search(query, 3, 8)
+
+    def test_graph_mode_refuses_the_block_other_modes_take(self):
+        rng = np.random.default_rng(64)
+        vectors = _binary_vectors(rng, 30, 8)
+        mapping = _vector_mapping(vectors)
+        block = vectors[:4].copy()
+        block[2, 5] = 0.5
+        with QueryService(
+            mapping.query_engine(), n_shards=3, n_workers=0, cache_size=0
+        ) as service:
+            for policy in (None, SearchPolicy(mode="approx", nprobe=2)):
+                answers = service.batch_query_vectors(block, 5, policy)
+                assert [len(a.ranking) for a in answers] == [5] * 4
+            with pytest.raises(QueryError):
+                service.batch_query_vectors(
+                    block, 5, SearchPolicy(mode="graph")
+                )
+        # Refused before any graph was built for it.
+        assert mapping.peek_proximity_graph() is None
+
+    def test_zero_dimensions_score_zero_like_the_kernel(self):
+        vectors = np.zeros((5, 0))
+        graph = ProximityGraph.build(vectors)
+        ranking, scores, _hops, evals = graph.search(np.zeros(0), 3, 5)
+        assert ranking == [0, 1, 2] and evals == 5
+        kernel = active_backend().distance_block(
+            np.zeros((1, 0)), vectors, np.zeros(5), 0
+        )
+        assert scores == kernel[0, :3].tolist() == [0.0] * 3
 
 
 class TestServiceDispatch:
