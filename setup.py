@@ -19,7 +19,7 @@ setup(
     ),
     long_description=open("README.md").read(),
     long_description_content_type="text/markdown",
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages(where="src"),

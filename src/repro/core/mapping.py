@@ -35,6 +35,7 @@ from repro.utils.errors import SelectionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.isomorphism.vf2 import PatternProfile
+    from repro.kernels import PatternFilterStats
     from repro.query.engine import FeatureLattice, QueryEngine
     from repro.serving.service import QueryService
 
@@ -202,6 +203,7 @@ class DSPreservedMapping:
         self,
         lattice: Optional["FeatureLattice"] = None,
         pattern_profiles: Optional[Sequence["PatternProfile"]] = None,
+        pattern_filter: Optional["PatternFilterStats"] = None,
     ) -> "QueryEngine":
         """The single engine construction point.
 
@@ -214,7 +216,7 @@ class DSPreservedMapping:
         from repro.query.engine import QueryEngine
 
         engine = QueryEngine(
-            self, lattice=lattice, pattern_profiles=pattern_profiles
+            self, lattice, pattern_profiles, pattern_filter=pattern_filter
         )
         self._engine = engine
         return engine
@@ -411,19 +413,20 @@ class DSPreservedMapping:
 
         Funnels through :meth:`invalidate_caches` + :meth:`_build_engine`
         — the single construction point — while *preserving* the warm
-        engine's pattern-side offline products (lattice + profiles stay
-        valid: they depend only on the selected patterns, which database
-        mutations never change).  The cached squared norms were updated
-        incrementally by the applier, so they are re-seeded rather than
-        recomputed.
+        engine's pattern-side offline products (lattice, profiles and
+        candidate filter stay valid: they depend only on the selected
+        patterns, which database mutations never change).  The cached
+        squared norms were updated incrementally by the applier, so they
+        are re-seeded rather than recomputed.
         """
         engine = self._engine
         norms = self.__dict__.get("database_sq_norms")
         graph = self._proximity_graph
         self.invalidate_caches()
         if engine is not None:
-            lattice, profiles = engine.selected_offline_products()
-            self._build_engine(lattice=lattice, pattern_profiles=profiles)
+            self._build_engine(
+                *engine.selected_offline_products(), engine.pattern_filter
+            )
         if norms is not None:
             self.database_sq_norms = norms
         if graph is not None:

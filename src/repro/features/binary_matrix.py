@@ -205,9 +205,9 @@ class FeatureSpace:
         """The binary vector of an unseen *query* graph.
 
         Each selected feature is matched against the query with VF2.  The
-        query's invariants (label histograms, degree sequence, label
-        buckets) are computed once per call and shared across all feature
-        matches; pass *profile* to share them across calls too.
+        query's invariants (histograms and vertex bitsets) are computed
+        once per call and shared across all feature matches; pass
+        *profile* to share them across calls too.
         """
         indices = list(range(self.m)) if selected is None else list(selected)
         if profile is None:

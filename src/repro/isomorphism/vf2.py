@@ -14,62 +14,61 @@ The search is VF2's incremental state with feasibility pruning:
   mapped core must exist in the target with equal labels),
 * a degree look-ahead (a pattern vertex cannot map to a target vertex of
   smaller degree),
-* a global label-multiset pre-check before search starts.
+* a global pre-check before search starts: the target must dominate the
+  pattern's size, label and half-edge histograms and degree sequence.
 
 It is split the way the online path uses it.  Everything that depends
 on the pattern alone is compiled once into a flat **match plan**
 (:func:`compile_plan`, held by :class:`PatternProfile`): one step per
-search depth saying which label and degree the candidate needs, which
-earlier depth's image supplies the candidates, and which edges back
-into the mapped core must be verified.  Everything that depends on the
-target alone — label histograms, degree sequence, label buckets, the
-raw adjacency — sits in a :class:`TargetProfile`.  One iterative
-**walker** (:func:`match_plan`) then runs a plan against a target
-profile; :func:`is_subgraph`, :func:`find_embedding` and
-:func:`count_embeddings` are thin wrappers over it.  Pass the profiles
-in when one target is matched against many patterns (feature matching
-at query time) or one pattern against many targets, instead of letting
-every call rebuild them.
+search depth naming the label and degree the candidate needs, the
+earlier depth whose image supplies the candidates, and the edges back
+into the mapped core, each with its ``(edge label, label)`` key.
+Everything that depends on the target alone sits in a
+:class:`TargetProfile`: the histograms the pre-check reads, and the
+target's vertex sets as int bitsets — per label, per vertex and
+neighbour kind, per minimum degree.  One iterative **walker**
+(:func:`match_plan`) then runs a plan against a target profile, where
+the first three feasibility rules are one AND of masks per depth;
+:func:`is_subgraph`, :func:`find_embedding` and :func:`count_embeddings`
+are thin wrappers over it.  Pass the profiles in when one target is
+matched against many patterns (feature matching at query time) or one
+pattern against many targets, instead of letting every call rebuild
+them.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 
+#: A neighbour kind: ``(edge label, neighbour's vertex label)``.
+EdgeKey = Tuple[object, object]
+
 #: One step of a match plan: ``(vertex label, degree, anchor depth,
-#: anchor edge label, back-edges)``.
-PlanStep = Tuple[object, int, int, object, Tuple[Tuple[int, object], ...]]
-
-#: ``dict.get`` default that equals no edge label (``None`` is a label).
-_NO_EDGE = object()
-
-
-def _histograms(
-    labels: List[object], adjacency: List[Dict[int, object]]
-) -> Tuple[Dict[object, int], Dict[object, int], List[int]]:
-    """Vertex-label counts, edge-label counts and descending degrees."""
-    vcounts: Dict[object, int] = {}
-    for lab in labels:
-        vcounts[lab] = vcounts.get(lab, 0) + 1
-    ecounts: Dict[object, int] = {}
-    for u, nbrs in enumerate(adjacency):
-        for v, lab in nbrs.items():
-            if u < v:
-                ecounts[lab] = ecounts.get(lab, 0) + 1
-    return vcounts, ecounts, sorted(map(len, adjacency), reverse=True)
+#: anchor key, back-edges)``, each back-edge ``(earlier depth, key)``.
+PlanStep = Tuple[object, int, int, EdgeKey, Tuple[Tuple[int, EdgeKey], ...]]
 
 
 class TargetProfile:
     """Precomputed match-target invariants, shared across many patterns.
 
-    Holds the target's vertex-label histogram, edge-label histogram,
-    descending degree sequence, and per-label vertex buckets, plus the
-    label list and adjacency maps the walker reads directly.  All are
-    pure functions of the target, so one profile serves every pattern
-    matched against it — the per-query cache of the online path.
+    Built in one pass over the target.  The walker reads three bitsets,
+    each a Python int with bit ``v`` for target vertex ``v`` (ints are
+    unbounded, so a target may have any number of vertices):
+
+    * ``label_bits[label]`` — the vertices with that label;
+    * ``neighbour_bits[u][(edge label, neighbour label)]`` — ``u``'s
+      neighbours of that kind;
+    * ``degree_bits[d]`` — the vertices of degree ``>= d``.
+
+    The pre-check reads ``vertex_label_counts`` (the popcounts of
+    ``label_bits``), ``triple_counts`` keyed ``(label, (edge label,
+    neighbour label))`` (one per directed half-edge: the popcounts of
+    ``neighbour_bits``) and the descending degree sequence.  One profile
+    serves every pattern matched against the target — the per-query
+    cache of the online path.
     """
 
     __slots__ = (
@@ -77,28 +76,62 @@ class TargetProfile:
         "num_vertices",
         "num_edges",
         "vertex_label_counts",
-        "edge_label_counts",
+        "triple_counts",
         "degrees_desc",
-        "by_label",
-        "labels",
-        "adjacency",
+        "label_bits",
+        "neighbour_bits",
+        "degree_bits",
     )
 
     def __init__(self, target: LabeledGraph) -> None:
         self.target = target
         self.num_vertices = target.num_vertices
         self.num_edges = target.num_edges
-        self.labels = target.vertex_labels()
-        self.adjacency = target.adjacency
-        (
-            self.vertex_label_counts,
-            self.edge_label_counts,
-            self.degrees_desc,
-        ) = _histograms(self.labels, self.adjacency)
-        by_label: Dict[object, List[int]] = {}
-        for v, lab in enumerate(self.labels):
-            by_label.setdefault(lab, []).append(v)
-        self.by_label = by_label
+        labels = target.vertex_labels()
+        label_bits: Dict[object, int] = {}
+        neighbour_bits: List[Dict[EdgeKey, int]] = []
+        triple_counts: Dict[object, int] = {}
+        degrees = [len(nbrs) for nbrs in target.adjacency]
+        degree_bits = [0] * (max(degrees, default=0) + 1)
+        for u, nbrs in enumerate(target.adjacency):
+            bit = 1 << u
+            own = labels[u]
+            label_bits[own] = label_bits.get(own, 0) | bit
+            degree_bits[degrees[u]] |= bit
+            row: Dict[EdgeKey, int] = {}
+            for v, lab in nbrs.items():
+                key = (lab, labels[v])
+                row[key] = row.get(key, 0) | (1 << v)
+                triple = (own, key)
+                triple_counts[triple] = triple_counts.get(triple, 0) + 1
+            neighbour_bits.append(row)
+        for d in range(len(degree_bits) - 2, -1, -1):
+            degree_bits[d] |= degree_bits[d + 1]
+        self.label_bits = label_bits
+        self.neighbour_bits = neighbour_bits
+        self.degree_bits = degree_bits
+        self.vertex_label_counts = {
+            lab: bits.bit_count() for lab, bits in label_bits.items()
+        }
+        self.triple_counts = triple_counts
+        self.degrees_desc = sorted(degrees, reverse=True)
+
+
+def _histograms(pattern: LabeledGraph) -> Tuple[Dict, Dict, Dict, List[int]]:
+    """Vertex-label, edge-label and half-edge triple counts (keyed like
+    :attr:`TargetProfile.triple_counts`), and the descending degrees."""
+    labels = pattern.vertex_labels()
+    halves = [
+        (u, v, lab)
+        for u, nbrs in enumerate(pattern.adjacency)
+        for v, lab in nbrs.items()
+    ]
+    return (
+        dict(Counter(labels)),
+        dict(Counter(lab for u, v, lab in halves if u < v)),
+        dict(Counter((labels[u], (lab, labels[v])) for u, v, lab in halves)),
+        sorted(map(len, pattern.adjacency), reverse=True),
+    )
 
 
 class PatternProfile:
@@ -106,11 +139,11 @@ class PatternProfile:
 
     The counterpart of :class:`TargetProfile` for the other side of the
     match: when one pattern is matched against many targets (a feature
-    across a query stream), its label histograms, degree sequence,
-    search order and the plan compiled from that order are pure
-    functions of the pattern and are computed once at index-build time.
-    The plan is derived, never persisted: :meth:`restore` recompiles it
-    from the saved search order.
+    across a query stream), its histograms, degree sequence, search
+    order and the plan compiled from that order are pure functions of
+    the pattern and are computed once at index-build time.  The plan
+    and the triple counts are derived, never persisted: :meth:`restore`
+    recomputes them from the pattern and the saved search order.
     """
 
     __slots__ = (
@@ -119,21 +152,27 @@ class PatternProfile:
         "num_edges",
         "vertex_label_counts",
         "edge_label_counts",
+        "triple_counts",
         "degrees_desc",
         "search_order",
         "plan",
     )
 
-    def __init__(self, pattern: LabeledGraph) -> None:
+    def __init__(
+        self, pattern: LabeledGraph, search_order: Optional[List[int]] = None
+    ) -> None:
         self.pattern = pattern
         self.num_vertices = pattern.num_vertices
         self.num_edges = pattern.num_edges
         (
             self.vertex_label_counts,
             self.edge_label_counts,
+            self.triple_counts,
             self.degrees_desc,
-        ) = _histograms(pattern.vertex_labels(), pattern.adjacency)
-        self.search_order = _search_order(pattern)
+        ) = _histograms(pattern)
+        if search_order is None:
+            search_order = _search_order(pattern)
+        self.search_order = list(search_order)
         self.plan = compile_plan(pattern, self.search_order)
 
     @classmethod
@@ -153,27 +192,18 @@ class PatternProfile:
         loudly instead of silently mismatching.  The search order itself
         is the one genuinely restored value: any permutation is sound
         for VF2 (it only affects pruning speed), so the persisted order
-        is honoured as saved and the plan is compiled from it.
+        is honoured as saved — an index saved under an older order rule
+        keeps it — and the plan is compiled from it.
         """
-        vcounts, ecounts, degrees = _histograms(
-            pattern.vertex_labels(), pattern.adjacency
-        )
+        if sorted(search_order) != list(range(pattern.num_vertices)):
+            raise ValueError("persisted profile does not match its pattern")
+        self = cls(pattern, search_order)
         if (
-            dict(vertex_label_counts) != vcounts
-            or dict(edge_label_counts) != ecounts
-            or list(degrees_desc) != degrees
-            or sorted(search_order) != list(range(pattern.num_vertices))
+            dict(vertex_label_counts) != self.vertex_label_counts
+            or dict(edge_label_counts) != self.edge_label_counts
+            or list(degrees_desc) != self.degrees_desc
         ):
             raise ValueError("persisted profile does not match its pattern")
-        self = cls.__new__(cls)
-        self.pattern = pattern
-        self.num_vertices = pattern.num_vertices
-        self.num_edges = pattern.num_edges
-        self.vertex_label_counts = vcounts
-        self.edge_label_counts = ecounts
-        self.degrees_desc = degrees
-        self.search_order = list(search_order)
-        self.plan = compile_plan(pattern, self.search_order)
         return self
 
 
@@ -199,19 +229,20 @@ def _pattern_profile_for(
 
 def _label_counts_ok(pattern: PatternProfile, target: TargetProfile) -> bool:
     """Cheap necessary conditions: the target must dominate the pattern's
-    size, label histograms, and degree sequence."""
+    size, vertex-label and half-edge triple histograms, and degree
+    sequence.  (Triple dominance implies edge-label dominance: each
+    edge label's count is half the sum of its triples.)"""
     if pattern.num_vertices > target.num_vertices:
         return False
     if pattern.num_edges > target.num_edges:
         return False
-    target_vcounts = target.vertex_label_counts
-    for lab, need in pattern.vertex_label_counts.items():
-        if target_vcounts.get(lab, 0) < need:
-            return False
-    target_ecounts = target.edge_label_counts
-    for lab, need in pattern.edge_label_counts.items():
-        if target_ecounts.get(lab, 0) < need:
-            return False
+    for need, have in (
+        (pattern.vertex_label_counts, target.vertex_label_counts),
+        (pattern.triple_counts, target.triple_counts),
+    ):
+        for key, count in need.items():
+            if have.get(key, 0) < count:
+                return False
     # Degree-sequence dominance: the i-th largest pattern degree must not
     # exceed the i-th largest target degree (Hall's condition for the
     # nested "degree >= d" candidate sets).
@@ -223,46 +254,36 @@ def _label_counts_ok(pattern: PatternProfile, target: TargetProfile) -> bool:
 
 
 def _search_order(pattern: LabeledGraph) -> List[int]:
-    """A connected, high-degree-first visit order of the pattern vertices.
+    """A connected visit order: rarest label first, then most constrained.
 
-    Starting from the highest-degree vertex and always extending along
-    edges keeps the partial mapping connected, which makes the neighbor
-    consistency check maximally restrictive early.
-
-    The frontier is maintained incrementally as a max-heap keyed by
-    (degree, smallest id): each vertex is pushed at most once when it
-    first becomes reachable, so building the order is O(E log V) instead
-    of the O(V²) full-rebuild per step.
+    Each component is seeded with the vertex whose label is least
+    frequent *within the pattern* (ties: higher degree, then lower id) —
+    on chemistry a heteroatom rather than one of many carbons, so the
+    seed's candidate set is small.  Every later vertex is the frontier
+    vertex with the most already-placed neighbours (ties: rarer label,
+    higher degree, lower id), so each depth ANDs as many back-edge
+    masks as possible.  O(V²) — patterns are small and the order is
+    computed once per pattern.
     """
-    n = pattern.num_vertices
-    if n == 0:
-        return []
-    visited = [False] * n
-    in_frontier = [False] * n
+    labels = pattern.vertex_labels()
+    adjacency = pattern.adjacency
+    frequency = Counter(labels)
+    placed = [0] * len(labels)
+    left = set(range(len(labels)))
     order: List[int] = []
-    heap: List[tuple] = []
-
-    def push_neighbors(v: int) -> None:
-        for w in pattern.neighbors(v):
-            if not visited[w] and not in_frontier[w]:
-                in_frontier[w] = True
-                heapq.heappush(heap, (-pattern.degree(w), w))
-
-    while len(order) < n:
-        # Seed each component with its highest-degree unvisited vertex.
-        seed = max(
-            (v for v in range(n) if not visited[v]),
-            key=lambda v: pattern.degree(v),
+    while left:
+        # A frontier vertex has placed > 0; with none left, every
+        # remaining vertex reads 0 and the key picks the next seed.
+        v = min(
+            left,
+            key=lambda w: (
+                -placed[w], frequency[labels[w]], -len(adjacency[w]), w
+            ),
         )
-        visited[seed] = True
-        order.append(seed)
-        push_neighbors(seed)
-        while heap:
-            _, nxt = heapq.heappop(heap)
-            in_frontier[nxt] = False
-            visited[nxt] = True
-            order.append(nxt)
-            push_neighbors(nxt)
+        left.discard(v)
+        order.append(v)
+        for w in adjacency[v]:
+            placed[w] += 1
     return order
 
 
@@ -271,30 +292,32 @@ def compile_plan(
 ) -> Tuple[PlanStep, ...]:
     """Flatten ``(pattern, search_order)`` into one step per search depth.
 
-    The step for depth ``d`` places pattern vertex ``search_order[d]``.
-    Its *anchor* is the first neighbour (in adjacency order) placed at
-    an earlier depth: candidates are the target neighbours of the
-    anchor's image along an edge with the anchor edge label.  Anchor
-    depth ``-1`` marks a vertex with no placed neighbour — a component
-    seed, or any vertex of an order that is not connected-first — whose
-    candidates come from the target's label bucket.  *Back-edges* are
-    the remaining ``(earlier depth, edge label)`` pairs the candidate
-    must also be adjacent to, so every pattern edge is verified exactly
-    once, at its later endpoint.
+    The step for depth ``d`` places pattern vertex ``search_order[d]``
+    and carries the keys the walker looks its masks up by.  Its *anchor*
+    is the first neighbour (in adjacency order) placed at an earlier
+    depth, with the key ``(anchor edge label, label)``: candidates are
+    the anchor image's neighbours of that kind.  Anchor depth ``-1``
+    marks a vertex with no placed neighbour — a component seed, or any
+    vertex of an order that is not connected-first — whose candidates
+    are the target's vertices of its label.  *Back-edges* are the
+    remaining ``(earlier depth, (edge label, label))`` pairs the
+    candidate must also be adjacent to, so every pattern edge is
+    verified exactly once, at its later endpoint.
     """
     labels = pattern.vertex_labels()
     adjacency = pattern.adjacency
     depth_of = {v: d for d, v in enumerate(search_order)}
     steps: List[PlanStep] = []
     for depth, pv in enumerate(search_order):
+        label = labels[pv]
         placed = [
-            (depth_of[w], lab)
+            (depth_of[w], (lab, label))
             for w, lab in adjacency[pv].items()
             if depth_of[w] < depth
         ]
-        anchor, wanted = placed[0] if placed else (-1, None)
+        anchor, key = placed[0] if placed else (-1, None)
         steps.append(
-            (labels[pv], len(adjacency[pv]), anchor, wanted, tuple(placed[1:]))
+            (label, len(adjacency[pv]), anchor, key, tuple(placed[1:]))
         )
     return tuple(steps)
 
@@ -306,65 +329,70 @@ def match_plan(
 ) -> Tuple[int, Optional[List[int]]]:
     """Run *plan* against *target*: ``(embeddings counted, first one)``.
 
-    One iterative backtracking loop.  ``image[d]`` is the target vertex
-    the pattern vertex of depth ``d`` currently maps to, ``used`` the set
-    of those images, ``pending[d]`` the iterator over depth ``d``'s
-    untried candidates.  Counting stops at *limit*; the first embedding
-    is returned as target vertices indexed by search depth (``None``
-    when there is none).  The caller owns the global pre-check
-    (:func:`_label_counts_ok` or its vectorised form) — the walker is
-    correct without it, just slower on hopeless pairs.
+    One iterative backtracking loop over bitsets.  ``image[d]`` is the
+    target vertex the pattern vertex of depth ``d`` currently maps to,
+    ``used`` the bitset of those images, ``bits`` the untried candidates
+    of the current depth and ``pending[d]`` those of an earlier depth
+    ``d``.  A depth's candidates are one AND chain, computed when the
+    walk enters it::
+
+        degree_bits[degree] & ~used & neighbour_bits[image[anchor]][key]
+                            & neighbour_bits[image[earlier]][key] ...
+
+    (``label_bits[label]`` instead of the anchor's mask for a component
+    seed), so every candidate is feasible and none is checked again:
+    candidates are popped lowest bit first, and at the last depth each
+    one is an embedding, counted by popcount.  Counting stops at
+    *limit*; the first embedding is returned as target vertices indexed
+    by search depth (``None`` when there is none).  The caller owns the
+    global pre-check (:func:`_label_counts_ok` or its vectorised form) —
+    the walker is correct without it, just slower on hopeless pairs.
     """
     last = len(plan) - 1
     if last < 0:
         return 1, []
-    labels = target.labels
-    adjacency = target.adjacency
+    label_bits = target.label_bits
+    neighbour_bits = target.neighbour_bits
+    degree_bits = target.degree_bits
+    top = len(degree_bits)
     image = [0] * last
-    used: set = set()
-    pending = [iter(target.by_label.get(plan[0][0], ()))] + [None] * last
+    pending = [0] * last
+    label, degree, _, _, _ = plan[0]
+    bits = label_bits.get(label, 0)
+    bits &= degree_bits[degree] if degree < top else 0
+    used = 0
     count = 0
     first: Optional[List[int]] = None
     depth = 0
     while True:
-        vlabel, degree, anchor, wanted, back_edges = plan[depth]
-        for candidate in pending[depth]:
-            if anchor < 0:
-                tv = candidate
-                if tv in used:
-                    continue
-            else:
-                tv, lab = candidate
-                if lab != wanted or tv in used or labels[tv] != vlabel:
-                    continue
-            nbrs = adjacency[tv]
-            if len(nbrs) < degree:
-                continue
-            for earlier, lab in back_edges:
-                if nbrs.get(image[earlier], _NO_EDGE) != lab:
-                    break
-            else:
-                if depth == last:
-                    count += 1
-                    if first is None:
-                        first = image + [tv]
-                    if limit is not None and count >= limit:
-                        return count, first
-                    continue
-                image[depth] = tv
-                used.add(tv)
-                depth += 1
-                step = plan[depth]
-                if step[2] < 0:
-                    pending[depth] = iter(target.by_label.get(step[0], ()))
-                else:
-                    pending[depth] = iter(adjacency[image[step[2]]].items())
-                break
-        else:
-            depth -= 1
-            if depth < 0:
+        if bits and depth == last:
+            if first is None:
+                first = image + [(bits & -bits).bit_length() - 1]
+            count += bits.bit_count()
+            if limit is not None and count >= limit:
+                return limit, first
+            bits = 0
+        while not bits:
+            if depth == 0:
                 return count, first
-            used.discard(image[depth])
+            depth -= 1
+            used ^= 1 << image[depth]
+            bits = pending[depth]
+        low = bits & -bits
+        pending[depth] = bits ^ low
+        image[depth] = low.bit_length() - 1
+        used |= low
+        depth += 1
+        label, degree, anchor, key, back_edges = plan[depth]
+        if anchor < 0:
+            bits = label_bits.get(label, 0)
+        else:
+            bits = neighbour_bits[image[anchor]].get(key, 0)
+        bits &= ~used & (degree_bits[degree] if degree < top else 0)
+        for earlier, key in back_edges:
+            if not bits:
+                break
+            bits &= neighbour_bits[image[earlier]].get(key, 0)
 
 
 def _match(

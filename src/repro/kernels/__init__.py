@@ -17,8 +17,9 @@ A backend is any object exposing four functions:
   centroid distances the approx router reuses;
 * ``bound_check(bounds, thresholds, slack_rel, slack_abs)`` — the
   elementwise "provably prunable" test;
-* ``vf2_candidate_filter(...)`` — the vectorised size/histogram/degree
-  dominance pre-check over every pattern at once (arrays prepared by
+* ``vf2_candidate_filter(need, have)`` — VF2's size/histogram/degree
+  dominance pre-check over every pattern at once, one comparison of
+  the pattern matrix against the target's row (both prepared by
   :class:`PatternFilterStats`).
 
 Selection order: an explicit name passed to :func:`resolve_backend`, the
@@ -41,7 +42,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -131,90 +132,72 @@ def use_backend(name: str) -> Iterator[object]:
 
 
 class PatternFilterStats:
-    """Pattern-side arrays for the vectorised VF2 candidate filter.
+    """The pattern side of the vectorised VF2 candidate filter.
 
-    Encodes every pattern's size, label histograms (over the union
-    vocabulary of the pattern set), and descending degree sequence
-    (padded with ``-1``) as flat integer matrices, built once per
-    engine.  Per query, :meth:`candidate_mask` encodes the target the
-    same way and asks the kernel backend which patterns survive the
-    size/histogram/degree dominance pre-check — exactly the conditions
-    VF2 itself tests first, so a ``False`` entry is a proven non-match.
+    One int matrix ``need``, built once per feature selection: a row per
+    pattern with columns ``|V|``, ``|E|``, the vertex-label counts and
+    the half-edge triple counts ``(label, (edge label, neighbour
+    label))`` over the union vocabulary of the pattern set, then the
+    descending degree sequence padded with ``-1``.  Per query,
+    :meth:`encode_target` builds the target's matching row ``have`` and
+    the backend's ``vf2_candidate_filter`` keeps the patterns with
+    ``need <= have`` in every column — exactly the conditions of VF2's
+    own pre-check, so a ``False`` entry is a proven non-match.
     """
 
-    __slots__ = (
-        "count",
-        "nv",
-        "ne",
-        "vlabel_index",
-        "elabel_index",
-        "vcounts",
-        "ecounts",
-        "degrees",
-        "max_nv",
-    )
+    __slots__ = ("need", "vertex_columns", "triple_columns", "max_nv")
 
     def __init__(self, profiles: Sequence[object]) -> None:
-        n = len(profiles)
-        self.count = n
-        self.nv = np.array(
-            [prof.num_vertices for prof in profiles], dtype=np.int64
-        )
-        self.ne = np.array(
-            [prof.num_edges for prof in profiles], dtype=np.int64
-        )
-        vlabels: Dict[object, int] = {}
-        elabels: Dict[object, int] = {}
+        vertex_columns: Dict[object, int] = {}
+        triple_columns: Dict[object, int] = {}
         for prof in profiles:
             for lab in prof.vertex_label_counts:
-                vlabels.setdefault(lab, len(vlabels))
-            for lab in prof.edge_label_counts:
-                elabels.setdefault(lab, len(elabels))
-        self.vlabel_index = vlabels
-        self.elabel_index = elabels
-        self.vcounts = np.zeros((n, len(vlabels)), dtype=np.int64)
-        self.ecounts = np.zeros((n, len(elabels)), dtype=np.int64)
-        self.max_nv = int(self.nv.max()) if n else 0
-        self.degrees = np.full((n, self.max_nv), -1, dtype=np.int64)
+                vertex_columns.setdefault(lab, 2 + len(vertex_columns))
+        for prof in profiles:
+            for key in prof.triple_counts:
+                triple_columns.setdefault(
+                    key, 2 + len(vertex_columns) + len(triple_columns)
+                )
+        self.vertex_columns = vertex_columns
+        self.triple_columns = triple_columns
+        self.max_nv = max((prof.num_vertices for prof in profiles), default=0)
+        start = 2 + len(vertex_columns) + len(triple_columns)
+        need = np.full((len(profiles), start + self.max_nv), -1, np.int64)
+        need[:, :start] = 0
         for r, prof in enumerate(profiles):
+            need[r, :2] = prof.num_vertices, prof.num_edges
             for lab, c in prof.vertex_label_counts.items():
-                self.vcounts[r, vlabels[lab]] = c
-            for lab, c in prof.edge_label_counts.items():
-                self.ecounts[r, elabels[lab]] = c
-            ds = prof.degrees_desc
-            self.degrees[r, : len(ds)] = ds
+                need[r, vertex_columns[lab]] = c
+            for key, c in prof.triple_counts.items():
+                need[r, triple_columns[key]] = c
+            need[r, start : start + len(prof.degrees_desc)] = prof.degrees_desc
+        self.need = need
 
-    def encode_target(
-        self, profile: object
-    ) -> Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten a :class:`TargetProfile` onto the pattern vocabulary.
+    def encode_target(self, profile: object) -> np.ndarray:
+        """A :class:`TargetProfile` as one ``have`` row of ``need``'s width.
 
-        Target labels outside the vocabulary are irrelevant (no pattern
-        needs them); target degrees are truncated/padded to the longest
-        pattern (positions past the target's own size read ``-1``,
-        which only ever compares against pattern padding or against
-        patterns that already failed the size check).
+        Target labels and triples outside the vocabulary are irrelevant
+        (no pattern needs them); target degrees are truncated/padded to
+        the longest pattern (positions past the target's own size read
+        ``-1``, which only ever compares against pattern padding or
+        against patterns that already failed the size check).
         """
-        tvc = np.zeros(len(self.vlabel_index), dtype=np.int64)
-        for lab, c in profile.vertex_label_counts.items():
-            idx = self.vlabel_index.get(lab)
-            if idx is not None:
-                tvc[idx] = c
-        tec = np.zeros(len(self.elabel_index), dtype=np.int64)
-        for lab, c in profile.edge_label_counts.items():
-            idx = self.elabel_index.get(lab)
-            if idx is not None:
-                tec[idx] = c
-        tdeg = np.full(self.max_nv, -1, dtype=np.int64)
-        ds = profile.degrees_desc[: self.max_nv]
-        tdeg[: len(ds)] = ds
-        return (
-            int(profile.num_vertices),
-            int(profile.num_edges),
-            tvc,
-            tec,
-            tdeg,
+        degrees = profile.degrees_desc[: self.max_nv]
+        have = (
+            [profile.num_vertices, profile.num_edges]
+            + [0] * (len(self.vertex_columns) + len(self.triple_columns))
+            + degrees
+            + [-1] * (self.max_nv - len(degrees))
         )
+        for counts, columns in (
+            (profile.vertex_label_counts, self.vertex_columns),
+            (profile.triple_counts, self.triple_columns),
+        ):
+            for key, c in counts.items():
+                col = columns.get(key)
+                if col is not None:
+                    have[col] = c
+        return np.array(have, dtype=np.int64)
 
     def candidate_mask(
         self, target_profile: object, backend: Optional[object] = None
@@ -222,13 +205,9 @@ class PatternFilterStats:
         """Boolean mask over patterns: ``False`` entries cannot match."""
         if backend is None:
             backend = active_backend()
-        tnv, tne, tvc, tec, tdeg = self.encode_target(target_profile)
+        have = self.encode_target(target_profile)
         return np.asarray(
-            backend.vf2_candidate_filter(
-                self.nv, self.ne, self.vcounts, self.ecounts, self.degrees,
-                tnv, tne, tvc, tec, tdeg,
-            ),
-            dtype=bool,
+            backend.vf2_candidate_filter(self.need, have), dtype=bool
         )
 
 

@@ -104,31 +104,13 @@ def bound_check(
     )
 
 
-def vf2_candidate_filter(
-    pat_nv: np.ndarray,
-    pat_ne: np.ndarray,
-    pat_vcounts: np.ndarray,
-    pat_ecounts: np.ndarray,
-    pat_degrees: np.ndarray,
-    tgt_nv: int,
-    tgt_ne: int,
-    tgt_vcounts: np.ndarray,
-    tgt_ecounts: np.ndarray,
-    tgt_degrees: np.ndarray,
-) -> np.ndarray:
+def vf2_candidate_filter(need: np.ndarray, have: np.ndarray) -> np.ndarray:
     """Which patterns survive the size/histogram/degree dominance check.
 
-    Vectorised form of VF2's global pre-check (`_label_counts_ok`): a
-    pattern can only match if the target dominates its vertex/edge
-    counts, both label histograms, and its descending degree sequence
-    position by position.  Pattern degree padding is ``-1``, which no
-    target entry (real degrees, or ``-1`` padding) falls below.
+    Vectorised form of VF2's global pre-check (``_label_counts_ok``):
+    row ``r`` of *need* is pattern ``r``'s sizes, vertex-label counts,
+    half-edge triple counts and ``-1``-padded descending degrees, *have*
+    the target's row in the same columns, and a pattern can only match
+    if the target dominates it in every column.
     """
-    ok = (pat_nv <= tgt_nv) & (pat_ne <= tgt_ne)
-    if pat_vcounts.shape[1]:
-        ok &= (pat_vcounts <= tgt_vcounts[None, :]).all(axis=1)
-    if pat_ecounts.shape[1]:
-        ok &= (pat_ecounts <= tgt_ecounts[None, :]).all(axis=1)
-    if pat_degrees.shape[1]:
-        ok &= (tgt_degrees[None, :] >= pat_degrees).all(axis=1)
-    return ok
+    return (need <= have[None, :]).all(axis=1)

@@ -15,8 +15,9 @@ changing any result**:
   on the (small) patterns themselves, with a transitivity shortcut that
   skips the quadratic blow-up.
 * **Per-query invariant cache.**  One :class:`TargetProfile` per query
-  supplies the label histograms, degree sequence, and label buckets to
-  every VF2 call, instead of each call recomputing them.
+  supplies the histograms of the candidate filter and the label,
+  neighbour and degree bitsets of the walker to every VF2 call, instead
+  of each call recomputing them.
 * **Batching.**  :meth:`QueryEngine.batch_query` embeds many queries,
   computes all query-database distances in one BLAS call against the
   mapping's cached squared norms, and ranks the whole distance matrix
@@ -257,6 +258,7 @@ class QueryEngine:
         lattice: Optional[FeatureLattice] = None,
         pattern_profiles: Optional[Sequence[PatternProfile]] = None,
         kernel: Optional[str] = None,
+        pattern_filter: Optional[PatternFilterStats] = None,
     ) -> None:
         self.mapping = mapping
         self.patterns: List[LabeledGraph] = [
@@ -288,10 +290,14 @@ class QueryEngine:
         if len(self.lattice.ancestors) != len(self.patterns):
             raise ValueError("lattice does not match the engine's pattern list")
         # Compute-kernel backend (resolved once — wrap *construction* in
-        # use_backend() to override) and the pattern-side arrays of the
-        # vectorised VF2 candidate filter it evaluates per query.
+        # use_backend() to override) and the pattern side of the
+        # vectorised VF2 candidate filter it evaluates per query (passed
+        # in, built from the same profiles, when a mutation refreshes
+        # the engine).
         self._kernel = resolve_backend(kernel)
-        self._filter_stats = PatternFilterStats(self._pattern_profiles)
+        self.pattern_filter = pattern_filter or PatternFilterStats(
+            self._pattern_profiles
+        )
         self.stats = EngineStats()
 
     def selected_offline_products(
@@ -338,7 +344,7 @@ class QueryEngine:
         # would fail the same conditions first thing), so the walk takes
         # the non-match branch without paying the call — and a True
         # entry has passed the pre-check, so the walker runs directly.
-        candidates = self._filter_stats.candidate_mask(
+        candidates = self.pattern_filter.candidate_mask(
             profile, self._kernel
         ).tolist()
         vf2_calls = 0
@@ -383,7 +389,7 @@ class QueryEngine:
         (against the shard centroids) without paying for an embedding.
         """
         profile = TargetProfile(query)
-        mask = self._filter_stats.candidate_mask(profile, self._kernel)
+        mask = self.pattern_filter.candidate_mask(profile, self._kernel)
         return np.asarray(mask[: self.num_selected], dtype=float)
 
     # ------------------------------------------------------------------

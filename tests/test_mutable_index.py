@@ -238,6 +238,7 @@ class TestStateConsistency:
         assert new_engine is not old_engine
         assert new_engine.lattice is old_engine.lattice
         assert new_engine._pattern_profiles == old_engine._pattern_profiles
+        assert new_engine.pattern_filter is old_engine.pattern_filter
 
     def test_added_rows_returned_and_logged(self, materials):
         _db, extra, _queries, _features = materials

@@ -7,12 +7,20 @@ top-k vs full lexsort, profile-carrying VF2 vs profile-free, fused DSPM
 iterates vs the literal kernels.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.dspm import DSPM
 from repro.core.mapping import mapping_from_selection, variance_selection
-from repro.datasets import synthetic_database, synthetic_query_set
+from repro.datasets import (
+    chemical_database,
+    chemical_query_set,
+    synthetic_database,
+    synthetic_query_set,
+)
 from repro.features.binary_matrix import (
     FeatureSpace,
     cross_normalized_euclidean_distances,
@@ -22,8 +30,10 @@ from repro.isomorphism.vf2 import (
     PatternProfile,
     TargetProfile,
     _search_order,
+    count_embeddings,
     is_subgraph,
 )
+from repro.kernels import available_backends
 from repro.mining import mine_frequent_subgraphs
 from repro.query.engine import FeatureLattice, QueryEngine
 from repro.query.topk import MappedTopKEngine, rank_with_ties
@@ -159,6 +169,56 @@ class TestEmbeddingEquivalence:
         assert vectors.shape == (0, selected_mapping.dimensionality)
 
 
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
+
+
+#: Digests of a small chemical index's answers — 30 graphs, every
+#: pattern mined at support 0.1 up to 5 edges, 24 variance-selected,
+#: 200 held-out queries — as commit c5d706d (the walker's last form
+#: with per-candidate label/degree/used/back-edge checks, started at
+#: the highest-degree vertex) returned them: the ``embed_many`` rows,
+#: and ``count_embeddings(limit=3)`` for every (mined pattern, query)
+#: pair.  Search order and candidate filter may change; neither may.
+EMBED_PARITY_RECORD = {
+    "embed_many": "a0513f9428fe2964",
+    "count_embeddings": "5f7857acf9830d12",
+}
+
+
+class TestEmbeddingParity:
+    @pytest.fixture(scope="class")
+    def parity_index(self):
+        db = chemical_database(30, seed=29)
+        queries = chemical_query_set(200, seed=290)
+        features = mine_frequent_subgraphs(db, min_support=0.1, max_edges=5)
+        space = FeatureSpace(features, len(db))
+        mapping = mapping_from_selection(space, variance_selection(space, 24))
+        return mapping, features, queries
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    def test_embed_many_rows_match_record(self, parity_index, kernel):
+        mapping, _features, queries = parity_index
+        rows = QueryEngine(mapping, kernel=kernel).embed_many(queries)
+        digest = _digest(rows.astype(int).tolist())
+        assert digest == EMBED_PARITY_RECORD["embed_many"]
+
+    def test_capped_counts_match_record(self, parity_index):
+        _mapping, features, queries = parity_index
+        targets = [TargetProfile(q) for q in queries]
+        counts = []
+        for feature in features:
+            profile = PatternProfile(feature.graph)
+            counts.append(
+                [
+                    count_embeddings(feature.graph, q, 3, tp, profile)
+                    for q, tp in zip(queries, targets)
+                ]
+            )
+        digest = _digest(counts)
+        assert digest == EMBED_PARITY_RECORD["count_embeddings"]
+
+
 class TestQueryEquivalence:
     def test_single_query_matches_naive_engine(self, setup, selected_mapping):
         db, queries, _space = setup
@@ -255,6 +315,24 @@ class TestProfiles:
                     seeds += 1
                 seen.add(v)
             assert seeds == len(g.connected_components())
+
+    def test_search_order_starts_rare_then_most_constrained(self):
+        graphs = graphgen_database(10, avg_edges=12, num_labels=3, seed=11)
+        for g in graphs:
+            labels = g.vertex_labels()
+            frequency = {lab: labels.count(lab) for lab in labels}
+            order = _search_order(g)
+            seed = order[0]
+            assert frequency[labels[seed]] == min(frequency.values())
+            placed = set()
+            for v in order:
+                before = [
+                    len(placed & set(g.neighbors(w)))
+                    for w in range(g.num_vertices)
+                    if w not in placed
+                ]
+                assert len(placed & set(g.neighbors(v))) == max(before)
+                placed.add(v)
 
 
 class TestDistanceCaching:

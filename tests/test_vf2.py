@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import LabeledGraph, random_connected_graph
 from repro.isomorphism import count_embeddings, find_embedding, is_subgraph
-from repro.isomorphism.vf2 import PatternProfile
+from repro.isomorphism.vf2 import PatternProfile, TargetProfile
+from repro.kernels import (
+    PatternFilterStats,
+    available_backends,
+    resolve_backend,
+)
 from repro.utils.rng import ensure_rng
 
 
@@ -199,3 +204,65 @@ def test_restored_profile_with_any_search_order_agrees_with_brute_force(seed):
         assert mapping is None
     else:
         assert_valid_embedding(mapping, pattern, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000))
+def test_candidate_filter_never_rejects_a_match(seed):
+    """Soundness of the one-comparison filter: a ``False`` entry of
+    ``candidate_mask`` is never a brute-force match, on any backend —
+    over a vocabulary of several patterns, so the target lacks some
+    labels and triples the filter has columns for."""
+    patterns = [random_pair(seed + i)[0] for i in range(4)]
+    _pattern, target, _rng = random_pair(seed)
+    stats = PatternFilterStats([PatternProfile(p) for p in patterns])
+    profile = TargetProfile(target)
+    for name in available_backends():
+        mask = stats.candidate_mask(profile, resolve_backend(name))
+        for pattern, candidate in zip(patterns, mask):
+            if not candidate:
+                assert brute_force_count(pattern, target) == 0
+
+
+def test_planted_pattern_above_bit_63_is_found():
+    """Bitsets are Python ints: a pattern planted at vertex ids >= 64 of
+    a 200-vertex target is found there, and the count does not depend
+    on the (restored) search order."""
+    rng = ensure_rng(64)
+    pattern = LabeledGraph(
+        ["x", "y", "x", "y", "x"],
+        [(0, 1, "s"), (1, 2, "s"), (2, 3, "d"), (3, 0, "s"), (3, 4, "s")],
+    )
+    images = [int(v) for v in rng.choice(range(64, 200), 5, replace=False)]
+    labels = [("a", "b")[int(i)] for i in rng.integers(0, 2, 200)]
+    for pv, tv in enumerate(images):
+        labels[tv] = pattern.vertex_label(pv)
+    target = LabeledGraph(labels)
+    for e in pattern.edges():
+        target.add_edge(images[e.u], images[e.v], e.label)
+    for u in range(200):
+        for v in range(u + 1, 200):
+            if rng.random() < 0.03 and not target.has_edge(u, v):
+                target.add_edge(u, v, ("s", "d")[int(rng.integers(0, 2))])
+
+    mapping = find_embedding(pattern, target)
+    assert_valid_embedding(mapping, pattern, target)
+    assert sorted(mapping.values()) == sorted(images)
+    background = LabeledGraph(["a", "b", "a"], [(0, 1, "s"), (1, 2, "d")])
+    for graph in (pattern, background):
+        built = PatternProfile(graph)
+        counts = {
+            count_embeddings(
+                graph,
+                target,
+                pattern_profile=PatternProfile.restore(
+                    graph,
+                    built.vertex_label_counts,
+                    built.edge_label_counts,
+                    built.degrees_desc,
+                    order,
+                ),
+            )
+            for order in (built.search_order, built.search_order[::-1])
+        }
+        assert len(counts) == 1 and counts.pop() > 0
