@@ -8,18 +8,19 @@ as the database changes —
 >>> from repro import build_mapping, chemical_database, load_index, save_index
 >>> db = chemical_database(60, seed=0)
 >>> save_index(build_mapping(db, num_features=20, min_support=0.1), "index.json")
->>> mapping = load_index("index.json")   # zero VF2 calls: lattice + profiles restored
+>>> mapping = load_index("index.json")   # zero VF2 calls: lattice restored
 >>> with mapping.query_service(n_shards=4, n_workers=4) as service:
 ...     answers = service.batch_query(queries, k=10)
 ...     service.apply_update(added=new_graphs, removed=[3, 17])  # no rebuild
 >>> save_index(mapping, "index.json")    # appends deltas to the journal
 
 ``load_index`` restores the complete :class:`IndexArtifact` (feature
-lattice, VF2 pattern profiles, cached norms, label codec, and a
-page-checksummed binary payload), so ``mapping.query_engine()`` is warm
-immediately; ``query_service`` shards the database vectors and answers
-bit-identically to the single-shard engine while caching repeated
-queries and fanning VF2 embedding out to worker processes.
+lattice, cached norms, label codec, and a page-checksummed binary
+payload; the VF2 pattern profiles are derived from the feature graphs),
+so ``mapping.query_engine()`` is warm immediately; ``query_service``
+shards the database vectors and answers bit-identically to the
+single-shard engine while caching repeated queries and fanning VF2
+embedding out to worker processes.
 ``add_graphs`` / ``remove_graphs`` update supports, vectors, norms, and
 shards in place — a :class:`~repro.core.mapping.StalenessPolicy` bounds
 how far the selection may drift before re-selection is triggered — and

@@ -34,8 +34,6 @@ from repro.similarity.matrix import pairwise_dissimilarity_matrix
 from repro.utils.errors import SelectionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.isomorphism.vf2 import PatternProfile
-    from repro.kernels import PatternFilterStats
     from repro.query.engine import FeatureLattice, QueryEngine
     from repro.serving.service import QueryService
 
@@ -104,9 +102,10 @@ class DSPreservedMapping:
         default_factory=StalenessPolicy, compare=False
     )
     # The memoised online engine.  Never assign this directly — every
-    # construction (lazy, loader-restored, post-mutation) must go through
+    # construction (lazy, loader-restored, re-selected) must go through
     # :meth:`_build_engine`, the single construction point, so a reloaded
-    # or mutated mapping can never serve a stale lattice.
+    # or re-selected mapping can never serve a stale lattice.  Database
+    # mutations keep it: it reads the rows live.
     _engine: Optional["QueryEngine"] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -200,24 +199,20 @@ class DSPreservedMapping:
     # query engine / query service
     # ------------------------------------------------------------------
     def _build_engine(
-        self,
-        lattice: Optional["FeatureLattice"] = None,
-        pattern_profiles: Optional[Sequence["PatternProfile"]] = None,
-        pattern_filter: Optional["PatternFilterStats"] = None,
+        self, lattice: Optional["FeatureLattice"] = None
     ) -> "QueryEngine":
         """The single engine construction point.
 
-        Both the lazy :meth:`query_engine` path and the index-artifact
-        loader (which passes the persisted lattice and pattern profiles
+        The lazy :meth:`query_engine` path, :meth:`apply_selection` and
+        the index-artifact loader (which passes the persisted lattice
         for a zero-VF2 cold start) funnel through here, so whatever
         engine the mapping memoises always belongs to *this* mapping's
-        current feature selection and vectors.
+        current feature selection.  The pattern profiles come from the
+        feature space (one per feature, derived, never persisted).
         """
         from repro.query.engine import QueryEngine
 
-        engine = QueryEngine(
-            self, lattice, pattern_profiles, pattern_filter=pattern_filter
-        )
+        engine = QueryEngine(self, lattice)
         self._engine = engine
         return engine
 
@@ -240,9 +235,10 @@ class DSPreservedMapping:
     def invalidate_caches(self) -> None:
         """Drop the memoised engine and squared norms.
 
-        Any future path that mutates ``selected`` / ``database_vectors``
-        must call this so the next :meth:`query_engine` rebuild goes
-        through :meth:`_build_engine` against the fresh state.
+        Any path that changes ``selected`` must call this so the next
+        :meth:`query_engine` rebuild goes through :meth:`_build_engine`
+        against the fresh state.  Database mutations need not: their
+        appliers maintain the norms and the graph in place.
         """
         self._engine = None
         self.__dict__.pop("database_sq_norms", None)
@@ -303,7 +299,6 @@ class DSPreservedMapping:
         self,
         selected: Sequence[int],
         lattice: Optional["FeatureLattice"] = None,
-        pattern_profiles: Optional[Sequence["PatternProfile"]] = None,
     ) -> bool:
         """Install a new feature selection over the current database.
 
@@ -313,11 +308,10 @@ class DSPreservedMapping:
         described the old φ is dropped, and the artifact lineage is
         severed — the on-disk base and any pending delta records
         describe the old selection, so the next ``save_index`` must
-        write a full base.  Pass the reused offline products (*lattice*
-        over the new selection's patterns, with *pattern_profiles*) to
-        pre-build the engine so the next query pays zero
-        pattern-vs-pattern VF2.  A selection equal to the current one
-        (same features, same order) is a no-op.
+        write a full base.  Pass a reused *lattice* over the new
+        selection's patterns to pre-build the engine so the next query
+        pays zero pattern-vs-pattern VF2.  A selection equal to the
+        current one (same features, same order) is a no-op.
 
         Returns True iff the selection actually changed.
         """
@@ -336,9 +330,7 @@ class DSPreservedMapping:
         self.selected = selected
         self.database_vectors = self.space.embed_database(selected)
         if lattice is not None:
-            self._build_engine(
-                lattice=lattice, pattern_profiles=pattern_profiles
-            )
+            self._build_engine(lattice)
         self.artifact_ref = None
         self.journal_seq = 0
         self.mutation_log.clear()
@@ -403,40 +395,8 @@ class DSPreservedMapping:
         prospective = self._selected_support_counts() + support_delta
         return self._drift_of(prospective) > self.staleness_policy.max_drift
 
-    def _post_mutation(self, crossed: bool) -> None:
-        self._refresh_after_mutation()
-        if crossed:
-            self.stale = True
-
-    def _refresh_after_mutation(self) -> None:
-        """Rebuild the cached engine against the mutated database.
-
-        Funnels through :meth:`invalidate_caches` + :meth:`_build_engine`
-        — the single construction point — while *preserving* the warm
-        engine's pattern-side offline products (lattice, profiles and
-        candidate filter stay valid: they depend only on the selected
-        patterns, which database mutations never change).  The cached
-        squared norms were updated incrementally by the applier, so they
-        are re-seeded rather than recomputed.
-        """
-        engine = self._engine
-        norms = self.__dict__.get("database_sq_norms")
-        graph = self._proximity_graph
-        self.invalidate_caches()
-        if engine is not None:
-            self._build_engine(
-                *engine.selected_offline_products(), engine.pattern_filter
-            )
-        if norms is not None:
-            self.database_sq_norms = norms
-        if graph is not None:
-            # The appliers already maintained the graph incrementally
-            # against the mutated vectors, so it is re-seeded like the
-            # norms.
-            self._proximity_graph = graph
-
     def _apply_add_vectors(self, rows: np.ndarray) -> None:
-        """Pure state update for an add: no gate, no engine refresh.
+        """Pure state update for an add: no gate, no observers, no log.
 
         Shared by :meth:`add_graphs` and the artifact loader's journal
         replay (which already has the embedded rows, so replay costs
@@ -491,7 +451,9 @@ class DSPreservedMapping:
         warm engine's lattice-pruned VF2 walk — the only isomorphism
         work an add costs.  Supports, database vectors, and the cached
         squared norms are updated locally; mining, selection, and the
-        lattice are never re-run.  New graphs take indices ``n..``.
+        lattice are never re-run, and the engine itself is kept (its
+        pattern side depends on the selection alone, and it reads the
+        rows live).  New graphs take indices ``n..``.
 
         Supports of *non-selected* universe features are not re-mined
         for the new graphs (queries never read them); the staleness
@@ -513,7 +475,8 @@ class DSPreservedMapping:
         self.mutation_log.append(
             {"op": "add", "vectors": rows.astype(int).tolist()}
         )
-        self._post_mutation(crossed)
+        if crossed:
+            self.stale = True
         return rows
 
     def remove_graphs(self, indices: Sequence[int]) -> None:
@@ -537,15 +500,14 @@ class DSPreservedMapping:
         self._apply_remove(removed)
         self._notify_observers("observe_remove", removed)
         self.mutation_log.append({"op": "remove", "indices": removed})
-        self._post_mutation(crossed)
+        if crossed:
+            self.stale = True
 
     def replay_mutation(self, entry: Dict) -> None:
         """Apply one persisted delta-journal *entry* (loader use).
 
         Replay is pure array work — adds carry their embedded rows, so
-        no VF2 runs.  The caller (the artifact loader) refreshes the
-        engine once after the whole journal, via
-        :meth:`_refresh_after_mutation`.
+        no VF2 runs, and the engine the loader attached stays as it is.
         """
         op = entry.get("op")
         if op == "add":

@@ -16,7 +16,9 @@ re-mining and while reusing every offline product that is still valid:
   (zero VF2) via :meth:`FeatureLattice.build`'s ``known`` parameter;
   only pairs touching a newly entering feature run VF2;
 * **pattern profiles** — surviving features keep their
-  :class:`~repro.isomorphism.vf2.PatternProfile` objects by identity.
+  :class:`~repro.isomorphism.vf2.PatternProfile` objects by identity,
+  because the feature space keeps one per feature
+  (:meth:`~repro.features.binary_matrix.FeatureSpace.pattern_profile`).
 
 The reselector doubles as a mutation *observer*
 (:meth:`DSPreservedMapping.register_observer`): it keeps a graph list
@@ -36,7 +38,6 @@ from repro.core.dspm import DSPM, DSPMResult
 from repro.core.mapping import DSPreservedMapping, StalenessPolicy
 from repro.features.binary_matrix import normalized_euclidean_distances
 from repro.graph.labeled_graph import LabeledGraph
-from repro.isomorphism.vf2 import PatternProfile
 from repro.similarity.dissimilarity import DissimilarityCache
 from repro.similarity.matrix import pairwise_dissimilarity_matrix
 from repro.utils.errors import SelectionError
@@ -222,39 +223,30 @@ class Reselector:
         self.last_result = result
         if result.selected == mapping.selected:
             return False
-        lattice, profiles = self._offline_products(mapping, result.selected)
         changed = mapping.apply_selection(
-            result.selected, lattice=lattice, pattern_profiles=profiles
+            result.selected, self._lattice(mapping, result.selected)
         )
         if changed:
             self.selections_changed += 1
         return changed
 
-    def _offline_products(
-        self, mapping: DSPreservedMapping, selected: List[int]
-    ):
-        """Lattice + profiles for *selected*, reusing the old engine's.
+    def _lattice(self, mapping: DSPreservedMapping, selected: List[int]):
+        """The lattice over *selected*, reusing the old engine's.
 
         Containment between two features both surviving from the old
         selection is answered from the old lattice's transitive closure
-        (it is complete over the old patterns), and surviving features
-        keep their :class:`PatternProfile` objects; only pairs touching
-        a newly entering feature cost VF2.
+        (it is complete over the old patterns); only pairs touching a
+        newly entering feature cost VF2.
         """
         from repro.query.engine import FeatureLattice
 
-        patterns = [mapping.space.features[r].graph for r in selected]
+        space = mapping.space
         old_engine = mapping.peek_engine()
         known = None
-        profile_of = {}
         if old_engine is not None:
-            old_lattice, old_profiles = old_engine.selected_offline_products()
             old_pos = {r: i for i, r in enumerate(mapping.selected)}
-            profile_of = {
-                r: old_profiles[i] for r, i in old_pos.items()
-            }
+            old_ancestors = [set(a) for a in old_engine.lattice.ancestors]
             known = {}
-            old_ancestors = [set(a) for a in old_lattice.ancestors]
             for b, rb in enumerate(selected):
                 ib = old_pos.get(rb)
                 if ib is None:
@@ -264,11 +256,8 @@ class Reselector:
                     if ia is None or a == b:
                         continue
                     known[(a, b)] = ia in old_ancestors[ib]
-        profiles = [
-            profile_of.get(r) or PatternProfile(patterns[i])
-            for i, r in enumerate(selected)
-        ]
-        lattice = FeatureLattice.build(
-            patterns, pattern_profiles=profiles, known=known
+        return FeatureLattice.build(
+            [space.features[r].graph for r in selected],
+            [space.pattern_profile(r) for r in selected],
+            known=known,
         )
-        return lattice, profiles

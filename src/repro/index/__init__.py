@@ -5,10 +5,11 @@ The paper's economics are "pay offline, serve cheap"; a deployment adds
 selection, and the pattern-vs-pattern VF2 lattice pass all happen once
 at index-build time; :class:`IndexArtifact` persists *every* product of
 that offline work (JSON manifest + page-checksummed binary ``.pages``
-payload), so a reloaded index cold-starts its
-:class:`~repro.query.engine.QueryEngine` with zero VF2 calls — reading
-and verifying the payload at load, or memory-mapping it and verifying
-each page at first touch (``load_index(path, mmap=True)``).
+payload) — but nothing derivable in one pass: the VF2 pattern profiles
+are rebuilt from the feature graphs at load — so a reloaded index
+cold-starts its :class:`~repro.query.engine.QueryEngine` with zero VF2
+calls — reading and verifying the payload at load, or memory-mapping it
+and verifying each page at first touch (``load_index(path, mmap=True)``).
 Incremental ``add_graphs`` / ``remove_graphs`` mutations persist as an
 append-only delta journal next to the base; :func:`compact_index` folds
 them back in.

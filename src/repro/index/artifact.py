@@ -3,12 +3,13 @@
 One artifact is three files, all named from the manifest path:
 
 * ``<path>`` — the JSON **manifest**: every offline product the online
-  path needs (features, supports, feature lattice, VF2 pattern profiles,
-  label codec), so a reload cold-starts with zero VF2 calls, plus the
-  page table of the binary payload and the one *derived* section — the
-  proximity graph's neighbor table, checksummed and ``seq``-gated.
-  Shard summaries are not stored (they are derived from the verified
-  rows at shard build); a ``shard_summaries`` key left by an older
+  path needs (features, supports, feature lattice, label codec), so a
+  reload cold-starts with zero VF2 calls, plus the page table of the
+  binary payload and the one *derived* section — the proximity graph's
+  neighbor table, checksummed and ``seq``-gated.  Shard summaries and
+  VF2 pattern profiles are not stored (they are derived: summaries from
+  the verified rows at shard build, profiles from the feature graphs);
+  a ``shard_summaries`` or ``pattern_profiles`` key left by an older
   build is not read;
 * ``<path>.pages`` — the **binary payload** (:mod:`repro.index.paged`):
   database vectors and squared norms as raw aligned float64, a SHA-256
@@ -38,7 +39,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from repro.index.paged import (
     _corrupt,
     write_paged_payload,
 )
-from repro.isomorphism.vf2 import PatternProfile
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.engine import FeatureLattice
 from repro.query.proximity import check_payload
@@ -251,17 +251,11 @@ class IndexArtifact:
         supports and vectors, so the result is a clean *base* (empty
         journal).
         """
-        engine = mapping.query_engine()
-        lattice, profiles = engine.selected_offline_products()
+        lattice = mapping.query_engine().lattice
         p = mapping.dimensionality
 
         features = mapping.selected_features()
         codec = LabelCodec.for_graphs([f.graph for f in features])
-
-        def counts_payload(counts: Dict) -> List[Tuple[str, int]]:
-            return sorted(
-                ((codec.encode(lab), int(n)) for lab, n in counts.items())
-            )
 
         arrays = {
             "database_vectors": mapping.database_vectors.astype(np.uint8),
@@ -289,19 +283,6 @@ class IndexArtifact:
                 ],
                 "vf2_checks": int(lattice.vf2_checks),
             },
-            "pattern_profiles": [
-                {
-                    "vertex_label_counts": counts_payload(
-                        prof.vertex_label_counts
-                    ),
-                    "edge_label_counts": counts_payload(
-                        prof.edge_label_counts
-                    ),
-                    "degrees_desc": list(prof.degrees_desc),
-                    "search_order": list(prof.search_order),
-                }
-                for prof in profiles
-            ],
             "payload": None,  # the page table; filled in by save()
         }
         # A deterministic content identity: the manifest core plus the
@@ -336,7 +317,10 @@ class IndexArtifact:
         """Reconstruct the mapping with its engine pre-attached.
 
         Every persisted offline product is restored, not recomputed: the
-        lattice, the pattern profiles, and the database squared norms.
+        lattice and the database squared norms.  The pattern profiles
+        are derived from the feature graphs (an O(V+E) pass each, no
+        VF2); a ``pattern_profiles`` section left by an older build is
+        not read.
         The engine is wired in through the mapping's single construction
         point, so nothing can later race it with a stale rebuild.  The
         delta journal is then replayed (pure array updates — no VF2)
@@ -395,10 +379,7 @@ class IndexArtifact:
         # first distance call, which is also when the vectors-vs-norms
         # cross-check would first matter.
 
-        mapping._build_engine(
-            lattice=self._restore_lattice(p),
-            pattern_profiles=self._restore_profiles(features, codec),
-        )
+        mapping._build_engine(self._restore_lattice(p))
 
         baseline = payload.get("selection_baseline")
         if baseline is not None:
@@ -409,8 +390,6 @@ class IndexArtifact:
 
         for entry in self.journal:
             mapping.replay_mutation(entry)
-        if self.journal:
-            mapping._refresh_after_mutation()
         mapping.artifact_ref = payload.get("artifact_id")
         mapping.journal_seq = len(self.journal)
         mapping.mutation_log.clear()
@@ -459,27 +438,6 @@ class IndexArtifact:
             )
         except ValueError as exc:
             raise _corrupt(str(exc)) from exc
-
-    def _restore_profiles(
-        self, features: List[FrequentSubgraph], codec: LabelCodec
-    ) -> List[PatternProfile]:
-        entries = self.payload.get("pattern_profiles")
-        if not isinstance(entries, list) or len(entries) != len(features):
-            raise _corrupt("pattern profile count mismatch")
-
-        def decode_counts(pairs) -> Dict:
-            return {codec.decode(text): int(n) for text, n in pairs}
-
-        return [
-            PatternProfile.restore(
-                feature.graph,
-                decode_counts(entry["vertex_label_counts"]),
-                decode_counts(entry["edge_label_counts"]),
-                [int(d) for d in entry["degrees_desc"]],
-                [int(v) for v in entry["search_order"]],
-            )
-            for feature, entry in zip(features, entries)
-        ]
 
     # ------------------------------------------------------------------
     # I/O

@@ -117,19 +117,19 @@ class TargetProfile:
         self.degrees_desc = sorted(degrees, reverse=True)
 
 
-def _histograms(pattern: LabeledGraph) -> Tuple[Dict, Dict, Dict, List[int]]:
-    """Vertex-label, edge-label and half-edge triple counts (keyed like
+def _histograms(pattern: LabeledGraph) -> Tuple[Dict, Dict, List[int]]:
+    """Vertex-label and half-edge triple counts (keyed like
     :attr:`TargetProfile.triple_counts`), and the descending degrees."""
     labels = pattern.vertex_labels()
-    halves = [
-        (u, v, lab)
-        for u, nbrs in enumerate(pattern.adjacency)
-        for v, lab in nbrs.items()
-    ]
     return (
         dict(Counter(labels)),
-        dict(Counter(lab for u, v, lab in halves if u < v)),
-        dict(Counter((labels[u], (lab, labels[v])) for u, v, lab in halves)),
+        dict(
+            Counter(
+                (labels[u], (lab, labels[v]))
+                for u, nbrs in enumerate(pattern.adjacency)
+                for v, lab in nbrs.items()
+            )
+        ),
         sorted(map(len, pattern.adjacency), reverse=True),
     )
 
@@ -141,9 +141,11 @@ class PatternProfile:
     match: when one pattern is matched against many targets (a feature
     across a query stream), its histograms, degree sequence, search
     order and the plan compiled from that order are pure functions of
-    the pattern and are computed once at index-build time.  The plan
-    and the triple counts are derived, never persisted: :meth:`restore`
-    recomputes them from the pattern and the saved search order.
+    the pattern, computed once per pattern — an O(V+E) pass, so they
+    are derived wherever a pattern is loaded and never persisted
+    (:meth:`FeatureSpace.pattern_profile
+    <repro.features.binary_matrix.FeatureSpace.pattern_profile>` keeps
+    the one profile of each feature).
     """
 
     __slots__ = (
@@ -151,60 +153,23 @@ class PatternProfile:
         "num_vertices",
         "num_edges",
         "vertex_label_counts",
-        "edge_label_counts",
         "triple_counts",
         "degrees_desc",
         "search_order",
         "plan",
     )
 
-    def __init__(
-        self, pattern: LabeledGraph, search_order: Optional[List[int]] = None
-    ) -> None:
+    def __init__(self, pattern: LabeledGraph) -> None:
         self.pattern = pattern
         self.num_vertices = pattern.num_vertices
         self.num_edges = pattern.num_edges
         (
             self.vertex_label_counts,
-            self.edge_label_counts,
             self.triple_counts,
             self.degrees_desc,
         ) = _histograms(pattern)
-        if search_order is None:
-            search_order = _search_order(pattern)
-        self.search_order = list(search_order)
+        self.search_order = _search_order(pattern)
         self.plan = compile_plan(pattern, self.search_order)
-
-    @classmethod
-    def restore(
-        cls,
-        pattern: LabeledGraph,
-        vertex_label_counts: Dict[object, int],
-        edge_label_counts: Dict[object, int],
-        degrees_desc: List[int],
-        search_order: List[int],
-    ) -> "PatternProfile":
-        """Rebuild a profile from persisted invariants (index cold start).
-
-        Every invariant that affects *correctness* is validated against
-        the pattern (histograms, degree sequence, and that the search
-        order is a permutation) — O(V+E), no VF2, so corruption fails
-        loudly instead of silently mismatching.  The search order itself
-        is the one genuinely restored value: any permutation is sound
-        for VF2 (it only affects pruning speed), so the persisted order
-        is honoured as saved — an index saved under an older order rule
-        keeps it — and the plan is compiled from it.
-        """
-        if sorted(search_order) != list(range(pattern.num_vertices)):
-            raise ValueError("persisted profile does not match its pattern")
-        self = cls(pattern, search_order)
-        if (
-            dict(vertex_label_counts) != self.vertex_label_counts
-            or dict(edge_label_counts) != self.edge_label_counts
-            or list(degrees_desc) != self.degrees_desc
-        ):
-            raise ValueError("persisted profile does not match its pattern")
-        return self
 
 
 def _profile_for(

@@ -256,9 +256,7 @@ class QueryEngine:
         self,
         mapping: DSPreservedMapping,
         lattice: Optional[FeatureLattice] = None,
-        pattern_profiles: Optional[Sequence[PatternProfile]] = None,
         kernel: Optional[str] = None,
-        pattern_filter: Optional[PatternFilterStats] = None,
     ) -> None:
         self.mapping = mapping
         self.patterns: List[LabeledGraph] = [
@@ -266,24 +264,12 @@ class QueryEngine:
         ]
         self.num_selected = len(self.patterns)
         # Pattern-side VF2 invariants (histograms, degree sequence,
-        # search order, compiled match plan) are fixed per feature —
-        # computed once here (or restored from a persisted index
-        # artifact) and shared with the lattice build and every online
-        # match call.
-        if pattern_profiles is not None:
-            pattern_profiles = list(pattern_profiles)
-            if len(pattern_profiles) != len(self.patterns):
-                raise ValueError(
-                    "pattern_profiles does not match the engine's pattern list"
-                )
-            for prof, graph in zip(pattern_profiles, self.patterns):
-                if prof.pattern is not graph:
-                    raise ValueError(
-                        "pattern profile was built for a different pattern"
-                    )
-            self._pattern_profiles = pattern_profiles
-        else:
-            self._pattern_profiles = [PatternProfile(g) for g in self.patterns]
+        # search order, compiled match plan) are fixed per feature and
+        # kept by the feature space — one profile per feature, shared
+        # with the lattice build, the naive path and every online match.
+        self._pattern_profiles = [
+            mapping.space.pattern_profile(r) for r in mapping.selected
+        ]
         self.lattice = lattice or FeatureLattice.build(
             self.patterns, self._pattern_profiles
         )
@@ -291,21 +277,19 @@ class QueryEngine:
             raise ValueError("lattice does not match the engine's pattern list")
         # Compute-kernel backend (resolved once — wrap *construction* in
         # use_backend() to override) and the pattern side of the
-        # vectorised VF2 candidate filter it evaluates per query (passed
-        # in, built from the same profiles, when a mutation refreshes
-        # the engine).
+        # vectorised VF2 candidate filter it evaluates per query.  All
+        # of it depends on the selection alone, so a database update
+        # keeps this engine as it is.
         self._kernel = resolve_backend(kernel)
-        self.pattern_filter = pattern_filter or PatternFilterStats(
-            self._pattern_profiles
-        )
+        self.pattern_filter = PatternFilterStats(self._pattern_profiles)
         self.stats = EngineStats()
 
     def selected_offline_products(
         self,
     ) -> Tuple[FeatureLattice, List[PatternProfile]]:
         """The lattice and the per-feature profiles, position-aligned
-        with ``mapping.selected`` — what the index-artifact writer and
-        the mutable-index refresh path carry over to the next engine."""
+        with ``mapping.selected`` — the engine's pattern side, which
+        depends on the selection alone."""
         return self.lattice, list(self._pattern_profiles)
 
     # ------------------------------------------------------------------

@@ -118,9 +118,6 @@ MALFORMED_MANIFESTS = {
     "no-database-size": lambda m: m.pop("database_size"),
     "dimensionality-a-list": lambda m: m.update(dimensionality=[8]),
     "lattice-lacks-order": lambda m: m["lattice"].pop("order"),
-    "profile-not-an-object": lambda m: m.update(
-        pattern_profiles=[None] + m["pattern_profiles"][1:]
-    ),
 }
 
 

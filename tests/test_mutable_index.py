@@ -22,6 +22,7 @@ from repro.core.mapping import (
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.isomorphism.vf2 import is_subgraph
+from repro.kernels import use_backend
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.engine import FeatureLattice
@@ -229,16 +230,39 @@ class TestStateConsistency:
             space.embed_database(mapping.selected), mapping.database_vectors
         )
 
-    def test_engine_rebuilt_but_lattice_preserved(self, materials):
+    def test_engine_survives_updates(self, materials):
+        """The engine's lattice, profiles and filter depend on the
+        selection alone and it reads the rows live, so an update keeps
+        the engine itself (and with it all three)."""
         _db, extra, _queries, _features = materials
         mapping = _fresh_mapping(materials, 10)
-        old_engine = mapping.query_engine()
+        engine = mapping.query_engine()
         mapping.add_graphs(extra[:2])
-        new_engine = mapping.query_engine()
-        assert new_engine is not old_engine
-        assert new_engine.lattice is old_engine.lattice
-        assert new_engine._pattern_profiles == old_engine._pattern_profiles
-        assert new_engine.pattern_filter is old_engine.pattern_filter
+        mapping.remove_graphs([0, 3])
+        assert mapping.query_engine() is engine
+
+    @pytest.mark.parametrize(
+        "update", ["add_graphs", "remove_graphs", "apply_update"]
+    )
+    def test_update_keeps_the_engines_kernel_backend(self, materials, update):
+        """An engine built under a backend override serves on that
+        backend after an update: no update rebuilds the engine, so
+        none re-resolves the backend from the ambient default."""
+        _db, extra, _queries, _features = materials
+        mapping = _fresh_mapping(materials, 10)
+        with use_backend("reference") as backend:
+            engine = mapping.query_engine()
+        assert engine._kernel is backend
+        if update == "add_graphs":
+            mapping.add_graphs(extra[:2])
+        elif update == "remove_graphs":
+            mapping.remove_graphs([1, 5])
+        else:
+            with mapping.query_service(n_shards=2) as service:
+                service.apply_update(added=extra[:2], removed=[3])
+                assert service.engine is engine
+        assert mapping.query_engine() is engine
+        assert engine._kernel is backend
 
     def test_added_rows_returned_and_logged(self, materials):
         _db, extra, _queries, _features = materials

@@ -112,11 +112,17 @@ class TestEmbeddingEquivalence:
         vectors = engine.embed_many(queries)
         assert np.array_equal(vectors, space.embed_queries(queries))
 
-    def test_naive_path_builds_one_profile_per_feature(self, setup, monkeypatch):
-        """A profile compiles a match plan, so ``embed_queries`` must keep
-        one per feature — never a throw-away per (feature, query)."""
+    def test_naive_path_builds_one_profile_per_feature(
+        self, setup, selected_mapping, monkeypatch
+    ):
+        """A profile compiles a match plan, so the feature space keeps
+        one per feature and every consumer shares it: ``embed_queries``
+        and the engine (lattice build, filter, walk) together build at
+        most one per feature — never a throw-away per (feature, query),
+        never an engine's own copy."""
         import repro.features.binary_matrix as binary_matrix
         import repro.isomorphism.vf2 as vf2
+        import repro.query.engine as engine_mod
 
         built = []
 
@@ -127,14 +133,21 @@ class TestEmbeddingEquivalence:
                 built.append(pattern)
                 super().__init__(pattern)
 
-        # Both the space's own construction site and the matcher's
-        # fall-back for calls that pass no profile.
-        monkeypatch.setattr(binary_matrix, "PatternProfile", CountingProfile)
-        monkeypatch.setattr(vf2, "PatternProfile", CountingProfile)
+        # The space's own construction site, the matcher's fall-back for
+        # calls that pass no profile, and the engine's module.
+        for module in (binary_matrix, vf2, engine_mod):
+            monkeypatch.setattr(module, "PatternProfile", CountingProfile)
         _db, queries, space = setup
         fresh = FeatureSpace(space.features, space.n)
         vectors = fresh.embed_queries(queries[:8])
+        selected = selected_mapping.selected
+        engine = mapping_from_selection(fresh, selected).query_engine()
+        assert np.array_equal(
+            engine.embed_many(queries[:8]), vectors[:, selected]
+        )
         assert len(built) <= fresh.m
+        for i, r in enumerate(selected):
+            assert engine._pattern_profiles[i] is fresh.pattern_profile(r)
         assert np.array_equal(vectors, space.embed_queries(queries[:8]))
 
     def test_pruning_saves_vf2_calls(self, setup, full_mapping):

@@ -263,10 +263,13 @@ class TestEmergingRecall:
 class TestOfflineReuse:
     def test_surviving_pairs_skip_vf2(self):
         """Containment among features surviving from the old selection
-        is answered from the old lattice's closure, not VF2."""
+        is answered from the old lattice's closure, not VF2, and the
+        survivors keep their pattern profiles (the space's, by
+        identity)."""
         mapping, graphs, churn, _final = _drift_setup()
         reselector = Reselector(graphs=graphs).attach(mapping, max_drift=0.1)
         old_engine = mapping.query_engine()
+        old_profile = dict(zip(mapping.selected, old_engine._pattern_profiles))
         mapping.add_graphs(churn)
         assert reselector(mapping) is True
 
@@ -282,6 +285,13 @@ class TestOfflineReuse:
         saved = survivors * (survivors - 1) // 2
         assert survivors >= 2  # the scenario guarantees real overlap
         assert new_engine.lattice.vf2_checks == scratch_checks - saved
+        kept = [
+            (prof, old_profile[r])
+            for r, prof in zip(mapping.selected, new_engine._pattern_profiles)
+            if r in old_profile
+        ]
+        assert len(kept) >= survivors
+        assert all(new is old for new, old in kept)
 
     def test_known_verdicts_bypass_vf2_entirely(self):
         db = synthetic_database(16, seed=6, **DB_KW)

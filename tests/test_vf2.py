@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import LabeledGraph, random_connected_graph
 from repro.isomorphism import count_embeddings, find_embedding, is_subgraph
-from repro.isomorphism.vf2 import PatternProfile, TargetProfile
+from repro.isomorphism.vf2 import (
+    PatternProfile,
+    TargetProfile,
+    compile_plan,
+    match_plan,
+)
 from repro.kernels import (
     PatternFilterStats,
     available_backends,
@@ -182,28 +187,21 @@ def test_matcher_agrees_with_brute_force_count(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
-def test_restored_profile_with_any_search_order_agrees_with_brute_force(seed):
-    """Any permutation is a sound search order: a restored profile whose
-    order is not connected-first (vertices placed before any neighbour)
-    still compiles to a plan that finds exactly the brute-force count."""
+def test_plan_with_any_search_order_agrees_with_brute_force(seed):
+    """Any permutation is a sound search order: a plan compiled from an
+    order that is not connected-first (vertices placed before any
+    neighbour) still finds exactly the brute-force count."""
     pattern, target, rng = random_pair(seed)
-    built = PatternProfile(pattern)
     order = [int(v) for v in rng.permutation(pattern.num_vertices)]
-    restored = PatternProfile.restore(
-        pattern,
-        built.vertex_label_counts,
-        built.edge_label_counts,
-        built.degrees_desc,
-        order,
+    count, first = match_plan(
+        compile_plan(pattern, order), TargetProfile(target)
     )
-    assert restored.search_order == order
     expected = brute_force_count(pattern, target)
-    assert count_embeddings(pattern, target, pattern_profile=restored) == expected
-    mapping = find_embedding(pattern, target, pattern_profile=restored)
+    assert count == expected
     if expected == 0:
-        assert mapping is None
+        assert first is None
     else:
-        assert_valid_embedding(mapping, pattern, target)
+        assert_valid_embedding(dict(zip(order, first)), pattern, target)
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,7 +225,7 @@ def test_candidate_filter_never_rejects_a_match(seed):
 def test_planted_pattern_above_bit_63_is_found():
     """Bitsets are Python ints: a pattern planted at vertex ids >= 64 of
     a 200-vertex target is found there, and the count does not depend
-    on the (restored) search order."""
+    on the search order the plan is compiled from."""
     rng = ensure_rng(64)
     pattern = LabeledGraph(
         ["x", "y", "x", "y", "x"],
@@ -249,20 +247,12 @@ def test_planted_pattern_above_bit_63_is_found():
     assert_valid_embedding(mapping, pattern, target)
     assert sorted(mapping.values()) == sorted(images)
     background = LabeledGraph(["a", "b", "a"], [(0, 1, "s"), (1, 2, "d")])
+    profile = TargetProfile(target)
     for graph in (pattern, background):
-        built = PatternProfile(graph)
+        order = PatternProfile(graph).search_order
         counts = {
-            count_embeddings(
-                graph,
-                target,
-                pattern_profile=PatternProfile.restore(
-                    graph,
-                    built.vertex_label_counts,
-                    built.edge_label_counts,
-                    built.degrees_desc,
-                    order,
-                ),
-            )
-            for order in (built.search_order, built.search_order[::-1])
+            match_plan(compile_plan(graph, o), profile)[0]
+            for o in (order, order[::-1])
         }
-        assert len(counts) == 1 and counts.pop() > 0
+        assert counts == {count_embeddings(graph, target)}
+        assert counts.pop() > 0
