@@ -86,7 +86,7 @@ def main() -> None:
         # --------------------------------------------------------------
         # 2. serve
         # --------------------------------------------------------------
-        save_index(mapping, path)  # manifest + page-checksummed .pages
+        save_index(mapping, path)  # manifest + page-checksummed payload
         start = time.perf_counter()
         served = load_index(path)  # engine pre-attached: zero VF2 calls
         print(f"\nartifact reloaded in "
@@ -160,6 +160,10 @@ def main() -> None:
         print(f"compacted: journal folded into a fresh base "
               f"({compacted.space.n} graphs); journal exists: "
               f"{journal_path(path).exists()}")
+        # The manifest and the one generation it names: a save that
+        # leaked an older generation's files would list them here.
+        print("artifact files: "
+              + " ".join(sorted(f.name for f in Path(tmp).iterdir())))
 
         # The reloaded, mutated index answers exactly like the live one.
         a = served.query_engine().batch_query(queries, k=10)

@@ -431,17 +431,14 @@ def _cmd_index_compact(args: argparse.Namespace) -> int:
     """Fold an index's delta journal into a fresh binary base."""
     from pathlib import Path
 
-    from repro.index import compact_index, journal_path, payload_path
+    from repro.index import load_index, payload_path, save_index
     from repro.utils.errors import GraphDimensionError
 
-    journal = journal_path(args.index)
     try:
-        entries = (
-            len([l for l in journal.read_text().splitlines() if l.strip()])
-            if journal.exists()
-            else 0
-        )
-        mapping = compact_index(args.index)
+        mapping = load_index(args.index)
+        # What the load replayed: a torn tail is no entry.
+        entries = mapping.journal_seq
+        save_index(mapping, args.index, compact=True)
     except (ValueError, OSError, GraphDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,45 +1,52 @@
 """The index artifact: a mutable index's on-disk lifecycle.
 
-One artifact is three files, all named from the manifest path:
+An artifact is a JSON manifest plus the two files of one *generation*,
+which the manifest names and which live beside it:
 
-* ``<path>`` — the JSON **manifest**: every offline product the online
-  path needs (features, supports, feature lattice, label codec), so a
-  reload cold-starts with zero VF2 calls, plus the page table of the
-  binary payload and the one *derived* section — the proximity graph's
-  neighbor table, checksummed and ``seq``-gated.  Shard summaries and
-  VF2 pattern profiles are not stored (they are derived: summaries from
-  the verified rows at shard build, profiles from the feature graphs);
-  a ``shard_summaries`` or ``pattern_profiles`` key left by an older
-  build is not read;
-* ``<path>.pages`` — the **binary payload** (:mod:`repro.index.paged`):
-  database vectors and squared norms as raw aligned float64, a SHA-256
-  per page recorded in the manifest, so a truncated or bit-flipped
-  payload raises :class:`~repro.utils.errors.ChecksumError` instead of
-  mis-ranking silently;
-* ``<path>.journal`` — the append-only **delta journal** (JSON lines,
-  each entry checksummed and sequence-numbered) of incremental
+* ``<path>`` — the **manifest**: every offline product the online path
+  needs (features, supports, feature lattice, label codec), so a reload
+  cold-starts with zero VF2 calls, plus the payload's page table and
+  the one *derived* section — the proximity graph's neighbor table,
+  checksummed and ``seq``-gated.  Shard summaries and pattern profiles
+  are derived, never stored; such a key left by an older build is not
+  read;
+* ``payload["file"]`` (``<path>.<n>.pages`` for generation *n*) — the
+  **binary payload** (:mod:`repro.index.paged`): database vectors and
+  squared norms as raw aligned float64, a SHA-256 per page in the
+  manifest, so a truncated or bit-flipped payload raises
+  :class:`~repro.utils.errors.ChecksumError` instead of mis-ranking;
+* that name with ``.journal`` for ``.pages`` — the append-only **delta
+  journal** (JSON lines, each checksummed and sequence-numbered) of
   :meth:`~repro.core.mapping.DSPreservedMapping.add_graphs` /
   :meth:`~repro.core.mapping.DSPreservedMapping.remove_graphs`
-  mutations.  :func:`save_index` on a mapping that descends from the
-  artifact on disk appends deltas instead of rewriting the payload;
-  :func:`load_index` replays them (pure array work — zero VF2) and
-  :func:`compact_index` folds them back into a fresh base.  An entry's
-  trailing newline is its commit point: an append torn before it loads
-  as the previous generation, and the next append overwrites the tail.
+  mutations.  :func:`save_index` appends to it when the mapping
+  descends from the artifact on disk, :func:`load_index` replays it
+  (pure array work — zero VF2) and :func:`compact_index` folds it into
+  a new generation.  An entry's trailing newline is its commit point:
+  an append torn before it loads as the previous state, and the next
+  append overwrites the tail.
 
-This is format version 3 and the only one read or written; a manifest
-of any other shape is rejected with the remedy (rebuild it with
-``index-build``).
+A save's one commit point is the ``os.replace`` of the manifest
+(:func:`_commit`).  A full save first writes its pages under a number no
+generation at *path* used, so up to that rename the previous generation
+loads whole, and after it the new one; only then are the previous
+generation's files unlinked.
+
+This is format version 3 and the only one read or written (a manifest
+naming the unnumbered ``<path>.pages`` of an earlier build loads as
+written); any other shape is rejected with the remedy, ``index-build``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from repro.index.paged import (
     PagedPayloadReader,
     _corrupt,
     write_paged_payload,
+    write_synced,
 )
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.engine import FeatureLattice
@@ -89,13 +97,73 @@ __all__ = [
 
 
 def payload_path(path: PathLike) -> Path:
-    """The binary-payload sidecar of the manifest at *path*."""
-    return Path(str(path) + ".pages")
+    """The pages file of the generation the manifest at *path* names."""
+    path = Path(path)
+    return _generation_files(path, _read_manifest(path))[0]
 
 
 def journal_path(path: PathLike) -> Path:
-    """The delta-journal sidecar of the manifest at *path*."""
-    return Path(str(path) + ".journal")
+    """The delta journal of the generation the manifest at *path* names
+    (it need not exist: a generation with no deltas has none)."""
+    path = Path(path)
+    return _generation_files(path, _read_manifest(path))[1]
+
+
+def _generation_files(path: Path, manifest: Dict) -> Tuple[Path, Path]:
+    """The (pages, journal) pair *manifest*, read from *path*, names.
+
+    The name is outside input: only a bare ``*.pages`` file name is
+    accepted, so a manifest points at nothing but a file beside it.
+    """
+    meta = manifest.get("payload")
+    name = meta.get("file") if isinstance(meta, dict) else None
+    if not (
+        isinstance(name, str)
+        and name.endswith(".pages")
+        and name != ".pages"
+        and Path(name).name == name
+    ):
+        raise _corrupt(f"bad payload file name {name!r}")
+    pages = path.with_name(name)
+    return pages, pages.with_suffix(".journal")
+
+
+def _generation_names(path: Path) -> Dict[str, int]:
+    """The artifact's pages and journal files, by name, to generation:
+    ``<path>.<n>.pages`` / ``.journal`` are *n*, and the unnumbered
+    ``<path>.pages`` / ``<path>.journal`` of an earlier build are 0."""
+    pattern = re.compile(
+        re.escape(path.name) + r"(?:\.(\d+))?\.(?:pages|journal)"
+    )
+    found = map(pattern.fullmatch, os.listdir(path.parent))
+    return {m.group(0): int(m.group(1) or 0) for m in found if m}
+
+
+def _commit(path: Path, manifest: Dict) -> None:
+    """Make *manifest* the artifact at *path*: a save's one commit point.
+
+    A fsynced temp file replaces *path* in one rename, and the directory
+    is fsynced.  Only then are the artifact's files that *manifest* does
+    not name unlinked: the previous generation's, and any a cut save
+    left.  A reader still mapping an unlinked pages file keeps its inode.
+    """
+    temp = path.with_name(path.name + ".tmp")
+    write_synced(temp, json.dumps(manifest).encode())
+    os.replace(temp, path)
+    _fsync_dir(path.parent)
+    keep = {f.name for f in _generation_files(path, manifest)}
+    for name in sorted(_generation_names(path)):
+        if name not in keep:
+            os.unlink(path.with_name(name))
+
+
+def _fsync_dir(directory: Path) -> None:
+    """Make the entries created or renamed in *directory* durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _unsupported(found: str) -> FormatVersionError:
@@ -161,13 +229,10 @@ def _read_journal(path: Path, artifact_id: str) -> List[Dict]:
 def _graph_payload(mapping: DSPreservedMapping, seq: int) -> Optional[Dict]:
     """Serialise the mapping's proximity graph (``None`` when absent).
 
-    *seq* pins the journal position the neighbor table describes — ``0``
-    for a fresh base, the post-append journal head for a delta save —
-    and the section carries its own checksum
-    — a corrupted table would silently degrade (or bias) every
-    graph-mode answer, so it must fail the load loudly instead.  Only
-    neighbor ids are stored; distances are re-derived from the vectors
-    on first use.
+    *seq* pins the journal position the neighbor table describes (``0``
+    for a fresh base).  The section carries its own checksum: a corrupt
+    table would silently skew every graph-mode answer.  Only neighbor
+    ids are stored; distances are re-derived on first use.
     """
     table = mapping.proximity_payload()
     if table is None:
@@ -186,14 +251,12 @@ def _restore_graph(
 ) -> None:
     """Stash a persisted proximity graph on a freshly loaded mapping.
 
-    The section is validated here — its checksum, then
-    :func:`~repro.query.proximity.check_payload`, which needs only the
-    row count — but *attached* lazily: deriving the neighbor distances
-    needs the vectors, and touching those would break the O(manifest)
-    mmap cold start.  A ``seq`` that does not match the replayed
-    journal means the table describes a different database state:
-    silently dropped, and the graph tier lazily rebuilds (then
-    re-persists) exactly like pre-graph artifacts backfill.
+    The section is validated here (checksum, then
+    :func:`~repro.query.proximity.check_payload`) but *attached* lazily:
+    the neighbor distances need the vectors, and touching those would
+    break the O(manifest) mmap cold start.  A ``seq`` other than the
+    replayed journal's length describes another database state: it is
+    dropped, and the graph tier rebuilds (then re-persists) lazily.
     """
     section = payload.get("proximity_graph")
     if section is None:
@@ -232,10 +295,9 @@ class IndexArtifact:
     payload: Dict
     arrays: Optional[Dict[str, np.ndarray]] = None
     journal: List[Dict] = field(default_factory=list)
-    #: Set on a loaded artifact: the page-verified reader over its
-    #: ``.pages`` file.  When ``arrays`` is ``None`` alongside it, the
-    #: artifact was opened with ``mmap=True`` and hands out deferred
-    #: handles instead of materialized arrays.
+    #: Set on a loaded artifact: the page-verified reader over its pages
+    #: file.  With ``arrays`` ``None`` beside it, the artifact was opened
+    #: with ``mmap=True`` and hands out deferred handles.
     reader: Optional[PagedPayloadReader] = None
 
     # ------------------------------------------------------------------
@@ -317,15 +379,11 @@ class IndexArtifact:
         """Reconstruct the mapping with its engine pre-attached.
 
         Every persisted offline product is restored, not recomputed: the
-        lattice and the database squared norms.  The pattern profiles
-        are derived from the feature graphs (an O(V+E) pass each, no
-        VF2); a ``pattern_profiles`` section left by an older build is
-        not read.
-        The engine is wired in through the mapping's single construction
-        point, so nothing can later race it with a stale rebuild.  The
-        delta journal is then replayed (pure array updates — no VF2)
-        and the mapping remembers its base artifact so the next
-        :func:`save_index` can append instead of rewriting.
+        lattice and the database squared norms.  The engine is wired in
+        through the mapping's single construction point, so nothing can
+        later race it with a stale rebuild.  The delta journal is then
+        replayed (pure array updates — no VF2) and the mapping remembers
+        its base artifact so the next :func:`save_index` can append.
         """
         payload = self.payload
         kind = payload.get("kind")
@@ -443,35 +501,34 @@ class IndexArtifact:
     # I/O
     # ------------------------------------------------------------------
     def save(self, path: PathLike) -> None:
-        """Write a full base: manifest + binary payload, fresh journal.
+        """Write a full base as a new generation and commit it.
 
-        The page checksums go into the manifest *after* the bytes are
-        written, and any existing delta journal is removed — a full
-        write starts a new mutation history.
+        The pages go, fsynced, to a file no generation at *path* used;
+        the manifest naming them then replaces *path* (:func:`_commit`).
+        Cut anywhere before that rename, the previous generation loads.
+        The new generation has no journal yet.
         """
         if self.arrays is None:
             raise PayloadMissingError(
                 "cannot save an artifact without its binary payload"
             )
         path = Path(path)
+        # Numbered, not named by the artifact id: a compaction with
+        # nothing pending reproduces the id of the generation it replaces.
+        n = max(_generation_names(path).values(), default=0) + 1
         manifest = dict(self.payload)
         manifest["payload"] = write_paged_payload(
-            payload_path(path), self.arrays
+            path.with_name(f"{path.name}.{n}.pages"), self.arrays
         )
-        path.write_text(json.dumps(manifest))
-        journal = journal_path(path)
-        if journal.exists():
-            journal.unlink()
+        _commit(path, manifest)
 
     @classmethod
     def load(cls, path: PathLike, mmap: bool = False) -> "IndexArtifact":
         """Read the artifact whose manifest is at *path*.
 
-        The payload's page table is validated and its size checked
-        here; every page is then read and verified before returning,
-        or, with ``mmap=True``, on the first touch of the array it
-        belongs to (the artifact carries deferred handles instead of
-        materialized arrays).
+        The page table is validated and the payload's size checked here;
+        every page is verified before returning or, with ``mmap=True``,
+        on the first touch of its array (through deferred handles).
         """
         path = Path(path)
         payload = _read_manifest(path)
@@ -483,7 +540,7 @@ class IndexArtifact:
             raise _corrupt("missing binary payload metadata")
         if meta.get("layout") != PAGED_LAYOUT:
             raise _unsupported(f"payload layout {meta.get('layout')!r}")
-        binary = payload_path(path)
+        binary, journal = _generation_files(path, payload)
         if not binary.exists():
             raise PayloadMissingError(
                 f"binary payload {binary.name!r} is missing next to the "
@@ -493,9 +550,7 @@ class IndexArtifact:
         missing = [k for k in PAYLOAD_ARRAYS if k not in reader.arrays_meta]
         if missing:
             raise _corrupt(f"payload arrays missing: {missing}")
-        journal = _read_journal(
-            journal_path(path), payload.get("artifact_id")
-        )
+        journal = _read_journal(journal, payload.get("artifact_id"))
         return cls(
             payload,
             arrays=None if mmap else reader.load_all(),
@@ -545,11 +600,14 @@ def save_index(
     loaded from it, or previously saved there) and the on-disk journal
     is exactly where the mapping left it, only the pending
     :attr:`~repro.core.mapping.DSPreservedMapping.mutation_log` entries
-    are appended to the delta journal — the binary payload is not
-    rewritten.  Otherwise (first save, foreign path, diverged *or
-    corrupt* journal, or ``compact=True``) a full base is written and
-    the journal reset — the live mapping holds the complete state, so
-    a full write also repairs an artifact whose journal was damaged.
+    are appended to the generation's journal, fsynced; the manifest is
+    committed anew only if its proximity-graph section changed.
+    Otherwise (first save, foreign path, diverged *or corrupt* journal,
+    or ``compact=True``) a full base is written as a new generation —
+    the live mapping holds the complete state, so this also repairs a
+    damaged artifact.  A save cut short at any file operation leaves
+    *path* loading as the generation before it or the one after, and
+    the next save from the live mapping succeeds.
 
     *auto_compact_ratio* arms the journal growth threshold: after an
     append, if the journal's size exceeds that fraction of the binary
@@ -568,36 +626,44 @@ def save_index(
         raise ValueError(f"unknown payload layout {layout!r}")
     if auto_compact_ratio is not None and auto_compact_ratio <= 0:
         raise ValueError("auto_compact_ratio must be positive (or None)")
-    if not compact and mapping.artifact_ref is not None and path.exists():
+    if not compact and mapping.artifact_ref is not None:
         try:
             manifest = _read_manifest(path)
+            pages, journal = _generation_files(path, manifest)
         except (ArtifactError, OSError):
-            manifest = {}  # unreadable: repaired by the full write below
+            manifest = None  # unreadable: repaired by the full write below
         if (
-            manifest.get("format_version") == FORMAT_VERSION
+            manifest is not None
+            and manifest.get("format_version") == FORMAT_VERSION
             and manifest.get("kind") == ARTIFACT_KIND
             and manifest.get("artifact_id") == mapping.artifact_ref
-            # A damaged base (sidecar deleted, truncated, or bit-flipped)
-            # must be repaired by a full write, not papered over with
-            # deltas nothing can replay onto — the live mapping holds
-            # the complete state, so verify before trusting the base.
-            and _payload_intact(path, manifest)
+            # A damaged base is repaired by the full write below, never
+            # papered over with deltas.  An O(1) stat catches a deleted
+            # or truncated payload; a same-size bit-flip fails every
+            # load, and ``compact=True`` repairs it.
+            and pages.exists()
+            and pages.stat().st_size == manifest["payload"].get("bytes")
         ):
             try:
-                existing = _read_journal(
-                    journal_path(path), mapping.artifact_ref
-                )
+                existing = _read_journal(journal, mapping.artifact_ref)
             except ArtifactCorruptError:
                 existing = None  # damaged journal: fall through and repair
             if existing is not None and len(existing) == mapping.journal_seq:
-                _append_deltas(path, mapping)
+                _append_deltas(journal, mapping)
                 if _sync_graph_section(manifest, mapping):
-                    path.write_text(json.dumps(manifest))
-                if auto_compact_ratio is not None and _journal_oversized(
-                    path, auto_compact_ratio
+                    _commit(path, manifest)
+                if (
+                    auto_compact_ratio is not None
+                    and journal.exists()
+                    and journal.stat().st_size
+                    > auto_compact_ratio * pages.stat().st_size
                 ):
                     save_index(mapping, path, compact=True)
                 return
+    # Until the new generation commits, the mapping descends from none:
+    # a save cut short leaves the next one a full write, which also
+    # clears whatever the cut left behind.
+    mapping.artifact_ref = None
     artifact = IndexArtifact.from_mapping(mapping)
     artifact.save(path)
     mapping.artifact_ref = artifact.payload["artifact_id"]
@@ -605,38 +671,8 @@ def save_index(
     mapping.mutation_log.clear()
 
 
-def _payload_intact(path: Path, manifest: Dict) -> bool:
-    """True when the binary sidecar exists at its recorded size.
-
-    This guards the *append* fast path, so it must stay O(1): a stat
-    against the manifest's recorded byte count catches deletion and
-    truncation without re-reading a potentially huge base on every
-    delta save.  Same-size bit-flips are caught where the pages are
-    checksummed (every load, or first touch under ``mmap=True``);
-    repairing one eagerly takes an explicit full save
-    (``compact=True``).
-    """
-    meta = manifest.get("payload")
-    try:
-        size = payload_path(path).stat().st_size
-    except OSError:
-        return False
-    # A junk ``bytes`` field equals no size: repaired by a full write.
-    return isinstance(meta, dict) and meta.get("bytes") == size
-
-
-def _journal_oversized(path: Path, ratio: float) -> bool:
-    """True when the delta journal outgrew *ratio* × the base payload."""
-    try:
-        journal_bytes = journal_path(path).stat().st_size
-        base_bytes = payload_path(path).stat().st_size
-    except OSError:
-        return False
-    return journal_bytes > ratio * base_bytes
-
-
-def _append_deltas(path: Path, mapping: DSPreservedMapping) -> None:
-    """Append the mapping's pending mutations to the delta journal."""
+def _append_deltas(journal: Path, mapping: DSPreservedMapping) -> None:
+    """Append the mapping's pending mutations to *journal*, fsynced."""
     if not mapping.mutation_log:
         return
     lines = []
@@ -648,12 +684,13 @@ def _append_deltas(path: Path, mapping: DSPreservedMapping) -> None:
         }
         entry["sha256"] = _entry_digest(entry)
         lines.append(json.dumps(entry, sort_keys=True))
-    with journal_path(path).open("a+b") as handle:
-        handle.seek(0)
-        # Cut an uncommitted tail (see _read_journal) so this append
-        # continues the sequence instead of writing after garbage.
-        handle.truncate(handle.read().rfind(b"\n") + 1)
-        handle.write(("\n".join(lines) + "\n").encode())
+    created = not journal.exists()
+    # Cut an uncommitted tail (see _read_journal) so this append
+    # continues the sequence instead of writing after garbage.
+    committed = 0 if created else journal.read_bytes().rfind(b"\n") + 1
+    write_synced(journal, ("\n".join(lines) + "\n").encode(), committed)
+    if created:
+        _fsync_dir(journal.parent)  # a new directory entry
     mapping.journal_seq += len(mapping.mutation_log)
     mapping.mutation_log.clear()
 
@@ -661,16 +698,12 @@ def _append_deltas(path: Path, mapping: DSPreservedMapping) -> None:
 def _sync_graph_section(manifest: Dict, mapping: DSPreservedMapping) -> bool:
     """Update ``manifest["proximity_graph"]`` in place; True if changed.
 
-    Runs on every delta-path save (the manifest is small JSON — the
-    whole point of the delta path is not rewriting the *binary*
-    payload), so a graph maintained through
-    :meth:`QueryService.apply_update
-    <repro.serving.service.QueryService.apply_update>` — or built
-    lazily after loading an artifact without one — is persisted with
-    its ``seq`` at the current journal head, and a mapping whose graph
-    was invalidated drops the stale section.  "Unchanged" is detected
-    from ``seq`` plus whether a table exists at all, so the up-to-date
-    case never re-serialises the neighbor table.
+    Runs on every delta-path save, so a graph maintained through
+    updates, or built lazily after a load, is persisted with its
+    ``seq`` at the current journal head, and an invalidated graph
+    drops the stale section.  "Unchanged" is read from ``seq`` and
+    whether a table exists at all, so the up-to-date case never
+    re-serialises the neighbor table.
     """
     existing = manifest.get("proximity_graph")
     has_table = (
@@ -682,18 +715,14 @@ def _sync_graph_section(manifest: Dict, mapping: DSPreservedMapping) -> bool:
         and existing.get("seq") == mapping.journal_seq
         and has_table
     ):
-        # Same database state (seq) and a table exists on both sides —
-        # the canonical graph is a pure function of that state, so the
-        # stored section is already exact.
+        # Same database state (seq), a table on both sides: the graph is
+        # a pure function of that state, so the stored section is exact.
         return False
     section = _graph_payload(mapping, seq=mapping.journal_seq)
     if section is not None:
         manifest["proximity_graph"] = section
         return True
-    if "proximity_graph" not in manifest:
-        return False
-    manifest.pop("proximity_graph", None)
-    return True
+    return manifest.pop("proximity_graph", None) is not None
 
 
 def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
@@ -702,17 +731,13 @@ def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
     The engine comes back pre-attached with zero VF2 calls and the delta
     journal replayed.  By default every payload page is read and
     verified before the call returns.  With ``mmap=True`` the load costs
-    O(manifest): the database vectors are materialized (page checksums
-    verified, zero-copy float64 views onto the memory map) on the first
-    query that needs them, and services built over the same mapping
-    share the one OS page cache.  The mapping records the wall-clock
-    cost and mode in ``load_seconds`` / ``load_mode`` (``"eager"`` or
-    ``"mmap"``).
+    O(manifest): the vectors are verified and materialized, as zero-copy
+    views onto the one shared memory map, on the first query that needs
+    them.  ``load_seconds`` / ``load_mode`` record the cost and mode.
 
     This is the one validated boundary for artifacts: whatever is wrong
     with the files raises an :class:`~repro.utils.errors.ArtifactError`
-    subclass, never a bare ``KeyError`` / ``TypeError`` from a manifest
-    field of the wrong shape.
+    subclass, never a bare ``KeyError`` / ``TypeError``.
     """
     start = time.perf_counter()
     try:
@@ -733,9 +758,9 @@ def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
 def compact_index(path: PathLike) -> DSPreservedMapping:
     """Fold the delta journal at *path* into a fresh base.
 
-    Loads the artifact (replaying every delta), rewrites the full binary
-    payload and removes the journal.  Returns the compacted mapping,
-    ready to serve or mutate further.
+    Loads the artifact (replaying every delta) and saves it as a new
+    generation with no journal.  Returns the compacted mapping, ready to
+    serve or mutate further.
     """
     mapping = load_index(path)
     save_index(mapping, path, compact=True)

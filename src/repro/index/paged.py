@@ -1,4 +1,4 @@
-"""Page-chunked binary payloads: the index artifact's ``.pages`` sidecar.
+"""Page-chunked binary payloads: the ``.pages`` file of an index generation.
 
 Arrays are written back to back (64-byte aligned) into one raw file and
 the manifest records a SHA-256 **per fixed-size page**.  Opening the
@@ -12,8 +12,9 @@ either at load or at first touch, never silently mis-ranks.
 Arrays are stored in their *serving* dtype (float64), so a materialized
 view is handed to the query path as-is — zero conversion, zero copy,
 and one OS page cache shared by every service/shard mapping the file.
-A rewrite replaces the file instead of truncating it, so those maps keep
-reading the bytes they verified.
+A generation's pages file is written once, under a name no earlier
+generation used, and is never rewritten: a later save unlinks it, so
+those maps keep the inode and the bytes they verified.
 """
 
 from __future__ import annotations
@@ -46,12 +47,29 @@ PAGED_LAYOUT = "paged"
 SERVING_DTYPE = np.dtype(np.float64)
 
 
+def write_synced(path: Path, data: bytes, at: int = 0) -> None:
+    """Write *data* at byte *at* of *path* (created if absent), drop what
+    followed, fsync.  Every write of the index artifact goes through
+    here; ``at=0`` replaces a file's whole content."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        os.ftruncate(fd, at)
+        os.lseek(fd, at, os.SEEK_SET)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
     """Write *arrays* as one raw paged file; return its manifest metadata.
 
     Arrays are converted to their serving dtype (float64) and laid out
-    back to back at :data:`ARRAY_ALIGN` boundaries.  The returned dict
-    is the manifest's ``payload`` section: file name, layout, page size,
+    back to back at :data:`ARRAY_ALIGN` boundaries, and the file is
+    fsynced before this returns.  The returned dict is the manifest's
+    ``payload`` section: file name, layout, page size,
     per-page SHA-256 list, total byte count, and per-array
     shape/dtype/offset/nbytes.
     """
@@ -74,12 +92,7 @@ def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
         chunks.append(data)
         offset += len(data)
     blob = b"".join(chunks)
-    # Never truncate the live file: every mapping loaded from *path*
-    # still reads its pages through an ``np.memmap``.  Replacing the
-    # directory entry leaves those maps on the old inode.
-    scratch = path.with_name(path.name + ".tmp")
-    scratch.write_bytes(blob)
-    os.replace(scratch, path)
+    write_synced(path, blob)
     pages = [
         hashlib.sha256(blob[lo : lo + PAGE_SIZE]).hexdigest()
         for lo in range(0, len(blob), PAGE_SIZE)

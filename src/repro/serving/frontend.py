@@ -97,8 +97,7 @@ class FrontendConfig:
     clock: Callable[[], float] = time.monotonic
     #: Seconds between background maintenance passes (``None`` disables
     #: the loop; ``maintain`` protocol requests still work).  Each pass
-    #: runs staleness-triggered re-selection and (with ``index_path``)
-    #: journal persistence/compaction — both off the request path, on
+    #: runs staleness-triggered re-selection off the request path, on
     #: the admin executor.
     maintenance_interval: Optional[float] = None
     #: Re-selection hook (e.g. a :class:`repro.core.reselect.Reselector`
@@ -107,14 +106,6 @@ class FrontendConfig:
     #: :meth:`QueryService.apply_reselection`; without a hook a stale
     #: index just keeps serving (exactly the ``"flag"`` policy alone).
     reselector: Optional[Callable] = None
-    #: Artifact path maintenance persists the index to (``None`` skips
-    #: persistence).  Mutations accumulated since the last save append
-    #: to the delta journal; past ``compact_ratio`` they fold into a
-    #: fresh base.
-    index_path: Optional[str] = None
-    #: Journal-size/payload-size ratio past which a maintenance save
-    #: compacts (see :func:`repro.index.save_index`).
-    compact_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -133,8 +124,6 @@ class FrontendConfig:
             and self.maintenance_interval <= 0
         ):
             raise ValueError("maintenance_interval must be positive (or None)")
-        if not 0 < self.compact_ratio:
-            raise ValueError("compact_ratio must be positive")
 
 
 @dataclass
@@ -570,9 +559,9 @@ class AsyncFrontend(RequestGate):
     async def _maintenance_loop(self) -> None:
         """Periodic background maintenance until drain begins.
 
-        One failed pass must not kill the loop (a transient disk error
-        during persistence would otherwise silently end all future
-        healing) — failures are counted and the loop keeps its cadence.
+        One failed pass must not kill the loop (a re-selection that
+        raises would otherwise silently end all future healing) —
+        failures are counted and the loop keeps its cadence.
         """
         while True:
             try:
@@ -597,13 +586,11 @@ class AsyncFrontend(RequestGate):
         the admin executor, so queries keep flowing throughout — only
         the final index swap (inside
         :meth:`QueryService.apply_reselection`) briefly takes the
-        service's swap lock.  The pass:
-
-        1. heals a stale index by handing ``config.reselector`` to
-           :meth:`QueryService.apply_reselection` (selection re-run;
-           shards rebuilt and swapped only if it actually changed), and
-        2. persists the index to ``config.index_path`` (delta append,
-           auto-compacted past ``config.compact_ratio``).
+        service's swap lock.  The pass heals a stale index by handing
+        ``config.reselector`` to :meth:`QueryService.apply_reselection`
+        (selection re-run; shards rebuilt and swapped only if it
+        actually changed).  It does not persist the index: a server
+        never writes to the artifact it was started from.
         """
         async with self._update_lock:
             loop = asyncio.get_running_loop()
@@ -620,35 +607,13 @@ class AsyncFrontend(RequestGate):
     def _maintain_sync(self) -> Dict:
         service = self.service
         mapping = service.mapping
-        report: Dict = {
-            "stale": bool(mapping.stale),
-            "reselected": False,
-            "persisted": False,
-        }
+        report: Dict = {"stale": bool(mapping.stale), "reselected": False}
         if mapping.stale and self.config.reselector is not None:
             report["reselected"] = service.apply_reselection(
                 self.config.reselector
             )
-        if self.config.index_path is not None:
-            report.update(self._persist_index())
         report["generation"] = service.generation
         return report
-
-    def _persist_index(self) -> Dict:
-        from repro.index import journal_path, save_index
-
-        path = self.config.index_path
-        save_index(
-            self.service.mapping,
-            path,
-            auto_compact_ratio=self.config.compact_ratio,
-        )
-        journal = journal_path(path)
-        entries = 0
-        if journal.exists():
-            with open(journal, "r", encoding="utf-8") as handle:
-                entries = sum(1 for line in handle if line.strip())
-        return {"persisted": True, "journal_entries": entries}
 
     async def reload(self, path: str) -> Dict:
         """Server-side artifact reload: swap in the index saved at *path*.

@@ -46,9 +46,9 @@ Requests
 ``{"op": "maintain", "id": 8}``
     Run one maintenance pass now (the background loop's work, on
     demand): staleness-triggered re-selection when the server has a
-    reselector, and index persistence when an index path is
-    configured.  Responds with the pass's report (``stale``,
-    ``reselected``, ``persisted``, ...).
+    reselector.  Responds with the pass's report (``stale``,
+    ``reselected``, ``generation``).  A pass never writes the index
+    artifact the server was started from.
 ``{"op": "shutdown", "id": 6}``
     Graceful drain: stop admitting, answer everything in flight, then
     exit.

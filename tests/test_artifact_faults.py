@@ -12,6 +12,7 @@ Payload faults run under both loads: eager (every page verified before
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from repro.index import (
 )
 from repro.utils.errors import (
     ArtifactCorruptError,
+    ArtifactError,
     ChecksumError,
     JournalError,
     ManifestMissingError,
@@ -118,6 +120,22 @@ MALFORMED_MANIFESTS = {
     "no-database-size": lambda m: m.pop("database_size"),
     "dimensionality-a-list": lambda m: m.update(dimensionality=[8]),
     "lattice-lacks-order": lambda m: m["lattice"].pop("order"),
+    # The recorded payload file name is outside input too: it may name
+    # a file beside the manifest and nothing else.
+    "payload-file-climbs-out": lambda m: m["payload"].update(
+        file="../elsewhere.pages"
+    ),
+    "payload-file-absolute": lambda m: m["payload"].update(
+        file="/" + m["payload"]["file"]
+    ),
+    "payload-file-in-a-subdirectory": lambda m: m["payload"].update(
+        file="sub/x.pages"
+    ),
+    "payload-file-empty": lambda m: m["payload"].update(file=""),
+    "payload-file-not-a-string": lambda m: m["payload"].update(file=7),
+    "payload-file-the-manifest": lambda m: m["payload"].update(
+        file="index.json"
+    ),
 }
 
 
@@ -261,9 +279,10 @@ assert [(a.ranking, a.scores) for a in answers] == [
 
 
 class TestLiveReaderSurvivesRewrite:
-    """A full save replaces the sidecar; it must not rewrite, under a
-    mapping that is still serving from it, the bytes that mapping reads
-    (``index-compact`` beside a running ``serve --index``)."""
+    """A full save writes a new generation and unlinks the old one; it
+    must not rewrite, under a mapping that is still serving from it, the
+    bytes that mapping reads (``index-compact`` beside a running
+    ``serve --index``)."""
 
     @BOTH_LOADS
     def test_same_size_compaction(
@@ -290,12 +309,13 @@ class TestLiveReaderSurvivesRewrite:
         answers = reader.query_engine().batch_query(small_chemical_queries, 5)
         for x, y in zip(expected, answers):
             assert x.ranking == y.ranking and x.scores == y.scores
-        # ... and the path now holds the writer's state, nothing left over.
+        # ... and the path now holds the writer's state, nothing left
+        # over: the manifest and one generation's pages.
         assert np.array_equal(
             load_index(path).database_vectors, writer.database_vectors
         )
         assert sorted(f.name for f in tmp_path.iterdir()) == [
-            "index.json", "index.json.pages",
+            "index.json", payload_path(path).name,
         ]
 
     @BOTH_LOADS
@@ -358,27 +378,56 @@ class TestManifestFaults:
             load_index(path)
 
     @BOTH_LOADS
-    def test_sidecars_are_named_from_the_manifest_path(
+    def test_renaming_only_the_manifest_keeps_it_loading(
         self, mutated, tmp_path, small_chemical_queries, mmap
     ):
-        """The manifest's ``file`` field is not read: it cannot point the
-        loader anywhere, and a renamed artifact keeps loading."""
+        """The manifest names its generation's files, relative to its
+        own directory: the files keep their names when it moves."""
         path, mapping = mutated
-        manifest = json.loads(path.read_text())
-        manifest["payload"]["file"] = "../elsewhere.pages"
-        path.write_text(json.dumps(manifest))
         moved = tmp_path / "renamed.json"
-        for source, target in (
-            (path, moved),
-            (payload_path(path), payload_path(moved)),
-            (journal_path(path), journal_path(moved)),
-        ):
-            source.rename(target)
+        path.rename(moved)
+        assert payload_path(moved).name.startswith("index.json.")
         reloaded = load_index(moved, mmap=mmap)
         a = mapping.query_engine().batch_query(small_chemical_queries, 5)
         b = reloaded.query_engine().batch_query(small_chemical_queries, 5)
         for x, y in zip(a, b):
             assert x.ranking == y.ranking and x.scores == y.scores
+
+    @BOTH_LOADS
+    def test_fixed_name_layout_loads_and_takes_a_delta(
+        self, mutated, small_chemical_queries, mmap
+    ):
+        """An artifact whose manifest names ``<path>.pages`` (and so the
+        journal ``<path>.journal``) — the layout earlier builds wrote at
+        fixed names — loads as written and takes a delta append; its
+        next full save leaves one numbered generation."""
+        path, mapping = mutated
+        manifest = json.loads(path.read_text())
+        payload_path(path).rename(path.with_name("index.json.pages"))
+        journal_path(path).rename(path.with_name("index.json.journal"))
+        manifest["payload"]["file"] = "index.json.pages"
+        path.write_text(json.dumps(manifest))
+        assert journal_path(path).name == "index.json.journal"
+
+        reloaded = load_index(path, mmap=mmap)
+        a = mapping.query_engine().batch_query(small_chemical_queries, 5)
+        b = reloaded.query_engine().batch_query(small_chemical_queries, 5)
+        for x, y in zip(a, b):
+            assert x.ranking == y.ranking and x.scores == y.scores
+
+        reloaded.remove_graphs([0])
+        save_index(reloaded, path)
+        assert len(journal_path(path).read_text().splitlines()) == 3
+        assert sorted(f.name for f in path.parent.iterdir()) == [
+            "index.json", "index.json.journal", "index.json.pages",
+        ]
+        assert load_index(path).space.n == reloaded.space.n
+
+        save_index(reloaded, path, compact=True)
+        assert sorted(f.name for f in path.parent.iterdir()) == [
+            "index.json", payload_path(path).name,
+        ]
+        assert payload_path(path).name != "index.json.pages"
 
 
 class TestAutoCompaction:
@@ -446,3 +495,187 @@ class TestAutoCompaction:
         mapping.add_graphs(small_chemical_queries[3:4])
         save_index(mapping, path, auto_compact_ratio=quotient / 10)
         assert not journal_path(path).exists()
+
+
+class _Cut(Exception):
+    """The injected failure: a save stopped at one file operation."""
+
+
+#: Every call through which a save touches the disk.  The pathlib
+#: writers are listed beside ``os.write`` so that a write which bypasses
+#: it is still counted, and cut, rather than silently skipped.
+_FILE_OPS = (
+    (os, ("write", "fsync", "replace", "rename", "unlink")),
+    (Path, ("write_text", "write_bytes")),
+)
+_WRITES = ("write", "write_text", "write_bytes")
+
+
+def _run_cut(monkeypatch, call, cut_at=None, torn=False):
+    """Run *call* with every file operation logged; return the log.
+
+    With *cut_at* the operation of that index raises :class:`_Cut`
+    instead of running — after writing half its bytes when *torn*.
+    """
+    log = []
+
+    def wrap(name, real):
+        def op(*args, **kwargs):
+            log.append(name)
+            if len(log) - 1 != cut_at:
+                return real(*args, **kwargs)
+            if torn:
+                target, data = args[:2]
+                real(target, data[: len(data) // 2])
+            raise _Cut(f"cut at {name} #{cut_at}")
+
+        return op
+
+    with monkeypatch.context() as patch:
+        for owner, names in _FILE_OPS:
+            for name in names:
+                patch.setattr(owner, name, wrap(name, getattr(owner, name)))
+        try:
+            call()
+        except _Cut:
+            assert cut_at is not None
+    return log
+
+
+def _generation(mapping, queries):
+    """What a generation is, for comparison: its rows and its answers."""
+    answers = mapping.query_engine().batch_query(queries, 5)
+    return (
+        np.asarray(mapping.database_vectors).tobytes(),
+        [(a.ranking, a.scores) for a in answers],
+    )
+
+
+def _chemical_case(db, queries, mutate, save, folded=False):
+    """A base plus one delta — folded into a fresh base if *folded* —
+    and a live mapping loaded from it with *mutate* pending."""
+
+    def setup(directory):
+        path = directory / "index.json"
+        if not path.exists():
+            base = build_mapping(
+                db, num_features=8, min_support=0.2, max_pattern_edges=3
+            )
+            save_index(base, path)
+            mapping = load_index(path)
+            mapping.remove_graphs([0])
+            save_index(mapping, path, compact=folded)
+        mapping = load_index(path)
+        mutate(mapping)
+        return path, mapping
+
+    return setup, save, queries
+
+
+def _vector_case():
+    """A delta save that also rewrites the manifest: the proximity
+    graph is maintained through the update, so its section moves."""
+    from clustered import clustered_vector_index
+    from repro.graph.labeled_graph import LabeledGraph
+
+    def setup(directory):
+        path = directory / "index.json"
+        if not path.exists():
+            base, _ = clustered_vector_index(4, 30, 8, seed=5)
+            base.proximity_graph()
+            save_index(base, path)
+        mapping = load_index(path)
+        mapping.proximity_graph()
+        mapping.remove_graphs([3, 40, 77])
+        return path, mapping
+
+    queries = [
+        LabeledGraph([f"dim{j}" for j in range(c * 8, c * 8 + 6)])
+        for c in range(4)
+    ]
+    return setup, lambda mapping, path: save_index(mapping, path), queries
+
+
+CUT_CASES = {
+    # Motivating case: three rows pending on a base plus one delta.
+    "full-compact": lambda db, queries: _chemical_case(
+        db, queries,
+        lambda m: m.remove_graphs([1, 2, 3]),
+        lambda m, path: save_index(m, path, compact=True),
+    ),
+    "auto-compact": lambda db, queries: _chemical_case(
+        db, queries,
+        lambda m: m.remove_graphs([4]),
+        lambda m, path: save_index(m, path, auto_compact_ratio=1e-9),
+    ),
+    # Nothing pending: the new generation has the old one's artifact id.
+    "same-id-compaction": lambda db, queries: _chemical_case(
+        db, queries,
+        lambda m: None,
+        lambda m, path: save_index(m, path, compact=True),
+        folded=True,
+    ),
+    "delta-with-graph": lambda db, queries: _vector_case(),
+}
+
+
+class TestCutSave:
+    """A save cut short at any file operation — a write (whole or
+    torn), an fsync, the rename or an unlink — leaves the index loading
+    as the generation before the save or the one after it, and the next
+    save from the live mapping leaves exactly one generation on disk."""
+
+    @pytest.mark.parametrize("case", sorted(CUT_CASES))
+    def test_every_cut_loads_as_one_generation(
+        self, case, tmp_path, monkeypatch, small_chemical_db,
+        small_chemical_queries,
+    ):
+        setup, save, queries = CUT_CASES[case](
+            small_chemical_db, small_chemical_queries
+        )
+        template = tmp_path / "template"
+        template.mkdir()
+        path, mapping = setup(template)
+        before = _generation(load_index(path), queries)
+        after = _generation(mapping, queries)
+        if case == "same-id-compaction":
+            assert before == after
+
+        rehearsal = tmp_path / "rehearsal"
+        shutil.copytree(template, rehearsal)
+        path, mapping = setup(rehearsal)
+        old_id = json.loads(path.read_text())["artifact_id"]
+        ops = _run_cut(monkeypatch, lambda: save(mapping, path))
+        assert "replace" in ops  # every case commits a manifest
+        if case == "same-id-compaction":
+            assert json.loads(path.read_text())["artifact_id"] == old_id
+
+        cuts = [(i, False) for i in range(len(ops))]
+        cuts += [(i, True) for i, op in enumerate(ops) if op in _WRITES]
+        failures = []
+        for cut_at, torn in cuts:
+            where = f"{'torn ' if torn else ''}{ops[cut_at]} #{cut_at}"
+            directory = tmp_path / f"cut{cut_at}{'-torn' if torn else ''}"
+            shutil.copytree(template, directory)
+            path, mapping = setup(directory)
+            _run_cut(
+                monkeypatch, lambda: save(mapping, path), cut_at, torn
+            )
+            try:
+                _check_cut(path, mapping, queries, before, after)
+            except (AssertionError, ArtifactError) as exc:
+                failures.append(f"{where}: {type(exc).__name__}: {exc}")
+        assert not failures, "\n".join(failures)
+
+
+def _check_cut(path, mapping, queries, before, after):
+    """After a cut: one generation loads, and the next save leaves one."""
+    eager = _generation(load_index(path), queries)
+    assert eager in (before, after), "loads as neither generation"
+    assert _generation(load_index(path, mmap=True), queries) == eager
+    save_index(mapping, path)
+    assert _generation(load_index(path), queries) == after
+    named = {path.name, payload_path(path).name, journal_path(path).name}
+    left = {f.name for f in path.parent.iterdir()} - named
+    assert payload_path(path).exists()
+    assert not left, f"left over: {sorted(left)}"

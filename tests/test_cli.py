@@ -101,6 +101,27 @@ class TestMain:
         assert not journal_path(idx).exists()
         assert load_index(idx).space.n == 15
 
+    def test_index_compact_counts_committed_entries(self, tmp_path, capsys):
+        """A torn journal tail is an append that never committed: the
+        count is what the load replayed, not the lines in the file."""
+        from repro.core.mapping import build_mapping
+        from repro.datasets import chemical_database
+        from repro.index import journal_path, load_index, save_index
+
+        mapping = build_mapping(
+            chemical_database(14, seed=0),
+            num_features=5, min_support=0.3, max_pattern_edges=2,
+        )
+        idx = tmp_path / "index.json"
+        save_index(mapping, idx)
+        mapping.remove_graphs([0])
+        save_index(mapping, idx)
+        with journal_path(idx).open("a") as handle:
+            handle.write('{"seq": 1, "torn')
+        assert main(["index-compact", str(idx)]) == 0
+        assert "compacted 1 journal entries" in capsys.readouterr().out
+        assert load_index(idx).space.n == 13
+
     def test_index_add_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main([
             "index-add", str(tmp_path / "nope.json"),
