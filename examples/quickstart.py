@@ -93,7 +93,7 @@ def main() -> None:
               f"{(time.perf_counter() - start) * 1e3:.1f} ms "
               f"({path.stat().st_size / 1024:.0f} KiB manifest)")
 
-        service = served.query_service(n_shards=4, n_workers=4)
+        service = served.query_service(n_shards=4)
         queries = chemical_query_set(8, seed=2)
         batch = service.batch_query(queries, k=10)
         print(f"served a batch of {len(batch)} queries in "
@@ -151,7 +151,6 @@ def main() -> None:
         save_index(served, path)  # appends deltas, base untouched
         print(f"saved as {len(journal_path(path).read_text().splitlines())} "
               f"delta-journal entries — the binary base was not rewritten")
-        service.close()
 
         # --------------------------------------------------------------
         # 4. compact
@@ -188,9 +187,8 @@ async def serve_loop(mapping, queries) -> None:
     rejection, stats, and a graceful drain.  ``repro-graphdim serve``
     runs this exact loop over stdin/stdout and TCP."""
     frontend = AsyncFrontend(
-        mapping.query_service(n_shards=4, n_workers=0),
+        mapping.query_service(n_shards=4),
         FrontendConfig(batch_size=4, quota_rate=2.0, quota_burst=3.0),
-        own_service=True,
     )
     await frontend.start()
     print("\nserve loop: NDJSON session (per-tenant quota: 2 q/s, burst 3)")
@@ -242,9 +240,8 @@ async def heal_loop(mapping) -> None:
         mapping, max_drift=0.05
     )
     frontend = AsyncFrontend(
-        mapping.query_service(n_shards=4, n_workers=0),
+        mapping.query_service(n_shards=4),
         FrontendConfig(reselector=reselector),
-        own_service=True,
     )
     await frontend.start()
     try:

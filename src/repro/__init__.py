@@ -9,9 +9,9 @@ as the database changes —
 >>> db = chemical_database(60, seed=0)
 >>> save_index(build_mapping(db, num_features=20, min_support=0.1), "index.json")
 >>> mapping = load_index("index.json")   # zero VF2 calls: lattice restored
->>> with mapping.query_service(n_shards=4, n_workers=4) as service:
-...     answers = service.batch_query(queries, k=10)
-...     service.apply_update(added=new_graphs, removed=[3, 17])  # no rebuild
+>>> service = mapping.query_service(n_shards=4)
+>>> answers = service.batch_query(queries, k=10)
+>>> service.apply_update(added=new_graphs, removed=[3, 17])  # no rebuild
 >>> save_index(mapping, "index.json")    # appends deltas to the journal
 
 ``load_index`` restores the complete :class:`IndexArtifact` (feature
@@ -19,8 +19,8 @@ lattice, cached norms, label codec, and a page-checksummed binary
 payload; the VF2 pattern profiles are derived from the feature graphs),
 so ``mapping.query_engine()`` is warm immediately; ``query_service``
 shards the database vectors and answers bit-identically to the
-single-shard engine while caching repeated queries and fanning VF2
-embedding out to worker processes.
+single-shard engine while caching repeated queries, each batch inline
+on one core (a second core is a second ``serve-router --spawn`` replica).
 ``add_graphs`` / ``remove_graphs`` update supports, vectors, norms, and
 shards in place — a :class:`~repro.core.mapping.StalenessPolicy` bounds
 how far the selection may drift before re-selection is triggered — and

@@ -233,18 +233,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             maintenance_interval=args.maintenance_interval,
             reselector=reselector,
         )
+        service = QueryService(
+            mapping.query_engine(),
+            n_shards=args.shards,
+            cache_size=args.cache_size,
+        )
     except (ValueError, OSError, GraphDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     async def _main() -> None:
-        service = QueryService(
-            mapping.query_engine(),
-            n_shards=args.shards,
-            n_workers=args.workers,
-            cache_size=args.cache_size,
-        )
-        frontend = AsyncFrontend(service, config, own_service=True)
+        frontend = AsyncFrontend(service, config)
         await frontend.start()
         await _serve_until_drained(frontend, listen, not args.no_stdio)
 
@@ -587,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         "index manifest to serve (default: build a synthetic demo)",
     )
     serve_cmd.add_argument("--shards", type=int, default=4)
-    serve_cmd.add_argument("--workers", type=int, default=0)
     serve_cmd.add_argument("--cache-size", type=int, default=1024)
     serve_cmd.add_argument("--queue", type=int, default=256,
                            help="admission queue bound, in queries")
@@ -607,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--maintenance-interval", type=float, default=None, metavar="SECONDS",
-        help="run background maintenance (staleness healing, persistence) "
+        help="run background maintenance (staleness healing) "
              "every SECONDS (default: off; the 'maintain' op still works "
              "on demand)",
     )

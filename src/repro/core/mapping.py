@@ -524,7 +524,6 @@ class DSPreservedMapping:
     def query_service(
         self,
         n_shards: int = 4,
-        n_workers: int = 0,
         shards: Optional[Sequence[np.ndarray]] = None,
         **kwargs,
     ) -> "QueryService":
@@ -533,16 +532,14 @@ class DSPreservedMapping:
         Results are bit-identical to :meth:`query_engine`'s
         ``batch_query``; the database vectors are split into *n_shards*
         contiguous shards (or the explicit *shards* assignment, e.g.
-        DSPMap partition blocks).  A new service is built per call —
-        services own worker pools, so ``close()`` them (or use them as a
-        context manager).
+        DSPMap partition blocks).  A new service is built per call; it
+        answers each batch inline on the calling thread.
         """
         from repro.serving.service import QueryService
 
         return QueryService(
             self.query_engine(),
             n_shards=n_shards,
-            n_workers=n_workers,
             shards=shards,
             **kwargs,
         )

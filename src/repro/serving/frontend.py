@@ -164,8 +164,10 @@ class AsyncFrontend(RequestGate):
     """The admission-controlled asyncio front door of a `QueryService`.
 
     Use as an async context manager, or pair :meth:`start` with
-    :meth:`aclose`.  The front-end owns its executors; it closes the
-    wrapped service too when constructed with ``own_service=True``.
+    :meth:`aclose`.  The front-end owns its executors.  A service holds
+    nothing to release, so *own_service* changes nothing: it survives
+    only because ``bench/layers.py`` still passes it, and goes when
+    the benchmark stops passing it.
     """
 
     def __init__(
@@ -189,7 +191,6 @@ class AsyncFrontend(RequestGate):
             },
         )
         self.service = service
-        self._own_service = own_service
         self._codec = self._build_codec(service)
         self._pending: Deque[_Pending] = deque()
         # The dispatcher's one wake-up: resolved False once
@@ -300,14 +301,12 @@ class AsyncFrontend(RequestGate):
                 pass
 
     async def aclose(self) -> None:
-        """Drain, then release executors (and the service when owned)."""
+        """Drain, then release the executors."""
         try:
             await self.drain()
         finally:
             self._batch_executor.shutdown(wait=True)
             self._admin_executor.shutdown(wait=True)
-            if self._own_service:
-                self.service.close()
 
     # ------------------------------------------------------------------
     # admission control
@@ -619,11 +618,12 @@ class AsyncFrontend(RequestGate):
         """Server-side artifact reload: swap in the index saved at *path*.
 
         The replacement service is built off-loop with the same layout
-        (shard count, workers, cache size) as the current one, swapped
-        in atomically between batches, and the old service is closed.
-        A failed load leaves the serving index untouched.  The reload
-        counts as one more generation — the stamp stays monotonic, so
-        one number can never name two different database states.
+        (shard count, cache size) as the current one and swapped in
+        atomically between batches; a batch already running finishes on
+        the old one.  A failed load leaves the serving index untouched.
+        The reload counts as one more generation — the stamp stays
+        monotonic, so one number can never name two different database
+        states.
         """
         async with self._update_lock:
             loop = asyncio.get_running_loop()
@@ -636,7 +636,6 @@ class AsyncFrontend(RequestGate):
                 service = QueryService(
                     mapping.query_engine(),
                     n_shards=max(len(old.shards), 1),
-                    n_workers=old.n_workers,
                     cache_size=old._cache_size,
                 )
                 if self._serves_graph:
@@ -647,26 +646,9 @@ class AsyncFrontend(RequestGate):
                 self._admin_executor, _build
             )
             replacement.generation = old.generation + 1
-            owned_old = self._own_service
             self.service = replacement
-            # The frontend built the replacement, so it owns it from
-            # here on (aclose() must release its pools) — while a
-            # caller-owned *old* service is left untouched for its
-            # owner, not closed underneath them.
-            self._own_service = True
             self._codec = self._build_codec(replacement)
             self.stats.reloads += 1
-            if owned_old:
-                # A coalesced batch may still be running on the old
-                # service.  The batch executor is single-threaded and
-                # the dispatcher reads ``self.service`` and submits in
-                # one event-loop step, so a no-op barrier queued *after*
-                # the swap drains any such batch before the old pools
-                # are shut down.
-                await loop.run_in_executor(
-                    self._batch_executor, lambda: None
-                )
-                old.close()
             return {
                 "path": path,
                 "generation": replacement.generation,
@@ -713,7 +695,6 @@ class AsyncFrontend(RequestGate):
                 "reselections": svc.reselections,
                 "stale": bool(service.mapping.stale),
                 "n_shards": len(service.shards),
-                "embed_mode": service.embed_mode,
                 "database_size": service.mapping.space.n,
             },
         }

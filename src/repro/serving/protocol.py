@@ -413,8 +413,11 @@ async def serve_stdio(frontend, stdin=None, stdout=None) -> None:
     """Serve NDJSON over this process's stdin/stdout until EOF or drain.
 
     *stdin*/*stdout* accept explicit binary streams for testing; by
-    default the real file descriptors are wrapped with asyncio pipes.
+    default the real file descriptors are used.  A pipe or socket is
+    read through an asyncio pipe transport; anything else is pumped.
     """
+    import os
+    import stat
     import sys
     import threading
 
@@ -422,6 +425,10 @@ async def serve_stdio(frontend, stdin=None, stdout=None) -> None:
     source = stdin if stdin is not None else sys.stdin.buffer
     out = stdout if stdout is not None else sys.stdout.buffer
     try:
+        mode = os.fstat(source.fileno()).st_mode
+    except (ValueError, OSError):
+        mode = 0  # a stream without a descriptor
+    if stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode):
         reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), source
@@ -430,13 +437,16 @@ async def serve_stdio(frontend, stdin=None, stdout=None) -> None:
         async def read_line() -> bytes:
             return await reader.readline()
 
-    except (ValueError, OSError):
-        # stdin is a regular file (``serve < session.ndjson``), which
-        # pipe transports reject.  A *daemon* thread pumps lines into
-        # the loop: unlike run_in_executor, a read still blocked at
-        # process exit cannot hang interpreter shutdown.  The semaphore
-        # bounds read-ahead, so a multi-GB session file is streamed a
-        # few lines at a time instead of buffered wholesale.
+    else:
+        # A regular file (``serve < session.ndjson``) or a character
+        # device (a terminal, ``serve < /dev/null``): pipe transports
+        # reject the first, and epoll refuses ``/dev/null`` from inside
+        # a loop callback, where no caller can catch it.  A *daemon*
+        # thread pumps lines into the loop: unlike run_in_executor, a
+        # read still blocked at process exit cannot hang interpreter
+        # shutdown.  The semaphore bounds read-ahead, so a multi-GB
+        # session file is streamed a few lines at a time instead of
+        # buffered wholesale.
         lines: "asyncio.Queue[bytes]" = asyncio.Queue()
         backpressure = threading.Semaphore(64)
 

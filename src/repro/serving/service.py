@@ -1,7 +1,7 @@
-"""The sharded, worker-based query service.
+"""The sharded query service: one process, one core, every batch inline.
 
 The paper makes one query cheap; a deployment has to make *streams* of
-queries from many users cheap.  :class:`QueryService` layers three
+queries from many users cheap.  :class:`QueryService` layers its
 serving mechanics over :meth:`QueryEngine.batch_query
 <repro.query.engine.QueryEngine.batch_query>` without changing a single
 result bit:
@@ -15,15 +15,10 @@ result bit:
   exactly its rows: the full-width block gathered once at shard build,
   its squared norms, and the :class:`~repro.query.pruning.ShardSummary`
   derived from that same block.
-* **Workers.**  Shard tasks run on a thread pool (the distance blocks
-  are BLAS calls, which release the GIL).  The VF2 embedding stage is
-  pure Python, so it is fanned out to *forked worker processes* instead;
-  on platforms without ``fork`` it falls back to in-process embedding.
 * **Embedding cache.**  Real multi-user traffic repeats queries.  An
   LRU cache keyed by the query's exact structure (labels + edge set)
   returns φ(q) without any VF2 — exact, since equal structure implies
   an equal embedding.
-
 * **Live updates.**  :meth:`QueryService.apply_update` mutates the
   underlying index (incremental add/remove — see
   :meth:`DSPreservedMapping.add_graphs
@@ -37,14 +32,13 @@ result bit:
   list of ``(block, query ids)`` groups — a block is one shard, or all
   rows at once — decided against the batch's running k-th-best
   thresholds as they stand when the round starts; the executor
-  computes a round's blocks — on the shard pool when it is on, inline
-  otherwise: the pool's one dispatch point — absorbs them in order,
-  then asks for the next round.  The *ordered* (exact, fixed
-  ``nprobe``) and *routed* (``nprobe="auto"``) plans read the lower
-  bounds each shard's :class:`~repro.query.pruning.ShardSummary` gives;
-  the full scan reads none.
+  computes a round's blocks, absorbs them in order, then asks for the
+  next round.  The *ordered* (exact, fixed ``nprobe``) and *routed*
+  (``nprobe="auto"``) plans read the lower bounds each shard's
+  :class:`~repro.query.pruning.ShardSummary` gives; the full scan reads
+  none.
 * **A round must be able to skip something.**  A round per shard buys
-  the chance to skip later shards and costs a fixed ``decide`` →
+  the chance to skip later shards and costs a fixed bound test →
   ``distance_block`` → ``rank_block`` → ``absorb`` per shard.  So an
   exact batch first asks its bounds whether any (query, shard) pair
   could *ever* be pruned — each query's final k-th-best is capped by
@@ -53,14 +47,17 @@ result bit:
   If none does, the batch is **one group over one block of all rows**:
   the mapping's own vectors in database order, which the
   :class:`ShardSnapshot` carries beside the shard list.  If some pair
-  can be pruned the per-shard rounds run.  Pool hosts take the same
-  decision from the same check — seed round or all shards at once.
-  The bound-free full scan is the same one block when the pool is off.
-  Fixed ``nprobe`` and ``auto`` route *on shards* and always run
-  shard rounds.  Top-k selection under a total order is associative,
-  so answers cannot depend on how rounds are grouped; every stat and
-  trace count is derived in that one place from the groups that ran,
-  so counters cannot drift either.
+  can be pruned the per-shard rounds run.  The bound-free full scan is
+  the same one block.  Fixed ``nprobe`` and ``auto`` route *on shards*
+  and always run shard rounds.  Top-k selection under a total order is
+  associative, so answers cannot depend on how rounds are grouped;
+  every stat and trace count is derived in that one place from the
+  groups that ran, so counters cannot drift either.
+
+Every batch runs inline, on the thread that calls it.  A second core is
+a second replica (``serve-router --spawn N``, one process per core):
+the paper answers each query on its own, so more cores serve more
+queries in flight rather than one query faster.
 
 Bit-identity with the engine path is enforced by the serving test suite
 and re-checked against an oracle by every ledger run (``bench/verify.py``).
@@ -68,12 +65,9 @@ and re-checked against an oracle by every ledger run (``bench/verify.py``).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -100,14 +94,6 @@ from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_block
 from repro.utils.errors import QueryError
 
 
-def _effective_cpus() -> int:
-    """CPUs actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def _structural_key(g: LabeledGraph) -> Tuple:
     """An exact identity key: same labels + same edge set ⇒ same φ(q)."""
     return (
@@ -118,31 +104,6 @@ def _structural_key(g: LabeledGraph) -> Tuple:
             for v, label in nbrs.items()
             if u < v
         )),
-    )
-
-
-# ----------------------------------------------------------------------
-# forked embedding workers
-# ----------------------------------------------------------------------
-_WORKER_ENGINE: Optional[QueryEngine] = None
-
-
-def _init_embed_worker(engine: QueryEngine) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-
-
-def _embed_chunk(
-    queries: List[LabeledGraph],
-) -> Tuple[np.ndarray, int, int]:
-    """Embed a chunk in a worker; returns vectors + VF2 stat deltas."""
-    engine = _WORKER_ENGINE
-    calls, pruned = engine.stats.vf2_calls, engine.stats.features_pruned
-    vectors = engine.embed_many(queries)
-    return (
-        vectors,
-        engine.stats.vf2_calls - calls,
-        engine.stats.features_pruned - pruned,
     )
 
 
@@ -270,17 +231,19 @@ class QueryService:
     n_shards:
         Number of contiguous shards (ignored when *shards* is given).
     n_workers:
-        ``0``/``1`` runs everything in-process; ``>1`` enables the shard
-        thread pool and, where ``fork`` is available, the embedding
-        process pool.
+        ``0`` or ``1``; both mean what every service does — run each
+        batch inline.  Any other value is refused.  It survives only
+        because ``bench/layers.py`` still passes ``n_workers=0``; it
+        goes when the benchmark stops passing it.
     shards:
         Optional explicit shard assignment: index arrays that partition
         ``0..n-1`` (e.g. ``DSPMap.partitions_``).
     cache_size:
         LRU capacity of the exact embedding cache (``0`` disables it).
 
-    The service owns worker pools — ``close()`` it, or use it as a
-    context manager.
+    Every batch runs inline on the calling thread, so the service holds
+    nothing to release; :meth:`close` and the context-manager protocol
+    are kept callable for the callers that still use them.
     """
 
     def __init__(
@@ -292,11 +255,13 @@ class QueryService:
         cache_size: int = 1024,
         kernel: Optional[str] = None,
     ) -> None:
-        # Pool/cache handles first: close() must be safe on an instance
-        # whose constructor failed part-way (e.g. a bad shard layout) or
-        # whose pool never started.
-        self._embed_pool = None
-        self._shard_pool = None
+        if n_workers not in (0, 1):
+            raise ValueError(
+                "n_workers must be 0 or 1: a batch runs inline, and a "
+                "second core is a second replica (serve-router --spawn)"
+            )
+        if cache_size < 0:
+            raise ValueError("cache_size must be >= 0 (0 disables the cache)")
         self._cache: Optional[OrderedDict] = (
             OrderedDict() if cache_size > 0 else None
         )
@@ -344,25 +309,6 @@ class QueryService:
         self._snapshot = ShardSnapshot.of(
             [self._build_shard(block) for block in assignment if len(block)],
             self.mapping,
-        )
-
-        self.n_workers = max(int(n_workers), 0)
-        self._cpus = _effective_cpus()
-        # Workers only pay off with real parallel hardware: on a
-        # single-CPU host the configured worker count degrades to
-        # serial embedding (the cache still serves repeats), instead
-        # of paying IPC overhead for no parallelism.
-        fork_ok = "fork" in multiprocessing.get_all_start_methods()
-        #: Derived, read-only: ``"process"`` (forked embedding workers)
-        #: or ``"serial"`` — what the ``stats`` op reports.
-        self.embed_mode = (
-            "process"
-            if (self.n_workers > 1 and fork_ok and self._cpus > 1)
-            else "serial"
-        )
-        # Same hardware gate for the shard thread pool.
-        self._parallel_shards = (
-            self.n_workers > 1 and self._cpus > 1 and len(self.shards) > 1
         )
 
     # ------------------------------------------------------------------
@@ -418,15 +364,6 @@ class QueryService:
                 self._selection_snapshot = selection
                 if self._cache is not None:
                     self._cache.clear()
-        if selection_changed:
-            # Forked embed workers hold the old engine (old patterns);
-            # recycle the pool so the next batch forks the new one.
-            pool, self._embed_pool = self._embed_pool, None
-            if pool is not None:
-                pool.shutdown()
-        self._parallel_shards = (
-            self.n_workers > 1 and self._cpus > 1 and len(self.shards) > 1
-        )
 
     # ------------------------------------------------------------------
     # live updates
@@ -551,10 +488,9 @@ class QueryService:
         If the selection changed, every shard is rebuilt over the same
         row partition and swapped in atomically: in-flight batches keep
         the snapshot they took, the embedding cache is cleared (φ
-        itself changed), forked embed workers are recycled, and the
-        index generation advances.  Either way the staleness counters
-        reset: the hook has adjudicated the drift.  Returns True iff
-        the selection changed.
+        itself changed), and the index generation advances.  Either way
+        the staleness counters reset: the hook has adjudicated the
+        drift.  Returns True iff the selection changed.
         """
         mapping = self.mapping
         self._require_in_sync()
@@ -570,43 +506,13 @@ class QueryService:
         self.stats.shards_rebuilt += len(new_shards)
         return True
 
-    # ------------------------------------------------------------------
-    # pools
-    # ------------------------------------------------------------------
-    def _ensure_embed_pool(self):
-        if self._embed_pool is None:
-            self._embed_pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_embed_worker,
-                initargs=(self.engine,),
-            )
-        return self._embed_pool
-
-    def _ensure_shard_pool(self):
-        if self._shard_pool is None:
-            self._shard_pool = ThreadPoolExecutor(max_workers=self.n_workers)
-        return self._shard_pool
-
     def close(self) -> None:
-        """Shut down the worker pools.
+        """Release nothing: a service holds no pool, thread or file.
 
-        Idempotent and failure-safe: callable any number of times, on a
-        service whose pool startup raised, and even on an instance whose
-        constructor failed part-way — each pool handle is detached
-        before shutdown so a shutdown error can never leak the other
-        pool or poison a later ``close()``.
+        Kept callable, with the context-manager protocol, because
+        ``bench/layers.py`` still calls it; both go when the benchmark
+        stops calling them.
         """
-        embed_pool = getattr(self, "_embed_pool", None)
-        shard_pool = getattr(self, "_shard_pool", None)
-        self._embed_pool = None
-        self._shard_pool = None
-        try:
-            if embed_pool is not None:
-                embed_pool.shutdown()
-        finally:
-            if shard_pool is not None:
-                shard_pool.shutdown()
 
     def __enter__(self) -> "QueryService":
         return self
@@ -635,29 +541,13 @@ class QueryService:
     def _embed_unique(
         self, queries: List[LabeledGraph], engine: QueryEngine
     ) -> np.ndarray:
-        """Embed distinct queries, fanning out to workers when enabled."""
-        if self.embed_mode == "serial" or len(queries) == 1:
-            calls = engine.stats.vf2_calls
-            pruned = engine.stats.features_pruned
-            vectors = engine.embed_many(queries)
-            self.stats.vf2_calls += engine.stats.vf2_calls - calls
-            self.stats.features_pruned += (
-                engine.stats.features_pruned - pruned
-            )
-            return vectors
-        pool = self._ensure_embed_pool()
-        chunk = -(-len(queries) // self.n_workers)
-        chunks = [
-            queries[lo : lo + chunk] for lo in range(0, len(queries), chunk)
-        ]
-        futures = [pool.submit(_embed_chunk, c) for c in chunks]
-        parts = []
-        for future in futures:
-            vectors, calls, pruned = future.result()
-            parts.append(vectors)
-            self.stats.vf2_calls += calls
-            self.stats.features_pruned += pruned
-        return np.vstack(parts)
+        """Embed distinct queries, counting the engine's VF2 work."""
+        calls = engine.stats.vf2_calls
+        pruned = engine.stats.features_pruned
+        vectors = engine.embed_many(queries)
+        self.stats.vf2_calls += engine.stats.vf2_calls - calls
+        self.stats.features_pruned += engine.stats.features_pruned - pruned
+        return vectors
 
     def embed_batch(
         self,
@@ -811,7 +701,6 @@ class QueryService:
             return self._query_vectors_graph(vectors, k, policy)
         shards, stack, rows = snapshot.shards, snapshot.stack, snapshot.rows
         ns = len(shards)
-        parallel = self._parallel_shards and ns > 1
         clears = partial(prunable_mask, backend=self._kernel)
         best = BlockTopK(nq, k)
         # Per-query running k-th-best; +inf until k candidates exist, so
@@ -820,15 +709,15 @@ class QueryService:
         thresholds = best.thresholds
         checks = np.zeros(nq, dtype=np.int64)
         everyone = np.arange(nq)
-        # The one-block round: inline it beats a round per shard that
-        # skips nothing; the pool overlaps shard blocks instead.
-        whole = None if parallel else [(ALL_SHARDS, everyone)]
+        # The one-block round: it beats a round per shard that skips
+        # nothing.
+        whole = [(ALL_SHARDS, everyone)]
         nprobe = policy.nprobe
         if isinstance(nprobe, int):
             nprobe = min(nprobe, ns)
 
-        def can_skip(eligible: Optional[np.ndarray] = None) -> bool:
-            """Could any threshold ever prune an (eligible) pair?  Each
+        def can_skip() -> bool:
+            """Could any threshold ever prune a (query, shard) pair?  Each
             query's final k-th-best can never exceed the distance
             *upper* bound (‖φ(q) − centroid‖ + radius) of the nearest
             shards covering k rows — if no (query, shard) lower bound
@@ -843,10 +732,7 @@ class QueryService:
             by_upper = np.argsort(upper, axis=1, kind="stable")
             cap_pos = np.argmax(np.cumsum(rows[by_upper], axis=1) >= k, axis=1)
             caps = upper[everyone, by_upper[everyone, cap_pos]]
-            hits = clears(bounds, caps[:, None])
-            if eligible is not None:
-                hits &= eligible
-            return bool(hits.any())
+            return bool(clears(bounds, caps[:, None]).any())
 
         def ordered_rounds() -> Iterator[List[Group]]:
             """Exact and fixed ``nprobe``: one shard order for the
@@ -858,23 +744,14 @@ class QueryService:
             merged answer bit-identical to the full scan, ties included.
 
             An exact batch whose bounds cannot skip anything
-            (:func:`can_skip`) is not ordered at all: single-threaded
-            it is the one block of all rows, on the pool every shard at
-            once.  Otherwise, single-threaded, every shard is a round
-            of its own.  With the shard pool only the *first* shard is,
-            to seed the thresholds; skip decisions for every remaining
-            shard are then made in one shot and the surviving blocks
-            run concurrently.  One-shot decisions are strictly
-            conservative — a seed-phase threshold can only be looser
-            than the fully tightened one — so parallel hosts may skip
-            fewer shards than single-threaded ones, but never an unsafe
-            one.
+            (:func:`can_skip`) is not ordered at all: it is the one
+            block of all rows.  Otherwise every shard is a round of its
+            own.
             """
             if nprobe is None:
                 # Asked before anything else is built: the one-block
-                # route needs no order, no masks and no `decide`.
-                skippable = can_skip()
-                if whole and not skippable:
+                # route needs no order, no masks and no per-shard test.
+                if not can_skip():
                     checks[:] = ns  # every pair's bound was read
                     yield whole
                     return
@@ -894,36 +771,19 @@ class QueryService:
                 eligible[everyone[:, None], routed] = (
                     np.arange(ns)[None, :] < take[:, None]
                 )
-                # Routing is defined on shards, so routed batches keep
-                # their shard rounds; only the pool asks, to spare the
-                # serialized seed block when it could not pay.
-                skippable = parallel and can_skip(eligible)
             if policy.prune:
                 # Every shard is decided exactly once, for the queries
                 # routed to it: one bound test per eligible pair.
                 checks[:] = eligible.sum(axis=1)
 
-            def decide(some: List[int]) -> List[Group]:
-                """The groups of shards *some*, as the thresholds stand."""
-                groups = []
-                for si in some:
-                    active = eligible[:, si]
-                    if policy.prune:
-                        active = active & ~clears(bounds[:, si], thresholds)
-                    qs = np.flatnonzero(active)
-                    if qs.size:
-                        groups.append((si, qs))
-                return groups
-
             order = np.argsort(bounds.mean(axis=0), kind="stable").tolist()
-            if not parallel:
-                for si in order:
-                    yield decide([si])
-                return
-            if skippable:
-                yield decide(order[:1])
-                order = order[1:]
-            yield decide(order)
+            for si in order:
+                # Shard si's round, decided as the thresholds stand.
+                active = eligible[:, si]
+                if policy.prune:
+                    active = active & ~clears(bounds[:, si], thresholds)
+                qs = np.flatnonzero(active)
+                yield [(si, qs)] if qs.size else []
 
         def routed_rounds() -> Iterator[List[Group]]:
             """``nprobe="auto"``: round *t* is the *t*-th-nearest shard
@@ -956,32 +816,23 @@ class QueryService:
                 ]
 
         if policy.is_full_scan:
-            rounds = [whole or [(si, everyone) for si in range(ns)]]
+            rounds = [whole]
         else:
             bounds, centroid_d = shard_lower_bounds(
                 vectors, stack, p, backend=self._kernel
             )
             rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
 
-        def run(si: Union[int, slice], qs: np.ndarray):
-            """One group's block — a shard task."""
-            block = snapshot.whole if si is ALL_SHARDS else shards[si]
-            # A whole-batch group needs no gather: query ids ascend.
-            left = vectors if qs.size == nq else vectors[qs]
-            return self._shard_topk(block, left, k)
-
         visited = np.zeros(nq, dtype=np.int64)  # shards per query
         scored = np.zeros(ns, dtype=np.int64)  # queries per shard
         shard_tasks = whole_scans = 0
         for groups in rounds:
-            if parallel and len(groups) > 1:
-                pool = self._ensure_shard_pool()
-                futures = [pool.submit(run, si, qs) for si, qs in groups]
-                blocks = [future.result() for future in futures]
-            else:
-                blocks = [run(si, qs) for si, qs in groups]
-            for (si, qs), out in zip(groups, blocks):
-                best.absorb(qs, *out)
+            for si, qs in groups:
+                # One group's block — a shard task.
+                block = snapshot.whole if si is ALL_SHARDS else shards[si]
+                # A whole-batch group needs no gather: query ids ascend.
+                left = vectors if qs.size == nq else vectors[qs]
+                best.absorb(qs, *self._shard_topk(block, left, k))
                 # One shard's block, or every shard's rows in one.
                 visited[qs] += ns if si is ALL_SHARDS else 1
                 scored[si] += qs.size

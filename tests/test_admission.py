@@ -44,9 +44,9 @@ def materials():
 
 
 def _frontend(engine, **config_kwargs):
-    service = QueryService(engine, n_shards=2, n_workers=0)
+    service = QueryService(engine, n_shards=2)
     return AsyncFrontend(
-        service, FrontendConfig(**config_kwargs), own_service=True
+        service, FrontendConfig(**config_kwargs)
     )
 
 

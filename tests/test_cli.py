@@ -144,19 +144,11 @@ class TestMain:
         assert "error" in capsys.readouterr().err
 
 
-def _stdio_session(tmp_path, verb, requests):
-    """Pipe *requests* through ``python -m repro.cli <verb> --index ...``
-    over a small chemical index; returns the finished process, the
-    mapping behind the index and the query graph of the session."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _small_index(tmp_path):
+    """A small chemical index saved under *tmp_path*: (mapping, path)."""
     from repro.core.mapping import build_mapping
-    from repro.datasets import chemical_database, chemical_query_set
+    from repro.datasets import chemical_database
     from repro.index import save_index
-    from repro.serving.protocol import graph_to_wire
 
     db = chemical_database(14, seed=0)
     mapping = build_mapping(
@@ -164,23 +156,49 @@ def _stdio_session(tmp_path, verb, requests):
     )
     idx = tmp_path / "index.json"
     save_index(mapping, idx)
-    q = chemical_query_set(1, seed=5)[0]
-    session = "".join(
-        json.dumps(
-            {**request, "graph": graph_to_wire(q)}
-            if request["op"] == "query" else request
-        ) + "\n"
-        for request in requests
-    )
+    return mapping, idx
+
+
+def _run_cli(argv, requests=(), **kwargs):
+    """``python -m repro.cli *argv*`` with *requests* as its NDJSON
+    stdin (or whatever *kwargs* pass instead); returns the finished
+    process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *verb, "--index", str(idx)],
-        input=session, capture_output=True, text=True, env=env,
-        timeout=120,
+    if "stdin" not in kwargs:
+        kwargs["input"] = "".join(json.dumps(r) + "\n" for r in requests)
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, **kwargs,
     )
+
+
+def _stdio_session(tmp_path, verb, requests):
+    """Pipe *requests* through ``python -m repro.cli <verb> --index ...``
+    over a small chemical index; returns the finished process, the
+    mapping behind the index and the query graph of the session."""
+    from repro.datasets import chemical_query_set
+    from repro.serving.protocol import graph_to_wire
+
+    mapping, idx = _small_index(tmp_path)
+    q = chemical_query_set(1, seed=5)[0]
+    proc = _run_cli([*verb, "--index", str(idx)], [
+        {**request, "graph": graph_to_wire(q)}
+        if request["op"] == "query" else request
+        for request in requests
+    ])
     return proc, mapping, q
+
+
+def _refuses_connections(port):
+    with socket.socket() as probe:
+        return probe.connect_ex(("127.0.0.1", port)) != 0
 
 
 class TestServeVerb:
@@ -262,6 +280,39 @@ class TestServeVerb:
         assert "error: batch_window must be a finite number >= 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--shards", "0"], "n_shards must be >= 1"),
+            (["--shards", "-3"], "n_shards must be >= 1"),
+            (["--cache-size", "-5"], "cache_size must be >= 0"),
+        ],
+        ids=["zero-shards", "negative-shards", "negative-cache"],
+    )
+    def test_serve_rejects_unusable_sizes(self, argv, message, capsys):
+        """A size the service refuses is an argument error like any
+        other: an ``error:`` line and exit 2, before anything serves."""
+        assert main([
+            "serve", "--db-size", "12", "--num-features", "4", *argv
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_serve_with_stdin_on_dev_null_drains_and_exits(self, tmp_path):
+        """A character device on stdin (``serve < /dev/null``) reads as
+        EOF: the server drains and exits instead of failing inside the
+        event loop and serving nothing until a signal."""
+        import subprocess
+
+        _mapping, idx = _small_index(tmp_path)
+        proc = _run_cli(
+            ["serve", "--index", str(idx)], stdin=subprocess.DEVNULL
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "drained and shut down" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestServeRouterVerb:
     @pytest.mark.parametrize(
@@ -317,9 +368,54 @@ class TestServeRouterVerb:
             if line.startswith("spawned replica-0 on 127.0.0.1:")
         ]
         assert len(spawned) == 1
-        port = int(spawned[0].rpartition(":")[2])
-        with socket.socket() as probe:
-            assert probe.connect_ex(("127.0.0.1", port)) != 0
+        assert _refuses_connections(int(spawned[0].rpartition(":")[2]))
+
+    def test_two_spawned_replicas_each_answer_their_block(self, tmp_path):
+        """``--spawn 2``, the way a second core is used: a query placed
+        on each block is answered by that block's replica, bit-identical
+        to the single engine, and both children are gone after
+        ``shutdown``."""
+        from repro.datasets import chemical_query_set
+        from repro.serving.protocol import graph_from_wire, graph_to_wire
+        from repro.serving.router import ContentPlacer
+
+        mapping, idx = _small_index(tmp_path)
+        placer = ContentPlacer(mapping, 2)
+        by_block = {}
+        for q in chemical_query_set(40, seed=5):
+            # As the router sees it: decoded off the wire.
+            block = placer.block_for(graph_from_wire(graph_to_wire(q)))
+            by_block.setdefault(block, q)
+        assert sorted(by_block) == [0, 1]
+        proc = _run_cli(
+            ["serve-router", "--spawn", "2", "--index", str(idx)],
+            [
+                *(
+                    {"op": "query", "id": block, "k": 3,
+                     "graph": graph_to_wire(by_block[block])}
+                    for block in (0, 1)
+                ),
+                {"op": "shutdown", "id": 2},
+            ],
+        )
+        assert proc.returncode == 0, proc.stderr
+        responses = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["id"] for r in responses] == [0, 1, 2]
+        engine = mapping.query_engine()
+        for block in (0, 1):
+            answer = responses[block]
+            truth = engine.query(by_block[block], 3)
+            assert answer["replica"] == f"replica-{block}"
+            assert answer["ranking"] == truth.ranking
+            assert answer["scores"] == truth.scores
+        assert responses[2]["draining"]
+        ports = [
+            int(line.rpartition(":")[2])
+            for line in proc.stderr.splitlines()
+            if line.startswith("spawned replica-")
+        ]
+        assert len(ports) == 2
+        assert all(_refuses_connections(port) for port in ports)
 
 
 class TestAutoCompactOption:

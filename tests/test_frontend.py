@@ -47,9 +47,9 @@ def engine(materials):
 
 
 def _frontend(engine, **config_kwargs):
-    service = QueryService(engine, n_shards=2, n_workers=0)
+    service = QueryService(engine, n_shards=2)
     return AsyncFrontend(
-        service, FrontendConfig(**config_kwargs), own_service=True
+        service, FrontendConfig(**config_kwargs)
     )
 
 
@@ -826,7 +826,7 @@ class TestLiveUpdateAndReload:
             assert after["ok"] and after["generation"] == 1
             # The answer matches a fresh service over the mutated index.
             with QueryService(
-                mapping.query_engine(), n_shards=2, n_workers=0
+                mapping.query_engine(), n_shards=2
             ) as scratch:
                 truth = scratch.batch_query([queries[0]], 5)[0]
             assert after["ranking"] == truth.ranking
@@ -855,11 +855,10 @@ class TestLiveUpdateAndReload:
         )
         mapping.staleness_policy = StalenessPolicy(max_drift=0.0)
         frontend = AsyncFrontend(
-            QueryService(mapping, n_shards=2, n_workers=0),
+            QueryService(mapping, n_shards=2),
             FrontendConfig(
                 reselector=lambda m: m.apply_selection([0, 1, 2])
             ),
-            own_service=True,
         )
         probe = {"op": "query", "id": 9, "k": 1, "graph": {"vertices": ["3"]}}
         try:
@@ -1062,14 +1061,13 @@ class TestLiveUpdateAndReload:
     async def test_reload_never_closes_a_caller_owned_service(
         self, engine, materials, tmp_path
     ):
-        """With own_service=False the old service belongs to the
-        caller: reload must leave it fully usable — and must take
-        ownership of the replacement it built itself."""
+        """The old service belongs to the caller: reload and aclose
+        leave it fully usable."""
         _db, queries, mapping = materials
         path = tmp_path / "index.json"
         save_index(mapping, path)
-        caller_service = QueryService(engine, n_shards=2, n_workers=0)
-        frontend = AsyncFrontend(caller_service)  # own_service=False
+        caller_service = QueryService(engine, n_shards=2)
+        frontend = AsyncFrontend(caller_service)
         try:
             await frontend.start()
             response = await frontend.handle_request(
@@ -1077,7 +1075,6 @@ class TestLiveUpdateAndReload:
             )
             assert response["ok"]
             assert frontend.service is not caller_service
-            assert frontend._own_service  # replacement is frontend-owned
         finally:
             await frontend.aclose()
         # The caller's service survived both the reload and the aclose.
@@ -1196,9 +1193,9 @@ class TestMaintenanceOp:
     @pytest.mark.asyncio
     async def test_maintain_heals_a_drifted_index(self):
         mapping, reselector, _graphs, churn = _drifting_materials()
-        service = QueryService(mapping, n_shards=2, n_workers=0)
+        service = QueryService(mapping, n_shards=2)
         frontend = AsyncFrontend(
-            service, FrontendConfig(reselector=reselector), own_service=True
+            service, FrontendConfig(reselector=reselector)
         )
         try:
             await frontend.start()
@@ -1237,9 +1234,9 @@ class TestMaintenanceOp:
     @pytest.mark.asyncio
     async def test_maintain_is_idempotent_when_healthy(self):
         mapping, reselector, _graphs, _churn = _drifting_materials()
-        service = QueryService(mapping, n_shards=2, n_workers=0)
+        service = QueryService(mapping, n_shards=2)
         frontend = AsyncFrontend(
-            service, FrontendConfig(reselector=reselector), own_service=True
+            service, FrontendConfig(reselector=reselector)
         )
         try:
             await frontend.start()

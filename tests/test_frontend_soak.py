@@ -102,12 +102,11 @@ async def test_soak_streaming_clients_under_update_churn(materials):
     db, extra, pool, _features = materials
     mapping = _fresh_mapping(materials)
     service = QueryService(
-        mapping.query_engine(), n_shards=3, n_workers=0, cache_size=256
+        mapping.query_engine(), n_shards=3, cache_size=256
     )
     frontend = AsyncFrontend(
         service,
         FrontendConfig(batch_size=CLIENTS, batch_window=0.002, max_queue=512),
-        own_service=True,
     )
 
     # The churn plan is fixed up front so each generation's database
@@ -226,12 +225,11 @@ async def test_soak_exact_pruning_under_update_churn():
         )
     ]
     service = QueryService(
-        mapping.query_engine(), shards=blocks, n_workers=0, cache_size=256
+        mapping.query_engine(), shards=blocks, cache_size=256
     )
     frontend = AsyncFrontend(
         service,
         FrontendConfig(batch_size=6, batch_window=0.002, max_queue=512),
-        own_service=True,
     )
     plan = [
         ([extra[0], extra[1]], []),
@@ -339,7 +337,7 @@ async def test_soak_drift_then_background_heal():
     chunks = [churn[: len(churn) // 2], churn[len(churn) // 2:]]
     pool = (initial_db[::4] + churn[::3])[:8]
 
-    service = QueryService(mapping, n_shards=2, n_workers=0, cache_size=256)
+    service = QueryService(mapping, n_shards=2, cache_size=256)
     frontend = AsyncFrontend(
         service,
         FrontendConfig(
@@ -349,7 +347,6 @@ async def test_soak_drift_then_background_heal():
             maintenance_interval=0.01,
             reselector=reselector,
         ),
-        own_service=True,
     )
 
     stop = asyncio.Event()
@@ -464,8 +461,8 @@ async def test_soak_final_state_matches_scratch_rebuild(materials):
     """After the churn settles, the served index *is* the final database."""
     db, extra, pool, _features = materials
     mapping = _fresh_mapping(materials)
-    service = QueryService(mapping.query_engine(), n_shards=2, n_workers=0)
-    frontend = AsyncFrontend(service, own_service=True)
+    service = QueryService(mapping.query_engine(), n_shards=2)
+    frontend = AsyncFrontend(service)
     plan = [([extra[5]], [2, 4]), ([extra[0]], [])]
     final_db = list(db)
     for added, removed in plan:

@@ -262,7 +262,7 @@ class TestBatchPermutationInvariance:
             permuted.database_vectors == mapping.database_vectors[perm]
         ).all()
         with QueryService(
-            permuted.query_engine(), n_shards=n_shards, n_workers=0
+            permuted.query_engine(), n_shards=n_shards
         ) as service:
             results = service.batch_query_vectors(qvecs, k)
         for qi, result in enumerate(results):
@@ -281,7 +281,7 @@ class TestBatchPermutationInvariance:
     ):
         _space, _selected, mapping, qvecs = serving_materials
         with QueryService(
-            mapping.query_engine(), n_shards=n_shards, n_workers=0
+            mapping.query_engine(), n_shards=n_shards
         ) as service:
             smaller = service.batch_query_vectors(qvecs, k)
             larger = service.batch_query_vectors(qvecs, k + 1)
@@ -305,7 +305,7 @@ class TestBatchPermutationInvariance:
             (d, N_BASE + d) for d in range(N_DUPES)
         ]
         with QueryService(
-            mapping.query_engine(), n_shards=n_shards, n_workers=0
+            mapping.query_engine(), n_shards=n_shards
         ) as service:
             results = service.batch_query_vectors(qvecs, k)
         for result in results:

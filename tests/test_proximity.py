@@ -631,7 +631,7 @@ class TestBinaryContract:
         block = vectors[:4].copy()
         block[2, 5] = 0.5
         with QueryService(
-            mapping.query_engine(), n_shards=3, n_workers=0, cache_size=0
+            mapping.query_engine(), n_shards=3, cache_size=0
         ) as service:
             for policy in (None, SearchPolicy(mode="approx", nprobe=2)):
                 answers = service.batch_query_vectors(block, 5, policy)
@@ -660,7 +660,7 @@ class TestServiceDispatch:
         vectors = _binary_vectors(rng, 30, 8)
         mapping = _vector_mapping(vectors)
         with QueryService(
-            mapping.query_engine(), n_shards=3, n_workers=0, cache_size=0
+            mapping.query_engine(), n_shards=3, cache_size=0
         ) as service:
             policy = SearchPolicy(mode="graph", ef=30)
             answers = service.batch_query_vectors(vectors[:4], 5, policy)
@@ -680,7 +680,7 @@ class TestServiceDispatch:
         vectors = _binary_vectors(rng, 30, 8)
         mapping = _vector_mapping(vectors)
         with QueryService(
-            mapping.query_engine(), n_shards=3, n_workers=0, cache_size=0
+            mapping.query_engine(), n_shards=3, cache_size=0
         ) as service:
             _answers, trace = service.batch_query_vectors_traced(
                 vectors[:3], 5, SearchPolicy(mode="graph", ef=2)
@@ -699,7 +699,7 @@ class TestServiceDispatch:
         vectors = _binary_vectors(rng, 20, 6)
         mapping = _vector_mapping(vectors)
         with QueryService(
-            mapping.query_engine(), n_shards=2, n_workers=0, cache_size=0
+            mapping.query_engine(), n_shards=2, cache_size=0
         ) as service:
             service.batch_query_vectors(
                 vectors[:3], 4, SearchPolicy(prune=False)
@@ -728,12 +728,11 @@ class TestGraphBeforeListening:
         rng = np.random.default_rng(47)
         vectors = _binary_vectors(rng, 30, 8)
         service = QueryService(
-            _vector_mapping(vectors).query_engine(), n_shards=3, n_workers=0
+            _vector_mapping(vectors).query_engine(), n_shards=3
         )
         frontend = AsyncFrontend(
             service,
             FrontendConfig(default_policy=default_policy),
-            own_service=True,
         )
         request = {
             "op": "query",
@@ -788,7 +787,7 @@ class TestChurnSoak:
         policy = SearchPolicy(mode="graph", ef=24)
         probes = _binary_vectors(rng, 6, 8)
         with QueryService(
-            mapping.query_engine(), n_shards=3, n_workers=0, cache_size=0
+            mapping.query_engine(), n_shards=3, cache_size=0
         ) as service:
             service.batch_query_vectors(probes, 5, policy)  # force build
             for cycle in range(3):

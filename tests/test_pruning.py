@@ -201,7 +201,7 @@ class TestExactIdentity:
     ):
         _db, per_cluster_queries, mapping, blocks = clustered
         engine = mapping.query_engine()
-        with QueryService(engine, shards=blocks, n_workers=0) as service:
+        with QueryService(engine, shards=blocks) as service:
             batches = 0
             for cluster_queries in per_cluster_queries:
                 reference = engine.batch_query(cluster_queries, 5)
@@ -225,7 +225,7 @@ class TestExactIdentity:
         _db, per_cluster_queries, mapping, blocks = clustered
         engine = mapping.query_engine()
         queries = per_cluster_queries[0]
-        with QueryService(engine, shards=blocks, n_workers=0) as service:
+        with QueryService(engine, shards=blocks) as service:
             pruned = service.batch_query(queries, 5)
             full = service.batch_query(queries, 5, SearchPolicy(prune=False))
             _assert_identical(pruned, full)
@@ -243,7 +243,7 @@ class TestExactIdentity:
             )
         ]
         with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
+            mapping.query_engine(), shards=blocks
         ) as service:
             before = [
                 shard.summary for shard in service.shards
@@ -262,63 +262,12 @@ class TestExactIdentity:
             _assert_identical(reference, result.results)
             assert int(trace.skipped.sum()) > 0
 
-    def test_parallel_shard_pool_path_identical(self, clustered):
-        """The hybrid seed-then-parallel path (multi-core hosts): the
-        most promising shard seeds the thresholds sequentially, the
-        rest run on the shard pool off one-shot skip decisions — still
-        bit-identical, and every shard still accounted for."""
-        _db, per_cluster_queries, mapping, blocks = clustered
-        engine = mapping.query_engine()
-        service = QueryService(engine, shards=blocks, n_workers=2)
-        service._parallel_shards = True  # force past the 1-CPU gate
-        try:
-            for cluster_queries in per_cluster_queries:
-                reference = engine.batch_query(cluster_queries, 5)
-                result, _gen, trace = service.batch_query_traced(
-                    cluster_queries, 5
-                )
-                _assert_identical(reference, result.results)
-                assert (
-                    (trace.visited + trace.skipped) == len(blocks)
-                ).all()
-            approx = service.batch_query(
-                per_cluster_queries[0], 5,
-                SearchPolicy(mode="approx", nprobe=len(blocks)),
-            )
-            _assert_identical(
-                engine.batch_query(per_cluster_queries[0], 5),
-                approx.results,
-            )
-        finally:
-            service.close()
-
-    def test_parallel_seedless_feasibility_path_identical(
-        self, random_setup
-    ):
-        """On data where no bound could ever prune, the parallel path
-        skips the serialized threshold seed entirely (the feasibility
-        precheck) and still answers bit-identically."""
-        queries, mapping = random_setup
-        engine = mapping.query_engine()
-        reference = engine.batch_query(queries, 7)
-        service = QueryService(engine, n_shards=4, n_workers=2)
-        service._parallel_shards = True  # force past the 1-CPU gate
-        try:
-            result, _gen, trace = service.batch_query_traced(queries, 7)
-            _assert_identical(reference, result.results)
-            assert (
-                (trace.visited + trace.skipped) == len(service.shards)
-            ).all()
-        finally:
-            service.close()
-
     @pytest.mark.parametrize("n_shards", [2, 4, 5])
     def test_unskippable_batch_is_one_block_single_threaded(
         self, random_setup, n_shards, monkeypatch
     ):
-        """The same reading of the same check without a pool: where no
-        round could skip anything, the batch is one group over one block
-        of all rows — one task, one ``rank_block`` call — and the trace
+        """Where no round could skip anything, the batch is one group
+        over one block of all rows — one task, one ``rank_block`` call — and the trace
         still accounts for every shard."""
         from repro.serving import service as service_module
 
@@ -343,7 +292,7 @@ class TestExactIdentity:
     def test_trace_accounts_for_every_shard(self, clustered):
         _db, per_cluster_queries, mapping, blocks = clustered
         with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
+            mapping.query_engine(), shards=blocks
         ) as service:
             _result, _gen, trace = service.batch_query_traced(
                 per_cluster_queries[1], 5
@@ -405,7 +354,7 @@ class TestApproxMode:
         engine = mapping.query_engine()
         k = 5
         overlaps = []
-        with QueryService(engine, shards=blocks, n_workers=0) as service:
+        with QueryService(engine, shards=blocks) as service:
             for cluster_queries in per_cluster_queries:
                 reference = engine.batch_query(cluster_queries, k)
                 result, _gen, trace = service.batch_query_traced(
@@ -456,7 +405,7 @@ class TestApproxMode:
         engine = mapping.query_engine()
         k = 5
         overlaps = []
-        with QueryService(engine, shards=blocks, n_workers=0) as service:
+        with QueryService(engine, shards=blocks) as service:
             for cluster_queries in per_cluster_queries:
                 reference = engine.batch_query(cluster_queries, k)
                 result, _gen, trace = service.batch_query_traced(
@@ -484,7 +433,7 @@ class TestApproxMode:
         shard: the mean probe count must sit below a full sweep."""
         _db, per_cluster_queries, mapping, blocks = clustered
         with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
+            mapping.query_engine(), shards=blocks
         ) as service:
             queries = [q for block in per_cluster_queries for q in block]
             _result, _gen, trace = service.batch_query_traced(
@@ -513,7 +462,7 @@ class TestClusteredWorkCounts:
             8, 250, 16, seed=0, **self.SHAPE
         )
         with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0, cache_size=0
+            mapping.query_engine(), shards=blocks, cache_size=0
         ) as service:
             yield service
 
@@ -609,7 +558,7 @@ class TestDSPMapRouting:
         engine = mapping.query_engine()
         queries = [qs[0] for qs in per_cluster_queries]
         with QueryService(
-            engine, shards=solver.partitions_, n_workers=0
+            engine, shards=solver.partitions_
         ) as service:
             assert len(service.shards) == len(solver.partitions_)
             home = np.argmin(
@@ -670,7 +619,7 @@ class TestArtifactSummaries:
 
     def _served(self, path, blocks, queries, mmap):
         with QueryService(
-            load_index(path, mmap=mmap), shards=blocks, n_workers=0
+            load_index(path, mmap=mmap), shards=blocks
         ) as service:
             out = []
             for policy in self.POLICIES:
@@ -726,7 +675,7 @@ class TestArtifactSummaries:
         cold.parent.mkdir()
         warm.parent.mkdir()
         save_index(mapping, cold)
-        with QueryService(mapping, shards=blocks, n_workers=0) as service:
+        with QueryService(mapping, shards=blocks) as service:
             service.batch_query(queries[0], 5)
             save_index(mapping, warm)  # new path: the full-base writer
         assert "shard_summaries" not in json.loads(warm.read_text())
@@ -742,7 +691,7 @@ class TestArtifactSummaries:
         unserved.remove_graphs([1])
         unserved.add_graphs(extra)
         save_index(unserved, cold)
-        with QueryService(served, shards=blocks, n_workers=0) as service:
+        with QueryService(served, shards=blocks) as service:
             service.batch_query(queries[1], 5)
             service.apply_update(added=extra, removed=[1])
             service.batch_query(queries[1], 5)
@@ -814,7 +763,7 @@ class TestFrontendPolicies:
     def materials(self, clustered):
         _db, per_cluster_queries, mapping, blocks = clustered
         service = QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0
+            mapping.query_engine(), shards=blocks
         )
         return per_cluster_queries, mapping, service
 
@@ -822,7 +771,7 @@ class TestFrontendPolicies:
     @pytest.mark.timeout(30)
     async def test_per_response_pruning_stats(self, materials):
         per_cluster_queries, mapping, service = materials
-        frontend = AsyncFrontend(service, own_service=True)
+        frontend = AsyncFrontend(service)
         engine = mapping.query_engine()
         try:
             await frontend.start()
@@ -862,7 +811,7 @@ class TestFrontendPolicies:
     @pytest.mark.timeout(30)
     async def test_auto_tier_reports_effective_nprobe(self, materials):
         per_cluster_queries, _mapping, service = materials
-        frontend = AsyncFrontend(service, own_service=True)
+        frontend = AsyncFrontend(service)
         try:
             await frontend.start()
             q = per_cluster_queries[0][0]
@@ -889,7 +838,6 @@ class TestFrontendPolicies:
         frontend = AsyncFrontend(
             service,
             FrontendConfig(batch_size=8, batch_window=0.05),
-            own_service=True,
         )
         engine = mapping.query_engine()
         queries = [qs[0] for qs in per_cluster_queries]
@@ -934,7 +882,6 @@ class TestFrontendPolicies:
             FrontendConfig(
                 default_policy=SearchPolicy(mode="approx", nprobe=1)
             ),
-            own_service=True,
         )
         try:
             await frontend.start()
@@ -956,7 +903,7 @@ class TestFrontendPolicies:
 
     def test_stats_payload_carries_pruning_counters(self, materials):
         _queries, _mapping, service = materials
-        frontend = AsyncFrontend(service, own_service=True)
+        frontend = AsyncFrontend(service)
         payload = frontend.stats_payload()
         assert "shards_skipped" in payload["service"]
         assert "bound_checks" in payload["service"]

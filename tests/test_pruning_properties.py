@@ -197,7 +197,7 @@ class TestServiceLevelIdentity:
         queries = rng.integers(0, 2, size=(5, p)).astype(float)
         mapping = _vector_service_mapping(vectors)
         with QueryService(
-            mapping.query_engine(), shards=blocks, n_workers=0, cache_size=0
+            mapping.query_engine(), shards=blocks, cache_size=0
         ) as service:
             full = service.batch_query_vectors(
                 queries, k, SearchPolicy(prune=False)
@@ -228,7 +228,6 @@ class TestExecutorAccounting:
         p=st.integers(1, 10),
         k=st.integers(1, 8),
         contiguous=st.booleans(),
-        pool=st.booleans(),
     )
     @settings(
         max_examples=40,
@@ -236,7 +235,7 @@ class TestExecutorAccounting:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_trace_and_counters_are_the_groups_that_ran(
-        self, seed, n, p, k, contiguous, pool
+        self, seed, n, p, k, contiguous
     ):
         rng = np.random.default_rng(seed)
         k = min(k, n)
@@ -250,12 +249,8 @@ class TestExecutorAccounting:
         mapping = _vector_service_mapping(vectors)
         ran = []  # (query, row) pairs scored by each shard task
         with QueryService(
-            mapping.query_engine(),
-            n_workers=2 if pool else 0,
-            cache_size=0,
-            **layout,
+            mapping.query_engine(), cache_size=0, **layout
         ) as service:
-            service._parallel_shards = pool  # whatever the CPU gate said
             shard_topk = service._shard_topk
 
             def recording(shard, left, k_):

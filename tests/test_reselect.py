@@ -240,7 +240,7 @@ class TestEmergingRecall:
             mapping, max_drift=0.08
         )
         new_rows = graphs(churn, "new")
-        with QueryService(mapping, n_shards=4, n_workers=0) as service:
+        with QueryService(mapping, n_shards=4) as service:
             for chunk in np.array_split(np.arange(per_cluster), 4):
                 service.apply_update(added=[new_rows[i] for i in chunk])
             assert mapping.stale

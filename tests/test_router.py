@@ -49,10 +49,10 @@ def _replica(name, artifact, **config_kwargs):
     """A replica over its *own* copy of the index — updates mutate the
     mapping in place, so sharing one would entangle replica states."""
     service = QueryService(
-        load_index(artifact).query_engine(), n_shards=2, n_workers=0
+        load_index(artifact).query_engine(), n_shards=2
     )
     frontend = AsyncFrontend(
-        service, FrontendConfig(**config_kwargs), own_service=True
+        service, FrontendConfig(**config_kwargs)
     )
     return InprocReplica(name, frontend)
 
@@ -569,9 +569,9 @@ class TestTcpReplicaTransport:
         queries, mapping, path = materials
         oracle = mapping.query_engine()
         service = QueryService(
-            load_index(path).query_engine(), n_shards=2, n_workers=0
+            load_index(path).query_engine(), n_shards=2
         )
-        frontend = AsyncFrontend(service, FrontendConfig(), own_service=True)
+        frontend = AsyncFrontend(service, FrontendConfig())
         await frontend.start()
         server = await protocol.serve_tcp(frontend, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]

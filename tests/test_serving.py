@@ -1,14 +1,13 @@
 """Bit-identity and behaviour tests for the sharded query service.
 
 The service's contract mirrors the engine's: *identical results at
-serving scale*.  Every test therefore compares sharded/worker/cached
+serving scale*.  Every test therefore compares sharded/cached
 paths against the single-shard engine, including tie-heavy workloads
 where merge-order bugs would surface.
 """
 
 import hashlib
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -26,8 +25,6 @@ from repro.query.topk import MappedTopKEngine
 from repro.serving import service as service_module
 from repro.serving.service import QueryService, _structural_key
 from repro.utils.errors import QueryError
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 @pytest.fixture(scope="module")
@@ -112,24 +109,6 @@ class TestBitIdentity:
         with mapping.query_service(shards=solver.partitions_) as service:
             _assert_identical(reference, service.batch_query(queries, 6))
 
-    @pytest.mark.parametrize(
-        "mode", ["serial"] + (["process"] if HAS_FORK else [])
-    )
-    def test_embed_modes_identical(self, setup, mapping, mode, monkeypatch):
-        """The embedding mode is derived, not chosen: workers fork only
-        with more than one CPU to run them on."""
-        _db, queries, _space = setup
-        monkeypatch.setattr(
-            service_module,
-            "_effective_cpus",
-            lambda: 2 if mode == "process" else 1,
-        )
-        reference = mapping.query_engine().batch_query(queries, 7)
-        with QueryService(mapping, n_shards=3, n_workers=2) as service:
-            assert service.embed_mode == mode
-            _assert_identical(reference, service.batch_query(queries, 7))
-            assert service.stats.vf2_calls > 0  # workers report deltas
-
     def test_vector_path_matches_engine(self, setup, mapping):
         _db, queries, _space = setup
         engine = mapping.query_engine()
@@ -203,7 +182,7 @@ def _trace_counts(trace):
 #: What the commit before block top-k (per-row ``rank_with_ties``,
 #: per-query ``RunningTopK`` heaps) returned for `parity_index` —
 #: ``(layout, policy) -> (answers digest, trace digest of one 16-query
-#: batch at n_workers=0, its distance evaluations)``.  Approx answers
+#: batch, its distance evaluations)``.  Approx answers
 #: have no other oracle; exact answers are also checked against the
 #: naive engine.
 #:
@@ -211,9 +190,7 @@ def _trace_counts(trace):
 #: skip anything for became one block of all rows (one task where four
 #: blocks were four; every answer digest unchanged): both ``full`` rows,
 #: and ``("custom", "exact")`` — where the feasibility check reads
-#: "nothing can be skipped", so its evaluations went 581 -> 768, now
-#: equal to ``PARENT_POOL_RECORD``'s 768 for the same batch: serial and
-#: pool hosts take the same decision from the same check.  The
+#: "nothing can be skipped", so its evaluations went 581 -> 768.  The
 #: contiguous cluster layout still goes to rounds and still skips.
 PARENT_RECORD = {
     ("contiguous", "exact"): ("0d06bda19658559f", "3f6ec5bf8084e2dd", 492),
@@ -227,24 +204,6 @@ PARENT_RECORD = {
 }
 
 
-#: The same batch with the shard pool forced on — ``(layout, policy) ->
-#: (trace digest, distance evaluations)`` as the commit before the one
-#: executor returned them.  The seed round, the one-shot decisions
-#: behind it and the seedless dispatch skip differently from the
-#: single-threaded order (compare the evaluations above), and nothing
-#: else pins which of them a batch takes.
-PARENT_POOL_RECORD = {
-    ("contiguous", "exact"): ("43ced9878ec6fd3e", 636),
-    ("contiguous", "full"): ("50715a5a3e18c68a", 768),
-    ("contiguous", "nprobe"): ("0bbd6e39a4c73c58", 348),
-    ("contiguous", "auto"): ("09181926298b26e1", 276),
-    ("custom", "exact"): ("ea8a593e274fb184", 768),
-    ("custom", "full"): ("50715a5a3e18c68a", 768),
-    ("custom", "nprobe"): ("53e1d55c0f0da51a", 427),
-    ("custom", "auto"): ("d2af6076b168bdf5", 549),
-}
-
-
 @pytest.fixture(scope="module")
 def parity_index():
     mapping, _blocks = clustered_vector_index(4, 12, 6, seed=5)
@@ -254,16 +213,13 @@ def parity_index():
 
 class TestBlockTopKParity:
     @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
-    @pytest.mark.parametrize("n_workers", [0, 4])
     def test_answers_match_naive_engine_and_parent(
-        self, parity_index, layout, n_workers
+        self, parity_index, layout
     ):
         mapping, vectors = parity_index
         naive = MappedTopKEngine(mapping)
         reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
-        with QueryService(
-            mapping, n_workers=n_workers, **PARITY_LAYOUTS[layout]
-        ) as service:
+        with QueryService(mapping, **PARITY_LAYOUTS[layout]) as service:
             # The block's ascending-column tie-break is the ascending
             # database-index one only because shard rows are sorted.
             assert all((np.diff(s.indices) > 0).all() for s in service.shards)
@@ -289,9 +245,7 @@ class TestBlockTopKParity:
         self, parity_index, layout, name
     ):
         mapping, vectors = parity_index
-        with QueryService(
-            mapping, n_workers=0, **PARITY_LAYOUTS[layout]
-        ) as service:
+        with QueryService(mapping, **PARITY_LAYOUTS[layout]) as service:
             _results, trace = service.batch_query_vectors_traced(
                 vectors, PARITY_K, PARITY_POLICIES[name]
             )
@@ -299,25 +253,6 @@ class TestBlockTopKParity:
                 _digest(_trace_counts(trace)),
                 service.stats.distance_evaluations,
             ) == PARENT_RECORD[layout, name][1:]
-
-    @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
-    @pytest.mark.parametrize("name", sorted(PARITY_POLICIES))
-    def test_pool_trace_and_evaluations_match_parent(
-        self, parity_index, layout, name
-    ):
-        mapping, vectors = parity_index
-        with QueryService(
-            mapping, n_workers=2, **PARITY_LAYOUTS[layout]
-        ) as service:
-            service._parallel_shards = True  # force past the 1-CPU gate
-            results, trace = service.batch_query_vectors_traced(
-                vectors, PARITY_K, PARITY_POLICIES[name]
-            )
-            assert _digest(_answers(results)) == PARENT_RECORD[layout, name][0]
-            assert (
-                _digest(_trace_counts(trace)),
-                service.stats.distance_evaluations,
-            ) == PARENT_POOL_RECORD[layout, name]
 
     @pytest.mark.parametrize("name", sorted(PARITY_POLICIES))
     def test_one_rank_call_per_shard_task(
@@ -340,7 +275,7 @@ class TestBlockTopKParity:
         monkeypatch.setattr(
             "repro.query.topk.merge_candidates", counting_merge
         )
-        with QueryService(mapping, n_shards=4, n_workers=0) as service:
+        with QueryService(mapping, n_shards=4) as service:
             _results, trace = service.batch_query_vectors_traced(
                 vectors, PARITY_K, PARITY_POLICIES[name]
             )
@@ -400,7 +335,7 @@ class TestWholeScan:
         naive = MappedTopKEngine(mapping)
         reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
         n = mapping.database_vectors.shape[0]
-        with QueryService(mapping, n_workers=0, **layout) as service:
+        with QueryService(mapping, **layout) as service:
             ns = len(service.shards)
             results = []
             for batches, lo in enumerate(range(0, len(vectors), size), 1):
@@ -421,24 +356,6 @@ class TestWholeScan:
                 assert service.stats.shard_tasks == batches
             assert service.stats.shards_skipped == 0
             assert service.stats.distance_evaluations == len(vectors) * n
-        _assert_identical(reference, results)
-
-    def test_pool_hosts_overlap_the_shards_instead(
-        self, unskippable, counted_ranks
-    ):
-        """Same check, same reading — but a host with a shard pool
-        dispatches every shard at once rather than one inline block."""
-        mapping, vectors, layout = unskippable
-        naive = MappedTopKEngine(mapping)
-        reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
-        with QueryService(mapping, n_workers=2, **layout) as service:
-            service._parallel_shards = True  # force past the 1-CPU gate
-            results, trace = service.batch_query_vectors_traced(
-                vectors, PARITY_K
-            )
-            assert trace.shard_tasks == len(service.shards) == 4
-            assert len(counted_ranks) == 4
-            assert service.stats.whole_scans == 0
         _assert_identical(reference, results)
 
     def test_a_batch_keeps_the_rows_it_snapshotted(self, setup):
@@ -811,7 +728,7 @@ class TestShardIsItsRows:
                 "shards": [np.arange(n)[s::3][::-1] for s in range(3)]
             },
         }[layout]
-        with QueryService(mapping, n_workers=0, **how) as service:
+        with QueryService(mapping, **how) as service:
             _assert_shards_are_their_rows(service)
 
     def test_after_updates_and_reselection(self, setup):
@@ -873,11 +790,9 @@ class TestShardIsItsRows:
         save_index(mapping, path)
         mapping.artifact_ref = None  # keep the module fixture pristine
         mapping.journal_seq = 0
-        service = QueryService(
-            load_index(path, mmap=mmap), n_shards=3, n_workers=0
-        )
+        service = QueryService(load_index(path, mmap=mmap), n_shards=3)
         _assert_shards_are_their_rows(service)
-        frontend = AsyncFrontend(service, FrontendConfig(), own_service=True)
+        frontend = AsyncFrontend(service, FrontendConfig())
         try:
             await frontend.start()
             response = await frontend.handle_request(
@@ -894,40 +809,36 @@ class TestShardIsItsRows:
 class TestLifecycle:
     def test_close_is_idempotent(self, setup, mapping):
         _db, queries, _space = setup
-        service = QueryService(mapping, n_shards=2, n_workers=2)
+        service = QueryService(mapping, n_shards=2)
         service.batch_query(queries[:4], 3)
         service.close()
         service.close()
+        # Nothing was released: the service still answers.
+        service.batch_query(queries[:4], 3)
 
-    @pytest.mark.skipif(not HAS_FORK, reason="embedding workers need fork")
-    def test_close_safe_after_failed_pool_startup(
-        self, setup, mapping, monkeypatch
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_n_workers_zero_and_one_both_run_inline(
+        self, setup, mapping, n_workers
     ):
-        """Regression: a pool that never starts must not poison close().
-
-        Double-close and ``__exit__`` after the startup exception both
-        have to succeed, leaving no half-attached pool handle behind.
-        """
-        import repro.serving.service as service_mod
-
         _db, queries, _space = setup
+        reference = mapping.query_engine().batch_query(queries, 5)
+        service = QueryService(mapping, n_shards=3, n_workers=n_workers)
+        _assert_identical(reference, service.batch_query(queries, 5))
 
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                raise RuntimeError("pool startup failed")
-
-        monkeypatch.setattr(
-            service_mod, "ProcessPoolExecutor", ExplodingPool
-        )
-        monkeypatch.setattr(service_mod, "_effective_cpus", lambda: 2)
-        with pytest.raises(RuntimeError, match="pool startup"):
-            with QueryService(mapping, n_shards=2, n_workers=2) as service:
-                service.batch_query(queries[:4], 3)
-        # __exit__ already ran close(); both of these must be no-ops.
-        service.close()
-        service.close()
-        assert service._embed_pool is None
-        assert service._shard_pool is None
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_workers": 2}, "n_workers must be 0 or 1"),
+            ({"n_workers": -1}, "n_workers must be 0 or 1"),
+            ({"cache_size": -1}, "cache_size must be >= 0"),
+        ],
+        ids=["two-workers", "negative-workers", "negative-cache"],
+    )
+    def test_refuses_unusable_settings(self, mapping, kwargs, message):
+        """A second core is a second replica, not a worker count; and a
+        negative cache is an error, not a disabled one."""
+        with pytest.raises(ValueError, match=message):
+            QueryService(mapping, n_shards=2, **kwargs)
 
     def test_close_safe_on_partially_constructed_instance(self):
         """close() on an instance whose __init__ never ran (the state a
