@@ -1292,6 +1292,25 @@ class TestDrain:
         await frontend.aclose()
         await frontend.aclose()
 
+    @pytest.mark.asyncio
+    @pytest.mark.parametrize("own_service", [False, True])
+    async def test_aclose_leaves_the_service_answering(
+        self, engine, materials, own_service
+    ):
+        """A service holds nothing to release, so *own_service* changes
+        nothing: after ``aclose`` the service answers as before."""
+        _db, queries, _mapping = materials
+        service = QueryService(engine, n_shards=2)
+        frontend = AsyncFrontend(service, own_service=own_service)
+        await frontend.start()
+        served, _gen = await frontend.submit(queries[:3], 4)
+        await frontend.aclose()
+        reference = engine.batch_query(queries[:3], 4)
+        after = service.batch_query(queries[:3], 4).results
+        for got in (served, after):
+            assert [r.ranking for r in got] == [r.ranking for r in reference]
+            assert [r.scores for r in got] == [r.scores for r in reference]
+
 
 class TestStdioLoop:
     @pytest.mark.asyncio

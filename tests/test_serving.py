@@ -213,13 +213,18 @@ def parity_index():
 
 class TestBlockTopKParity:
     @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
+    @pytest.mark.parametrize("n_workers", [0, 1])
     def test_answers_match_naive_engine_and_parent(
-        self, parity_index, layout
+        self, parity_index, layout, n_workers
     ):
+        """Both worker counts the service still accepts run the one
+        inline executor, so both return the parent's answers."""
         mapping, vectors = parity_index
         naive = MappedTopKEngine(mapping)
         reference = [naive.query_from_vector(v, PARITY_K) for v in vectors]
-        with QueryService(mapping, **PARITY_LAYOUTS[layout]) as service:
+        with QueryService(
+            mapping, n_workers=n_workers, **PARITY_LAYOUTS[layout]
+        ) as service:
             # The block's ascending-column tie-break is the ascending
             # database-index one only because shard rows are sorted.
             assert all((np.diff(s.indices) > 0).all() for s in service.shards)
@@ -357,6 +362,36 @@ class TestWholeScan:
             assert service.stats.shards_skipped == 0
             assert service.stats.distance_evaluations == len(vectors) * n
         _assert_identical(reference, results)
+
+    @pytest.mark.parametrize("nprobe", ["all", "auto"])
+    def test_routed_batch_goes_in_rounds_even_here(
+        self, unskippable, counted_ranks, nprobe
+    ):
+        """The one block is exact mode's plan only: a routed batch on
+        the same rows still runs a round per shard, one ``rank_block``
+        call per task — and routed to every shard it is the naive
+        engine's answer."""
+        mapping, vectors, layout = unskippable
+        with QueryService(mapping, **layout) as service:
+            ns = len(service.shards)
+            policy = SearchPolicy(
+                mode="approx", nprobe=ns if nprobe == "all" else nprobe
+            )
+            results, trace = service.batch_query_vectors_traced(
+                vectors, PARITY_K, policy
+            )
+            assert service.stats.whole_scans == 0
+            assert len(counted_ranks) == trace.shard_tasks
+            n = mapping.database_vectors.shape[0]
+            assert all(rows < n for _nq, rows in counted_ranks)
+            assert (trace.visited <= ns).all()
+        assert all(len(r.ranking) == PARITY_K for r in results)
+        if nprobe == "all":
+            naive = MappedTopKEngine(mapping)
+            _assert_identical(
+                [naive.query_from_vector(v, PARITY_K) for v in vectors],
+                results,
+            )
 
     def test_a_batch_keeps_the_rows_it_snapshotted(self, setup):
         """Whole block, shard list and stack are one generation: a batch
