@@ -252,7 +252,7 @@ class DSPreservedMapping:
         """The built graph if one exists — never triggers a build."""
         return self._proximity_graph
 
-    def proximity_graph(self, backend=None) -> "ProximityGraph":
+    def proximity_graph(self) -> "ProximityGraph":
         """The navigable proximity graph over ``database_vectors``.
 
         Attached from a restored artifact section when one is pending
@@ -266,14 +266,11 @@ class DSPreservedMapping:
             return self._proximity_graph
         if self._proximity_payload is not None:
             graph = ProximityGraph.from_payload(
-                self._proximity_payload, self.database_vectors,
-                backend=backend,
+                self._proximity_payload, self.database_vectors
             )
             self._proximity_payload = None
         else:
-            graph = ProximityGraph.build(
-                self.database_vectors, backend=backend
-            )
+            graph = ProximityGraph.build(self.database_vectors)
         self._proximity_graph = graph
         return graph
 

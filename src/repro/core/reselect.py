@@ -64,7 +64,7 @@ class Reselector:
         :attr:`cache` so only pairs involving new rows pay MCS.
     dissimilarity:
         Dissimilarity name for ``delta="graphs"`` (``"delta2"`` = Eq. 2).
-    tolerance / max_iterations / kernel:
+    tolerance / max_iterations:
         Forwarded to :class:`~repro.core.dspm.DSPM`.
 
     Use :meth:`attach` to wire an instance to a mapping: it registers
@@ -82,7 +82,6 @@ class Reselector:
         dissimilarity: str = "delta2",
         tolerance: float = 1e-5,
         max_iterations: int = 100,
-        kernel: str = "numpy",
         cache: Optional[DissimilarityCache] = None,
     ) -> None:
         if delta not in ("incidence", "graphs"):
@@ -97,7 +96,6 @@ class Reselector:
         self.delta = delta
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        self.kernel = kernel
         # Share the build-time cache (pass cache=) so even the *first*
         # re-selection's surviving pairs are hits; either way successive
         # re-selections only pay MCS for pairs involving new rows.
@@ -218,7 +216,6 @@ class Reselector:
             min(p, mapping.space.m),
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
-            kernel=self.kernel,
         ).fit_matrix(mapping.space.incidence.astype(float), delta)
         self.last_result = result
         if result.selected == mapping.selected:

@@ -70,16 +70,22 @@ def run(scale: str = "small", seed: int = 0, out_dir: Optional[str] = None) -> D
 
     size_precisions: Dict[str, List[float]] = {name: [] for name in ALGORITHMS}
     size_indexing: Dict[str, List[float]] = {name: [] for name in ALGORITHMS}
+    # Candidate features every selector picks from: the work behind the
+    # indexing seconds, counted rather than timed.
+    size_candidates: List[int] = []
     for avg_edges in edge_values:
         res = _one_setting(cfg, seed, avg_edges, 0.2, f"size{avg_edges}")
+        size_candidates.append(res["num_candidate_features"])
         for name in ALGORITHMS:
             size_precisions[name].append(res["relative"]["precision"][name][k_eval])
             size_indexing[name].append(res["indexing_seconds"][name])
 
     dens_precisions: Dict[str, List[float]] = {name: [] for name in ALGORITHMS}
     dens_indexing: Dict[str, List[float]] = {name: [] for name in ALGORITHMS}
+    dens_candidates: List[int] = []
     for density in density_values:
         res = _one_setting(cfg, seed, 20, density, f"dens{density}")
+        dens_candidates.append(res["num_candidate_features"])
         for name in ALGORITHMS:
             dens_precisions[name].append(res["relative"]["precision"][name][k_eval])
             dens_indexing[name].append(res["indexing_seconds"][name])
@@ -92,6 +98,8 @@ def run(scale: str = "small", seed: int = 0, out_dir: Optional[str] = None) -> D
         "precision_vs_density": dens_precisions,
         "indexing_vs_size": size_indexing,
         "indexing_vs_density": dens_indexing,
+        "candidate_features_vs_size": size_candidates,
+        "candidate_features_vs_density": dens_candidates,
     }
 
     text = reporting.series_table(

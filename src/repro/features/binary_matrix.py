@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import kernels
 from repro.graph.labeled_graph import LabeledGraph
 from repro.isomorphism.vf2 import PatternProfile, TargetProfile, is_subgraph
 from repro.mining.gspan import FrequentSubgraph
@@ -265,12 +266,9 @@ def cross_normalized_euclidean_distances(
     lets a caller that queries a fixed database repeatedly (the online
     top-k path) skip recomputing them on every call.
 
-    The arithmetic runs on the active compute kernel backend
-    (:mod:`repro.kernels` — ``$REPRO_KERNEL`` / :func:`use_backend`);
-    validation stays here so every backend sees clean inputs.
+    The arithmetic is :func:`repro.kernels.distance_block`; validation
+    stays here so the kernel sees clean inputs.
     """
-    from repro.kernels import active_backend
-
     if left.shape[1] != right.shape[1]:
         raise ValueError("dimension mismatch between embeddings")
     p = left.shape[1]
@@ -280,4 +278,4 @@ def cross_normalized_euclidean_distances(
         sq_r = np.asarray(right_sq_norms, dtype=float)
         if sq_r.shape != (right.shape[0],):
             raise ValueError("right_sq_norms shape does not match right")
-    return active_backend().distance_block(left, right, sq_r, p)
+    return kernels.distance_block(left, right, sq_r, p)

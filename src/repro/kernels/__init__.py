@@ -1,134 +1,155 @@
-"""Pluggable compute kernels for the online hot path.
+"""The compute kernels of the online hot path.
 
-Every numeric inner loop of the serving stack — shard distance blocks,
-envelope/triangle bound checks, and the VF2 candidate pre-filter — runs
-behind the narrow backend interface defined here, so the same engine /
-service / pruning code can execute on the numpy baseline, the pure-loop
-reference oracle, or a future JIT / native backend registered through
-:func:`register_backend`, selected at run time without touching any
-call site.
+Every numeric inner loop of the serving stack runs through the four
+functions here, called as ``kernels.<fn>`` so a test can swap one out:
 
-A backend is any object exposing four functions:
-
-* ``distance_block(queries, vectors, sq_norms, dimensionality)`` —
-  normalised-Euclidean distance rectangle, the shard scan inner loop;
-* ``bound_block(vectors, centroids, centroid_sq_norms, radii, lows,
-  highs, dimensionality)`` — per-(query, shard) lower bounds plus the
+* :func:`distance_block` — normalised-Euclidean distance rectangle, the
+  shard scan inner loop;
+* :func:`bound_block` — per-(query, shard) lower bounds plus the
   centroid distances the approx router reuses;
-* ``bound_check(bounds, thresholds, slack_rel, slack_abs)`` — the
-  elementwise "provably prunable" test;
-* ``vf2_candidate_filter(need, have)`` — VF2's size/histogram/degree
-  dominance pre-check over every pattern at once, one comparison of
-  the pattern matrix against the target's row (both prepared by
+* :func:`bound_check` — the elementwise "provably prunable" test;
+* :func:`vf2_candidate_filter` — VF2's size/histogram/degree dominance
+  pre-check over every pattern at once, one comparison of the pattern
+  matrix against the target's row (both prepared by
   :class:`PatternFilterStats`).
 
-Selection order: an explicit name passed to :func:`resolve_backend`, the
-:func:`use_backend` context override, the ``REPRO_KERNEL`` environment
-variable, then the numpy baseline.  Unknown names warn and fall back to
-numpy rather than failing — a stale environment variable must never
-take serving down.
-
-Exactness contract: on the binary embedding vectors this project serves,
-every distance term is a small integer, exactly representable in
-float64, so differently-associated accumulations (loops vs BLAS) produce
-**bit-identical** distances — the kernel-parity test tier enforces this
-for every registered backend.  Bound computations involve non-integer
-centroids; backends may differ there by ulps, which the pruning slack
-margin absorbs (answers stay exact; the parity tier asserts it).
+Exactness contract: on the binary embedding vectors this project
+serves, every distance term is a small integer, exactly representable
+in float64, so differently-associated accumulations (loops vs BLAS)
+produce **bit-identical** distances.  The kernel-parity test tier holds
+these functions to that against a row-at-a-time oracle kept under
+``tests/``.  Bound computations involve non-integer centroids; another
+association may differ there by ulps, which the pruning slack margin
+absorbs (answers stay exact; the parity tier asserts it).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+import sys
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_BACKEND",
-    "KERNEL_ENV_VAR",
     "PatternFilterStats",
     "active_backend",
-    "available_backends",
-    "register_backend",
-    "resolve_backend",
-    "use_backend",
+    "bound_block",
+    "bound_check",
+    "distance_block",
+    "vf2_candidate_filter",
 ]
 
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-DEFAULT_BACKEND = "numpy"
 
-_BACKENDS: Dict[str, object] = {}
-_OVERRIDE: List[str] = []  # use_backend() stack; innermost wins
+def distance_block(
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    sq_norms: np.ndarray,
+    dimensionality: int,
+) -> np.ndarray:
+    """Normalised-Euclidean distance rectangle ``queries × vectors``.
 
-
-def register_backend(name: str, backend: object) -> None:
-    """Register *backend* under *name* (import-time, idempotent)."""
-    for fn in (
-        "distance_block",
-        "bound_block",
-        "bound_check",
-        "vf2_candidate_filter",
-    ):
-        if not callable(getattr(backend, fn, None)):
-            raise TypeError(f"backend {name!r} is missing kernel {fn!r}")
-    _BACKENDS[name] = backend
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, numpy baseline first."""
-    names = sorted(_BACKENDS)
-    if DEFAULT_BACKEND in names:
-        names.remove(DEFAULT_BACKEND)
-        names.insert(0, DEFAULT_BACKEND)
-    return names
-
-
-def resolve_backend(name: Optional[str] = None) -> object:
-    """The backend object for *name* (or the ambient selection).
-
-    ``None`` resolves the ambient selection: the innermost
-    :func:`use_backend` override if any, else ``$REPRO_KERNEL``, else
-    the numpy baseline.  An unregistered name warns and falls back to
-    numpy instead of raising, so a stale environment variable cannot
-    take serving down.
+    ``sq_norms`` are the precomputed row norms of *vectors*.
+    ``dimensionality`` is the mapping width ``p`` — with ``p == 0``
+    every distance is zero by convention.
     """
-    if name is None:
-        name = _OVERRIDE[-1] if _OVERRIDE else os.environ.get(
-            KERNEL_ENV_VAR, DEFAULT_BACKEND
-        )
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        warnings.warn(
-            f"unknown or unavailable kernel backend {name!r}; "
-            f"falling back to {DEFAULT_BACKEND!r} "
-            f"(available: {', '.join(available_backends())})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = _BACKENDS[DEFAULT_BACKEND]
-    return backend
+    # The cross term is one dgemm, and which of its operand layouts is
+    # fast is the BLAS's business, so it is decided here: column-major
+    # queries against row-major rows (OpenBLAS's TT case) take 18 µs at
+    # 16 × 200 against 150 rows where row-major queries (NT) take 42.
+    # The copy is nq × p; the distances are the same bits either way.
+    queries = np.asfortranarray(queries)
+    sq_q = (queries**2).sum(axis=1)
+    d2 = np.maximum(
+        sq_q[:, None] + sq_norms[None, :] - 2.0 * queries @ vectors.T,
+        0.0,
+    )
+    if dimensionality:
+        return np.sqrt(d2 / dimensionality)
+    return np.zeros_like(d2)
+
+
+#: Most elements of the (queries, shards, p) cube `bound_block`'s
+#: envelope term materialises at once (2 MiB of float64): batches whose
+#: cube is larger are cut into query slabs.
+_BOUND_CUBE_ELEMENTS = 1 << 18
+
+
+def bound_block(
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    centroid_sq_norms: np.ndarray,
+    radii: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    dimensionality: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-(query, shard) lower bounds plus raw centroid distances.
+
+    The triangle term ``max(‖q − c‖ − radius, 0)²`` and the envelope
+    term (coordinate gaps below ``lows`` / above ``highs``) are both
+    valid lower bounds on the squared distance to any row of the shard;
+    the max of the two is returned, normalised like the distances it
+    will be compared against.  Peak memory is the envelope term's cube
+    of query slab x shards x p, capped at ``_BOUND_CUBE_ELEMENTS``.
+    """
+    sq = (
+        (vectors**2).sum(axis=1)[:, None]
+        + centroid_sq_norms[None, :]
+        - 2.0 * vectors @ centroids.T
+    )
+    centroid_d = np.sqrt(np.maximum(sq, 0.0))
+    tri_sq = np.maximum(centroid_d - radii[None, :], 0.0) ** 2
+    # Envelope term in one pass: a coordinate's gap to [low, high] is
+    # its distance to its own clip, so the squared gaps of a slab of
+    # queries against every shard are one clip and one contraction over
+    # a (slab, ns, p) cube — cut so the cube stays under the budget.
+    box_sq = np.empty_like(centroid_d)
+    slab = max(_BOUND_CUBE_ELEMENTS // max(centroids.size, 1), 1)
+    for lo in range(0, vectors.shape[0], slab):
+        block = vectors[lo : lo + slab, None, :]
+        gaps = np.clip(block, lows, highs)
+        np.subtract(block, gaps, out=gaps)
+        box_sq[lo : lo + slab] = np.einsum("qsp,qsp->qs", gaps, gaps)
+    best = np.maximum(tri_sq, box_sq)
+    if dimensionality:
+        bounds = np.sqrt(best / dimensionality)
+    else:
+        # p == 0: every distance is zero, so no bound may exceed it.
+        bounds = np.zeros_like(best)
+    return bounds, centroid_d
+
+
+def bound_check(
+    bounds: np.ndarray,
+    thresholds: np.ndarray,
+    slack_rel: float,
+    slack_abs: float,
+) -> np.ndarray:
+    """Elementwise: does each bound provably clear its k-th-best?"""
+    return np.asarray(bounds) > (
+        np.asarray(thresholds) * (1.0 + slack_rel) + slack_abs
+    )
+
+
+def vf2_candidate_filter(need: np.ndarray, have: np.ndarray) -> np.ndarray:
+    """Which patterns survive the size/histogram/degree dominance check.
+
+    Vectorised form of VF2's global pre-check (``_label_counts_ok``):
+    row ``r`` of *need* is pattern ``r``'s sizes, vertex-label counts,
+    half-edge triple counts and ``-1``-padded descending degrees, *have*
+    the target's row in the same columns, and a pattern can only match
+    if the target dominates it in every column.
+    """
+    return (need <= have[None, :]).all(axis=1)
 
 
 def active_backend() -> object:
-    """The currently-selected backend object."""
-    return resolve_backend(None)
+    """This module.
 
-
-@contextmanager
-def use_backend(name: str) -> Iterator[object]:
-    """Scoped backend override (stronger than ``$REPRO_KERNEL``).
-
-    Engines and services resolve their backend at construction, so the
-    override must wrap *construction*, not just the query calls.
+    A hold: ``bench/layers.py`` still calls its kernels through the
+    object this returns, and the function goes with ROADMAP item 1.
     """
-    _OVERRIDE.append(name)
-    try:
-        yield resolve_backend(name)
-    finally:
-        _OVERRIDE.pop()
+    return sys.modules[__name__]
 
 
 class PatternFilterStats:
@@ -140,7 +161,7 @@ class PatternFilterStats:
     label))`` over the union vocabulary of the pattern set, then the
     descending degree sequence padded with ``-1``.  Per query,
     :meth:`encode_target` builds the target's matching row ``have`` and
-    the backend's ``vf2_candidate_filter`` keeps the patterns with
+    :func:`vf2_candidate_filter` keeps the patterns with
     ``need <= have`` in every column — exactly the conditions of VF2's
     own pre-check, so a ``False`` entry is a proven non-match.
     """
@@ -200,22 +221,15 @@ class PatternFilterStats:
         return np.array(have, dtype=np.int64)
 
     def candidate_mask(
-        self, target_profile: object, backend: Optional[object] = None
+        self, target_profile: object, backend: object = None
     ) -> np.ndarray:
-        """Boolean mask over patterns: ``False`` entries cannot match."""
-        if backend is None:
-            backend = active_backend()
+        """Boolean mask over patterns: ``False`` entries cannot match.
+
+        ``backend`` is ignored.  It is a hold: ``bench/layers.py`` still
+        passes the object :func:`active_backend` returns, and the
+        parameter goes with ROADMAP item 1.
+        """
         have = self.encode_target(target_profile)
         return np.asarray(
-            backend.vf2_candidate_filter(self.need, have), dtype=bool
+            vf2_candidate_filter(self.need, have), dtype=bool
         )
-
-
-# Backend registration: the numpy baseline and the pure-loop reference.
-from repro.kernels import numpy_backend as _numpy_backend  # noqa: E402
-
-register_backend("numpy", _numpy_backend)
-
-from repro.kernels import reference_backend as _reference_backend  # noqa: E402
-
-register_backend("reference", _reference_backend)

@@ -46,7 +46,7 @@ from repro.isomorphism.vf2 import (
     is_subgraph,
     match_plan,
 )
-from repro.kernels import PatternFilterStats, resolve_backend
+from repro.kernels import PatternFilterStats
 from repro.query.topk import TopKResult, _check_k, rank_block, rank_with_ties
 
 
@@ -256,7 +256,6 @@ class QueryEngine:
         self,
         mapping: DSPreservedMapping,
         lattice: Optional[FeatureLattice] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self.mapping = mapping
         self.patterns: List[LabeledGraph] = [
@@ -275,12 +274,9 @@ class QueryEngine:
         )
         if len(self.lattice.ancestors) != len(self.patterns):
             raise ValueError("lattice does not match the engine's pattern list")
-        # Compute-kernel backend (resolved once — wrap *construction* in
-        # use_backend() to override) and the pattern side of the
-        # vectorised VF2 candidate filter it evaluates per query.  All
-        # of it depends on the selection alone, so a database update
-        # keeps this engine as it is.
-        self._kernel = resolve_backend(kernel)
+        # The pattern side of the vectorised VF2 candidate filter.  Like
+        # the lattice it depends on the selection alone, so a database
+        # update keeps this engine as it is.
         self.pattern_filter = PatternFilterStats(self._pattern_profiles)
         self.stats = EngineStats()
 
@@ -328,9 +324,7 @@ class QueryEngine:
         # would fail the same conditions first thing), so the walk takes
         # the non-match branch without paying the call — and a True
         # entry has passed the pre-check, so the walker runs directly.
-        candidates = self.pattern_filter.candidate_mask(
-            profile, self._kernel
-        ).tolist()
+        candidates = self.pattern_filter.candidate_mask(profile).tolist()
         vf2_calls = 0
         filter_rejected = 0
         for r in self.lattice.order:
@@ -373,7 +367,7 @@ class QueryEngine:
         (against the shard centroids) without paying for an embedding.
         """
         profile = TargetProfile(query)
-        mask = self.pattern_filter.candidate_mask(profile, self._kernel)
+        mask = self.pattern_filter.candidate_mask(profile)
         return np.asarray(mask[: self.num_selected], dtype=float)
 
     # ------------------------------------------------------------------

@@ -96,9 +96,9 @@ That holds for 0/1 entries only, so ``build``, ``from_payload``,
 ``with_appended`` and ``search`` refuse anything else
 (:func:`as_binary`) rather than answer wrong.
 
-Only a search's seed block goes through the active
-:mod:`repro.kernels` backend (one ``distance_block`` call), beside the
-bulk blocks of builds and repairs.  The paired (row-vs-its-neighbor)
+Only a search's seed block goes through :mod:`repro.kernels` (one
+``distance_block`` call), beside the bulk blocks of builds and
+repairs.  The paired (row-vs-its-neighbor)
 distances of :meth:`~ProximityGraph.from_payload` use the kernel's
 formula directly; on binary rows every term is exact, so the value is a
 pure function of the pair and bit-identical no matter which code path
@@ -113,6 +113,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import kernels
 from repro.query.topk import rank_block
 from repro.utils.errors import QueryError
 
@@ -122,14 +123,6 @@ DEFAULT_MAX_DEGREE = 8
 #: Rows per kernel distance block during builds/repairs (bounds peak
 #: memory at ``chunk * n`` floats without changing any distance value).
 _BUILD_CHUNK = 256
-
-
-def _resolve(backend):
-    if backend is not None:
-        return backend
-    from repro.kernels import active_backend
-
-    return active_backend()
 
 
 def _sq_norms(vectors: np.ndarray) -> np.ndarray:
@@ -183,7 +176,7 @@ def _top_m(
 
 
 def _nearest(
-    vectors: np.ndarray, sq: np.ndarray, rows: np.ndarray, m: int, backend
+    vectors: np.ndarray, sq: np.ndarray, rows: np.ndarray, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The exact KNN lists of *rows* over all of *vectors*: one kernel
     block and one :func:`_top_m` per ``_BUILD_CHUNK`` rows, self-links
@@ -194,7 +187,7 @@ def _nearest(
     for lo in range(0, rows.size, _BUILD_CHUNK):
         chunk = rows[lo : lo + _BUILD_CHUNK]
         block = np.array(
-            backend.distance_block(vectors[chunk], vectors, sq, p),
+            kernels.distance_block(vectors[chunk], vectors, sq, p),
             dtype=float,
         )
         block[np.arange(chunk.size), chunk] = np.inf  # never self-link
@@ -280,7 +273,6 @@ class ProximityGraph:
         cls,
         vectors: np.ndarray,
         max_degree: int = DEFAULT_MAX_DEGREE,
-        backend=None,
     ) -> "ProximityGraph":
         """Build the canonical graph over ``vectors`` from scratch."""
         if max_degree < 1:
@@ -289,9 +281,7 @@ class ProximityGraph:
         n = vectors.shape[0]
         sq = _sq_norms(vectors)
         m = min(max_degree, max(n - 1, 0))
-        knn_ids, knn_dists = _nearest(
-            vectors, sq, np.arange(n), m, _resolve(backend)
-        )
+        knn_ids, knn_dists = _nearest(vectors, sq, np.arange(n), m)
         cls.builds += 1
         return cls(vectors, sq, knn_ids, knn_dists, max_degree)
 
@@ -382,6 +372,10 @@ class ProximityGraph:
         always holds ``min(k, n)`` rows and ``ef >= n`` evaluates every
         row once: an exact scan.  A query that is not 0/1 raises
         :class:`QueryError`.
+
+        ``backend`` is ignored.  It is a hold: ``bench/layers.py`` still
+        passes the object :func:`repro.kernels.active_backend` returns,
+        and the parameter goes with ROADMAP item 1.
         """
         n = self.num_rows
         if n == 0:
@@ -408,7 +402,7 @@ class ProximityGraph:
                 return  # it could only ever end the search
             heapq.heappush(frontier, (dist, row))
 
-        dists = _resolve(backend).distance_block(
+        dists = kernels.distance_block(
             q[None, :], self.vectors[seeds], self.sq_norms[seeds], p
         )[0]
         for dist, row in zip(dists.tolist(), seeds.tolist()):
@@ -442,9 +436,7 @@ class ProximityGraph:
     # ------------------------------------------------------------------
     # exact incremental maintenance
     # ------------------------------------------------------------------
-    def with_appended(
-        self, vectors_after: np.ndarray, backend=None
-    ) -> "ProximityGraph":
+    def with_appended(self, vectors_after: np.ndarray) -> "ProximityGraph":
         """Graph over ``vectors_after`` whose first rows are this graph's.
 
         One kernel block of the new rows against everything links the
@@ -455,7 +447,6 @@ class ProximityGraph:
         The result equals :meth:`build` on ``vectors_after``, bit for
         bit, without the O(n²) rebuild.
         """
-        backend = _resolve(backend)
         vectors_after = np.asarray(vectors_after, dtype=float)
         n_old = self.num_rows
         n_new, p = vectors_after.shape
@@ -467,7 +458,7 @@ class ProximityGraph:
         m = min(self.max_degree, n_new - 1)
         new_ids = np.arange(n_old, n_new, dtype=np.int64)
         dmat = np.array(
-            backend.distance_block(
+            kernels.distance_block(
                 vectors_after[n_old:], vectors_after, sq, p
             ),
             dtype=float,
@@ -510,7 +501,6 @@ class ProximityGraph:
         self,
         removed: np.ndarray,
         vectors_after: np.ndarray,
-        backend=None,
     ) -> "ProximityGraph":
         """Graph over the surviving rows after dropping ``removed``.
 
@@ -546,7 +536,7 @@ class ProximityGraph:
             knn_dists[intact] = self.knn_dists[survivors[intact], :m]
         repair = np.flatnonzero(lost)
         knn_ids[repair], knn_dists[repair] = _nearest(
-            vectors_after, sq, repair, m, _resolve(backend)
+            vectors_after, sq, repair, m
         )
         return ProximityGraph(
             vectors_after, sq, knn_ids, knn_dists, self.max_degree
@@ -571,7 +561,6 @@ class ProximityGraph:
         cls,
         payload: Dict[str, Any],
         vectors: np.ndarray,
-        backend=None,
     ) -> "ProximityGraph":
         """Re-attach a persisted neighbor table to its vectors.
 

@@ -54,6 +54,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import kernels
 from repro.utils.errors import QueryError
 
 __all__ = [
@@ -265,7 +266,6 @@ def shard_lower_bounds(
     vectors: np.ndarray,
     summaries: Union[SummaryStack, Sequence[ShardSummary]],
     dimensionality: int,
-    backend: Optional[object] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Lower bounds on the *normalised* distance per (query, shard).
 
@@ -275,19 +275,14 @@ def shard_lower_bounds(
     ``bounds[i, j] <= min over rows x of shard j of d(q_i, x)`` always
     holds mathematically (the metamorphic suite enforces it).
 
-    The arithmetic runs on *backend* (a :mod:`repro.kernels` backend;
-    ``None`` resolves the ambient selection).  Every registered backend
-    computes a mathematically valid lower bound; backends may differ in
-    the last ulp, which the slack margin in :func:`prunable_mask`
+    The arithmetic is :func:`repro.kernels.bound_block`.  Another
+    association of the same sums (the test oracle's) may differ from it
+    in the last ulp, which the slack margin in :func:`prunable_mask`
     absorbs — exact answers never change.
     """
-    from repro.kernels import active_backend
-
     vectors = np.asarray(vectors, dtype=float)
     stack = _as_stack(summaries)
-    if backend is None:
-        backend = active_backend()
-    return backend.bound_block(
+    return kernels.bound_block(
         vectors,
         stack.centroids,
         stack.centroid_sq_norms,
@@ -301,7 +296,6 @@ def shard_lower_bounds(
 def prunable_mask(
     bounds: np.ndarray,
     thresholds: np.ndarray,
-    backend: Optional[object] = None,
 ) -> np.ndarray:
     """Elementwise: does each bound provably clear its k-th-best?
 
@@ -314,12 +308,8 @@ def prunable_mask(
     threshold never prunes, because a row at that distance could still
     win on the ascending-index tie-break.
     """
-    from repro.kernels import active_backend
-
-    if backend is None:
-        backend = active_backend()
     return np.asarray(
-        backend.bound_check(
+        kernels.bound_check(
             np.asarray(bounds),
             np.asarray(thresholds),
             PRUNE_SLACK_REL,

@@ -69,14 +69,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.mapping import DSPreservedMapping
 from repro.graph.labeled_graph import LabeledGraph
-from repro.kernels import resolve_backend
+from repro import kernels
 from repro.query.engine import BatchQueryResult, QueryEngine
 from repro.query.proximity import as_binary
 from repro.query.pruning import (
@@ -253,7 +252,6 @@ class QueryService:
         n_workers: int = 0,
         shards: Optional[Sequence[np.ndarray]] = None,
         cache_size: int = 1024,
-        kernel: Optional[str] = None,
     ) -> None:
         if n_workers not in (0, 1):
             raise ValueError(
@@ -267,9 +265,6 @@ class QueryService:
         )
         self._cache_size = int(cache_size)
         self._swap_lock = threading.Lock()
-        # Compute-kernel backend, resolved once per service (wrap
-        # *construction* in kernels.use_backend() to override).
-        self._kernel = resolve_backend(kernel)
         self.stats = ServiceStats()
         #: Monotonic database generation: 0 at construction, +1 per
         #: applied update.  Snapshotted together with the shard list, so
@@ -618,7 +613,7 @@ class QueryService:
         ``shard.indices`` ascend, so the block's ascending-column
         tie-break is the ascending-database-index one.
         """
-        distances = self._kernel.distance_block(
+        distances = kernels.distance_block(
             vectors, shard.vectors, shard.sq_norms, vectors.shape[1]
         )
         cols, scores = rank_block(distances, k)
@@ -701,7 +696,6 @@ class QueryService:
             return self._query_vectors_graph(vectors, k, policy)
         shards, stack, rows = snapshot.shards, snapshot.stack, snapshot.rows
         ns = len(shards)
-        clears = partial(prunable_mask, backend=self._kernel)
         best = BlockTopK(nq, k)
         # Per-query running k-th-best; +inf until k candidates exist, so
         # the vectorised tests below are exactly `prunable()`: nothing
@@ -732,7 +726,7 @@ class QueryService:
             by_upper = np.argsort(upper, axis=1, kind="stable")
             cap_pos = np.argmax(np.cumsum(rows[by_upper], axis=1) >= k, axis=1)
             caps = upper[everyone, by_upper[everyone, cap_pos]]
-            return bool(clears(bounds, caps[:, None]).any())
+            return bool(prunable_mask(bounds, caps[:, None]).any())
 
         def ordered_rounds() -> Iterator[List[Group]]:
             """Exact and fixed ``nprobe``: one shard order for the
@@ -781,7 +775,7 @@ class QueryService:
                 # Shard si's round, decided as the thresholds stand.
                 active = eligible[:, si]
                 if policy.prune:
-                    active = active & ~clears(bounds[:, si], thresholds)
+                    active = active & ~prunable_mask(bounds[:, si], thresholds)
                 qs = np.flatnonzero(active)
                 yield [(si, qs)] if qs.size else []
 
@@ -804,7 +798,7 @@ class QueryService:
                 next_shards = routed[live, t]
                 if t > 0:
                     checks[live] += 1
-                    widening = ~clears(
+                    widening = ~prunable_mask(
                         bounds[live, next_shards], thresholds[live]
                     )
                     live, next_shards = live[widening], next_shards[widening]
@@ -818,9 +812,7 @@ class QueryService:
         if policy.is_full_scan:
             rounds = [whole]
         else:
-            bounds, centroid_d = shard_lower_bounds(
-                vectors, stack, p, backend=self._kernel
-            )
+            bounds, centroid_d = shard_lower_bounds(vectors, stack, p)
             rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
 
         visited = np.zeros(nq, dtype=np.int64)  # shards per query
@@ -871,7 +863,7 @@ class QueryService:
             graph = self._graph
         if graph is not None:
             return graph
-        built = self.mapping.proximity_graph(backend=self._kernel)
+        built = self.mapping.proximity_graph()
         with self._swap_lock:
             if self._graph is None:
                 self._graph = built
@@ -904,7 +896,7 @@ class QueryService:
         evals = np.zeros(nq, dtype=np.int64)
         for qi in range(nq):
             ranking, scores, q_hops, q_evals = graph.search(
-                vectors[qi], k, ef, backend=self._kernel
+                vectors[qi], k, ef
             )
             results.append(TopKResult(ranking, scores))
             hops[qi] = q_hops

@@ -1,16 +1,17 @@
-"""Row-at-a-time reference backend — a genuinely different accumulation.
+"""Row-at-a-time oracle for :mod:`repro.kernels` — a different accumulation.
 
 Computes every distance as a direct ``Σ (q_j − x_j)²`` per query row
-instead of the baseline's expanded ``‖q‖² + ‖x‖² − 2 q·x`` BLAS form.
-On the binary embedding vectors this project serves, both accumulations
-are exact integer arithmetic in float64, so the results are
-**bit-identical** — which makes this backend the always-available second
-leg of the kernel-parity tier (this module has no dependencies beyond
-numpy).  It is also the shape a JIT/native port takes, so parity here is
-parity evidence for those too.
+instead of the kernels' expanded ``‖q‖² + ‖x‖² − 2 q·x`` BLAS form, and
+the skip test and the candidate filter one element / one pattern at a
+time.  On the binary embedding vectors this project serves, both
+accumulations are exact integer arithmetic in float64, so the results
+are **bit-identical** — which is what the kernel-parity tier
+(``tests/test_kernel_parity.py``) asserts, swapping these functions into
+:mod:`repro.kernels` with ``monkeypatch``.  It is also the shape a
+JIT/native port takes, so parity here is parity evidence for those too.
 
 Bound blocks involve non-integer centroids, where the different
-association can differ from the baseline by ulps; the pruning slack
+association can differ from the kernels by ulps; the pruning slack
 absorbs that (answers stay exact — the parity tier asserts it at the
 answer level).
 """
@@ -20,8 +21,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-from repro.kernels import numpy_backend as _np_backend
 
 
 def distance_block(
@@ -69,8 +68,24 @@ def bound_block(
     return bounds, centroid_d
 
 
-# The skip test and the candidate filter are already pure elementwise
-# integer/compare work with a single possible evaluation order — the
-# baseline implementations *are* the reference.
-bound_check = _np_backend.bound_check
-vf2_candidate_filter = _np_backend.vf2_candidate_filter
+def bound_check(
+    bounds: np.ndarray,
+    thresholds: np.ndarray,
+    slack_rel: float,
+    slack_abs: float,
+) -> np.ndarray:
+    bounds, thresholds = np.broadcast_arrays(
+        np.asarray(bounds, dtype=float), np.asarray(thresholds, dtype=float)
+    )
+    out = np.empty(bounds.shape, dtype=bool)
+    for idx in np.ndindex(bounds.shape):
+        out[idx] = bounds[idx] > thresholds[idx] * (1.0 + slack_rel) + slack_abs
+    return out
+
+
+def vf2_candidate_filter(need: np.ndarray, have: np.ndarray) -> np.ndarray:
+    have = have.tolist()
+    return np.array(
+        [all(n <= h for n, h in zip(row, have)) for row in need.tolist()],
+        dtype=bool,
+    )

@@ -1,13 +1,11 @@
-"""Unit tests for the pluggable kernel registry and its building blocks.
+"""Unit tests for the kernels' building blocks.
 
-The registry's contract is operational: selection is explicit > scoped
-override > environment > numpy, and a missing/unknown backend *warns and
-degrades* instead of raising — a stale ``REPRO_KERNEL`` must never take
-serving down.  The vectorised VF2
-candidate filter is checked feature-by-feature against the scalar
-``_label_counts_ok`` it replaces.
+The vectorised VF2 candidate filter is checked feature-by-feature
+against the scalar ``_label_counts_ok`` it replaces, and against the
+row-at-a-time oracle.
 """
 
+import kernel_oracle
 import numpy as np
 import pytest
 
@@ -19,74 +17,8 @@ from repro.isomorphism.vf2 import (
     TargetProfile,
     _label_counts_ok,
 )
-from repro.kernels import (
-    DEFAULT_BACKEND,
-    KERNEL_ENV_VAR,
-    PatternFilterStats,
-    active_backend,
-    available_backends,
-    register_backend,
-    resolve_backend,
-    use_backend,
-)
+from repro.kernels import PatternFilterStats
 from repro.mining import mine_frequent_subgraphs
-
-
-class TestRegistry:
-    def test_numpy_first_and_reference_present(self):
-        names = available_backends()
-        assert names[0] == DEFAULT_BACKEND
-        assert "reference" in names
-
-    def test_every_registered_backend_has_the_full_interface(self):
-        for name in available_backends():
-            backend = resolve_backend(name)
-            for fn in (
-                "distance_block",
-                "bound_block",
-                "bound_check",
-                "vf2_candidate_filter",
-            ):
-                assert callable(getattr(backend, fn))
-
-    def test_unknown_name_warns_and_falls_back_to_numpy(self):
-        with pytest.warns(RuntimeWarning, match="unknown or unavailable"):
-            backend = resolve_backend("no-such-backend")
-        assert backend is resolve_backend(DEFAULT_BACKEND)
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert active_backend() is resolve_backend("reference")
-        monkeypatch.delenv(KERNEL_ENV_VAR)
-        assert active_backend() is resolve_backend(DEFAULT_BACKEND)
-
-    def test_use_backend_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, DEFAULT_BACKEND)
-        with use_backend("reference") as backend:
-            assert backend is resolve_backend("reference")
-            assert active_backend() is backend
-        assert active_backend() is resolve_backend(DEFAULT_BACKEND)
-
-    def test_use_backend_nests_innermost_wins(self):
-        with use_backend("reference"):
-            with use_backend(DEFAULT_BACKEND):
-                assert active_backend() is resolve_backend(DEFAULT_BACKEND)
-            assert active_backend() is resolve_backend("reference")
-
-    def test_register_backend_validates_interface(self):
-        class Partial:
-            def distance_block(self, *a, **k):  # pragma: no cover
-                pass
-
-        with pytest.raises(TypeError, match="missing kernel"):
-            register_backend("partial", Partial())
-        assert "partial" not in available_backends()
-
-    def test_explicit_name_beats_override(self):
-        with use_backend(DEFAULT_BACKEND):
-            assert kernels.resolve_backend("reference") is resolve_backend(
-                "reference"
-            )
 
 
 class TestPatternFilterStats:
@@ -113,16 +45,17 @@ class TestPatternFilterStats:
                 )
                 assert np.array_equal(mask, expected)
 
-    def test_mask_agrees_across_backends(self, graphs):
+    def test_mask_agrees_with_the_oracle(self, graphs, monkeypatch):
         patterns = [PatternProfile(g) for g in graphs[:10]]
         stats = PatternFilterStats(patterns)
         profile = TargetProfile(graphs[20])
-        masks = [
-            stats.candidate_mask(profile, resolve_backend(name))
-            for name in available_backends()
-        ]
-        for mask in masks[1:]:
-            assert np.array_equal(mask, masks[0])
+        mask = stats.candidate_mask(profile)
+        monkeypatch.setattr(
+            kernels,
+            "vf2_candidate_filter",
+            kernel_oracle.vf2_candidate_filter,
+        )
+        assert np.array_equal(stats.candidate_mask(profile), mask)
 
     def test_self_match_is_always_candidate(self, graphs):
         # A graph dominates its own invariants, so the filter may never

@@ -22,7 +22,6 @@ from repro.core.mapping import (
 from repro.datasets import synthetic_database, synthetic_query_set
 from repro.features.binary_matrix import FeatureSpace
 from repro.isomorphism.vf2 import is_subgraph
-from repro.kernels import use_backend
 from repro.mining import mine_frequent_subgraphs
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.engine import FeatureLattice
@@ -240,29 +239,6 @@ class TestStateConsistency:
         mapping.add_graphs(extra[:2])
         mapping.remove_graphs([0, 3])
         assert mapping.query_engine() is engine
-
-    @pytest.mark.parametrize(
-        "update", ["add_graphs", "remove_graphs", "apply_update"]
-    )
-    def test_update_keeps_the_engines_kernel_backend(self, materials, update):
-        """An engine built under a backend override serves on that
-        backend after an update: no update rebuilds the engine, so
-        none re-resolves the backend from the ambient default."""
-        _db, extra, _queries, _features = materials
-        mapping = _fresh_mapping(materials, 10)
-        with use_backend("reference") as backend:
-            engine = mapping.query_engine()
-        assert engine._kernel is backend
-        if update == "add_graphs":
-            mapping.add_graphs(extra[:2])
-        elif update == "remove_graphs":
-            mapping.remove_graphs([1, 5])
-        else:
-            with mapping.query_service(n_shards=2) as service:
-                service.apply_update(added=extra[:2], removed=[3])
-                assert service.engine is engine
-        assert mapping.query_engine() is engine
-        assert engine._kernel is backend
 
     def test_added_rows_returned_and_logged(self, materials):
         _db, extra, _queries, _features = materials

@@ -30,12 +30,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clustered import clustered_query_vectors, clustered_vector_index
+from repro import kernels
 from repro.core.mapping import mapping_from_selection
 from repro.features.binary_matrix import FeatureSpace
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import load_index, save_index
 from repro.index.artifact import _entry_digest
-from repro.kernels import active_backend
 from repro.mining.gspan import FrequentSubgraph
 from repro.query.proximity import ProximityGraph, _entry_points
 from repro.query.pruning import SEARCH_MODES, SearchPolicy, default_ef
@@ -648,7 +648,7 @@ class TestBinaryContract:
         graph = ProximityGraph.build(vectors)
         ranking, scores, _hops, evals = graph.search(np.zeros(0), 3, 5)
         assert ranking == [0, 1, 2] and evals == 5
-        kernel = active_backend().distance_block(
+        kernel = kernels.distance_block(
             np.zeros((1, 0)), vectors, np.zeros(5), 0
         )
         assert scores == kernel[0, :3].tolist() == [0.0] * 3

@@ -33,7 +33,6 @@ from repro.isomorphism.vf2 import (
     count_embeddings,
     is_subgraph,
 )
-from repro.kernels import available_backends
 from repro.mining import mine_frequent_subgraphs
 from repro.query.engine import FeatureLattice, QueryEngine
 from repro.query.topk import MappedTopKEngine, rank_with_ties
@@ -209,10 +208,9 @@ class TestEmbeddingParity:
         mapping = mapping_from_selection(space, variance_selection(space, 24))
         return mapping, features, queries
 
-    @pytest.mark.parametrize("kernel", available_backends())
-    def test_embed_many_rows_match_record(self, parity_index, kernel):
+    def test_embed_many_rows_match_record(self, parity_index):
         mapping, _features, queries = parity_index
-        rows = QueryEngine(mapping, kernel=kernel).embed_many(queries)
+        rows = QueryEngine(mapping).embed_many(queries)
         digest = _digest(rows.astype(int).tolist())
         assert digest == EMBED_PARITY_RECORD["embed_many"]
 

@@ -1,8 +1,10 @@
 """Tests for VF2 subgraph isomorphism."""
 
+import kernel_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.graph import LabeledGraph, random_connected_graph
 from repro.isomorphism import count_embeddings, find_embedding, is_subgraph
 from repro.isomorphism.vf2 import (
@@ -11,11 +13,7 @@ from repro.isomorphism.vf2 import (
     compile_plan,
     match_plan,
 )
-from repro.kernels import (
-    PatternFilterStats,
-    available_backends,
-    resolve_backend,
-)
+from repro.kernels import PatternFilterStats
 from repro.utils.rng import ensure_rng
 
 
@@ -208,15 +206,20 @@ def test_plan_with_any_search_order_agrees_with_brute_force(seed):
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_candidate_filter_never_rejects_a_match(seed):
     """Soundness of the one-comparison filter: a ``False`` entry of
-    ``candidate_mask`` is never a brute-force match, on any backend —
-    over a vocabulary of several patterns, so the target lacks some
-    labels and triples the filter has columns for."""
+    ``vf2_candidate_filter`` is never a brute-force match, under the
+    kernel or the oracle — over a vocabulary of several patterns, so
+    the target lacks some labels and triples the filter has columns
+    for."""
     patterns = [random_pair(seed + i)[0] for i in range(4)]
     _pattern, target, _rng = random_pair(seed)
     stats = PatternFilterStats([PatternProfile(p) for p in patterns])
     profile = TargetProfile(target)
-    for name in available_backends():
-        mask = stats.candidate_mask(profile, resolve_backend(name))
+    have = stats.encode_target(profile)
+    for candidate_filter in (
+        kernels.vf2_candidate_filter,
+        kernel_oracle.vf2_candidate_filter,
+    ):
+        mask = candidate_filter(stats.need, have)
         for pattern, candidate in zip(patterns, mask):
             if not candidate:
                 assert brute_force_count(pattern, target) == 0
