@@ -5,8 +5,8 @@ lives in :mod:`repro.index`.  This module holds the two things its
 readers and writers have in common with the serving tier:
 :data:`FORMAT_VERSION`, the one format version read and written, and
 :class:`LabelCodec`, which carries label *types* through the
-string-only gSpan text layer (the frontend decodes wire graphs with the
-same codec the artifact persists).
+string-only gSpan text layer (the engine's ``label_codec`` is the one
+the artifact persists and both serving tiers decode wire graphs with).
 """
 
 from __future__ import annotations

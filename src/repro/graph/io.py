@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Callable, Iterable, List, Union
 
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.utils.errors import InvalidGraphError
 
 PathLike = Union[str, Path]
@@ -87,8 +87,9 @@ def graph_to_obj(g: LabeledGraph) -> dict:
 
     The single source of the per-graph JSON shape: both the file format
     (:func:`dumps_json`) and the serving wire format
-    (:mod:`repro.serving.protocol`) emit exactly this, so the two can
-    never drift apart.  ``id`` is present only when the graph has one.
+    (:mod:`repro.serving.protocol`) emit exactly this, and
+    :func:`graph_from_obj` is the one parser of it, so the two can never
+    drift apart.  ``id`` is present only when the graph has one.
     """
     obj: dict = {
         "vertices": [str(g.vertex_label(v)) for v in range(g.num_vertices)],
@@ -97,6 +98,47 @@ def graph_to_obj(g: LabeledGraph) -> dict:
     if g.graph_id is not None:
         obj["id"] = str(g.graph_id)
     return obj
+
+
+def is_wire_int(value) -> bool:
+    """A JSON integer — not ``true``/``false``, which Python's ``bool``
+    would smuggle through ``isinstance(value, int)`` as 1/0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def graph_from_obj(obj, decode: Callable[[str], Label] = str) -> LabeledGraph:
+    """Parse one JSON graph object: the inverse of :func:`graph_to_obj`.
+
+    Labels must be strings and endpoints JSON integers, or it raises
+    :class:`InvalidGraphError`.  Every label passes through *decode*
+    (a ``LabelCodec.decode`` restores typed labels).
+    """
+    if not isinstance(obj, dict):
+        raise InvalidGraphError("graph must be an object")
+    vertices = obj.get("vertices")
+    if not isinstance(vertices, list) or not all(
+        isinstance(v, str) for v in vertices
+    ):
+        raise InvalidGraphError("graph 'vertices' must be a list of labels")
+    edges = obj.get("edges", [])
+    if not isinstance(edges, list):
+        raise InvalidGraphError(
+            "graph 'edges' must be a list of [u, v, label]"
+        )
+    g = LabeledGraph([decode(v) for v in vertices], graph_id=obj.get("id"))
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+            raise InvalidGraphError("each edge must be [u, v, label]")
+        u, v, label = edge
+        if not (is_wire_int(u) and is_wire_int(v) and isinstance(label, str)):
+            raise InvalidGraphError(
+                f"bad edge {edge!r}: expected [integer, integer, string]"
+            )
+        try:
+            g.add_edge(u, v, decode(label))
+        except (TypeError, ValueError, InvalidGraphError) as exc:
+            raise InvalidGraphError(f"bad edge {edge!r}: {exc}") from exc
+    return g
 
 
 def dumps_json(graphs: Iterable[LabeledGraph]) -> str:
@@ -111,13 +153,10 @@ def dumps_json(graphs: Iterable[LabeledGraph]) -> str:
 
 def loads_json(text: str) -> List[LabeledGraph]:
     """Parse a JSON document produced by :func:`dumps_json`."""
-    graphs = []
-    for record in json.loads(text):
-        g = LabeledGraph(record["vertices"], graph_id=record.get("id"))
-        for u, v, label in record["edges"]:
-            g.add_edge(int(u), int(v), label)
-        graphs.append(g)
-    return graphs
+    records = json.loads(text)
+    if not isinstance(records, list):
+        raise InvalidGraphError("a JSON graph file must hold a list of graphs")
+    return [graph_from_obj(record) for record in records]
 
 
 def save_json(graphs: Iterable[LabeledGraph], path: PathLike) -> None:

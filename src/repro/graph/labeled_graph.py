@@ -229,6 +229,21 @@ class LabeledGraph:
             f"<LabeledGraph{gid} |V|={self.num_vertices} |E|={self.num_edges}>"
         )
 
+    def key(self) -> Tuple:
+        """The graph's identity: vertex labels and sorted ``(u, v,
+        label)`` edges, ``u < v``, labels compared with ``==`` as VF2
+        does.  The embedding and placement caches key on it, and ``==``
+        / ``hash`` are defined through it."""
+        return (
+            tuple(self._vlabels),
+            tuple(sorted(
+                (u, v, label)
+                for u, nbrs in enumerate(self._adj)
+                for v, label in nbrs.items()
+                if u < v
+            )),
+        )
+
     def __eq__(self, other: object) -> bool:
         """Structural equality under the *identity* vertex mapping.
 
@@ -238,16 +253,7 @@ class LabeledGraph:
         """
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        if self._vlabels != other._vlabels:
-            return False
-        return sorted(
-            (e.u, e.v, repr(e.label)) for e in self.edges()
-        ) == sorted((e.u, e.v, repr(e.label)) for e in other.edges())
+        return self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                tuple(self._vlabels),
-                tuple(sorted((e.u, e.v, repr(e.label)) for e in self.edges())),
-            )
-        )
+        return hash(self.key())

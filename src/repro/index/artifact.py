@@ -313,11 +313,11 @@ class IndexArtifact:
         supports and vectors, so the result is a clean *base* (empty
         journal).
         """
-        lattice = mapping.query_engine().lattice
+        engine = mapping.query_engine()
+        lattice = engine.lattice
         p = mapping.dimensionality
 
         features = mapping.selected_features()
-        codec = LabelCodec.for_graphs([f.graph for f in features])
 
         arrays = {
             "database_vectors": mapping.database_vectors.astype(np.uint8),
@@ -337,7 +337,7 @@ class IndexArtifact:
                 int(v) for v in mapping._support_baseline
             ],
             "stale": bool(mapping.stale),
-            "label_codec": codec.to_payload(),
+            "label_codec": engine.label_codec.to_payload(),
             "lattice": {
                 "order": [int(r) for r in lattice.order],
                 "ancestors": [

@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.mapping import DSPreservedMapping
+from repro.core.persistence import LabelCodec
 from repro.graph.labeled_graph import LabeledGraph
 from repro.isomorphism.vf2 import (
     PatternProfile,
@@ -287,6 +289,14 @@ class QueryEngine:
         with ``mapping.selected`` — the engine's pattern side, which
         depends on the selection alone."""
         return self.lattice, list(self._pattern_profiles)
+
+    @cached_property
+    def label_codec(self) -> LabelCodec:
+        """The codec giving stringified labels back their types: over
+        the selected patterns' labels, since no other label can match a
+        pattern.  The artifact persists it and both serving tiers decode
+        wire graphs with it; a re-selection builds a new engine."""
+        return LabelCodec.for_graphs(self.patterns)
 
     # ------------------------------------------------------------------
     # embedding (the VF2 feature-matching hot path)

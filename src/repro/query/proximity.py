@@ -202,7 +202,7 @@ def check_payload(payload: Dict[str, Any], n: int) -> None:
     Needs nothing but ``n`` (no vectors), so a loader can run it
     without touching the database.  Raises :class:`QueryError` on a
     ``max_degree`` that is not a positive JSON integer (``true`` is
-    not 1: the :func:`repro.serving.protocol.is_wire_int` rule), a
+    not 1: the :func:`repro.graph.io.is_wire_int` rule), a
     table that is not ``(n, min(max_degree, n-1))``, an id out of
     range, a self-link or a duplicate within a list.
     """

@@ -191,7 +191,6 @@ class AsyncFrontend(RequestGate):
             },
         )
         self.service = service
-        self._codec = self._build_codec(service)
         self._pending: Deque[_Pending] = deque()
         # The dispatcher's one wake-up: resolved False once
         # ``_wake_at`` queries are queued or drain() ends a linger, True
@@ -221,24 +220,10 @@ class AsyncFrontend(RequestGate):
         # the in-flight batch's elapsed time instead of a blind seed.
         self._batch_started: Optional[float] = None
 
-    @staticmethod
-    def _build_codec(service: QueryService):
-        """The label codec wire graphs decode through.
-
-        JSON stringifies every label; the index's labels may be ints
-        (the synthetic datasets).  φ(q) depends only on the *selected
-        patterns*, so a codec over the feature graphs' labels is exactly
-        sufficient: any other query label can never match a pattern and
-        decoding it as a string is harmless.
-        """
-        from repro.core.persistence import LabelCodec
-
-        return LabelCodec.for_graphs(
-            [f.graph for f in service.mapping.selected_features()]
-        )
-
     def _decode_graph(self, wire) -> LabeledGraph:
-        return protocol.graph_from_wire(wire, self._codec.decode)
+        return protocol.graph_from_wire(
+            wire, self.service.engine.label_codec.decode
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -596,10 +581,6 @@ class AsyncFrontend(RequestGate):
             report = await loop.run_in_executor(
                 self._admin_executor, self._maintain_sync
             )
-            if report.get("reselected"):
-                # Re-selection changed the feature set the wire codec
-                # decodes against.
-                self._codec = self._build_codec(self.service)
             self.stats.maintenance_runs += 1
             return report
 
@@ -647,7 +628,6 @@ class AsyncFrontend(RequestGate):
             )
             replacement.generation = old.generation + 1
             self.service = replacement
-            self._codec = self._build_codec(replacement)
             self.stats.reloads += 1
             return {
                 "path": path,

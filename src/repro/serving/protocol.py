@@ -77,8 +77,8 @@ parsed to a JSON object, ``null`` otherwise.
 Wire graphs
 -----------
 ``{"vertices": ["C", "C", "O"], "edges": [[0, 1, "s"], [1, 2, "d"]],
-"id": "q1"}`` — the same stringified-label convention as
-:func:`repro.graph.io.dumps_json`, one graph per object.
+"id": "q1"}`` — one graph per object, written and parsed by the same
+functions as :func:`repro.graph.io.dumps_json` / ``loads_json``.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import asyncio
 import json
 from typing import Callable, Dict, Optional
 
-from repro.graph.io import graph_to_obj
+from repro.graph.io import graph_from_obj, graph_to_obj, is_wire_int
 from repro.graph.labeled_graph import Label, LabeledGraph
 from repro.query.pruning import SEARCH_MODES, SearchPolicy
 from repro.query.topk import TopKResult
@@ -118,59 +118,25 @@ ERROR_CODES = (
 # ----------------------------------------------------------------------
 # wire graphs
 # ----------------------------------------------------------------------
-def graph_to_wire(g: LabeledGraph) -> Dict:
-    """Serialise one graph as a JSON-ready object (labels stringified).
-
-    Exactly :func:`repro.graph.io.graph_to_obj` — the wire format *is*
-    the file format, shared at the function level so they cannot drift.
-    """
-    return graph_to_obj(g)
+#: The wire format *is* the file format: one writer, one parser.
+graph_to_wire = graph_to_obj
 
 
 def graph_from_wire(
     obj, decode: Callable[[str], Label] = str
 ) -> LabeledGraph:
-    """Parse one wire graph, raising :class:`ProtocolError` on junk.
-
-    Every label passes through *decode* as the one graph is built
-    (the frontend hands in its :class:`LabelCodec`'s ``decode``; the
-    default keeps the wire's strings).
-    """
-    if not isinstance(obj, dict):
-        raise ProtocolError("graph must be an object")
-    vertices = obj.get("vertices")
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, str) for v in vertices
-    ):
-        raise ProtocolError("graph 'vertices' must be a list of labels")
-    edges = obj.get("edges", [])
-    if not isinstance(edges, list):
-        raise ProtocolError("graph 'edges' must be a list of [u, v, label]")
-    g = LabeledGraph([decode(v) for v in vertices], graph_id=obj.get("id"))
-    for edge in edges:
-        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
-            raise ProtocolError("each edge must be [u, v, label]")
-        u, v, label = edge
-        if not (is_wire_int(u) and is_wire_int(v) and isinstance(label, str)):
-            raise ProtocolError(
-                f"bad edge {edge!r}: expected [integer, integer, string]"
-            )
-        try:
-            g.add_edge(u, v, decode(label))
-        except (TypeError, ValueError, InvalidGraphError) as exc:
-            raise ProtocolError(f"bad edge {edge!r}: {exc}") from exc
-    return g
+    """:func:`repro.graph.io.graph_from_obj`, raising
+    :class:`ProtocolError` on junk (both tiers pass their engine's
+    ``label_codec.decode``)."""
+    try:
+        return graph_from_obj(obj, decode)
+    except InvalidGraphError as exc:
+        raise ProtocolError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
 # requests and responses
 # ----------------------------------------------------------------------
-def is_wire_int(value) -> bool:
-    """A JSON integer — not ``true``/``false``, which Python's ``bool``
-    would smuggle through ``isinstance(value, int)`` as 1/0."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_request(line: str) -> Dict:
     """Parse and shape-check one request line.
 

@@ -428,9 +428,10 @@ class ContentPlacer:
     derived from its rows here, stacked once for BLAS.  Per
     query, the zero-VF2 filter mask stands in for φ(q) — an entrywise
     upper bound costing no isomorphism calls — and the block with the
-    nearest centroid wins.  A small LRU keyed on the query's structural
-    signature makes repeat-heavy streams (the serving workload) skip
-    even the mask computation.
+    nearest centroid wins.  A small LRU keyed on the query's
+    ``key()`` makes repeat-heavy streams (the serving workload) skip
+    even the mask computation.  The router decodes wire graphs with
+    :attr:`engine`'s label codec.
     """
 
     def __init__(
@@ -450,29 +451,20 @@ class ContentPlacer:
         self._stack = stack_summaries(
             [ShardSummary.from_vectors(vectors[b]) for b in blocks]
         )
-        self._engine = mapping.query_engine()
+        self.engine = mapping.query_engine()
         self._cache: "OrderedDict[Tuple, int]" = OrderedDict()
         self._cache_size = int(cache_size)
-
-    @staticmethod
-    def _signature(graph) -> Tuple:
-        return (
-            tuple(graph.vertex_labels()),
-            tuple(
-                sorted((e.u, e.v, str(e.label)) for e in graph.edges())
-            ),
-        )
 
     def block_for(self, graph) -> int:
         """The preferred block (replica slot) for one query graph."""
         from repro.query.pruning import shard_centroid_distances
 
-        key = self._signature(graph)
+        key = graph.key()
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
             return cached
-        mask = self._engine.filter_mask(graph)
+        mask = self.engine.filter_mask(graph)
         distances = shard_centroid_distances(mask[None, :], self._stack)[0]
         # Stable tie-break by block index, same convention as approx
         # routing's argsort.
@@ -703,7 +695,9 @@ class Router(RequestGate):
                 wire = wires[0] if wires else None
             if isinstance(wire, dict):
                 try:
-                    graph = protocol.graph_from_wire(wire)
+                    graph = protocol.graph_from_wire(
+                        wire, self.placer.engine.label_codec.decode
+                    )
                     block = self.placer.block_for(graph)
                 except (ProtocolError, ValueError):
                     block = None

@@ -93,19 +93,6 @@ from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_block
 from repro.utils.errors import QueryError
 
 
-def _structural_key(g: LabeledGraph) -> Tuple:
-    """An exact identity key: same labels + same edge set ⇒ same φ(q)."""
-    return (
-        tuple(g.vertex_labels()),
-        tuple(sorted(
-            (u, v, label)
-            for u, nbrs in enumerate(g.adjacency)
-            for v, label in nbrs.items()
-            if u < v
-        )),
-    )
-
-
 @dataclass
 class Shard:
     """One block of database rows and what is derived from them.
@@ -570,7 +557,7 @@ class QueryService:
         targets: List[List[int]] = []
         seen: Dict[Tuple, int] = {}
         for i, q in enumerate(queries):
-            key = _structural_key(q)
+            key = q.key()
             if self._cache is not None:
                 cached = self._cache_get(key)
                 if cached is not None:

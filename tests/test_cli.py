@@ -376,16 +376,14 @@ class TestServeRouterVerb:
         to the single engine, and both children are gone after
         ``shutdown``."""
         from repro.datasets import chemical_query_set
-        from repro.serving.protocol import graph_from_wire, graph_to_wire
+        from repro.serving.protocol import graph_to_wire
         from repro.serving.router import ContentPlacer
 
         mapping, idx = _small_index(tmp_path)
         placer = ContentPlacer(mapping, 2)
         by_block = {}
         for q in chemical_query_set(40, seed=5):
-            # As the router sees it: decoded off the wire.
-            block = placer.block_for(graph_from_wire(graph_to_wire(q)))
-            by_block.setdefault(block, q)
+            by_block.setdefault(placer.block_for(q), q)
         assert sorted(by_block) == [0, 1]
         proc = _run_cli(
             ["serve-router", "--spawn", "2", "--index", str(idx)],
@@ -488,6 +486,25 @@ class TestKernelAndBuildVerbs:
             "--graphs", str(tmp_path / "nope.gspan"),
         ]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"edges": []},
+            {"vertices": ["C", "C"], "edges": [[0, 1.7, "s"]]},
+        ],
+        ids=["no-vertices", "float-endpoint"],
+    )
+    def test_index_build_bad_json_graph_fails_cleanly(
+        self, tmp_path, capsys, record
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([record]))
+        assert main([
+            "index-build", str(tmp_path / "idx.json"),
+            "--graphs", str(bad), "--format", "json",
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_index_build_impossible_support_fails_cleanly(
         self, tmp_path, capsys

@@ -835,11 +835,15 @@ class TestLiveUpdateAndReload:
             await frontend.aclose()
 
     @pytest.mark.asyncio
-    async def test_codec_follows_the_selection_not_the_update(self):
-        """The wire codec is built from the selected patterns' labels.
-        An update never changes the selection, so it keeps the codec; a
-        ``maintain`` that re-selects rebuilds it, and a label only the
-        new selection carries then decodes to its real type."""
+    async def test_codec_follows_the_selection_not_the_update(
+        self, tmp_path
+    ):
+        """The wire codec is the engine's, built from the selected
+        patterns' labels.  An update never changes the selection, so it
+        keeps the codec; a ``maintain`` that re-selects builds a new
+        engine and with it a new codec, and a label only the new
+        selection carries then decodes to its real type.  A save
+        persists that same codec."""
         from repro.core.mapping import StalenessPolicy
 
         rows = [[1], [2], [1, 2], [3], [1, 3], [2, 3]]
@@ -863,23 +867,31 @@ class TestLiveUpdateAndReload:
         probe = {"op": "query", "id": 9, "k": 1, "graph": {"vertices": ["3"]}}
         try:
             await frontend.start()
-            codec = frontend._codec
+            codec = frontend.service.engine.label_codec
             assert set(codec.table) == {"1", "2"}
             update = await frontend.handle_request(
                 {"op": "update", "id": 1, "add": [{"vertices": ["1", "1"]}]}
             )
             assert update["ok"] and mapping.stale
-            assert frontend._codec is codec
+            assert frontend.service.engine.label_codec is codec
 
             healed = await frontend.handle_request({"op": "maintain", "id": 2})
             assert healed["ok"] and healed["reselected"] is True
-            assert frontend._codec is not codec
-            assert set(frontend._codec.table) == {"1", "2", "3"}
+            healed_codec = frontend.service.engine.label_codec
+            assert healed_codec is not codec
+            assert set(healed_codec.table) == {"1", "2", "3"}
             # Row 3 is the graph holding label 3 alone: an exact hit,
             # which "3" left as a string could never be.
             answer = await frontend.handle_request(probe)
             assert answer["ok"]
             assert answer["ranking"] == [3] and answer["scores"] == [0.0]
+            # The artifact's codec section is the engine's codec, and
+            # reads as it did when the artifact built its own.
+            path = tmp_path / "index.json"
+            save_index(mapping, path)
+            section = json.loads(path.read_text())["label_codec"]
+            assert section == healed_codec.to_payload()
+            assert section == {"1": "int", "2": "int", "3": "int"}
         finally:
             await frontend.aclose()
 

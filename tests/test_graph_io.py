@@ -1,5 +1,7 @@
 """Round-trip tests for the gSpan and JSON graph formats."""
 
+import json
+
 import pytest
 
 from repro.graph import LabeledGraph
@@ -77,3 +79,25 @@ class TestJSONFormat:
     def test_ids_preserved(self, small_chemical_db):
         parsed = loads_json(dumps_json(small_chemical_db[:2]))
         assert parsed[0].graph_id == str(small_chemical_db[0].graph_id)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"vertices": ["C", "C"], "edges": [[0, 1]]},
+            {"edges": [[0, 1, "s"]]},
+            {"vertices": ["C", "C", "O"], "edges": [[0, 1.7, "s"]]},
+            {"vertices": ["C", "C", "O"], "edges": [[True, 2, "s"]]},
+        ],
+        ids=["two-item-edge", "no-vertices", "float-endpoint",
+             "bool-endpoint"],
+    )
+    def test_bad_records_rejected(self, record):
+        """The file format has the wire's one parser: each record that
+        ``graph_from_wire`` refuses is an :class:`InvalidGraphError`
+        here, not a coerced edge or a ``KeyError``."""
+        with pytest.raises(InvalidGraphError):
+            loads_json(json.dumps([record]))
+
+    def test_document_must_be_a_list(self):
+        with pytest.raises(InvalidGraphError):
+            loads_json(json.dumps({"vertices": ["C"], "edges": []}))

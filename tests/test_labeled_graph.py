@@ -123,6 +123,65 @@ class TestEquality:
         assert a != b
 
 
+class TestKey:
+    """``key()`` is the one identity of a graph: the service's embedding
+    cache, the router's placement cache, ``==`` and ``hash`` all use it."""
+
+    def test_key_distinguishes_labels(self, small_synthetic_db):
+        db = small_synthetic_db
+        assert db[0].key() == db[0].key()
+        assert db[0].key() != db[1].key()
+
+    def test_key_equals_edge_object_construction(
+        self, small_synthetic_db, small_chemical_db
+    ):
+        """The key is read straight off the adjacency; it must equal the
+        tuple built from normalised ``Edge`` objects (int and str labels)."""
+        for g in list(small_synthetic_db) + list(small_chemical_db):
+            assert g.key() == (
+                tuple(g.vertex_label(v) for v in range(g.num_vertices)),
+                tuple(sorted(
+                    (e.u, e.v, e.label)
+                    for e in (edge.normalized() for edge in g.edges())
+                )),
+            )
+
+    def test_two_wire_forms_of_one_graph_share_a_key(self):
+        from repro.graph.io import graph_from_obj
+
+        a = graph_from_obj(
+            {"vertices": ["C", "C", "O"], "edges": [[0, 1, "s"], [1, 2, "d"]]}
+        )
+        b = graph_from_obj(
+            {"vertices": ["C", "C", "O"], "edges": [[2, 1, "d"], [1, 0, "s"]]}
+        )
+        assert a.key() == b.key()
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (["C", "N", "O"], [(0, 1, "s"), (1, 2, "d")]),
+            (["C", "C", "O"], [(0, 1, "s"), (1, 2, "s")]),
+        ],
+        ids=["vertex-label", "edge-label"],
+    )
+    def test_one_label_apart_is_another_key(self, other):
+        g = LabeledGraph(["C", "C", "O"], [(0, 1, "s"), (1, 2, "d")])
+        h = LabeledGraph(*other)
+        assert g.key() != h.key()
+        assert g != h
+
+    def test_labels_compare_as_vf2_matches_them(self):
+        """Labels are compared with ``==``, as VF2 matches them: an edge
+        labelled ``1`` is the same as one labelled ``1.0``, and not the
+        same as one labelled ``"1"``."""
+        g = LabeledGraph(["a", "b"], [(0, 1, 1)])
+        assert g == LabeledGraph(["a", "b"], [(0, 1, 1.0)])
+        assert hash(g) == hash(LabeledGraph(["a", "b"], [(0, 1, 1.0)]))
+        assert g != LabeledGraph(["a", "b"], [(0, 1, "1")])
+
+
 class TestEdgeDataclass:
     def test_normalized_orders_endpoints(self):
         assert Edge(3, 1, "x").normalized() == Edge(1, 3, "x")

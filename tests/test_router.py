@@ -99,6 +99,9 @@ class TestPlacementRouting:
     async def test_content_placed_answers_are_bit_identical(self, materials):
         queries, mapping, path = materials
         oracle = mapping.query_engine()
+        # A placer of its own, so the router's placement cache cannot
+        # answer for the expectation.
+        expected = ContentPlacer(mapping, n_blocks=2)
         replicas = await _started(
             [_replica(f"r{i}", path) for i in range(2)]
         )
@@ -114,14 +117,36 @@ class TestPlacementRouting:
                 assert response["ok"] and response["id"] == i
                 assert response["ranking"] == truth.ranking
                 assert response["scores"] == truth.scores
-                # The router places the graph as decoded off the wire
-                # (JSON stringifies labels), so expect that view.
-                decoded = protocol.graph_from_wire(protocol.graph_to_wire(q))
+                # The router decodes the wire graph with the index's
+                # label types, so it places the native graph.
                 assert response["replica"] == (
-                    f"r{placer.block_for(decoded) % 2}"
+                    f"r{expected.block_for(q) % 2}"
                 )
             assert router.stats.placed_content == len(queries)
             assert router.stats.placed_round_robin == 0
+            assert all(r.routed > 0 for r in replicas)
+
+    @pytest.mark.asyncio
+    async def test_place_decodes_with_the_index_label_types(self, materials):
+        """Off the wire, an int-labelled index's labels arrive as
+        strings.  Decoded with the placer's engine codec they place
+        each query on the block its native graph gets."""
+        queries, mapping, path = materials
+        expected = ContentPlacer(mapping, n_blocks=2)
+        placer = ContentPlacer(mapping, n_blocks=2)
+        assert "int" in placer.engine.label_codec.table.values()
+        blocks = [expected.block_for(q) for q in queries]
+        assert sorted(set(blocks)) == [0, 1]
+        replicas = await _started(
+            [_replica(f"r{i}", path) for i in range(2)]
+        )
+        async with Router(
+            replicas, RouterConfig(health_interval=0), placer=placer
+        ) as router:
+            for q, block in zip(queries, blocks):
+                chosen = router._place(_wire_query(q, 3), replicas)
+                assert chosen is replicas[block]
+            assert router.stats.placed_content == len(queries)
 
     @pytest.mark.asyncio
     async def test_no_placer_round_robins_over_replicas(self, materials):

@@ -23,7 +23,7 @@ from repro.query import SearchPolicy
 from repro.query.pruning import ShardSummary
 from repro.query.topk import MappedTopKEngine
 from repro.serving import service as service_module
-from repro.serving.service import QueryService, _structural_key
+from repro.serving.service import QueryService
 from repro.utils.errors import QueryError
 
 
@@ -519,26 +519,6 @@ class TestEmbeddingCache:
         with mapping.query_service(n_shards=2, cache_size=3) as service:
             service.batch_query(queries[:10], 5)
             assert len(service._cache) == 3
-
-    def test_structural_key_distinguishes_labels(self, setup):
-        db, _queries, _space = setup
-        assert _structural_key(db[0]) == _structural_key(db[0])
-        assert _structural_key(db[0]) != _structural_key(db[1])
-
-    def test_structural_key_equals_edge_object_construction(
-        self, setup, small_chemical_db
-    ):
-        """The key is read straight off the adjacency; it must equal the
-        tuple built from normalised ``Edge`` objects (int and str labels)."""
-        db, _queries, _space = setup
-        for g in list(db) + list(small_chemical_db):
-            assert _structural_key(g) == (
-                tuple(g.vertex_label(v) for v in range(g.num_vertices)),
-                tuple(sorted(
-                    (e.u, e.v, e.label)
-                    for e in (edge.normalized() for edge in g.edges())
-                )),
-            )
 
 
 class TestLiveUpdates:
