@@ -23,7 +23,8 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.21", "scipy>=1.7"],
+    # numpy 2.0 brings np.bitwise_count, the served scan's popcount.
+    install_requires=["numpy>=2.0", "scipy>=1.7"],
     extras_require={
         "test": [
             "pytest",

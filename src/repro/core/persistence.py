@@ -40,6 +40,10 @@ class LabelCodec:
         if unknown:
             raise ValueError(f"unknown label type tags: {sorted(unknown)}")
         self.table = dict(table)
+        # Every recorded label decoded once, so decoding is one lookup.
+        self._labels = {
+            text: self._DECODERS[tag](text) for text, tag in table.items()
+        }
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -91,20 +95,7 @@ class LabelCodec:
         return str(label)
 
     def decode(self, text: str) -> Label:
-        tag = self.table.get(text)
-        if tag is None:
-            return text
-        return self._DECODERS[tag](text)
-
-    def decode_graph(self, g: LabeledGraph) -> LabeledGraph:
-        """Rebuild *g* with every label passed through :meth:`decode`."""
-        out = LabeledGraph(
-            [self.decode(g.vertex_label(v)) for v in range(g.num_vertices)],
-            graph_id=g.graph_id,
-        )
-        for e in g.edges():
-            out.add_edge(e.u, e.v, self.decode(e.label))
-        return out
+        return self._labels.get(text, text)
 
     # -- payload --------------------------------------------------------
     def to_payload(self) -> Dict[str, str]:

@@ -33,11 +33,15 @@ def dumps_gspan(graphs: Iterable[LabeledGraph]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_gspan(text: str) -> List[LabeledGraph]:
+def loads_gspan(
+    text: str, decode: Callable[[str], Label] = str
+) -> List[LabeledGraph]:
     """Parse gSpan-format *text* into a list of graphs.
 
-    Labels come back as strings (the format is untyped).  The terminating
-    ``t # -1`` record is optional.
+    Labels come back as strings (the format is untyped), each passed
+    through *decode* (a ``LabelCodec.decode`` restores typed labels).
+    The terminating ``t # -1`` record is optional.  A malformed record
+    raises :class:`InvalidGraphError` naming its line.
     """
     graphs: List[LabeledGraph] = []
     current: LabeledGraph = None  # type: ignore[assignment]
@@ -54,19 +58,37 @@ def loads_gspan(text: str) -> List[LabeledGraph]:
             gid = parts[2] if len(parts) >= 3 else len(graphs)
             current = LabeledGraph(graph_id=gid)
             graphs.append(current)
-        elif tag == "v":
+        elif tag in ("v", "e"):
             if current is None:
-                raise InvalidGraphError(f"line {lineno}: vertex before any 't' record")
-            vid, label = int(parts[1]), parts[2]
-            if vid != current.num_vertices:
+                kind = "vertex" if tag == "v" else "edge"
                 raise InvalidGraphError(
-                    f"line {lineno}: vertex ids must be consecutive (got {vid})"
+                    f"line {lineno}: {kind} before any 't' record"
                 )
-            current.add_vertex(label)
-        elif tag == "e":
-            if current is None:
-                raise InvalidGraphError(f"line {lineno}: edge before any 't' record")
-            current.add_edge(int(parts[1]), int(parts[2]), parts[3])
+            fields = 3 if tag == "v" else 4
+            if len(parts) != fields:
+                raise InvalidGraphError(
+                    f"line {lineno}: {tag!r} record needs {fields - 1} "
+                    f"fields, got {len(parts) - 1}: {line!r}"
+                )
+            try:
+                ids = [int(part) for part in parts[1:-1]]
+            except ValueError:
+                raise InvalidGraphError(
+                    f"line {lineno}: non-integer vertex id in {line!r}"
+                ) from None
+            label = decode(parts[-1])
+            if tag == "v":
+                if ids[0] != current.num_vertices:
+                    raise InvalidGraphError(
+                        f"line {lineno}: vertex ids must be consecutive "
+                        f"(got {ids[0]})"
+                    )
+                current.add_vertex(label)
+            else:
+                try:
+                    current.add_edge(ids[0], ids[1], label)
+                except InvalidGraphError as exc:
+                    raise InvalidGraphError(f"line {lineno}: {exc}") from exc
         else:
             raise InvalidGraphError(f"line {lineno}: unknown record {tag!r}")
     return graphs

@@ -400,10 +400,7 @@ class IndexArtifact:
                 "corrupt mapping file: missing label codec"
             )
         codec = LabelCodec.from_payload(codec_payload)
-        graphs = [
-            codec.decode_graph(g)
-            for g in loads_gspan(payload["feature_graphs"])
-        ]
+        graphs = loads_gspan(payload["feature_graphs"], codec.decode)
         supports = payload["feature_supports"]
         if len(graphs) != len(supports):
             raise _corrupt("feature/support count mismatch")

@@ -1,10 +1,15 @@
 """The compute kernels of the online hot path.
 
-Every numeric inner loop of the serving stack runs through the four
+Every numeric inner loop of the serving stack runs through the five
 functions here, called as ``kernels.<fn>`` so a test can swap one out:
 
-* :func:`distance_block` — normalised-Euclidean distance rectangle, the
-  shard scan inner loop;
+* :func:`hamming_block` — integer Hamming counts between packed 0/1
+  queries and packed rows (:func:`pack_rows`), the shard scan inner
+  loop of the exact and approx tiers;
+* :func:`distance_block` — normalised-Euclidean distance rectangle on
+  float rows: the engines' scans (the naive one is the serving tier's
+  oracle), the experiments, and the proximity graph's builds and seed
+  blocks;
 * :func:`bound_block` — per-(query, shard) lower bounds plus the
   centroid distances the approx router reuses;
 * :func:`bound_check` — the elementwise "provably prunable" test;
@@ -16,8 +21,10 @@ functions here, called as ``kernels.<fn>`` so a test can swap one out:
 Exactness contract: on the binary embedding vectors this project
 serves, every distance term is a small integer, exactly representable
 in float64, so differently-associated accumulations (loops vs BLAS)
-produce **bit-identical** distances.  The kernel-parity test tier holds
-these functions to that against a row-at-a-time oracle kept under
+produce **bit-identical** distances, and a Hamming count ``d`` is
+exactly the squared distance: ``sqrt(d / p)`` of it is the float
+kernel's distance to the bit.  The kernel-parity test tier holds these
+functions to that against a row-at-a-time oracle kept under
 ``tests/``.  Bound computations involve non-integer centroids; another
 association may differ there by ulps, which the pruning slack margin
 absorbs (answers stay exact; the parity tier asserts it).
@@ -36,8 +43,40 @@ __all__ = [
     "bound_block",
     "bound_check",
     "distance_block",
+    "hamming_block",
+    "pack_rows",
     "vf2_candidate_filter",
 ]
+
+
+def pack_rows(vectors: np.ndarray) -> np.ndarray:
+    """0/1 rows as word-major bit planes: a ``[ceil(p / 64), n]``
+    ``uint64`` array whose plane ``w`` holds dimensions ``64w`` to
+    ``64w + 63`` of every row (no plane at ``p == 0``).  Padding bits
+    are zero on every side, so they never count."""
+    vectors = np.asarray(vectors)
+    n, p = vectors.shape
+    words = -(-p // 64)
+    packed = np.zeros((n, 8 * words), dtype=np.uint8)
+    packed[:, : -(-p // 8)] = np.packbits(
+        vectors != 0, axis=1, bitorder="little"
+    )
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+def hamming_block(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Hamming counts ``[nq, n]`` between packed queries and rows.
+
+    Both operands are :func:`pack_rows` planes of one width.  The words
+    are XORed and counted one plane at a time: a broadcast
+    ``(nq, n, words)`` cube is slower at serving batch sizes.
+    """
+    counts = np.zeros((queries.shape[1], rows.shape[1]), dtype=np.int64)
+    xor = np.empty(counts.shape, dtype=np.uint64)
+    for q_word, row_word in zip(queries, rows):
+        np.bitwise_xor(q_word[:, None], row_word[None, :], out=xor)
+        counts += np.bitwise_count(xor)
+    return counts
 
 
 def distance_block(

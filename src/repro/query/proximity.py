@@ -114,7 +114,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.query.topk import rank_block
+from repro.query.topk import rank_block, score_table
 from repro.utils.errors import QueryError
 
 #: Default bound on stored (short-link) neighbors per node.
@@ -323,14 +323,13 @@ class ProximityGraph:
 
     def _walk(self) -> Tuple[np.ndarray, List[int], List[float], list]:
         """What a beam reads, derived once per graph object: the seed
-        rows, every row's :func:`_bits`, ``sqrt(d / p)`` for every
-        Hamming distance ``d`` (the kernel's own formula) and each
+        rows, every row's :func:`_bits`, the :func:`score_table` of
+        every Hamming distance ``d`` (the kernel's own formula) and each
         node's adjacency — its out-links, then its capped in-links; a
         node that both lists and is listed by another holds it twice,
         and the beam's visited check drops the second."""
         if self._beam is None:
-            p = self.vectors.shape[1]
-            root = np.sqrt(np.arange(p + 1) / p) if p else np.zeros(1)
+            root = score_table(self.vectors.shape[1])
             offsets, rev = self._reverse()
             # One int object per row, shared by every list that holds
             # it: a list costs its pointers, not fresh ints (~1 MB less

@@ -49,8 +49,9 @@ hammers exactly this invariant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -380,28 +381,49 @@ class PruningTrace:
 
     def slice_payload(self, lo: int, hi: int) -> Dict:
         """The ``pruning`` response section for queries ``lo..hi-1``."""
+        return self.payloads([lo, hi - lo])[1]
+
+    def payloads(self, sizes: Sequence[int]) -> List[Dict]:
+        """The ``pruning`` sections of consecutive requests of *sizes*
+        queries each, summed over per-query lists made once per batch."""
         if self.mode == "graph":
-            return {
-                "mode": "graph",
-                "ef": self.ef,
-                "hops": int(self.hops[lo:hi].sum()),
-                "distance_evaluations": int(
-                    self.distance_evals[lo:hi].sum()
-                ),
-            }
-        payload = {
-            "mode": self.mode,
-            **({"nprobe": self.nprobe} if self.nprobe is not None else {}),
-            "shards_visited": int(self.visited[lo:hi].sum()),
-            "shards_skipped": int(self.skipped[lo:hi].sum()),
-            "bound_checks": int(self.bound_checks[lo:hi].sum()),
-        }
-        if self.effective_nprobe is not None:
-            probes = self.effective_nprobe[lo:hi]
-            payload["effective_nprobe"] = (
-                round(float(probes.mean()), 3) if probes.size else 0.0
+            hops, evals = self.hops.tolist(), self.distance_evals.tolist()
+        else:
+            visited, skipped = self.visited.tolist(), self.skipped.tolist()
+            checks = self.bound_checks.tolist()
+            nprobe = {} if self.nprobe is None else {"nprobe": self.nprobe}
+            probes = (
+                None
+                if self.effective_nprobe is None
+                else self.effective_nprobe.tolist()
             )
-        return payload
+        sections: List[Dict] = []
+        lo = 0
+        for hi in itertools.accumulate(sizes):
+            if self.mode == "graph":
+                sections.append({
+                    "mode": "graph",
+                    "ef": self.ef,
+                    "hops": sum(hops[lo:hi]),
+                    "distance_evaluations": sum(evals[lo:hi]),
+                })
+            else:
+                section = {
+                    "mode": self.mode,
+                    **nprobe,
+                    "shards_visited": sum(visited[lo:hi]),
+                    "shards_skipped": sum(skipped[lo:hi]),
+                    "bound_checks": sum(checks[lo:hi]),
+                }
+                if probes is not None:
+                    section["effective_nprobe"] = (
+                        round(sum(probes[lo:hi]) / (hi - lo), 3)
+                        if hi > lo
+                        else 0.0
+                    )
+                sections.append(section)
+            lo = hi
+        return sections
 
     def totals(self) -> Dict:
         return self.slice_payload(0, len(self.visited))

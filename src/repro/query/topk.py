@@ -131,50 +131,82 @@ def merge_candidates(
     return idx[order].tolist(), vals[order].tolist()
 
 
-#: Id of an empty :class:`BlockTopK` slot: sorts after every real row.
-_EMPTY_ID = 2.0**62
+def score_table(p: int) -> np.ndarray:
+    """``sqrt(d / p)`` for every Hamming count ``d`` in ``0..p``.
+
+    On 0/1 vectors ``d`` bits apart this is
+    :func:`repro.kernels.distance_block`'s distance to the bit (the
+    same float division, then the same square root), and all zeros at
+    ``p == 0`` as there.  It is strictly increasing in ``d``, so the
+    (count, row) order is the (score, row) order.
+    """
+    return np.sqrt(np.arange(p + 1) / p) if p else np.zeros(1)
+
+
+#: Low bits of a top-k key: the global row id below the Hamming count.
+ROW_BITS = 32
+_ROW_MASK = (1 << ROW_BITS) - 1
+
+
+def rank_counts(counts: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise best-k of a ``[nq, n]`` Hamming block as top-k keys.
+
+    Column ``c`` of *counts* is global row ``ids[c]``; for ``k >= 1``
+    the result is ``[nq, min(k, n)]`` int64 keys ``count << 32 | row``,
+    ascending.  Keys are distinct, so one integer ``partition`` and one
+    sort of the k survivors select under the (distance, row) order with
+    no tie handling.
+    """
+    keys = np.asarray(counts, dtype=np.int64) << ROW_BITS
+    keys |= ids
+    if 0 < k < keys.shape[1]:
+        keys = np.partition(keys, k - 1, axis=1)[:, :k]
+    keys.sort(axis=1)
+    return keys
 
 
 class BlockTopK:
     """A whole batch's best-k candidates across visited shards.
 
-    One ``[nq, k]`` array of :func:`_pair_keys`, rows sorted, empty
-    slots ``(+inf, _EMPTY_ID)`` last — so :attr:`thresholds`, the
-    running k-th-best of every query, is its last column (+inf below k
-    candidates: no finite bound clears it).  :meth:`absorb` is one
-    row-wise sort in :func:`merge_candidates`' order; top-k selection
-    under a total order is associative, so absorbing shards in any
-    visit order equals merging every visited part at once, ties
-    included.  Scores must not be NaN (distances never are).
+    One ``[nq, k]`` array of :func:`rank_counts` keys, rows sorted,
+    empty slots last: their key is count ``p + 1``, which no real row
+    reaches.  :meth:`absorb` is one row-wise sort of integers; top-k
+    selection under a total order is associative, so absorbing shards
+    in any visit order equals ranking every visited row at once, ties
+    included.  Counts turn into scores through :func:`score_table` only
+    in :attr:`thresholds` and :meth:`results`.
     """
 
-    __slots__ = ("k", "_keys")
+    __slots__ = ("k", "_keys", "_scores")
 
-    def __init__(self, nq: int, k: int) -> None:
+    def __init__(self, nq: int, k: int, p: int) -> None:
         self.k = k
-        self._keys = np.full((nq, k), complex(np.inf, _EMPTY_ID))
+        self._keys = np.full(
+            (nq, k), ((p + 1) << ROW_BITS) | _ROW_MASK, dtype=np.int64
+        )
+        # The empty slot's count p + 1 scores +inf.
+        self._scores = np.append(score_table(p), np.inf)
 
     @property
     def thresholds(self) -> np.ndarray:
-        return self._keys.real[:, -1]  # a live view
+        """Every query's running k-th-best score: +inf below k
+        candidates, so no finite bound clears it."""
+        return self._scores[self._keys[:, -1] >> ROW_BITS]
 
-    def absorb(
-        self, active: np.ndarray, ids: np.ndarray, scores: np.ndarray
-    ) -> None:
-        """Merge ``[len(active), k']`` candidates into the *active* rows."""
-        keys = np.concatenate(
-            (self._keys[active], _pair_keys(scores, ids)), axis=1
-        )
-        keys.sort(axis=1)
-        self._keys[active] = keys[:, : self.k]
+    def absorb(self, active: np.ndarray, keys: np.ndarray) -> None:
+        """Merge ``[len(active), k']`` keys into the *active* rows."""
+        merged = np.concatenate((self._keys[active], keys), axis=1)
+        merged.sort(axis=1)
+        self._keys[active] = merged[:, : self.k]
 
     def results(self) -> List[TopKResult]:
-        ids, scores = self._keys.imag, self._keys.real
-        held = (ids < _EMPTY_ID).sum(axis=1).tolist()
+        counts = self._keys >> ROW_BITS
+        held = (counts < len(self._scores) - 1).sum(axis=1).tolist()
+        ids = (self._keys & _ROW_MASK).tolist()
         return [
             TopKResult(ranking[:m], row[:m])
             for ranking, row, m in zip(
-                ids.astype(np.int64).tolist(), scores.tolist(), held
+                ids, self._scores[counts].tolist(), held
             )
         ]
 

@@ -505,11 +505,10 @@ class AsyncFrontend(RequestGate):
         else:
             self._batch_seconds = 0.8 * self._batch_seconds + 0.2 * elapsed
         self.stats.batches_dispatched += 1
+        sizes = [len(item.graphs) for item in group]
         offset = 0
-        for item in group:
-            size = len(item.graphs)
+        for item, size, pruning in zip(group, sizes, trace.payloads(sizes)):
             answers = result.results[offset : offset + size]
-            pruning = trace.slice_payload(offset, offset + size)
             offset += size
             self._release(size, ok=True)
             if not item.future.cancelled():

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.graph.io import graph_from_obj, graph_to_obj, is_wire_int
 from repro.graph.labeled_graph import Label, LabeledGraph
@@ -280,6 +280,11 @@ def encode_response(response: Dict) -> bytes:
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
 
+#: How long a drain waits for a line already on the wire before it
+#: closes a connection whose handler is parked in a read.
+DRAIN_GRACE_SECONDS = 0.05
+
+
 async def handle_connection(
     frontend,
     reader: asyncio.StreamReader,
@@ -287,47 +292,65 @@ async def handle_connection(
 ) -> None:
     """Serve one NDJSON peer until EOF or server shutdown.
 
-    Requests are dispatched concurrently (clients may pipeline); each
-    response is written as soon as its request completes, serialised by
-    a per-connection lock so lines never interleave.
+    Requests are dispatched concurrently (clients may pipeline).  Each
+    response is queued as its request completes, and the responses
+    queued in one event-loop turn go out as one joined write, so lines
+    never interleave; the writer is drained only when the transport
+    holds unsent bytes.
     """
-    write_lock = asyncio.Lock()
+    loop = asyncio.get_running_loop()
+    handler = asyncio.current_task()
     pending: set = set()
-    # An idle peer must not block shutdown: since Python 3.12.1,
-    # ``Server.wait_closed()`` waits for every connection handler, so a
-    # handler parked in readline() would wedge the whole serve loop.
-    # Racing the read against the shutdown event (exactly like
-    # serve_stdio) keeps drain prompt on every Python.
-    shutdown = asyncio.ensure_future(frontend.wait_shutdown())
+    queued: List[bytes] = []
+    drain_lock = asyncio.Lock()
+    reading = cut = False
+
+    def flush() -> None:
+        if queued:
+            writer.write(b"".join(queued))
+            queued.clear()
 
     async def respond(response: Dict) -> None:
-        async with write_lock:
-            writer.write(encode_response(response))
-            await writer.drain()
+        if not queued:
+            loop.call_soon(flush)
+        queued.append(encode_response(response))
+        if writer.transport.get_write_buffer_size():
+            async with drain_lock:  # one drain waiter at a time
+                await writer.drain()
 
     async def dispatch(line: str) -> None:
-        response = await frontend.handle_line(line)
-        await respond(response)
+        await respond(await frontend.handle_line(line))
 
+    async def watch_shutdown() -> None:
+        # An idle peer must not block shutdown: since Python 3.12.1,
+        # ``Server.wait_closed()`` waits for every connection handler,
+        # so a handler parked in readline() would wedge the whole serve
+        # loop.  A line already on the wire gets one short grace window
+        # (its sender then gets a structured shutting_down rejection
+        # instead of a bare EOF); a handler still parked after it is
+        # cut out of its read.
+        nonlocal cut
+        await frontend.wait_shutdown()
+        await asyncio.sleep(DRAIN_GRACE_SECONDS)
+        if reading:
+            cut = True
+            handler.cancel()
+
+    watcher = asyncio.ensure_future(watch_shutdown())
     try:
         while True:
-            read_task = asyncio.ensure_future(reader.readline())
-            await asyncio.wait(
-                {read_task, shutdown},
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-            if not read_task.done():
-                # Drain began elsewhere.  Give a request already on the
-                # wire one short grace window so its sender gets a
-                # structured shutting_down rejection instead of a bare
-                # EOF; a genuinely idle peer just gets closed.
-                await asyncio.wait({read_task}, timeout=0.05)
-            if not read_task.done():
-                read_task.cancel()
-                break
+            reading = True
             try:
-                raw = read_task.result()
+                raw = await reader.readline()
+            except asyncio.CancelledError:
+                if not cut:
+                    raise
+                break
             except (ValueError, asyncio.LimitOverrunError):
+                raw = None
+            finally:
+                reading = False
+            if raw is None:
                 await respond(
                     error_response(
                         None, "bad_request",
@@ -355,10 +378,11 @@ async def handle_connection(
         # in flight is already settled by the frontend's drain.
         pass
     finally:
-        shutdown.cancel()
+        watcher.cancel()
         for task in pending:
             task.cancel()
         try:
+            flush()
             writer.close()
             await writer.wait_closed()
         except (ConnectionError, OSError, asyncio.CancelledError):

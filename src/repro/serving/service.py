@@ -12,9 +12,18 @@ result bit:
   top-k; a merge step re-ranks the shard candidates with the same
   ``(distance, index)`` tie-breaking as :func:`rank_with_ties`, so the
   merged answer equals the single-shard scan exactly.  A shard is
-  exactly its rows: the full-width block gathered once at shard build,
-  its squared norms, and the :class:`~repro.query.pruning.ShardSummary`
-  derived from that same block.
+  exactly its rows: their 0/1 bits packed once at shard build, and the
+  :class:`~repro.query.pruning.ShardSummary` derived from the same
+  gathered block.
+* **A scan on φ's bits.**  Every served row and query is a 0/1 vector
+  (φ of a graph), so the exact and approx tiers score on bits: a batch
+  packs its queries once, :func:`repro.kernels.hamming_block` returns
+  integer Hamming counts, and top-k selection and merging run on the
+  int64 keys ``count << 32 | row`` (:func:`~repro.query.topk.rank_counts`,
+  :class:`~repro.query.topk.BlockTopK`).  A count becomes a float
+  score — ``sqrt(count / p)``, the float kernel's distance to the bit —
+  only in the answers and where a running threshold meets a shard
+  bound, so answers and pruning decisions are the float scan's.
 * **Embedding cache.**  Real multi-user traffic repeats queries.  An
   LRU cache keyed by the query's exact structure (labels + edge set)
   returns φ(q) without any VF2 — exact, since equal structure implies
@@ -39,14 +48,14 @@ result bit:
   none.
 * **A round must be able to skip something.**  A round per shard buys
   the chance to skip later shards and costs a fixed bound test →
-  ``distance_block`` → ``rank_block`` → ``absorb`` per shard.  So an
+  ``hamming_block`` → ``rank_counts`` → ``absorb`` per shard.  So an
   exact batch first asks its bounds whether any (query, shard) pair
   could *ever* be pruned — each query's final k-th-best is capped by
   the distance upper bound of the nearest shards covering k rows, and
   a lower bound that does not clear even that cap clears no threshold.
   If none does, the batch is **one group over one block of all rows**:
-  the mapping's own vectors in database order, which the
-  :class:`ShardSnapshot` carries beside the shard list.  If some pair
+  every shard's planes side by side, which the :class:`ShardSnapshot`
+  carries beside the shard list.  If some pair
   can be pruned the per-shard rounds run.  The bound-free full scan is
   the same one block.  Fixed ``nprobe`` and ``auto`` route *on shards*
   and always run shard rounds.  Top-k selection under a total order is
@@ -77,7 +86,6 @@ from repro.core.mapping import DSPreservedMapping
 from repro.graph.labeled_graph import LabeledGraph
 from repro import kernels
 from repro.query.engine import BatchQueryResult, QueryEngine
-from repro.query.proximity import as_binary
 from repro.query.pruning import (
     EXACT_POLICY,
     PruningTrace,
@@ -89,7 +97,7 @@ from repro.query.pruning import (
     shard_lower_bounds,
     stack_summaries,
 )
-from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_block
+from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_counts
 from repro.utils.errors import QueryError
 
 
@@ -97,12 +105,13 @@ from repro.utils.errors import QueryError
 class Shard:
     """One block of database rows and what is derived from them.
 
-    ``indices`` are ascending global row ids, ``vectors`` the full-width
-    block ``database_vectors[indices]`` (gathered once, at shard build),
-    ``sq_norms`` its row norms and ``summary`` the geometry
-    (centroid/radius/envelope) the shard-skipping bounds read — always
-    :meth:`ShardSummary.from_vectors` of ``vectors``, reused by identity
-    when a live update only renumbers this shard's rows.
+    ``indices`` are ascending global row ids, ``planes`` the rows
+    ``database_vectors[indices]`` as :func:`repro.kernels.pack_rows` bit
+    planes (``[ceil(p / 64), rows]`` ``uint64``, packed once, at shard
+    build) and ``summary`` the geometry (centroid/radius/envelope) the
+    shard-skipping bounds read — always :meth:`ShardSummary.from_vectors`
+    of the same gathered rows.  Planes and summary are reused by
+    identity when a live update only renumbers this shard's rows.
 
     The block of *all* rows a :class:`ShardSnapshot` carries is the one
     ``Shard`` without a summary: nothing bounds or routes on it — it is
@@ -110,8 +119,7 @@ class Shard:
     """
 
     indices: np.ndarray
-    vectors: np.ndarray
-    sq_norms: np.ndarray
+    planes: np.ndarray
     summary: Optional[ShardSummary]
 
     @property
@@ -136,30 +144,30 @@ class ShardSnapshot:
     reference under the swap lock — a batch that took a snapshot keeps
     answering from these rows whatever :meth:`QueryService.apply_update`
     installs meanwhile.  ``stack`` is the summaries stacked for the
-    bound kernel, ``rows`` the per-shard row counts, and ``whole`` every
-    row in database order: the mapping's own ``database_vectors`` /
-    ``database_sq_norms``, referenced, not copied (the mapping's
-    mutation appliers replace those arrays and never write into them).
+    bound kernel, ``rows`` the per-shard row counts, ``p`` the width of
+    the rows, and ``whole`` every row: the shards' planes side by side,
+    joined from the planes already packed — an update packs only the
+    rows of the shards it rebuilds.  Its columns are in shard order,
+    not database order; the top-k keys carry the global row ids, so
+    that order is never read.
     """
 
     shards: Tuple[Shard, ...]
     stack: SummaryStack
     rows: np.ndarray
+    p: int
     whole: Shard
 
     @classmethod
-    def of(
-        cls, shards: Sequence[Shard], mapping: DSPreservedMapping
-    ) -> "ShardSnapshot":
-        vectors = mapping.database_vectors
+    def of(cls, shards: Sequence[Shard], p: int) -> "ShardSnapshot":
         return cls(
             shards=tuple(shards),
             stack=stack_summaries([shard.summary for shard in shards]),
             rows=np.array([s.num_rows for s in shards], dtype=np.int64),
+            p=p,
             whole=Shard(
-                indices=np.arange(vectors.shape[0], dtype=np.int64),
-                vectors=vectors,
-                sq_norms=mapping.database_sq_norms,
+                indices=np.concatenate([s.indices for s in shards]),
+                planes=np.concatenate([s.planes for s in shards], axis=1),
                 summary=None,
             ),
         )
@@ -290,7 +298,7 @@ class QueryService:
         # stacked summaries and row counts, and the block of all rows.
         self._snapshot = ShardSnapshot.of(
             [self._build_shard(block) for block in assignment if len(block)],
-            self.mapping,
+            self.mapping.dimensionality,
         )
 
     # ------------------------------------------------------------------
@@ -298,13 +306,12 @@ class QueryService:
     # ------------------------------------------------------------------
     def _build_shard(self, block: np.ndarray) -> Shard:
         indices = np.sort(np.asarray(block, dtype=np.int64))
-        # The one gather: this block is the shard's distance operand and
-        # the rows its summary is derived from.
+        # The one gather: these rows are packed into the shard's scan
+        # operand, and its summary is derived from them.
         rows = self.mapping.database_vectors[indices]
         return Shard(
             indices=indices,
-            vectors=rows,
-            sq_norms=(rows**2).sum(axis=1),
+            planes=kernels.pack_rows(rows),
             summary=ShardSummary.from_vectors(rows),
         )
 
@@ -330,7 +337,7 @@ class QueryService:
         """Swap *new_shards* in as the next index generation: everything
         a batch snapshots changes together, under the swap lock."""
         engine = self.mapping.query_engine()
-        snapshot = ShardSnapshot.of(new_shards, self.mapping)
+        snapshot = ShardSnapshot.of(new_shards, self.mapping.dimensionality)
         selection = tuple(self.mapping.selected)
         with self._swap_lock:
             self._snapshot = snapshot
@@ -439,8 +446,8 @@ class QueryService:
                 new_shards.append(self._build_shard(ids))
                 rebuilt += 1
             else:
-                # Row data unchanged — reuse the block, its norms and
-                # its summary (same rows, same geometry), relabel the
+                # Row data unchanged — reuse the planes and the
+                # summary (same rows, same geometry), relabel the
                 # global ids.  A fresh Shard object keeps in-flight
                 # snapshots of the old list self-consistent.
                 new_shards.append(replace(shard, indices=shifted))
@@ -591,20 +598,12 @@ class QueryService:
     # ------------------------------------------------------------------
     # distance stage
     # ------------------------------------------------------------------
-    def _shard_topk(
-        self, shard: Shard, vectors: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Local top-k of every query against one shard's rows, as one
-        ``(global ids, scores)`` pair of ``[nq, min(k, rows)]`` arrays.
-
-        ``shard.indices`` ascend, so the block's ascending-column
-        tie-break is the ascending-database-index one.
-        """
-        distances = kernels.distance_block(
-            vectors, shard.vectors, shard.sq_norms, vectors.shape[1]
-        )
-        cols, scores = rank_block(distances, k)
-        return shard.indices[cols], scores
+    @staticmethod
+    def _shard_topk(shard: Shard, planes: np.ndarray, k: int) -> np.ndarray:
+        """Local top-k of packed queries against one block's rows: the
+        ``[nq, min(k, rows)]`` keys ``count << 32 | global row``."""
+        counts = kernels.hamming_block(planes, shard.planes)
+        return rank_counts(counts, shard.indices, k)
 
     def batch_query_vectors(
         self,
@@ -634,13 +633,14 @@ class QueryService:
         cannot attribute to one batch.
 
         This is the boundary vectors from outside cross (``embed_batch``
-        output is trusted): anything but a finite 2-d block of the
-        mapping's width is a :class:`QueryError`.
+        output is trusted): anything but a 2-d block of 0/1 entries of
+        the mapping's width is a :class:`QueryError` — every search
+        mode scores on bits.
         """
         with self._swap_lock:
             snapshot = self._snapshot
         vectors = np.asarray(vectors, dtype=float)
-        p = snapshot.whole.vectors.shape[1]
+        p = snapshot.p
         if vectors.ndim != 2 or vectors.shape[1] != p:
             raise QueryError(
                 f"query vectors must be a 2-d block of width {p} "
@@ -651,6 +651,12 @@ class QueryService:
             raise QueryError(
                 "query vectors must be finite, got "
                 f"{int((~finite).sum())} nan/inf entries"
+            )
+        other = (vectors != 0) & (vectors != 1)
+        if other.any():
+            raise QueryError(
+                "query vectors must be 0/1 (the embedding of a graph), "
+                f"got {int(other.sum())} other entries"
             )
         return self._query_vectors(vectors, k, snapshot, policy)
 
@@ -683,11 +689,11 @@ class QueryService:
             return self._query_vectors_graph(vectors, k, policy)
         shards, stack, rows = snapshot.shards, snapshot.stack, snapshot.rows
         ns = len(shards)
-        best = BlockTopK(nq, k)
-        # Per-query running k-th-best; +inf until k candidates exist, so
-        # the vectorised tests below are exactly `prunable()`: nothing
-        # is ever pruned (or stopped) against an undefined threshold.
-        thresholds = best.thresholds
+        # `best.thresholds` is the per-query running k-th-best; +inf
+        # until k candidates exist, so the vectorised tests below are
+        # exactly `prunable()`: nothing is ever pruned (or stopped)
+        # against an undefined threshold.
+        best = BlockTopK(nq, k, p)
         checks = np.zeros(nq, dtype=np.int64)
         everyone = np.arange(nq)
         # The one-block round: it beats a round per shard that skips
@@ -762,7 +768,9 @@ class QueryService:
                 # Shard si's round, decided as the thresholds stand.
                 active = eligible[:, si]
                 if policy.prune:
-                    active = active & ~prunable_mask(bounds[:, si], thresholds)
+                    active = active & ~prunable_mask(
+                        bounds[:, si], best.thresholds
+                    )
                 qs = np.flatnonzero(active)
                 yield [(si, qs)] if qs.size else []
 
@@ -786,7 +794,7 @@ class QueryService:
                 if t > 0:
                     checks[live] += 1
                     widening = ~prunable_mask(
-                        bounds[live, next_shards], thresholds[live]
+                        bounds[live, next_shards], best.thresholds[live]
                     )
                     live, next_shards = live[widening], next_shards[widening]
                     if live.size == 0:
@@ -802,6 +810,7 @@ class QueryService:
             bounds, centroid_d = shard_lower_bounds(vectors, stack, p)
             rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
 
+        planes = kernels.pack_rows(vectors)  # once per batch
         visited = np.zeros(nq, dtype=np.int64)  # shards per query
         scored = np.zeros(ns, dtype=np.int64)  # queries per shard
         shard_tasks = whole_scans = 0
@@ -810,8 +819,8 @@ class QueryService:
                 # One group's block — a shard task.
                 block = snapshot.whole if si is ALL_SHARDS else shards[si]
                 # A whole-batch group needs no gather: query ids ascend.
-                left = vectors if qs.size == nq else vectors[qs]
-                best.absorb(qs, *self._shard_topk(block, left, k))
+                left = planes if qs.size == nq else planes[:, qs]
+                best.absorb(qs, self._shard_topk(block, left, k))
                 # One shard's block, or every shard's rows in one.
                 visited[qs] += ns if si is ALL_SHARDS else 1
                 scored[si] += qs.size
@@ -866,10 +875,9 @@ class QueryService:
         and distance evaluations go into the trace (the protocol's
         ``pruning`` section) and the cumulative
         ``distance_evaluations`` counter.  The beam's popcount
-        distance holds on 0/1 vectors only, so any other block is
-        refused before a graph is built for it.
+        distance holds on 0/1 vectors only; the vector boundary
+        refuses any other block before a graph is built for it.
         """
-        as_binary(vectors)
         graph = self.ensure_graph()
         nq = vectors.shape[0]
         ef = policy.ef if policy.ef is not None else default_ef(k)

@@ -10,6 +10,10 @@ are **bit-identical** — which is what the kernel-parity tier
 :mod:`repro.kernels` with ``monkeypatch``.  It is also the shape a
 JIT/native port takes, so parity here is parity evidence for those too.
 
+The Hamming oracle counts the differing bits of one (query, row) pair
+at a time, word by word with Python's ``int.bit_count`` instead of a
+vectorised ``np.bitwise_count``.
+
 Bound blocks involve non-integer centroids, where the different
 association can differ from the kernels by ulps; the pruning slack
 absorbs that (answers stay exact — the parity tier asserts it at the
@@ -37,6 +41,18 @@ def distance_block(
     if dimensionality:
         return np.sqrt(d2 / dimensionality)
     return np.zeros_like(d2)
+
+
+def hamming_block(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    queries, rows = np.asarray(queries), np.asarray(rows)
+    counts = np.zeros((queries.shape[1], rows.shape[1]), dtype=np.int64)
+    for qi in range(queries.shape[1]):
+        for ri in range(rows.shape[1]):
+            counts[qi, ri] = sum(
+                (int(a) ^ int(b)).bit_count()
+                for a, b in zip(queries[:, qi], rows[:, ri])
+            )
+    return counts
 
 
 def bound_block(

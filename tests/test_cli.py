@@ -129,6 +129,18 @@ class TestMain:
         ]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_index_build_malformed_graph_file_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        graphs = tmp_path / "bad.gspan"
+        graphs.write_text("t # 0\nv 0 C\nv 1 C\ne 0 1\n")
+        assert main([
+            "index-build", str(tmp_path / "idx.json"), "--graphs", str(graphs),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ")
+        assert "Traceback" not in err
+
     def test_index_remove_bad_ids_fail_cleanly(self, tmp_path, capsys):
         from repro.core.mapping import build_mapping
         from repro.datasets import chemical_database

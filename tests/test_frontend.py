@@ -106,9 +106,8 @@ class TestProtocol:
             str(q.vertex_label(v)) for v in range(q.num_vertices)
         ]
 
-    def test_decode_on_build_equals_build_then_decode(self, materials):
-        """One build with the codec applied == the old two builds
-        (``graph_from_wire`` then ``LabelCodec.decode_graph``): typed
+    def test_decode_on_build_restores_the_typed_graph(self, materials):
+        """One build with the codec applied is the native graph: typed
         labels, same structure, same errors for junk."""
         from repro.core.persistence import LabelCodec
 
@@ -118,10 +117,9 @@ class TestProtocol:
         for q in list(queries) + list(db[:5]):
             wire = protocol.graph_to_wire(q)
             once = protocol.graph_from_wire(wire, codec.decode)
-            twice = codec.decode_graph(protocol.graph_from_wire(wire))
-            assert once == twice == q
+            assert once == q
             assert once.vertex_labels() == q.vertex_labels()
-            assert once.graph_id == twice.graph_id
+            assert once.graph_id == wire.get("id")
         bad = {"vertices": ["1", "2"], "edges": [[0, 9, "1"]]}
         with pytest.raises(ProtocolError) as plain:
             protocol.graph_from_wire(bad)
@@ -1431,6 +1429,103 @@ class TestTcpDrain:
             frontend.begin_drain()
             eof = await asyncio.wait_for(reader.readline(), timeout=5)
             assert eof == b""  # handler exited and closed the socket
+            writer.close()
+            server.close()
+            await asyncio.wait_for(server.wait_closed(), timeout=5)
+        finally:
+            await frontend.aclose()
+
+    @staticmethod
+    async def _serving(frontend):
+        await frontend.start()
+        server = await protocol.serve_tcp(frontend, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        return server, reader, writer
+
+    @pytest.mark.asyncio
+    @pytest.mark.timeout(15)
+    async def test_pipelined_burst_answers_every_line_whole(
+        self, engine, materials
+    ):
+        """Twenty requests in one write: twenty whole response lines
+        (responses of one loop turn go out as one joined write), one
+        per id, each the engine's answer."""
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine)
+        server, reader, writer = await self._serving(frontend)
+        try:
+            burst = [
+                _wire_query(queries[i % 4], 3, request_id=i)
+                for i in range(20)
+            ]
+            writer.write(
+                "".join(json.dumps(r) + "\n" for r in burst).encode()
+            )
+            await writer.drain()
+            answers = [
+                json.loads(await asyncio.wait_for(reader.readline(), 5))
+                for _ in burst
+            ]
+            assert sorted(a["id"] for a in answers) == list(range(20))
+            for a in answers:
+                assert a["ok"]
+                assert a["ranking"] == (
+                    engine.query(queries[a["id"] % 4], 3).ranking
+                )
+            writer.close()
+            frontend.begin_drain()
+            server.close()
+            await asyncio.wait_for(server.wait_closed(), timeout=5)
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    @pytest.mark.timeout(15)
+    async def test_oversized_line_is_a_bad_request_then_close(
+        self, engine, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 1024)
+        frontend = _frontend(engine)
+        server, reader, writer = await self._serving(frontend)
+        try:
+            writer.write(b'{"op": "ping", "pad": "' + b"x" * 4096 + b'"}\n')
+            await writer.drain()
+            refusal = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            assert refusal["error"] == "bad_request"
+            assert "exceeds 1024 bytes" in refusal["message"]
+            assert await asyncio.wait_for(reader.readline(), 5) == b""
+            writer.close()
+            frontend.begin_drain()
+            server.close()
+            await asyncio.wait_for(server.wait_closed(), timeout=5)
+        finally:
+            await frontend.aclose()
+
+    @pytest.mark.asyncio
+    @pytest.mark.timeout(15)
+    async def test_line_on_the_wire_at_drain_gets_a_structured_refusal(
+        self, engine, materials
+    ):
+        """A request sent as drain begins lands inside the grace
+        window: its sender reads ``shutting_down``, then EOF."""
+        _db, queries, _mapping = materials
+        frontend = _frontend(engine)
+        server, reader, writer = await self._serving(frontend)
+        try:
+            writer.write(
+                (json.dumps({"op": "ping", "id": 0}) + "\n").encode()
+            )
+            assert json.loads(await reader.readline())["ok"]
+            frontend.begin_drain()
+            writer.write(
+                (json.dumps(_wire_query(queries[0], 3, request_id=1)) + "\n")
+                .encode()
+            )
+            await writer.drain()
+            late = json.loads(await asyncio.wait_for(reader.readline(), 5))
+            assert (late["id"], late["error"]) == (1, "shutting_down")
+            assert await asyncio.wait_for(reader.readline(), 5) == b""
             writer.close()
             server.close()
             await asyncio.wait_for(server.wait_closed(), timeout=5)

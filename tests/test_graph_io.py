@@ -56,6 +56,30 @@ class TestGSpanFormat:
         with pytest.raises(InvalidGraphError):
             loads_gspan("t # 0\nq nonsense\n")
 
+    @pytest.mark.parametrize(
+        "record, lineno",
+        [
+            ("e 0 1", 4),  # missing label
+            ("e 0", 4),
+            ("v 2", 4),
+            ("v", 4),
+            ("e 0 x 1", 4),  # non-integer endpoint
+            ("v two C", 4),  # non-integer id
+            ("e 0 1 x y", 4),  # a stray field
+            ("e 0 7 x", 4),  # endpoint out of range
+        ],
+    )
+    def test_malformed_record_names_its_line(self, record, lineno):
+        text = f"t # 0\nv 0 C\nv 1 C\n{record}\n"
+        with pytest.raises(InvalidGraphError, match=f"^line {lineno}: "):
+            loads_gspan(text)
+
+    def test_decode_applies_to_every_label(self):
+        text = "t # 0\nv 0 6\nv 1 8\ne 0 1 2\n"
+        (g,) = loads_gspan(text, int)
+        assert g.vertex_labels() == [6, 8]
+        assert [e.label for e in g.edges()] == [2]
+
     def test_file_round_trip(self, tmp_path, small_synthetic_db):
         original = [_string_labeled(g) for g in small_synthetic_db[:3]]
         path = tmp_path / "db.gspan"

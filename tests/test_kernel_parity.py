@@ -1,7 +1,8 @@
 """Kernel-parity correctness tier: the kernels answer like the oracle.
 
-:mod:`repro.kernels` computes distances in the expanded BLAS form; the
-oracle in ``tests/kernel_oracle.py`` computes them row at a time.  On
+:mod:`repro.kernels` computes distances in the expanded BLAS form and
+Hamming counts as vectorised popcounts over packed words; the oracle in
+``tests/kernel_oracle.py`` computes both one row (or pair) at a time.  On
 the binary embedding vectors this project serves, every distance term
 is a small integer (exact in float64), so the two must produce
 **bit-identical** distance blocks, rankings, and scores — not merely
@@ -35,11 +36,20 @@ from repro.query.pruning import (
     default_ef,
     stack_summaries,
 )
-from repro.query.topk import MappedTopKEngine
+from repro.query.topk import (
+    MappedTopKEngine,
+    rank_counts,
+    rank_with_ties,
+    score_table,
+)
 
 K = 5
 KERNELS = (
-    "distance_block", "bound_block", "bound_check", "vf2_candidate_filter"
+    "distance_block",
+    "hamming_block",
+    "bound_block",
+    "bound_check",
+    "vf2_candidate_filter",
 )
 #: Array shapes beside the plain C-ordered batch: no dimensions, a
 #: one-row database (one shard), a lone query, column-major queries and
@@ -152,6 +162,62 @@ class TestRawKernels:
         out = kernels.distance_block(*args)
         assert out.shape == (queries.shape[0], rows.shape[0])
         assert np.array_equal(out, kernel_oracle.distance_block(*args))
+
+    def test_hamming_block_bit_identical(self, shaped):
+        queries, rows = shaped
+        args = (kernels.pack_rows(queries), kernels.pack_rows(rows))
+        out = kernels.hamming_block(*args)
+        assert out.shape == (queries.shape[0], rows.shape[0])
+        assert np.array_equal(out, kernel_oracle.hamming_block(*args))
+
+    @pytest.mark.parametrize("n", [0, 1, 4000])
+    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65, 128, 200])
+    def test_hamming_counts_are_the_squared_distances(self, p, n):
+        """Across word boundaries (63/64/65 dimensions) and empty,
+        single-row and ledger-sized blocks: the popcount equals the
+        oracle's word-by-word count and the 0/1 vectors' squared
+        distance, and its score is the float kernel's distance."""
+        rng = np.random.default_rng(p * 7 + n)
+        rows = (rng.random((n, p)) < 0.4).astype(float)
+        queries = (rng.random((3, p)) < 0.4).astype(float)
+        queries[0] = rows[0] if n else queries[0]  # a zero count
+        planes = kernels.pack_rows(rows)
+        assert planes.shape == (-(-p // 64), n)
+        counts = kernels.hamming_block(kernels.pack_rows(queries), planes)
+        oracle = kernel_oracle.hamming_block(
+            kernels.pack_rows(queries), planes
+        )
+        assert np.array_equal(counts, oracle)
+        squared = (queries[:, None, :] != rows[None, :, :]).sum(axis=2)
+        assert np.array_equal(counts, squared)
+        distances = kernel_oracle.distance_block(
+            queries, rows, rows.sum(axis=1), p
+        )
+        assert np.array_equal(score_table(p)[counts], distances)
+
+    @pytest.mark.parametrize("p", [1, 3, 64, 65])
+    def test_tie_order_under_integer_keys(self, p):
+        """Duplicate-heavy rows under scattered global ids: the keys
+        ``count << 32 | row`` rank exactly as (distance, row) does on
+        the float kernel's block."""
+        rng = np.random.default_rng(p)
+        distinct = (rng.random((4, p)) < 0.5).astype(float)
+        rows = distinct[rng.integers(0, 4, size=60)]
+        ids = rng.permutation(1000)[:60]  # columns are not in id order
+        queries = (rng.random((5, p)) < 0.5).astype(float)
+        counts = kernels.hamming_block(
+            kernels.pack_rows(queries), kernels.pack_rows(rows)
+        )
+        distances = kernels.distance_block(queries, rows, rows.sum(axis=1), p)
+        for k in (1, 7, 60):
+            keys = rank_counts(counts, ids, k)
+            for qi in range(len(queries)):
+                by_id = np.full(1000, np.inf)
+                by_id[ids] = distances[qi]
+                want = rank_with_ties(by_id, k)
+                got = keys[qi]
+                assert (got & 0xFFFFFFFF).tolist() == want[0]
+                assert score_table(p)[got >> 32].tolist() == want[1]
 
     def test_bound_block_within_pruning_slack(self, shaped):
         args = _bound_args(*shaped)

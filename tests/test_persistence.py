@@ -15,6 +15,7 @@ import pytest
 from repro.core.mapping import build_mapping
 from repro.core.persistence import FORMAT_VERSION, LabelCodec
 from repro.datasets import synthetic_database, synthetic_query_set
+from repro.graph.io import dumps_gspan, loads_gspan
 from repro.graph.labeled_graph import LabeledGraph
 from repro.index import load_index, payload_path, save_index
 from repro.query.topk import MappedTopKEngine
@@ -153,12 +154,7 @@ class TestLabelCodec:
     def test_int_float_str_round_trip(self):
         g = LabeledGraph([1, 2.5, "x"], [(0, 1, 7), (1, 2, "bond")])
         codec = LabelCodec.for_graphs([g])
-        decoded = codec.decode_graph(
-            LabeledGraph(
-                [str(g.vertex_label(v)) for v in range(3)],
-                [(e.u, e.v, str(e.label)) for e in g.edges()],
-            )
-        )
+        (decoded,) = loads_gspan(dumps_gspan([g]), codec.decode)
         assert [decoded.vertex_label(v) for v in range(3)] == [1, 2.5, "x"]
         assert sorted(str(e.label) for e in decoded.edges()) == ["7", "bond"]
         assert any(isinstance(e.label, int) for e in decoded.edges())

@@ -8,10 +8,11 @@ well as a property search:
   has to reproduce (value, index) tie-breaking exactly — and
   :func:`rank_block` agrees with it row for row (±inf, NaN rows,
   ``k >= n``, ``n = 0`` included);
-* :class:`BlockTopK`, fed shard blocks in any visit order with any
-  active subsets, equals :func:`merge_candidates` over the same parts,
-  and its threshold vector is each query's k-th-best score so far
-  (+inf below k candidates) after every absorb;
+* :class:`BlockTopK`, fed :func:`rank_counts` keys of shard blocks in
+  any visit order with any active subsets, equals
+  :func:`merge_candidates` over the same parts scored by
+  :func:`score_table`, and its threshold vector is each query's
+  k-th-best score so far (+inf below k candidates) after every absorb;
 * top-k is always a *prefix* of top-(k+1) (deterministic tie-breaking
   makes the stronger prefix property hold, not just set inclusion);
 * batched serving is database-permutation invariant — renumbering the
@@ -36,7 +37,9 @@ from repro.query.topk import (
     BlockTopK,
     merge_candidates,
     rank_block,
+    rank_counts,
     rank_with_ties,
+    score_table,
 )
 from repro.serving.service import QueryService
 
@@ -156,40 +159,42 @@ class TestRankBlock:
 @st.composite
 def _visits(draw):
     """Shard blocks of one batch in visit order: per shard the active
-    queries and their ``(ids, scores)`` block, as ``_shard_topk`` would
-    return it (ids disjoint across shards, interleaved — non-contiguous
-    shards — scores from a tie-heavy alphabet with +inf)."""
+    queries and their Hamming counts over the shard's ids, as
+    ``_shard_topk`` ranks them (ids disjoint across shards, interleaved
+    — non-contiguous shards — counts from a tie-heavy alphabet over
+    ``p`` dimensions, ``p == 0`` included)."""
     nq = draw(st.integers(1, 5))
     k = draw(st.integers(1, 6))
     ns = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([0, 4, 200]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     owner = rng.integers(0, ns, size=40)
-    alphabet = np.array([0.0, 0.25, 0.5, 0.5, 1.0, np.inf])
+    alphabet = np.array([0, 1, 2, 2, 4]) * p // 4
     visits = []
     for si in draw(st.permutations(range(ns))):
         indices = np.flatnonzero(owner == si)
         active = np.flatnonzero(rng.random(nq) < 0.7)
         if indices.size == 0 or active.size == 0:
             continue
-        scores = rng.choice(alphabet, size=(active.size, indices.size))
-        cols, vals = rank_block(scores, k)
-        visits.append((active, indices[cols], vals))
-    return nq, k, visits
+        counts = rng.choice(alphabet, size=(active.size, indices.size))
+        visits.append((active, indices, counts))
+    return nq, k, p, visits
 
 
 class TestBlockTopK:
     @given(case=_visits())
     @settings(max_examples=200, deadline=None)
     def test_equals_merge_candidates_and_running_thresholds(self, case):
-        nq, k, visits = case
-        best = BlockTopK(nq, k)
+        nq, k, p, visits = case
+        best = BlockTopK(nq, k, p)
         parts = [[] for _ in range(nq)]
         seen = [[] for _ in range(nq)]  # every score absorbed so far
-        for active, ids, vals in visits:
-            best.absorb(active, ids, vals)
+        for active, ids, counts in visits:
+            best.absorb(active, rank_counts(counts, ids, k))
             for pos, qi in enumerate(active):
-                parts[qi].append((ids[pos], vals[pos]))
-                seen[qi].extend(vals[pos].tolist())
+                scores = score_table(p)[counts[pos]]
+                parts[qi].append((ids, scores))
+                seen[qi].extend(scores.tolist())
             expected = [
                 sorted(s)[k - 1] if len(s) >= k else np.inf for s in seen
             ]

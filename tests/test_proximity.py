@@ -624,7 +624,7 @@ class TestBinaryContract:
         with pytest.raises(QueryError):
             graph.search(query, 3, 8)
 
-    def test_graph_mode_refuses_the_block_other_modes_take(self):
+    def test_graph_mode_refuses_the_block_every_mode_refuses(self):
         rng = np.random.default_rng(64)
         vectors = _binary_vectors(rng, 30, 8)
         mapping = _vector_mapping(vectors)
@@ -633,13 +633,13 @@ class TestBinaryContract:
         with QueryService(
             mapping.query_engine(), n_shards=3, cache_size=0
         ) as service:
-            for policy in (None, SearchPolicy(mode="approx", nprobe=2)):
-                answers = service.batch_query_vectors(block, 5, policy)
-                assert [len(a.ranking) for a in answers] == [5] * 4
-            with pytest.raises(QueryError):
-                service.batch_query_vectors(
-                    block, 5, SearchPolicy(mode="graph")
-                )
+            for policy in (
+                None,
+                SearchPolicy(mode="approx", nprobe=2),
+                SearchPolicy(mode="graph"),
+            ):
+                with pytest.raises(QueryError):
+                    service.batch_query_vectors(block, 5, policy)
         # Refused before any graph was built for it.
         assert mapping.peek_proximity_graph() is None
 

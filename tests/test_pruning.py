@@ -267,18 +267,18 @@ class TestExactIdentity:
         self, random_setup, n_shards, monkeypatch
     ):
         """Where no round could skip anything, the batch is one group
-        over one block of all rows — one task, one ``rank_block`` call — and the trace
+        over one block of all rows — one task, one ``rank_counts`` call — and the trace
         still accounts for every shard."""
         from repro.serving import service as service_module
 
         queries, mapping = random_setup
         reference = mapping.query_engine().batch_query(queries, 7)
         ranked = []
-        rank_block = service_module.rank_block
+        rank_counts = service_module.rank_counts
         monkeypatch.setattr(
             service_module,
-            "rank_block",
-            lambda d, k: ranked.append(d.shape) or rank_block(d, k),
+            "rank_counts",
+            lambda c, ids, k: ranked.append(c.shape) or rank_counts(c, ids, k),
         )
         with mapping.query_service(n_shards=n_shards) as service:
             result, _gen, trace = service.batch_query_traced(queries, 7)

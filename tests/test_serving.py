@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from clustered import clustered_query_vectors, clustered_vector_index
+from repro import kernels
 from repro.core.dspmap import DSPMap
 from repro.core.mapping import mapping_from_selection, variance_selection
 from repro.datasets import synthetic_database, synthetic_query_set
@@ -225,8 +226,7 @@ class TestBlockTopKParity:
         with QueryService(
             mapping, n_workers=n_workers, **PARITY_LAYOUTS[layout]
         ) as service:
-            # The block's ascending-column tie-break is the ascending
-            # database-index one only because shard rows are sorted.
+            # Shard rows are sorted global ids.
             assert all((np.diff(s.indices) > 0).all() for s in service.shards)
             if layout == "custom":
                 assert min(s.num_rows for s in service.shards) < PARITY_K
@@ -267,16 +267,16 @@ class TestBlockTopKParity:
         and never merges per query."""
         mapping, vectors = parity_index
         calls = {"rank": 0, "merge": 0}
-        rank_block = service_module.rank_block
+        rank_counts = service_module.rank_counts
 
-        def counting_rank(distances, k):
+        def counting_rank(counts, ids, k):
             calls["rank"] += 1
-            return rank_block(distances, k)
+            return rank_counts(counts, ids, k)
 
         def counting_merge(parts, k):
             calls["merge"] += 1
 
-        monkeypatch.setattr(service_module, "rank_block", counting_rank)
+        monkeypatch.setattr(service_module, "rank_counts", counting_rank)
         monkeypatch.setattr(
             "repro.query.topk.merge_candidates", counting_merge
         )
@@ -301,15 +301,15 @@ def _one_cluster(p):
 
 @pytest.fixture
 def counted_ranks(monkeypatch):
-    """Counts ``rank_block`` calls: one per block the executor computes."""
+    """Counts ``rank_counts`` calls: one per block the executor computes."""
     calls = []
-    rank_block = service_module.rank_block
+    rank_counts = service_module.rank_counts
 
-    def counting(distances, k):
-        calls.append(distances.shape)
-        return rank_block(distances, k)
+    def counting(counts, ids, k):
+        calls.append(counts.shape)
+        return rank_counts(counts, ids, k)
 
-    monkeypatch.setattr(service_module, "rank_block", counting)
+    monkeypatch.setattr(service_module, "rank_counts", counting)
     return calls
 
 
@@ -317,7 +317,7 @@ class TestWholeScan:
     """The side of the choice `TestBlockTopKParity`'s clustered layout
     does not take: when no (query, shard) bound clears even the cap on
     the final k-th-best, an exact batch is one group over one block of
-    all rows — one task, one ``rank_block`` call — and the answers are
+    all rows — one task, one ``rank_counts`` call — and the answers are
     the naive engine's, to the bit."""
 
     @pytest.fixture(
@@ -368,7 +368,7 @@ class TestWholeScan:
         self, unskippable, counted_ranks, nprobe
     ):
         """The one block is exact mode's plan only: a routed batch on
-        the same rows still runs a round per shard, one ``rank_block``
+        the same rows still runs a round per shard, one ``rank_counts``
         call per task — and routed to every shard it is the naive
         engine's answer."""
         mapping, vectors, layout = unskippable
@@ -409,7 +409,7 @@ class TestWholeScan:
             held = service._snapshot
             service.apply_update(added=queries[20:24], removed=[0, 7, 33])
             assert service._snapshot is not held
-            assert held.whole.vectors is not mapping.database_vectors
+            assert held.whole.num_rows != service._snapshot.whole.num_rows
             stale, trace = service._query_vectors(vectors, 7, held, None)
             _assert_identical(before, stale)
             assert trace.shard_tasks == 1  # ... through the whole block
@@ -443,6 +443,28 @@ class TestVectorBoundary:
         with mapping.query_service(n_shards=3) as service:
             with pytest.raises(QueryError, match=expected):
                 service.batch_query_vectors(np.full(shape, fill), 3, policy)
+            assert service.stats.shard_tasks == 0
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            None,
+            SearchPolicy(prune=False),
+            SearchPolicy(mode="approx", nprobe=2),
+            SearchPolicy(mode="approx", nprobe="auto"),
+            SearchPolicy(mode="graph"),
+        ],
+        ids=["exact", "full", "nprobe-2", "nprobe-auto", "graph"],
+    )
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+    def test_non_binary_vectors_are_refused(self, mapping, policy, bad):
+        """Every mode scores on bits, so a block with any entry other
+        than 0 or 1 is refused before a shard (or graph) is touched."""
+        block = mapping.database_vectors[:4].copy()
+        block[2, 3] = bad
+        with mapping.query_service(n_shards=3) as service:
+            with pytest.raises(QueryError, match="0/1.*got 1 other"):
+                service.batch_query_vectors(block, 3, policy)
             assert service.stats.shard_tasks == 0
 
 
@@ -706,19 +728,21 @@ class TestLiveUpdates:
             assert len(service._cache) == 0  # φ changed: cache invalid
             assert not mutable_mapping.stale
             assert service.stats.shards_rebuilt == rebuilt + 3
-            assert service.shards[0].vectors.shape[1] == 18
+            assert service._snapshot.p == 18
             reference = mutable_mapping.query_engine().batch_query(queries, 5)
             _assert_identical(reference, service.batch_query(queries, 5))
 
 
 def _assert_shards_are_their_rows(service):
     """Every serving shard is exactly its rows, and everything else on
-    it is what one derivation from those rows gives."""
+    it is what one derivation from those rows gives; the block of all
+    rows is every shard's planes."""
     vectors = service.mapping.database_vectors
     for shard in service.shards:
         rows = vectors[shard.indices]
-        assert np.array_equal(shard.vectors, rows)
-        assert np.array_equal(shard.sq_norms, (rows**2).sum(axis=1))
+        assert shard.planes.dtype == np.uint64
+        assert shard.planes.shape == (-(-rows.shape[1] // 64), len(rows))
+        assert np.array_equal(shard.planes, kernels.pack_rows(rows))
         fresh = ShardSummary.from_vectors(rows)
         assert shard.summary.num_rows == fresh.num_rows == len(shard.indices)
         assert shard.summary.radius == fresh.radius
@@ -728,6 +752,11 @@ def _assert_shards_are_their_rows(service):
             )
     covered = np.sort(np.concatenate([s.indices for s in service.shards]))
     assert np.array_equal(covered, np.arange(vectors.shape[0]))
+    whole = service._snapshot.whole
+    assert np.array_equal(
+        whole.planes, kernels.pack_rows(vectors[whole.indices])
+    )
+    assert service._snapshot.p == vectors.shape[1]
 
 
 class TestShardIsItsRows:
@@ -762,20 +791,19 @@ class TestShardIsItsRows:
         with mutable.query_service(n_shards=4) as service:
             # Rows 0 and 1 leave shard 0, the adds land in one shard; at
             # least two shards are only renumbered and must keep their
-            # block, norms and summary by identity — nothing re-derived.
+            # planes and summary by identity — nothing re-packed.
             before = list(service.shards)
             service.apply_update(added=extra[:2], removed=[0, 1])
             assert service.stats.shards_rebuilt <= 2
             kept = [
                 (old, new)
                 for old, new in zip(before, service.shards)
-                if new.vectors is old.vectors
+                if new.planes is old.planes
             ]
             assert len(kept) >= 2
             for old, new in kept:
                 assert new is not old
                 assert new.summary is old.summary
-                assert new.sq_norms is old.sq_norms
                 assert not np.array_equal(new.indices, old.indices)
             _assert_shards_are_their_rows(service)
 
@@ -788,7 +816,7 @@ class TestShardIsItsRows:
                 m.apply_selection(variance_selection(m.space, 18))
 
             assert service.apply_reselection(reselect)
-            assert service.shards[0].vectors.shape[1] == 18
+            assert service._snapshot.p == 18
             _assert_shards_are_their_rows(service)
             reference = mutable.query_engine().batch_query(queries, 5)
             _assert_identical(reference, service.batch_query(queries, 5))

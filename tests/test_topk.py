@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.mapping import build_mapping
 from repro.query.topk import (
     BlockTopK,
     ExactTopKEngine,
     MappedTopKEngine,
     rank_block,
+    rank_counts,
     rank_with_ties,
+    score_table,
 )
 from repro.similarity import DissimilarityCache
 from repro.utils.errors import QueryError
@@ -101,21 +104,51 @@ class TestRankBlock:
         assert vals[1].tolist() == [0.1, 0.1]
 
 
+class TestScoreTable:
+    @pytest.mark.parametrize("p", [0, 1, 63, 64, 65, 128, 200])
+    def test_is_the_float_kernels_distance_of_every_count(self, p):
+        """Row ``d`` of an identity-like block is ``d`` bits from the
+        zero query: the table is the kernel's value to the bit."""
+        rows = np.tril(np.ones((p + 1, p)), -1)  # row d has d ones
+        kernel = kernels.distance_block(
+            np.zeros((1, p)), rows, rows.sum(axis=1), p
+        )[0]
+        table = score_table(p)
+        assert table.tolist() == kernel.tolist()
+        assert (np.diff(table) > 0).all()  # (count, row) is (score, row)
+
+
+class TestRankCounts:
+    def test_count_then_global_row(self):
+        counts = np.array([[3, 1, 1, 0], [2, 2, 2, 2]])
+        ids = np.array([40, 7, 3, 90])
+        keys = rank_counts(counts, ids, 3)
+        assert (keys >> 32).tolist() == [[0, 1, 1], [2, 2, 2]]
+        # Ties go to the smaller global row, wherever its column is.
+        assert (keys & 0xFFFFFFFF).tolist() == [[90, 3, 7], [3, 7, 40]]
+
+    def test_k_capped_at_row_length(self):
+        keys = rank_counts(np.array([[5, 4]]), np.array([0, 1]), 5)
+        assert keys.tolist() == [[(4 << 32) | 1, 5 << 32]]
+
+
 class TestBlockTopK:
     def test_thresholds_stay_inf_until_k_candidates(self):
-        best = BlockTopK(2, 3)
-        best.absorb(np.array([0]), np.array([[7, 2]]), np.array([[0.1, 0.4]]))
+        p = 4
+        best = BlockTopK(2, 3, p)
+        best.absorb(np.array([0]), rank_counts([[1, 2]], np.array([7, 2]), 3))
         assert best.thresholds.tolist() == [np.inf, np.inf]
         best.absorb(
             np.array([0, 1]),
-            np.array([[5, 9], [4, 1]]),
-            np.array([[0.4, 0.5], [0.2, 0.2]]),
+            rank_counts([[2, 3], [1, 1]], np.array([5, 9]), 3),
         )
-        assert best.thresholds.tolist() == [0.4, np.inf]
+        table = score_table(p).tolist()
+        assert best.thresholds.tolist() == [table[2], np.inf]
         first, second = best.results()
-        # 0.4 ties: id 2 beats id 5; the short row is not padded.
-        assert (first.ranking, first.scores) == ([7, 2, 5], [0.1, 0.4, 0.4])
-        assert (second.ranking, second.scores) == ([1, 4], [0.2, 0.2])
+        # Count 2 ties: id 2 beats id 5; the short row is not padded.
+        assert first.ranking == [7, 2, 5]
+        assert first.scores == [table[1], table[2], table[2]]
+        assert (second.ranking, second.scores) == ([5, 9], [table[1]] * 2)
 
 
 class TestExactEngine:
