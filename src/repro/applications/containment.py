@@ -45,7 +45,7 @@ class ContainmentIndex:
     Parameters
     ----------
     space:
-        The mined feature universe with its incidence matrix.
+        The mined feature universe with its support matrix.
     database:
         The graphs behind the space (needed for verification).
     selected:
@@ -81,9 +81,7 @@ class ContainmentIndex:
                 self.space.pattern_profile(r),
             )
         ]
-        candidates = np.ones(self.space.n, dtype=bool)
-        for r in contained:
-            candidates &= self.space.incidence[:, r].astype(bool)
+        candidates = self.space.rows(features=contained).all(axis=1)
 
         pattern_profile = PatternProfile(pattern)
         answers = [

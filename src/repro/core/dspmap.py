@@ -163,7 +163,7 @@ class DSPMap:
         delta_fn: DeltaFn,
     ) -> np.ndarray:
         """Run DSPM on a block, restricted to features present in it (F')."""
-        sub_Y_full = space.incidence[indices].astype(float)
+        sub_Y_full = space.rows(indices).astype(float)
         present = np.flatnonzero(sub_Y_full.sum(axis=0) > 0)
         weights = np.zeros(space.m)
         if present.size == 0 or len(indices) < 2:

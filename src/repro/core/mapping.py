@@ -15,13 +15,11 @@ distance ``d(y_i, y_j) = sqrt((1/p) Σ (y_ir − y_jr)²) ∈ [0, 1]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.dspm import DSPM, DSPMResult
-from repro.core.lazy import LazyArray
 from repro.features.binary_matrix import (
     FeatureSpace,
     cross_normalized_euclidean_distances,
@@ -73,12 +71,13 @@ class StalenessPolicy:
 
 @dataclass
 class DSPreservedMapping:
-    """An index: selected features + database embedding.
+    """An index: selected features over a feature space.
 
-    The *read* path (queries) treats the mapping as frozen; the *write*
-    path — :meth:`add_graphs` / :meth:`remove_graphs` — mutates the
-    database side in place (supports, vectors, cached norms) without
-    ever re-running mining, selection, or the pattern-vs-pattern lattice
+    φ lives in one place, the feature space's support matrix; the
+    database embedding is its selected rows.  The *read* path (queries)
+    treats the mapping as frozen; the *write* path — :meth:`add_graphs`
+    / :meth:`remove_graphs` — edits the matrix's bits without ever
+    re-running mining, selection, or the pattern-vs-pattern lattice
     build.  Every mutation is recorded in :attr:`mutation_log` so the
     index artifact can persist it as a delta instead of a full rewrite.
 
@@ -88,8 +87,6 @@ class DSPreservedMapping:
         The feature universe the selection drew from.
     selected:
         Indices (into ``space.features``) of the chosen dimensions.
-    database_vectors:
-        ``n × p`` binary embedding of the database graphs.
     staleness_policy:
         Governs when cumulative support drift triggers re-selection
         (see :class:`StalenessPolicy`).
@@ -97,7 +94,6 @@ class DSPreservedMapping:
 
     space: FeatureSpace
     selected: List[int]
-    database_vectors: np.ndarray
     staleness_policy: StalenessPolicy = field(
         default_factory=StalenessPolicy, compare=False
     )
@@ -126,14 +122,14 @@ class DSPreservedMapping:
     journal_seq: int = field(default=0, init=False, repr=False, compare=False)
     #: Lazily built navigable proximity graph (the graph-ANN search
     #: tier).  Maintained incrementally by the mutation appliers and
-    #: persisted in the v3 manifest; ``None`` until the first graph-mode
+    #: persisted in the manifest; ``None`` until the first graph-mode
     #: query (or restore) asks for it.
     _proximity_graph: Optional["ProximityGraph"] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: A restored-but-not-yet-attached graph section (neighbor ids from
     #: the artifact).  Kept separate from the built graph so an mmap
-    #: load stays O(manifest): attaching needs the vectors, so it is
+    #: load stays O(manifest): attaching needs the rows, so it is
     #: deferred to the first :meth:`proximity_graph` call.  Dropped by
     #: any mutation (it describes pre-mutation row numbering).
     _proximity_payload: Optional[Dict] = field(
@@ -171,17 +167,23 @@ class DSPreservedMapping:
         return self.space.embed_queries(queries, self.selected)
 
     # ------------------------------------------------------------------
-    # distances
+    # float views and distances (DSPM, experiments, the oracle engines)
     # ------------------------------------------------------------------
-    @cached_property
-    def database_sq_norms(self) -> np.ndarray:
-        """Per-row squared norms of ``database_vectors``, computed once.
+    @property
+    def database_vectors(self) -> np.ndarray:
+        """``n × p`` float embedding of the database graphs, built from
+        the support matrix on each access and never kept."""
+        return self.space.embed_database(self.selected)
 
-        The database side of every cross-distance call is fixed for the
-        life of the mapping, so its squared norms are cached here instead
-        of being recomputed inside every query.
-        """
-        return (self.database_vectors**2).sum(axis=1)
+    @property
+    def database_sq_norms(self) -> np.ndarray:
+        """Per-row squared norms of :attr:`database_vectors` (a view)."""
+        return self.database_vectors.sum(axis=1)
+
+    def database_bits(self, indices: Optional[Sequence[int]] = None):
+        """Database rows *indices* (default all) as a ``(rows, p)`` bool
+        block: the embedding without a float."""
+        return self.space.rows(indices, self.selected)
 
     def database_distances(self) -> np.ndarray:
         """All-pairs mapped distance among database graphs."""
@@ -190,9 +192,7 @@ class DSPreservedMapping:
     def query_distances(self, query_vectors: np.ndarray) -> np.ndarray:
         """Mapped distances of query vectors against the database."""
         return cross_normalized_euclidean_distances(
-            query_vectors,
-            self.database_vectors,
-            right_sq_norms=self.database_sq_norms,
+            query_vectors, self.database_vectors
         )
 
     # ------------------------------------------------------------------
@@ -233,15 +233,14 @@ class DSPreservedMapping:
         return self._engine
 
     def invalidate_caches(self) -> None:
-        """Drop the memoised engine and squared norms.
+        """Drop the memoised engine and proximity graph.
 
         Any path that changes ``selected`` must call this so the next
         :meth:`query_engine` rebuild goes through :meth:`_build_engine`
         against the fresh state.  Database mutations need not: their
-        appliers maintain the norms and the graph in place.
+        appliers maintain the graph in place.
         """
         self._engine = None
-        self.__dict__.pop("database_sq_norms", None)
         self._proximity_graph = None
         self._proximity_payload = None
 
@@ -253,7 +252,7 @@ class DSPreservedMapping:
         return self._proximity_graph
 
     def proximity_graph(self) -> "ProximityGraph":
-        """The navigable proximity graph over ``database_vectors``.
+        """The navigable proximity graph over :meth:`database_bits`.
 
         Attached from a restored artifact section when one is pending
         (one paired-distance pass, no KNN rebuild), else built lazily —
@@ -266,11 +265,11 @@ class DSPreservedMapping:
             return self._proximity_graph
         if self._proximity_payload is not None:
             graph = ProximityGraph.from_payload(
-                self._proximity_payload, self.database_vectors
+                self._proximity_payload, self.database_bits()
             )
             self._proximity_payload = None
         else:
-            graph = ProximityGraph.build(self.database_vectors)
+            graph = ProximityGraph.build(self.database_bits())
         self._proximity_graph = graph
         return graph
 
@@ -301,7 +300,7 @@ class DSPreservedMapping:
 
         The only place φ changes (a re-selection hook such as
         :class:`repro.core.reselect.Reselector` ends here): the
-        selection and embedding swap together, every cache that
+        selection swaps (the embedding is its rows), every cache that
         described the old φ is dropped, and the artifact lineage is
         severed — the on-disk base and any pending delta records
         describe the old selection, so the next ``save_index`` must
@@ -325,7 +324,6 @@ class DSPreservedMapping:
             return False
         self.invalidate_caches()
         self.selected = selected
-        self.database_vectors = self.space.embed_database(selected)
         if lattice is not None:
             self._build_engine(lattice)
         self.artifact_ref = None
@@ -360,10 +358,7 @@ class DSPreservedMapping:
                 callback(payload)
 
     def _selected_support_counts(self) -> np.ndarray:
-        return np.array(
-            [len(self.space.features[r].support) for r in self.selected],
-            dtype=np.int64,
-        )
+        return self.space.support_counts[self.selected]
 
     def _drift_of(self, counts: np.ndarray) -> float:
         base_total = max(int(self._support_baseline.sum()), 1)
@@ -405,40 +400,27 @@ class DSPreservedMapping:
                 f"added vectors must have {self.dimensionality} columns, "
                 f"got {rows.shape}"
             )
-        full = np.zeros((rows.shape[0], self.space.m), dtype=np.int8)
+        full = np.zeros((rows.shape[0], self.space.m), dtype=bool)
         full[:, self.selected] = rows != 0
         self.space.append_rows(full)
-        if "database_sq_norms" in self.__dict__:
-            self.__dict__["database_sq_norms"] = np.concatenate(
-                [self.__dict__["database_sq_norms"], (rows**2).sum(axis=1)]
-            )
-        self.database_vectors = np.vstack([self.database_vectors, rows])
         # A restored-but-unattached graph section describes the old row
         # numbering — drop it; a *built* graph is maintained exactly
         # (equal to a scratch rebuild, no O(n^2) pass).
         self._proximity_payload = None
         if self._proximity_graph is not None:
             self._proximity_graph = self._proximity_graph.with_appended(
-                self.database_vectors
+                self.database_bits()
             )
 
     def _apply_remove(self, removed: List[int]) -> None:
         """Pure state update for a removal (shared with journal replay)."""
-        n = self.database_vectors.shape[0]
-        removed_set = set(removed)
-        keep = [i for i in range(n) if i not in removed_set]
         # space.remove_rows validates before touching anything, so a bad
         # index list leaves the mapping fully unmutated.
         self.space.remove_rows(removed)
-        if "database_sq_norms" in self.__dict__:
-            self.__dict__["database_sq_norms"] = self.__dict__[
-                "database_sq_norms"
-            ][keep]
-        self.database_vectors = self.database_vectors[keep]
         self._proximity_payload = None
         if self._proximity_graph is not None:
             self._proximity_graph = self._proximity_graph.with_removed(
-                sorted(removed_set), self.database_vectors
+                sorted(set(removed)), self.database_bits()
             )
 
     def add_graphs(self, graphs: Sequence[LabeledGraph]) -> np.ndarray:
@@ -446,9 +428,9 @@ class DSPreservedMapping:
 
         Each new graph is embedded over the selected features by the
         warm engine's lattice-pruned VF2 walk — the only isomorphism
-        work an add costs.  Supports, database vectors, and the cached
-        squared norms are updated locally; mining, selection, and the
-        lattice are never re-run, and the engine itself is kept (its
+        work an add costs.  The support matrix gains their bits;
+        mining, selection, and the lattice are never re-run, and the
+        engine itself is kept (its
         pattern side depends on the selection alone, and it reads the
         rows live).  New graphs take indices ``n..``.
 
@@ -481,18 +463,18 @@ class DSPreservedMapping:
 
         Indices refer to the current row numbering; survivors are
         renumbered compactly (row ``i`` drops by the number of removed
-        rows below it).  Exact and VF2-free: supports, vectors, and
-        cached norms are updated locally.
+        rows below it).  Exact and VF2-free: the support matrix drops
+        their bits.
         """
         removed = sorted({int(i) for i in indices})
         if not removed:
             return
-        n = self.database_vectors.shape[0]
+        n = self.space.n
         if removed[0] < 0 or removed[-1] >= n:
             raise SelectionError(
                 f"remove indices out of range for database of size {n}"
             )
-        delta = -self.database_vectors[removed].sum(axis=0).astype(np.int64)
+        delta = -self.database_bits(removed).sum(axis=0, dtype=np.int64)
         crossed = self._pre_mutation_gate(delta)
         self._apply_remove(removed)
         self._notify_observers("observe_remove", removed)
@@ -527,7 +509,7 @@ class DSPreservedMapping:
         """A sharded :class:`~repro.serving.service.QueryService`.
 
         Results are bit-identical to :meth:`query_engine`'s
-        ``batch_query``; the database vectors are split into *n_shards*
+        ``batch_query``; the database rows are split into *n_shards*
         contiguous shards (or the explicit *shards* assignment, e.g.
         DSPMap partition blocks).  A new service is built per call; it
         answers each batch inline on the calling thread.
@@ -540,29 +522,6 @@ class DSPreservedMapping:
             shards=shards,
             **kwargs,
         )
-
-
-def _get_database_vectors(self) -> np.ndarray:
-    value = self.__dict__["_database_vectors_raw"]
-    if isinstance(value, LazyArray):
-        value = value.materialize()
-        self.__dict__["_database_vectors_raw"] = value
-    return value
-
-
-def _set_database_vectors(self, value) -> None:
-    self.__dict__["_database_vectors_raw"] = value
-
-
-# ``database_vectors`` stays a regular dataclass field for construction
-# and introspection, but reads go through a property attached *after*
-# @dataclass has generated ``__init__`` (whose plain assignment then
-# routes through the setter): a mapping loaded with ``mmap=True``
-# carries a LazyArray handle here, and the first actual vector access —
-# not the load — pays for reading and verifying the payload pages.
-DSPreservedMapping.database_vectors = property(
-    _get_database_vectors, _set_database_vectors
-)
 
 
 def build_mapping(
@@ -623,8 +582,4 @@ def mapping_from_selection(
     selected = list(selected)
     if not selected:
         raise SelectionError("selection is empty")
-    return DSPreservedMapping(
-        space=space,
-        selected=selected,
-        database_vectors=space.embed_database(selected),
-    )
+    return DSPreservedMapping(space=space, selected=selected)

@@ -15,7 +15,7 @@ from typing import Dict, Iterable
 
 from repro.graph.labeled_graph import Label, LabeledGraph
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class LabelCodec:

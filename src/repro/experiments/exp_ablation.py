@@ -58,7 +58,7 @@ def run(scale: str = "small", seed: int = 0, out_dir: Optional[str] = None) -> D
     kernel_weights: Dict[str, np.ndarray] = {}
     # Restrict to a subsample so the naive kernel finishes promptly.
     sub = min(len(db), 40)
-    sub_Y = space.incidence[:sub].astype(float)
+    sub_Y = space.rows(range(sub)).astype(float)
     sub_delta = delta_db[:sub, :sub]
     for kernel in ("numpy", "inverted", "naive"):
         solver = DSPM(p, max_iterations=iters, tolerance=0.0, kernel=kernel)

@@ -20,13 +20,13 @@ from repro.features.binary_matrix import FeatureSpace
 
 
 def jaccard_correlation(space: FeatureSpace, r: int, s: int) -> float:
-    """Jaccard coefficient of the support sets of features *r* and *s*."""
-    col_r = space.incidence[:, r].astype(bool)
-    col_s = space.incidence[:, s].astype(bool)
-    union = np.logical_or(col_r, col_s).sum()
+    """Jaccard coefficient of the support sets of features *r* and *s*:
+    two popcounts over their rows of the support matrix."""
+    row_r, row_s = space.supports[r], space.supports[s]
+    union = int(np.bitwise_count(row_r | row_s).sum())
     if union == 0:
         return 0.0
-    return float(np.logical_and(col_r, col_s).sum() / union)
+    return float(int(np.bitwise_count(row_r & row_s).sum()) / union)
 
 
 def total_correlation_score(space: FeatureSpace, selected: Sequence[int]) -> float:
@@ -35,7 +35,7 @@ def total_correlation_score(space: FeatureSpace, selected: Sequence[int]) -> flo
     Vectorised: intersections come from one Gram matrix, unions from
     inclusion–exclusion.
     """
-    cols = space.incidence[:, list(selected)].astype(np.float64)
+    cols = space.rows(features=selected).astype(np.float64)
     supports = cols.sum(axis=0)
     intersections = cols.T @ cols
     unions = supports[:, None] + supports[None, :] - intersections

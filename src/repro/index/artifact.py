@@ -4,17 +4,20 @@ An artifact is a JSON manifest plus the two files of one *generation*,
 which the manifest names and which live beside it:
 
 * ``<path>`` — the **manifest**: every offline product the online path
-  needs (features, supports, feature lattice, label codec), so a reload
-  cold-starts with zero VF2 calls, plus the payload's page table and
+  needs (feature graphs, support counts, feature lattice, label codec),
+  so a reload cold-starts with zero VF2 calls, plus the payload's page
+  table and
   the one *derived* section — the proximity graph's neighbor table,
   checksummed and ``seq``-gated.  Shard summaries and pattern profiles
   are derived, never stored; such a key left by an older build is not
   read;
 * ``payload["file"]`` (``<path>.<n>.pages`` for generation *n*) — the
-  **binary payload** (:mod:`repro.index.paged`): database vectors and
-  squared norms as raw aligned float64, a SHA-256 per page in the
-  manifest, so a truncated or bit-flipped payload raises
-  :class:`~repro.utils.errors.ChecksumError` instead of mis-ranking;
+  **binary payload** (:mod:`repro.index.paged`): φ, once — the selected
+  features' packed support matrix (``[p, ceil(n / 64)]`` ``uint64``, the
+  rows of :attr:`~repro.features.binary_matrix.FeatureSpace.supports`),
+  a SHA-256 per page in the manifest, so a truncated or bit-flipped
+  payload raises :class:`~repro.utils.errors.ChecksumError` instead of
+  mis-ranking;
 * that name with ``.journal`` for ``.pages`` — the append-only **delta
   journal** (JSON lines, each checksummed and sequence-numbered) of
   :meth:`~repro.core.mapping.DSPreservedMapping.add_graphs` /
@@ -32,9 +35,10 @@ generation at *path* used, so up to that rename the previous generation
 loads whole, and after it the new one; only then are the previous
 generation's files unlinked.
 
-This is format version 3 and the only one read or written (a manifest
+This is format version 4 and the only one read or written (a manifest
 naming the unnumbered ``<path>.pages`` of an earlier build loads as
-written); any other shape is rejected with the remedy, ``index-build``.
+written); any other shape — version 3's float64 rows and JSON supports
+included — is rejected with the remedy, ``index-build``.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ PathLike = Union[str, Path]
 ARTIFACT_KIND = "repro-graphdim-index"
 
 #: The arrays the binary payload must carry, in manifest order.
-PAYLOAD_ARRAYS = ("database_vectors", "database_sq_norms")
+PAYLOAD_ARRAYS = ("supports",)
 
 __all__ = [
     "DEFAULT_AUTO_COMPACT_RATIO",
@@ -253,7 +257,7 @@ def _restore_graph(
 
     The section is validated here (checksum, then
     :func:`~repro.query.proximity.check_payload`) but *attached* lazily:
-    the neighbor distances need the vectors, and touching those would
+    the neighbor distances need the rows, and touching those would
     break the O(manifest) mmap cold start.  A ``seq`` other than the
     replayed journal's length describes another database state: it is
     dropped, and the graph tier rebuilds (then re-persists) lazily.
@@ -297,7 +301,7 @@ class IndexArtifact:
     journal: List[Dict] = field(default_factory=list)
     #: Set on a loaded artifact: the page-verified reader over its pages
     #: file.  With ``arrays`` ``None`` beside it, the artifact was opened
-    #: with ``mmap=True`` and hands out deferred handles.
+    #: with ``mmap=True`` and hands out a deferred read.
     reader: Optional[PagedPayloadReader] = None
 
     # ------------------------------------------------------------------
@@ -310,7 +314,7 @@ class IndexArtifact:
         Builds the engine first if the mapping has not served a query
         yet — saving is exactly the moment to pay the offline lattice
         cost.  Any applied mutations are already folded into the
-        supports and vectors, so the result is a clean *base* (empty
+        support matrix, so the result is a clean *base* (empty
         journal).
         """
         engine = mapping.query_engine()
@@ -319,17 +323,18 @@ class IndexArtifact:
 
         features = mapping.selected_features()
 
-        arrays = {
-            "database_vectors": mapping.database_vectors.astype(np.uint8),
-            "database_sq_norms": mapping.database_sq_norms.astype(np.int64),
-        }
+        arrays = {"supports": mapping.space.supports[mapping.selected]}
         payload = {
             "format_version": FORMAT_VERSION,
             "kind": ARTIFACT_KIND,
             "database_size": mapping.space.n,
             "dimensionality": p,
             "feature_graphs": dumps_gspan([f.graph for f in features]),
-            "feature_supports": [sorted(f.support) for f in features],
+            # The matrix's row popcounts: an mmap load knows them
+            # without reading a page.
+            "support_counts": [
+                int(c) for c in mapping._selected_support_counts()
+            ],
             # The staleness contract survives persistence: drift is
             # measured against the supports at *selection* time, not at
             # the last save/compaction, so the baseline rides along.
@@ -379,7 +384,7 @@ class IndexArtifact:
         """Reconstruct the mapping with its engine pre-attached.
 
         Every persisted offline product is restored, not recomputed: the
-        lattice and the database squared norms.  The engine is wired in
+        lattice and the support counts.  The engine is wired in
         through the mapping's single construction point, so nothing can
         later race it with a stale rebuild.  The delta journal is then
         replayed (pure array updates — no VF2) and the mapping remembers
@@ -401,38 +406,19 @@ class IndexArtifact:
             )
         codec = LabelCodec.from_payload(codec_payload)
         graphs = loads_gspan(payload["feature_graphs"], codec.decode)
-        supports = payload["feature_supports"]
-        if len(graphs) != len(supports):
-            raise _corrupt("feature/support count mismatch")
-        features = [
-            FrequentSubgraph(graph, set(support))
-            for graph, support in zip(graphs, supports)
-        ]
         n = int(payload["database_size"])
         p = int(payload["dimensionality"])
-        if len(features) != p:
+        if len(graphs) != p:
             raise _corrupt("feature/dimensionality count mismatch")
-        space = FeatureSpace(features, n)
-
-        vectors, sq_norms = self._payload_arrays()
-        if tuple(vectors.shape) != (n, p):
-            raise _corrupt("embedding shape mismatch")
-        mapping = DSPreservedMapping(
-            space=space,
-            selected=list(range(p)),
-            database_vectors=vectors,
-        )
-
-        if sq_norms is not None:
-            if sq_norms.shape != (n,):
-                raise _corrupt("squared-norm shape mismatch")
-            if not np.array_equal(sq_norms, (vectors**2).sum(axis=1)):
-                raise _corrupt("squared norms disagree with vectors")
-            mapping.database_sq_norms = sq_norms
-        # mmap mode: sq_norms stay deferred — the mapping's cached
-        # property derives them from the (lazily verified) vectors on
-        # first distance call, which is also when the vectors-vs-norms
-        # cross-check would first matter.
+        counts = np.asarray(payload["support_counts"], dtype=np.int64)
+        if counts.shape != (p,):
+            raise _corrupt("support count mismatch")
+        shape, supports = self._payload_supports(counts)
+        if shape != (p, -(-n // 64)):
+            raise _corrupt("support matrix shape mismatch")
+        features = [FrequentSubgraph(graph, set()) for graph in graphs]
+        space = FeatureSpace(features, n, supports, support_counts=counts)
+        mapping = DSPreservedMapping(space=space, selected=list(range(p)))
 
         mapping._build_engine(self._restore_lattice(p))
 
@@ -459,22 +445,37 @@ class IndexArtifact:
             mapping.stale = True
         return mapping
 
-    def _payload_arrays(self):
-        """The (vectors, sq_norms) pair of the binary payload.
+    def _payload_supports(self, counts: np.ndarray):
+        """The payload's support matrix and its shape.
 
-        For an artifact opened with ``mmap=True`` the vectors come back
-        as a :class:`~repro.core.lazy.LazyArray` handle and the norms as
-        ``None`` (derived lazily from the vectors on first use).
+        The matrix is checked against the manifest's *counts* when it
+        is read: before this returns, or, for an artifact opened with
+        ``mmap=True``, in the deferred read (a zero-argument callable)
+        the feature space makes at its first bit, which verifies the
+        pages too.
         """
-        if self.arrays is None:
-            if self.reader is not None:
-                return self.reader.lazy("database_vectors"), None
+        if self.arrays is None and self.reader is None:
             raise PayloadMissingError(
                 "artifact has no binary payload attached"
             )
-        vectors = np.asarray(self.arrays["database_vectors"], dtype=float)
-        sq_norms = np.asarray(self.arrays["database_sq_norms"], dtype=float)
-        return vectors, sq_norms
+
+        def read() -> np.ndarray:
+            supports = (
+                self.reader.materialize("supports")
+                if self.arrays is None
+                else self.arrays["supports"]
+            )
+            if not np.array_equal(
+                np.bitwise_count(supports).sum(axis=1), counts
+            ):
+                raise _corrupt(
+                    "support counts disagree with the support matrix"
+                )
+            return supports
+
+        if self.arrays is None:
+            return tuple(self.reader.arrays_meta["supports"]["shape"]), read
+        return self.arrays["supports"].shape, read()
 
     def _restore_lattice(self, p: int) -> FeatureLattice:
         lat = self.payload.get("lattice")
@@ -525,7 +526,7 @@ class IndexArtifact:
 
         The page table is validated and the payload's size checked here;
         every page is verified before returning or, with ``mmap=True``,
-        on the first touch of its array (through deferred handles).
+        on the first touch of its array (through a deferred read).
         """
         path = Path(path)
         payload = _read_manifest(path)
@@ -728,9 +729,10 @@ def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
     The engine comes back pre-attached with zero VF2 calls and the delta
     journal replayed.  By default every payload page is read and
     verified before the call returns.  With ``mmap=True`` the load costs
-    O(manifest): the vectors are verified and materialized, as zero-copy
-    views onto the one shared memory map, on the first query that needs
-    them.  ``load_seconds`` / ``load_mode`` record the cost and mode.
+    O(manifest): the support matrix is verified and materialized, as a
+    zero-copy view onto the one shared memory map, on the first read of
+    a bit (a service's shard build, or a journal replay).
+    ``load_seconds`` / ``load_mode`` record the cost and mode.
 
     This is the one validated boundary for artifacts: whatever is wrong
     with the files raises an :class:`~repro.utils.errors.ArtifactError`

@@ -9,9 +9,10 @@ returns; an ``mmap=True`` load defers that to the first query, so a
 bit-flipped payload raises :class:`~repro.utils.errors.ChecksumError`
 either at load or at first touch, never silently mis-ranks.
 
-Arrays are stored in their *serving* dtype (float64), so a materialized
-view is handed to the query path as-is — zero conversion, zero copy,
-and one OS page cache shared by every service/shard mapping the file.
+Arrays are stored as they are held in memory — packed ``uint64`` words
+(:data:`PAYLOAD_DTYPE`) — so a materialized view is handed to the
+index as-is: zero conversion, zero copy, and one OS page cache shared
+by every process mapping the file.
 A generation's pages file is written once, under a name no earlier
 generation used, and is never rewritten: a later save unlinks it, so
 those maps keep the inode and the bytes they verified.
@@ -27,7 +28,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.lazy import LazyArray
 from repro.utils.errors import ArtifactCorruptError, ChecksumError
 
 #: Fixed page size of the paged layout (1 MiB): large enough that the
@@ -36,15 +36,15 @@ from repro.utils.errors import ArtifactCorruptError, ChecksumError
 #: whole file.
 PAGE_SIZE = 1 << 20
 
-#: Array start alignment inside the pages file, so float64 views onto
+#: Array start alignment inside the pages file, so uint64 views onto
 #: the uint8 mapping are always aligned.
 ARRAY_ALIGN = 64
 
 PAGED_LAYOUT = "paged"
 
-#: The one dtype the writer emits and the reader accepts: what the query
-#: path computes in, so a mapped view is served without conversion.
-SERVING_DTYPE = np.dtype(np.float64)
+#: The one dtype the writer emits and the reader accepts: the packed
+#: words the index holds in memory, so a mapped view needs no conversion.
+PAYLOAD_DTYPE = np.dtype(np.uint64)
 
 
 def write_synced(path: Path, data: bytes, at: int = 0) -> None:
@@ -66,7 +66,7 @@ def write_synced(path: Path, data: bytes, at: int = 0) -> None:
 def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
     """Write *arrays* as one raw paged file; return its manifest metadata.
 
-    Arrays are converted to their serving dtype (float64) and laid out
+    Arrays are converted to :data:`PAYLOAD_DTYPE` and laid out
     back to back at :data:`ARRAY_ALIGN` boundaries, and the file is
     fsynced before this returns.  The returned dict is the manifest's
     ``payload`` section: file name, layout, page size,
@@ -77,15 +77,15 @@ def write_paged_payload(path: Path, arrays: Dict[str, np.ndarray]) -> Dict:
     arrays_meta: Dict[str, Dict] = {}
     offset = 0
     for name, array in arrays.items():
-        served = np.ascontiguousarray(array, dtype=SERVING_DTYPE)
+        stored = np.ascontiguousarray(array, dtype=PAYLOAD_DTYPE)
         pad = (-offset) % ARRAY_ALIGN
         if pad:
             chunks.append(b"\0" * pad)
             offset += pad
-        data = served.tobytes()
+        data = stored.tobytes()
         arrays_meta[name] = {
-            "shape": list(served.shape),
-            "dtype": str(served.dtype),
+            "shape": list(stored.shape),
+            "dtype": str(stored.dtype),
             "offset": offset,
             "nbytes": len(data),
         }
@@ -125,11 +125,10 @@ class PagedPayloadReader:
     input — down to every array entry, checks the file size against the
     recorded byte count (a short read catches truncation immediately)
     and memory-maps the bytes read-only, so nothing malformed is left to
-    surface at first touch.  :meth:`lazy` returns a
-    :class:`~repro.core.lazy.LazyArray` whose materialization verifies
-    exactly the pages covering that array (memoized — each page is
-    hashed at most once per reader) and then returns a dtype view onto
-    the shared mapping, copying nothing.
+    surface at first touch.  :meth:`materialize` verifies exactly the
+    pages covering one array (memoized — each page is hashed at most
+    once per reader) and then returns a dtype view onto the shared
+    mapping, copying nothing.
     """
 
     def __init__(self, path: Path, meta: Dict) -> None:
@@ -192,16 +191,16 @@ class PagedPayloadReader:
                 f"payload array {name!r} has a malformed offset, byte "
                 "count or shape"
             )
-        if spec.get("dtype") != SERVING_DTYPE.name:
+        if spec.get("dtype") != PAYLOAD_DTYPE.name:
             raise _corrupt(
-                f"payload array {name!r} is not {SERVING_DTYPE.name} "
+                f"payload array {name!r} is not {PAYLOAD_DTYPE.name} "
                 f"(dtype={spec.get('dtype')!r})"
             )
         if offset + nbytes > self.total_bytes:
             raise _corrupt(
                 f"payload array {name!r} extends past the payload"
             )
-        if nbytes != SERVING_DTYPE.itemsize * math.prod(shape):
+        if nbytes != PAYLOAD_DTYPE.itemsize * math.prod(shape):
             raise _corrupt(
                 f"payload array {name!r} byte count does not match its "
                 "shape/dtype"
@@ -231,16 +230,8 @@ class PagedPayloadReader:
         spec = self.arrays_meta[name]
         offset, nbytes = spec["offset"], spec["nbytes"]
         self._verify_span(offset, nbytes)
-        view = self._mm[offset : offset + nbytes].view(SERVING_DTYPE)
+        view = self._mm[offset : offset + nbytes].view(PAYLOAD_DTYPE)
         return view.reshape(spec["shape"])
-
-    def lazy(self, name: str) -> LazyArray:
-        """A deferred handle for array *name* (shape/dtype known now)."""
-        return LazyArray(
-            tuple(self.arrays_meta[name]["shape"]),
-            SERVING_DTYPE,
-            lambda: self.materialize(name),
-        )
 
     def load_all(self) -> Dict[str, np.ndarray]:
         """Materialize every array (the eager path over a paged file)."""

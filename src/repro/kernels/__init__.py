@@ -5,11 +5,11 @@ functions here, called as ``kernels.<fn>`` so a test can swap one out:
 
 * :func:`hamming_block` — integer Hamming counts between packed 0/1
   queries and packed rows (:func:`pack_rows`), the shard scan inner
-  loop of the exact and approx tiers;
+  loop of the exact and approx tiers and the proximity graph's build
+  and repair blocks;
 * :func:`distance_block` — normalised-Euclidean distance rectangle on
   float rows: the engines' scans (the naive one is the serving tier's
-  oracle), the experiments, and the proximity graph's builds and seed
-  blocks;
+  oracle) and the experiments;
 * :func:`bound_block` — per-(query, shard) lower bounds plus the
   centroid distances the approx router reuses;
 * :func:`bound_check` — the elementwise "provably prunable" test;
@@ -44,16 +44,17 @@ __all__ = [
     "bound_check",
     "distance_block",
     "hamming_block",
+    "pack_bits",
     "pack_rows",
     "vf2_candidate_filter",
 ]
 
 
-def pack_rows(vectors: np.ndarray) -> np.ndarray:
-    """0/1 rows as word-major bit planes: a ``[ceil(p / 64), n]``
-    ``uint64`` array whose plane ``w`` holds dimensions ``64w`` to
-    ``64w + 63`` of every row (no plane at ``p == 0``).  Padding bits
-    are zero on every side, so they never count."""
+def pack_bits(vectors: np.ndarray) -> np.ndarray:
+    """0/1 rows as row-major words: a ``[n, ceil(p / 64)]`` ``uint64``
+    array whose word ``w`` of row ``i`` holds entries ``64w`` to
+    ``64w + 63`` of row ``i``, entry ``j`` at bit ``j % 64``.  Padding
+    bits are zero, so they never count."""
     vectors = np.asarray(vectors)
     n, p = vectors.shape
     words = -(-p // 64)
@@ -61,7 +62,15 @@ def pack_rows(vectors: np.ndarray) -> np.ndarray:
     packed[:, : -(-p // 8)] = np.packbits(
         vectors != 0, axis=1, bitorder="little"
     )
-    return np.ascontiguousarray(packed.view(np.uint64).T)
+    return packed.view(np.uint64)
+
+
+def pack_rows(vectors: np.ndarray) -> np.ndarray:
+    """0/1 rows as word-major bit planes: a ``[ceil(p / 64), n]``
+    ``uint64`` array whose plane ``w`` holds dimensions ``64w`` to
+    ``64w + 63`` of every row (no plane at ``p == 0``): the transpose
+    of :func:`pack_bits`."""
+    return np.ascontiguousarray(pack_bits(vectors).T)
 
 
 def hamming_block(queries: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -44,6 +44,9 @@ class FrequentSubgraph:
         The pattern as a :class:`LabeledGraph` (original labels).
     support:
         Indices of the database graphs containing the pattern (``sup(f)``).
+        Constructed from a set, or from a callable returning one: a
+        :class:`~repro.features.binary_matrix.FeatureSpace` gives its
+        features a view of its support matrix, built on each read.
     dfs_code:
         The canonical (minimum) DFS code, kept as a stable pattern identity.
     """
@@ -63,6 +66,20 @@ class FrequentSubgraph:
     @property
     def num_edges(self) -> int:
         return self.graph.num_edges
+
+
+def _get_support(self) -> Set[int]:
+    value = self.__dict__["_support"]
+    return value() if callable(value) else value
+
+
+def _set_support(self, value) -> None:
+    self.__dict__["_support"] = value
+
+
+# Attached after @dataclass generated ``__init__``, whose assignment then
+# routes through the setter.
+FrequentSubgraph.support = property(_get_support, _set_support)
 
 
 class _LabelCodec:

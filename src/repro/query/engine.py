@@ -385,7 +385,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def query(self, q: LabeledGraph, k: int) -> TopKResult:
         """Single-query top-k (the drop-in for ``MappedTopKEngine.query``)."""
-        k = _check_k(k, self.mapping.database_vectors.shape[0])
+        k = _check_k(k, self.mapping.space.n)
         start = time.perf_counter()
         vector = self.embed(q)
         mapped = time.perf_counter()
@@ -404,11 +404,10 @@ class QueryEngine:
     ) -> BatchQueryResult:
         """Top-k for many queries, amortising everything amortisable.
 
-        The lattice and the database's cached squared norms are shared
-        across the batch; all query-database distances come from a
-        single matrix product.
+        The lattice is shared across the batch; all query-database
+        distances come from a single matrix product.
         """
-        k = _check_k(k, self.mapping.database_vectors.shape[0])
+        k = _check_k(k, self.mapping.space.n)
         start = time.perf_counter()
         vectors = self.embed_many(queries)
         mapped = time.perf_counter()

@@ -51,7 +51,7 @@ job, connectivity, is the reseed rule's, which never fires on
 ``vector_mix``.
 
 Because the structure is canonical, incremental maintenance can be
-*exact*: appending rows needs one kernel distance block of the new rows
+*exact*: appending rows needs one Hamming block of the new rows
 against everything (an existing list changes only if a new row beats
 its current worst, and the true new top-m is contained in the old
 top-m plus the new rows); removing rows repairs only the lists that
@@ -87,22 +87,19 @@ have ended the search when popped, and whenever one is left out ``ef``
 candidates exist, so a dry frontier ends the search at the same point:
 hops and evaluations are those of pushing every row.
 
-A hop costs one popcount per fresh neighbor.  The embedding is binary,
-so each row is held once as a Python int of its bits and a pair's
-squared distance is the Hamming distance ``(q ^ x).bit_count()`` — the
-kernels' ``|q|^2 + |x|^2 - 2 q.x``, every term an exact integer — read
-through a table of the kernel's own ``sqrt(d2 / p)``: the same bits.
-That holds for 0/1 entries only, so ``build``, ``from_payload``,
-``with_appended`` and ``search`` refuse anything else
-(:func:`as_binary`) rather than answer wrong.
-
-Only a search's seed block goes through :mod:`repro.kernels` (one
-``distance_block`` call), beside the bulk blocks of builds and
-repairs.  The paired (row-vs-its-neighbor)
-distances of :meth:`~ProximityGraph.from_payload` use the kernel's
-formula directly; on binary rows every term is exact, so the value is a
-pure function of the pair and bit-identical no matter which code path
-computed it (the same argument behind the kernel-parity tier).
+The graph holds its rows packed, never as floats: the
+:func:`repro.kernels.pack_rows` bit planes the served scan reads.  On
+0/1 rows a pair's squared distance is its Hamming count — the float
+kernel's ``|q|^2 + |x|^2 - 2 q.x``, every term an exact integer — and
+:func:`~repro.query.topk.score_table` maps a count to the kernel's own
+``sqrt(d / p)``: the same bits.  So every distance the graph knows is
+a count read through that table: a build's and a repair's blocks come
+from :func:`repro.kernels.hamming_block`, an attach's paired
+(row-vs-its-neighbor) counts from ``np.bitwise_count``, and a beam
+scores each row it meets, seeds included, as ``(q ^ x).bit_count()``
+over the row's bits held as one Python int.  That holds for 0/1 entries
+only, so ``build``, ``from_payload``, ``with_appended`` and ``search``
+refuse anything else rather than answer wrong.
 """
 
 from __future__ import annotations
@@ -120,29 +117,27 @@ from repro.utils.errors import QueryError
 #: Default bound on stored (short-link) neighbors per node.
 DEFAULT_MAX_DEGREE = 8
 
-#: Rows per kernel distance block during builds/repairs (bounds peak
-#: memory at ``chunk * n`` floats without changing any distance value).
+#: Rows per Hamming block during builds/repairs (bounds peak memory at
+#: ``chunk * n`` counts without changing any distance value).
 _BUILD_CHUNK = 256
 
 
-def _sq_norms(vectors: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", vectors, vectors)
-
-
-def as_binary(vectors) -> np.ndarray:
-    """*vectors* as floats, refused unless every entry is 0 or 1: the
-    beam's popcount distance is exact there and silently wrong
-    anywhere else."""
-    vectors = np.asarray(vectors, dtype=float)
+def _packed(vectors) -> Tuple[np.ndarray, int]:
+    """0/1 rows as (:func:`repro.kernels.pack_rows` planes, p), refused
+    unless every entry is 0 or 1: the graph's popcount distance is
+    exact there and silently wrong anywhere else."""
+    vectors = np.asarray(vectors)
     if not ((vectors == 0) | (vectors == 1)).all():
         raise QueryError("the proximity graph takes 0/1 vectors only")
-    return vectors
+    return kernels.pack_rows(vectors), vectors.shape[1]
 
 
-def _bits(vectors: np.ndarray) -> List[int]:
-    """Each 0/1 row as one int: bit ``j`` is dimension ``j``."""
-    packed = np.packbits(vectors.astype(np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _row_ints(planes: np.ndarray) -> List[int]:
+    """Each packed row as one int: bit ``j`` is dimension ``j``."""
+    rows = [0] * planes.shape[1]
+    for plane in planes[::-1].tolist():
+        rows = [(row << 64) | word for row, word in zip(rows, plane)]
+    return rows
 
 
 def _entry_points(n: int) -> np.ndarray:
@@ -176,20 +171,17 @@ def _top_m(
 
 
 def _nearest(
-    vectors: np.ndarray, sq: np.ndarray, rows: np.ndarray, m: int
+    planes: np.ndarray, p: int, rows: np.ndarray, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The exact KNN lists of *rows* over all of *vectors*: one kernel
+    """The exact KNN lists of *rows* over every packed row: one Hamming
     block and one :func:`_top_m` per ``_BUILD_CHUNK`` rows, self-links
     excluded."""
-    p = vectors.shape[1]
+    root = score_table(p)
     knn_ids = np.empty((rows.size, m), dtype=np.int64)
     knn_dists = np.empty((rows.size, m), dtype=float)
     for lo in range(0, rows.size, _BUILD_CHUNK):
         chunk = rows[lo : lo + _BUILD_CHUNK]
-        block = np.array(
-            kernels.distance_block(vectors[chunk], vectors, sq, p),
-            dtype=float,
-        )
+        block = root[kernels.hamming_block(planes[:, chunk], planes)]
         block[np.arange(chunk.size), chunk] = np.inf  # never self-link
         hi = lo + chunk.size
         knn_ids[lo:hi], knn_dists[lo:hi] = _top_m(block, m)
@@ -238,14 +230,14 @@ class ProximityGraph:
 
     ``knn_ids``/``knn_dists`` are ``(n, m)`` arrays with
     ``m = min(max_degree, n-1)`` — every node stores exactly its m
-    nearest rows, nearest first.  The graph holds references to the
-    ``vectors``/``sq_norms`` it indexes, so a graph object is a
+    nearest rows, nearest first.  The graph holds the ``planes`` (its
+    ``p``-wide rows, packed) it indexes, so a graph object is a
     self-consistent snapshot: a beam never mixes neighbor lists from
-    one database state with vectors from another.
+    one database state with rows from another.
     """
 
-    vectors: np.ndarray
-    sq_norms: np.ndarray
+    planes: np.ndarray
+    p: int
     knn_ids: np.ndarray
     knn_dists: np.ndarray
     max_degree: int = DEFAULT_MAX_DEGREE
@@ -277,17 +269,23 @@ class ProximityGraph:
         """Build the canonical graph over ``vectors`` from scratch."""
         if max_degree < 1:
             raise QueryError("max_degree must be >= 1")
-        vectors = as_binary(vectors)
-        n = vectors.shape[0]
-        sq = _sq_norms(vectors)
+        planes, p = _packed(vectors)
+        n = planes.shape[1]
         m = min(max_degree, max(n - 1, 0))
-        knn_ids, knn_dists = _nearest(vectors, sq, np.arange(n), m)
+        knn_ids, knn_dists = _nearest(planes, p, np.arange(n), m)
         cls.builds += 1
-        return cls(vectors, sq, knn_ids, knn_dists, max_degree)
+        return cls(planes, p, knn_ids, knn_dists, max_degree)
 
     @property
     def num_rows(self) -> int:
         return self.knn_ids.shape[0]
+
+    def _same_width(self, vectors) -> np.ndarray:
+        """:func:`_packed` planes of rows as wide as the graph's."""
+        planes, p = _packed(vectors)
+        if p != self.p:
+            raise QueryError(f"rows must have {self.p} dimensions, got {p}")
+        return planes
 
     # ------------------------------------------------------------------
     # adjacency
@@ -323,13 +321,13 @@ class ProximityGraph:
 
     def _walk(self) -> Tuple[np.ndarray, List[int], List[float], list]:
         """What a beam reads, derived once per graph object: the seed
-        rows, every row's :func:`_bits`, the :func:`score_table` of
+        rows, every row's :func:`_row_ints`, the :func:`score_table` of
         every Hamming distance ``d`` (the kernel's own formula) and each
         node's adjacency — its out-links, then its capped in-links; a
         node that both lists and is listed by another holds it twice,
         and the beam's visited check drops the second."""
         if self._beam is None:
-            root = score_table(self.vectors.shape[1])
+            root = score_table(self.p)
             offsets, rev = self._reverse()
             # One int object per row, shared by every list that holds
             # it: a list costs its pointers, not fresh ints (~1 MB less
@@ -343,7 +341,9 @@ class ProximityGraph:
                 )
             ]
             seeds = _entry_points(self.num_rows)
-            self._beam = (seeds, _bits(self.vectors), root.tolist(), adjacency)
+            self._beam = (
+                seeds, _row_ints(self.planes), root.tolist(), adjacency
+            )
         return self._beam
 
     def neighbors(self, node: int) -> np.ndarray:
@@ -381,10 +381,8 @@ class ProximityGraph:
             return [], [], 0, 0
         k = min(int(k), n)
         ef = max(int(ef), k)
-        q = as_binary(query)
-        p = self.vectors.shape[1]
         seeds, rows, root, adjacency = self._walk()
-        bits = _bits(q[None, :])[0]
+        bits = _row_ints(self._same_width(np.asarray(query)[None, :]))[0]
         visited = bytearray(n)
         best: List[float] = []  # negated: a max-heap of the ef best
         frontier: List[Tuple[float, int]] = []
@@ -401,11 +399,8 @@ class ProximityGraph:
                 return  # it could only ever end the search
             heapq.heappush(frontier, (dist, row))
 
-        dists = kernels.distance_block(
-            q[None, :], self.vectors[seeds], self.sq_norms[seeds], p
-        )[0]
-        for dist, row in zip(dists.tolist(), seeds.tolist()):
-            admit(dist, row)
+        for row in seeds.tolist():
+            admit(root[(bits ^ rows[row]).bit_count()], row)
         hops = 0
         while True:
             if not frontier:
@@ -438,7 +433,7 @@ class ProximityGraph:
     def with_appended(self, vectors_after: np.ndarray) -> "ProximityGraph":
         """Graph over ``vectors_after`` whose first rows are this graph's.
 
-        One kernel block of the new rows against everything links the
+        One Hamming block of the new rows against everything links the
         arrivals; an existing list is re-selected from (old list ∪ new
         rows), which provably contains its true new top-m: either the
         old list was full at ``max_degree`` (so any displaced entry is
@@ -446,22 +441,16 @@ class ProximityGraph:
         The result equals :meth:`build` on ``vectors_after``, bit for
         bit, without the O(n²) rebuild.
         """
-        vectors_after = np.asarray(vectors_after, dtype=float)
         n_old = self.num_rows
-        n_new, p = vectors_after.shape
+        n_new = len(vectors_after)
         added = n_new - n_old
         if added <= 0:
             raise QueryError("with_appended expects strictly more rows")
-        as_binary(vectors_after[n_old:])  # the old rows passed already
-        sq = _sq_norms(vectors_after)
+        arrivals = self._same_width(vectors_after[n_old:])
+        planes = np.concatenate([self.planes, arrivals], axis=1)
         m = min(self.max_degree, n_new - 1)
         new_ids = np.arange(n_old, n_new, dtype=np.int64)
-        dmat = np.array(
-            kernels.distance_block(
-                vectors_after[n_old:], vectors_after, sq, p
-            ),
-            dtype=float,
-        )
+        dmat = score_table(self.p)[kernels.hamming_block(arrivals, planes)]
         dmat[np.arange(added), new_ids] = np.inf
 
         knn_ids = np.empty((n_new, m), dtype=np.int64)
@@ -493,7 +482,7 @@ class ProximityGraph:
             )
             knn_ids[affected], knn_dists[affected] = _top_m(dists, m, ids)
         return ProximityGraph(
-            vectors_after, sq, knn_ids, knn_dists, self.max_degree
+            planes, self.p, knn_ids, knn_dists, self.max_degree
         )
 
     def with_removed(
@@ -508,19 +497,19 @@ class ProximityGraph:
         every other list just renumbers its ids and, if the database
         shrank below the degree cap, truncates — its stored nearest-
         first prefix *is* the new top-m.  Equals :meth:`build` on the
-        survivors, bit for bit.
+        survivors, bit for bit.  Only ``vectors_after``'s row count is
+        read: the survivors' rows are this graph's own planes.
         """
         removed = np.asarray(sorted(int(i) for i in removed), dtype=np.int64)
-        vectors_after = np.asarray(vectors_after, dtype=float)
         n_old = self.num_rows
-        n_new = vectors_after.shape[0]
+        n_new = len(vectors_after)
         if n_new + removed.size != n_old:
             raise QueryError("with_removed: survivor count mismatch")
-        sq = _sq_norms(vectors_after)
         m = min(self.max_degree, max(n_new - 1, 0))
         survivors = np.setdiff1d(
             np.arange(n_old, dtype=np.int64), removed
         )
+        planes = self.planes[:, survivors]
         knn_ids = np.empty((n_new, m), dtype=np.int64)
         knn_dists = np.empty((n_new, m), dtype=float)
         lost = (
@@ -535,20 +524,20 @@ class ProximityGraph:
             knn_dists[intact] = self.knn_dists[survivors[intact], :m]
         repair = np.flatnonzero(lost)
         knn_ids[repair], knn_dists[repair] = _nearest(
-            vectors_after, sq, repair, m
+            planes, self.p, repair, m
         )
         return ProximityGraph(
-            vectors_after, sq, knn_ids, knn_dists, self.max_degree
+            planes, self.p, knn_ids, knn_dists, self.max_degree
         )
 
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe structure for the v3 manifest section.
+        """JSON-safe structure for the manifest section.
 
         Only the neighbor ids are stored — distances are re-derived
-        from the vectors on restore (exact on the binary embedding).
+        from the rows on restore (exact on the binary embedding).
         """
         return {
             "max_degree": int(self.max_degree),
@@ -561,28 +550,26 @@ class ProximityGraph:
         payload: Dict[str, Any],
         vectors: np.ndarray,
     ) -> "ProximityGraph":
-        """Re-attach a persisted neighbor table to its vectors.
+        """Re-attach a persisted neighbor table to its rows.
 
-        Costs one gather + one ``(n, m)`` paired-distance pass — no KNN
+        Costs one gather + one ``(n, m)`` paired-popcount pass — no KNN
         rebuild (``builds`` is not bumped; the cold-start test pins
         this).  The table is trusted: the artifact loader has passed it
         through :func:`check_payload`, turning any failure into a loud
         corruption error.
         """
-        vectors = as_binary(vectors)
-        n, p = vectors.shape
+        planes, p = _packed(vectors)
+        n = planes.shape[1]
         max_degree = payload["max_degree"]
         m = min(max_degree, max(n - 1, 0))
         knn_ids = np.asarray(payload["neighbors"], dtype=np.int64)
         knn_ids = knn_ids.reshape(n, m)
-        sq = _sq_norms(vectors)
-        # Paired distances row-vs-each-listed-neighbor: exact integers
-        # under the sqrt on binary embeddings, hence bit-identical to
-        # the kernel rectangle that built them.
-        dots = np.einsum("ij,ikj->ik", vectors, vectors[knn_ids])
-        d2 = np.maximum(sq[:, None] + sq[knn_ids] - 2.0 * dots, 0.0)
-        knn_dists = np.sqrt(d2 / p) if p else np.zeros_like(d2)
+        # Paired counts row-vs-each-listed-neighbor, through the table
+        # the build's blocks read: the same bits.
+        counts = np.zeros((n, m), dtype=np.int64)
+        for plane in planes:
+            counts += np.bitwise_count(plane[:, None] ^ plane[knn_ids])
         # Stored order is untrusted: restore the canonical nearest-first
         # (distance, id) order per row.
-        knn_ids, knn_dists = _top_m(knn_dists, m, knn_ids)
-        return cls(vectors, sq, knn_ids, knn_dists, max_degree)
+        knn_ids, knn_dists = _top_m(score_table(p)[counts], m, knn_ids)
+        return cls(planes, p, knn_ids, knn_dists, max_degree)

@@ -248,7 +248,7 @@ class MappedTopKEngine:
         self.mapping = mapping
 
     def query(self, q: LabeledGraph, k: int) -> TopKResult:
-        k = _check_k(k, self.mapping.database_vectors.shape[0])
+        k = _check_k(k, self.mapping.space.n)
         start = time.perf_counter()
         vector = self.mapping.map_query(q)
         mapped = time.perf_counter()
@@ -264,7 +264,7 @@ class MappedTopKEngine:
 
     def query_from_vector(self, vector: np.ndarray, k: int) -> TopKResult:
         """Rank a pre-mapped query vector (experiment fast path)."""
-        k = _check_k(k, self.mapping.database_vectors.shape[0])
+        k = _check_k(k, self.mapping.space.n)
         start = time.perf_counter()
         distances = self.mapping.query_distances(
             np.asarray(vector, dtype=float)[None, :]

@@ -439,8 +439,7 @@ class ContentPlacer:
     ) -> None:
         from repro.query.pruning import ShardSummary, stack_summaries
 
-        vectors = mapping.database_vectors
-        n = int(vectors.shape[0])
+        n = mapping.space.n
         if n < 1 or n_blocks < 1:
             raise ValueError("ContentPlacer needs a non-empty database")
         blocks = [
@@ -449,7 +448,10 @@ class ContentPlacer:
         ]
         self.n_blocks = len(blocks)
         self._stack = stack_summaries(
-            [ShardSummary.from_vectors(vectors[b]) for b in blocks]
+            [
+                ShardSummary.from_vectors(mapping.database_bits(b))
+                for b in blocks
+            ]
         )
         self.engine = mapping.query_engine()
         self._cache: "OrderedDict[Tuple, int]" = OrderedDict()

@@ -6,15 +6,16 @@ serving mechanics over :meth:`QueryEngine.batch_query
 <repro.query.engine.QueryEngine.batch_query>` without changing a single
 result bit:
 
-* **Sharding.**  The database vectors are split into ``n_shards``
+* **Sharding.**  The database rows are split into ``n_shards``
   contiguous shards (or any explicit assignment, e.g. DSPMap partition
   blocks).  Each shard task computes its local distance block and local
   top-k; a merge step re-ranks the shard candidates with the same
   ``(distance, index)`` tie-breaking as :func:`rank_with_ties`, so the
   merged answer equals the single-shard scan exactly.  A shard is
-  exactly its rows: their 0/1 bits packed once at shard build, and the
+  exactly its rows: their bits cut from the feature space's support
+  matrix (φ's one copy) once at shard build, and the
   :class:`~repro.query.pruning.ShardSummary` derived from the same
-  gathered block.
+  block.  No float row of the database is built or kept.
 * **A scan on φ's bits.**  Every served row and query is a 0/1 vector
   (φ of a graph), so the exact and approx tiers score on bits: a batch
   packs its queries once, :func:`repro.kernels.hamming_block` returns
@@ -105,13 +106,14 @@ from repro.utils.errors import QueryError
 class Shard:
     """One block of database rows and what is derived from them.
 
-    ``indices`` are ascending global row ids, ``planes`` the rows
-    ``database_vectors[indices]`` as :func:`repro.kernels.pack_rows` bit
-    planes (``[ceil(p / 64), rows]`` ``uint64``, packed once, at shard
+    ``indices`` are ascending global row ids, ``planes`` those rows of
+    the mapping's support matrix as :func:`repro.kernels.pack_rows` bit
+    planes (``[ceil(p / 64), rows]`` ``uint64``, cut once, at shard
     build) and ``summary`` the geometry (centroid/radius/envelope) the
     shard-skipping bounds read — always :meth:`ShardSummary.from_vectors`
-    of the same gathered rows.  Planes and summary are reused by
-    identity when a live update only renumbers this shard's rows.
+    of the same rows, unpacked for it alone.  Planes and summary are
+    reused by identity when a live update only renumbers this shard's
+    rows.
 
     The block of *all* rows a :class:`ShardSnapshot` carries is the one
     ``Shard`` without a summary: nothing bounds or routes on it — it is
@@ -278,8 +280,7 @@ class QueryService:
         self.engine = engine
         self.mapping = engine.mapping
         self._selection_snapshot = tuple(self.mapping.selected)
-        vectors = self.mapping.database_vectors
-        n = vectors.shape[0]
+        n = self.mapping.space.n
 
         if shards is None:
             if n_shards < 1:
@@ -306,9 +307,10 @@ class QueryService:
     # ------------------------------------------------------------------
     def _build_shard(self, block: np.ndarray) -> Shard:
         indices = np.sort(np.asarray(block, dtype=np.int64))
-        # The one gather: these rows are packed into the shard's scan
-        # operand, and its summary is derived from them.
-        rows = self.mapping.database_vectors[indices]
+        # The one cut from the support matrix: these rows are packed
+        # into the shard's scan operand, and its summary is derived
+        # from them.
+        rows = self.mapping.database_bits(indices)
         return Shard(
             indices=indices,
             planes=kernels.pack_rows(rows),
@@ -322,9 +324,7 @@ class QueryService:
 
     def _require_in_sync(self) -> None:
         """Refuse to derive a shard list from one the mapping outgrew."""
-        if self._snapshot.whole.num_rows != (
-            self.mapping.database_vectors.shape[0]
-        ):
+        if self._snapshot.whole.num_rows != self.mapping.space.n:
             raise ValueError(
                 "service shards are out of sync with the mapping — "
                 "mutate a served index through apply_update, not the "
@@ -370,7 +370,7 @@ class QueryService:
         through :meth:`DSPreservedMapping.remove_graphs
         <repro.core.mapping.DSPreservedMapping.remove_graphs>` /
         :meth:`~repro.core.mapping.DSPreservedMapping.add_graphs`, so
-        supports, vectors, and norms update incrementally; an update
+        the support matrix's bits are edited in place of a rebuild; an update
         past the staleness policy's ``max_drift`` sets
         ``mapping.stale`` and changes nothing else.
 
@@ -413,7 +413,7 @@ class QueryService:
                 # mapping, then re-raise the add's failure.
                 add_error = exc
                 added = []
-        n_after = mapping.database_vectors.shape[0]
+        n_after = mapping.space.n
         new_ids = np.arange(n_after - len(added), n_after, dtype=np.int64)
 
         removed_arr = np.asarray(removed_ids, dtype=np.int64)

@@ -79,31 +79,34 @@ def _assert_repaired(path, mapping, queries):
         assert x.ranking == y.ranking and x.scores == y.scores
 
 
-def _vectors_entry(manifest):
-    return manifest["payload"]["arrays"]["database_vectors"]
+def _supports_entry(manifest):
+    return manifest["payload"]["arrays"]["supports"]
 
 
 #: Tampered manifests, each still valid JSON: name -> in-place edit.
 MALFORMED_MANIFESTS = {
-    "array-entry-lacks-offset": lambda m: _vectors_entry(m).pop("offset"),
-    "array-entry-lacks-nbytes": lambda m: _vectors_entry(m).pop("nbytes"),
-    "array-dtype-object": lambda m: _vectors_entry(m).update(dtype="object"),
-    "array-dtype-bogus": lambda m: _vectors_entry(m).update(dtype="bogus"),
-    "array-dtype-other-width": lambda m: _vectors_entry(m).update(
-        dtype="float32"
+    "array-entry-lacks-offset": lambda m: _supports_entry(m).pop("offset"),
+    "array-entry-lacks-nbytes": lambda m: _supports_entry(m).pop("nbytes"),
+    "array-dtype-object": lambda m: _supports_entry(m).update(dtype="object"),
+    "array-dtype-bogus": lambda m: _supports_entry(m).update(dtype="bogus"),
+    "array-dtype-other-width": lambda m: _supports_entry(m).update(
+        dtype="uint32"
     ),
-    "array-shape-a-string": lambda m: _vectors_entry(m).update(shape="30x8"),
-    "array-shape-negative": lambda m: _vectors_entry(m).update(
-        shape=[-1, -_vectors_entry(m)["nbytes"] // 8]
+    "array-dtype-float64": lambda m: _supports_entry(m).update(
+        dtype="float64"
     ),
-    "array-offset-negative": lambda m: _vectors_entry(m).update(offset=-64),
-    "array-offset-a-bool": lambda m: _vectors_entry(m).update(offset=False),
-    "array-offset-unaligned": lambda m: _vectors_entry(m).update(offset=8),
-    "array-past-the-payload": lambda m: _vectors_entry(m).update(
+    "array-shape-a-string": lambda m: _supports_entry(m).update(shape="30x8"),
+    "array-shape-negative": lambda m: _supports_entry(m).update(
+        shape=[-1, -_supports_entry(m)["nbytes"] // 8]
+    ),
+    "array-offset-negative": lambda m: _supports_entry(m).update(offset=-64),
+    "array-offset-a-bool": lambda m: _supports_entry(m).update(offset=False),
+    "array-offset-unaligned": lambda m: _supports_entry(m).update(offset=8),
+    "array-past-the-payload": lambda m: _supports_entry(m).update(
         offset=64 * m["payload"]["bytes"]
     ),
     "array-entry-not-an-object": lambda m: m["payload"]["arrays"].update(
-        database_vectors=[0, 1920]
+        supports=[0, 1920]
     ),
     "arrays-not-an-object": lambda m: m["payload"].update(arrays=[]),
     "pages-not-a-list": lambda m: m["payload"].update(pages="deadbeef"),
@@ -115,7 +118,8 @@ MALFORMED_MANIFESTS = {
         bytes=float(m["payload"]["bytes"])
     ),
     "payload-section-a-list": lambda m: m.update(payload=[]),
-    "no-feature-supports": lambda m: m.pop("feature_supports"),
+    "no-support-counts": lambda m: m.pop("support_counts"),
+    "support-counts-a-string": lambda m: m.update(support_counts="8"),
     "no-feature-graphs": lambda m: m.pop("feature_graphs"),
     "no-database-size": lambda m: m.pop("database_size"),
     "dimensionality-a-list": lambda m: m.update(dimensionality=[8]),
@@ -222,6 +226,35 @@ class TestPayloadFaults:
         reloaded = load_index(path, mmap=mmap)
         a = mapping.query_engine().batch_query(small_chemical_queries, 5)
         b = reloaded.query_engine().batch_query(small_chemical_queries, 5)
+        for x, y in zip(a, b):
+            assert x.ranking == y.ranking and x.scores == y.scores
+
+    @BOTH_LOADS
+    def test_flipped_byte_in_the_support_matrix(
+        self, mutated, small_chemical_queries, mmap
+    ):
+        """φ's one on-disk copy: a flipped bit of the packed matrix fails
+        its page checksum at load, or, under ``mmap=True``, when the
+        first service cuts its shards from the matrix."""
+        path, mapping = mutated
+        save_index(mapping, path, compact=True)  # no replay touches it
+        manifest = json.loads(path.read_text())
+        offset = manifest["payload"]["arrays"]["supports"]["offset"]
+        payload = payload_path(path)
+        data = bytearray(payload.read_bytes())
+        data[offset] ^= 0x01
+        payload.write_bytes(bytes(data))
+        if mmap:
+            lazy = load_index(path, mmap=True)  # nothing read yet
+            with pytest.raises(ChecksumError):
+                lazy.query_service()
+        else:
+            with pytest.raises(ChecksumError):
+                load_index(path)
+        save_index(mapping, path, compact=True)
+        reloaded = load_index(path, mmap=mmap)
+        a = mapping.query_service().batch_query(small_chemical_queries, 5)
+        b = reloaded.query_service().batch_query(small_chemical_queries, 5)
         for x, y in zip(a, b):
             assert x.ranking == y.ranking and x.scores == y.scores
 

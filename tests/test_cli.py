@@ -243,7 +243,7 @@ class TestServeVerb:
             "--max-pattern-edges", "2",
         ]) == 0
         manifest = json.loads((tmp_path / "bad.json").read_text())
-        del manifest["feature_supports"]
+        del manifest["support_counts"]
         (tmp_path / "bad.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["serve", "--index", str(tmp_path / "bad.json")]) == 2

@@ -1114,7 +1114,7 @@ class TestLiveUpdateAndReload:
             await frontend.aclose()
 
     @pytest.mark.asyncio
-    @pytest.mark.parametrize("missing", ["feature_supports", "offset"])
+    @pytest.mark.parametrize("missing", ["support_counts", "offset"])
     async def test_reload_at_a_malformed_manifest_is_refused(
         self, engine, materials, tmp_path, missing
     ):
@@ -1127,7 +1127,7 @@ class TestLiveUpdateAndReload:
         save_index(mapping, path)
         manifest = json.loads(path.read_text())
         if missing == "offset":
-            del manifest["payload"]["arrays"]["database_vectors"][missing]
+            del manifest["payload"]["arrays"]["supports"][missing]
         else:
             del manifest[missing]
         path.write_text(json.dumps(manifest))

@@ -78,10 +78,11 @@ def _rewrite_arrays(path, mutate):
 
 
 def _load_and_touch(path, mmap):
-    """Load, then read the vectors: an ``mmap=True`` load verifies its
-    pages at first touch, so that is part of "does this artifact load"."""
+    """Load, then read the support matrix: an ``mmap=True`` load verifies
+    its pages at first touch, so that is part of "does this artifact
+    load"."""
     mapping = load_index(path, mmap=mmap)
-    np.asarray(mapping.database_vectors)
+    np.asarray(mapping.space.supports)
     return mapping
 
 
@@ -415,6 +416,27 @@ class TestBackwardCompat:
         }
         self._rejected(saved_path, manifest, "payload layout None")
 
+    def test_v3_paged_manifest_rejected_with_remedy(self, saved_path):
+        """Format 3 as its last build wrote it: φ as JSON support lists
+        and, in the paged payload, as float64 rows and squared norms."""
+        manifest = json.loads(saved_path.read_text())
+        n, p = manifest["database_size"], manifest["dimensionality"]
+        manifest["format_version"] = 3
+        del manifest["support_counts"]
+        manifest["feature_supports"] = [[0]] * p
+        rows = 8 * n * p
+        manifest["payload"]["arrays"] = {
+            "database_vectors": {
+                "shape": [n, p], "dtype": "float64",
+                "offset": 0, "nbytes": rows,
+            },
+            "database_sq_norms": {
+                "shape": [n], "dtype": "float64",
+                "offset": -(-rows // 64) * 64, "nbytes": 8 * n,
+            },
+        }
+        self._rejected(saved_path, manifest, "format version 3")
+
     def test_unknown_version_rejected(self, saved_path):
         payload = json.loads(saved_path.read_text())
         payload["format_version"] = 99
@@ -533,57 +555,59 @@ class TestCorruptArtifacts:
         manifest["lattice"]["order"][0] = manifest["lattice"]["order"][-1]
         self._expect(saved_path, manifest, ArtifactCorruptError)
 
-    def test_truncated_supports(self, saved_path, manifest):
-        manifest["feature_supports"] = manifest["feature_supports"][:-1]
+    def test_truncated_support_counts(self, saved_path, manifest):
+        manifest["support_counts"] = manifest["support_counts"][:-1]
         self._expect(saved_path, manifest, ArtifactCorruptError)
 
-    def test_truncated_vector_rows(self, saved_path):
+    def test_truncated_support_rows(self, saved_path):
         _rewrite_arrays(
-            saved_path,
-            lambda a: a.update(
-                database_vectors=a["database_vectors"][:-1],
-                database_sq_norms=a["database_sq_norms"][:-1],
-            ),
+            saved_path, lambda a: a.update(supports=a["supports"][:-1])
         )
         _both_loads_raise(saved_path, ArtifactCorruptError)
 
-    def test_tampered_sq_norms_cross_check(self, saved_path):
-        def bump(arrays):
-            norms = arrays["database_sq_norms"].copy()
-            norms[0] += 1
-            arrays["database_sq_norms"] = norms
-
-        # Checksum re-stamped, so only the vectors-vs-norms cross-check
-        # can catch the inconsistency.
-        _rewrite_arrays(saved_path, bump)
-        with pytest.raises(ArtifactCorruptError):
-            load_index(saved_path)
-        # The memory-mapped load never reads the persisted norms — it
-        # derives them from the vectors it verified — so there is
-        # nothing for the tampered ones to skew.
-        lazy = _load_and_touch(saved_path, mmap=True)
-        assert np.array_equal(
-            lazy.database_sq_norms, (lazy.database_vectors**2).sum(axis=1)
+    def test_support_words_short_of_the_database(self, saved_path):
+        _rewrite_arrays(
+            saved_path, lambda a: a.update(supports=a["supports"][:, :-1])
         )
+        _both_loads_raise(saved_path, ArtifactCorruptError)
+
+    def test_tampered_support_counts_cross_check(self, saved_path, manifest):
+        # The pages are intact, so only the counts-vs-matrix check can
+        # catch the inconsistency: at load, or at the first bit an mmap
+        # load reads.
+        manifest["support_counts"][0] += 1
+        saved_path.write_text(json.dumps(manifest))
+        _both_loads_raise(saved_path, ArtifactCorruptError)
+        lazy = load_index(saved_path, mmap=True)  # nothing read yet
+        with pytest.raises(ArtifactCorruptError):
+            lazy.query_service()
 
     def test_payload_array_missing(self, saved_path):
-        _rewrite_arrays(
-            saved_path, lambda a: a.pop("database_sq_norms")
-        )
+        _rewrite_arrays(saved_path, lambda a: a.pop("supports"))
         manifest = json.loads(saved_path.read_text())
-        assert "database_sq_norms" not in manifest["payload"]["arrays"]
-        manifest["payload"]["arrays"]["database_sq_norms"] = {
-            "shape": [manifest["database_size"]],
-            "dtype": "int64",
-        }
-        saved_path.write_text(json.dumps(manifest))
+        assert manifest["payload"]["arrays"] == {}
         _both_loads_raise(saved_path, ArtifactCorruptError)
 
     def test_array_shape_disagrees_with_manifest(self, saved_path):
         manifest = json.loads(saved_path.read_text())
-        manifest["payload"]["arrays"]["database_vectors"]["shape"][0] += 1
+        manifest["payload"]["arrays"]["supports"]["shape"][0] += 1
         saved_path.write_text(json.dumps(manifest))
         _both_loads_raise(saved_path, ArtifactCorruptError)
+
+    def test_payload_holds_the_support_matrix_once(
+        self, built_mapping, saved_path, manifest
+    ):
+        """Format 4: φ is on disk once, as the selected features' packed
+        support rows; no float rows, no JSON supports."""
+        arrays = manifest["payload"]["arrays"]
+        assert list(arrays) == ["supports"]
+        assert arrays["supports"]["dtype"] == "uint64"
+        n, p = built_mapping.space.n, built_mapping.dimensionality
+        assert arrays["supports"]["shape"] == [p, -(-n // 64)]
+        assert "feature_supports" not in manifest
+        assert manifest["support_counts"] == [
+            len(f.support) for f in built_mapping.selected_features()
+        ]
 
 
 class TestCorruptJournal:

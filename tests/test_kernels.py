@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.core.lazy import LazyArray
 from repro.datasets import synthetic_database
 from repro.isomorphism.vf2 import (
     PatternProfile,
@@ -64,23 +63,3 @@ class TestPatternFilterStats:
         stats = PatternFilterStats(patterns)
         for i, g in enumerate(graphs):
             assert stats.candidate_mask(TargetProfile(g))[i]
-
-
-class TestLazyArray:
-    def test_materialize_runs_producer_once(self):
-        calls = []
-
-        def produce():
-            calls.append(1)
-            return np.arange(6, dtype=float).reshape(2, 3)
-
-        lazy = LazyArray((2, 3), np.float64, produce)
-        a = lazy.materialize()
-        b = lazy.materialize()
-        assert a is b and len(calls) == 1
-        assert lazy.shape == (2, 3) and lazy.dtype == np.float64
-
-    def test_shape_mismatch_raises(self):
-        lazy = LazyArray((4,), np.float64, lambda: np.zeros((5,)))
-        with pytest.raises(ValueError, match="declared"):
-            lazy.materialize()

@@ -193,22 +193,24 @@ class TestBitIdentityVsScratchRebuild:
 
 
 class TestStateConsistency:
-    def test_norms_updated_incrementally_not_recomputed(self, materials):
+    def test_float_views_track_updates_and_are_never_kept(self, materials):
         _db, extra, _queries, _features = materials
         mapping = _fresh_mapping(materials, 10)
-        _ = mapping.database_sq_norms  # warm the cache
-        mapping.add_graphs(extra[:3])
-        assert "database_sq_norms" in mapping.__dict__
-        assert np.array_equal(
-            mapping.database_sq_norms,
-            (mapping.database_vectors**2).sum(axis=1),
-        )
-        mapping.remove_graphs([4, 7])
-        assert "database_sq_norms" in mapping.__dict__
-        assert np.array_equal(
-            mapping.database_sq_norms,
-            (mapping.database_vectors**2).sum(axis=1),
-        )
+        for mutate in (
+            lambda: mapping.add_graphs(extra[:3]),
+            lambda: mapping.remove_graphs([4, 7]),
+        ):
+            mutate()
+            vectors = mapping.database_vectors
+            assert vectors.shape == (mapping.space.n, 10)
+            assert np.array_equal(vectors, mapping.database_bits())
+            assert np.array_equal(
+                mapping.database_sq_norms, (vectors**2).sum(axis=1)
+            )
+            assert mapping.database_vectors is not vectors
+            assert not {"database_vectors", "database_sq_norms"} & set(
+                vars(mapping)
+            )
 
     def test_supports_and_incidence_stay_consistent(self, materials):
         _db, extra, _queries, _features = materials

@@ -80,7 +80,7 @@ class TestRoundTrip:
         path = tmp_path / "index.json"
         save_index(built_mapping, path)
         payload = json.loads(path.read_text())
-        payload["feature_supports"] = payload["feature_supports"][:-1]
+        payload["support_counts"] = payload["support_counts"][:-1]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_index(path)

@@ -624,6 +624,17 @@ class TestBinaryContract:
         with pytest.raises(QueryError):
             graph.search(query, 3, 8)
 
+    def test_rows_of_another_width_are_refused(self):
+        """A popcount of mismatched bit ints is a number, not an error:
+        the graph checks the width the float kernel's shapes did."""
+        vectors = _binary_vectors(np.random.default_rng(65), 10, 5)
+        graph = ProximityGraph.build(vectors)
+        with pytest.raises(QueryError, match="5 dimensions"):
+            graph.search(np.ones(6), 3, 8)
+        wider = np.hstack([np.vstack([vectors, vectors[:1]]), np.ones((11, 1))])
+        with pytest.raises(QueryError, match="5 dimensions"):
+            graph.with_appended(wider)
+
     def test_graph_mode_refuses_the_block_every_mode_refuses(self):
         rng = np.random.default_rng(64)
         vectors = _binary_vectors(rng, 30, 8)
