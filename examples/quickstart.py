@@ -73,12 +73,16 @@ def main() -> None:
           f"{mapping.space.m} mined frequent subgraphs")
 
     engine = mapping.query_engine()
+    start = time.perf_counter()
     answer = engine.query(query, k=10)
+    mapped = time.perf_counter() - start
+    start = time.perf_counter()
     truth = ExactTopKEngine(database).query(query, k=10)
-    print(f"mapped top-10 in {answer.total_seconds * 1e3:.2f} ms vs exact "
-          f"MCS ranking in {truth.total_seconds * 1e3:.0f} ms: "
+    exact = time.perf_counter() - start
+    print(f"mapped top-10 in {mapped * 1e3:.2f} ms vs exact "
+          f"MCS ranking in {exact * 1e3:.0f} ms: "
           f"precision@10 = {precision_at_k(answer.ranking, truth.ranking):.2f}, "
-          f"speedup = {truth.total_seconds / answer.total_seconds:.0f}x")
+          f"speedup = {exact / mapped:.0f}x")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.json"
@@ -95,9 +99,10 @@ def main() -> None:
 
         service = served.query_service(n_shards=4)
         queries = chemical_query_set(8, seed=2)
+        start = time.perf_counter()
         batch = service.batch_query(queries, k=10)
         print(f"served a batch of {len(batch)} queries in "
-              f"{batch.total_seconds * 1e3:.1f} ms "
+              f"{(time.perf_counter() - start) * 1e3:.1f} ms "
               f"({service.stats.embedded_queries} embedded, "
               f"{service.stats.cache_hits} cache hits)")
 

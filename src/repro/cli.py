@@ -81,17 +81,20 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     )
     exact = ExactTopKEngine(db)
     q = queries[0]
+    start = time.perf_counter()
     result = engine.query(q, args.k)
+    mapped = time.perf_counter()
     truth = exact.query(q, args.k)
+    end = time.perf_counter()
     print(f"query {q.graph_id}: |V|={q.num_vertices} |E|={q.num_edges}")
     print(f"  mapped  top-{args.k}: {[db[i].graph_id for i in result.ranking]}")
     print(
-        f"          in {result.total_seconds * 1e3:.2f} ms "
+        f"          in {(mapped - start) * 1e3:.2f} ms "
         f"({engine.stats.vf2_calls} VF2 calls, "
         f"{engine.stats.features_pruned} lattice-pruned)"
     )
     print(f"  exact   top-{args.k}: {[db[i].graph_id for i in truth.ranking]}")
-    print(f"          in {truth.total_seconds * 1e3:.2f} ms")
+    print(f"          in {(end - mapped) * 1e3:.2f} ms")
     overlap = len(set(result.ranking) & set(truth.ranking))
     print(f"  precision: {overlap}/{args.k}")
     return 0

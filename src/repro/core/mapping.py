@@ -175,11 +175,6 @@ class DSPreservedMapping:
         the support matrix on each access and never kept."""
         return self.space.embed_database(self.selected)
 
-    @property
-    def database_sq_norms(self) -> np.ndarray:
-        """Per-row squared norms of :attr:`database_vectors` (a view)."""
-        return self.database_vectors.sum(axis=1)
-
     def database_bits(self, indices: Optional[Sequence[int]] = None):
         """Database rows *indices* (default all) as a ``(rows, p)`` bool
         block: the embedding without a float."""
@@ -346,10 +341,6 @@ class DSPreservedMapping:
         """
         if observer not in self._observers:
             self._observers.append(observer)
-
-    def unregister_observer(self, observer) -> None:
-        if observer in self._observers:
-            self._observers.remove(observer)
 
     def _notify_observers(self, method: str, payload) -> None:
         for observer in list(self._observers):

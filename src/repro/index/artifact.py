@@ -47,7 +47,6 @@ import hashlib
 import json
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -732,13 +731,12 @@ def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
     O(manifest): the support matrix is verified and materialized, as a
     zero-copy view onto the one shared memory map, on the first read of
     a bit (a service's shard build, or a journal replay).
-    ``load_seconds`` / ``load_mode`` record the cost and mode.
+    ``load_mode`` records the mode.
 
     This is the one validated boundary for artifacts: whatever is wrong
     with the files raises an :class:`~repro.utils.errors.ArtifactError`
     subclass, never a bare ``KeyError`` / ``TypeError``.
     """
-    start = time.perf_counter()
     try:
         mapping = IndexArtifact.load(path, mmap=mmap).to_mapping()
     except (ArtifactError, OSError):
@@ -749,7 +747,6 @@ def load_index(path: PathLike, mmap: bool = False) -> DSPreservedMapping:
         raise _corrupt(
             f"malformed manifest ({type(exc).__name__}: {exc})"
         ) from exc
-    mapping.load_seconds = time.perf_counter() - start
     mapping.load_mode = "mmap" if mmap else "eager"
     return mapping
 

@@ -19,9 +19,9 @@ changing any result**:
   neighbour and degree bitsets of the walker to every VF2 call, instead
   of each call recomputing them.
 * **Batching.**  :meth:`QueryEngine.batch_query` embeds many queries,
-  computes all query-database distances in one BLAS call against the
-  mapping's cached squared norms, and ranks the whole distance matrix
-  with one partition-based :func:`rank_block`.
+  computes all query-database distances in one BLAS call, and ranks the
+  whole distance matrix with one partition-based :func:`rank_block`;
+  :meth:`QueryEngine.query` is its one-query case.
 
 Because the mapped vectors are binary and all distance terms are small
 integers (exactly representable in float64), the engine's rankings and
@@ -32,8 +32,7 @@ suite enforces this.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +48,7 @@ from repro.isomorphism.vf2 import (
     match_plan,
 )
 from repro.kernels import PatternFilterStats
-from repro.query.topk import TopKResult, _check_k, rank_block, rank_with_ties
+from repro.query.topk import TopKResult, _check_k, rank_block
 
 
 @dataclass(frozen=True)
@@ -200,16 +199,12 @@ class EngineStats:
 
 @dataclass
 class BatchQueryResult:
-    """The answer to a :meth:`QueryEngine.batch_query` call."""
+    """The answer to a :meth:`QueryEngine.batch_query` call: one
+    :class:`~repro.query.topk.TopKResult` per query, and the stacked
+    embeddings φ(q) they were ranked from."""
 
     results: List[TopKResult]
     query_vectors: np.ndarray
-    mapping_seconds: float = 0.0
-    search_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.mapping_seconds + self.search_seconds
 
     def __iter__(self):
         return iter(self.results)
@@ -219,31 +214,6 @@ class BatchQueryResult:
 
     def __getitem__(self, i: int) -> TopKResult:
         return self.results[i]
-
-    @classmethod
-    def with_shared_timing(
-        cls,
-        results: List[TopKResult],
-        query_vectors: np.ndarray,
-        mapping_seconds: float,
-        search_seconds: float,
-    ) -> "BatchQueryResult":
-        """Construct, spreading the batch wall-clock evenly per query.
-
-        Existing per-query timing consumers keep working; engine and
-        service share this one spreading rule so their timings stay
-        comparable.
-        """
-        share = max(len(results), 1)
-        for res in results:
-            res.mapping_seconds = mapping_seconds / share
-            res.search_seconds = search_seconds / share
-        return cls(
-            results=results,
-            query_vectors=query_vectors,
-            mapping_seconds=mapping_seconds,
-            search_seconds=search_seconds,
-        )
 
 
 class QueryEngine:
@@ -384,20 +354,9 @@ class QueryEngine:
     # querying
     # ------------------------------------------------------------------
     def query(self, q: LabeledGraph, k: int) -> TopKResult:
-        """Single-query top-k (the drop-in for ``MappedTopKEngine.query``)."""
-        k = _check_k(k, self.mapping.space.n)
-        start = time.perf_counter()
-        vector = self.embed(q)
-        mapped = time.perf_counter()
-        distances = self.mapping.query_distances(vector[None, :])[0]
-        ranking, scores = rank_with_ties(distances, k)
-        end = time.perf_counter()
-        return TopKResult(
-            ranking,
-            scores,
-            mapping_seconds=mapped - start,
-            search_seconds=end - mapped,
-        )
+        """Single-query top-k (the drop-in for ``MappedTopKEngine.query``):
+        the one-query :meth:`batch_query`."""
+        return self.batch_query([q], k).results[0]
 
     def batch_query(
         self, queries: Sequence[LabeledGraph], k: int
@@ -408,16 +367,12 @@ class QueryEngine:
         distances come from a single matrix product.
         """
         k = _check_k(k, self.mapping.space.n)
-        start = time.perf_counter()
         vectors = self.embed_many(queries)
-        mapped = time.perf_counter()
-        distances = self.mapping.query_distances(vectors)
-        cols, scores = rank_block(distances, k)
-        results = [
-            TopKResult(ranking, row)
-            for ranking, row in zip(cols.tolist(), scores.tolist())
-        ]
-        end = time.perf_counter()
-        return BatchQueryResult.with_shared_timing(
-            results, vectors, mapped - start, end - mapped
+        cols, scores = rank_block(self.mapping.query_distances(vectors), k)
+        return BatchQueryResult(
+            [
+                TopKResult(ranking, row)
+                for ranking, row in zip(cols.tolist(), scores.tolist())
+            ],
+            vectors,
         )

@@ -11,13 +11,14 @@ Two engines, matching the paper's evaluation protocol:
   selectors ("we sequentially scan all vectors in the mapped
   multidimensional space").
 
-Both produce a :class:`TopKResult` with deterministic tie-breaking
-(by distance, then database index), so measures are reproducible.
+Both produce a :class:`TopKResult` — a ranking and its scores, with
+deterministic tie-breaking (by distance, then database index), so
+measures are reproducible.  An answer carries no clock: a caller that
+wants a duration times the call it makes.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ from repro.utils.errors import QueryError
 
 @dataclass
 class TopKResult:
-    """A ranked answer list plus timing breakdown.
+    """A ranked answer list.
 
     Attributes
     ----------
@@ -39,21 +40,10 @@ class TopKResult:
         Database indices, best (smallest distance) first, length k.
     scores:
         The distance/dissimilarity of each ranked entry.
-    mapping_seconds:
-        Time spent turning the query into a vector (VF2 feature
-        matching); 0 for the exact engine.
-    search_seconds:
-        Time spent scanning/ranking.
     """
 
     ranking: List[int]
     scores: List[float]
-    mapping_seconds: float = 0.0
-    search_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.mapping_seconds + self.search_seconds
 
 
 def _check_k(k: int, n: int) -> int:
@@ -224,20 +214,14 @@ class ExactTopKEngine:
 
     def query(self, q: LabeledGraph, k: int) -> TopKResult:
         k = _check_k(k, len(self.database))
-        start = time.perf_counter()
         values = np.array([self.cache(q, g) for g in self.database])
-        ranking, scores = rank_with_ties(values, k)
-        return TopKResult(
-            ranking, scores, search_seconds=time.perf_counter() - start
-        )
+        return TopKResult(*rank_with_ties(values, k))
 
     def query_from_row(self, delta_row: np.ndarray, k: int) -> TopKResult:
         """Rank a precomputed dissimilarity row (experiment fast path)."""
         k = _check_k(k, len(delta_row))
-        start = time.perf_counter()
-        ranking, scores = rank_with_ties(np.asarray(delta_row, dtype=float), k)
         return TopKResult(
-            ranking, scores, search_seconds=time.perf_counter() - start
+            *rank_with_ties(np.asarray(delta_row, dtype=float), k)
         )
 
 
@@ -249,27 +233,14 @@ class MappedTopKEngine:
 
     def query(self, q: LabeledGraph, k: int) -> TopKResult:
         k = _check_k(k, self.mapping.space.n)
-        start = time.perf_counter()
         vector = self.mapping.map_query(q)
-        mapped = time.perf_counter()
         distances = self.mapping.query_distances(vector[None, :])[0]
-        ranking, scores = rank_with_ties(distances, k)
-        end = time.perf_counter()
-        return TopKResult(
-            ranking,
-            scores,
-            mapping_seconds=mapped - start,
-            search_seconds=end - mapped,
-        )
+        return TopKResult(*rank_with_ties(distances, k))
 
     def query_from_vector(self, vector: np.ndarray, k: int) -> TopKResult:
         """Rank a pre-mapped query vector (experiment fast path)."""
         k = _check_k(k, self.mapping.space.n)
-        start = time.perf_counter()
         distances = self.mapping.query_distances(
             np.asarray(vector, dtype=float)[None, :]
         )[0]
-        ranking, scores = rank_with_ties(distances, k)
-        return TopKResult(
-            ranking, scores, search_seconds=time.perf_counter() - start
-        )
+        return TopKResult(*rank_with_ties(distances, k))

@@ -42,7 +42,7 @@ import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
@@ -119,11 +119,12 @@ class FrontendConfig:
             raise ValueError("batch_window must be a finite number >= 0")
         if self.quota_burst is None and self.quota_rate is not None:
             self.quota_burst = max(self.quota_rate, float(self.batch_size))
-        if (
-            self.maintenance_interval is not None
-            and self.maintenance_interval <= 0
+        if self.maintenance_interval is not None and not (
+            0 < self.maintenance_interval < math.inf
         ):
-            raise ValueError("maintenance_interval must be positive (or None)")
+            raise ValueError(
+                "maintenance_interval must be a finite number > 0 (or None)"
+            )
 
 
 @dataclass
@@ -325,27 +326,15 @@ class AsyncFrontend(RequestGate):
         k: int,
         tenant: str = "",
         policy: Optional[SearchPolicy] = None,
-    ) -> Tuple[List[TopKResult], int]:
+    ) -> Tuple[List[TopKResult], int, Dict]:
         """Admit, queue, and answer one request of one or more queries.
 
-        Returns ``(results, generation)``; raises
+        Returns ``(results, generation, pruning)``: the answers, the
+        index generation they were computed on, and this request's own
+        ``pruning`` stats.  Raises
         :class:`~repro.utils.errors.AdmissionError` on a structured
         rejection, or whatever the underlying batch raised (e.g.
         :class:`~repro.utils.errors.QueryError` for a bad ``k``).
-        """
-        results, generation, _pruning = await self.submit_traced(
-            graphs, k, tenant, policy
-        )
-        return results, generation
-
-    async def submit_traced(
-        self,
-        graphs: Sequence[LabeledGraph],
-        k: int,
-        tenant: str = "",
-        policy: Optional[SearchPolicy] = None,
-    ) -> Tuple[List[TopKResult], int, Dict]:
-        """:meth:`submit` plus this request's own ``pruning`` stats.
 
         *policy* falls back to the configured server-wide default;
         requests with different policies coalesce into separate service
@@ -636,42 +625,23 @@ class AsyncFrontend(RequestGate):
             }
 
     def stats_payload(self) -> Dict:
-        """The ``stats`` op response body (frontend + service counters)."""
+        """The ``stats`` op response body: each section is its counter
+        record (:class:`FrontendStats`, :class:`~repro.serving.service.
+        ServiceStats`) plus the keys derived from the live objects."""
         service = self.service
-        svc = service.stats
         return {
             "queue_depth": self.queue_depth,
             "draining": self._draining,
             "generation": service.generation,
             "frontend": {
-                **self._admission_counters(),
-                "batches_dispatched": self.stats.batches_dispatched,
+                **self._stats_section(),
                 "mean_coalesced": (
                     self.stats.completed
                     / max(self.stats.batches_dispatched, 1)
                 ),
-                "lingers": self.stats.lingers,
-                "lingers_expired": self.stats.lingers_expired,
-                "concurrency": self.stats.concurrency,
-                "updates_applied": self.stats.updates_applied,
-                "reloads": self.stats.reloads,
-                "maintenance_runs": self.stats.maintenance_runs,
-                "maintenance_failures": self.stats.maintenance_failures,
             },
             "service": {
-                "batches": svc.batches,
-                "queries": svc.queries,
-                "embedded_queries": svc.embedded_queries,
-                "cache_hits": svc.cache_hits,
-                "cache_misses": svc.cache_misses,
-                "vf2_calls": svc.vf2_calls,
-                "shard_tasks": svc.shard_tasks,
-                "whole_scans": svc.whole_scans,
-                "shards_skipped": svc.shards_skipped,
-                "bound_checks": svc.bound_checks,
-                "updates": svc.updates,
-                "shards_rebuilt": svc.shards_rebuilt,
-                "reselections": svc.reselections,
+                **asdict(service.stats),
                 "stale": bool(service.mapping.stale),
                 "n_shards": len(service.shards),
                 "database_size": service.mapping.space.n,
@@ -689,7 +659,7 @@ class AsyncFrontend(RequestGate):
             self._decode_graph(g)
             for g in ([request["graph"]] if single else request["graphs"])
         ]
-        results, generation, pruning = await self.submit_traced(
+        results, generation, pruning = await self.submit(
             graphs, request["k"], request.get("tenant") or "", policy
         )
         answers = (

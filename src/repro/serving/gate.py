@@ -11,9 +11,10 @@ of that are one :class:`RequestGate`, which both subclass;
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Tuple
 
 from repro.serving import protocol
@@ -35,23 +36,25 @@ __all__ = [
 #: One op's handler: the parsed request in, the response object out.
 Handler = Callable[[Dict], Awaitable[Dict]]
 
-#: The :class:`AdmissionStats` counters both ``stats`` sections report.
-_COUNTERS = (
-    "admitted", "completed", "failed", "rejected_quota", "rejected_overload",
-    "rejected_draining", "bad_requests", "queue_peak",
-)
-
 
 def check_quota_config(config) -> None:
-    """Validate the quota knobs a frontend or router config carries."""
+    """Validate the knobs the gate reads from a frontend or router config.
+
+    Every number must be finite: a NaN rate would reach a client as
+    ``"retry_after": NaN``, which is not JSON, and every comparison with
+    NaN is false, so a NaN slips past a plain ``<= 0`` test.
+    """
     if config.max_tenants < 1:
         raise ValueError("max_tenants must be >= 1")
-    if config.quota_rate is not None and config.quota_rate <= 0:
-        raise ValueError("quota_rate must be positive (or None)")
-    if config.quota_burst is not None and config.quota_burst < 1:
+    rate, burst = config.quota_rate, config.quota_burst
+    if rate is not None and not 0 < rate < math.inf:
+        raise ValueError("quota_rate must be a finite number > 0 (or None)")
+    if burst is not None and not 1 <= burst < math.inf:
         # burst < 1 would make even a single query cost > burst: a
         # permanently-dead server rejecting 100% of requests.
-        raise ValueError("quota_burst must be >= 1 (or None)")
+        raise ValueError("quota_burst must be a finite number >= 1 (or None)")
+    if not 0 <= config.drain_timeout < math.inf:
+        raise ValueError("drain_timeout must be a finite number >= 0")
 
 
 class TokenBucket:
@@ -168,7 +171,12 @@ class TenantQuotas:
 
 @dataclass
 class AdmissionStats:
-    """Admission counters, in queries (a batch counts its size)."""
+    """Admission counters, in queries (a batch counts its size).
+
+    A tier's ``stats`` section is this record as it stands
+    (:meth:`RequestGate._stats_section`), so a counter added here is
+    served without another line.
+    """
 
     admitted: int = 0
     completed: int = 0          # admitted queries answered
@@ -178,23 +186,9 @@ class AdmissionStats:
     rejected_draining: int = 0
     bad_requests: int = 0
     queue_peak: int = 0         # most queries in flight at once
+    #: ``admitted`` / ``rejected_quota`` per tenant; past the config's
+    #: ``max_tenants`` names the rest aggregate under ``"<other>"``.
     per_tenant: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Most tenants broken out individually in ``per_tenant``; the rest
-    #: aggregate under ``"<other>"`` so wire-supplied names cannot grow
-    #: the stats table without bound.  :class:`RequestGate` sets this
-    #: from the config's ``max_tenants`` so it and the bucket table's
-    #: cap never diverge.
-    max_tracked_tenants: int = 10_000
-
-    def tenant(self, name: str) -> Dict[str, int]:
-        if (
-            name not in self.per_tenant
-            and len(self.per_tenant) >= self.max_tracked_tenants
-        ):
-            name = TenantQuotas.OTHER
-        return self.per_tenant.setdefault(
-            name, {"admitted": 0, "rejected_quota": 0}
-        )
 
 
 class RequestGate:
@@ -222,7 +216,6 @@ class RequestGate:
     ) -> None:
         self.config = config
         self.stats = stats
-        stats.max_tracked_tenants = config.max_tenants
         self._name = name
         self._capacity = capacity
         self._ops = ops
@@ -308,7 +301,7 @@ class RequestGate:
             ok, wait = self._buckets.try_acquire(tenant, cost)
             if not ok:
                 stats.rejected_quota += cost
-                stats.tenant(tenant)["rejected_quota"] += cost
+                self._tenant(tenant)["rejected_quota"] += cost
                 raise AdmissionError(
                     "quota_exceeded",
                     f"tenant {tenant!r} exceeded {self.config.quota_rate}"
@@ -316,7 +309,7 @@ class RequestGate:
                     retry_after=None if wait == float("inf") else wait,
                 )
         stats.admitted += cost
-        stats.tenant(tenant)["admitted"] += cost
+        self._tenant(tenant)["admitted"] += cost
         self._inflight += cost
         self._idle.clear()
         stats.queue_peak = max(stats.queue_peak, self._inflight)
@@ -331,17 +324,26 @@ class RequestGate:
         if self._inflight == 0:
             self._idle.set()
 
-    def _admission_counters(self) -> Dict:
-        """The admission keys of the tier's ``stats`` section."""
-        stats = self.stats
-        counters = {name: getattr(stats, name) for name in _COUNTERS}
-        counters["bucket_evictions"] = (
+    def _tenant(self, name: str) -> Dict[str, int]:
+        """*name*'s ``per_tenant`` counters.  Tenant names come off the
+        wire, so past ``config.max_tenants`` named tenants — the bucket
+        table's cap too — a newcomer counts under ``"<other>"``."""
+        per_tenant = self.stats.per_tenant
+        full = len(per_tenant) >= self.config.max_tenants
+        if full and name not in per_tenant:
+            name = TenantQuotas.OTHER
+        return per_tenant.setdefault(
+            name, {"admitted": 0, "rejected_quota": 0}
+        )
+
+    def _stats_section(self) -> Dict:
+        """The tier's own ``stats`` section: its counter record, plus
+        the quota table's evictions."""
+        section = asdict(self.stats)
+        section["bucket_evictions"] = (
             self._buckets.evictions if self._buckets is not None else 0
         )
-        counters["per_tenant"] = {
-            tenant: dict(counts) for tenant, counts in stats.per_tenant.items()
-        }
-        return counters
+        return section
 
     # ------------------------------------------------------------------
     # the request loop

@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -109,6 +110,12 @@ class RouterConfig:
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         check_quota_config(self)
+        if not 0 <= self.health_interval < math.inf:
+            # A NaN or negative interval would fail the loop's
+            # ``> 0`` test and switch health checks off unasked.
+            raise ValueError(
+                "health_interval must be a finite number >= 0 (0 disables)"
+            )
         if self.quota_burst is None and self.quota_rate is not None:
             self.quota_burst = max(self.quota_rate, 1.0)
 
@@ -919,17 +926,7 @@ class Router(RequestGate):
             "draining": self._draining,
             "generation": self._generation,
             "router": {
-                **self._admission_counters(),
-                "failovers": self.stats.failovers,
-                "stale_rerouted": self.stats.stale_rerouted,
-                "replica_overloads": self.stats.replica_overloads,
-                "replicas_admitted": self.stats.replicas_admitted,
-                "replicas_lost": self.stats.replicas_lost,
-                "replayed_entries": self.stats.replayed_entries,
-                "updates_applied": self.stats.updates_applied,
-                "reloads": self.stats.reloads,
-                "placed_content": self.stats.placed_content,
-                "placed_round_robin": self.stats.placed_round_robin,
+                **self._stats_section(),
                 "update_log_length": len(self._update_log),
             },
             "replicas": [r.describe() for r in self.replicas],

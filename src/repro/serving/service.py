@@ -76,7 +76,6 @@ and re-checked against an oracle by every ledger run (``bench/verify.py``).
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -193,8 +192,6 @@ class ServiceStats:
     vf2_calls: int = 0
     features_pruned: int = 0
     shard_tasks: int = 0
-    embed_seconds: float = 0.0
-    search_seconds: float = 0.0
     updates: int = 0
     shards_rebuilt: int = 0
     #: Re-selections swapped in by :meth:`QueryService.apply_reselection`.
@@ -630,7 +627,10 @@ class QueryService:
 
         The trace carries per-query counters (e.g. the adaptive
         tier's ``effective_nprobe``) that the cumulative service stats
-        cannot attribute to one batch.
+        cannot attribute to one batch.  A second name for the same
+        search survives because ``bench/layers.py`` reads the trace's
+        bound checks, visits and skips through it; it folds into
+        :meth:`batch_query_vectors` when the benchmark stops calling it.
 
         This is the boundary vectors from outside cross (``embed_batch``
         output is trusted): anything but a 2-d block of 0/1 entries of
@@ -936,6 +936,12 @@ class QueryService:
         generation.  The :class:`~repro.query.pruning.PruningTrace`
         carries the per-query shard-visit/skip counters the protocol
         surfaces as each response's ``pruning`` stats.
+
+        The frontend calls this name, not :meth:`batch_query`, and must
+        keep doing so: ``bench/layers.py`` times the service by wrapping
+        this one method, so a frontend that called another would fold
+        the service's time into the frontend's own.  It folds into
+        :meth:`batch_query` when the benchmark stops wrapping it.
         """
         queries = list(queries)
         with self._swap_lock:
@@ -944,24 +950,11 @@ class QueryService:
             generation = self._selection_snapshot
             index_generation = self.generation
         k = _check_k(k, snapshot.whole.num_rows)
-        start = time.perf_counter()
         vectors = self.embed_batch(queries, engine, generation)
-        mapped = time.perf_counter()
         results, trace = self._query_vectors(vectors, k, snapshot, policy)
-        end = time.perf_counter()
-        mapping_seconds = mapped - start
-        search_seconds = end - mapped
         self.stats.batches += 1
         self.stats.queries += len(queries)
-        self.stats.embed_seconds += mapping_seconds
-        self.stats.search_seconds += search_seconds
-        return (
-            BatchQueryResult.with_shared_timing(
-                results, vectors, mapping_seconds, search_seconds
-            ),
-            index_generation,
-            trace,
-        )
+        return BatchQueryResult(results, vectors), index_generation, trace
 
     def query(
         self,

@@ -31,6 +31,38 @@ ADMISSION_KEYS = {
 }
 
 
+#: Every key of each tier's own ``stats`` sections, pinned: a counter
+#: added to or dropped from a record (or a config echo leaking into
+#: one) shows here.
+STATS_SCHEMA = {
+    "frontend": {
+        "frontend": ADMISSION_KEYS | {
+            "batches_dispatched", "mean_coalesced", "lingers",
+            "lingers_expired", "concurrency", "updates_applied", "reloads",
+            "maintenance_runs", "maintenance_failures",
+        },
+        "service": {
+            "batches", "queries", "embedded_queries", "cache_hits",
+            "cache_misses", "vf2_calls", "features_pruned", "shard_tasks",
+            "whole_scans", "shards_skipped", "bound_checks",
+            "distance_evaluations", "updates", "shards_rebuilt",
+            "reselections", "stale", "n_shards", "database_size",
+        },
+    },
+    "router": {
+        "router": ADMISSION_KEYS | {
+            "failovers", "stale_rerouted", "replica_overloads",
+            "replicas_admitted", "replicas_lost", "replayed_entries",
+            "updates_applied", "reloads", "placed_content",
+            "placed_round_robin", "update_log_length",
+        },
+    },
+}
+
+#: The keys of those sections that are not counters.
+NON_COUNTERS = {"mean_coalesced": float, "stale": bool, "per_tenant": dict}
+
+
 @pytest.fixture(scope="module")
 def materials():
     db = synthetic_database(30, avg_edges=16, density=0.3, num_labels=5, seed=3)
@@ -246,6 +278,9 @@ async def test_zero_k_is_refused_before_admission(tier, materials):
 
 @pytest.mark.asyncio
 async def test_stats_payload_shape(tier, materials):
+    """Each section holds exactly its pinned keys, every counter is a
+    non-negative ``int`` (``bool`` is not one), and the body is strict
+    JSON."""
     queries, _engine = materials
     server = await tier.start()
     try:
@@ -255,12 +290,20 @@ async def test_stats_payload_shape(tier, materials):
         response = await server.handle_line(
             json.dumps({"op": "stats", "id": 9})
         )
+        json.dumps(response, allow_nan=False)
         assert response["ok"] and response["id"] == 9
         assert response["generation"] == 0
         assert response["queue_depth"] == 0
         assert response["draining"] is False
+        for name, keys in STATS_SCHEMA[tier.kind].items():
+            assert set(response[name]) == keys, name
+            for key, value in response[name].items():
+                kind = NON_COUNTERS.get(key, int)
+                assert type(value) is kind, (name, key, value)
+                assert kind is not int or value >= 0, (name, key, value)
+            for counts in response[name].get("per_tenant", {}).values():
+                assert all(type(v) is int and v >= 0 for v in counts.values())
         section = response[tier.section]
-        assert ADMISSION_KEYS <= set(section)
         assert section["admitted"] == section["completed"] == 1
         assert section["queue_peak"] == 1
         assert section["per_tenant"]["t1"]["admitted"] == 1

@@ -298,12 +298,18 @@ class TestServeVerb:
             (["--shards", "0"], "n_shards must be >= 1"),
             (["--shards", "-3"], "n_shards must be >= 1"),
             (["--cache-size", "-5"], "cache_size must be >= 0"),
+            (["--quota-rate", "nan"], "quota_rate must be a finite number"),
+            (["--maintenance-interval", "inf"],
+             "maintenance_interval must be a finite number"),
         ],
-        ids=["zero-shards", "negative-shards", "negative-cache"],
+        ids=["zero-shards", "negative-shards", "negative-cache",
+             "nan-quota-rate", "inf-maintenance-interval"],
     )
     def test_serve_rejects_unusable_sizes(self, argv, message, capsys):
-        """A size the service refuses is an argument error like any
-        other: an ``error:`` line and exit 2, before anything serves."""
+        """A size or rate the server refuses is an argument error like
+        any other: an ``error:`` line and exit 2, before anything
+        serves.  A NaN quota rate used to serve, refusing every query
+        with a ``retry_after`` that is not JSON."""
         assert main([
             "serve", "--db-size", "12", "--num-features", "4", *argv
         ]) == 2
@@ -338,11 +344,13 @@ class TestServeRouterVerb:
              "--tcp expects HOST:PORT, got 'nonsense'"),
             (["--replicas", "127.0.0.1:x"],
              "--replicas expects HOST:PORT, got '127.0.0.1:x'"),
+            (["--spawn", "1", "--health-interval", "nan"],
+             "health_interval must be a finite number"),
         ],
         ids=[
             "no-stdio-without-tcp", "replicas-and-spawn",
             "neither-replicas-nor-spawn", "malformed-tcp",
-            "malformed-replicas",
+            "malformed-replicas", "nan-health-interval",
         ],
     )
     def test_argument_errors_exit_2(self, argv, message, capsys):

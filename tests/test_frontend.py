@@ -184,7 +184,7 @@ class TestAdmission:
             assert frontend.stats.rejected_overload == 1
             await frontend.start()
             for future in waiting:
-                results, generation = await future
+                results, generation, _pruning = await future
                 assert generation == 0 and len(results) == 1
         finally:
             await frontend.aclose()
@@ -221,12 +221,33 @@ class TestAdmission:
         with pytest.raises(ValueError, match="quota_burst"):
             FrontendConfig(quota_rate=5.0, quota_burst=0.0)
 
-    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
-    def test_non_finite_batch_window_rejected(self, window):
-        """``nan < 0`` is false, so both used to pass validation — and a
-        timer that never fires left a lone request unanswered forever."""
-        with pytest.raises(ValueError, match="batch_window must be a finite"):
-            FrontendConfig(batch_window=window)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_window", float("nan")),
+            ("batch_window", float("inf")),
+            ("quota_rate", float("nan")),
+            ("quota_rate", float("inf")),
+            ("quota_burst", float("nan")),
+            ("quota_burst", float("inf")),
+            ("drain_timeout", float("nan")),
+            ("drain_timeout", float("inf")),
+            ("drain_timeout", -1.0),
+            ("maintenance_interval", float("nan")),
+            ("maintenance_interval", float("inf")),
+        ],
+    )
+    def test_non_finite_or_negative_numbers_rejected(self, field, value):
+        """``nan < 0`` is false, so each of these used to pass
+        validation: a NaN batch window's timer never fired and left a
+        lone request unanswered forever, a NaN rate refused every query
+        with ``"retry_after": NaN`` (not JSON), and a NaN maintenance
+        interval ran no pass and counted no failure."""
+        config = {field: value}
+        if field == "quota_burst":
+            config["quota_rate"] = 5.0
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            FrontendConfig(**config)
 
     @pytest.mark.asyncio
     async def test_tenant_stats_table_follows_max_tenants(
@@ -277,7 +298,7 @@ class TestAdmission:
             assert excinfo.value.code == "quota_exceeded"
             assert 0 < excinfo.value.retry_after <= 1.0
             # A different tenant has its own bucket.
-            results, _gen = await frontend.submit(
+            results, _gen, _pruning = await frontend.submit(
                 [queries[2]], 3, tenant="polite"
             )
             assert len(results) == 1
@@ -479,7 +500,7 @@ class TestCoalescing:
             )
             assert frontend.stats.batches_dispatched == 1
             reference = engine.batch_query(queries[:4], 5)
-            for (results, generation), truth in zip(answers, reference):
+            for (results, generation, _pruning), truth in zip(answers, reference):
                 assert generation == 0
                 assert results[0].ranking == truth.ranking
                 assert results[0].scores == truth.scores
@@ -492,7 +513,7 @@ class TestCoalescing:
         frontend = _frontend(engine, batch_size=4, batch_window=0.05)
         try:
             await frontend.start()
-            (r3, _), (r5, _) = await asyncio.gather(
+            (r3, _, _), (r5, _, _) = await asyncio.gather(
                 frontend.submit([queries[0]], 3),
                 frontend.submit([queries[1]], 5),
             )
@@ -512,7 +533,7 @@ class TestCoalescing:
         frontend = _frontend(engine, batch_size=64, batch_window=0.01)
         try:
             await frontend.start()
-            results, _gen = await asyncio.wait_for(
+            results, _gen, _pruning = await asyncio.wait_for(
                 frontend.submit([queries[0]], 3), timeout=5
             )
             assert len(results) == 1  # did not wait for 63 more queries
@@ -549,7 +570,7 @@ class TestLingerForCompany:
         try:
             await frontend.start()
             for q in queries[:2]:
-                results, _gen = await asyncio.wait_for(
+                results, _gen, _pruning = await asyncio.wait_for(
                     frontend.submit([q], 3), timeout=GUARD
                 )
                 assert len(results) == 1
@@ -718,7 +739,7 @@ class TestLingerForCompany:
             frontend.begin_drain()
             await asyncio.wait_for(frontend.drain(), timeout=GUARD)
             for future in pair:
-                results, _gen = await future
+                results, _gen, _pruning = await future
                 assert len(results) == 1
             assert frontend.stats.admitted == frontend.stats.completed == 2
             assert frontend.stats.lingers_expired == 0
@@ -1276,7 +1297,7 @@ class TestDrain:
             await frontend.start()
             await frontend.drain()
             for future in futures:
-                results, _gen = await future  # resolved, not dropped
+                results, _gen, _pruning = await future  # resolved, not dropped
                 assert len(results) == 1
             assert frontend.stats.admitted == frontend.stats.completed == 6
             assert frontend.stats.failed == 0
@@ -1313,7 +1334,7 @@ class TestDrain:
         service = QueryService(engine, n_shards=2)
         frontend = AsyncFrontend(service, own_service=own_service)
         await frontend.start()
-        served, _gen = await frontend.submit(queries[:3], 4)
+        served, _gen, _pruning = await frontend.submit(queries[:3], 4)
         await frontend.aclose()
         reference = engine.batch_query(queries[:3], 4)
         after = service.batch_query(queries[:3], 4).results

@@ -132,7 +132,7 @@ async def test_soak_streaming_clients_under_update_churn(materials):
     async def client(ci: int) -> None:
         for pi in picks[ci]:
             try:
-                results, generation = await frontend.submit(
+                results, generation, _pruning = await frontend.submit(
                     [pool[pi]], K, tenant=f"client-{ci}"
                 )
             except Exception as exc:  # no rejection is acceptable here
@@ -254,7 +254,7 @@ async def test_soak_exact_pruning_under_update_churn():
     async def client(ci: int) -> None:
         for pi in picks[ci]:
             try:
-                results, generation, pruning = await frontend.submit_traced(
+                results, generation, pruning = await frontend.submit(
                     [per_cluster_queries[ci][pi]], K,
                     tenant=f"client-{ci}", policy=SearchPolicy(),
                 )
@@ -360,7 +360,7 @@ async def test_soak_drift_then_background_heal():
             pi = (ci + i) % len(pool)
             i += 1
             try:
-                results, generation = await frontend.submit(
+                results, generation, _pruning = await frontend.submit(
                     [pool[pi]], 5, tenant=f"client-{ci}"
                 )
             except Exception as exc:
@@ -477,7 +477,7 @@ async def test_soak_final_state_matches_scratch_rebuild(materials):
     finally:
         await frontend.aclose()
     reference = _scratch_answers(mapping, final_db, pool, K)
-    for (results, generation), truth in zip(answers, reference):
+    for (results, generation, _pruning), truth in zip(answers, reference):
         assert generation == len(plan)
         assert results[0].ranking == truth.ranking
         assert results[0].scores == truth.scores

@@ -204,13 +204,8 @@ class TestStateConsistency:
             vectors = mapping.database_vectors
             assert vectors.shape == (mapping.space.n, 10)
             assert np.array_equal(vectors, mapping.database_bits())
-            assert np.array_equal(
-                mapping.database_sq_norms, (vectors**2).sum(axis=1)
-            )
             assert mapping.database_vectors is not vectors
-            assert not {"database_vectors", "database_sq_norms"} & set(
-                vars(mapping)
-            )
+            assert "database_vectors" not in vars(mapping)
 
     def test_supports_and_incidence_stay_consistent(self, materials):
         _db, extra, _queries, _features = materials

@@ -846,12 +846,12 @@ class TestFrontendPolicies:
             import asyncio
 
             exact_tasks = [
-                asyncio.ensure_future(frontend.submit_traced([q], 4))
+                asyncio.ensure_future(frontend.submit([q], 4))
                 for q in queries
             ]
             approx_tasks = [
                 asyncio.ensure_future(
-                    frontend.submit_traced(
+                    frontend.submit(
                         [q], 4,
                         policy=SearchPolicy(mode="approx", nprobe=1),
                     )

@@ -487,6 +487,33 @@ class TestBackpressure:
             assert described["drain_interval"] == pytest.approx(2.0)
 
 
+class TestRouterConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quota_rate", float("nan")),
+            ("quota_rate", float("inf")),
+            ("quota_burst", float("nan")),
+            ("quota_burst", float("inf")),
+            ("drain_timeout", float("nan")),
+            ("drain_timeout", float("inf")),
+            ("drain_timeout", -1.0),
+            ("health_interval", float("nan")),
+            ("health_interval", float("inf")),
+            ("health_interval", -1.0),
+        ],
+    )
+    def test_non_finite_or_negative_numbers_rejected(self, field, value):
+        """Each of these used to construct, and a NaN or negative
+        ``health_interval`` then failed the loop's ``> 0`` test and
+        switched health checks off; ``0`` is the one way to do that."""
+        config = {field: value}
+        if field == "quota_burst":
+            config["quota_rate"] = 5.0
+        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+            RouterConfig(**config)
+
+
 class TestStatsAndProtocol:
     @pytest.mark.asyncio
     async def test_op_the_router_does_not_serve_is_a_bad_request(

@@ -933,18 +933,13 @@ class TestLifecycle:
             assert len(batch) == 0
             assert batch.query_vectors.shape == (0, mapping.dimensionality)
 
-    def test_stats_and_timing_populated(self, setup, mapping):
+    def test_stats_populated(self, setup, mapping):
         _db, queries, _space = setup
         with mapping.query_service(n_shards=2) as service:
-            batch = service.batch_query(queries[:6], 5)
+            service.batch_query(queries[:6], 5)
             assert service.stats.batches == 1
             assert service.stats.queries == 6
             assert service.stats.vf2_calls > 0
-            assert batch.total_seconds == pytest.approx(
-                batch.mapping_seconds + batch.search_seconds
-            )
-            assert service.stats.embed_seconds > 0
-            assert service.stats.search_seconds > 0
 
     def test_service_uses_memoised_engine(self, mapping):
         with mapping.query_service(n_shards=2) as service:
