@@ -129,7 +129,7 @@ def main() -> None:
         graph_batch, _gen, trace = service.batch_query_traced(
             queries, k=10, policy=SearchPolicy(mode="graph", ef=16)
         )
-        stats = trace.slice_payload(0, len(queries))
+        (stats,) = trace.payloads([len(queries)])
         agree = sum(
             len(set(g.ranking) & set(e.ranking)) / len(e.ranking)
             for g, e in zip(graph_batch, batch)
@@ -219,8 +219,8 @@ async def serve_loop(mapping, queries) -> None:
     stats = await frontend.handle_request({"op": "stats", "id": 99})
     front, served = stats["frontend"], stats["service"]
     # One caller at a time has no company to wait for: lingers stays 0.
-    # A few dozen graphs in four shards give the bounds nothing to skip,
-    # so every batch is one block of all rows: whole_scans == shard_tasks.
+    # Exact search is the scan: every batch is one block of all rows,
+    # so whole_scans == shard_tasks.
     print(f"  stats: {front['completed']} answered in "
           f"{front['batches_dispatched']} coalesced batches "
           f"(lingers {front['lingers']}, expired "

@@ -624,10 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--search-mode", choices=("exact", "approx", "graph"), default=None,
-        help="shard-search policy: exact (bit-identical, skips only "
-             "provably irrelevant shards), approx (route each query "
-             "to its --nprobe closest shards only), or graph "
-             "(best-first beam over the navigable proximity graph)",
+        help="shard-search policy: exact (the scan of every row; it "
+             "reads no bound), approx (route each query to its --nprobe "
+             "closest shards only), or graph (best-first beam over the "
+             "navigable proximity graph)",
     )
     serve_cmd.add_argument(
         "--nprobe", type=_nprobe_arg, default=None,

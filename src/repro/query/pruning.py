@@ -1,11 +1,10 @@
 """Shard-skipping machinery: summaries, bounds, and search policies.
 
-The paper's promise is that a handful of dimension features answers a
-top-k dissimilarity query without touching most of the database.  The
-sharded :class:`~repro.serving.service.QueryService` realises the
-*compute* half of that promise (small distance blocks); this module
-adds the *skipping* half — per-shard geometric summaries tight enough
-that most shards never compute a distance block at all:
+The paper answers a top-k query by scanning every mapped vector, and
+exact search does just that.  The approximate tier trades recall for
+work on top of it; this module holds what that tier routes and skips
+by — per-shard geometric summaries tight enough that most shards never
+compute a distance block at all:
 
 * :class:`ShardSummary` — centroid, radius, and per-dimension min/max
   envelope of one shard's rows in embedding space.  Derived data, never
@@ -26,10 +25,10 @@ that most shards never compute a distance block at all:
   DSPMap-style similarity partitions it is usually tight enough to
   skip most shards once a running k-th-best candidate exists.
 * :class:`SearchPolicy` — the per-request knob: ``exact`` (default)
-  skips only shards *provably* unable to contribute, so answers stay
-  bit-identical to the full scan; ``approx`` additionally routes each
-  query to its ``nprobe`` closest partitions only, trading recall for
-  latency.
+  is the paper's scan of every row and reads no bound; ``approx``
+  routes each query to its ``nprobe`` closest partitions only, trading
+  recall for latency, and skips inside that route the shards whose
+  bound clears the running k-th-best.
 * :class:`PruningTrace` — per-query visited/skipped/bound-check
   counters, surfaced per response by the serving protocol.
 
@@ -41,10 +40,11 @@ roots and may round *up* past the true bound by a few ulps.  A shard is
 therefore only skipped when its bound clears the running k-th-best by a
 relative :data:`PRUNE_SLACK_REL` (plus :data:`PRUNE_SLACK_ABS`) margin —
 about a million times wider than the worst rounding error, and about a
-million times narrower than any real distance gap — so exact mode can
-never skip a shard holding a true top-k member, ties included.  The
-metamorphic property suite (``tests/test_pruning_properties.py``)
-hammers exactly this invariant.
+million times narrower than any real distance gap — so an approx
+query never skips, inside its route, a shard holding a true top-k
+member, ties included: routed to every shard, approx answers are the
+exact scan's bit for bit.  The metamorphic property suite
+(``tests/test_pruning_properties.py``) hammers exactly this invariant.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 #: Relative + absolute slack a bound must clear before a shard may be
-#: skipped in exact mode (see module docstring).
+#: skipped (see module docstring).
 PRUNE_SLACK_REL = 1e-9
 PRUNE_SLACK_ABS = 1e-12
 
@@ -87,17 +87,17 @@ SEARCH_MODES = ("exact", "approx", "graph")
 class SearchPolicy:
     """How one request wants its shards searched.
 
-    ``mode="exact"`` (the default) answers bit-identically to the full
-    scan; ``prune=False`` additionally disables the bound checks, which
-    is the pre-pruning behaviour (and the ground truth the recall and
-    work-count tests compare against).
+    ``mode="exact"`` (the default) is the scan: every row of every
+    shard is scored, and it reads no bound.  It is the ground truth the
+    recall and work-count tests compare against.
     ``mode="approx"`` visits only the ``nprobe`` shards whose centroids
     are closest to φ(q) — on DSPMap partition shards this is exactly
-    partition routing — and applies the same bound pruning inside that
-    candidate set.  ``nprobe`` is a floor, not a cap on the answer
-    length: routing extends past it (nearest shards first) whenever the
-    routed shards hold fewer than k rows, so approx answers are always
-    full-length and only recall degrades.
+    partition routing — and skips, inside that candidate set, each
+    shard whose lower bound clears the query's running k-th-best.
+    ``nprobe`` is a floor, not a cap on the answer length: routing
+    extends past it (nearest shards first) whenever the routed shards
+    hold fewer than k rows, so approx answers are always full-length
+    and only recall degrades.
     ``nprobe="auto"`` replaces the fixed probe count with a per-query
     stop rule: shards are probed in centroid-distance order, and a
     query stops widening its routed set as soon as the next shard's
@@ -114,7 +114,6 @@ class SearchPolicy:
 
     mode: str = "exact"
     nprobe: Optional[Union[int, str]] = None
-    prune: bool = True
     ef: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -124,13 +123,7 @@ class SearchPolicy:
                 f"(expected one of {', '.join(SEARCH_MODES)})"
             )
         if self.mode == "approx":
-            if self.nprobe == "auto":
-                if not self.prune:
-                    raise QueryError(
-                        "nprobe='auto' stops on the shard lower bounds, "
-                        "so it requires prune=True"
-                    )
-            elif (
+            if self.nprobe != "auto" and (
                 # bool is an int subclass; reject it explicitly so the
                 # Python API matches the wire layer instead of silently
                 # reading True as nprobe=1.
@@ -163,14 +156,8 @@ class SearchPolicy:
                 f"(mode is {self.mode!r}; modes: {', '.join(SEARCH_MODES)})"
             )
 
-    @property
-    def is_full_scan(self) -> bool:
-        """True when every shard must be computed: the one-round plan
-        that reads no bound."""
-        return self.mode == "exact" and not self.prune
 
-
-#: The default policy — exact answers with shard skipping enabled.
+#: The default policy: exact, the scan of every row.
 EXACT_POLICY = SearchPolicy()
 
 
@@ -235,17 +222,8 @@ def stack_summaries(summaries: Sequence[ShardSummary]) -> SummaryStack:
     )
 
 
-def _as_stack(
-    summaries: Union[SummaryStack, Sequence[ShardSummary]]
-) -> SummaryStack:
-    if isinstance(summaries, SummaryStack):
-        return summaries
-    return stack_summaries(summaries)
-
-
 def shard_centroid_distances(
-    vectors: np.ndarray,
-    summaries: Union[SummaryStack, Sequence[ShardSummary]],
+    vectors: np.ndarray, stack: SummaryStack
 ) -> np.ndarray:
     """Unnormalised ``‖φ(q) − centroid‖`` per (query, shard).
 
@@ -254,7 +232,6 @@ def shard_centroid_distances(
     the caller's stable argsort).
     """
     vectors = np.asarray(vectors, dtype=float)
-    stack = _as_stack(summaries)
     sq = (
         (vectors**2).sum(axis=1)[:, None]
         + stack.centroid_sq_norms[None, :]
@@ -264,9 +241,7 @@ def shard_centroid_distances(
 
 
 def shard_lower_bounds(
-    vectors: np.ndarray,
-    summaries: Union[SummaryStack, Sequence[ShardSummary]],
-    dimensionality: int,
+    vectors: np.ndarray, stack: SummaryStack, dimensionality: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Lower bounds on the *normalised* distance per (query, shard).
 
@@ -279,10 +254,9 @@ def shard_lower_bounds(
     The arithmetic is :func:`repro.kernels.bound_block`.  Another
     association of the same sums (the test oracle's) may differ from it
     in the last ulp, which the slack margin in :func:`prunable_mask`
-    absorbs — exact answers never change.
+    absorbs — a skip never drops a true top-k member.
     """
     vectors = np.asarray(vectors, dtype=float)
-    stack = _as_stack(summaries)
     return kernels.bound_block(
         vectors,
         stack.centroids,
@@ -304,7 +278,7 @@ def prunable_mask(
     whole bound columns against its per-query running thresholds (use
     ``+inf`` while a query has fewer than k candidates: nothing may be
     skipped before that, and no finite bound clears infinity).  The
-    slack margin keeps exact mode safe against the bound's own rounding
+    slack margin keeps a skip safe against the bound's own rounding
     (see the module docstring); a bound exactly *equal* to the
     threshold never prunes, because a row at that distance could still
     win on the ascending-index tie-break.
@@ -379,10 +353,6 @@ class PruningTrace:
             distance_evals=np.asarray(distance_evals, dtype=np.int64),
         )
 
-    def slice_payload(self, lo: int, hi: int) -> Dict:
-        """The ``pruning`` response section for queries ``lo..hi-1``."""
-        return self.payloads([lo, hi - lo])[1]
-
     def payloads(self, sizes: Sequence[int]) -> List[Dict]:
         """The ``pruning`` sections of consecutive requests of *sizes*
         queries each, summed over per-query lists made once per batch."""
@@ -424,9 +394,6 @@ class PruningTrace:
                 sections.append(section)
             lo = hi
         return sections
-
-    def totals(self) -> Dict:
-        return self.slice_payload(0, len(self.visited))
 
 
 def default_ef(k: int) -> int:

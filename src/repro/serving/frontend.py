@@ -49,7 +49,9 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.query.pruning import EXACT_POLICY, SearchPolicy
 from repro.query.topk import TopKResult
 from repro.serving import protocol
-from repro.serving.gate import AdmissionStats, RequestGate, check_quota_config
+from repro.serving.gate import (
+    AdmissionStats, RequestGate, check_count, check_quota_config,
+)
 from repro.serving.service import QueryService
 from repro.utils.errors import ProtocolError, SelectionError
 
@@ -81,9 +83,9 @@ class FrontendConfig:
     quota_burst: Optional[float] = None
     drain_timeout: float = 30.0
     #: Shard-search policy for requests that do not send their own
-    #: ``"search"`` object (``None`` = the service default: exact with
-    #: shard skipping).  ``repro-graphdim serve --search-mode approx
-    #: --nprobe N`` sets this server-wide.
+    #: ``"search"`` object (``None`` = the service default: exact, the
+    #: scan of every row, which reads no bound).  ``repro-graphdim
+    #: serve --search-mode approx --nprobe N`` sets this server-wide.
     default_policy: Optional[SearchPolicy] = None
     #: Most tenants tracked at once.  Tenant names come off the wire,
     #: so without a bound a client cycling names would grow the bucket
@@ -108,11 +110,9 @@ class FrontendConfig:
     reselector: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
+        check_count("max_queue", self.max_queue)
+        check_count("batch_size", self.batch_size)
         check_quota_config(self)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0 <= self.batch_window < math.inf:
             # Also rejects nan (every comparison with it is false): a
             # timer that never fires would hang a lone request forever.

@@ -30,11 +30,23 @@ __all__ = [
     "RequestGate",
     "TenantQuotas",
     "TokenBucket",
+    "check_count",
     "check_quota_config",
 ]
 
 #: One op's handler: the parsed request in, the response object out.
 Handler = Callable[[Dict], Awaitable[Dict]]
+
+
+def check_count(name: str, value) -> None:
+    """A count in a config (queue slots, batch size, tenants, queries in
+    flight) is an ``int`` >= 1, and not a ``bool``.
+
+    A NaN passes a plain ``< 1`` test and then switches off the bound it
+    was meant to set: ``inflight + cost > nan`` is never true.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def check_quota_config(config) -> None:
@@ -44,8 +56,7 @@ def check_quota_config(config) -> None:
     ``"retry_after": NaN``, which is not JSON, and every comparison with
     NaN is false, so a NaN slips past a plain ``<= 0`` test.
     """
-    if config.max_tenants < 1:
-        raise ValueError("max_tenants must be >= 1")
+    check_count("max_tenants", config.max_tenants)
     rate, burst = config.quota_rate, config.quota_burst
     if rate is not None and not 0 < rate < math.inf:
         raise ValueError("quota_rate must be a finite number > 0 (or None)")

@@ -10,10 +10,9 @@ Requests
 ``{"op": "query", "id": 1, "tenant": "alice", "k": 5, "graph": G}``
     Top-k for one query graph, ``k >= 1``.  ``G`` is the wire graph
     format below.  An optional ``"search"`` object picks the shard-search policy:
-    ``{"mode": "exact"}`` (the default — bit-exact answers, shards
-    skipped only when provably irrelevant), ``{"mode": "exact",
-    "prune": false}`` (force the full scan), ``{"mode": "approx",
-    "nprobe": 2}`` (visit each query's 2 closest shards only — DSPMap
+    ``{"mode": "exact"}`` (the default — exact is the scan of every
+    row; it reads no bound), ``{"mode": "approx", "nprobe": 2}``
+    (visit each query's 2 closest shards only — DSPMap
     partition routing when the server shards by partition; routing
     extends past ``nprobe`` if those shards hold fewer than ``k`` rows,
     so answers stay full-length), ``{"mode": "approx", "nprobe":
@@ -25,7 +24,8 @@ Requests
     only the rows the beam walks past are evaluated; ``ef`` is the
     beam width, omit it for the server default).  Unknown modes are
     rejected with a ``bad_request`` whose ``detail.allowed_modes``
-    lists every accepted mode.
+    lists every accepted mode; any other field is a ``bad_request``
+    that names it.
 ``{"op": "batch", "id": 2, "tenant": "alice", "k": 5, "graphs": [G...]}``
     Top-k for a client-side batch of at least one graph (admitted as
     one unit); accepts the same optional ``"search"`` policy.
@@ -61,11 +61,12 @@ Requests
 Responses
 ---------
 ``{"id": 1, "ok": true, "ranking": [...], "scores": [...],
-"generation": 0, "pruning": {"mode": "exact", "shards_visited": 2,
-"shards_skipped": 2, "bound_checks": 4}}`` on success (``generation``
+"generation": 0, "pruning": {"mode": "exact", "shards_visited": 4,
+"shards_skipped": 0, "bound_checks": 0}}`` on success (``generation``
 counts applied updates — it names the exact database state the answer
 was computed on; ``pruning`` reports this request's own share of the
-shard-skipping work — for graph-mode requests it is ``{"mode":
+shard-skipping work, which for an exact request is every shard visited
+and no bound read — for graph-mode requests it is ``{"mode":
 "graph", "ef": 32, "hops": 14, "distance_evaluations": 96}``), or
 ``{"id": 1, "ok": false, "error": "quota_exceeded", "message": "...",
 "retry_after": 0.25}`` on a structured rejection.  ``error`` is one of
@@ -226,16 +227,13 @@ def search_policy_from_request(request: Dict) -> Optional[SearchPolicy]:
     ef = section.get("ef")
     if ef is not None and not is_wire_int(ef):
         raise ProtocolError("'ef' must be an integer")
-    prune = section.get("prune", True)
-    if not isinstance(prune, bool):
-        raise ProtocolError("'prune' must be a boolean")
-    unknown = set(section) - {"mode", "nprobe", "prune", "ef"}
+    unknown = set(section) - {"mode", "nprobe", "ef"}
     if unknown:
         raise ProtocolError(
             f"unknown 'search' fields: {', '.join(sorted(unknown))}"
         )
     try:
-        return SearchPolicy(mode=mode, nprobe=nprobe, prune=prune, ef=ef)
+        return SearchPolicy(mode=mode, nprobe=nprobe, ef=ef)
     except QueryError as exc:
         raise ProtocolError(str(exc)) from exc
 

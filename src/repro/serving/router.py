@@ -63,7 +63,9 @@ import numpy as np
 
 from repro.serving import protocol
 from repro.serving.frontend import AsyncFrontend
-from repro.serving.gate import AdmissionStats, RequestGate, check_quota_config
+from repro.serving.gate import (
+    AdmissionStats, RequestGate, check_count, check_quota_config,
+)
 from repro.utils.errors import (
     AdmissionError,
     ProtocolError,
@@ -107,8 +109,7 @@ class RouterConfig:
     clock: Callable[[], float] = time.monotonic
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
+        check_count("max_inflight", self.max_inflight)
         check_quota_config(self)
         if not 0 <= self.health_interval < math.inf:
             # A NaN or negative interval would fail the loop's

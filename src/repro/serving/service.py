@@ -43,26 +43,17 @@ result bit:
   rows at once — decided against the batch's running k-th-best
   thresholds as they stand when the round starts; the executor
   computes a round's blocks, absorbs them in order, then asks for the
-  next round.  The *ordered* (exact, fixed ``nprobe``) and *routed*
-  (``nprobe="auto"``) plans read the lower bounds each shard's
-  :class:`~repro.query.pruning.ShardSummary` gives; the full scan reads
-  none.
-* **A round must be able to skip something.**  A round per shard buys
-  the chance to skip later shards and costs a fixed bound test →
-  ``hamming_block`` → ``rank_counts`` → ``absorb`` per shard.  So an
-  exact batch first asks its bounds whether any (query, shard) pair
-  could *ever* be pruned — each query's final k-th-best is capped by
-  the distance upper bound of the nearest shards covering k rows, and
-  a lower bound that does not clear even that cap clears no threshold.
-  If none does, the batch is **one group over one block of all rows**:
-  every shard's planes side by side, which the :class:`ShardSnapshot`
-  carries beside the shard list.  If some pair
-  can be pruned the per-shard rounds run.  The bound-free full scan is
-  the same one block.  Fixed ``nprobe`` and ``auto`` route *on shards*
-  and always run shard rounds.  Top-k selection under a total order is
-  associative, so answers cannot depend on how rounds are grouped;
-  every stat and trace count is derived in that one place from the
-  groups that ran, so counters cannot drift either.
+  next round.  The *ordered* (fixed ``nprobe``) and *routed*
+  (``nprobe="auto"``) plans route on shards and read the lower bounds
+  each shard's :class:`~repro.query.pruning.ShardSummary` gives.  Top-k
+  selection under a total order is associative, so answers cannot
+  depend on how rounds are grouped; every stat and trace count is
+  derived in that one place from the groups that ran, so counters
+  cannot drift either.
+* **Exact is the scan.**  An exact batch is the paper's sequential
+  scan — one round, one group over one block of all rows (every
+  shard's planes side by side, which the :class:`ShardSnapshot` carries
+  beside the shard list) — and reads no bound.
 
 Every batch runs inline, on the thread that calls it.  A second core is
 a second replica (``serve-router --spawn N``, one process per core):
@@ -109,14 +100,14 @@ class Shard:
     the mapping's support matrix as :func:`repro.kernels.pack_rows` bit
     planes (``[ceil(p / 64), rows]`` ``uint64``, cut once, at shard
     build) and ``summary`` the geometry (centroid/radius/envelope) the
-    shard-skipping bounds read — always :meth:`ShardSummary.from_vectors`
-    of the same rows, unpacked for it alone.  Planes and summary are
-    reused by identity when a live update only renumbers this shard's
-    rows.
+    approx tier's routing and bounds read — always
+    :meth:`ShardSummary.from_vectors` of the same rows, unpacked for it
+    alone.  Planes and summary are reused by identity when a live update
+    only renumbers this shard's rows.
 
     The block of *all* rows a :class:`ShardSnapshot` carries is the one
     ``Shard`` without a summary: nothing bounds or routes on it — it is
-    what a batch scans when the shard summaries cannot skip anything.
+    what an exact batch scans.
     """
 
     indices: np.ndarray
@@ -196,9 +187,10 @@ class ServiceStats:
     shards_rebuilt: int = 0
     #: Re-selections swapped in by :meth:`QueryService.apply_reselection`.
     reselections: int = 0
-    #: Shard distance blocks skipped outright (their lower bound beat
-    #: the running k-th-best for every query, or approx routing never
-    #: sent a query their way) and (query, shard) bound evaluations.
+    #: Shard distance blocks an approx batch skipped outright (their
+    #: lower bound beat the running k-th-best for every query, or
+    #: routing never sent a query their way) and (query, shard) bound
+    #: evaluations.  An exact batch reads no bound and skips nothing.
     shards_skipped: int = 0
     bound_checks: int = 0
     #: Scored (query, row) pairs across every search mode — the
@@ -208,9 +200,8 @@ class ServiceStats:
     #: scans and non-skipped shard blocks count every row they score;
     #: graph mode counts the rows its beams actually evaluated.
     distance_evaluations: int = 0
-    #: Batches answered by one block over all rows, because no bound
-    #: could have skipped anything (or none was asked to).  One such
-    #: batch is one ``shard_task``.
+    #: Batches answered by one block over all rows: every exact batch.
+    #: One such batch is one ``shard_task``.
     whole_scans: int = 0
 
 
@@ -673,9 +664,8 @@ class QueryService:
         and derive stats and trace from what ran.
 
         A group's block is a shard index, or :data:`ALL_SHARDS` — the
-        snapshot's block of all rows, chosen per batch when the bounds
-        say no round could skip anything (and by the bound-free plan):
-        one task that visits every shard for its queries.
+        snapshot's block of all rows, which is the exact plan's one
+        group: one task that visits every shard for its queries.
         """
         policy = EXACT_POLICY if policy is None else policy
         k = _check_k(k, snapshot.whole.num_rows)
@@ -696,81 +686,45 @@ class QueryService:
         best = BlockTopK(nq, k, p)
         checks = np.zeros(nq, dtype=np.int64)
         everyone = np.arange(nq)
-        # The one-block round: it beats a round per shard that skips
-        # nothing.
+        # The exact plan: the paper's scan, one round of one group.
         whole = [(ALL_SHARDS, everyone)]
         nprobe = policy.nprobe
         if isinstance(nprobe, int):
             nprobe = min(nprobe, ns)
 
-        def can_skip() -> bool:
-            """Could any threshold ever prune a (query, shard) pair?  Each
-            query's final k-th-best can never exceed the distance
-            *upper* bound (‖φ(q) − centroid‖ + radius) of the nearest
-            shards covering k rows — if no (query, shard) lower bound
-            clears even that cap, no round can skip anything.  The cap
-            is looser than a running threshold, so this may say yes
-            where the rounds then skip nothing, never the reverse; and
-            forgoing skip *attempts* never changes results, only which
-            exact strategy computes them."""
-            if not policy.prune or p == 0:  # all-zero bounds at p == 0
-                return False
-            upper = (centroid_d + stack.radii[None, :]) / np.sqrt(p)
-            by_upper = np.argsort(upper, axis=1, kind="stable")
-            cap_pos = np.argmax(np.cumsum(rows[by_upper], axis=1) >= k, axis=1)
-            caps = upper[everyone, by_upper[everyone, cap_pos]]
-            return bool(prunable_mask(bounds, caps[:, None]).any())
-
         def ordered_rounds() -> Iterator[List[Group]]:
-            """Exact and fixed ``nprobe``: one shard order for the
-            batch, most promising (smallest mean lower bound) first, so
+            """Fixed ``nprobe``: each query is routed to its ``nprobe``
+            closest shards (by centroid), and the batch walks one shard
+            order, most promising (smallest mean lower bound) first, so
             each query's threshold tightens as early as possible.  A
-            shard is skipped for a query only when its lower bound
-            clears that threshold by the conservative slack of
-            :func:`repro.query.pruning.prunable` — which keeps the
-            merged answer bit-identical to the full scan, ties included.
-
-            An exact batch whose bounds cannot skip anything
-            (:func:`can_skip`) is not ordered at all: it is the one
-            block of all rows.  Otherwise every shard is a round of its
-            own.
+            routed shard is skipped for a query only when its lower
+            bound clears that threshold by the conservative slack of
+            :func:`repro.query.pruning.prunable` — so routed to every
+            shard the merged answer is the scan's, ties included.
+            Every shard is a round of its own.
             """
-            if nprobe is None:
-                # Asked before anything else is built: the one-block
-                # route needs no order, no masks and no per-shard test.
-                if not can_skip():
-                    checks[:] = ns  # every pair's bound was read
-                    yield whole
-                    return
-                eligible = np.ones((nq, ns), dtype=bool)
-            else:
-                # Each query is routed to its nprobe closest shards (by
-                # centroid) only.  nprobe is a floor, not a cap on
-                # answer length: routing extends past it (nearest
-                # shards first) until the eligible shards hold at least
-                # k rows, so approx answers are always full-length —
-                # only recall degrades, never k itself.
-                routed = np.argsort(centroid_d, axis=1, kind="stable")
-                covered = np.cumsum(rows[routed], axis=1)
-                need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
-                take = np.maximum(nprobe, need)
-                eligible = np.zeros((nq, ns), dtype=bool)
-                eligible[everyone[:, None], routed] = (
-                    np.arange(ns)[None, :] < take[:, None]
-                )
-            if policy.prune:
-                # Every shard is decided exactly once, for the queries
-                # routed to it: one bound test per eligible pair.
-                checks[:] = eligible.sum(axis=1)
+            # nprobe is a floor, not a cap on answer length: routing
+            # extends past it (nearest shards first) until the eligible
+            # shards hold at least k rows, so approx answers are always
+            # full-length — only recall degrades, never k itself.
+            routed = np.argsort(centroid_d, axis=1, kind="stable")
+            covered = np.cumsum(rows[routed], axis=1)
+            need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
+            take = np.maximum(nprobe, need)
+            eligible = np.zeros((nq, ns), dtype=bool)
+            eligible[everyone[:, None], routed] = (
+                np.arange(ns)[None, :] < take[:, None]
+            )
+            # Every shard is decided exactly once, for the queries
+            # routed to it: one bound test per eligible pair.
+            checks[:] = eligible.sum(axis=1)
 
             order = np.argsort(bounds.mean(axis=0), kind="stable").tolist()
             for si in order:
                 # Shard si's round, decided as the thresholds stand.
-                active = eligible[:, si]
-                if policy.prune:
-                    active = active & ~prunable_mask(
-                        bounds[:, si], best.thresholds
-                    )
+                active = eligible[:, si] & ~prunable_mask(
+                    bounds[:, si], best.thresholds
+                )
                 qs = np.flatnonzero(active)
                 yield [(si, qs)] if qs.size else []
 
@@ -780,13 +734,13 @@ class QueryService:
             every still-widening query, grouped by shard so one distance
             block serves all queries routed to it; a query stops
             widening at the first shard whose lower bound clears its
-            threshold.  Unlike exact mode (which must check, and
-            possibly visit, every shard whose bound fails to clear the
-            threshold wherever it sits in the order), that stop rule
-            truncates the probe sequence; a farther shard with a loose
-            bound is never reconsidered.  The truncation is the
-            approximation — answers stay full-length, only recall is
-            traded."""
+            threshold.  Unlike fixed ``nprobe`` (which checks, and
+            possibly visits, every routed shard whose bound fails to
+            clear the threshold wherever it sits in the order), that
+            stop rule truncates the probe sequence; a farther shard
+            with a loose bound is never reconsidered.  The truncation
+            is the approximation — answers stay full-length, only
+            recall is traded."""
             routed = np.argsort(centroid_d, axis=1, kind="stable")
             live = everyone
             for t in range(ns):
@@ -804,7 +758,7 @@ class QueryService:
                     for si in np.unique(next_shards)
                 ]
 
-        if policy.is_full_scan:
+        if policy.mode == "exact":
             rounds = [whole]
         else:
             bounds, centroid_d = shard_lower_bounds(vectors, stack, p)

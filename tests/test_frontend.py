@@ -235,18 +235,26 @@ class TestAdmission:
             ("drain_timeout", -1.0),
             ("maintenance_interval", float("nan")),
             ("maintenance_interval", float("inf")),
+            ("max_queue", float("nan")),
+            ("max_queue", 2.5),
+            ("batch_size", float("nan")),
+            ("batch_size", True),
         ],
     )
     def test_non_finite_or_negative_numbers_rejected(self, field, value):
         """``nan < 0`` is false, so each of these used to pass
         validation: a NaN batch window's timer never fired and left a
         lone request unanswered forever, a NaN rate refused every query
-        with ``"retry_after": NaN`` (not JSON), and a NaN maintenance
-        interval ran no pass and counted no failure."""
+        with ``"retry_after": NaN`` (not JSON), a NaN maintenance
+        interval ran no pass and counted no failure, and a NaN queue
+        bound admitted without limit.  A count is an int >= 1: a float
+        or a bool is not one."""
         config = {field: value}
         if field == "quota_burst":
             config["quota_rate"] = 5.0
-        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+        with pytest.raises(
+            ValueError, match=f"{field} must be (a finite|an integer)"
+        ):
             FrontendConfig(**config)
 
     @pytest.mark.asyncio

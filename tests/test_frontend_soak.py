@@ -196,13 +196,15 @@ async def test_soak_streaming_clients_under_update_churn(materials):
 
 @pytest.mark.timeout(40)
 @pytest.mark.asyncio
-async def test_soak_exact_pruning_under_update_churn():
+async def test_soak_pruning_routed_to_every_shard_under_update_churn():
     """The shard-skipping tier under mutation: still bit-exact.
 
     Clustered database (label-disjoint clusters → block-structured
     embeddings), cluster-sharded service, clients streaming their own
-    cluster's queries — the regime where exact mode genuinely skips
-    shard blocks — while ``apply_update`` churns rows in and out.
+    cluster's queries routed to every shard (``nprobe`` = the shard
+    count: bounded rounds whose answers must be the scan's) — the
+    regime where the bounds genuinely skip shard blocks — while
+    ``apply_update`` churns rows in and out.
     Every response must be bit-identical to a fresh-built index of its
     generation (summaries maintained through the mutation, never
     stale), and the pruning counters must show shards were actually
@@ -231,6 +233,8 @@ async def test_soak_exact_pruning_under_update_churn():
         service,
         FrontendConfig(batch_size=6, batch_window=0.002, max_queue=512),
     )
+    # The churn below never empties a shard: the count stays len(blocks).
+    everywhere = SearchPolicy(mode="approx", nprobe=len(blocks))
     plan = [
         ([extra[0], extra[1]], []),
         ([], [3, 17]),
@@ -256,7 +260,7 @@ async def test_soak_exact_pruning_under_update_churn():
             try:
                 results, generation, pruning = await frontend.submit(
                     [per_cluster_queries[ci][pi]], K,
-                    tenant=f"client-{ci}", policy=SearchPolicy(),
+                    tenant=f"client-{ci}", policy=everywhere,
                 )
             except Exception as exc:
                 dropped.append((ci, pi, repr(exc)))
@@ -294,7 +298,7 @@ async def test_soak_exact_pruning_under_update_churn():
     )
     # The pruning tier was genuinely active while the index mutated.
     assert pruning_totals["shards_skipped"] > 0, (
-        "exact mode never skipped a shard on clustered traffic"
+        "routed to every shard, no shard was skipped on clustered traffic"
     )
 
     for generation in sorted(generations):

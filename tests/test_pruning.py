@@ -1,13 +1,15 @@
-"""The bounded shard-skipping query tier, end to end.
+"""The search policies and the bounded shard-skipping tier, end to end.
 
-Exact mode's contract is the service's own, unchanged: *bit-identical
-results* — now with most shard distance blocks never computed.  These
-tests pin that identity across shard counts, shard modes, tie-heavy
-workloads, and post-``apply_update`` states, with skip counters proving
-shards actually get skipped on clustered data (a pruning tier that
-never prunes would pass a pure identity suite).  Approx mode, the
-summaries' absence from the artifact, DSPMap routing, and the wire
-protocol's ``search``/``pruning`` fields are covered alongside.
+Exact mode is the scan: one block of all rows, no bound read, answers
+bit-identical to the engine's.  The bounds' soundness is pinned where
+they are read — approx routed to every shard (``nprobe`` = the shard
+count) must answer exactly as the scan does, across shard counts,
+shard modes, tie-heavy workloads and post-``apply_update`` states,
+with skip counters proving shards actually get skipped on clustered
+data (a pruning tier that never prunes would pass a pure identity
+suite).  Approx mode, the summaries' absence from the artifact, DSPMap
+routing, and the wire protocol's ``search``/``pruning`` fields are
+covered alongside.
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ from repro.query.pruning import (
     ShardSummary,
     shard_centroid_distances,
     shard_lower_bounds,
+    stack_summaries,
     topk_recall,
 )
 from repro.serving import protocol
@@ -104,12 +107,12 @@ def _assert_identical(reference, batch):
 
 
 class TestSearchPolicy:
-    def test_default_is_exact_with_pruning(self):
+    def test_default_is_exact_and_three_fields(self):
         policy = SearchPolicy()
         assert policy.mode == "exact"
-        assert policy.prune
-        assert not policy.is_full_scan
-        assert SearchPolicy(prune=False).is_full_scan
+        assert [f.name for f in dataclasses.fields(SearchPolicy)] == [
+            "mode", "nprobe", "ef",
+        ]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(QueryError, match="unknown search mode"):
@@ -138,11 +141,14 @@ class TestSearchPolicy:
     def test_auto_nprobe_accepted(self):
         policy = SearchPolicy(mode="approx", nprobe="auto")
         assert policy.nprobe == "auto"
-        assert not policy.is_full_scan
 
-    def test_auto_nprobe_requires_pruning(self):
-        with pytest.raises(QueryError, match="prune=True"):
-            SearchPolicy(mode="approx", nprobe="auto", prune=False)
+    def test_prune_is_not_a_field(self):
+        """Exact is the scan and approx always reads its bounds: there
+        is no pruning switch left to pass."""
+        with pytest.raises(TypeError, match="prune"):
+            SearchPolicy(prune=False)
+        with pytest.raises(TypeError, match="prune"):
+            SearchPolicy(mode="approx", nprobe="auto", prune=True)
 
     def test_hashable_for_coalescing(self):
         assert hash(SearchPolicy()) == hash(SearchPolicy())
@@ -163,12 +169,12 @@ class TestShardSummary:
         engine = mapping.query_engine()
         queries = [q for qs in per_cluster_queries for q in qs]
         vectors = engine.embed_many(queries)
-        summaries = [
+        stack = stack_summaries([
             ShardSummary.from_vectors(mapping.database_vectors[block])
             for block in blocks
-        ]
+        ])
         bounds, _centroid_d = shard_lower_bounds(
-            vectors, summaries, mapping.dimensionality
+            vectors, stack, mapping.dimensionality
         )
         distances = mapping.query_distances(vectors)
         for qi in range(len(queries)):
@@ -196,17 +202,18 @@ class TestExactIdentity:
         with tie_mapping.query_service(n_shards=4) as service:
             _assert_identical(reference, service.batch_query(queries, 9))
 
-    def test_clustered_batches_skip_shards_and_stay_identical(
+    def test_routed_to_every_shard_clustered_batches_skip_and_stay_identical(
         self, clustered
     ):
         _db, per_cluster_queries, mapping, blocks = clustered
         engine = mapping.query_engine()
+        everywhere = SearchPolicy(mode="approx", nprobe=len(blocks))
         with QueryService(engine, shards=blocks) as service:
             batches = 0
             for cluster_queries in per_cluster_queries:
                 reference = engine.batch_query(cluster_queries, 5)
                 result, _gen, trace = service.batch_query_traced(
-                    cluster_queries, 5
+                    cluster_queries, 5, everywhere
                 )
                 _assert_identical(reference, result.results)
                 batches += 1
@@ -219,20 +226,40 @@ class TestExactIdentity:
                 == batches * len(blocks)
             )
 
-    def test_prune_disabled_is_identical_and_computes_everything(
-        self, clustered
+    def test_exact_batch_reads_no_bound_and_is_one_task(
+        self, clustered, monkeypatch
     ):
+        """Even where the bounds could skip (the batches routed to every
+        shard above do), an exact batch is the scan: no shard bound is
+        computed, one task covers every row, and no bound check is
+        counted."""
+        from repro.serving import service as service_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an exact batch computed a shard bound")
+
+        monkeypatch.setattr(service_module, "shard_lower_bounds", refuse)
         _db, per_cluster_queries, mapping, blocks = clustered
         engine = mapping.query_engine()
-        queries = per_cluster_queries[0]
         with QueryService(engine, shards=blocks) as service:
-            pruned = service.batch_query(queries, 5)
-            full = service.batch_query(queries, 5, SearchPolicy(prune=False))
-            _assert_identical(pruned, full)
-            # The full-scan pass computed every block.
-            assert service.stats.shard_tasks >= len(blocks)
+            for cluster_queries in per_cluster_queries:
+                reference = engine.batch_query(cluster_queries, 5)
+                result, _gen, trace = service.batch_query_traced(
+                    cluster_queries, 5
+                )
+                _assert_identical(reference, result.results)
+                assert (trace.shard_tasks, trace.shards_skipped) == (1, 0)
+                assert (trace.visited == len(blocks)).all()
+                assert not trace.bound_checks.any()
+            batches = len(per_cluster_queries)
+            assert service.stats.whole_scans == batches
+            assert service.stats.shard_tasks == batches
+            assert service.stats.bound_checks == 0
+            assert service.stats.shards_skipped == 0
 
-    def test_identity_after_apply_update(self, clustered):
+    def test_identity_after_apply_update_routed_to_every_shard(
+        self, clustered
+    ):
         db, per_cluster_queries, _mapping, _blocks = clustered
         # A private mapping: apply_update mutates supports in place.
         _db2, queries2, mapping, blocks = make_clustered()
@@ -258,7 +285,11 @@ class TestExactIdentity:
             )
             assert 0 < reused < len(service.shards)
             reference = mapping.query_engine().batch_query(queries2[1], 5)
-            result, _gen, trace = service.batch_query_traced(queries2[1], 5)
+            result, _gen, trace = service.batch_query_traced(
+                queries2[1],
+                5,
+                SearchPolicy(mode="approx", nprobe=len(service.shards)),
+            )
             _assert_identical(reference, result.results)
             assert int(trace.skipped.sum()) > 0
 
@@ -266,8 +297,8 @@ class TestExactIdentity:
     def test_unskippable_batch_is_one_block_single_threaded(
         self, random_setup, n_shards, monkeypatch
     ):
-        """Where no round could skip anything, the batch is one group
-        over one block of all rows — one task, one ``rank_counts`` call — and the trace
+        """An exact batch is one group over one block of all rows — one
+        task, one ``rank_counts`` call, no bound read — and the trace
         still accounts for every shard."""
         from repro.serving import service as service_module
 
@@ -286,16 +317,20 @@ class TestExactIdentity:
             assert ranked == [(len(queries), mapping.space.n)]
             assert trace.shard_tasks == service.stats.whole_scans == 1
             assert (trace.visited == n_shards).all()
-            assert (trace.bound_checks == n_shards).all()
+            assert not trace.bound_checks.any()
             assert trace.shards_skipped == 0
 
-    def test_trace_accounts_for_every_shard(self, clustered):
+    def test_trace_routed_to_every_shard_accounts_for_every_shard(
+        self, clustered
+    ):
         _db, per_cluster_queries, mapping, blocks = clustered
         with QueryService(
             mapping.query_engine(), shards=blocks
         ) as service:
             _result, _gen, trace = service.batch_query_traced(
-                per_cluster_queries[1], 5
+                per_cluster_queries[1],
+                5,
+                SearchPolicy(mode="approx", nprobe=len(blocks)),
             )
             per_query = trace.visited + trace.skipped
             assert (per_query == len(blocks)).all()
@@ -306,18 +341,17 @@ class TestExactIdentity:
         with mapping.query_service(n_shards=3) as service:
             result, _gen, trace = service.batch_query_traced([], 5)
             assert len(result) == 0
-            assert trace.totals()["shards_visited"] == 0
+            assert trace.payloads([0])[0]["shards_visited"] == 0
 
     @pytest.mark.parametrize(
         "policy",
         [
             None,
-            SearchPolicy(prune=False),
             SearchPolicy(mode="approx", nprobe=2),
             SearchPolicy(mode="approx", nprobe="auto"),
             SearchPolicy(mode="graph"),
         ],
-        ids=["exact", "full", "nprobe", "auto", "graph"],
+        ids=["exact", "nprobe", "auto", "graph"],
     )
     def test_empty_vector_batch_runs_nothing(self, random_setup, policy):
         """No queries: no round runs, whatever plan was asked for — a
@@ -332,7 +366,7 @@ class TestExactIdentity:
             assert results == []
             assert len(trace.visited) == len(trace.skipped) == 0
             assert (trace.shard_tasks, trace.shards_skipped) == (0, 0)
-            totals = json.loads(json.dumps(trace.totals()))
+            totals = json.loads(json.dumps(trace.payloads([0])[0]))
             assert totals["shards_visited"] == totals["shards_skipped"] == 0
             assert totals["bound_checks"] == 0
             assert dataclasses.asdict(service.stats) == before
@@ -494,9 +528,7 @@ class TestClusteredWorkCounts:
         queries = clustered_query_vectors(
             64, 8, 16, seed=10_000, block_size=self.BATCH, **self.SHAPE
         )
-        truth, full_evals, _ = self._pass(
-            service, queries, SearchPolicy(prune=False)
-        )
+        truth, full_evals, _ = self._pass(service, queries, SearchPolicy())
         assert full_evals == 64 * 2000  # 128,000
 
         def cheapest(points):
@@ -529,7 +561,7 @@ class TestClusteredWorkCounts:
         queries = clustered_query_vectors(
             64, 8, 16, seed=20_000, **self.SHAPE
         )
-        truth, _, _ = self._pass(service, queries, SearchPolicy(prune=False))
+        truth, _, _ = self._pass(service, queries, SearchPolicy())
         fixed, fixed_evals, _ = self._pass(
             service, queries, SearchPolicy(mode="approx", nprobe=4)
         )
@@ -564,7 +596,7 @@ class TestDSPMapRouting:
             home = np.argmin(
                 shard_centroid_distances(
                     engine.embed_many(queries),
-                    [shard.summary for shard in service.shards],
+                    stack_summaries([s.summary for s in service.shards]),
                 ),
                 axis=1,
             )
@@ -628,7 +660,7 @@ class TestArtifactSummaries:
                 )
                 out.append((
                     [(r.ranking, r.scores) for r in result.results],
-                    trace.totals(),
+                    trace.payloads([len(queries)]),
                 ))
             return out
 
@@ -751,6 +783,8 @@ class TestProtocol:
             {"mode": "exact", "nprobe": 2},
             {"prune": "no"},
             {"mode": "exact", "turbo": True},
+            # No pruning switch: exact is the scan, approx reads bounds.
+            {"mode": "exact", "prune": False},
         ],
     )
     def test_bad_search_sections_rejected(self, section):
@@ -785,11 +819,13 @@ class TestFrontendPolicies:
             assert response["ranking"] == truth.ranking
             assert response["scores"] == truth.scores
             pruning = response["pruning"]
-            assert pruning["mode"] == "exact"
-            assert (
-                pruning["shards_visited"] + pruning["shards_skipped"]
-                == len(service.shards)
-            )
+            # Exact is the scan: every shard visited, no bound read.
+            assert pruning == {
+                "mode": "exact",
+                "shards_visited": len(service.shards),
+                "shards_skipped": 0,
+                "bound_checks": 0,
+            }
             approx = await frontend.handle_request({
                 "op": "query", "id": "p2", "k": 3, "graph": wire,
                 "search": {"mode": "approx", "nprobe": 1},
@@ -804,6 +840,12 @@ class TestFrontendPolicies:
             })
             assert not bad["ok"]
             assert bad["error"] == "bad_request"
+            knob = await frontend.handle_request({
+                "op": "query", "id": "p4", "k": 3, "graph": wire,
+                "search": {"prune": False},
+            })
+            assert (knob["ok"], knob["error"]) == (False, "bad_request")
+            assert "prune" in knob["message"]
         finally:
             await frontend.aclose()
 
@@ -915,25 +957,24 @@ class TestPruningTrace:
         queries, mapping = random_setup
         with mapping.query_service(n_shards=4) as service:
             _result, _gen, trace = service.batch_query_traced(
-                queries[:3], 5, SearchPolicy(prune=False)
+                queries[:3], 5, SearchPolicy()
             )
-        assert trace.totals() == {
+        assert trace.payloads([3]) == [{
             "mode": "exact",
             "shards_visited": 12,
             "shards_skipped": 0,
             "bound_checks": 0,
-        }
+        }]
 
-    def test_slice_payload_partitions_totals(self):
+    def test_payloads_partition_the_batch(self):
         trace = PruningTrace(
-            mode="exact",
-            nprobe=None,
+            mode="approx",
+            nprobe=2,
             visited=np.array([1, 2, 3]),
             skipped=np.array([3, 2, 1]),
             bound_checks=np.array([4, 4, 4]),
         )
-        first = trace.slice_payload(0, 1)
-        rest = trace.slice_payload(1, 3)
-        totals = trace.totals()
+        first, rest = trace.payloads([1, 2])
+        (totals,) = trace.payloads([3])
         for key in ("shards_visited", "shards_skipped", "bound_checks"):
             assert first[key] + rest[key] == totals[key]

@@ -13,9 +13,9 @@ suite pins down as well as a property search:
   top-k member, ties included.
 
 On top of the raw bound math, the service-level property: for random
-databases, shard layouts, duplicates and tie plateaus, the default
-exact policy answers bit-identically to the full scan, and approx mode
-with ``nprobe = n_shards`` degenerates to exact — and, whatever plan a
+databases, shard layouts, duplicates and tie plateaus, approx mode
+with ``nprobe = n_shards`` (bounded rounds that may skip) answers
+bit-identically to the exact scan — and, whatever plan a
 policy runs and wherever its blocks are computed, the trace and the
 service counters account for exactly the shard tasks that ran.
 """
@@ -36,8 +36,9 @@ from repro.query.pruning import (
     ShardSummary,
     prunable,
     shard_lower_bounds,
+    stack_summaries,
 )
-from repro.query.topk import rank_with_ties
+from repro.query.topk import MappedTopKEngine, rank_with_ties
 from repro.serving.service import QueryService
 
 
@@ -89,9 +90,9 @@ class TestBoundSoundness:
             queries = rng.integers(0, 3, size=(4, p)).astype(float)
         else:
             queries = rng.integers(0, 2, size=(4, p)).astype(float)
-        summaries = [
+        summaries = stack_summaries([
             ShardSummary.from_vectors(vectors[block]) for block in blocks
-        ]
+        ])
         bounds, _centroid_d = shard_lower_bounds(queries, summaries, p)
         distances = _normalized_distances(queries, vectors, p)
         for qi in range(queries.shape[0]):
@@ -112,9 +113,9 @@ class TestBoundSoundness:
         rng = np.random.default_rng(seed)
         vectors = np.zeros((n, 0))
         blocks = _random_blocks(rng, n)
-        summaries = [
+        summaries = stack_summaries([
             ShardSummary.from_vectors(vectors[block]) for block in blocks
-        ]
+        ])
         bounds, _ = shard_lower_bounds(np.zeros((3, 0)), summaries, 0)
         assert (bounds == 0.0).all()
 
@@ -143,9 +144,9 @@ class TestPrunedShardSafety:
         vectors = _random_database(rng, n, p, duplicate_heavy)
         blocks = _random_blocks(rng, n)
         queries = rng.integers(0, 2, size=(4, p)).astype(float)
-        summaries = [
+        summaries = stack_summaries([
             ShardSummary.from_vectors(vectors[block]) for block in blocks
-        ]
+        ])
         bounds, _ = shard_lower_bounds(queries, summaries, p)
         distances = _normalized_distances(queries, vectors, p)
         for qi in range(queries.shape[0]):
@@ -187,7 +188,7 @@ class TestServiceLevelIdentity:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_exact_pruning_bit_identical_to_full_scan(
+    def test_routed_to_every_shard_bit_identical_to_exact(
         self, seed, n, p, k, duplicate_heavy
     ):
         rng = np.random.default_rng(seed)
@@ -199,22 +200,16 @@ class TestServiceLevelIdentity:
         with QueryService(
             mapping.query_engine(), shards=blocks, cache_size=0
         ) as service:
-            full = service.batch_query_vectors(
-                queries, k, SearchPolicy(prune=False)
-            )
-            pruned = service.batch_query_vectors(queries, k)
+            exact = service.batch_query_vectors(queries, k)
             everything = service.batch_query_vectors(
                 queries, k, SearchPolicy(mode="approx", nprobe=len(blocks))
             )
-        for a, b, c in zip(full, pruned, everything):
+        for a, b in zip(exact, everything):
             assert a.ranking == b.ranking
             assert a.scores == b.scores
-            assert a.ranking == c.ranking
-            assert a.scores == c.scores
 
 
 SHARDED_POLICIES = {
-    "full": SearchPolicy(prune=False),
     "exact": SearchPolicy(),
     "nprobe": SearchPolicy(mode="approx", nprobe=2),
     "auto": SearchPolicy(mode="approx", nprobe="auto"),
@@ -282,6 +277,8 @@ class TestExecutorAccounting:
                     assert (
                         trace.shard_tasks >= n_shards - trace.shards_skipped
                     )
-        for a, b in zip(answers["full"], answers["exact"]):
+        naive = MappedTopKEngine(mapping)
+        for q, b in zip(queries, answers["exact"]):
+            a = naive.query_from_vector(q, k)
             assert a.ranking == b.ranking
             assert a.scores == b.scores

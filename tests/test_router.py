@@ -501,16 +501,22 @@ class TestRouterConfig:
             ("health_interval", float("nan")),
             ("health_interval", float("inf")),
             ("health_interval", -1.0),
+            ("max_inflight", float("nan")),
+            ("max_tenants", float("nan")),
         ],
     )
     def test_non_finite_or_negative_numbers_rejected(self, field, value):
         """Each of these used to construct, and a NaN or negative
         ``health_interval`` then failed the loop's ``> 0`` test and
-        switched health checks off; ``0`` is the one way to do that."""
+        switched health checks off; ``0`` is the one way to do that.
+        A NaN ``max_inflight`` switched the in-flight bound off:
+        ``inflight + cost > nan`` is never true."""
         config = {field: value}
         if field == "quota_burst":
             config["quota_rate"] = 5.0
-        with pytest.raises(ValueError, match=f"{field} must be a finite"):
+        with pytest.raises(
+            ValueError, match=f"{field} must be (a finite|an integer)"
+        ):
             RouterConfig(**config)
 
 

@@ -138,7 +138,6 @@ class TestBitIdentity:
 PARITY_K = 8
 PARITY_POLICIES = {
     "exact": None,
-    "full": SearchPolicy(prune=False),
     "nprobe": SearchPolicy(mode="approx", nprobe=2),
     "auto": SearchPolicy(mode="approx", nprobe="auto"),
 }
@@ -187,19 +186,13 @@ def _trace_counts(trace):
 #: have no other oracle; exact answers are also checked against the
 #: naive engine.
 #:
-#: Three trace digests were re-recorded when a batch no round could
-#: skip anything for became one block of all rows (one task where four
-#: blocks were four; every answer digest unchanged): both ``full`` rows,
-#: and ``("custom", "exact")`` — where the feasibility check reads
-#: "nothing can be skipped", so its evaluations went 581 -> 768.  The
-#: contiguous cluster layout still goes to rounds and still skips.
+#: The exact rows hold the scan's trace and evaluations: one task over
+#: the block of all rows, every shard visited, no bound read.
 PARENT_RECORD = {
-    ("contiguous", "exact"): ("0d06bda19658559f", "3f6ec5bf8084e2dd", 492),
-    ("contiguous", "full"): ("0d06bda19658559f", "22e4287b56159b34", 768),
+    ("contiguous", "exact"): ("0d06bda19658559f", "22e4287b56159b34", 768),
     ("contiguous", "nprobe"): ("f9e078dfd4dc4ccf", "0bbd6e39a4c73c58", 348),
     ("contiguous", "auto"): ("0d06bda19658559f", "09181926298b26e1", 276),
-    ("custom", "exact"): ("0d06bda19658559f", "19f0da3ba220f7b3", 768),
-    ("custom", "full"): ("0d06bda19658559f", "22e4287b56159b34", 768),
+    ("custom", "exact"): ("0d06bda19658559f", "22e4287b56159b34", 768),
     ("custom", "nprobe"): ("8cb5b70086358f9e", "2e520db5133fd9c4", 379),
     ("custom", "auto"): ("0d06bda19658559f", "d2af6076b168bdf5", 549),
 }
@@ -237,7 +230,7 @@ class TestBlockTopKParity:
                         results += service.batch_query_vectors(
                             vectors[lo : lo + size], PARITY_K, policy
                         )
-                    if name in ("exact", "full"):
+                    if name == "exact":
                         _assert_identical(reference, results)
                     assert (
                         _digest(_answers(results))
@@ -290,7 +283,7 @@ class TestBlockTopKParity:
 
 
 # ----------------------------------------------------------------------
-# a round must be able to skip something: else one block of all rows
+# exact is the scan: one block of all rows
 # ----------------------------------------------------------------------
 def _one_cluster(p):
     """48 rows of one distribution: no shard is farther than another."""
@@ -314,10 +307,8 @@ def counted_ranks(monkeypatch):
 
 
 class TestWholeScan:
-    """The side of the choice `TestBlockTopKParity`'s clustered layout
-    does not take: when no (query, shard) bound clears even the cap on
-    the final k-th-best, an exact batch is one group over one block of
-    all rows — one task, one ``rank_counts`` call — and the answers are
+    """An exact batch is one group over one block of all rows — one
+    task, one ``rank_counts`` call, no bound read — and the answers are
     the naive engine's, to the bit."""
 
     @pytest.fixture(
@@ -332,9 +323,8 @@ class TestWholeScan:
         return (*_one_cluster(p), {"n_shards": 4})
 
     @pytest.mark.parametrize("size", [16, 5, 1])
-    @pytest.mark.parametrize("name", ["exact", "full"])
     def test_one_block_answers_like_the_naive_engine(
-        self, unskippable, counted_ranks, name, size
+        self, unskippable, counted_ranks, size
     ):
         mapping, vectors, layout = unskippable
         naive = MappedTopKEngine(mapping)
@@ -346,7 +336,7 @@ class TestWholeScan:
             for batches, lo in enumerate(range(0, len(vectors), size), 1):
                 batch = vectors[lo : lo + size]
                 answers, trace = service.batch_query_vectors_traced(
-                    batch, PARITY_K, PARITY_POLICIES[name]
+                    batch, PARITY_K
                 )
                 results += answers
                 assert counted_ranks == [(len(batch), n)]
@@ -354,12 +344,11 @@ class TestWholeScan:
                 assert (trace.shard_tasks, trace.shards_skipped) == (1, 0)
                 assert (trace.visited == ns).all()
                 assert not trace.skipped.any()
-                # The pairs whose bound was read: all of them, or none.
-                read = ns if name == "exact" else 0
-                assert (trace.bound_checks == read).all()
+                assert not trace.bound_checks.any()
                 assert service.stats.whole_scans == batches
                 assert service.stats.shard_tasks == batches
             assert service.stats.shards_skipped == 0
+            assert service.stats.bound_checks == 0
             assert service.stats.distance_evaluations == len(vectors) * n
         _assert_identical(reference, results)
 
@@ -425,7 +414,7 @@ class TestWholeScan:
 class TestVectorBoundary:
     """``batch_query_vectors`` is where vectors from outside arrive."""
 
-    @pytest.mark.parametrize("policy", [None, SearchPolicy(prune=False)])
+    @pytest.mark.parametrize("policy", [None, SearchPolicy()])
     @pytest.mark.parametrize(
         "shape, fill, expected",
         [
@@ -449,12 +438,11 @@ class TestVectorBoundary:
         "policy",
         [
             None,
-            SearchPolicy(prune=False),
             SearchPolicy(mode="approx", nprobe=2),
             SearchPolicy(mode="approx", nprobe="auto"),
             SearchPolicy(mode="graph"),
         ],
-        ids=["exact", "full", "nprobe-2", "nprobe-auto", "graph"],
+        ids=["exact", "nprobe-2", "nprobe-auto", "graph"],
     )
     @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
     def test_non_binary_vectors_are_refused(self, mapping, policy, bad):

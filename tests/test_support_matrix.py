@@ -25,7 +25,6 @@ from repro.serving.protocol import graph_to_wire
 
 POLICIES = [
     None,
-    SearchPolicy(prune=False),
     SearchPolicy(mode="approx", nprobe=2),
     SearchPolicy(mode="approx", nprobe="auto"),
     SearchPolicy(mode="graph"),
