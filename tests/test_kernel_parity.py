@@ -76,8 +76,8 @@ def graph_setup():
 @pytest.fixture(scope="module")
 def vector_setup():
     # Tight, well-separated clusters with session-like batches (each
-    # batch stays in one cluster) — the regime where exact pruning
-    # skips whole shard blocks, so the skip counters are exercised.
+    # batch stays in one cluster) — the regime where the bounds skip
+    # whole shard blocks, so the skip counters are exercised.
     mapping, blocks = clustered_vector_index(
         4, 60, 16, fill=0.95, noise=0.002, seed=2
     )
@@ -368,11 +368,12 @@ class TestServiceParity:
         "policy",
         [
             SearchPolicy(),
+            SearchPolicy(mode="approx", nprobe=4),  # every shard
             SearchPolicy(mode="approx", nprobe=2),
             SearchPolicy(mode="approx", nprobe="auto"),
             SearchPolicy(mode="graph"),
         ],
-        ids=["exact", "nprobe-2", "nprobe-auto", "graph"],
+        ids=["exact", "every-shard", "nprobe-2", "nprobe-auto", "graph"],
     )
     def test_vector_answers_bit_identical(
         self, policy, vector_setup, monkeypatch

@@ -138,6 +138,9 @@ class TestBitIdentity:
 PARITY_K = 8
 PARITY_POLICIES = {
     "exact": None,
+    # Routed to every shard (4 in both layouts): bounded rounds that
+    # must answer like the scan.
+    "every": SearchPolicy(mode="approx", nprobe=4),
     "nprobe": SearchPolicy(mode="approx", nprobe=2),
     "auto": SearchPolicy(mode="approx", nprobe="auto"),
 }
@@ -187,12 +190,16 @@ def _trace_counts(trace):
 #: naive engine.
 #:
 #: The exact rows hold the scan's trace and evaluations: one task over
-#: the block of all rows, every shard visited, no bound read.
+#: the block of all rows, every shard visited, no bound read.  The
+#: ``every`` rows hold the bounded rounds that once served exact: the
+#: scan's answers, with shard skips.
 PARENT_RECORD = {
     ("contiguous", "exact"): ("0d06bda19658559f", "22e4287b56159b34", 768),
+    ("contiguous", "every"): ("0d06bda19658559f", "3f6ec5bf8084e2dd", 492),
     ("contiguous", "nprobe"): ("f9e078dfd4dc4ccf", "0bbd6e39a4c73c58", 348),
     ("contiguous", "auto"): ("0d06bda19658559f", "09181926298b26e1", 276),
     ("custom", "exact"): ("0d06bda19658559f", "22e4287b56159b34", 768),
+    ("custom", "every"): ("0d06bda19658559f", "e21bea3130204d8e", 581),
     ("custom", "nprobe"): ("8cb5b70086358f9e", "2e520db5133fd9c4", 379),
     ("custom", "auto"): ("0d06bda19658559f", "d2af6076b168bdf5", 549),
 }
@@ -230,7 +237,7 @@ class TestBlockTopKParity:
                         results += service.batch_query_vectors(
                             vectors[lo : lo + size], PARITY_K, policy
                         )
-                    if name == "exact":
+                    if name in ("exact", "every"):
                         _assert_identical(reference, results)
                     assert (
                         _digest(_answers(results))
@@ -352,28 +359,34 @@ class TestWholeScan:
             assert service.stats.distance_evaluations == len(vectors) * n
         _assert_identical(reference, results)
 
+    @pytest.mark.parametrize("size", [16, 5, 1])
     @pytest.mark.parametrize("nprobe", ["all", "auto"])
     def test_routed_batch_goes_in_rounds_even_here(
-        self, unskippable, counted_ranks, nprobe
+        self, unskippable, counted_ranks, nprobe, size
     ):
         """The one block is exact mode's plan only: a routed batch on
         the same rows still runs a round per shard, one ``rank_counts``
         call per task — and routed to every shard it is the naive
-        engine's answer."""
+        engine's answer, whatever the batch size (which sets the shard
+        order and how fast each threshold tightens)."""
         mapping, vectors, layout = unskippable
+        n = mapping.database_vectors.shape[0]
         with QueryService(mapping, **layout) as service:
             ns = len(service.shards)
             policy = SearchPolicy(
                 mode="approx", nprobe=ns if nprobe == "all" else nprobe
             )
-            results, trace = service.batch_query_vectors_traced(
-                vectors, PARITY_K, policy
-            )
+            results = []
+            for lo in range(0, len(vectors), size):
+                answers, trace = service.batch_query_vectors_traced(
+                    vectors[lo : lo + size], PARITY_K, policy
+                )
+                results += answers
+                assert len(counted_ranks) == trace.shard_tasks
+                assert all(rows < n for _nq, rows in counted_ranks)
+                del counted_ranks[:]
+                assert (trace.visited <= ns).all()
             assert service.stats.whole_scans == 0
-            assert len(counted_ranks) == trace.shard_tasks
-            n = mapping.database_vectors.shape[0]
-            assert all(rows < n for _nq, rows in counted_ranks)
-            assert (trace.visited <= ns).all()
         assert all(len(r.ranking) == PARITY_K for r in results)
         if nprobe == "all":
             naive = MappedTopKEngine(mapping)
