@@ -67,7 +67,7 @@ class ContainmentIndex:
 
     def query(self, pattern: LabeledGraph) -> ContainmentAnswer:
         """All database graphs containing *pattern* (filter + VF2 verify)."""
-        # Features contained in the pattern narrow the candidate set.  One
+        # Features contained in the pattern prune the candidate set.  One
         # TargetProfile serves every feature match against the pattern,
         # one PatternProfile every verification of the pattern.
         target_profile = TargetProfile(pattern)

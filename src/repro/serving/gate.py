@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+import numbers
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -40,12 +41,16 @@ Handler = Callable[[Dict], Awaitable[Dict]]
 
 def check_count(name: str, value) -> None:
     """A count in a config (queue slots, batch size, tenants, queries in
-    flight) is an ``int`` >= 1, and not a ``bool``.
+    flight) is an integer >= 1 (a numpy integer too), and not a ``bool``.
 
     A NaN passes a plain ``< 1`` test and then switches off the bound it
     was meant to set: ``inflight + cost > nan`` is never true.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

@@ -686,8 +686,6 @@ class QueryService:
         best = BlockTopK(nq, k, p)
         checks = np.zeros(nq, dtype=np.int64)
         everyone = np.arange(nq)
-        # The exact plan: the paper's scan, one round of one group.
-        whole = [(ALL_SHARDS, everyone)]
         nprobe = policy.nprobe
         if isinstance(nprobe, int):
             nprobe = min(nprobe, ns)
@@ -759,7 +757,8 @@ class QueryService:
                 ]
 
         if policy.mode == "exact":
-            rounds = [whole]
+            # The paper's scan: one round of one group over every row.
+            rounds = [[(ALL_SHARDS, everyone)]]
         else:
             bounds, centroid_d = shard_lower_bounds(vectors, stack, p)
             rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
@@ -778,8 +777,8 @@ class QueryService:
                 # One shard's block, or every shard's rows in one.
                 visited[qs] += ns if si is ALL_SHARDS else 1
                 scored[si] += qs.size
+                whole_scans += si is ALL_SHARDS
             shard_tasks += len(groups)
-            whole_scans += groups is whole
         shards_skipped = ns - int(np.count_nonzero(scored))
         self.stats.shard_tasks += shard_tasks
         self.stats.whole_scans += whole_scans

@@ -257,6 +257,14 @@ class TestAdmission:
         ):
             FrontendConfig(**config)
 
+    def test_numpy_integer_counts_accepted(self):
+        """A count is any integer, not only a Python ``int``."""
+        config = FrontendConfig(
+            max_queue=np.int64(8), batch_size=np.int32(2),
+            max_tenants=np.int64(3),
+        )
+        assert (config.max_queue, config.batch_size) == (8, 2)
+
     @pytest.mark.asyncio
     async def test_tenant_stats_table_follows_max_tenants(
         self, engine, materials

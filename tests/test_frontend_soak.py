@@ -80,29 +80,6 @@ def _apply_plan(db_state, added, removed):
     return survivors + list(added)
 
 
-def _churn_gates(total, clients, updates):
-    """Per update: the completed-request count the updater waits for,
-    and the query number at which every client waits for it to land.
-
-    Without the gates a fast stream can answer its last query before
-    the last update lands, and never see that generation.  A gate at
-    ``ceil(target / clients)`` still lets the clients complete the
-    target first, so the updater cannot stall.
-    """
-    targets = [
-        min(gi * total // (updates + 1), total - 1)
-        for gi in range(1, updates + 1)
-    ]
-    return targets, [-(-target // clients) for target in targets]
-
-
-async def _pass_gates(qi, gates, applied):
-    """Hold query number *qi* until every update gated on it landed."""
-    for gate, event in zip(gates, applied):
-        if qi == gate:
-            await event.wait()
-
-
 def _scratch_answers_for(feature_graphs, generation_db, pool, k):
     """Like :func:`_scratch_answers`, but for an explicit pattern set —
     needed once a background re-selection means different generations
@@ -151,14 +128,14 @@ async def test_soak_streaming_clients_under_update_churn(materials):
     ]
     observed = []  # (pool_idx, generation, ranking, scores)
     dropped = []
-    targets, gates = _churn_gates(
-        CLIENTS * QUERIES_PER_CLIENT, CLIENTS, len(plan)
-    )
-    applied = [asyncio.Event() for _ in plan]
+    last_applied = asyncio.Event()
 
     async def client(ci: int) -> None:
         for qi, pi in enumerate(picks[ci]):
-            await _pass_gates(qi, gates, applied)
+            if qi == QUERIES_PER_CLIENT - 1:
+                # Only the final query waits: the stream must see the
+                # last generation, while every update races the rest.
+                await last_applied.wait()
             try:
                 results, generation, _pruning = await frontend.submit(
                     [pool[pi]], K, tenant=f"client-{ci}"
@@ -171,13 +148,15 @@ async def test_soak_streaming_clients_under_update_churn(materials):
             )
 
     async def updater() -> None:
+        total = CLIENTS * QUERIES_PER_CLIENT
         for gi, (added, removed) in enumerate(plan, start=1):
             # Interleave: let the stream make progress between updates.
-            while frontend.stats.completed < targets[gi - 1]:
+            target = min(gi * total // (len(plan) + 1), total - 1)
+            while frontend.stats.completed < target:
                 await asyncio.sleep(0.001)
             new_generation = await frontend.apply_update(added, removed)
             assert new_generation == gi
-            applied[gi - 1].set()
+        last_applied.set()
 
     try:
         await frontend.start()
@@ -281,14 +260,12 @@ async def test_soak_pruning_routed_to_every_shard_under_update_churn():
     observed = []  # (cluster, pool idx, generation, ranking, scores)
     pruning_totals = {"shards_visited": 0, "shards_skipped": 0}
     dropped = []
-    targets, gates = _churn_gates(
-        clients * queries_per_client, clients, len(plan)
-    )
-    applied = [asyncio.Event() for _ in plan]
+    last_applied = asyncio.Event()
 
     async def client(ci: int) -> None:
         for qi, pi in enumerate(picks[ci]):
-            await _pass_gates(qi, gates, applied)
+            if qi == queries_per_client - 1:
+                await last_applied.wait()
             try:
                 results, generation, pruning = await frontend.submit(
                     [per_cluster_queries[ci][pi]], K,
@@ -304,11 +281,13 @@ async def test_soak_pruning_routed_to_every_shard_under_update_churn():
             )
 
     async def updater() -> None:
+        total = clients * queries_per_client
         for gi, (added, removed) in enumerate(plan, start=1):
-            while frontend.stats.completed < targets[gi - 1]:
+            target = min(gi * total // (len(plan) + 1), total - 1)
+            while frontend.stats.completed < target:
                 await asyncio.sleep(0.001)
             assert await frontend.apply_update(added, removed) == gi
-            applied[gi - 1].set()
+        last_applied.set()
 
     try:
         await frontend.start()

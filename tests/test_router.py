@@ -10,6 +10,7 @@ replica.
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.mapping import mapping_from_selection, variance_selection
@@ -518,6 +519,13 @@ class TestRouterConfig:
             ValueError, match=f"{field} must be (a finite|an integer)"
         ):
             RouterConfig(**config)
+
+    def test_numpy_integer_counts_accepted(self):
+        """A count is any integer, not only a Python ``int``."""
+        config = RouterConfig(
+            max_inflight=np.int64(8), max_tenants=np.int32(3)
+        )
+        assert (config.max_inflight, config.max_tenants) == (8, 3)
 
 
 class TestStatsAndProtocol:

@@ -427,7 +427,11 @@ class TestWholeScan:
 class TestVectorBoundary:
     """``batch_query_vectors`` is where vectors from outside arrive."""
 
-    @pytest.mark.parametrize("policy", [None, SearchPolicy()])
+    @pytest.mark.parametrize(
+        "policy",
+        [None, SearchPolicy(mode="approx", nprobe=2)],
+        ids=["exact", "nprobe-2"],
+    )
     @pytest.mark.parametrize(
         "shape, fill, expected",
         [
