@@ -100,31 +100,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_search_policy(args: argparse.Namespace):
-    """The server-wide default SearchPolicy from --search-mode/--nprobe.
-
-    Returns ``None`` for plain exact mode (the service default), so the
-    flags only pin a policy when they actually change behaviour.
-    """
-    from repro.query.pruning import SearchPolicy
-
-    if args.search_mode == "approx":
-        if args.nprobe is None:
-            raise ValueError("--search-mode approx requires --nprobe")
-        if args.ef is not None:
-            raise ValueError("--ef requires --search-mode graph")
-        return SearchPolicy(mode="approx", nprobe=args.nprobe)
-    if args.search_mode == "graph":
-        if args.nprobe is not None:
-            raise ValueError("--nprobe requires --search-mode approx")
-        return SearchPolicy(mode="graph", ef=args.ef)
-    if args.nprobe is not None:
-        raise ValueError("--nprobe requires --search-mode approx")
-    if args.ef is not None:
-        raise ValueError("--ef requires --search-mode graph")
-    return None
-
-
 def _build_demo_mapping(db_size: int, num_features: int, seed: int):
     """The synthetic demo index ``serve``/``serve-router`` fall back to."""
     from repro.core.mapping import mapping_from_selection, variance_selection
@@ -232,7 +207,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             batch_window=args.batch_window,
             quota_rate=args.quota_rate,
             quota_burst=args.quota_burst,
-            default_policy=_parse_search_policy(args),
             maintenance_interval=args.maintenance_interval,
             reselector=reselector,
         )
@@ -519,18 +493,6 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _nprobe_arg(value: str):
-    """``--nprobe`` accepts an integer or the literal ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        )
-
-
 def _add_serving_options(
     parser: argparse.ArgumentParser, index_help: str
 ) -> None:
@@ -621,23 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--reselect", action="store_true",
         help="heal a stale index by re-running DSPM feature selection "
              "over the mutated database during maintenance",
-    )
-    serve_cmd.add_argument(
-        "--search-mode", choices=("exact", "approx", "graph"), default=None,
-        help="shard-search policy: exact (the scan of every row; it "
-             "reads no bound), approx (route each query to its --nprobe "
-             "closest shards only), or graph (best-first beam over the "
-             "navigable proximity graph)",
-    )
-    serve_cmd.add_argument(
-        "--nprobe", type=_nprobe_arg, default=None,
-        help="shards each query visits in approx mode, or 'auto' to "
-             "stop per query once the remaining shards' lower bounds "
-             "clear its running k-th-best",
-    )
-    serve_cmd.add_argument(
-        "--ef", type=int, default=None,
-        help="beam width in graph mode (default: max(4k, 32))",
     )
     serve_cmd.set_defaults(func=_cmd_serve)
 

@@ -2,7 +2,7 @@
 
 The paper answers a top-k query by scanning every mapped vector, and
 exact search does just that.  The approximate tier trades recall for
-work on top of it; this module holds what that tier routes and skips
+work on top of it; this module holds what that tier routes and stops
 by — per-shard geometric summaries tight enough that most shards never
 compute a distance block at all:
 
@@ -23,12 +23,16 @@ compute a distance block at all:
 
   The maximum of the two is still a valid lower bound, and on
   DSPMap-style similarity partitions it is usually tight enough to
-  skip most shards once a running k-th-best candidate exists.
+  stop ``nprobe="auto"`` after a few shards once a running k-th-best
+  candidate exists.  Only that stop rule reads it.
+* :func:`shard_centroid_distances` — the centroid term alone, in the
+  same arithmetic: what fixed ``nprobe`` routes on.
 * :class:`SearchPolicy` — the per-request knob: ``exact`` (default)
   is the paper's scan of every row and reads no bound; ``approx``
-  routes each query to its ``nprobe`` closest partitions only, trading
-  recall for latency, and skips inside that route the shards whose
-  bound clears the running k-th-best.
+  scores each query's ``nprobe`` closest partitions only, trading
+  recall for latency, and reads no bound either; ``nprobe="auto"``
+  widens each query's route until a bound clears its running
+  k-th-best.
 * :class:`PruningTrace` — per-query visited/skipped/bound-check
   counters, surfaced per response by the serving protocol.
 
@@ -36,14 +40,13 @@ Floating-point safety
 ---------------------
 Embeddings are binary, so every true squared distance is an exactly
 represented integer; the bounds, however, go through means and square
-roots and may round *up* past the true bound by a few ulps.  A shard is
-therefore only skipped when its bound clears the running k-th-best by a
-relative :data:`PRUNE_SLACK_REL` (plus :data:`PRUNE_SLACK_ABS`) margin —
-about a million times wider than the worst rounding error, and about a
-million times narrower than any real distance gap — so an approx
-query never skips, inside its route, a shard holding a true top-k
-member, ties included: routed to every shard, approx answers are the
-exact scan's bit for bit.  The metamorphic property suite
+roots and may round *up* past the true bound by a few ulps.  So
+``auto``'s stop rule fires only when a bound clears the running
+k-th-best by a relative :data:`PRUNE_SLACK_REL` (plus
+:data:`PRUNE_SLACK_ABS`) margin — about a million times wider than the
+worst rounding error, and about a million times narrower than any real
+distance gap — so the bound test never calls a shard holding a true
+top-k member clear, ties included.  The metamorphic property suite
 (``tests/test_pruning_properties.py``) hammers exactly this invariant.
 """
 
@@ -74,8 +77,8 @@ __all__ = [
     "topk_recall",
 ]
 
-#: Relative + absolute slack a bound must clear before a shard may be
-#: skipped (see module docstring).
+#: Relative + absolute slack a bound must clear before ``auto`` stops
+#: widening (see module docstring).
 PRUNE_SLACK_REL = 1e-9
 PRUNE_SLACK_ABS = 1e-12
 
@@ -90,10 +93,9 @@ class SearchPolicy:
     ``mode="exact"`` (the default) is the scan: every row of every
     shard is scored, and it reads no bound.  It is the ground truth the
     recall and work-count tests compare against.
-    ``mode="approx"`` visits only the ``nprobe`` shards whose centroids
-    are closest to φ(q) — on DSPMap partition shards this is exactly
-    partition routing — and skips, inside that candidate set, each
-    shard whose lower bound clears the query's running k-th-best.
+    ``mode="approx"`` scores only the ``nprobe`` shards whose
+    centroids are closest to φ(q) — on DSPMap partition shards this is
+    exactly partition routing — every one of them, reading no bound.
     ``nprobe`` is a floor, not a cap on the answer length: routing
     extends past it (nearest shards first) whenever the routed shards
     hold fewer than k rows, so approx answers are always full-length
@@ -227,9 +229,11 @@ def shard_centroid_distances(
 ) -> np.ndarray:
     """Unnormalised ``‖φ(q) − centroid‖`` per (query, shard).
 
-    The approx-mode router: each query visits the ``nprobe`` shards
-    with the smallest centroid distance (ties broken by shard index via
-    the caller's stable argsort).
+    The fixed-``nprobe`` router: each query visits the ``nprobe``
+    shards with the smallest centroid distance (ties broken by shard
+    index via the caller's stable argsort).  The arithmetic is
+    :func:`repro.kernels.bound_block`'s centroid term, so fixed
+    ``nprobe`` and ``auto`` route on the same bits.
     """
     vectors = np.asarray(vectors, dtype=float)
     sq = (
@@ -246,15 +250,16 @@ def shard_lower_bounds(
     """Lower bounds on the *normalised* distance per (query, shard).
 
     Returns ``(bounds, centroid_distances)`` — the centroid distances
-    fall out of the triangle-inequality term for free and double as the
-    approx router's signal, so both are computed in one pass.
+    fall out of the triangle-inequality term for free and double as
+    ``nprobe="auto"``'s routing signal, so both are computed in one
+    pass.
     ``bounds[i, j] <= min over rows x of shard j of d(q_i, x)`` always
     holds mathematically (the metamorphic suite enforces it).
 
     The arithmetic is :func:`repro.kernels.bound_block`.  Another
     association of the same sums (the test oracle's) may differ from it
     in the last ulp, which the slack margin in :func:`prunable_mask`
-    absorbs — a skip never drops a true top-k member.
+    absorbs — a stop never drops a true top-k member.
     """
     vectors = np.asarray(vectors, dtype=float)
     return kernels.bound_block(
@@ -274,11 +279,11 @@ def prunable_mask(
 ) -> np.ndarray:
     """Elementwise: does each bound provably clear its k-th-best?
 
-    This is the *shipped* skip test — the query service applies it to
-    whole bound columns against its per-query running thresholds (use
-    ``+inf`` while a query has fewer than k candidates: nothing may be
-    skipped before that, and no finite bound clears infinity).  The
-    slack margin keeps a skip safe against the bound's own rounding
+    This is the *shipped* test — ``nprobe="auto"``'s stop rule applies
+    it to its widening queries' next bounds against their running
+    thresholds (use ``+inf`` while a query has fewer than k candidates:
+    nothing may stop before that, and no finite bound clears infinity).
+    The slack margin keeps a stop safe against the bound's own rounding
     (see the module docstring); a bound exactly *equal* to the
     threshold never prunes, because a row at that distance could still
     win on the ascending-index tie-break.

@@ -82,11 +82,6 @@ class FrontendConfig:
     quota_rate: Optional[float] = None
     quota_burst: Optional[float] = None
     drain_timeout: float = 30.0
-    #: Shard-search policy for requests that do not send their own
-    #: ``"search"`` object (``None`` = the service default: exact, the
-    #: scan of every row, which reads no bound).  ``repro-graphdim
-    #: serve --search-mode approx --nprobe N`` sets this server-wide.
-    default_policy: Optional[SearchPolicy] = None
     #: Most tenants tracked at once.  Tenant names come off the wire,
     #: so without a bound a client cycling names would grow the bucket
     #: table (and its own quota) without limit; past the cap the
@@ -230,29 +225,12 @@ class AsyncFrontend(RequestGate):
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def _serves_graph(self) -> bool:
-        """Whether requests that name no policy are graph searches."""
-        policy = self.config.default_policy
-        return policy is not None and policy.mode == "graph"
-
-    @property
     def generation(self) -> int:
         """The served index's generation (applied updates + reloads)."""
         return self.service.generation
 
     async def start(self) -> "AsyncFrontend":
-        """Start the dispatcher (and the maintenance loop, if configured).
-
-        A server whose default policy is graph mode gets its proximity
-        graph here — attached from the artifact, or built — so the build
-        is paid before anything listens, never by the first request and
-        everyone queued behind it.  A per-request graph policy on any
-        other server stays lazy.
-        """
-        if self._serves_graph:
-            await asyncio.get_running_loop().run_in_executor(
-                self._admin_executor, self.service.ensure_graph
-            )
+        """Start the dispatcher (and the maintenance loop, if configured)."""
         if self._dispatcher is None:
             self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
         if (
@@ -336,16 +314,14 @@ class AsyncFrontend(RequestGate):
         rejection, or whatever the underlying batch raised (e.g.
         :class:`~repro.utils.errors.QueryError` for a bad ``k``).
 
-        *policy* falls back to the configured server-wide default;
-        requests with different policies coalesce into separate service
-        batches (a policy changes which shards are read, so it is part
-        of the batch key exactly like ``k``).
+        *policy* ``None`` is exact; requests with different policies
+        coalesce into separate service batches (a policy changes which
+        shards are read, so it is part of the batch key exactly like
+        ``k``).
         """
         graphs = list(graphs)
         if not graphs:
             raise ProtocolError("empty query batch")
-        if policy is None:
-            policy = self.config.default_policy
         if policy is None:
             # Normalise "no policy" to the explicit default: a request
             # sending {"mode": "exact"} and one sending nothing mean
@@ -602,14 +578,11 @@ class AsyncFrontend(RequestGate):
                 from repro.index import load_index
 
                 mapping = load_index(path)
-                service = QueryService(
+                return QueryService(
                     mapping.query_engine(),
                     n_shards=max(len(old.shards), 1),
                     cache_size=old._cache_size,
                 )
-                if self._serves_graph:
-                    service.ensure_graph()  # as start() does: off-path
-                return service
 
             replacement = await loop.run_in_executor(
                 self._admin_executor, _build

@@ -12,20 +12,21 @@ Requests
     format below.  An optional ``"search"`` object picks the shard-search policy:
     ``{"mode": "exact"}`` (the default — exact is the scan of every
     row; it reads no bound), ``{"mode": "approx", "nprobe": 2}``
-    (visit each query's 2 closest shards only — DSPMap
-    partition routing when the server shards by partition; routing
-    extends past ``nprobe`` if those shards hold fewer than ``k`` rows,
-    so answers stay full-length), ``{"mode": "approx", "nprobe":
-    "auto"}`` (adaptive: each query stops widening its shard set once
+    (score each query's 2 closest shards only, and read no bound —
+    DSPMap partition routing when the server shards by partition;
+    routing extends past ``nprobe`` if those shards hold fewer than
+    ``k`` rows, so answers stay full-length), ``{"mode": "approx",
+    "nprobe": "auto"}`` (adaptive: each query stops widening its shard set once
     the remaining shards' lower bounds clear its running k-th-best —
     the response's ``pruning.effective_nprobe`` reports the mean shard
     count actually visited), or ``{"mode": "graph", "ef": 32}``
     (best-first beam over the navigable proximity graph — sublinear:
     only the rows the beam walks past are evaluated; ``ef`` is the
-    beam width, omit it for the server default).  Unknown modes are
-    rejected with a ``bad_request`` whose ``detail.allowed_modes``
-    lists every accepted mode; any other field is a ``bad_request``
-    that names it.
+    beam width, omit it for ``max(4k, 32)``).  A request that sends
+    no ``"search"`` is exact: the server has no policy of its own.
+    Unknown modes are rejected with a ``bad_request`` whose
+    ``detail.allowed_modes`` lists every accepted mode; any other field
+    is a ``bad_request`` that names it.
 ``{"op": "batch", "id": 2, "tenant": "alice", "k": 5, "graphs": [G...]}``
     Top-k for a client-side batch of at least one graph (admitted as
     one unit); accepts the same optional ``"search"`` policy.
@@ -66,7 +67,9 @@ Responses
 counts applied updates — it names the exact database state the answer
 was computed on; ``pruning`` reports this request's own share of the
 shard-skipping work, which for an exact request is every shard visited
-and no bound read — for graph-mode requests it is ``{"mode":
+and no bound read, and for a fixed-``nprobe`` request is its routed
+shards visited, the rest skipped and no bound read — for graph-mode
+requests it is ``{"mode":
 "graph", "ef": 32, "hops": 14, "distance_evaluations": 96}``), or
 ``{"id": 1, "ok": false, "error": "quota_exceeded", "message": "...",
 "retry_after": 0.25}`` on a structured rejection.  ``error`` is one of

@@ -901,6 +901,9 @@ class Router(RequestGate):
     # ------------------------------------------------------------------
     async def _query(self, request: Dict) -> Dict:
         """``query`` / ``batch``: admit at the router, answer by a replica."""
+        # A malformed "search" is refused here, before it spends quota,
+        # exactly as a replica would refuse it before admission.
+        protocol.search_policy_from_request(request)
         tenant = request.get("tenant") or ""
         cost = len(request["graphs"]) if request["op"] == "batch" else 1
         self._admit(tenant, cost)

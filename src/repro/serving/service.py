@@ -43,13 +43,15 @@ result bit:
   rows at once — decided against the batch's running k-th-best
   thresholds as they stand when the round starts; the executor
   computes a round's blocks, absorbs them in order, then asks for the
-  next round.  The *ordered* (fixed ``nprobe``) and *routed*
-  (``nprobe="auto"``) plans route on shards and read the lower bounds
-  each shard's :class:`~repro.query.pruning.ShardSummary` gives.  Top-k
-  selection under a total order is associative, so answers cannot
-  depend on how rounds are grouped; every stat and trace count is
-  derived in that one place from the groups that ran, so counters
-  cannot drift either.
+  next round.  Fixed ``nprobe`` is one round: each query is routed to
+  its nearest shards by centroid, and each routed shard is scored once
+  for the queries routed to it; it reads no bound.  The *routed*
+  (``nprobe="auto"``) plan is a round per probe and reads the lower
+  bounds each shard's :class:`~repro.query.pruning.ShardSummary` gives
+  for its stop rule.  Top-k selection under a total order is
+  associative, so answers cannot depend on how rounds are grouped;
+  every stat and trace count is derived in that one place from the
+  groups that ran, so counters cannot drift either.
 * **Exact is the scan.**  An exact batch is the paper's sequential
   scan — one round, one group over one block of all rows (every
   shard's planes side by side, which the :class:`ShardSnapshot` carries
@@ -85,6 +87,7 @@ from repro.query.pruning import (
     SummaryStack,
     default_ef,
     prunable_mask,
+    shard_centroid_distances,
     shard_lower_bounds,
     stack_summaries,
 )
@@ -187,10 +190,10 @@ class ServiceStats:
     shards_rebuilt: int = 0
     #: Re-selections swapped in by :meth:`QueryService.apply_reselection`.
     reselections: int = 0
-    #: Shard distance blocks an approx batch skipped outright (their
-    #: lower bound beat the running k-th-best for every query, or
-    #: routing never sent a query their way) and (query, shard) bound
-    #: evaluations.  An exact batch reads no bound and skips nothing.
+    #: Shard distance blocks an approx batch skipped outright (no
+    #: query was routed to them, or every ``nprobe="auto"`` query
+    #: stopped first) and (query, shard) bound evaluations, which only
+    #: ``auto``'s stop rule makes.  An exact batch skips nothing.
     shards_skipped: int = 0
     bound_checks: int = 0
     #: Scored (query, row) pairs across every search mode — the
@@ -680,9 +683,9 @@ class QueryService:
         shards, stack, rows = snapshot.shards, snapshot.stack, snapshot.rows
         ns = len(shards)
         # `best.thresholds` is the per-query running k-th-best; +inf
-        # until k candidates exist, so the vectorised tests below are
-        # exactly `prunable()`: nothing is ever pruned (or stopped)
-        # against an undefined threshold.
+        # until k candidates exist, so auto's vectorised stop test below
+        # is exactly `prunable()`: no query stops against an undefined
+        # threshold.
         best = BlockTopK(nq, k, p)
         checks = np.zeros(nq, dtype=np.int64)
         everyone = np.arange(nq)
@@ -690,55 +693,17 @@ class QueryService:
         if isinstance(nprobe, int):
             nprobe = min(nprobe, ns)
 
-        def ordered_rounds() -> Iterator[List[Group]]:
-            """Fixed ``nprobe``: each query is routed to its ``nprobe``
-            closest shards (by centroid), and the batch walks one shard
-            order, most promising (smallest mean lower bound) first, so
-            each query's threshold tightens as early as possible.  A
-            routed shard is skipped for a query only when its lower
-            bound clears that threshold by the conservative slack of
-            :func:`repro.query.pruning.prunable` — so routed to every
-            shard the merged answer is the scan's, ties included.
-            Every shard is a round of its own.
-            """
-            # nprobe is a floor, not a cap on answer length: routing
-            # extends past it (nearest shards first) until the eligible
-            # shards hold at least k rows, so approx answers are always
-            # full-length — only recall degrades, never k itself.
-            routed = np.argsort(centroid_d, axis=1, kind="stable")
-            covered = np.cumsum(rows[routed], axis=1)
-            need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
-            take = np.maximum(nprobe, need)
-            eligible = np.zeros((nq, ns), dtype=bool)
-            eligible[everyone[:, None], routed] = (
-                np.arange(ns)[None, :] < take[:, None]
-            )
-            # Every shard is decided exactly once, for the queries
-            # routed to it: one bound test per eligible pair.
-            checks[:] = eligible.sum(axis=1)
-
-            order = np.argsort(bounds.mean(axis=0), kind="stable").tolist()
-            for si in order:
-                # Shard si's round, decided as the thresholds stand.
-                active = eligible[:, si] & ~prunable_mask(
-                    bounds[:, si], best.thresholds
-                )
-                qs = np.flatnonzero(active)
-                yield [(si, qs)] if qs.size else []
-
         def routed_rounds() -> Iterator[List[Group]]:
             """``nprobe="auto"``: round *t* is the *t*-th-nearest shard
             (by centroid, the signal fixed ``nprobe`` routes on) of
             every still-widening query, grouped by shard so one distance
             block serves all queries routed to it; a query stops
             widening at the first shard whose lower bound clears its
-            threshold.  Unlike fixed ``nprobe`` (which checks, and
-            possibly visits, every routed shard whose bound fails to
-            clear the threshold wherever it sits in the order), that
-            stop rule truncates the probe sequence; a farther shard
-            with a loose bound is never reconsidered.  The truncation
-            is the approximation — answers stay full-length, only
-            recall is traded."""
+            threshold.  Unlike fixed ``nprobe``, which scores every
+            routed shard, that stop rule truncates the probe sequence;
+            a farther shard with a loose bound is never reconsidered.
+            The truncation is the approximation — answers stay
+            full-length, only recall is traded."""
             routed = np.argsort(centroid_d, axis=1, kind="stable")
             live = everyone
             for t in range(ns):
@@ -759,9 +724,32 @@ class QueryService:
         if policy.mode == "exact":
             # The paper's scan: one round of one group over every row.
             rounds = [[(ALL_SHARDS, everyone)]]
-        else:
+        elif nprobe == "auto":
             bounds, centroid_d = shard_lower_bounds(vectors, stack, p)
-            rounds = routed_rounds() if nprobe == "auto" else ordered_rounds()
+            rounds = routed_rounds()
+        else:
+            # Fixed nprobe: each query is routed to its nprobe nearest
+            # shards (by centroid), and one round scores each routed
+            # shard once, for every query routed to it.  No bound is
+            # read: top-k is associative, so the answer is the top-k of
+            # the routed rows.  nprobe is a floor, not a cap on answer
+            # length: routing extends past it (nearest shards first)
+            # until the routed shards hold at least k rows, so approx
+            # answers are always full-length — only recall degrades.
+            centroid_d = shard_centroid_distances(vectors, stack)
+            routed = np.argsort(centroid_d, axis=1, kind="stable")
+            covered = np.cumsum(rows[routed], axis=1)
+            need = np.argmax(covered >= k, axis=1) + 1  # k <= n: exists
+            take = np.maximum(nprobe, need)
+            eligible = np.zeros((nq, ns), dtype=bool)
+            eligible[everyone[:, None], routed] = (
+                np.arange(ns)[None, :] < take[:, None]
+            )
+            rounds = [[
+                (si, qs)
+                for si, qs in enumerate(map(np.flatnonzero, eligible.T))
+                if qs.size
+            ]]
 
         planes = kernels.pack_rows(vectors)  # once per batch
         visited = np.zeros(nq, dtype=np.int64)  # shards per query
@@ -800,12 +788,9 @@ class QueryService:
     def ensure_graph(self):
         """The graph-mode snapshot, built (or attached) if not there yet.
 
-        A server whose default policy is graph mode calls this before it
-        listens (:meth:`AsyncFrontend.start
-        <repro.serving.frontend.AsyncFrontend.start>`); otherwise the
-        first graph-mode query does.  The build (or artifact attach)
-        runs outside the swap lock — it can cost an O(n²/chunk) kernel
-        pass — and the assignment re-checks under the lock so a
+        The first graph-mode query calls this.  The build (or artifact
+        attach) runs outside the swap lock — it can cost an O(n²/chunk)
+        kernel pass — and the assignment re-checks under the lock so a
         concurrent first-query race keeps exactly one snapshot.
         """
         with self._swap_lock:

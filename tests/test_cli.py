@@ -224,6 +224,20 @@ class TestServeVerb:
         assert args.batch_size == 16
         assert args.quota_rate is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--search-mode", "approx"], ["--nprobe", "2"], ["--ef", "32"]],
+        ids=["search-mode", "nprobe", "ef"],
+    )
+    def test_serve_has_no_server_wide_search(self, argv, capsys):
+        """A request names its own search: ``serve`` takes no policy."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *argv])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv)}" in (
+            capsys.readouterr().err
+        )
+
     def test_serve_no_stdio_requires_tcp(self, capsys):
         assert main(["serve", "--no-stdio"]) == 2
         assert "--no-stdio requires --tcp" in capsys.readouterr().err

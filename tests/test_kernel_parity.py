@@ -76,8 +76,8 @@ def graph_setup():
 @pytest.fixture(scope="module")
 def vector_setup():
     # Tight, well-separated clusters with session-like batches (each
-    # batch stays in one cluster) — the regime where the bounds skip
-    # whole shard blocks, so the skip counters are exercised.
+    # batch stays in one cluster) — the regime where auto's bounds stop
+    # a query after its home shard, so the stop rule is exercised.
     mapping, blocks = clustered_vector_index(
         4, 60, 16, fill=0.95, noise=0.002, seed=2
     )
@@ -386,17 +386,24 @@ class TestServiceParity:
             assert a.ranking == b.ranking
             assert a.scores == b.scores
 
-    def test_pruning_routed_to_every_shard_actually_skips_under_the_oracle(
+    def test_auto_stops_early_under_the_oracle(
         self, vector_setup, monkeypatch
     ):
-        # Parity must not be achieved by silently disabling pruning.
+        # Parity must not be achieved by silently disabling the stop
+        # rule: under the oracle's bound_check some query stops before
+        # it has probed every shard.
         mapping, blocks, _queries, batches = vector_setup
         swap_in_oracle(monkeypatch)
-        everywhere = SearchPolicy(mode="approx", nprobe=len(blocks))
+        auto = SearchPolicy(mode="approx", nprobe="auto")
         with mapping.query_service(shards=blocks, cache_size=0) as svc:
+            stopped = 0
             for batch in batches:
-                svc.batch_query_vectors(batch, K, everywhere)
-            assert svc.stats.shards_skipped > 0
+                _results, trace = svc.batch_query_vectors_traced(
+                    batch, K, auto
+                )
+                stopped += int((trace.effective_nprobe < len(blocks)).sum())
+            assert stopped > 0
+            assert svc.stats.bound_checks > 0
 
 
 class TestGraphBeamParity:

@@ -40,7 +40,7 @@ from repro.mining.gspan import FrequentSubgraph
 from repro.query.proximity import ProximityGraph, _entry_points
 from repro.query.pruning import SEARCH_MODES, SearchPolicy, default_ef
 from repro.serving import protocol
-from repro.serving.frontend import AsyncFrontend, FrontendConfig
+from repro.serving.frontend import AsyncFrontend
 from repro.serving.service import QueryService
 from repro.utils.errors import (
     ArtifactCorruptError,
@@ -717,7 +717,8 @@ class TestServiceDispatch:
 
 
 class TestGraphBeforeListening:
-    """A graph-mode server never builds its graph on the request path."""
+    """A server builds no graph before it listens: the first graph-mode
+    request builds it, once."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -733,16 +734,13 @@ class TestGraphBeforeListening:
         return calls
 
     @staticmethod
-    def _served(default_policy):
+    def _served():
         rng = np.random.default_rng(47)
         vectors = _binary_vectors(rng, 30, 8)
         service = QueryService(
             _vector_mapping(vectors).query_engine(), n_shards=3
         )
-        frontend = AsyncFrontend(
-            service,
-            FrontendConfig(default_policy=default_policy),
-        )
+        frontend = AsyncFrontend(service)
         request = {
             "op": "query",
             "id": 1,
@@ -752,30 +750,8 @@ class TestGraphBeforeListening:
         return service, frontend, request
 
     @pytest.mark.asyncio
-    async def test_default_graph_policy_builds_in_start(
-        self, builds, tmp_path
-    ):
-        service, frontend, request = self._served(SearchPolicy(mode="graph"))
-        try:
-            assert service._graph is None and builds == []
-            await frontend.start()
-            assert service._graph is not None and builds == [30]
-            response = await frontend.handle_request(request)
-            assert response["ok"] and response["pruning"]["mode"] == "graph"
-            assert builds == [30]  # the first request found it there
-            # A reload hands over a service that has its graph too.
-            save_index(service.mapping, tmp_path / "index.json")
-            reloaded = await frontend.handle_request(
-                {"op": "reload", "id": 2, "path": str(tmp_path / "index.json")}
-            )
-            assert reloaded["ok"] and frontend.service is not service
-            assert frontend.service._graph is not None
-        finally:
-            await frontend.aclose()
-
-    @pytest.mark.asyncio
     async def test_per_request_graph_policy_stays_lazy(self, builds):
-        service, frontend, request = self._served(None)
+        service, frontend, request = self._served()
         try:
             await frontend.start()
             assert service._graph is None and builds == []

@@ -1,15 +1,14 @@
 """The search policies and the bounded shard-skipping tier, end to end.
 
 Exact mode is the scan: one block of all rows, no bound read, answers
-bit-identical to the engine's.  The bounds' soundness is pinned where
-they are read — approx routed to every shard (``nprobe`` = the shard
-count) must answer exactly as the scan does, across shard counts,
-shard modes, tie-heavy workloads and post-``apply_update`` states,
-with skip counters proving shards actually get skipped on clustered
-data (a pruning tier that never prunes would pass a pure identity
-suite).  Approx mode, the summaries' absence from the artifact, DSPMap
-routing, and the wire protocol's ``search``/``pruning`` fields are
-covered alongside.
+bit-identical to the engine's.  Fixed ``nprobe`` is the scan of its
+routed shards: one round, no bound read; routed to every shard
+(``nprobe`` = the shard count) it must answer exactly as the scan does,
+across shard counts, shard modes, tie-heavy workloads and
+post-``apply_update`` states.  The bounds' soundness is pinned where
+they are read, by ``nprobe="auto"``'s stop rule.  Approx mode, the
+summaries' absence from the artifact, DSPMap routing, and the wire
+protocol's ``search``/``pruning`` fields are covered alongside.
 """
 
 import dataclasses
@@ -202,7 +201,7 @@ class TestExactIdentity:
         with tie_mapping.query_service(n_shards=4) as service:
             _assert_identical(reference, service.batch_query(queries, 9))
 
-    def test_routed_to_every_shard_clustered_batches_skip_and_stay_identical(
+    def test_routed_to_every_shard_clustered_batches_stay_identical(
         self, clustered
     ):
         _db, per_cluster_queries, mapping, blocks = clustered
@@ -217,10 +216,9 @@ class TestExactIdentity:
                 )
                 _assert_identical(reference, result.results)
                 batches += 1
-            # Identity alone could hold with pruning broken-off; the
-            # counters prove shards really were skipped wholesale.
-            assert service.stats.shards_skipped > 0
-            assert service.stats.bound_checks > 0
+            # Routed to every shard, every shard is scored once per
+            # batch and no bound is read.
+            assert service.stats.bound_checks == 0
             assert (
                 service.stats.shard_tasks + service.stats.shards_skipped
                 == batches * len(blocks)
@@ -229,10 +227,8 @@ class TestExactIdentity:
     def test_exact_batch_reads_no_bound_and_is_one_task(
         self, clustered, monkeypatch
     ):
-        """Even where the bounds could skip (the batches routed to every
-        shard above do), an exact batch is the scan: no shard bound is
-        computed, one task covers every row, and no bound check is
-        counted."""
+        """An exact batch is the scan: no shard bound is computed, one
+        task covers every row, and no bound check is counted."""
         from repro.serving import service as service_module
 
         def refuse(*_args, **_kwargs):
@@ -291,7 +287,7 @@ class TestExactIdentity:
                 SearchPolicy(mode="approx", nprobe=len(service.shards)),
             )
             _assert_identical(reference, result.results)
-            assert int(trace.skipped.sum()) > 0
+            assert (trace.visited == len(service.shards)).all()
 
     @pytest.mark.parametrize("n_shards", [2, 4, 5])
     def test_unskippable_batch_is_one_block_single_threaded(
@@ -334,7 +330,8 @@ class TestExactIdentity:
             )
             per_query = trace.visited + trace.skipped
             assert (per_query == len(blocks)).all()
-            assert (trace.bound_checks == len(blocks)).all()
+            assert (trace.visited == len(blocks)).all()
+            assert not trace.bound_checks.any()
 
     def test_empty_batch_trace(self, random_setup):
         _queries, mapping = random_setup
@@ -402,6 +399,61 @@ class TestApproxMode:
                 )
         # Label-disjoint clusters: the routed shard holds the answers.
         assert np.mean(overlaps) >= 0.9
+
+    @pytest.mark.parametrize("nprobe", [1, 2, N_CLUSTERS])
+    def test_fixed_nprobe_reads_no_bound_and_scores_its_route_once(
+        self, clustered, monkeypatch, nprobe
+    ):
+        """Fixed ``nprobe`` is one round: each routed shard is scored
+        once, for the queries routed to it, and no bound is computed
+        or checked.  The answer is the top-k of the routed rows, ranked
+        on ``(distance, row)`` — the engine's order."""
+        from repro.serving import service as service_module
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a fixed-nprobe batch read a shard bound")
+
+        monkeypatch.setattr(service_module, "shard_lower_bounds", refuse)
+        monkeypatch.setattr(service_module, "prunable_mask", refuse)
+        scored = []
+        shard_topk = QueryService._shard_topk
+        monkeypatch.setattr(
+            QueryService,
+            "_shard_topk",
+            staticmethod(
+                lambda shard, planes, k: scored.append(shard)
+                or shard_topk(shard, planes, k)
+            ),
+        )
+        _db, per_cluster_queries, mapping, blocks = clustered
+        engine = mapping.query_engine()
+        queries = [q for qs in per_cluster_queries for q in qs]
+        vectors = engine.embed_many(queries)
+        k = 5
+        stack = stack_summaries([
+            ShardSummary.from_vectors(mapping.database_vectors[block])
+            for block in blocks
+        ])
+        routes = np.argsort(
+            shard_centroid_distances(vectors, stack), axis=1, kind="stable"
+        )[:, :nprobe]  # every cluster holds >= k rows
+        distances = mapping.query_distances(vectors)
+        with QueryService(engine, shards=blocks) as service:
+            results, trace = service.batch_query_vectors_traced(
+                vectors, k, SearchPolicy(mode="approx", nprobe=nprobe)
+            )
+            routed_shards = np.unique(routes)
+            assert len(scored) == trace.shard_tasks == len(routed_shards)
+            assert len({id(shard) for shard in scored}) == len(scored)
+            assert trace.shards_skipped == len(blocks) - len(routed_shards)
+            assert (trace.visited == nprobe).all()
+            assert not trace.bound_checks.any()
+            assert service.stats.bound_checks == 0
+        for qi, answer in enumerate(results):
+            rows = np.concatenate([blocks[si] for si in routes[qi]])
+            best = sorted(rows.tolist(), key=lambda r: (distances[qi, r], r))
+            assert answer.ranking == best[:k]
+            assert answer.scores == [float(distances[qi, r]) for r in best[:k]]
 
     def test_routing_extends_past_tiny_shards_to_fill_k(
         self, random_setup
@@ -915,33 +967,12 @@ class TestFrontendPolicies:
         finally:
             await frontend.aclose()
 
-    @pytest.mark.asyncio
-    @pytest.mark.timeout(30)
-    async def test_config_default_policy_applies(self, materials):
-        per_cluster_queries, _mapping, service = materials
-        frontend = AsyncFrontend(
-            service,
+    def test_config_has_no_default_policy(self):
+        """A request names its own search; the server has none."""
+        with pytest.raises(TypeError, match="default_policy"):
             FrontendConfig(
                 default_policy=SearchPolicy(mode="approx", nprobe=1)
-            ),
-        )
-        try:
-            await frontend.start()
-            wire = protocol.graph_to_wire(per_cluster_queries[0][0])
-            response = await frontend.handle_request({
-                "op": "query", "id": 1, "k": 3, "graph": wire,
-            })
-            assert response["ok"]
-            assert response["pruning"]["mode"] == "approx"
-            # A request-level policy overrides the server default.
-            override = await frontend.handle_request({
-                "op": "query", "id": 2, "k": 3, "graph": wire,
-                "search": {"mode": "exact"},
-            })
-            assert override["ok"]
-            assert override["pruning"]["mode"] == "exact"
-        finally:
-            await frontend.aclose()
+            )
 
     def test_stats_payload_carries_pruning_counters(self, materials):
         _queries, _mapping, service = materials

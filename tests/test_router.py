@@ -392,6 +392,34 @@ class TestClusterQuota:
             assert rejected["retry_after"] == pytest.approx(1.0)
 
     @pytest.mark.asyncio
+    async def test_malformed_search_spends_no_quota(self, materials):
+        """A bad ``search`` section is refused before admission, as a
+        replica refuses it: the tenant's one token still answers its
+        next valid query, and nothing is counted as admitted."""
+        queries, _mapping, path = materials
+        replicas = await _started([_replica("r0", path)])
+        async with Router(
+            replicas,
+            RouterConfig(
+                health_interval=0, quota_rate=1.0, quota_burst=1.0,
+                clock=lambda: 0.0,
+            ),
+        ) as router:
+            bad = _wire_query(queries[0], 3, tenant="t")
+            bad["search"] = {"mode": "bogus"}
+            refused = await router.handle_request(bad)
+            assert not refused["ok"] and refused["error"] == "bad_request"
+            answered = await router.handle_request(
+                _wire_query(queries[1], 3, tenant="t")
+            )
+            assert answered["ok"]
+            assert router.stats.bad_requests == 1
+            assert router.stats.failed == 0
+            assert router.stats.rejected_quota == 0
+            assert router.stats.admitted == 1
+            assert replicas[0].frontend.stats.bad_requests == 0  # unseen
+
+    @pytest.mark.asyncio
     async def test_name_cycling_is_bounded_and_counted(self, materials):
         queries, _mapping, path = materials
         clock = [0.0]

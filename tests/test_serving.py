@@ -191,16 +191,17 @@ def _trace_counts(trace):
 #:
 #: The exact rows hold the scan's trace and evaluations: one task over
 #: the block of all rows, every shard visited, no bound read.  The
-#: ``every`` rows hold the bounded rounds that once served exact: the
-#: scan's answers, with shard skips.
+#: ``every`` and ``nprobe`` rows hold fixed ``nprobe``'s one round:
+#: every routed shard scored once, no bound read.  Their answer digests
+#: are the bounded plan's that served them before.
 PARENT_RECORD = {
     ("contiguous", "exact"): ("0d06bda19658559f", "22e4287b56159b34", 768),
-    ("contiguous", "every"): ("0d06bda19658559f", "3f6ec5bf8084e2dd", 492),
-    ("contiguous", "nprobe"): ("f9e078dfd4dc4ccf", "0bbd6e39a4c73c58", 348),
+    ("contiguous", "every"): ("0d06bda19658559f", "50715a5a3e18c68a", 768),
+    ("contiguous", "nprobe"): ("f9e078dfd4dc4ccf", "0159296e01ffbe4f", 384),
     ("contiguous", "auto"): ("0d06bda19658559f", "09181926298b26e1", 276),
     ("custom", "exact"): ("0d06bda19658559f", "22e4287b56159b34", 768),
-    ("custom", "every"): ("0d06bda19658559f", "e21bea3130204d8e", 581),
-    ("custom", "nprobe"): ("8cb5b70086358f9e", "2e520db5133fd9c4", 379),
+    ("custom", "every"): ("0d06bda19658559f", "50715a5a3e18c68a", 768),
+    ("custom", "nprobe"): ("8cb5b70086358f9e", "0159296e01ffbe4f", 427),
     ("custom", "auto"): ("0d06bda19658559f", "d2af6076b168bdf5", 549),
 }
 
