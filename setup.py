@@ -11,7 +11,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
+    version="1.2.0",
     description=(
         "Reproduction of 'Leveraging Graph Dimensions in Online Graph "
         "Search' (PVLDB 8(1), 2014): DS-preserved mapping, DSPM/DSPMap, "

@@ -15,13 +15,15 @@ as the database changes —
 >>> save_index(mapping, "index.json")    # appends deltas to the journal
 
 ``load_index`` restores the complete :class:`IndexArtifact` (feature
-lattice, cached norms, label codec, and a page-checksummed binary
-payload; the VF2 pattern profiles are derived from the feature graphs),
-so ``mapping.query_engine()`` is warm immediately; ``query_service``
-shards the database vectors and answers bit-identically to the
-single-shard engine while caching repeated queries, each batch inline
-on one core (a second core is a second ``serve-router --spawn`` replica).
-``add_graphs`` / ``remove_graphs`` update supports, vectors, norms, and
+lattice, support counts, label codec, and a page-checksummed binary
+payload holding the selected features' packed support matrix; the VF2
+pattern profiles are derived from the feature graphs, and the manifest
+is checked against its content identity), so ``mapping.query_engine()``
+is warm immediately; ``query_service`` shards the database rows and
+answers bit-identically to the single-shard engine while caching
+repeated queries, each batch inline on one core (a second core is a
+second ``serve-router --spawn`` replica).
+``add_graphs`` / ``remove_graphs`` update the support matrix and the
 shards in place — a :class:`~repro.core.mapping.StalenessPolicy` bounds
 how far the selection may drift before re-selection is triggered — and
 mutations persist as delta-journal entries that

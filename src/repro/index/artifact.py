@@ -10,7 +10,8 @@ which the manifest names and which live beside it:
   the one *derived* section — the proximity graph's neighbor table,
   checksummed and ``seq``-gated.  Shard summaries and pattern profiles
   are derived, never stored; such a key left by an older build is not
-  read;
+  read.  Its ``artifact_id`` digests the rest with the support matrix,
+  and every load recomputes it, so a corrupted manifest is refused;
 * ``payload["file"]`` (``<path>.<n>.pages`` for generation *n*) — the
   **binary payload** (:mod:`repro.index.paged`): φ, once — the selected
   features' packed support matrix (``[p, ceil(n / 64)]`` ``uint64``, the
@@ -86,6 +87,17 @@ ARTIFACT_KIND = "repro-graphdim-index"
 
 #: The arrays the binary payload must carry, in manifest order.
 PAYLOAD_ARRAYS = ("supports",)
+
+#: The manifest keys the ``artifact_id`` digests, beside the support
+#: matrix: the index's content.  The page table and the proximity graph
+#: are derived and stay out, so the same index state keeps the same
+#: identity whether or not a graph query warmed it; any other key (one
+#: an older build left) is not read.
+IDENTITY_KEYS = (
+    "format_version", "kind", "database_size", "dimensionality",
+    "feature_graphs", "support_counts", "selection_baseline", "stale",
+    "label_codec", "lattice",
+)
 
 __all__ = [
     "DEFAULT_AUTO_COMPACT_RATIO",
@@ -176,6 +188,17 @@ def _unsupported(found: str) -> FormatVersionError:
         f"version {FORMAT_VERSION} with a {PAGED_LAYOUT!r} payload only "
         "— rebuild the index with index-build"
     )
+
+
+def _artifact_id(manifest: Dict, supports: np.ndarray) -> str:
+    """The artifact's content identity: SHA-256 over *manifest*'s
+    :data:`IDENTITY_KEYS`, then the support matrix."""
+    core = {k: manifest[k] for k in IDENTITY_KEYS if k in manifest}
+    digest = hashlib.sha256(
+        json.dumps(core, sort_keys=True, separators=(",", ":")).encode()
+    )
+    digest.update(np.ascontiguousarray(supports))
+    return digest.hexdigest()[:16]
 
 
 def _entry_digest(entry: Dict) -> str:
@@ -351,26 +374,8 @@ class IndexArtifact:
             },
             "payload": None,  # the page table; filled in by save()
         }
-        # A deterministic content identity: the manifest core plus the
-        # raw array data.
-        # Derived sections — the payload metadata and the proximity
-        # graph — stay out of the digest, so the same index state keeps
-        # the same identity whether or not a graph query warmed it.
-        digest = hashlib.sha256()
-        digest.update(
-            json.dumps(
-                {
-                    k: v
-                    for k, v in payload.items()
-                    if k not in ("payload", "proximity_graph")
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode()
-        )
-        for name in PAYLOAD_ARRAYS:
-            digest.update(arrays[name].tobytes())
-        payload["artifact_id"] = digest.hexdigest()[:16]
+        # A deterministic content identity, recomputed by every load.
+        payload["artifact_id"] = _artifact_id(payload, arrays["supports"])
         graph = _graph_payload(mapping, seq=0)
         if graph is not None:
             payload["proximity_graph"] = graph
@@ -412,6 +417,7 @@ class IndexArtifact:
         counts = np.asarray(payload["support_counts"], dtype=np.int64)
         if counts.shape != (p,):
             raise _corrupt("support count mismatch")
+        lattice = self._restore_lattice(p)
         shape, supports = self._payload_supports(counts)
         if shape != (p, -(-n // 64)):
             raise _corrupt("support matrix shape mismatch")
@@ -419,7 +425,7 @@ class IndexArtifact:
         space = FeatureSpace(features, n, supports, support_counts=counts)
         mapping = DSPreservedMapping(space=space, selected=list(range(p)))
 
-        mapping._build_engine(self._restore_lattice(p))
+        mapping._build_engine(lattice)
 
         baseline = payload.get("selection_baseline")
         if baseline is not None:
@@ -447,11 +453,14 @@ class IndexArtifact:
     def _payload_supports(self, counts: np.ndarray):
         """The payload's support matrix and its shape.
 
-        The matrix is checked against the manifest's *counts* when it
-        is read: before this returns, or, for an artifact opened with
+        The matrix is checked against the manifest's *counts*, and the
+        manifest with it against its ``artifact_id``, when it is read:
+        before this returns, or, for an artifact opened with
         ``mmap=True``, in the deferred read (a zero-argument callable)
         the feature space makes at its first bit, which verifies the
-        pages too.
+        pages too.  Page checksums cover only the payload, so the
+        identity is what catches a corrupted lattice, feature graph or
+        label codec.
         """
         if self.arrays is None and self.reader is None:
             raise PayloadMissingError(
@@ -469,6 +478,13 @@ class IndexArtifact:
             ):
                 raise _corrupt(
                     "support counts disagree with the support matrix"
+                )
+            expected = self.payload.get("artifact_id")
+            if _artifact_id(self.payload, supports) != expected:
+                raise ChecksumError(
+                    f"manifest content does not match its artifact_id "
+                    f"{expected!r} — a corrupted lattice, feature graph or "
+                    "label codec would silently change answers"
                 )
             return supports
 

@@ -53,6 +53,7 @@ top-k member clear, ties included.  The metamorphic property suite
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -112,6 +113,10 @@ class SearchPolicy:
     only the rows it walks past — sublinear where the other modes are
     linear in partitions.  ``ef`` is the beam width (candidate-list
     size); ``None`` picks :func:`default_ef` for the request's ``k``.
+
+    ``nprobe`` and ``ef`` take any integer (a numpy one too) except a
+    ``bool``, and are stored as ``int``, so a policy's numbers always
+    reach a JSON response as JSON numbers.
     """
 
     mode: str = "exact"
@@ -125,38 +130,42 @@ class SearchPolicy:
                 f"(expected one of {', '.join(SEARCH_MODES)})"
             )
         if self.mode == "approx":
-            if self.nprobe != "auto" and (
-                # bool is an int subclass; reject it explicitly so the
-                # Python API matches the wire layer instead of silently
-                # reading True as nprobe=1.
-                isinstance(self.nprobe, bool)
-                or not isinstance(self.nprobe, int)
-                or self.nprobe < 1
-            ):
-                raise QueryError(
-                    "approx search requires an integer nprobe >= 1 "
-                    "or nprobe='auto'"
-                )
+            if self.nprobe != "auto":
+                if not _is_count(self.nprobe):
+                    raise QueryError(
+                        "approx search requires an integer nprobe >= 1 "
+                        "or nprobe='auto'"
+                    )
+                object.__setattr__(self, "nprobe", int(self.nprobe))
         elif self.nprobe is not None:
             raise QueryError(
                 f"nprobe only applies to approx search "
                 f"(mode is {self.mode!r}; modes: {', '.join(SEARCH_MODES)})"
             )
         if self.mode == "graph":
-            if self.ef is not None and (
-                isinstance(self.ef, bool)
-                or not isinstance(self.ef, int)
-                or self.ef < 1
-            ):
-                raise QueryError(
-                    "graph search requires an integer ef >= 1 (or None "
-                    "for the default beam width)"
-                )
+            if self.ef is not None:
+                if not _is_count(self.ef):
+                    raise QueryError(
+                        "graph search requires an integer ef >= 1 (or None "
+                        "for the default beam width)"
+                    )
+                object.__setattr__(self, "ef", int(self.ef))
         elif self.ef is not None:
             raise QueryError(
                 f"ef only applies to graph search "
                 f"(mode is {self.mode!r}; modes: {', '.join(SEARCH_MODES)})"
             )
+
+
+def _is_count(value) -> bool:
+    """An integer >= 1, a numpy one too.  ``bool`` is an int subclass;
+    it is refused so the Python API matches the wire layer instead of
+    silently reading ``True`` as 1."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 #: The default policy: exact, the scan of every row.

@@ -16,9 +16,9 @@ serve``).
 serve-router``): one coordinator speaking the same NDJSON protocol over
 N replicas — the one way to use a second core — with content-aware
 placement from shard-summary geometry, cluster-wide tenant quotas,
-read-your-writes generation floors after routed updates, and
-backpressure folded from every replica's queue depth and measured drain
-rate.
+read-after-acknowledged-write for every session (a replica in rotation
+is at the cluster generation), and backpressure folded from every
+replica's queue depth and measured drain rate.
 """
 
 from repro.serving.frontend import (

@@ -19,13 +19,15 @@ cannot tell the difference:
   replica and its exact embedding cache.  Round-robin is the fallback
   whenever no index is on hand or a preferred replica is out of
   rotation.
-* **Read-your-writes.**  ``update``/``reload`` fan out to every healthy
-  replica under one lock; the resulting cluster generation becomes the
-  writing session's *floor*, and that session's queries are only ever
-  answered by replicas whose reported generation has caught up.  A
-  replica that missed updates (down, or freshly restarted from the
-  artifact) is replayed from the router's update log before it re-enters
-  rotation.
+* **Read-after-acknowledged-write.**  ``update``/``reload`` fan out to
+  every healthy replica under one lock, and the cluster generation
+  advances only once every one of them has applied the entry; a
+  replica that failed or refused it leaves rotation.  So a replica in
+  rotation is at the cluster generation, and every session — not only
+  the writer — reads at least the last acknowledged update.  A replica
+  that answers or pongs below the cluster generation (it restarted) is
+  marked down; it serves nothing until :meth:`Router.admit_replica` has
+  replayed the router's update log into it.
 * **One request loop.**  Admission (drain, capacity, per-tenant
   quota) and the line → request → response loop are the
   :class:`~repro.serving.gate.RequestGate` a single server runs too, so
@@ -96,9 +98,7 @@ class RouterConfig:
     #: the one place the tenant's true rate is visible.
     quota_rate: Optional[float] = None
     quota_burst: Optional[float] = None
-    #: Bound on tracked tenants, for both the quota table and the
-    #: read-your-writes floors (evicted floors raise the shared floor,
-    #: never lower it — safety over precision).
+    #: Bound on tracked tenants in the quota table.
     max_tenants: int = 10_000
     #: Seconds between background health pings (0 disables the loop;
     #: generation/queue-depth tracking then rides on responses alone).
@@ -126,7 +126,7 @@ class RouterStats(AdmissionStats):
     """Cumulative counters of one :class:`Router`."""
 
     failovers: int = 0          # queries retried after a ReplicaError
-    stale_rerouted: int = 0     # answers below the session floor, retried
+    stale_rerouted: int = 0     # answers below the cluster generation, retried
     replica_overloads: int = 0  # replica-side overload rejections seen
     replicas_admitted: int = 0
     replicas_lost: int = 0
@@ -142,8 +142,8 @@ class ReplicaHandle:
 
     Subclasses implement :meth:`request` (one protocol payload in, one
     response object out, :class:`ReplicaError` on transport failure)
-    and :meth:`close`.  The router tracks ``generation`` from every
-    response and ping, ``inflight``/``reported_queue_depth`` for
+    and :meth:`close`.  The router records ``generation`` from admission,
+    pings and update fan-outs, ``inflight``/``reported_queue_depth`` for
     backpressure, and an EWMA of seconds per completed query as the
     measured drain rate.
     """
@@ -249,8 +249,11 @@ class TcpReplica(ReplicaHandle):
     to requests by ``id`` (the protocol answers in completion order, so
     pipelined requests need the correlation).  A dropped connection
     fails every pending request with :class:`ReplicaError`; the next
-    request attempts a fresh connection, so a restarted ``serve``
-    process on the same address rejoins without new configuration.
+    request attempts a fresh connection.  A ``serve`` process restarted
+    on the same address is therefore reached again, but it answers from
+    its artifact's generation: the router marks it down on its first
+    answer or pong below the cluster generation, and the health loop's
+    admission replays the update log into it before it rejoins.
     """
 
     def __init__(self, name: str, host: str, port: int) -> None:
@@ -515,8 +518,8 @@ class Router(RequestGate):
             ops={
                 "query": self._query,
                 "batch": self._query,
-                "update": self._write,
-                "reload": self._write,
+                "update": self._apply_cluster_update,
+                "reload": self._apply_cluster_update,
             },
         )
         self.replicas: List[ReplicaHandle] = list(replicas)
@@ -525,8 +528,6 @@ class Router(RequestGate):
         self._update_lock = asyncio.Lock()
         self._update_log: List[Dict] = []
         self._generation = 0
-        self._floors: "OrderedDict[str, int]" = OrderedDict()
-        self._floor_other = 0
         self._rr = 0
         self._ids = itertools.count()
         self._health_task: Optional[asyncio.Task] = None
@@ -626,14 +627,15 @@ class Router(RequestGate):
             await asyncio.sleep(self.config.health_interval)
             for replica in list(self.replicas):
                 if not replica.healthy:
-                    # A TCP replica restarted on the same address can
-                    # rejoin by itself; transports that cannot
+                    # A replica comes back only through admission, which
+                    # replays what it missed; transports that cannot
                     # reconnect just fail the ping and stay down.
                     try:
                         await self.admit_replica(replica)
                     except ReplicaError:
                         continue
                     continue
+                floor = self._generation
                 try:
                     pong = await replica.request(
                         {"op": "ping", "id": "health"}
@@ -648,6 +650,11 @@ class Router(RequestGate):
                     replica.reported_queue_depth = int(
                         pong.get("queue_depth", 0)
                     )
+                    if replica.generation < floor:
+                        # It went backwards (a restart on the same
+                        # address): out of rotation until the next
+                        # tick's admission replays the update log.
+                        self._mark_down(replica)
 
     # ------------------------------------------------------------------
     # backpressure
@@ -676,25 +683,6 @@ class Router(RequestGate):
     # ------------------------------------------------------------------
     # placement + forwarding
     # ------------------------------------------------------------------
-    def _session_floor(self, tenant: str) -> int:
-        floor = self._floors.get(tenant)
-        if floor is None:
-            return self._floor_other
-        self._floors.move_to_end(tenant)
-        return floor
-
-    def _set_floor(self, tenant: str, generation: int) -> None:
-        self._floors[tenant] = max(
-            self._floors.get(tenant, 0), generation
-        )
-        self._floors.move_to_end(tenant)
-        if len(self._floors) > self.config.max_tenants:
-            _, evicted = self._floors.popitem(last=False)
-            # Evicted floors raise the shared floor: an unknown session
-            # may be the one that wrote, so stale answers are the error
-            # to avoid, extra freshness is merely conservative.
-            self._floor_other = max(self._floor_other, evicted)
-
     def _place(
         self, request: Dict, eligible: List[ReplicaHandle]
     ) -> ReplicaHandle:
@@ -723,18 +711,16 @@ class Router(RequestGate):
         self.stats.placed_round_robin += 1
         return eligible[self._rr % len(eligible)]
 
-    async def _forward_query(
-        self, request: Dict, tenant: str, cost: int
-    ) -> Dict:
-        floor = self._session_floor(tenant)
+    async def _forward_query(self, request: Dict, cost: int) -> Dict:
+        # Every update acknowledged before this query started is on
+        # every replica in rotation; an answer below it is stale.
+        floor = self._generation
         tried: set = set()
         last_overload: Optional[Dict] = None
         while True:
             eligible = [
-                r
-                for r in self.replicas
-                if r.healthy and r.generation >= floor
-                and r.name not in tried
+                r for r in self.replicas
+                if r.healthy and r.name not in tried
             ]
             if not eligible:
                 if last_overload is not None:
@@ -753,15 +739,10 @@ class Router(RequestGate):
                         ),
                         retry_after=folded,
                     )
-                healthy = [r for r in self.replicas if r.healthy]
-                message = (
-                    "no healthy replica has caught up to generation "
-                    f"{floor}"
-                    if healthy
-                    else "no healthy replica available"
-                )
                 raise AdmissionError(
-                    "overloaded", message, retry_after=self._retry_after(cost)
+                    "overloaded",
+                    "no healthy replica available",
+                    retry_after=self._retry_after(cost),
                 )
             replica = self._place(request, eligible)
             payload = dict(request)
@@ -779,18 +760,14 @@ class Router(RequestGate):
                 replica.inflight -= cost
             if response.get("ok"):
                 generation = response.get("generation")
-                if isinstance(generation, int):
-                    replica.generation = max(
-                        replica.generation, generation
-                    )
-                    if generation < floor:
-                        # Defensive: the replica answered from an older
-                        # snapshot than the eligibility check believed
-                        # (e.g. raced a concurrent update).  The stale
-                        # answer must never reach the writing session.
-                        tried.add(replica.name)
-                        self.stats.stale_rerouted += cost
-                        continue
+                if isinstance(generation, int) and generation < floor:
+                    # The replica went backwards (it restarted from its
+                    # artifact): the stale answer reaches no client, and
+                    # the replica serves nothing until it is replayed.
+                    self._mark_down(replica)
+                    tried.add(replica.name)
+                    self.stats.stale_rerouted += cost
+                    continue
                 replica.note_completion(self.config.clock(), cost)
             elif response.get("error") in ("overloaded", "shutting_down"):
                 # This replica cannot take the query right now; others
@@ -819,7 +796,9 @@ class Router(RequestGate):
         replica that *rejects* the entry while others accept it has
         diverged and is dropped from rotation too.  Only when at least
         one replica accepted does the entry enter the update log and
-        advance the cluster generation.
+        advance the cluster generation — after every replica left in
+        rotation has applied it, which is what lets a query read the
+        cluster generation as its floor.
         """
         async with self._update_lock:
             entry = {"op": request["op"]}
@@ -909,20 +888,11 @@ class Router(RequestGate):
         self._admit(tenant, cost)
         ok = False
         try:
-            response = await self._forward_query(request, tenant, cost)
+            response = await self._forward_query(request, cost)
             ok = response["ok"]
             return response
         finally:
             self._release(cost, ok)
-
-    async def _write(self, request: Dict) -> Dict:
-        """``update`` / ``reload``: fanned out to every healthy replica."""
-        response = await self._apply_cluster_update(request)
-        if response.get("ok"):
-            # Read-your-writes: this session's queries must see the new
-            # generation from here on.
-            self._set_floor(request.get("tenant") or "", self._generation)
-        return response
 
     def stats_payload(self) -> Dict:
         return {

@@ -403,6 +403,53 @@ class TestManifestFaults:
         with pytest.raises(ArtifactCorruptError):
             load_index(path, mmap=mmap)
 
+    @BOTH_LOADS
+    @pytest.mark.parametrize(
+        "tamper", ["false-lattice-ancestor", "relabelled-feature-graph"]
+    )
+    def test_well_formed_but_corrupted_manifest_is_refused(
+        self, mutated, small_chemical_queries, tamper, mmap
+    ):
+        """Page checksums cover the payload and the graph section has
+        its own; the rest of the manifest is covered by its
+        ``artifact_id``, which every load recomputes.  A lattice that
+        names a false ancestor, or a feature graph with one label
+        changed, is structurally valid and used to load and answer
+        differently.  It is refused at load, or, under ``mmap=True``,
+        at the first read of φ — the load itself stays O(manifest)."""
+        path, mapping = mutated
+        save_index(mapping, path, compact=True)  # no replay touches φ
+        manifest = json.loads(path.read_text())
+        if tamper == "false-lattice-ancestor":
+            lattice = manifest["lattice"]
+            first = lattice["order"][0]
+            for position, ancestors in enumerate(lattice["ancestors"]):
+                if position != first and first not in ancestors:
+                    ancestors.append(first)
+        else:
+            lines = manifest["feature_graphs"].split("\n")
+            vertices = [i for i, line in enumerate(lines)
+                        if line.startswith("v ")]
+            head, _, label = lines[vertices[0]].rpartition(" ")
+            other = next(
+                lines[i].rpartition(" ")[2] for i in vertices
+                if lines[i].rpartition(" ")[2] != label
+            )
+            lines[vertices[0]] = f"{head} {other}"
+            manifest["feature_graphs"] = "\n".join(lines)
+        path.write_text(json.dumps(manifest))
+        if mmap:
+            lazy = load_index(path, mmap=True)  # nothing read yet
+            with pytest.raises(ChecksumError, match="artifact_id"):
+                lazy.query_service()
+        else:
+            with pytest.raises(ChecksumError, match="artifact_id"):
+                load_index(path)
+        # Like a same-size payload flip, this is invisible to the append
+        # path's O(1) checks; a full save repairs it.
+        save_index(mapping, path, compact=True)
+        _assert_repaired(path, mapping, small_chemical_queries)
+
     @pytest.mark.parametrize("text", ["[]", "{not json"])
     def test_manifest_that_is_not_a_json_object(self, mutated, text):
         path, _mapping = mutated

@@ -141,6 +141,23 @@ class TestSearchPolicy:
         policy = SearchPolicy(mode="approx", nprobe="auto")
         assert policy.nprobe == "auto"
 
+    def test_numpy_integers_accepted_and_stored_as_int(self, random_setup):
+        """A count is any integer, not only a Python ``int``, as in
+        ``FrontendConfig``; it is stored as ``int``, so the trace's
+        ``nprobe`` reaches a response as a JSON number."""
+        approx = SearchPolicy(mode="approx", nprobe=np.int64(2))
+        graph = SearchPolicy(mode="graph", ef=np.int64(40))
+        assert type(approx.nprobe) is int and type(graph.ef) is int
+        assert approx == SearchPolicy(mode="approx", nprobe=2)
+        assert graph == SearchPolicy(mode="graph", ef=40)
+        queries, mapping = random_setup
+        with mapping.query_service(n_shards=4) as service:
+            _result, _gen, trace = service.batch_query_traced(
+                queries[:2], 5, approx
+            )
+        (section,) = json.loads(json.dumps(trace.payloads([2])))
+        assert section["nprobe"] == 2
+
     def test_prune_is_not_a_field(self):
         """Exact is the scan and approx always reads its bounds: there
         is no pruning switch left to pass."""

@@ -2,9 +2,10 @@
 
 The router's contract extends the frontend's: everything admitted is
 answered bit-identically to the engine *regardless of which replica
-answers or dies*, a session that wrote never reads an older generation,
-and quotas bound a tenant's rate across the whole cluster, not per
-replica.
+answers or dies*, no session reads below the cluster generation its
+query started at — a restarted replica serves nothing until it is
+replayed — and quotas bound a tenant's rate across the whole cluster,
+not per replica.
 """
 
 import asyncio
@@ -62,6 +63,25 @@ async def _started(replicas):
     for replica in replicas:
         await replica.frontend.start()
     return replicas
+
+
+async def _tcp_frontend(artifact, port=0):
+    """A ``serve``-like replica process: a frontend over its own copy of
+    the artifact, listening on *port* (``0`` binds an ephemeral one)."""
+    frontend = AsyncFrontend(
+        QueryService(load_index(artifact).query_engine(), n_shards=2),
+        FrontendConfig(),
+    )
+    await frontend.start()
+    server = await protocol.serve_tcp(frontend, "127.0.0.1", port)
+    return frontend, server
+
+
+async def _stop_tcp_frontend(frontend, server):
+    server.close()
+    frontend.begin_drain()
+    await server.wait_closed()
+    await frontend.aclose()
 
 
 def _wire_query(q, k, request_id=0, tenant=None):
@@ -201,7 +221,12 @@ class TestFailover:
 
 class TestReadYourWrites:
     @pytest.mark.asyncio
-    async def test_update_fans_out_and_floors_the_writer(self, materials):
+    async def test_update_fans_out_and_every_session_reads_it(
+        self, materials
+    ):
+        """Once an update is acknowledged, every replica in rotation has
+        applied it: the writer and a tenant that never wrote both read
+        its generation."""
         queries, _mapping, path = materials
         replicas = await _started(
             [_replica(f"r{i}", path) for i in range(2)]
@@ -225,18 +250,23 @@ class TestReadYourWrites:
             assert response["ok"]
             assert response["generation"] == 1
             assert response["replicas_updated"] == 2
-            assert router._session_floor("writer") == 1
-            for q in queries:
-                answer = await router.handle_request(
-                    _wire_query(q, 4, tenant="writer")
-                )
-                truth = shadow_engine.query(q, 4)
-                assert answer["ok"] and answer["generation"] == 1
-                assert answer["ranking"] == truth.ranking
-                assert answer["scores"] == truth.scores
+            for tenant in ("writer", "reader"):
+                for q in queries:
+                    answer = await router.handle_request(
+                        _wire_query(q, 4, tenant=tenant)
+                    )
+                    truth = shadow_engine.query(q, 4)
+                    assert answer["ok"] and answer["generation"] == 1
+                    assert answer["ranking"] == truth.ranking
+                    assert answer["scores"] == truth.scores
 
     @pytest.mark.asyncio
-    async def test_writer_never_routed_to_lagging_replica(self, materials):
+    async def test_unnoticed_restart_is_never_read(self, materials):
+        """r0 restarts from the artifact (generation 0) behind the
+        router's back: its in-process frontend is swapped for a fresh
+        one, and nothing admits it again.  Its first answer is below the
+        cluster generation, so it is marked down and the query retried
+        on r1; no session — writer or reader — reads generation 0."""
         queries, _mapping, path = materials
         replicas = await _started(
             [_replica(f"r{i}", path) for i in range(2)]
@@ -247,18 +277,21 @@ class TestReadYourWrites:
             await router.handle_request(
                 {"op": "update", "id": 1, "remove": [0], "tenant": "writer"}
             )
-            # Simulate a lagging view of r0 (e.g. stale ping state): the
-            # floor must exclude it from the writer's eligible set.
-            replicas[0].generation = 0
-            for q in queries:
-                answer = await router.handle_request(
-                    _wire_query(q, 3, tenant="writer")
-                )
-                assert answer["ok"]
-                assert answer["replica"] == "r1"
-                assert answer["generation"] == 1
-            # A fresh session has no floor: r0 is still fair game.
-            assert router._session_floor("reader") == 0
+            (restarted,) = await _started([_replica("r0", path)])
+            crashed, replicas[0].frontend = (
+                replicas[0].frontend, restarted.frontend
+            )
+            await crashed.aclose()
+            for tenant in ("writer", "reader"):
+                for q in queries:
+                    answer = await router.handle_request(
+                        _wire_query(q, 3, tenant=tenant)
+                    )
+                    assert answer["ok"]
+                    assert answer["replica"] == "r1"
+                    assert answer["generation"] == 1
+            assert not replicas[0].healthy
+            assert router.stats.stale_rerouted >= 1
 
     @pytest.mark.asyncio
     @pytest.mark.parametrize(
@@ -293,7 +326,6 @@ class TestReadYourWrites:
             assert not refused["ok"] and refused["error"] == "bad_request"
             assert refused["id"] == 2
             assert router.generation == 0 and router._update_log == []
-            assert router._session_floor("w") == 0
             assert router.stats.bad_requests == 1 - seen
             for replica in replicas:
                 assert replica.healthy
@@ -344,22 +376,6 @@ class TestReadYourWrites:
             )
             assert answer["ok"] and answer["generation"] == 1
             await replicas[1].close()  # the dead handle is ours to reap
-
-    @pytest.mark.asyncio
-    async def test_evicted_floor_raises_the_shared_floor(self, materials):
-        queries, _mapping, path = materials
-        replicas = await _started([_replica("r0", path)])
-        async with Router(
-            replicas, RouterConfig(health_interval=0, max_tenants=1)
-        ) as router:
-            await router.handle_request(
-                {"op": "update", "id": 1, "remove": [0], "tenant": "writer"}
-            )
-            router._set_floor("someone-else", 0)  # evicts "writer"
-            # Safety over precision: the unknown session may be the
-            # writer, so everyone inherits the evicted floor.
-            assert router._session_floor("writer") == 1
-            assert router._session_floor("anyone") == 1
 
 
 class TestClusterQuota:
@@ -662,12 +678,7 @@ class TestTcpReplicaTransport:
     async def test_tcp_replica_round_trip_and_death(self, materials):
         queries, mapping, path = materials
         oracle = mapping.query_engine()
-        service = QueryService(
-            load_index(path).query_engine(), n_shards=2
-        )
-        frontend = AsyncFrontend(service, FrontendConfig())
-        await frontend.start()
-        server = await protocol.serve_tcp(frontend, "127.0.0.1", 0)
+        frontend, server = await _tcp_frontend(path)
         port = server.sockets[0].getsockname()[1]
         replica = TcpReplica("tcp0", "127.0.0.1", port)
         try:
@@ -697,3 +708,77 @@ class TestTcpReplicaTransport:
         finally:
             await replica.close()
             await frontend.aclose()
+
+    @pytest.mark.asyncio
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize(
+        "health_interval", [0.1, 0], ids=["health-loop", "no-health-loop"]
+    )
+    async def test_serve_restarted_on_its_address_is_replayed_first(
+        self, materials, health_interval
+    ):
+        """A ``serve`` restarted from its artifact on the same address is
+        at generation 0, and :class:`TcpReplica` reconnects to it by
+        itself.  That used to put it back in rotation without the
+        update-log replay: readers were answered from generation 0, the
+        removed rows back in the database, and the writer was refused
+        for good.  The health loop now finds it behind and re-admits it
+        through the replay; with the loop off, its first answer below
+        the cluster generation takes it out of rotation, and no client
+        reads it until it is admitted again."""
+        queries, _mapping, path = materials
+        shadow = load_index(path)
+        shadow.remove_graphs([0, 1])
+        oracle = shadow.query_engine()
+        frontend, server = await _tcp_frontend(path)
+        port = server.sockets[0].getsockname()[1]
+        replica = TcpReplica("tcp0", "127.0.0.1", port)
+        router = await Router(
+            [replica], RouterConfig(health_interval=health_interval)
+        ).start()
+        try:
+            applied = await router.handle_request(
+                {"op": "update", "id": 1, "remove": [0, 1],
+                 "tenant": "writer"}
+            )
+            assert applied["ok"] and router.generation == 1
+            # The restart: a new process image, the same port, and no
+            # request of the router's in flight to notice it.
+            server.close()
+            restarted = await _tcp_frontend(path, port)
+            frontend.begin_drain()
+            await frontend.aclose()
+            frontend, server = restarted
+            if health_interval:
+                for _ in range(400):
+                    if replica.healthy and router.stats.replayed_entries:
+                        break
+                    await asyncio.sleep(0.01)
+            else:
+                for _ in range(1000):  # until the old peer's close lands
+                    if replica._writer is None:
+                        break
+                    await asyncio.sleep(0.005)
+                for tenant in ("reader", "writer"):
+                    refused = await router.handle_request(
+                        _wire_query(queries[0], 3, tenant=tenant)
+                    )
+                    assert not refused["ok"]
+                    assert refused["error"] == "overloaded"
+                assert not replica.healthy
+                assert router.stats.stale_rerouted == 1
+                await router.admit_replica(replica)
+            assert router.stats.replayed_entries == 1
+            assert replica.healthy and replica.generation == 1
+            for tenant in ("reader", "writer"):
+                for q in queries:
+                    answer = await router.handle_request(
+                        _wire_query(q, 3, tenant=tenant)
+                    )
+                    truth = oracle.query(q, 3)
+                    assert answer["ok"] and answer["generation"] == 1
+                    assert answer["ranking"] == truth.ranking
+                    assert answer["scores"] == truth.scores
+        finally:
+            await router.aclose()
+            await _stop_tcp_frontend(frontend, server)
