@@ -53,7 +53,6 @@ top-k member clear, ties included.  The metamorphic property suite
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,6 +60,7 @@ import numpy as np
 
 from repro import kernels
 from repro.utils.errors import QueryError
+from repro.utils.validation import is_count
 
 __all__ = [
     "PRUNE_SLACK_ABS",
@@ -131,7 +131,7 @@ class SearchPolicy:
             )
         if self.mode == "approx":
             if self.nprobe != "auto":
-                if not _is_count(self.nprobe):
+                if not is_count(self.nprobe):
                     raise QueryError(
                         "approx search requires an integer nprobe >= 1 "
                         "or nprobe='auto'"
@@ -144,7 +144,7 @@ class SearchPolicy:
             )
         if self.mode == "graph":
             if self.ef is not None:
-                if not _is_count(self.ef):
+                if not is_count(self.ef):
                     raise QueryError(
                         "graph search requires an integer ef >= 1 (or None "
                         "for the default beam width)"
@@ -155,17 +155,6 @@ class SearchPolicy:
                 f"ef only applies to graph search "
                 f"(mode is {self.mode!r}; modes: {', '.join(SEARCH_MODES)})"
             )
-
-
-def _is_count(value) -> bool:
-    """An integer >= 1, a numpy one too.  ``bool`` is an int subclass;
-    it is refused so the Python API matches the wire layer instead of
-    silently reading ``True`` as 1."""
-    return (
-        isinstance(value, numbers.Integral)
-        and not isinstance(value, bool)
-        and value >= 1
-    )
 
 
 #: The default policy: exact, the scan of every row.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import numbers
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
@@ -25,6 +24,7 @@ from repro.utils.errors import (
     ProtocolError,
     QueryError,
 )
+from repro.utils.validation import is_count
 
 __all__ = [
     "AdmissionStats",
@@ -41,16 +41,11 @@ Handler = Callable[[Dict], Awaitable[Dict]]
 
 def check_count(name: str, value) -> None:
     """A count in a config (queue slots, batch size, tenants, queries in
-    flight) is an integer >= 1 (a numpy integer too), and not a ``bool``.
-
-    A NaN passes a plain ``< 1`` test and then switches off the bound it
-    was meant to set: ``inflight + cost > nan`` is never true.
+    flight) is an :func:`~repro.utils.validation.is_count`: a NaN
+    ``max_inflight`` would switch the bound off, since
+    ``inflight + cost > nan`` is never true.
     """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < 1
-    ):
+    if not is_count(value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 

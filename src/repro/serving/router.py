@@ -100,8 +100,10 @@ class RouterConfig:
     quota_burst: Optional[float] = None
     #: Bound on tracked tenants in the quota table.
     max_tenants: int = 10_000
-    #: Seconds between background health pings (0 disables the loop;
-    #: generation/queue-depth tracking then rides on responses alone).
+    #: Seconds between background health pings (0 disables the loop: a
+    #: replica found behind stays down until :meth:`Router.admit_replica`
+    #: is called, and ``generation`` is recorded only by admission and
+    #: update fan-outs).
     health_interval: float = 1.0
     #: How long :meth:`Router.aclose` waits for in-flight queries.
     drain_timeout: float = 30.0
@@ -528,6 +530,10 @@ class Router(RequestGate):
         self._update_lock = asyncio.Lock()
         self._update_log: List[Dict] = []
         self._generation = 0
+        # Handles that applied an entry on a database the log does not
+        # describe: their generation names no build of the log, so no
+        # replay can mend them and admission refuses them for good.
+        self._diverged: set = set()
         self._rr = 0
         self._ids = itertools.count()
         self._health_task: Optional[asyncio.Task] = None
@@ -580,8 +586,10 @@ class Router(RequestGate):
         at the artifact's generation and is brought to the cluster's),
         and only then marks it healthy.  Runs under the update lock, so
         a concurrent ``update`` can never slip between replay and
-        rotation.  *replace* swaps the handle in at a dead replica's
-        slot, keeping content placement stable.
+        rotation.  A replica that diverged from the log, or is ahead of
+        it, is refused; restart it and admit a fresh handle.  *replace*
+        swaps the handle in at a dead replica's slot, keeping content
+        placement stable.
         """
         async with self._update_lock:
             pong = await handle.request({"op": "ping", "id": "admit"})
@@ -591,18 +599,27 @@ class Router(RequestGate):
                     f"{pong.get('message', pong)}"
                 )
             handle.generation = int(pong.get("generation", 0))
+            ahead = handle.generation > self._generation
+            if ahead or handle in self._diverged:
+                raise ReplicaError(
+                    f"replica {handle.name!r} holds a database the update "
+                    f"log does not describe"
+                )
             while handle.generation < self._generation:
                 entry = self._update_log[handle.generation]
                 response = await handle.request(
                     dict(entry, id=f"replay-{handle.generation}")
                 )
-                if not response.get("ok"):
+                if response.get("generation") != handle.generation + 1:
+                    if response.get("ok"):
+                        # Applied on another database (it restarted).
+                        self._diverged.add(handle)
                     raise ReplicaError(
-                        f"replica {handle.name!r} rejected replayed "
+                        f"replica {handle.name!r} did not apply replayed "
                         f"update {handle.generation}: "
                         f"{response.get('message', response)}"
                     )
-                handle.generation = int(response["generation"])
+                handle.generation += 1
                 self.stats.replayed_entries += 1
             handle.healthy = True
             if replace is not None:
@@ -793,9 +810,11 @@ class Router(RequestGate):
         All replicas apply the same entry under the update lock, so
         their generations advance in lockstep.  A replica that dies
         mid-fan-out is marked down (it will be replayed on rejoin); a
-        replica that *rejects* the entry while others accept it has
-        diverged and is dropped from rotation too.  Only when at least
-        one replica accepted does the entry enter the update log and
+        replica that *rejects* the entry while others accept it is
+        dropped from rotation too, and one that answers another
+        generation (it restarted unnoticed and applied the entry on an
+        old database) is dropped and never admitted again.  Only when
+        at least one replica accepted does the entry enter the log and
         advance the cluster generation — after every replica left in
         rotation has applied it, which is what lets a query read the
         cluster generation as its floor.
@@ -823,20 +842,22 @@ class Router(RequestGate):
                 return_exceptions=True,
             )
             accepted: List[ReplicaHandle] = []
+            refused: List[ReplicaHandle] = []
             first_rejection: Optional[Dict] = None
             for replica, result in zip(targets, results):
                 if isinstance(result, ReplicaError):
                     self._mark_down(replica)
-                    continue
-                if isinstance(result, BaseException):
+                elif isinstance(result, BaseException):
                     raise result
-                if result.get("ok"):
-                    replica.generation = int(
-                        result.get("generation", new_generation)
-                    )
+                elif not result.get("ok"):
+                    refused.append(replica)
+                    first_rejection = first_rejection or result
+                elif result.get("generation") == new_generation:
+                    replica.generation = new_generation
                     accepted.append(replica)
                 else:
-                    first_rejection = first_rejection or result
+                    self._mark_down(replica)
+                    self._diverged.add(replica)
             if not accepted:
                 if first_rejection is not None:
                     # Unanimous rejection (e.g. a malformed graph):
@@ -846,20 +867,15 @@ class Router(RequestGate):
                     return first_rejection
                 raise AdmissionError(
                     "overloaded",
-                    "every replica died applying the update",
+                    f"no replica applied the update as generation "
+                    f"{new_generation}",
                     retry_after=self._retry_after(1),
                 )
-            if first_rejection is not None:
-                # Divergence: some replicas applied the entry, some
-                # rejected it.  The rejectors' state no longer matches
-                # the log — drop them; a rejoin replay will surface the
-                # inconsistency explicitly instead of serving it.
-                for replica, result in zip(targets, results):
-                    if (
-                        not isinstance(result, BaseException)
-                        and not result.get("ok")
-                    ):
-                        self._mark_down(replica)
+            for replica in refused:
+                # Some replicas applied the entry, these rejected it:
+                # their state no longer matches the log.  A rejoin
+                # replay surfaces the inconsistency instead of serving it.
+                self._mark_down(replica)
             self._generation = new_generation
             self._update_log.append(entry)
             if request["op"] == "reload":

@@ -294,6 +294,78 @@ class TestReadYourWrites:
             assert router.stats.stale_rerouted >= 1
 
     @pytest.mark.asyncio
+    async def test_update_on_an_unnoticed_restart_is_never_readmitted(
+        self, materials
+    ):
+        """r0 restarts from the artifact behind the router's back and
+        the next update reaches it before any query or ping does: it
+        applies ``remove [5]`` on generation 0 and answers generation 1,
+        a database no build of the log's generation 2 matches.  It is
+        not counted as updated and is refused by admission for good (a
+        replay from its own count would put it back as "generation 2");
+        a fresh handle for the slot is replayed from scratch."""
+        queries, _mapping, path = materials
+        replicas = await _started(
+            [_replica(f"r{i}", path) for i in range(2)]
+        )
+        shadow = load_index(path)
+        shadow.remove_graphs([0])
+        shadow.remove_graphs([5])
+        shadow_engine = shadow.query_engine()
+        async with Router(
+            replicas, RouterConfig(health_interval=0)
+        ) as router:
+            await router.handle_request({"op": "update", "id": 1, "remove": [0]})
+            (restarted,) = await _started([_replica("r0", path)])
+            crashed, replicas[0].frontend = (
+                replicas[0].frontend, restarted.frontend
+            )
+            await crashed.aclose()
+            response = await router.handle_request(
+                {"op": "update", "id": 2, "remove": [5]}
+            )
+            assert response["ok"] and response["generation"] == 2
+            assert response["replicas_updated"] == 1
+            assert replicas[0].frontend.service.generation == 1
+            assert not replicas[0].healthy
+            with pytest.raises(ReplicaError, match="does not describe"):
+                await router.admit_replica(replicas[0])
+            assert not replicas[0].healthy
+            assert router.stats.replayed_entries == 0
+            (fresh,) = await _started([_replica("r0b", path)])
+            await router.admit_replica(fresh, replace="r0")
+            assert router.stats.replayed_entries == 2
+            router._mark_down(replicas[1])
+            for q in queries:
+                answer = await router.handle_request(_wire_query(q, 4))
+                truth = shadow_engine.query(q, 4)
+                assert answer["replica"] == "r0b"
+                assert answer["ok"] and answer["generation"] == 2
+                assert answer["ranking"] == truth.ranking
+            await replicas[0].close()  # the fenced handle is ours to reap
+
+    @pytest.mark.asyncio
+    async def test_replica_ahead_of_the_log_is_refused(self, materials):
+        """An update sent to a replica directly, not through the router,
+        puts it at a generation the log never had: admission refuses it
+        rather than serve a database no acknowledged update describes."""
+        _queries, _mapping, path = materials
+        replicas = await _started(
+            [_replica(f"r{i}", path) for i in range(2)]
+        )
+        async with Router(
+            replicas, RouterConfig(health_interval=0)
+        ) as router:
+            direct = await replicas[0].frontend.handle_request(
+                {"op": "update", "id": 1, "remove": [0]}
+            )
+            assert direct["ok"] and direct["generation"] == 1
+            router._mark_down(replicas[0])
+            with pytest.raises(ReplicaError, match="does not describe"):
+                await router.admit_replica(replicas[0])
+            assert not replicas[0].healthy and router.generation == 0
+
+    @pytest.mark.asyncio
     @pytest.mark.parametrize(
         "fields, seen",
         [({}, 0), ({"add": []}, 0), ({"remove": []}, 0),
