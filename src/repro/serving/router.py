@@ -21,13 +21,15 @@ cannot tell the difference:
   rotation.
 * **Read-after-acknowledged-write.**  ``update``/``reload`` fan out to
   every healthy replica under one lock, and the cluster generation
-  advances only once every one of them has applied the entry; a
-  replica that failed or refused it leaves rotation.  So a replica in
+  advances only once every one of them has applied the entry as that
+  generation; a replica that failed, refused it or named another
+  generation leaves rotation.  So a replica in
   rotation is at the cluster generation, and every session — not only
   the writer — reads at least the last acknowledged update.  A replica
   that answers or pongs below the cluster generation (it restarted) is
   marked down; it serves nothing until :meth:`Router.admit_replica` has
-  replayed the router's update log into it.
+  replayed the router's update log into it.  One that applied an entry
+  on an old database cannot be replayed and is never admitted again.
 * **One request loop.**  Admission (drain, capacity, per-tenant
   quota) and the line → request → response loop are the
   :class:`~repro.serving.gate.RequestGate` a single server runs too, so

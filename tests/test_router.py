@@ -345,6 +345,40 @@ class TestReadYourWrites:
             await replicas[0].close()  # the fenced handle is ours to reap
 
     @pytest.mark.asyncio
+    async def test_restart_mid_replay_is_never_admitted(self, materials):
+        """The replica restarts after applying the first replayed entry:
+        it applies the second on generation 0 and answers generation 1.
+        Admission stops there and refuses the handle from then on,
+        instead of replaying entry 1 again on the wrong database."""
+        _queries, _mapping, path = materials
+
+        class RestartsMidReplay(InprocReplica):
+            async def request(self, payload):
+                if payload["id"] == "replay-1":
+                    self.old, self.frontend = self.frontend, self.fresh
+                return await super().request(payload)
+
+        (r0,) = await _started([_replica("r0", path)])
+        async with Router([r0], RouterConfig(health_interval=0)) as router:
+            for i, rows in enumerate(([0], [5]), 1):
+                await router.handle_request(
+                    {"op": "update", "id": i, "remove": rows}
+                )
+            (late,) = await _started([_replica("late", path)])
+            (fresh,) = await _started([_replica("late", path)])
+            late = RestartsMidReplay("late", late.frontend)
+            late.fresh = fresh.frontend
+            with pytest.raises(ReplicaError, match="did not apply"):
+                await router.admit_replica(late)
+            assert late.frontend.service.generation == 1
+            assert router.stats.replayed_entries == 1
+            with pytest.raises(ReplicaError, match="does not describe"):
+                await router.admit_replica(late)
+            assert not late.healthy and late not in router.replicas
+            await late.old.aclose()
+            await late.close()
+
+    @pytest.mark.asyncio
     async def test_replica_ahead_of_the_log_is_refused(self, materials):
         """An update sent to a replica directly, not through the router,
         puts it at a generation the log never had: admission refuses it
