@@ -171,11 +171,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serving.frontend import AsyncFrontend, FrontendConfig
-    from repro.serving.service import QueryService
+    from repro.serving.service import QueryService, check_sizes
     from repro.utils.errors import GraphDimensionError
 
     try:
+        # Every argument is checked before the index is loaded or built.
         listen = _listen_address(args)
+        config = FrontendConfig(
+            max_queue=args.queue,
+            batch_size=args.batch_size,
+            batch_window=args.batch_window,
+            quota_rate=args.quota_rate,
+            quota_burst=args.quota_burst,
+            maintenance_interval=args.maintenance_interval,
+        )
+        check_sizes(args.shards, args.cache_size)
         if args.index:
             from repro.index import load_index
 
@@ -188,11 +198,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             print(f"built demo index: {mapping.space.n} graphs, "
                   f"{mapping.dimensionality} dimensions", file=sys.stderr)
-        reselector = None
         if args.reselect:
             from repro.core.reselect import Reselector
 
-            reselector = Reselector().attach(
+            config.reselector = Reselector().attach(
                 mapping, max_drift=args.max_drift
             )
         else:
@@ -201,15 +210,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             mapping.staleness_policy = StalenessPolicy(
                 max_drift=args.max_drift
             )
-        config = FrontendConfig(
-            max_queue=args.queue,
-            batch_size=args.batch_size,
-            batch_window=args.batch_window,
-            quota_rate=args.quota_rate,
-            quota_burst=args.quota_burst,
-            maintenance_interval=args.maintenance_interval,
-            reselector=reselector,
-        )
         service = QueryService(
             mapping.query_engine(),
             n_shards=args.shards,
@@ -241,6 +241,7 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
         TcpReplica,
         spawn_replica,
     )
+    from repro.serving.service import check_sizes
     from repro.utils.errors import GraphDimensionError, ReplicaError
 
     try:
@@ -258,6 +259,7 @@ def _cmd_serve_router(args: argparse.Namespace) -> int:
             max_tenants=args.max_tenants,
             health_interval=args.health_interval,
         )
+        check_sizes(args.shards)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,9 @@ reduce MCES to maximum clique on the edge product graph
 (:mod:`repro.isomorphism.product_graph`) and solve the clique problem with
 a Tomita-style branch and bound:
 
+* the product is built with array ops and arrives numbered by degree,
+  highest first (Tomita's MCQ initial order), which is the order the
+  greedy colouring visits candidates in,
 * candidate sets are Python-integer bitsets (cheap AND/population count),
 * a greedy coloring of the candidate set provides the pruning bound,
 * search stops early once the clique reaches ``min(|E1|, |E2|)``, the
@@ -63,7 +66,6 @@ def _greedy_color_order(candidates: int, adj: List[int]) -> Tuple[List[int], Lis
             order.append(v)
             bounds.append(color)
             available &= ~adj[v]
-            available &= available - 0  # no-op for clarity
             available &= ~(1 << v)
             remaining &= ~(1 << v)
     return order, bounds

@@ -93,6 +93,7 @@ from repro.query.pruning import (
 )
 from repro.query.topk import BlockTopK, TopKResult, _check_k, rank_counts
 from repro.utils.errors import QueryError
+from repro.utils.validation import is_count
 
 
 @dataclass
@@ -208,6 +209,18 @@ class ServiceStats:
     whole_scans: int = 0
 
 
+def check_sizes(n_shards: int, cache_size: int = 0) -> None:
+    """The shard count and cache size a :class:`QueryService` accepts.
+
+    The serving verbs check them before they load or build an index, so
+    a bad size is refused at once instead of after the build.
+    """
+    if not is_count(n_shards):
+        raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
+    if cache_size < 0:
+        raise ValueError("cache_size must be >= 0 (0 disables the cache)")
+
+
 class QueryService:
     """Sharded top-k serving, bit-identical to the single-shard engine.
 
@@ -246,8 +259,7 @@ class QueryService:
                 "n_workers must be 0 or 1: a batch runs inline, and a "
                 "second core is a second replica (serve-router --spawn)"
             )
-        if cache_size < 0:
-            raise ValueError("cache_size must be >= 0 (0 disables the cache)")
+        check_sizes(n_shards, cache_size)
         self._cache: Optional[OrderedDict] = (
             OrderedDict() if cache_size > 0 else None
         )
@@ -274,8 +286,6 @@ class QueryService:
         n = self.mapping.space.n
 
         if shards is None:
-            if n_shards < 1:
-                raise ValueError("n_shards must be >= 1")
             assignment = np.array_split(np.arange(n), min(n_shards, n))
         else:
             assignment = [np.asarray(s, dtype=np.int64) for s in shards]

@@ -71,27 +71,32 @@ class DissimilarityCache:
     both the exact top-k engine and the DSPM objective need repeated
     lookups of the same pairs, so one shared cache pays off immediately.
 
-    Keys are ``id()``-based: the cache assumes the graphs it sees are the
-    long-lived database/query objects (true everywhere in this package).
+    Keys are ``id()``-based, and each entry holds its two graphs.  A
+    graph's ``id`` is reused once the graph is freed, so an entry that
+    did not keep its graphs alive could answer for a graph built later
+    at the same address (a re-selection drops a removed row's graph
+    but keeps its cache).
     """
 
     def __init__(self, name: DissimilarityName = "delta2") -> None:
         if name not in _DISSIMILARITIES:
             raise ValueError(f"unknown dissimilarity {name!r}")
         self.name = name
-        self._mcs_cache: Dict[Tuple[int, int], int] = {}
+        self._mcs_cache: Dict[
+            Tuple[int, int], Tuple[LabeledGraph, LabeledGraph, int]
+        ] = {}
         self.hits = 0
         self.misses = 0
 
     def mcs_edges(self, a: LabeledGraph, b: LabeledGraph) -> int:
         key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
-        cached = self._mcs_cache.get(key)
-        if cached is not None:
+        entry = self._mcs_cache.get(key)
+        if entry is not None:
             self.hits += 1
-            return cached
+            return entry[2]
         self.misses += 1
         value = mcs_edge_count(a, b)
-        self._mcs_cache[key] = value
+        self._mcs_cache[key] = (a, b, value)
         return value
 
     def __call__(self, a: LabeledGraph, b: LabeledGraph) -> float:

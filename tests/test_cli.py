@@ -360,11 +360,12 @@ class TestServeRouterVerb:
              "--replicas expects HOST:PORT, got '127.0.0.1:x'"),
             (["--spawn", "1", "--health-interval", "nan"],
              "health_interval must be a finite number"),
+            (["--spawn", "1", "--shards", "0"], "n_shards must be >= 1"),
         ],
         ids=[
             "no-stdio-without-tcp", "replicas-and-spawn",
             "neither-replicas-nor-spawn", "malformed-tcp",
-            "malformed-replicas", "nan-health-interval",
+            "malformed-replicas", "nan-health-interval", "zero-shards",
         ],
     )
     def test_argument_errors_exit_2(self, argv, message, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import LabeledGraph, random_connected_graph
+from repro.isomorphism import mcs_edge_count
 from repro.similarity import (
     DissimilarityCache,
     cross_dissimilarity_matrix,
@@ -64,6 +65,21 @@ class TestCache:
         cache = DissimilarityCache("delta2")
         a, b = small_chemical_db[0], small_chemical_db[1]
         assert cache(a, b) == pytest.approx(delta2(a, b))
+
+    def test_a_freed_graphs_id_never_answers_for_a_new_graph(self):
+        """A graph freed after its pair was cached leaves its ``id`` free
+        for the next graph built, which CPython hands out at once.  The
+        entry keeps its graphs alive, so the new graph's pair is its
+        own: a path of two ``x`` edges shares 2 edges with *b*, a lone
+        ``z``-``z`` edge none."""
+        cache = DissimilarityCache()
+        b = LabeledGraph(["a", "a", "a"], [(0, 1, "x"), (1, 2, "x")])
+        for _ in range(200):
+            a = LabeledGraph(["a", "a", "a"], [(0, 1, "x"), (1, 2, "x")])
+            assert cache.mcs_edges(a, b) == 2
+            del a
+            c = LabeledGraph(["z", "z"], [(0, 1, "x")])
+            assert cache.mcs_edges(c, b) == mcs_edge_count(c, b) == 0
 
 
 class TestMatrices:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.dspm import DSPM
 from repro.core.dspmap import DSPMap
 from repro.core.partition import partition_database
+from repro.datasets import chemical_database
 from repro.features import FeatureSpace
 from repro.mining import mine_frequent_subgraphs
 from repro.similarity import DissimilarityCache, pairwise_dissimilarity_matrix
@@ -122,3 +123,22 @@ class TestDSPMap:
             space, db, delta_fn=lambda i, j: float(delta[i, j])
         )
         assert len(res.selected) == 4
+
+
+#: DSPMap's selection on ``chemical_database(24, seed=2014)``, gSpan at
+#: τ = 5 % up to 3 edges, ``DSPMap(24, partition_size=4, seed=2014)``,
+#: as the commit before the array-built MCS product returned it.
+PARENT_SELECTION = [
+    126, 123, 160, 246, 122, 130, 89, 269, 144, 145, 194, 193,
+    230, 23, 262, 34, 119, 161, 247, 9, 278, 20, 3, 220,
+]
+
+
+def test_selection_matches_parent():
+    db = chemical_database(24, seed=2014)
+    feats = mine_frequent_subgraphs(db, min_support=0.05, max_edges=3)
+    space = FeatureSpace(feats, len(db))
+    result = DSPMap(24, partition_size=4, seed=2014).fit(
+        space, db, dissimilarity=DissimilarityCache()
+    )
+    assert [int(f) for f in result.selected] == PARENT_SELECTION

@@ -1,8 +1,13 @@
 """Tests for the exact maximum common subgraph computation."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import product_oracle
+from repro.datasets import chemical_database
 from repro.graph import LabeledGraph, random_connected_graph
 from repro.isomorphism import is_subgraph, mcs_edge_count, maximum_common_subgraph
 from repro.isomorphism.product_graph import build_edge_product
@@ -104,6 +109,49 @@ class TestProductGraph:
         b = LabeledGraph(["a", "a"], [(0, 1, "x")])
         vertices, _adj = build_edge_product(a, b)
         assert len(vertices) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_product_matches_the_pair_at_a_time_rule(seed):
+    """Property: the array-built product has the reference rule's
+    vertices and adjacency, numbered by degree, highest first.  Two
+    vertex labels on up to seven vertices repeat labels, so both
+    orientations of an edge pair occur."""
+    rng = ensure_rng(seed)
+    graphs = []
+    for _ in range(2):
+        v = int(rng.integers(2, 8))
+        e = int(rng.integers(v - 1, min(v * (v - 1) // 2, v + 3) + 1))
+        graphs.append(random_connected_graph(
+            v, e, num_vertex_labels=2, num_edge_labels=2, seed=rng
+        ))
+    g1, g2 = graphs
+    vertices, adj = build_edge_product(g1, g2)
+    reference = product_oracle.product_vertices(g1, g2)
+    assert len(vertices) == len(reference)
+    assert set(vertices) == set(reference)
+    assert adj == product_oracle.adjacency(vertices)
+    degrees = [bin(row).count("1") for row in adj]
+    assert degrees == sorted(degrees, reverse=True)
+
+
+#: ``mcs_edge_count`` over every pair ``i < j`` of
+#: ``chemical_database(24, seed=2014)``, as the commit before the
+#: array-built product returned it (a per-pair ``_consistent`` check,
+#: product vertices in enumeration order): ``(pairs, digest)``.
+PARENT_DELTA_RECORD = (276, "337aa84d08a3b107")
+
+
+def test_mcs_counts_match_parent():
+    db = chemical_database(24, seed=2014)
+    counts = [
+        mcs_edge_count(db[i], db[j])
+        for i in range(len(db))
+        for j in range(i + 1, len(db))
+    ]
+    digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()[:16]
+    assert (len(counts), digest) == PARENT_DELTA_RECORD
 
 
 def _brute_force_mcs(g1: LabeledGraph, g2: LabeledGraph) -> int:
